@@ -1,176 +1,59 @@
-//! Experiment S1 — §5.2's commit policies measured on real OS threads.
+//! Experiment S1 — §5.2's commit policies: model vs wall clock.
 //!
 //! A closed-loop driver: N client threads each run "typical" 400-byte
 //! banking transactions (begin, two padded updates, commit) back to
 //! back against one shared [`mmdb_session::Engine`], waiting for
-//! durability before issuing the next. Reported per policy: committed
-//! transactions per second and p50/p99 begin-to-durable latency. The
-//! paper's §5.2 prediction, scaled to the configured page-write
-//! latency: synchronous commit pays one page write per transaction
-//! while group commit amortizes it over the whole group, so grouped
-//! throughput should beat synchronous by roughly the group size.
+//! durability before issuing the next. The engine's log writers sleep
+//! an explicit modeled page write (`--page-write-us`, the paper's 10 ms
+//! disk scaled down) before each real write, so the run reproduces the
+//! paper's device on real threads.
 //!
-//! The full run also sweeps the sharded lock manager (group policy, 32
-//! clients) over shard counts with a modeled per-lock-op CPU cost
-//! (`--lock-op-us`), and re-runs every policy at smoke parameters so
-//! `cargo xtask bench-check` has a like-for-like baseline. The workload
-//! is driven by a seeded LCG (`--seed`), so two runs with the same seed
-//! issue the same transaction mix.
+//! Each policy's measured committed tps is printed next to what
+//! [`ThroughputSim`] predicts for the same page size, page write and
+//! device count — with the commit groups in flight capped at the client
+//! count, since a closed loop cannot queue more commits than it has
+//! clients — and the residual between the two. §5.2's claim is the
+//! ratio: group commit beats synchronous by roughly the group size.
 //!
-//! Every run also pulls the engine's own observability snapshot
-//! ([`mmdb_session::Engine::stats`]) and reports commit-latency
-//! p50/p95/p99 and commit-batch-size percentiles alongside the
-//! driver-side timings; `cargo xtask bench-check` requires those fields
-//! in both the baseline and fresh smoke JSON.
-//!
-//! Every run also measures the SQL wire front end: a closed-loop
-//! remote driver (`--remote N` to pick the connection count) runs the
-//! same transfer workload as SQL over TCP — `BEGIN`, two `UPDATE`s,
-//! `COMMIT`, four round trips per transaction — against an in-process
-//! `mmdb-server`, then re-runs the identical statements through
-//! `mmdb-sql` directly so the JSON's `remote` section quantifies what
-//! the parser, planner, and wire protocol cost on top of the engine
-//! (`overhead_ratio` = in-process tps / remote tps).
-//!
-//! Every run also measures **recovery time** (§5.3): the same transfer
-//! workload runs against a fresh engine twice — once with the
-//! background checkpoint sweeper on (`--checkpoint-interval MS`), once
-//! off — then crashes and times `Engine::recover`. The JSON's
-//! `recovery` section reports wall-clock `recovery_ms` and the
-//! deterministic `log_bytes_replayed` for both; with checkpointing on,
-//! recovery replays the newest checkpoint image plus one interval's
-//! worth of log suffix instead of the whole history, so its
-//! `log_bytes_replayed` must come in below the checkpointing-off run's
-//! (`cargo xtask bench-check` enforces exactly that). The full run
-//! additionally sweeps the interval to show recovery cost scaling with
-//! it.
+//! This is a model experiment. What the stack costs on a real device is
+//! `benchmark/`'s job (SQL over TCP, real fsync, no modeled sleeps).
 //!
 //! Usage: `concurrent_commit [--policy sync|group|partitioned:K|all]
-//! [--clients N] [--duration-ms MS] [--page-write-us US]
-//! [--lock-op-us US] [--shards N] [--seed S] [--remote N]
-//! [--checkpoint-interval MS] [--smoke] [--chaos] [--out PATH]`.
-//! `--chaos` dials the remote driver's connections through the seeded
-//! chaos transport (delayed, duplicated, and dropped writes) — a
-//! correctness smoke for the retrying client under load, not a perf
-//! run; the JSON's `network_faults` field flips to `"enabled"` so
-//! `xtask bench-check` refuses such a run as a gate input.
-//! Results also land as JSON (default `BENCH_concurrent_commit.json`).
+//! [--clients N] [--duration-ms MS] [--page-write-us US] [--seed S]`.
 
 use mmdb_bench::print_table;
-use mmdb_server::{
-    ChaosTransport, Client, ClientConfig, Dialer, NetFaultPlan, Server, ServerConfig, Transport,
-};
+use mmdb_recovery::{SimConfig, ThroughputSim};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_sql::{SqlDb, SqlSession};
-use std::net::TcpStream;
+use mmdb_types::WorkloadRng;
 use std::time::{Duration, Instant};
-
-/// Shard counts the full run sweeps under the group policy.
-const SWEEP_SHARDS: [usize; 5] = [1, 2, 4, 8, 16];
-/// Clients for the shard sweep (the ROADMAP's 32-client scaling target).
-const SWEEP_CLIENTS: usize = 32;
-
-struct RunResult {
-    policy: String,
-    devices: usize,
-    shards: usize,
-    committed: u64,
-    aborted: u64,
-    tps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    pages_written: usize,
-    /// Begin-to-durable commit latency percentiles as the *engine*
-    /// measured them (`mmdb_session_commit_latency_us`), ms. The
-    /// driver-side `p50_ms`/`p99_ms` above time the same window from
-    /// the client thread; the two disagreeing by more than a log₂
-    /// bucket means the engine's own accounting drifted.
-    commit_p50_ms: f64,
-    commit_p95_ms: f64,
-    commit_p99_ms: f64,
-    /// Commit records per written log page (`mmdb_session_commit_batch_txns`)
-    /// percentiles — the §5.2 group-size the throughput claim rests on.
-    batch_p50_txns: u64,
-    batch_p95_txns: u64,
-    batch_p99_txns: u64,
-}
-
-/// Everything one engine run needs; the policy table, the shard sweep,
-/// and the smoke baseline all funnel through [`run_one`].
-#[derive(Clone)]
-struct RunParams {
-    policy: CommitPolicy,
-    clients: usize,
-    duration: Duration,
-    page_write: Duration,
-    /// `None` = the engine's default (available parallelism).
-    shards: Option<usize>,
-    /// Modeled per-lock-op CPU cost (zero = no modeling).
-    lock_op: Duration,
-    /// Group-commit flush interval; `None` = `page_write / 4`. The
-    /// shard sweep pins this to `page_write` so the flusher never cuts
-    /// pages faster than the device can retire them — otherwise the log
-    /// device saturates on partial pages and masks the lock manager.
-    flush: Option<Duration>,
-    seed: u64,
-}
 
 struct Config {
     policies: Vec<CommitPolicy>,
     clients: usize,
     duration: Duration,
     page_write: Duration,
-    lock_op: Duration,
-    shards: Option<usize>,
     seed: u64,
-    smoke: bool,
-    /// Remote-driver connection count; `None` = the mode's default
-    /// ([`REMOTE_SMOKE_CONNS`] under `--smoke`, [`REMOTE_FULL_CONNS`]
-    /// for the full run).
-    remote: Option<usize>,
-    /// §5.3 sweeper interval for the recovery experiment's
-    /// checkpointing-on run (the full run also sweeps
-    /// [`CKPT_SWEEP_MS`] around it).
-    checkpoint_interval: Duration,
-    /// Dial the remote driver through the seeded chaos transport. The
-    /// JSON attests `network_faults = "enabled"` so such a run can
-    /// never become the perf gate's input.
-    chaos: bool,
-    out: String,
 }
 
-/// Checkpoint intervals (ms) the full run's recovery sweep measures.
-const CKPT_SWEEP_MS: [u64; 4] = [10, 25, 50, 100];
-/// Default `--checkpoint-interval` for the recovery experiment.
-const CKPT_DEFAULT_MS: u64 = 50;
-
-/// Smoke-tier parameters, shared by `--smoke` and the full run's
-/// baseline section so `xtask bench-check` compares like with like.
-const SMOKE_CLIENTS: usize = 4;
-const SMOKE_DURATION_MS: u64 = 200;
-const SMOKE_PAGE_WRITE_US: u64 = 1000;
-
-/// Remote-driver connections for `--smoke` (schema check, not a perf
-/// claim) and the full run (the acceptance bar: the front end must
-/// hold up at 128 concurrent connections).
-const REMOTE_SMOKE_CONNS: usize = 8;
-const REMOTE_FULL_CONNS: usize = 128;
+struct Measured {
+    committed: u64,
+    aborted: u64,
+    tps: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+    pages_written: usize,
+}
 
 fn parse_policy(s: &str) -> CommitPolicy {
     match s {
         "sync" => CommitPolicy::Synchronous,
         "group" => CommitPolicy::Group,
-        other => {
-            if let Some(k) = other.strip_prefix("partitioned:") {
-                CommitPolicy::Partitioned {
-                    devices: k.parse().expect("partitioned:K needs an integer K"),
-                }
-            } else if other == "partitioned" {
-                CommitPolicy::Partitioned { devices: 2 }
-            } else {
-                panic!("unknown policy {other:?} (want sync|group|partitioned:K|all)");
-            }
-        }
+        other => match other.strip_prefix("partitioned:") {
+            Some(k) => CommitPolicy::Partitioned {
+                devices: k.parse().expect("partitioned:K needs an integer K"),
+            },
+            None => panic!("unknown policy {other:?} (want sync|group|partitioned:K|all)"),
+        },
     }
 }
 
@@ -185,66 +68,42 @@ fn parse_args() -> Config {
         clients: 8,
         duration: Duration::from_millis(1000),
         page_write: Duration::from_micros(2000),
-        lock_op: Duration::from_micros(500),
-        shards: None,
         seed: 42,
-        smoke: false,
-        remote: None,
-        checkpoint_interval: Duration::from_millis(CKPT_DEFAULT_MS),
-        chaos: false,
-        out: "BENCH_concurrent_commit.json".to_string(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
+        let mut value = || args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
         match arg.as_str() {
             "--policy" => {
-                let v = value("--policy");
+                let v = value();
                 if v != "all" {
                     cfg.policies = vec![parse_policy(&v)];
                 }
             }
-            "--clients" => cfg.clients = value("--clients").parse().expect("--clients N"),
+            "--clients" => cfg.clients = value().parse().expect("--clients N"),
             "--duration-ms" => {
-                cfg.duration =
-                    Duration::from_millis(value("--duration-ms").parse().expect("--duration-ms MS"))
+                cfg.duration = Duration::from_millis(value().parse().expect("--duration-ms MS"))
             }
             "--page-write-us" => {
-                cfg.page_write = Duration::from_micros(
-                    value("--page-write-us")
-                        .parse()
-                        .expect("--page-write-us US"),
-                )
+                cfg.page_write = Duration::from_micros(value().parse().expect("--page-write-us US"))
             }
-            "--lock-op-us" => {
-                cfg.lock_op =
-                    Duration::from_micros(value("--lock-op-us").parse().expect("--lock-op-us US"))
-            }
-            "--shards" => cfg.shards = Some(value("--shards").parse().expect("--shards N")),
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed S"),
-            "--remote" => cfg.remote = Some(value("--remote").parse().expect("--remote N")),
-            "--checkpoint-interval" => {
-                cfg.checkpoint_interval = Duration::from_millis(
-                    value("--checkpoint-interval")
-                        .parse()
-                        .expect("--checkpoint-interval MS"),
-                )
-            }
-            "--smoke" => {
-                cfg.smoke = true;
-                cfg.clients = SMOKE_CLIENTS;
-                cfg.duration = Duration::from_millis(SMOKE_DURATION_MS);
-                cfg.page_write = Duration::from_micros(SMOKE_PAGE_WRITE_US);
-            }
-            "--chaos" => cfg.chaos = true,
-            "--out" => cfg.out = value("--out"),
+            "--seed" => cfg.seed = value().parse().expect("--seed S"),
             other => panic!("unknown argument {other:?}"),
         }
     }
+    assert!(cfg.clients > 0, "--clients must be at least 1");
+    assert!(
+        !cfg.page_write.is_zero(),
+        "S1 models a device: --page-write-us must be positive (real-fsync numbers come from benchmark/)"
+    );
     cfg
+}
+
+fn policy_label(policy: CommitPolicy) -> String {
+    match policy {
+        CommitPolicy::Partitioned { devices } => format!("partitioned:{devices}"),
+        other => other.name().to_string(),
+    }
 }
 
 fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
@@ -255,37 +114,37 @@ fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
     sorted_us[idx.min(sorted_us.len() - 1)] as f64 / 1000.0
 }
 
-/// One step of a splitmix-style LCG: deterministic per seed, so the
-/// workload mix is reproducible across runs and machines.
-fn lcg_next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
+/// What the virtual-time simulator predicts for `policy` on the same
+/// device: committed tps over 10 000 back-to-back typical transactions.
+fn predicted_tps(policy: CommitPolicy, cfg: &Config) -> f64 {
+    let mut sim = match policy {
+        CommitPolicy::Synchronous => SimConfig::synchronous(),
+        CommitPolicy::Group => SimConfig::group_commit(),
+        CommitPolicy::Partitioned { devices } => SimConfig::partitioned(devices),
+    };
+    sim.page_write_us = cfg.page_write.as_micros() as u64;
+    // A closed loop has at most `clients` commits in flight, spread
+    // over the devices.
+    let in_flight_per_device = (cfg.clients / sim.devices).max(1);
+    sim.commit_group_txns = sim.commit_group_txns.min(in_flight_per_device);
+    ThroughputSim::new(sim).run_grouped(10_000).tps()
 }
 
-fn run_one(p: &RunParams) -> RunResult {
-    let shards_label = p.shards.map(|s| s.to_string()).unwrap_or_default();
+fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
     let dir = std::env::temp_dir().join(format!(
-        "mmdb-bench-cc-{}-{}-{}-{shards_label}",
+        "mmdb-bench-cc-{}-{}",
         std::process::id(),
-        p.policy.name(),
-        p.policy.devices()
+        policy_label(policy).replace(':', "-")
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let mut opts = EngineOptions::new(p.policy, &dir)
-        .with_page_write_latency(p.page_write)
-        .with_flush_interval(p.flush.unwrap_or(p.page_write / 4))
-        .with_lock_wait_timeout(Duration::from_secs(2))
-        .with_lock_op_latency(p.lock_op);
-    if let Some(s) = p.shards {
-        opts = opts.with_shards(s);
-    }
-    let shards = opts.shard_count();
+    let opts = EngineOptions::new(policy, &dir)
+        .with_page_write_latency(cfg.page_write)
+        .with_flush_interval(cfg.page_write / 4)
+        .with_lock_wait_timeout(Duration::from_secs(2));
     let engine = Engine::start(opts).expect("engine start");
 
     // Seed two accounts per client with round sums.
-    let accounts = (p.clients as u64) * 2;
+    let accounts = (cfg.clients as u64) * 2;
     let seeder = engine.session();
     let t = seeder.begin().expect("seed begin");
     for k in 0..accounts {
@@ -293,43 +152,45 @@ fn run_one(p: &RunParams) -> RunResult {
     }
     seeder.commit_durable(t).expect("seed commit");
 
-    let deadline = Instant::now() + p.duration;
     let started = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..p.clients as u64 {
-        let session = engine.session();
-        let mut rng = p.seed ^ (c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        handles.push(std::thread::spawn(move || {
-            let mut committed = 0u64;
-            let mut aborted = 0u64;
-            let mut latencies_us: Vec<u64> = Vec::new();
-            while Instant::now() < deadline {
-                // Mostly transfer inside the client's own account pair;
-                // roughly every 8th hop crosses into the neighbor's pair
-                // so the lock manager sees real conflicts and
-                // dependencies (and, sharded, real cross-shard traffic).
-                let from = c * 2;
-                let to = if lcg_next(&mut rng) % 8 == 0 {
-                    (c * 2 + 2) % accounts
-                } else {
-                    c * 2 + 1
-                };
-                if from == to {
-                    continue;
-                }
-                let txn_started = Instant::now();
-                match session.transfer(from, to, 1) {
-                    Ok(ticket) => {
-                        session.wait_durable(&ticket).expect("wait durable");
-                        latencies_us.push(txn_started.elapsed().as_micros() as u64);
-                        committed += 1;
+    let deadline = started + cfg.duration;
+    let handles: Vec<_> = (0..cfg.clients as u64)
+        .map(|c| {
+            let session = engine.session();
+            // Seeded per client, so a rerun issues the same transaction mix.
+            let mut rng = WorkloadRng::seeded(cfg.seed ^ c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            std::thread::spawn(move || {
+                let mut committed = 0u64;
+                let mut aborted = 0u64;
+                let mut latencies_us: Vec<u64> = Vec::new();
+                while Instant::now() < deadline {
+                    // Mostly transfer inside the client's own account
+                    // pair; roughly every 8th hop crosses into the
+                    // neighbor's pair so the lock manager sees real
+                    // conflicts and commit dependencies.
+                    let from = c * 2;
+                    let to = if rng.index(8) == 0 {
+                        (c * 2 + 2) % accounts
+                    } else {
+                        c * 2 + 1
+                    };
+                    if from == to {
+                        continue;
                     }
-                    Err(_) => aborted += 1,
+                    let txn_started = Instant::now();
+                    match session.transfer(from, to, 1) {
+                        Ok(ticket) => {
+                            session.wait_durable(&ticket).expect("wait durable");
+                            latencies_us.push(txn_started.elapsed().as_micros() as u64);
+                            committed += 1;
+                        }
+                        Err(_) => aborted += 1,
+                    }
                 }
-            }
-            (committed, aborted, latencies_us)
-        }));
-    }
+                (committed, aborted, latencies_us)
+            })
+        })
+        .collect();
     let mut committed = 0u64;
     let mut aborted = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
@@ -341,932 +202,81 @@ fn run_one(p: &RunParams) -> RunResult {
     }
     let elapsed = started.elapsed().as_secs_f64();
     let pages_written = engine.pages_written().expect("pages written");
-    // Engine-side percentiles from the obs registry, pulled before
-    // shutdown tears the registry down with the engine.
-    let stats = engine.stats();
-    let commit_hist = stats
-        .histogram("mmdb_session_commit_latency_us")
-        .cloned()
-        .unwrap_or_default();
-    let batch_hist = stats
-        .histogram("mmdb_session_commit_batch_txns")
-        .cloned()
-        .unwrap_or_default();
     engine.shutdown().expect("shutdown");
     std::fs::remove_dir_all(&dir).ok();
 
     latencies.sort_unstable();
-    let name = match p.policy {
-        CommitPolicy::Partitioned { devices } => format!("partitioned:{devices}"),
-        other => other.name().to_string(),
-    };
-    RunResult {
-        policy: name,
-        devices: p.policy.devices(),
-        shards,
+    Measured {
         committed,
         aborted,
         tps: committed as f64 / elapsed,
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
         pages_written,
-        commit_p50_ms: commit_hist.p50() as f64 / 1000.0,
-        commit_p95_ms: commit_hist.p95() as f64 / 1000.0,
-        commit_p99_ms: commit_hist.p99() as f64 / 1000.0,
-        batch_p50_txns: batch_hist.p50(),
-        batch_p95_txns: batch_hist.p95(),
-        batch_p99_txns: batch_hist.p99(),
-    }
-}
-
-/// Best-of-N committed tps. The smoke tier feeds a ±30% regression
-/// gate from 200 ms runs on shared CI machines: a single sample's
-/// variance (scheduler noise, cold caches, a neighboring job) is wider
-/// than the gate, while the *best* of three is a stable estimate of
-/// what the code can do. Both the `--smoke` runs and the baseline's
-/// `smoke_runs` section use this, so the gate compares like with like.
-const SMOKE_TRIALS: usize = 3;
-
-fn best_of(trials: usize, p: &RunParams) -> RunResult {
-    let mut best: Option<RunResult> = None;
-    for _ in 0..trials {
-        let r = run_one(p);
-        if best.as_ref().map_or(true, |b| b.tps < r.tps) {
-            best = Some(r);
-        }
-    }
-    best.expect("at least one trial")
-}
-
-/// One measured crash-recovery: seeded workload, crash, timed
-/// `Engine::recover`.
-struct RecoveryRun {
-    /// Sweeper interval during the pre-crash run; `None` = off.
-    checkpoint_interval_ms: Option<u64>,
-    committed: u64,
-    /// Wall-clock `Engine::recover` time (replay + restart compaction).
-    recovery_ms: f64,
-    /// Log bytes checksummed and decoded during replay — the §5.3
-    /// recovery-cost denominator, deterministic unlike wall-clock.
-    log_bytes_replayed: u64,
-    records_scanned: usize,
-    /// Whether recovery found a complete checkpoint and replayed only
-    /// the live generation's suffix past its floor.
-    checkpoint_used: bool,
-}
-
-/// §5.3 recovery experiment: run the transfer workload for `traffic`
-/// with the background sweeper at `interval` (or off), crash, and time
-/// `Engine::recover`. Recovery itself always runs with the sweeper off,
-/// so both arms time pure replay of whatever the pre-crash run left on
-/// disk.
-///
-/// With `final_sweep` (the gated on-vs-off pair), the checkpointing arm
-/// takes one explicit sweep after the traffic stops and then commits a
-/// short tail of transfers before crashing — pinning the crash at a
-/// known phase of the checkpoint cycle so the bench-check gate
-/// (`on.log_bytes_replayed < off.log_bytes_replayed`) is deterministic
-/// rather than hostage to sweeper scheduling on a loaded CI host. The
-/// interval sweep passes `final_sweep = false` and crashes at whatever
-/// phase the background sweeper happens to be in, which is the honest
-/// expected-case measurement.
-fn run_recovery(
-    interval: Option<Duration>,
-    final_sweep: bool,
-    clients: usize,
-    traffic: Duration,
-    page_write: Duration,
-    seed: u64,
-) -> RecoveryRun {
-    let tag = interval.map(|i| i.as_millis() as u64);
-    let dir = std::env::temp_dir().join(format!(
-        "mmdb-bench-recovery-{}-{}",
-        std::process::id(),
-        tag.map(|ms| ms.to_string()).unwrap_or_else(|| "off".into()),
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mut opts = EngineOptions::new(CommitPolicy::Group, &dir)
-        .with_page_write_latency(page_write)
-        .with_flush_interval(page_write / 4)
-        .with_lock_wait_timeout(Duration::from_secs(2));
-    if let Some(iv) = interval {
-        opts = opts.with_checkpoint_interval(iv);
-    }
-    let engine = Engine::start(opts).expect("engine start");
-
-    let accounts = (clients as u64) * 2;
-    let seeder = engine.session();
-    let t = seeder.begin().expect("seed begin");
-    for k in 0..accounts {
-        seeder.write(&t, k, 1_000_000).expect("seed write");
-    }
-    seeder.commit_durable(t).expect("seed commit");
-
-    let deadline = Instant::now() + traffic;
-    let mut handles = Vec::new();
-    for c in 0..clients as u64 {
-        let session = engine.session();
-        let mut rng = seed ^ (c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        handles.push(std::thread::spawn(move || {
-            let mut committed = 0u64;
-            while Instant::now() < deadline {
-                let from = c * 2;
-                let to = if lcg_next(&mut rng) % 8 == 0 {
-                    (c * 2 + 2) % accounts
-                } else {
-                    c * 2 + 1
-                };
-                if let Ok(ticket) = session.transfer(from, to, 1) {
-                    if session.wait_durable(&ticket).is_ok() {
-                        committed += 1;
-                    }
-                }
-            }
-            committed
-        }));
-    }
-    let mut committed: u64 = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .sum();
-    if final_sweep && interval.is_some() {
-        engine.checkpoint_now().expect("final checkpoint sweep");
-        // A short committed tail past the sweep, so recovery exercises
-        // the image-plus-suffix path rather than a clean image.
-        let session = engine.session();
-        for i in 0..20u64 {
-            let from = (i * 2) % accounts;
-            let to = (i * 2 + 1) % accounts;
-            if let Ok(ticket) = session.transfer(from, to, 1) {
-                if session.wait_durable(&ticket).is_ok() {
-                    committed += 1;
-                }
-            }
-        }
-    }
-    engine.crash().expect("crash");
-
-    let ropts = EngineOptions::new(CommitPolicy::Group, &dir)
-        .with_page_write_latency(page_write)
-        .with_flush_interval(page_write / 4)
-        .with_lock_wait_timeout(Duration::from_secs(2));
-    let recover_started = Instant::now();
-    let (recovered, info) = Engine::recover(ropts).expect("recover");
-    let recovery_ms = recover_started.elapsed().as_secs_f64() * 1000.0;
-    recovered.shutdown().expect("post-recovery shutdown");
-    std::fs::remove_dir_all(&dir).ok();
-
-    RecoveryRun {
-        checkpoint_interval_ms: tag,
-        committed,
-        recovery_ms,
-        log_bytes_replayed: info.log_bytes_replayed,
-        records_scanned: info.records_scanned,
-        checkpoint_used: info.checkpoint_start.is_some(),
-    }
-}
-
-/// One recovery arm as a JSON object (inline, no trailing newline).
-fn recovery_run_json(r: &RecoveryRun) -> String {
-    let interval = r
-        .checkpoint_interval_ms
-        .map(|ms| ms.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    format!(
-        "{{\"checkpoint_interval_ms\": {interval}, \"committed\": {}, \
-         \"recovery_ms\": {:.3}, \"log_bytes_replayed\": {}, \
-         \"records_scanned\": {}, \"checkpoint_used\": {}}}",
-        r.committed, r.recovery_ms, r.log_bytes_replayed, r.records_scanned, r.checkpoint_used,
-    )
-}
-
-/// The JSON `recovery` section for a top-level key (inner fields at 4
-/// spaces, closing brace at 2). `sweep` is the full run's
-/// interval-scaling table; smoke passes an empty slice and omits it.
-fn recovery_json(
-    clients: usize,
-    traffic: Duration,
-    page_write: Duration,
-    off: &RecoveryRun,
-    on: &RecoveryRun,
-    sweep: &[RecoveryRun],
-) -> String {
-    let indent = "    ";
-    let sweep_json = if sweep.is_empty() {
-        String::new()
-    } else {
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|r| format!("{indent}  {}", recovery_run_json(r)))
-            .collect();
-        format!("{indent}\"sweep\": [\n{}\n{indent}],\n", rows.join(",\n"))
-    };
-    format!(
-        "{{\n{indent}\"clients\": {clients},\n{indent}\"traffic_ms\": {},\n\
-         {indent}\"page_write_us\": {},\n\
-         {indent}\"off\": {},\n{indent}\"on\": {},\n{sweep_json}\
-         {indent}\"note\": \"same seeded transfer workload, crash, timed Engine::recover; on = background §5.3 sweeper plus one explicit sweep and a 20-txn committed tail before the crash, off = full-log replay; xtask bench-check requires on.log_bytes_replayed < off.log_bytes_replayed; sweep rows run at the full run's clients/duration and crash at an arbitrary sweeper phase\"\n  }}",
-        traffic.as_millis(),
-        page_write.as_micros(),
-        recovery_run_json(off),
-        recovery_run_json(on),
-    )
-}
-
-fn print_recovery(off: &RecoveryRun, on: &RecoveryRun, sweep: &[RecoveryRun]) {
-    println!(
-        "\nrecovery (§5.3): off {:.1} ms replaying {} bytes ({} committed) vs \
-         on {:.1} ms replaying {} bytes ({} committed, checkpoint_used={})",
-        off.recovery_ms,
-        off.log_bytes_replayed,
-        off.committed,
-        on.recovery_ms,
-        on.log_bytes_replayed,
-        on.committed,
-        on.checkpoint_used,
-    );
-    for r in sweep {
-        println!(
-            "  interval {:>4} ms: recovery {:.1} ms, {} bytes replayed, checkpoint_used={}",
-            r.checkpoint_interval_ms.unwrap_or(0),
-            r.recovery_ms,
-            r.log_bytes_replayed,
-            r.checkpoint_used,
-        );
-    }
-}
-
-/// What the remote driver measured, next to the in-process control.
-struct RemoteResult {
-    connections: usize,
-    duration_ms: u64,
-    committed: u64,
-    aborted: u64,
-    /// Committed SQL transactions per second over TCP.
-    remote_tps: f64,
-    /// Per-statement round-trip latency (one wire request) percentiles.
-    request_p50_ms: f64,
-    request_p95_ms: f64,
-    request_p99_ms: f64,
-    /// Begin-to-commit-acknowledged latency (4 round trips) percentiles.
-    txn_p50_ms: f64,
-    txn_p95_ms: f64,
-    txn_p99_ms: f64,
-    /// The same SQL statements executed through `mmdb-sql` directly,
-    /// no socket: the parser+planner+engine cost without the wire.
-    in_process_tps: f64,
-    /// in_process_tps / remote_tps — how much the wire protocol costs.
-    overhead_ratio: f64,
-}
-
-/// Minimal statement executor both the TCP client and the in-process
-/// SQL session satisfy, so the remote and in-process phases run the
-/// exact same closed loop.
-trait SqlExec {
-    fn exec(&mut self, sql: &str) -> Result<(), String>;
-}
-
-impl SqlExec for Client {
-    fn exec(&mut self, sql: &str) -> Result<(), String> {
-        self.execute(sql).map(|_| ()).map_err(|e| e.to_string())
-    }
-}
-
-impl SqlExec for SqlSession {
-    fn exec(&mut self, sql: &str) -> Result<(), String> {
-        self.execute(sql).map(|_| ()).map_err(|e| e.to_string())
-    }
-}
-
-/// Creates the `acct` table and seeds two accounts per connection with
-/// round sums, in 64-row INSERT batches.
-fn seed_accounts<E: SqlExec>(exec: &mut E, accounts: u64) {
-    exec.exec("CREATE TABLE acct (id INT, bal INT)")
-        .expect("create acct");
-    let ids: Vec<u64> = (0..accounts).collect();
-    for chunk in ids.chunks(64) {
-        let values: Vec<String> = chunk.iter().map(|k| format!("({k}, 1000000)")).collect();
-        exec.exec(&format!("INSERT INTO acct VALUES {}", values.join(", ")))
-            .expect("seed insert");
-    }
-}
-
-/// One closed-loop SQL client: transfers inside its own account pair,
-/// crossing into the neighbor's pair roughly every 8th hop (the same
-/// seeded mix as the raw-engine driver). Returns committed, aborted,
-/// per-request latencies, and per-transaction latencies (µs).
-fn sql_transfer_loop<E: SqlExec>(
-    exec: &mut E,
-    c: u64,
-    accounts: u64,
-    seed: u64,
-    deadline: Instant,
-) -> (u64, u64, Vec<u64>, Vec<u64>) {
-    let mut rng = seed ^ (c.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut request_us: Vec<u64> = Vec::new();
-    let mut txn_us: Vec<u64> = Vec::new();
-    while Instant::now() < deadline {
-        let from = c * 2;
-        let to = if lcg_next(&mut rng) % 8 == 0 {
-            (c * 2 + 2) % accounts
-        } else {
-            c * 2 + 1
-        };
-        if from == to {
-            continue;
-        }
-        let stmts = [
-            "BEGIN".to_string(),
-            format!("UPDATE acct SET bal = bal - 1 WHERE id = {from}"),
-            format!("UPDATE acct SET bal = bal + 1 WHERE id = {to}"),
-            "COMMIT".to_string(),
-        ];
-        let txn_started = Instant::now();
-        let mut failed = false;
-        for sql in &stmts {
-            let req_started = Instant::now();
-            let outcome = exec.exec(sql);
-            request_us.push(req_started.elapsed().as_micros() as u64);
-            if outcome.is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if failed {
-            // A failed statement already aborted the transaction on the
-            // session side; this ABORT is a no-op safety net and its
-            // "outside a transaction" error is expected.
-            let _ = exec.exec("ABORT");
-            aborted += 1;
-        } else {
-            txn_us.push(txn_started.elapsed().as_micros() as u64);
-            committed += 1;
-        }
-    }
-    (committed, aborted, request_us, txn_us)
-}
-
-/// Builds a dialer that wraps each fresh TCP connection in a
-/// [`ChaosTransport`] with a seeded per-dial fault plan (clean, delayed
-/// write, duplicated write, or mid-stream drop), so the `--chaos` arm
-/// exercises the client's reconnect-and-retry path under real traffic.
-fn chaos_dialer(addr: std::net::SocketAddr, seed: u64, c: u64) -> Dialer {
-    let mut rng = (seed ^ c.wrapping_mul(0xA076_1D64_78BD_642F)) | 1;
-    Box::new(move || {
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-        let r = lcg_next(&mut rng);
-        let plan = match r % 4 {
-            0 => NetFaultPlan::none(),
-            1 => NetFaultPlan::none().delay_write(4 + r % 16),
-            2 => NetFaultPlan::none().dup_write(4 + r % 16),
-            _ => NetFaultPlan::none().drop_at(8 + r % 64),
-        };
-        Ok(Box::new(ChaosTransport::new(stream, plan)) as Box<dyn Transport>)
-    })
-}
-
-/// The remote experiment: the transfer workload as SQL over TCP against
-/// an in-process server (group policy), then the identical statements
-/// through `mmdb-sql` directly as the no-wire control. With `chaos`
-/// set, the driver connections dial through [`chaos_dialer`] (the
-/// seeder and the in-process control stay clean).
-fn run_remote(
-    connections: usize,
-    duration: Duration,
-    page_write: Duration,
-    seed: u64,
-    chaos: bool,
-) -> RemoteResult {
-    let accounts = connections as u64 * 2;
-    let opts_for = |dir: &std::path::Path| {
-        EngineOptions::new(CommitPolicy::Group, dir)
-            .with_page_write_latency(page_write)
-            .with_flush_interval(page_write / 4)
-            .with_lock_wait_timeout(Duration::from_secs(2))
-    };
-
-    // Phase 1: over the wire.
-    let dir = std::env::temp_dir().join(format!("mmdb-bench-remote-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let engine = Engine::start(opts_for(&dir)).expect("engine start");
-    let config = ServerConfig {
-        max_connections: connections + 8,
-        ..ServerConfig::default()
-    };
-    let handle = Server::start(&engine, config).expect("server start");
-    let addr = handle.addr();
-    {
-        let mut seeder = Client::connect(addr).expect("seed connect");
-        seed_accounts(&mut seeder, accounts);
-    }
-    let deadline = Instant::now() + duration;
-    let started = Instant::now();
-    if chaos {
-        println!("  remote driver: chaos transport ENABLED (seeded per-dial fault plans)");
-    }
-    let workers: Vec<_> = (0..connections as u64)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = if chaos {
-                    let config = ClientConfig {
-                        read_deadline: Duration::from_millis(500),
-                        retry_seed: seed ^ c,
-                        ..ClientConfig::default()
-                    };
-                    Client::from_dialer(chaos_dialer(addr, seed, c), config)
-                        .expect("chaos client connect")
-                } else {
-                    Client::connect(addr).expect("client connect")
-                };
-                sql_transfer_loop(&mut client, c, accounts, seed, deadline)
-            })
-        })
-        .collect();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut request_us: Vec<u64> = Vec::new();
-    let mut txn_us: Vec<u64> = Vec::new();
-    for w in workers {
-        let (c, a, reqs, txns) = w.join().expect("remote client thread");
-        committed += c;
-        aborted += a;
-        request_us.extend(reqs);
-        txn_us.extend(txns);
-    }
-    let remote_elapsed = started.elapsed().as_secs_f64();
-    handle.shutdown().expect("server shutdown");
-    engine.shutdown().expect("engine shutdown");
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Phase 2: the in-process control — same statements, no socket.
-    let dir = std::env::temp_dir().join(format!("mmdb-bench-inproc-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let engine = Engine::start(opts_for(&dir)).expect("engine start");
-    let db = SqlDb::open(&engine).expect("sql open");
-    {
-        let mut session = db.session();
-        seed_accounts(&mut session, accounts);
-    }
-    let deadline = Instant::now() + duration;
-    let started = Instant::now();
-    let workers: Vec<_> = (0..connections as u64)
-        .map(|c| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let mut session = db.session();
-                sql_transfer_loop(&mut session, c, accounts, seed, deadline)
-            })
-        })
-        .collect();
-    let mut in_committed = 0u64;
-    for w in workers {
-        let (c, _, _, _) = w.join().expect("in-process client thread");
-        in_committed += c;
-    }
-    let in_elapsed = started.elapsed().as_secs_f64();
-    drop(db);
-    engine.shutdown().expect("engine shutdown");
-    std::fs::remove_dir_all(&dir).ok();
-
-    request_us.sort_unstable();
-    txn_us.sort_unstable();
-    let remote_tps = committed as f64 / remote_elapsed;
-    let in_process_tps = in_committed as f64 / in_elapsed;
-    RemoteResult {
-        connections,
-        duration_ms: duration.as_millis() as u64,
-        committed,
-        aborted,
-        remote_tps,
-        request_p50_ms: percentile_ms(&request_us, 0.50),
-        request_p95_ms: percentile_ms(&request_us, 0.95),
-        request_p99_ms: percentile_ms(&request_us, 0.99),
-        txn_p50_ms: percentile_ms(&txn_us, 0.50),
-        txn_p95_ms: percentile_ms(&txn_us, 0.95),
-        txn_p99_ms: percentile_ms(&txn_us, 0.99),
-        in_process_tps,
-        overhead_ratio: if remote_tps > 0.0 {
-            in_process_tps / remote_tps
-        } else {
-            0.0
-        },
-    }
-}
-
-/// The JSON `remote` section, formatted for a top-level key (inner
-/// fields at 4 spaces, closing brace at 2).
-fn remote_json(r: &RemoteResult) -> String {
-    let indent = "    ";
-    format!(
-        "{{\n{indent}\"connections\": {},\n{indent}\"duration_ms\": {},\n{indent}\"policy\": \"group\",\n\
-         {indent}\"committed\": {},\n{indent}\"aborted\": {},\n{indent}\"remote_tps\": {:.1},\n\
-         {indent}\"request_p50_ms\": {:.3},\n{indent}\"request_p95_ms\": {:.3},\n\
-         {indent}\"request_p99_ms\": {:.3},\n{indent}\"txn_p50_ms\": {:.3},\n\
-         {indent}\"txn_p95_ms\": {:.3},\n{indent}\"txn_p99_ms\": {:.3},\n\
-         {indent}\"in_process_tps\": {:.1},\n{indent}\"overhead_ratio\": {:.2},\n\
-         {indent}\"note\": \"closed-loop SQL transfers (BEGIN, UPDATE x2, COMMIT; 4 round trips per txn) over TCP vs the identical statements run through mmdb-sql in-process; overhead_ratio = in_process_tps / remote_tps\"\n  }}",
-        r.connections,
-        r.duration_ms,
-        r.committed,
-        r.aborted,
-        r.remote_tps,
-        r.request_p50_ms,
-        r.request_p95_ms,
-        r.request_p99_ms,
-        r.txn_p50_ms,
-        r.txn_p95_ms,
-        r.txn_p99_ms,
-        r.in_process_tps,
-        r.overhead_ratio,
-    )
-}
-
-fn print_remote(r: &RemoteResult) {
-    println!(
-        "\nremote SQL front end: {} connections, {} ms — {:.0} tps over TCP \
-         (req p50 {:.2} ms, txn p99 {:.2} ms) vs {:.0} tps in-process \
-         ({:.1}x front-end overhead)",
-        r.connections,
-        r.duration_ms,
-        r.remote_tps,
-        r.request_p50_ms,
-        r.txn_p99_ms,
-        r.in_process_tps,
-        r.overhead_ratio,
-    );
-}
-
-fn result_rows(results: &[RunResult], label_shards: bool) -> Vec<Vec<String>> {
-    results
-        .iter()
-        .map(|r| {
-            let first = if label_shards {
-                r.shards.to_string()
-            } else {
-                r.policy.clone()
-            };
-            vec![
-                first,
-                r.devices.to_string(),
-                r.committed.to_string(),
-                r.aborted.to_string(),
-                format!("{:.0}", r.tps),
-                format!("{:.2}", r.p50_ms),
-                format!("{:.2}", r.p99_ms),
-                r.pages_written.to_string(),
-                format!("{:.2}", r.commit_p99_ms),
-                r.batch_p50_txns.to_string(),
-            ]
-        })
-        .collect()
-}
-
-fn run_json(r: &RunResult) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"devices\": {}, \"shards\": {}, \"committed\": {}, \
-         \"aborted\": {}, \"tps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"pages_written\": {}, \"commit_p50_ms\": {:.3}, \"commit_p95_ms\": {:.3}, \
-         \"commit_p99_ms\": {:.3}, \"batch_p50_txns\": {}, \"batch_p95_txns\": {}, \
-         \"batch_p99_txns\": {}}}",
-        r.policy,
-        r.devices,
-        r.shards,
-        r.committed,
-        r.aborted,
-        r.tps,
-        r.p50_ms,
-        r.p99_ms,
-        r.pages_written,
-        r.commit_p50_ms,
-        r.commit_p95_ms,
-        r.commit_p99_ms,
-        r.batch_p50_txns,
-        r.batch_p95_txns,
-        r.batch_p99_txns
-    )
-}
-
-fn speedup_of(results: &[RunResult]) -> f64 {
-    let sync_tps = results
-        .iter()
-        .find(|r| r.policy == "sync")
-        .map(|r| r.tps)
-        .unwrap_or(0.0);
-    let group_tps = results
-        .iter()
-        .find(|r| r.policy == "group")
-        .map(|r| r.tps)
-        .unwrap_or(0.0);
-    if sync_tps > 0.0 {
-        group_tps / sync_tps
-    } else {
-        0.0
     }
 }
 
 fn main() {
     let cfg = parse_args();
-    println!("Experiment S1 — §5.2 commit policies on OS threads");
+    println!("Experiment S1 — §5.2 commit policies, model vs wall clock");
     println!(
-        "closed loop: {} clients, {} ms, {} µs/page write, seed {}, 400-byte typical txns",
+        "closed loop: {} clients, {} ms, {} µs modeled page write, seed {}, 400-byte typical txns, {} core(s)",
         cfg.clients,
         cfg.duration.as_millis(),
         cfg.page_write.as_micros(),
         cfg.seed,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
-    // Policy table at the configured (or smoke) parameters. Policy runs
-    // use the engine's real lock manager without modeled CPU cost —
-    // lock_op only matters for the shard sweep, where it is the point.
-    // Smoke runs feed the regression gate, so they take the best of
-    // several short trials instead of one noisy sample.
-    let trials = if cfg.smoke { SMOKE_TRIALS } else { 1 };
-    let results: Vec<RunResult> = cfg
+    let runs: Vec<(CommitPolicy, f64, Measured)> = cfg
         .policies
         .iter()
-        .map(|p| {
-            best_of(
-                trials,
-                &RunParams {
-                    policy: *p,
-                    clients: cfg.clients,
-                    duration: cfg.duration,
-                    page_write: cfg.page_write,
-                    shards: cfg.shards,
-                    lock_op: Duration::ZERO,
-                    flush: None,
-                    seed: cfg.seed,
-                },
-            )
-        })
+        .map(|p| (*p, predicted_tps(*p, &cfg), measure(*p, &cfg)))
         .collect();
 
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(policy, predicted, m)| {
+            vec![
+                policy_label(*policy),
+                format!("{predicted:.0}"),
+                format!("{:.0}", m.tps),
+                format!("{:+.0}%", (m.tps - predicted) / predicted * 100.0),
+                m.committed.to_string(),
+                m.aborted.to_string(),
+                format!("{:.2}", m.p50_ms),
+                format!("{:.2}", m.p99_ms),
+                m.pages_written.to_string(),
+                // The §5.2 group size the throughput claim rests on.
+                format!("{:.1}", m.committed as f64 / m.pages_written.max(1) as f64),
+            ]
+        })
+        .collect();
     print_table(
-        "committed throughput and durability latency",
+        "committed tps: ThroughputSim's prediction vs the wall clock",
         &[
             "policy",
-            "devices",
+            "model tps",
+            "measured tps",
+            "residual",
             "committed",
             "aborted",
-            "tps",
             "p50 ms",
             "p99 ms",
             "pages",
-            "eng p99 ms",
-            "batch p50",
+            "txns/page",
         ],
-        &result_rows(&results, false),
+        &rows,
     );
 
-    let speedup = speedup_of(&results);
-    if speedup > 0.0 {
-        println!("\n  group commit vs synchronous: {speedup:.1}x (§5.2 predicts ~group-size x)");
+    let of = |want: CommitPolicy| runs.iter().find(|(p, _, _)| *p == want);
+    if let (Some((_, sync_model, sync)), Some((_, group_model, group))) =
+        (of(CommitPolicy::Synchronous), of(CommitPolicy::Group))
+    {
+        println!(
+            "\n  group commit vs synchronous: measured {:.1}x, model {:.1}x (§5.2: ~group-size x)",
+            group.tps / sync.tps,
+            group_model / sync_model,
+        );
     }
-
-    let runs_json: Vec<String> = results
-        .iter()
-        .map(|r| format!("    {}", run_json(r)))
-        .collect();
-
-    if cfg.smoke {
-        // Smoke mode: the policy table above plus a small remote-driver
-        // run, tagged so `xtask bench-check` can compare it against the
-        // checked-in baseline's `smoke_runs` section and verify the
-        // remote schema is present.
-        // `fault_injection` attests that the fault-injection layer is
-        // compiled in but no plan is installed — `xtask bench-check`
-        // refuses a smoke run without it, so a faulted (or fault-free
-        // via a side build) run can never silently become the gate.
-        // `network_faults` attests the same for the chaos transport:
-        // "disabled" normally, "enabled" under `--chaos` (which the
-        // gate refuses, keeping chaos smoke and perf gate separate).
-        let remote = run_remote(
-            cfg.remote.unwrap_or(REMOTE_SMOKE_CONNS),
-            cfg.duration,
-            cfg.page_write,
-            cfg.seed,
-            cfg.chaos,
-        );
-        print_remote(&remote);
-        // Recovery pair for the bench-check gate: checkpointing off
-        // (full-log replay) vs on (image + bounded suffix), same seed.
-        let rec_off = run_recovery(
-            None,
-            true,
-            cfg.clients,
-            cfg.duration,
-            cfg.page_write,
-            cfg.seed,
-        );
-        let rec_on = run_recovery(
-            Some(cfg.checkpoint_interval),
-            true,
-            cfg.clients,
-            cfg.duration,
-            cfg.page_write,
-            cfg.seed,
-        );
-        print_recovery(&rec_off, &rec_on, &[]);
-        let json = format!(
-            "{{\n  \"bench\": \"concurrent_commit\",\n  \"mode\": \"smoke\",\n  \"seed\": {},\n  \
-             \"clients\": {},\n  \"duration_ms\": {},\n  \"page_write_us\": {},\n  \
-             \"typical_txn_bytes\": 400,\n  \"fault_injection\": \"disabled\",\n  \
-             \"network_faults\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \
-             \"group_vs_sync_speedup\": {:.2},\n  \"remote\": {},\n  \"recovery\": {}\n}}\n",
-            cfg.seed,
-            cfg.clients,
-            cfg.duration.as_millis(),
-            cfg.page_write.as_micros(),
-            if cfg.chaos { "enabled" } else { "disabled" },
-            runs_json.join(",\n"),
-            speedup,
-            remote_json(&remote),
-            recovery_json(
-                cfg.clients,
-                cfg.duration,
-                cfg.page_write,
-                &rec_off,
-                &rec_on,
-                &[]
-            ),
-        );
-        std::fs::write(&cfg.out, json).expect("write JSON");
-        println!("  wrote {}", cfg.out);
-        return;
-    }
-
-    // Shard sweep: group policy, 32 clients, modeled per-lock-op CPU
-    // cost. With a real service time inside each shard's critical
-    // section, one shard behaves like a single-server queue and N
-    // shards like N servers — so the sweep measures the architecture's
-    // blocking structure honestly even on a one-core host (the modeled
-    // cost plays the same role as the engine's modeled disk latency).
-    println!(
-        "\nshard sweep: group policy, {SWEEP_CLIENTS} clients, {} µs modeled lock-op cost",
-        cfg.lock_op.as_micros()
-    );
-    let sweep: Vec<RunResult> = SWEEP_SHARDS
-        .iter()
-        .map(|s| {
-            run_one(&RunParams {
-                policy: CommitPolicy::Group,
-                clients: SWEEP_CLIENTS,
-                duration: cfg.duration,
-                page_write: cfg.page_write,
-                shards: Some(*s),
-                lock_op: cfg.lock_op,
-                flush: Some(cfg.page_write),
-                seed: cfg.seed,
-            })
-        })
-        .collect();
-    print_table(
-        "group-policy committed tps vs shard count",
-        &[
-            "shards",
-            "devices",
-            "committed",
-            "aborted",
-            "tps",
-            "p50 ms",
-            "p99 ms",
-            "pages",
-            "eng p99 ms",
-            "batch p50",
-        ],
-        &result_rows(&sweep, true),
-    );
-    let base_tps = sweep.first().map(|r| r.tps).unwrap_or(0.0);
-    let best = sweep
-        .iter()
-        .max_by(|a, b| a.tps.total_cmp(&b.tps))
-        .expect("sweep non-empty");
-    let scaling = if base_tps > 0.0 {
-        best.tps / base_tps
-    } else {
-        0.0
-    };
-    println!(
-        "\n  sharded ({} shards) vs single shard: {scaling:.1}x committed tps",
-        best.shards
-    );
-
-    // Remote front end at the acceptance bar: ≥128 concurrent TCP
-    // connections driving SQL transfers, with the in-process control
-    // quantifying what the wire + parser + planner cost.
-    let remote = run_remote(
-        cfg.remote.unwrap_or(REMOTE_FULL_CONNS),
-        cfg.duration,
-        cfg.page_write,
-        cfg.seed,
-        cfg.chaos,
-    );
-    print_remote(&remote);
-
-    // Smoke-tier baseline for `cargo xtask bench-check`: every policy at
-    // the exact parameters (and best-of-trials statistic) `--smoke` uses.
-    let smoke_baseline: Vec<RunResult> = cfg
-        .policies
-        .iter()
-        .map(|p| {
-            best_of(
-                SMOKE_TRIALS,
-                &RunParams {
-                    policy: *p,
-                    clients: SMOKE_CLIENTS,
-                    duration: Duration::from_millis(SMOKE_DURATION_MS),
-                    page_write: Duration::from_micros(SMOKE_PAGE_WRITE_US),
-                    shards: cfg.shards,
-                    lock_op: Duration::ZERO,
-                    flush: None,
-                    seed: cfg.seed,
-                },
-            )
-        })
-        .collect();
-
-    // Recovery experiment: the gated on/off pair at smoke parameters
-    // (so the checked-in baseline carries the exact schema bench-check
-    // compares a fresh --smoke run against), plus the interval sweep at
-    // the full run's traffic length to show §5.3 recovery cost tracking
-    // the checkpoint interval.
-    let rec_off = run_recovery(
-        None,
-        true,
-        SMOKE_CLIENTS,
-        Duration::from_millis(SMOKE_DURATION_MS),
-        Duration::from_micros(SMOKE_PAGE_WRITE_US),
-        cfg.seed,
-    );
-    let rec_on = run_recovery(
-        Some(cfg.checkpoint_interval),
-        true,
-        SMOKE_CLIENTS,
-        Duration::from_millis(SMOKE_DURATION_MS),
-        Duration::from_micros(SMOKE_PAGE_WRITE_US),
-        cfg.seed,
-    );
-    let rec_sweep: Vec<RecoveryRun> = CKPT_SWEEP_MS
-        .iter()
-        .map(|ms| {
-            run_recovery(
-                Some(Duration::from_millis(*ms)),
-                false,
-                cfg.clients,
-                cfg.duration,
-                cfg.page_write,
-                cfg.seed,
-            )
-        })
-        .collect();
-    print_recovery(&rec_off, &rec_on, &rec_sweep);
-
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|r| format!("      {}", run_json(r)))
-        .collect();
-    let smoke_json: Vec<String> = smoke_baseline
-        .iter()
-        .map(|r| format!("      {}", run_json(r)))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"concurrent_commit\",\n  \"mode\": \"full\",\n  \"seed\": {},\n  \
-         \"clients\": {},\n  \"duration_ms\": {},\n  \"page_write_us\": {},\n  \
-         \"typical_txn_bytes\": 400,\n  \"fault_injection\": \"disabled\",\n  \
-         \"network_faults\": \"{}\",\n  \"runs\": [\n{}\n  ],\n  \
-         \"group_vs_sync_speedup\": {:.2},\n  \
-         \"shard_sweep\": {{\n    \"policy\": \"group\",\n    \"clients\": {SWEEP_CLIENTS},\n    \
-         \"duration_ms\": {},\n    \"lock_op_us\": {},\n    \
-         \"note\": \"lock_op_us is a modeled per-lock-op CPU cost spent inside the shard critical section (single-server queue per shard; see DESIGN.md); policy runs above use lock_op_us = 0\",\n    \
-         \"runs\": [\n{}\n    ],\n    \"scaling_best_vs_one\": {:.2}\n  }},\n  \
-         \"remote\": {},\n  \
-         \"recovery\": {},\n  \
-         \"smoke_runs\": {{\n    \"clients\": {SMOKE_CLIENTS},\n    \"duration_ms\": {SMOKE_DURATION_MS},\n    \
-         \"page_write_us\": {SMOKE_PAGE_WRITE_US},\n    \"runs\": [\n{}\n    ]\n  }}\n}}\n",
-        cfg.seed,
-        cfg.clients,
-        cfg.duration.as_millis(),
-        cfg.page_write.as_micros(),
-        if cfg.chaos { "enabled" } else { "disabled" },
-        runs_json.join(",\n"),
-        speedup,
-        cfg.duration.as_millis(),
-        cfg.lock_op.as_micros(),
-        sweep_json.join(",\n"),
-        scaling,
-        remote_json(&remote),
-        recovery_json(
-            SMOKE_CLIENTS,
-            Duration::from_millis(SMOKE_DURATION_MS),
-            Duration::from_micros(SMOKE_PAGE_WRITE_US),
-            &rec_off,
-            &rec_on,
-            &rec_sweep,
-        ),
-        smoke_json.join(",\n"),
-    );
-    std::fs::write(&cfg.out, json).expect("write JSON");
-    println!("  wrote {}", cfg.out);
 }

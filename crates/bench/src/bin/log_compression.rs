@@ -7,12 +7,12 @@
 //! compares log pages written and verifies recovery still works from the
 //! compressed log.
 
-use mmdb::{CommitMode, TransactionalStore};
 use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::{pct, print_table};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 
 fn run_workload(mode: CommitMode, transfers: u64) -> (usize, bool) {
-    let mut store = TransactionalStore::new(mode);
+    let mut store = RecoveryManager::new(mode);
     let seed = store.begin();
     for a in 0..100u64 {
         store.write(&seed, a, 1_000).unwrap();
@@ -21,10 +21,10 @@ fn run_workload(mode: CommitMode, transfers: u64) -> (usize, bool) {
     for i in 0..transfers {
         store.transfer(i % 100, (i + 7) % 100, 1).unwrap();
     }
-    store.flush();
+    store.flush_and_wait();
     let pages = store.log_pages_written();
     // Crash and recover; check balances are conserved.
-    let (recovered, report) = TransactionalStore::recover(store.crash());
+    let (recovered, report) = RecoveryManager::recover(store.crash());
     let total: i64 = (0..100).map(|a| recovered.read(a).unwrap_or(0)).sum();
     let ok = total == 100_000 && report.committed.len() as u64 == transfers + 1;
     (pages, ok)

@@ -6,15 +6,15 @@
 //! examine, how many the dirty-page table let it skip, and an estimated
 //! recovery time (records × 3 µs replay + log pages × 10 ms reads).
 
-use mmdb::{CommitMode, TransactionalStore};
 use mmdb_bench::{print_table, secs};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 
 fn main() {
     println!("Experiment R3 — §5.5 recovery time vs checkpoint interval");
     let txns = 5_000u64;
     let mut rows = Vec::new();
     for checkpoint_every in [0u64, 2_000, 500, 100] {
-        let mut store = TransactionalStore::new(CommitMode::StableMemory {
+        let mut store = RecoveryManager::new(CommitMode::StableMemory {
             capacity_bytes: 1 << 22,
         });
         let seed = store.begin();
@@ -25,12 +25,12 @@ fn main() {
         for i in 0..txns {
             store.transfer(i % 200, (i + 3) % 200, 1).unwrap();
             if checkpoint_every > 0 && i % checkpoint_every == checkpoint_every - 1 {
-                store.checkpoint(usize::MAX);
-                store.flush();
+                store.checkpoint_sweep(usize::MAX);
+                store.flush_and_wait();
             }
         }
-        store.flush();
-        let (recovered, report) = TransactionalStore::recover(store.crash());
+        store.flush_and_wait();
+        let (recovered, report) = RecoveryManager::recover(store.crash());
         let total: i64 = (0..200).map(|a| recovered.read(a).unwrap_or(0)).sum();
         assert_eq!(total, 200_000, "balances conserved");
         let replayed = report.records_scanned - report.records_skipped_by_dirty_table;

@@ -242,6 +242,26 @@ impl RecoveryManager {
         Ok(())
     }
 
+    /// Runs one §5.1 "typical" banking transaction — debit `from`, credit
+    /// `to`, 400 logged bytes — and commits it. Returns the durability
+    /// time (virtual µs); on a lock conflict the transaction is rolled
+    /// back and the error surfaced.
+    pub fn transfer(&mut self, from: u64, to: u64, amount: i64) -> Result<Micros> {
+        let txn = self.begin();
+        let result = (|| {
+            let src = self.read(from).unwrap_or(0);
+            self.write_typical(&txn, from, src - amount)?;
+            // Read after the debit, so a self-transfer nets to zero.
+            let dst = self.read(to).unwrap_or(0);
+            self.write_typical(&txn, to, dst + amount)?;
+            self.commit(txn)
+        })();
+        if result.is_err() {
+            let _ = self.abort(txn);
+        }
+        result
+    }
+
     /// Aborts a transaction: undoes its in-memory updates (reverse order),
     /// logs the abort, and releases its locks.
     pub fn abort(&mut self, txn: TxnHandle) -> Result<()> {
@@ -327,6 +347,15 @@ impl RecoveryManager {
             return self.drain_stable();
         }
         self.flush_page()
+    }
+
+    /// [`Self::flush`], then waits — advances virtual time — until the
+    /// write completes, so everything committed so far is durable on
+    /// return (§5.2).
+    pub fn flush_and_wait(&mut self) {
+        if let Some(done) = self.flush() {
+            self.now = self.now.max(done);
+        }
     }
 
     fn flush_page(&mut self) -> Option<Micros> {
@@ -975,5 +1004,80 @@ mod tests {
         let (mut m2, _) = RecoveryManager::recover(m.crash());
         let t2 = m2.begin();
         assert!(t2.0 .0 > t1.0 .0, "txn ids must not be reused");
+    }
+
+    #[test]
+    fn transfers_preserve_total_balance_across_crash() {
+        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        // Seed accounts.
+        let seed = m.begin();
+        for acct in 0..10u64 {
+            m.write(&seed, acct, 1_000).unwrap();
+        }
+        m.commit(seed).unwrap();
+        m.flush_and_wait();
+        // Random-ish committed transfers.
+        for i in 0..50u64 {
+            m.transfer(i % 10, (i + 3) % 10, 10).unwrap();
+        }
+        m.flush_and_wait();
+        // One in-flight transfer that must not survive.
+        let t = m.begin();
+        m.write(&t, 0, -999_999).unwrap();
+        let (recovered, report) = RecoveryManager::recover(m.crash());
+        let total: i64 = (0..10).map(|a| recovered.read(a).unwrap()).sum();
+        assert_eq!(total, 10_000, "money is conserved");
+        assert_ne!(recovered.read(0), Some(-999_999));
+        assert_eq!(report.committed.len(), 51);
+    }
+
+    #[test]
+    fn transfer_is_typical_sized() {
+        // Two 400-byte-class updates per transfer: ~5 transfers per log
+        // page rather than 10 single-update transactions.
+        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        for i in 0..25 {
+            m.transfer(i, i + 100, 1).unwrap();
+        }
+        m.flush_and_wait();
+        assert!(m.log_pages_written() >= 2);
+    }
+
+    #[test]
+    fn self_transfer_is_a_logged_no_op() {
+        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        m.transfer(1, 2, 70).unwrap();
+        let pages = m.log_pages_written();
+        m.transfer(2, 2, 30).unwrap();
+        assert_eq!(m.read(2), Some(70));
+        assert_eq!(m.log_pages_written(), pages + 1);
+    }
+
+    #[test]
+    fn abort_rolls_back() {
+        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        let t0 = m.begin();
+        m.write(&t0, 1, 500).unwrap();
+        m.commit(t0).unwrap();
+        let t = m.begin();
+        m.write(&t, 1, 999).unwrap();
+        assert_eq!(m.read(1), Some(999));
+        m.abort(t).unwrap();
+        assert_eq!(m.read(1), Some(500));
+    }
+
+    #[test]
+    fn checkpoint_then_recover() {
+        let mut m = RecoveryManager::new(CommitMode::StableMemory {
+            capacity_bytes: 1 << 20,
+        });
+        for i in 0..20u64 {
+            m.transfer(i, i + 1, 5).unwrap();
+        }
+        let swept = m.checkpoint_sweep(1_000);
+        assert!(swept > 0);
+        let (recovered, report) = RecoveryManager::recover(m.crash());
+        assert_eq!(report.committed.len(), 20);
+        assert_eq!(recovered.read(0), Some(-5));
     }
 }

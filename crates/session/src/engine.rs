@@ -24,7 +24,6 @@ use crate::daemon::{self, CommitInfo, Page, Shared};
 use crate::metrics::us_since;
 use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{rollback_shard, ShardState, TxnPhase, UndoEntry};
-use mmdb::SharedDatabase;
 use mmdb_obs::{Registry, StatsSnapshot, TraceEvent, TraceStage};
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{detect_deadlocks_in, LogRecord, Lsn};
@@ -63,7 +62,6 @@ pub struct CommitTicket {
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
-    catalog: SharedDatabase,
     threads: Vec<JoinHandle<()>>,
     /// §5.3 sweeper state (dirty-shard cache, generation numbering),
     /// shared with the background checkpointer thread when one runs.
@@ -139,7 +137,6 @@ impl Engine {
         }
         Ok(Engine {
             shared,
-            catalog: SharedDatabase::default(),
             threads,
             checkpoint,
             finished: false,
@@ -173,14 +170,7 @@ impl Engine {
     pub fn session(&self) -> Session {
         Session {
             shared: Arc::clone(&self.shared),
-            catalog: self.catalog.clone(),
         }
-    }
-
-    /// The shared relational catalog served alongside the transactional
-    /// store (schema and query traffic; see [`SharedDatabase`]).
-    pub fn catalog(&self) -> SharedDatabase {
-        self.catalog.clone()
     }
 
     /// Reads a key's current (possibly not-yet-durable) value.
@@ -346,7 +336,6 @@ impl Auditable for Engine {
 #[derive(Debug, Clone)]
 pub struct Session {
     shared: Arc<Shared>,
-    catalog: SharedDatabase,
 }
 
 impl Session {
@@ -503,7 +492,6 @@ impl Session {
             // the commit record is durable (daemon finalize), so the
             // checkpoint sweeper can treat an empty undo map as "every
             // value in this shard is durably committed".
-            self.model_lock_op();
         }
         deps.sort_unstable_by_key(|t| t.0);
         deps.dedup();
@@ -623,11 +611,6 @@ impl Session {
         result
     }
 
-    /// The shared relational catalog (see [`Engine::catalog`]).
-    pub fn catalog(&self) -> &SharedDatabase {
-        &self.catalog
-    }
-
     /// A point-in-time copy of every key/value pair in the store,
     /// merged across shards (each shard locked one at a time, so the
     /// copy is per-shard consistent, not globally so). The SQL front
@@ -702,7 +685,6 @@ impl Session {
             } else {
                 state.locks.acquire_shared(txn, key)
             };
-            self.model_lock_op();
             match attempt {
                 Ok(()) => {
                     if let (Some(started), Some(h)) =
@@ -763,18 +745,6 @@ impl Session {
             edges.extend(shard.guard()?.locks.waits_for_edges());
         }
         Ok(detect_deadlocks_in(&edges))
-    }
-
-    /// Sleeps the configured per-lock-operation CPU cost while the
-    /// caller holds a shard lock — the modeled §5.1-style service time
-    /// that lets the shard-scaling benchmark behave like N single-server
-    /// queues even on one core (see [`EngineOptions::lock_op_latency`];
-    /// zero, and therefore a no-op, by default).
-    fn model_lock_op(&self) {
-        let d = self.shared.options.lock_op_latency;
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
     }
 }
 

@@ -8,8 +8,7 @@
 //! commit-pipeline [`TraceRing`] (begin → precommit → queued → flushed
 //! → durable). Every recording is a handful of relaxed atomics, cheap
 //! enough to stay enabled inside shard critical sections and the log
-//! writers' fsync loop — the bench-check overhead gate holds the
-//! engine to that.
+//! writers' fsync loop.
 //!
 //! Timestamps are microseconds since the engine's `epoch` (its start
 //! instant), so trace events across threads order on one clock.

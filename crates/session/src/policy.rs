@@ -4,13 +4,10 @@
 //! — exist twice in this workspace: once in virtual time
 //! ([`mmdb_recovery::SimConfig`] drives the discrete-event simulator) and
 //! once here, on real OS threads and a wall clock. [`CommitPolicy`] names
-//! the policy; [`EngineOptions`] carries the knobs shared with the
-//! simulator (page size, per-page write latency, group timeout) so a
-//! wall-clock run can be cross-checked against its virtual-time twin via
-//! [`EngineOptions::sim_config`].
+//! the policy; [`EngineOptions`] carries the engine's knobs.
 
 use crate::shard::MAX_SHARDS;
-use mmdb_recovery::{FaultPlan, SimConfig};
+use mmdb_recovery::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -59,9 +56,10 @@ pub struct EngineOptions {
     pub policy: CommitPolicy,
     /// Log page capacity in paper-accounted bytes (the paper's 4096).
     pub page_bytes: usize,
-    /// Modeled time for one log-page write. The daemon sleeps this long
-    /// before each real write, scaling the paper's 10 ms disk down to
-    /// something a test can afford while keeping the §5.2 ratios.
+    /// Modeled time for one log-page write: the writer sleeps this long
+    /// before each real write. Zero by default — the device's own fsync
+    /// is the only cost; a non-zero value models a slow device (the
+    /// paper's 10 ms disk, scaled down, keeps the §5.2 ratios).
     pub page_write_latency: Duration,
     /// Per-device latency overrides (tests use a slow device 0 and a fast
     /// device 1 to force out-of-order page completion). Devices beyond
@@ -81,15 +79,6 @@ pub struct EngineOptions {
     /// state lock). Defaults to the machine's available parallelism;
     /// clamped to `1..=64`.
     pub shards: usize,
-    /// Modeled CPU cost of one lock-table operation, spent *inside* the
-    /// owning shard's critical section. Defaults to zero (no modeling).
-    /// The shard-scaling benchmark sets it to emulate the paper's
-    /// ~1-MIPS lock-manager cost the same way the engine's devices
-    /// emulate its 10 ms disks (§5.1): with real service times, a single
-    /// shard is a single-server queue and N shards are N servers, so the
-    /// benchmark measures the architecture's blocking structure even on
-    /// a one-core host.
-    pub lock_op_latency: Duration,
     /// Slots in the commit-pipeline trace ring (overwrite-oldest);
     /// recording is lock-free regardless of size. Defaults to 1024.
     pub trace_capacity: usize,
@@ -115,20 +104,18 @@ pub struct EngineOptions {
 
 impl EngineOptions {
     /// Options for `policy` logging under `log_dir`, with the paper's
-    /// 4096-byte pages, a 2 ms modeled page write (the paper's 10 ms
-    /// scaled 5× for test budgets), a 1 ms group timeout, and a 1 s lock
-    /// wait.
+    /// 4096-byte pages, no modeled page-write latency, a 1 ms group
+    /// timeout, and a 1 s lock wait.
     pub fn new(policy: CommitPolicy, log_dir: impl Into<PathBuf>) -> Self {
         EngineOptions {
             policy,
             page_bytes: 4096,
-            page_write_latency: Duration::from_millis(2),
+            page_write_latency: Duration::ZERO,
             device_latencies: Vec::new(),
             log_dir: log_dir.into(),
             flush_interval: Duration::from_millis(1),
             lock_wait_timeout: Duration::from_secs(1),
             shards: default_shards(),
-            lock_op_latency: Duration::ZERO,
             trace_capacity: 1024,
             fault_plans: Vec::new(),
             io_retries: 3,
@@ -198,13 +185,6 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the modeled per-lock-operation CPU cost (see
-    /// [`EngineOptions::lock_op_latency`]).
-    pub fn with_lock_op_latency(mut self, latency: Duration) -> Self {
-        self.lock_op_latency = latency;
-        self
-    }
-
     /// Sets the commit-pipeline trace ring capacity (slots; clamped to
     /// at least 1 by the ring itself).
     pub fn with_trace_capacity(mut self, slots: usize) -> Self {
@@ -224,20 +204,6 @@ impl EngineOptions {
             .get(index)
             .copied()
             .unwrap_or(self.page_write_latency)
-    }
-
-    /// The virtual-time [`SimConfig`] modeling the same policy, so a
-    /// wall-clock measurement can be sanity-checked against the
-    /// discrete-event simulator's §5.2 arithmetic.
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = match self.policy {
-            CommitPolicy::Synchronous => SimConfig::synchronous(),
-            CommitPolicy::Group => SimConfig::group_commit(),
-            CommitPolicy::Partitioned { devices } => SimConfig::partitioned(devices.max(1)),
-        };
-        cfg.page_bytes = self.page_bytes;
-        cfg.page_write_us = self.page_write_latency.as_micros() as u64;
-        cfg
     }
 }
 
@@ -274,21 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn sim_config_mirrors_policy() {
-        let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 3 }, "/tmp/x");
-        let cfg = opts.sim_config();
-        assert_eq!(cfg.devices, 3);
-        assert_eq!(cfg.page_bytes, 4096);
-        assert_eq!(cfg.page_write_us, 2_000);
-        let sync = EngineOptions::new(CommitPolicy::Synchronous, "/tmp/x").sim_config();
-        assert_eq!(sync.commit_group_txns, 1, "synchronous means groups of one");
-    }
-
-    #[test]
     fn device_latency_overrides() {
         let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, "/tmp/x")
             .with_device_latencies(vec![Duration::from_millis(50)]);
         assert_eq!(opts.device_latency(0), Duration::from_millis(50));
-        assert_eq!(opts.device_latency(1), Duration::from_millis(2));
+        assert_eq!(opts.device_latency(1), Duration::ZERO);
     }
 }

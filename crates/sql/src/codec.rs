@@ -360,17 +360,6 @@ pub fn decode_row(blob: &[u8], arity: usize) -> Result<Tuple> {
     Ok(Tuple::new(values))
 }
 
-/// Decodes a sequence of tagged values until the blob is exhausted
-/// (used by the wire protocol, where the column count frames the row).
-pub fn decode_values(blob: &[u8], count: usize) -> Result<Vec<Value>> {
-    let mut r = Reader::new(blob);
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(decode_value(&mut r)?);
-    }
-    Ok(values)
-}
-
 /// Reads `count` tagged values starting at `*pos`, advancing `*pos`
 /// past them — the wire decoder's incremental entry point.
 pub fn decode_values_at(blob: &[u8], pos: &mut usize, count: usize) -> Result<Vec<Value>> {

@@ -36,11 +36,6 @@
 //! where every entry needs a one-line justification; stale entries are
 //! reported so suppressions cannot outlive the code they excused.
 //!
-//! `cargo xtask bench-check` is the bench-regression gate: it compares
-//! a fresh `concurrent_commit --smoke` run against the checked-in
-//! `BENCH_concurrent_commit.json` baseline and requires the engine-side
-//! commit-latency/batch-size percentile fields (see [`benchcheck`]).
-//!
 //! `cargo xtask metrics-lint` checks metric-name hygiene at every obs
 //! registration call site: snake_case, a unit suffix, and global
 //! uniqueness (see [`metricslint`]).
@@ -51,7 +46,6 @@
 //! loudly (see [`torture`]).
 
 mod allowlist;
-mod benchcheck;
 mod concurrency;
 mod metricslint;
 mod passes;
@@ -83,13 +77,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("audit") => audit(args.iter().any(|a| a == "--verbose")),
-        Some("bench-check") => benchcheck::bench_check(&workspace_root(), &args[1..]),
         Some("metrics-lint") => metricslint::metrics_lint(&workspace_root()),
         Some("torture") => torture::torture(&workspace_root(), &args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask audit [--verbose]\n       \
-                 cargo xtask bench-check [--fresh PATH] [--baseline PATH] [--tolerance FRAC]\n       \
                  cargo xtask metrics-lint\n       \
                  cargo xtask torture [--seeds N] [--first S] [--artifacts DIR] [--watchdog-secs T] \
                  [--checkpoint] [--sustain-secs S]"

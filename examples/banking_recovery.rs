@@ -7,11 +7,11 @@
 //! cargo run --example banking_recovery
 //! ```
 
-use mmdb::{CommitMode, TransactionalStore};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 
 fn run(mode: CommitMode, label: &str) {
     println!("-- {label} --");
-    let mut bank = TransactionalStore::new(mode);
+    let mut bank = RecoveryManager::new(mode);
 
     // Open 50 accounts with $1 000 each.
     let seed = bank.begin();
@@ -19,13 +19,13 @@ fn run(mode: CommitMode, label: &str) {
         bank.write(&seed, acct, 1_000).unwrap();
     }
     bank.commit(seed).unwrap();
-    bank.flush();
+    bank.flush_and_wait();
 
     // 500 committed transfers (the paper's "typical" 400-byte-log txns).
     for i in 0..500u64 {
         bank.transfer(i % 50, (i * 7 + 3) % 50, 10).unwrap();
     }
-    bank.flush();
+    bank.flush_and_wait();
     let committed_pages = bank.log_pages_written();
 
     // Two transactions in flight when the lights go out: one aborted
@@ -45,7 +45,7 @@ fn run(mode: CommitMode, label: &str) {
     );
 
     // Power failure.
-    let (recovered, report) = TransactionalStore::recover(bank.crash());
+    let (recovered, report) = RecoveryManager::recover(bank.crash());
     let total: i64 = (0..50).map(|a| recovered.read(a).unwrap_or(0)).sum();
     println!(
         "  recovered: {} committed txns, {} losers rolled back, {} log records scanned",

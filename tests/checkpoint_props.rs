@@ -144,6 +144,7 @@ proptest! {
 
         let engine = Engine::start(engine_options(&dir, shards)).unwrap();
         let s = engine.session();
+        let mut commits = 0usize;
         let mut last_sweep = None;
         for (i, (writes, commit)) in txns.iter().enumerate() {
             let t = s.begin().unwrap();
@@ -153,11 +154,12 @@ proptest! {
             if *commit {
                 let ticket = s.commit(t).unwrap();
                 s.wait_durable(&ticket).unwrap();
+                commits += 1;
             } else {
                 s.abort(t).unwrap();
             }
             if sweep_mask & (1 << (i % 16)) != 0 {
-                last_sweep = Some(engine.checkpoint_now().unwrap());
+                last_sweep = Some((engine.checkpoint_now().unwrap(), commits));
             }
         }
         engine.crash().unwrap();
@@ -179,7 +181,7 @@ proptest! {
 
         prop_assert!(oracle_info.checkpoint_start.is_none(),
             "oracle dir had only live files yet recovery found a checkpoint");
-        if let Some(sweep) = &last_sweep {
+        if let Some((sweep, commits_before)) = &last_sweep {
             // Every sweep here ran to completion (the crash is after the
             // loop), so recovery must have used the newest one, and what
             // it replays is that sweep's image plus a suffix of the live
@@ -193,6 +195,22 @@ proptest! {
                  image plus the oracle's full {}-byte history",
                 real_info.log_bytes_replayed, sweep.log_bytes_written,
                 oracle_info.log_bytes_replayed);
+            // §5.3 bounded recovery: durable commits ahead of the sweep
+            // sit in pages wholly below its replay floor, so the live
+            // suffix is strictly shorter than the full history. Two
+            // commits, not one: the newest one's undo entries can outlive
+            // `wait_durable` by a scheduling beat and hold the floor at
+            // its own page, but the single log writer finalizes a page's
+            // commits before it retires the next page.
+            if *commits_before >= 2 {
+                prop_assert!(
+                    real_info.log_bytes_replayed
+                        < sweep.log_bytes_written + oracle_info.log_bytes_replayed,
+                    "{} commits preceded the sweep, yet the live suffix replayed \
+                     ({} - {} image bytes) is not below the full {}-byte history",
+                    commits_before, real_info.log_bytes_replayed,
+                    sweep.log_bytes_written, oracle_info.log_bytes_replayed);
+            }
         }
         for key in 0..KEYS {
             prop_assert_eq!(

@@ -3,8 +3,9 @@
 //! cycles. These are the "does it hold up" tests a downstream adopter
 //! would run first.
 
-use mmdb::{CommitMode, Database, IndexKind, TransactionalStore};
+use mmdb::{Database, IndexKind};
 use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 use mmdb_types::{CmpOp, DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
 #[test]
@@ -76,13 +77,13 @@ fn sustained_dml_with_index_maintenance() {
 
 #[test]
 fn repeated_crash_recover_cycles_accumulate_correctly() {
-    let mut store = TransactionalStore::new(CommitMode::GroupCommit);
+    let mut store = RecoveryManager::new(CommitMode::GroupCommit);
     let seed = store.begin();
     for a in 0..20u64 {
         store.write(&seed, a, 0).unwrap();
     }
     store.commit(seed).unwrap();
-    store.flush();
+    store.flush_and_wait();
     let mut expected: Vec<i64> = vec![0; 20];
     for cycle in 0..6 {
         // Commit a batch, leave one transaction in flight, crash, recover.
@@ -93,10 +94,10 @@ fn repeated_crash_recover_cycles_accumulate_correctly() {
             store.commit(t).unwrap();
             expected[key as usize] += 1;
         }
-        store.flush();
+        store.flush_and_wait();
         let doomed = store.begin();
         store.write(&doomed, 0, -1).unwrap();
-        let (recovered, report) = TransactionalStore::recover(store.crash());
+        let (recovered, report) = RecoveryManager::recover(store.crash());
         store = recovered;
         assert!(report.losers.len() <= 1, "cycle {cycle}: {report:?}");
         for (k, v) in expected.iter().enumerate() {

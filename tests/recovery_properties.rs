@@ -2,7 +2,7 @@
 //! the workload, the commit mode, and the crash point, recovery restores
 //! exactly the committed prefix.
 
-use mmdb::{CommitMode, TransactionalStore};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..60),
         final_flush in any::<bool>(),
     ) {
-        let mut store = TransactionalStore::new(mode);
+        let mut store = RecoveryManager::new(mode);
         // Oracle of committed state only.
         let mut oracle: std::collections::HashMap<u64, i64> =
             (0..16).map(|a| (a, 1_000)).collect();
@@ -59,7 +59,7 @@ proptest! {
             store.write(&seed, a, 1_000).unwrap();
         }
         store.commit(seed).unwrap();
-        store.flush();
+        store.flush_and_wait();
         let mut committed_txns = 1usize;
 
         for op in &ops {
@@ -76,17 +76,17 @@ proptest! {
                     store.write(&t, *key as u64, *value as i64).unwrap();
                     store.abort(t).unwrap();
                 }
-                Op::Flush => store.flush(),
+                Op::Flush => store.flush_and_wait(),
                 Op::Checkpoint => {
-                    store.checkpoint(usize::MAX);
+                    store.checkpoint_sweep(usize::MAX);
                 }
             }
         }
         if final_flush {
-            store.flush();
+            store.flush_and_wait();
         }
 
-        let (recovered, report) = TransactionalStore::recover(store.crash());
+        let (recovered, report) = RecoveryManager::recover(store.crash());
 
         // Invariant 1: committed-and-durable transactions all appear; no
         // phantom commits.
@@ -113,7 +113,7 @@ proptest! {
         mode in mode_strategy(),
         committed in 1u64..30,
     ) {
-        let mut store = TransactionalStore::new(mode);
+        let mut store = RecoveryManager::new(mode);
         let seed = store.begin();
         store.write(&seed, 0, 0).unwrap();
         store.commit(seed).unwrap();
@@ -122,12 +122,12 @@ proptest! {
             store.write(&t, 1, i as i64).unwrap();
             store.commit(t).unwrap();
         }
-        store.flush();
+        store.flush_and_wait();
         // The doomed transaction writes a sentinel nothing else writes.
         let doomed = store.begin();
         store.write(&doomed, 2, 424_242).unwrap();
-        store.checkpoint(usize::MAX); // fuzzy: may capture the dirty value
-        let (recovered, _) = TransactionalStore::recover(store.crash());
+        store.checkpoint_sweep(usize::MAX); // fuzzy: may capture the dirty value
+        let (recovered, _) = RecoveryManager::recover(store.crash());
         prop_assert_ne!(recovered.read(2), Some(424_242));
         prop_assert_eq!(recovered.read(1), Some(committed as i64 - 1));
     }
