@@ -1,17 +1,18 @@
 //! Experiment S1 — §5.2's commit policies: model vs wall clock.
 //!
-//! A closed-loop driver: N client threads each run "typical" 400-byte
-//! banking transactions (begin, two padded updates, commit) back to
-//! back against one shared [`mmdb_session::Engine`], waiting for
-//! durability before issuing the next. The engine's log writers sleep
+//! A closed-loop driver: N client threads each run §5.1 banking
+//! transfers (begin, two 8-byte updates logged with old and new value,
+//! commit) back to back against one shared [`mmdb_session::Engine`],
+//! waiting for durability before issuing the next. The engine's log writers sleep
 //! an explicit modeled page write (`--page-write-us`, the paper's 10 ms
 //! disk scaled down) before each real write, so the run reproduces the
 //! paper's device on real threads.
 //!
 //! Each policy's measured committed tps is printed next to what
-//! [`ThroughputSim`] predicts for the same page size, page write and
-//! device count — with the commit groups in flight capped at the client
-//! count, since a closed loop cannot queue more commits than it has
+//! [`ThroughputSim`] predicts for the same page size, page write, device
+//! count and log bytes per transaction — the bytes the run's own log
+//! holds, read back and divided by its commits, not a padded constant —
+//! with the commit groups in flight capped at the client count, since a closed loop cannot queue more commits than it has
 //! clients — and the residual between the two. §5.2's claim is the
 //! ratio: group commit beats synchronous by roughly the group size.
 //!
@@ -22,6 +23,7 @@
 //! [--clients N] [--duration-ms MS] [--page-write-us US] [--seed S]`.
 
 use mmdb_bench::print_table;
+use mmdb_recovery::wal::read_log_dir;
 use mmdb_recovery::{SimConfig, ThroughputSim};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::WorkloadRng;
@@ -42,6 +44,9 @@ struct Measured {
     p50_ms: f64,
     p99_ms: f64,
     pages_written: usize,
+    /// Log bytes (the page accounting the daemon cuts pages by) per
+    /// committed transaction, read back from the run's device files.
+    log_bytes_per_txn: usize,
 }
 
 fn parse_policy(s: &str) -> CommitPolicy {
@@ -115,14 +120,19 @@ fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
 }
 
 /// What the virtual-time simulator predicts for `policy` on the same
-/// device: committed tps over 10 000 back-to-back typical transactions.
-fn predicted_tps(policy: CommitPolicy, cfg: &Config) -> f64 {
+/// device: committed tps over 10 000 back-to-back transactions of
+/// `log_bytes_per_txn` each.
+fn predicted_tps(policy: CommitPolicy, cfg: &Config, log_bytes_per_txn: usize) -> f64 {
     let mut sim = match policy {
         CommitPolicy::Synchronous => SimConfig::synchronous(),
         CommitPolicy::Group => SimConfig::group_commit(),
         CommitPolicy::Partitioned { devices } => SimConfig::partitioned(devices),
     };
     sim.page_write_us = cfg.page_write.as_micros() as u64;
+    sim.txn_log_bytes = log_bytes_per_txn;
+    if sim.commit_group_txns > 1 {
+        sim.commit_group_txns = sim.page_capacity();
+    }
     // A closed loop has at most `clients` commits in flight, spread
     // over the devices.
     let in_flight_per_device = (cfg.clients / sim.devices).max(1);
@@ -203,6 +213,11 @@ fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
     let elapsed = started.elapsed().as_secs_f64();
     let pages_written = engine.pages_written().expect("pages written");
     engine.shutdown().expect("shutdown");
+    let log_bytes: usize = read_log_dir(&dir)
+        .expect("read the run's log back")
+        .iter()
+        .map(|(_, record)| record.byte_size())
+        .sum();
     std::fs::remove_dir_all(&dir).ok();
 
     latencies.sort_unstable();
@@ -213,6 +228,7 @@ fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
         pages_written,
+        log_bytes_per_txn: log_bytes / (committed as usize).max(1),
     }
 }
 
@@ -220,7 +236,7 @@ fn main() {
     let cfg = parse_args();
     println!("Experiment S1 — §5.2 commit policies, model vs wall clock");
     println!(
-        "closed loop: {} clients, {} ms, {} µs modeled page write, seed {}, 400-byte typical txns, {} core(s)",
+        "closed loop: {} clients, {} ms, {} µs modeled page write, seed {}, {} core(s)",
         cfg.clients,
         cfg.duration.as_millis(),
         cfg.page_write.as_micros(),
@@ -231,7 +247,14 @@ fn main() {
     let runs: Vec<(CommitPolicy, f64, Measured)> = cfg
         .policies
         .iter()
-        .map(|p| (*p, predicted_tps(*p, &cfg), measure(*p, &cfg)))
+        .map(|p| {
+            let measured = measure(*p, &cfg);
+            (
+                *p,
+                predicted_tps(*p, &cfg, measured.log_bytes_per_txn),
+                measured,
+            )
+        })
         .collect();
 
     let rows: Vec<Vec<String>> = runs
@@ -247,6 +270,7 @@ fn main() {
                 format!("{:.2}", m.p50_ms),
                 format!("{:.2}", m.p99_ms),
                 m.pages_written.to_string(),
+                m.log_bytes_per_txn.to_string(),
                 // The §5.2 group size the throughput claim rests on.
                 format!("{:.1}", m.committed as f64 / m.pages_written.max(1) as f64),
             ]
@@ -264,6 +288,7 @@ fn main() {
             "p50 ms",
             "p99 ms",
             "pages",
+            "log B/txn",
             "txns/page",
         ],
         &rows,

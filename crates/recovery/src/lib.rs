@@ -8,9 +8,10 @@
 //! processing — and the log write becomes the throughput bottleneck. This
 //! crate builds the full §5 machinery:
 //!
-//! * [`log`] — log records and their byte-accounted encoding (a "typical"
-//!   transaction writes 400 bytes: 40 of begin/commit, 360 of old/new
-//!   values, per Gray's banking example).
+//! * [`log`] — log records and their byte-accounted encoding: the
+//!   session engine's variable-length `Put`, and the paper-accounted
+//!   `Update` (a "typical" transaction writes 400 bytes: 40 of
+//!   begin/commit, 360 of old/new values, per Gray's banking example).
 //! * [`device`] — simulated log devices: one 4096-byte page write costs
 //!   10 ms of virtual time; pages are durable once their write completes.
 //! * [`lock`] — a lock manager whose lock table carries the paper's three
@@ -53,7 +54,7 @@ pub mod wal;
 pub use backend::{Fault, FaultKind, FaultPlan, FaultyBackend, FileBackend, LogBackend};
 pub use device::LogDevice;
 pub use lock::{detect_deadlocks_in, LockManager, LockMode};
-pub use log::{LogRecord, Lsn};
+pub use log::{LogRecord, Lsn, Record, MAX_RECORD_BYTES};
 pub use manager::{CommitMode, RecoveryManager, TxnHandle};
 pub use sim::{SimConfig, ThroughputSim};
 pub use stable::StableMemory;

@@ -1,13 +1,33 @@
 //! Log records.
 //!
-//! Records carry explicit byte sizes matching the paper's §5.1 accounting:
-//! a "typical" transaction writes ~400 bytes — 40 for begin/end and 360
-//! for old/new values. Update records store both old and new values so
-//! the §5.4 compression (dropping old values of committed transactions)
-//! is measurable byte-for-byte.
+//! §5.1 logs the old and new *value of a record*. Two record kinds carry
+//! one, for the two §5 stacks:
+//!
+//! * [`LogRecord::Put`] is what the wall-clock session engine writes and
+//!   replays: a variable-length byte [`Record`] with its pre-image, whose
+//!   [`LogRecord::byte_size`] is exactly its encoded length. One row is
+//!   one such record.
+//! * [`LogRecord::Update`] is the virtual-time `RecoveryManager`'s
+//!   paper-accounted record: an 8-byte value plus explicit `padding`, so
+//!   a "typical" transaction charges the paper's 400 bytes — 40 for
+//!   begin/end and 360 for old/new values — without carrying them.
+//!
+//! Both store old and new values, so the §5.4 compression (dropping old
+//! values of committed transactions) is measurable byte-for-byte.
 
 use bytes::{Buf, BufMut};
 use mmdb_types::{Error, Result, TxnId};
+use std::sync::Arc;
+
+/// An immutable byte record: one shared allocation, so the session
+/// engine's store, its undo pre-images, the queued log record and the
+/// checkpoint sweeper's cached image all point at the same bytes.
+pub type Record = Arc<[u8]>;
+
+/// Largest [`Record`] the log carries (16 MiB). The encoded length field
+/// is a `u32`; writers refuse anything larger and the decoder rejects a
+/// length field above it before looking at the payload.
+pub const MAX_RECORD_BYTES: usize = 1 << 24;
 
 /// A log sequence number: position of a record in the (merged) log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -21,7 +41,20 @@ pub enum LogRecord {
         /// Transaction.
         txn: TxnId,
     },
-    /// An update: old value for undo, new value for redo.
+    /// A byte-record write by the session engine: pre-image for undo,
+    /// post-image for redo, both at their real length.
+    Put {
+        /// Transaction.
+        txn: TxnId,
+        /// Written key.
+        key: u64,
+        /// Pre-image (`None` for an insert).
+        old: Option<Record>,
+        /// Post-image.
+        new: Record,
+    },
+    /// The virtual-time manager's update: old value for undo, new value
+    /// for redo, padded to the paper's byte accounting.
     Update {
         /// Transaction.
         txn: TxnId,
@@ -64,6 +97,10 @@ const TAG_UPDATE: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
+const TAG_PUT: u8 = 6;
+
+/// Fixed part of an encoded [`LogRecord::Put`]: tag, txn, key, old flag.
+const PUT_HEADER_BYTES: usize = 1 + 8 + 8 + 1;
 
 impl LogRecord {
     /// The transaction this record belongs to. A checkpoint marker
@@ -71,6 +108,7 @@ impl LogRecord {
     pub fn txn(&self) -> TxnId {
         match self {
             LogRecord::Begin { txn }
+            | LogRecord::Put { txn, .. }
             | LogRecord::Update { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn } => *txn,
@@ -80,10 +118,15 @@ impl LogRecord {
 
     /// Bytes this record occupies in a log page, matching §5.1: begin and
     /// commit are 20 bytes each; an update is a 24-byte header plus 8
-    /// bytes of old value, 8 of new, and its padding.
+    /// bytes of old value, 8 of new, and its padding; a put is its
+    /// encoded length (length-prefixed old and new values after an
+    /// 18-byte header).
     pub fn byte_size(&self) -> usize {
         match self {
             LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => 20,
+            LogRecord::Put { old, .. } => {
+                self.compressed_size() + old.as_ref().map_or(0, |o| 4 + o.len())
+            }
             LogRecord::Update { old, padding, .. } => {
                 24 + 8 + if old.is_some() { 8 } else { 0 } + *padding as usize
             }
@@ -97,6 +140,7 @@ impl LogRecord {
     /// pre-image plus half of the padding, which models old-value bytes).
     pub fn compressed_size(&self) -> usize {
         match self {
+            LogRecord::Put { new, .. } => PUT_HEADER_BYTES + 4 + new.len(),
             LogRecord::Update { padding, .. } => 24 + 8 + (*padding as usize) / 2,
             other => other.byte_size(),
         }
@@ -108,6 +152,19 @@ impl LogRecord {
             LogRecord::Begin { txn } => {
                 out.put_u8(TAG_BEGIN);
                 out.put_u64_le(txn.0);
+            }
+            LogRecord::Put { txn, key, old, new } => {
+                out.put_u8(TAG_PUT);
+                out.put_u64_le(txn.0);
+                out.put_u64_le(*key);
+                match old {
+                    Some(v) => {
+                        out.put_u8(1);
+                        put_bytes(out, v);
+                    }
+                    None => out.put_u8(0),
+                }
+                put_bytes(out, new);
             }
             LogRecord::Update {
                 txn,
@@ -164,6 +221,19 @@ impl LogRecord {
             TAG_BEGIN => Ok(LogRecord::Begin { txn }),
             TAG_COMMIT => Ok(LogRecord::Commit { txn }),
             TAG_ABORT => Ok(LogRecord::Abort { txn }),
+            TAG_PUT => {
+                if buf.remaining() < 8 + 1 {
+                    return Err(Error::CorruptLog("truncated put".into()));
+                }
+                let key = buf.get_u64_le();
+                let old = match buf.get_u8() {
+                    0 => None,
+                    1 => Some(take_bytes(buf, "old value")?),
+                    other => return Err(Error::CorruptLog(format!("put old-value flag {other}"))),
+                };
+                let new = take_bytes(buf, "new value")?;
+                Ok(LogRecord::Put { txn, key, old, new })
+            }
             TAG_UPDATE => {
                 if buf.remaining() < 8 + 1 {
                     return Err(Error::CorruptLog("truncated update".into()));
@@ -194,6 +264,35 @@ impl LogRecord {
             other => Err(Error::CorruptLog(format!("unknown record tag {other}"))),
         }
     }
+}
+
+/// Appends a length-prefixed value. Writers bound values by
+/// [`MAX_RECORD_BYTES`], so the length always fits its `u32` field.
+fn put_bytes(out: &mut Vec<u8>, value: &[u8]) {
+    out.put_u32_le(mmdb_types::cast::u32_from_usize(value.len()));
+    out.put_slice(value);
+}
+
+/// Takes one length-prefixed value off the front of `buf`. The length
+/// field is checked against [`MAX_RECORD_BYTES`] and against what `buf`
+/// actually holds *before* anything is allocated for it.
+fn take_bytes(buf: &mut &[u8], what: &str) -> Result<Record> {
+    if buf.remaining() < 4 {
+        return Err(Error::CorruptLog(format!("truncated {what} length")));
+    }
+    let len = buf.get_u32_le() as usize;
+    if len > MAX_RECORD_BYTES {
+        return Err(Error::CorruptLog(format!("{what} of {len} bytes")));
+    }
+    let (Some(value), Some(rest)) = (buf.get(..len), buf.get(len..)) else {
+        return Err(Error::CorruptLog(format!(
+            "{what} claims {len} bytes, {} remain",
+            buf.remaining()
+        )));
+    };
+    let value = Record::from(value);
+    *buf = rest;
+    Ok(value)
 }
 
 /// Builds the paper's "typical" banking transaction log: begin + one
@@ -253,6 +352,18 @@ mod tests {
                 new: 0,
                 padding: 0,
             },
+            LogRecord::Put {
+                txn: TxnId(9),
+                key: u64::MAX,
+                old: Some(Record::from(&b"old row"[..])),
+                new: Record::from(&b"a longer new row"[..]),
+            },
+            LogRecord::Put {
+                txn: TxnId(9),
+                key: 5,
+                old: None,
+                new: Record::from(&[][..]),
+            },
             LogRecord::Commit { txn: TxnId(9) },
             LogRecord::Abort { txn: TxnId(10) },
             LogRecord::Checkpoint {
@@ -269,6 +380,51 @@ mod tests {
             assert_eq!(&LogRecord::decode(&mut view).unwrap(), r);
         }
         assert!(view.is_empty());
+    }
+
+    #[test]
+    fn put_byte_size_is_its_encoded_length() {
+        for old in [None, Some(Record::from(&[7u8; 100][..]))] {
+            let rec = LogRecord::Put {
+                txn: TxnId(1),
+                key: 2,
+                old: old.clone(),
+                new: Record::from(&[9u8; 64][..]),
+            };
+            let mut buf = Vec::new();
+            rec.encode(&mut buf);
+            assert_eq!(rec.byte_size(), buf.len());
+            let old_bytes = old.map_or(0, |o| 4 + o.len());
+            assert_eq!(rec.compressed_size(), buf.len() - old_bytes, "§5.4");
+        }
+    }
+
+    #[test]
+    fn put_decode_rejects_truncation_and_forged_lengths() {
+        let rec = LogRecord::Put {
+            txn: TxnId(3),
+            key: 4,
+            old: Some(Record::from(&b"before"[..])),
+            new: Record::from(&b"after!"[..]),
+        };
+        let mut buf = Vec::new();
+        rec.encode(&mut buf);
+        for cut in 0..buf.len() {
+            let mut view = &buf[..cut];
+            assert!(LogRecord::decode(&mut view).is_err(), "cut at {cut}");
+        }
+        // Each length field in turn claims 4 GiB: an error, not an
+        // allocation of the claimed size.
+        for at in [PUT_HEADER_BYTES, PUT_HEADER_BYTES + 4 + 6] {
+            let mut forged = buf.clone();
+            forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut view = forged.as_slice();
+            assert!(LogRecord::decode(&mut view).is_err(), "length at {at}");
+        }
+        let mut bad_flag = buf;
+        bad_flag[PUT_HEADER_BYTES - 1] = 2;
+        let mut view = bad_flag.as_slice();
+        assert!(LogRecord::decode(&mut view).is_err());
     }
 
     #[test]

@@ -188,35 +188,12 @@ impl RecoveryManager {
 
     /// Writes `key = value` under `txn`.
     pub fn write(&mut self, txn: &TxnHandle, key: u64, value: i64) -> Result<()> {
-        if !self.locks.is_active(txn.0) {
-            return Err(Error::InvalidTransaction(txn.0 .0));
-        }
-        self.locks.acquire(txn.0, key)?;
-        let old = self.db.get(&key).copied();
-        let lsn = self.append_record(LogRecord::Update {
-            txn: txn.0,
-            key,
-            old,
-            new: value,
-            padding: 0,
-        });
-        // §5.5 dirty-page bookkeeping: first update since last checkpoint.
-        let page = page_of(key);
-        if let Some(stable) = self.stable.as_mut() {
-            stable.note_page_update(page, lsn);
-        }
-        self.dirty_first_update.entry(page).or_insert(lsn);
-        self.undo
-            .get_mut(&txn.0)
-            .expect("active txn has an undo list")
-            .push((key, old));
-        self.db.insert(key, value);
-        Ok(())
+        self.write_logging(txn, key, value, 0)
     }
 
-    /// Writes a "typical" §5.1 banking update: same as [`Self::write`]
-    /// but padded so the whole transaction logs 400 bytes.
-    pub fn write_typical(&mut self, txn: &TxnHandle, key: u64, value: i64) -> Result<()> {
+    /// [`Self::write`] whose update record charges `padding` extra log
+    /// bytes: 320 makes a one-update transaction the §5.1 "typical" 400.
+    fn write_logging(&mut self, txn: &TxnHandle, key: u64, value: i64, padding: u32) -> Result<()> {
         if !self.locks.is_active(txn.0) {
             return Err(Error::InvalidTransaction(txn.0 .0));
         }
@@ -227,8 +204,9 @@ impl RecoveryManager {
             key,
             old,
             new: value,
-            padding: 320,
+            padding,
         });
+        // §5.5 dirty-page bookkeeping: first update since last checkpoint.
         let page = page_of(key);
         if let Some(stable) = self.stable.as_mut() {
             stable.note_page_update(page, lsn);
@@ -250,10 +228,10 @@ impl RecoveryManager {
         let txn = self.begin();
         let result = (|| {
             let src = self.read(from).unwrap_or(0);
-            self.write_typical(&txn, from, src - amount)?;
+            self.write_logging(&txn, from, src - amount, 320)?;
             // Read after the debit, so a self-transfer nets to zero.
             let dst = self.read(to).unwrap_or(0);
-            self.write_typical(&txn, to, dst + amount)?;
+            self.write_logging(&txn, to, dst + amount, 320)?;
             self.commit(txn)
         })();
         if result.is_err() {
@@ -824,7 +802,7 @@ mod tests {
         let mut txns = Vec::new();
         for i in 0..9 {
             let t = m.begin();
-            m.write_typical(&t, i, i as i64).unwrap();
+            m.write_logging(&t, i, i as i64, 320).unwrap();
             m.commit(t).unwrap();
             txns.push(t.0);
         }
@@ -949,7 +927,7 @@ mod tests {
         // holds 4 000, so draining must kick in, writing compressed pages.
         for i in 0..20u64 {
             let t = m.begin();
-            m.write_typical(&t, i, i as i64).unwrap();
+            m.write_logging(&t, i, i as i64, 320).unwrap();
             m.commit(t).unwrap();
         }
         m.flush();

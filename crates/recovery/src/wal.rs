@@ -18,15 +18,15 @@
 //! plan. A failed append rewinds the file to the last good frame before
 //! returning, so a retried page never lands after torn garbage.
 //!
-//! On-disk format, per page (v2): a 16-byte header — magic `"MMW2"`,
-//! record count, payload bytes, and a CRC32 over count‖len‖payload —
-//! followed by `count` records, each an 8-byte LSN and the [`LogRecord`]
-//! encoding from [`crate::log`]. v1 frames (12-byte header, no checksum,
-//! magic `"MMWL"`) remain readable. Reading applies the §5.2
-//! contiguous-prefix rule uniformly: the first page that is torn,
-//! checksum-bad, or malformed truncates the log *at that page* — earlier
-//! pages survive, the rest is dropped and reported, and recovery never
-//! fails because one page went bad.
+//! On-disk format, per page: a 16-byte header — magic `"MMW2"`, record
+//! count, payload bytes, and a CRC32 over count‖len‖payload — followed
+//! by `count` records, each an 8-byte LSN and the [`LogRecord`] encoding
+//! from [`crate::log`]. A page holds whole records, so one record larger
+//! than `page_bytes` simply makes a larger page. Reading applies the
+//! §5.2 contiguous-prefix rule uniformly: the first page that is torn,
+//! checksum-bad, or malformed — any other magic included — truncates the
+//! log *at that page*: earlier pages survive, the rest is dropped and
+//! reported, and recovery never fails because one page went bad.
 
 use crate::backend::{FileBackend, LogBackend};
 use crate::log::{LogRecord, Lsn};
@@ -36,17 +36,15 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Magic number opening every v1 page frame ("MMWL"); no checksum.
-const PAGE_MAGIC_V1: u32 = 0x4D4D_574C;
+/// Magic number opening every page frame ("MMW2"); CRC32-guarded.
+const PAGE_MAGIC: u32 = 0x4D4D_5732;
 
-/// Magic number opening every v2 page frame ("MMW2"); CRC32-guarded.
-const PAGE_MAGIC_V2: u32 = 0x4D4D_5732;
+/// Size of the page-frame header in bytes (magic, count, len, crc).
+const HEADER_BYTES: usize = 16;
 
-/// Size of the v1 page-frame header in bytes (magic, count, len).
-const HEADER_BYTES_V1: usize = 12;
-
-/// Size of the v2 page-frame header in bytes (magic, count, len, crc).
-const HEADER_BYTES_V2: usize = 16;
+/// Smallest encoded record in a frame: an 8-byte LSN, a tag byte and a
+/// transaction id. Bounds how many records a payload can really hold.
+const MIN_RECORD_BYTES: usize = 8 + 9;
 
 /// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
 /// built at compile time so the checksum needs no runtime init and no
@@ -71,7 +69,7 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `bytes` — the per-page checksum guarding v2 frames
+/// CRC32 (IEEE) of `bytes` — the per-page checksum guarding frames
 /// against the silent corruption a bare magic number cannot catch.
 /// Public so tests and the torture harness can craft or verify frames.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -152,7 +150,7 @@ impl WalDevice {
         &self.path
     }
 
-    /// Appends one v2 page frame of records and syncs it to disk. After
+    /// Appends one page frame of records and syncs it to disk. After
     /// this returns `Ok`, the records are durable — they survive a crash
     /// (§5.2). On *any* failure the device rewinds the file to the end of
     /// the last good frame (best effort) so a retried append starts from
@@ -190,7 +188,7 @@ impl WalDevice {
     }
 }
 
-/// Builds the v2 on-disk frame for one page of records.
+/// Builds the on-disk frame for one page of records.
 fn encode_frame(records: &[(Lsn, LogRecord)], page_bytes: usize) -> Vec<u8> {
     let mut payload = Vec::with_capacity(page_bytes);
     for (lsn, rec) in records {
@@ -201,8 +199,8 @@ fn encode_frame(records: &[(Lsn, LogRecord)], page_bytes: usize) -> Vec<u8> {
     // practice, and the saturating helpers keep the cast checked.
     let count = mmdb_types::cast::u32_from_usize(records.len());
     let bytes = mmdb_types::cast::u32_from_usize(payload.len());
-    let mut frame = Vec::with_capacity(HEADER_BYTES_V2 + payload.len());
-    frame.extend_from_slice(&PAGE_MAGIC_V2.to_le_bytes());
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
     frame.extend_from_slice(&count.to_le_bytes());
     frame.extend_from_slice(&bytes.to_le_bytes());
     let mut crc = crc32(&count.to_le_bytes());
@@ -263,9 +261,8 @@ enum PageFailure {
 /// applying the §5.2 contiguous-prefix rule uniformly: the first page
 /// that is torn, checksum-bad, or otherwise malformed truncates the log
 /// at that page. Earlier pages survive, the remainder is dropped and
-/// reported — never an error. Both v1 (unchecksummed) and v2 frames are
-/// accepted, so logs written before the CRC upgrade still replay. Only a
-/// genuine I/O failure (file unreadable) returns `Err`.
+/// reported — never an error. Only a genuine I/O failure (file
+/// unreadable) returns `Err`.
 pub fn read_log_file_report(path: &Path) -> Result<LogFileReport> {
     read_log_file_report_from(path, Lsn(0))
 }
@@ -321,24 +318,21 @@ fn skippable_frame(bytes: &[u8], at: usize, floor: Lsn) -> Option<usize> {
     if floor.0 == 0 {
         return None;
     }
-    let magic = u32::from_le_bytes(four(bytes.get(at..at + 4)?));
-    let header_bytes = match magic {
-        PAGE_MAGIC_V1 => HEADER_BYTES_V1,
-        PAGE_MAGIC_V2 => HEADER_BYTES_V2,
-        _ => return None,
-    };
-    let header = bytes.get(at..at + header_bytes)?;
+    let header = bytes.get(at..at + HEADER_BYTES)?;
+    if u32::from_le_bytes(four(header)) != PAGE_MAGIC {
+        return None;
+    }
     let count = u32::from_le_bytes(four(header.get(4..8)?)) as u64;
     let len = u32::from_le_bytes(four(header.get(8..12)?)) as usize;
     // The whole frame must be present: a torn or truncated tail goes
     // through the parse path so it is reported as such.
-    let payload = bytes.get(at + header_bytes..at + header_bytes + len)?;
+    let payload = bytes.get(at + HEADER_BYTES..at + HEADER_BYTES + len)?;
     if count == 0 {
         return None;
     }
     let first = u64::from_le_bytes(eight(payload.get(..8)?));
     let last = first.checked_add(count - 1)?;
-    (last < floor.0).then_some(header_bytes + len)
+    (last < floor.0).then_some(HEADER_BYTES + len)
 }
 
 /// Parses one frame starting at `at`, returning its records and total
@@ -348,31 +342,27 @@ fn parse_frame(
     at: usize,
 ) -> std::result::Result<(Vec<(Lsn, LogRecord)>, usize), PageFailure> {
     let magic_bytes = bytes.get(at..at + 4).ok_or(PageFailure::Torn)?;
-    let magic = u32::from_le_bytes(four(magic_bytes));
-    let header_bytes = match magic {
-        PAGE_MAGIC_V1 => HEADER_BYTES_V1,
-        PAGE_MAGIC_V2 => HEADER_BYTES_V2,
-        _ => return Err(PageFailure::Corrupt),
-    };
-    let header = bytes.get(at..at + header_bytes).ok_or(PageFailure::Torn)?;
+    if u32::from_le_bytes(four(magic_bytes)) != PAGE_MAGIC {
+        return Err(PageFailure::Corrupt);
+    }
+    let header = bytes.get(at..at + HEADER_BYTES).ok_or(PageFailure::Torn)?;
     let count_bytes = header.get(4..8).ok_or(PageFailure::Torn)?;
     let len_bytes = header.get(8..12).ok_or(PageFailure::Torn)?;
     let count = u32::from_le_bytes(four(count_bytes));
     let len = u32::from_le_bytes(four(len_bytes)) as usize;
     let payload = bytes
-        .get(at + header_bytes..at + header_bytes + len)
+        .get(at + HEADER_BYTES..at + HEADER_BYTES + len)
         .ok_or(PageFailure::Torn)?;
-    if magic == PAGE_MAGIC_V2 {
-        let stored = u32::from_le_bytes(four(header.get(12..16).ok_or(PageFailure::Torn)?));
-        let mut crc = crc32(count_bytes);
-        crc = crc32_continue(crc, len_bytes);
-        crc = crc32_continue(crc, payload);
-        if crc != stored {
-            return Err(PageFailure::Corrupt);
-        }
+    let stored = u32::from_le_bytes(four(header.get(12..16).ok_or(PageFailure::Torn)?));
+    let mut crc = crc32(count_bytes);
+    crc = crc32_continue(crc, len_bytes);
+    crc = crc32_continue(crc, payload);
+    if crc != stored {
+        return Err(PageFailure::Corrupt);
     }
     let mut rest = payload;
-    let mut records = Vec::with_capacity(count as usize);
+    // Sized by what the payload can hold, not by what the header claims.
+    let mut records = Vec::with_capacity((count as usize).min(len / MIN_RECORD_BYTES));
     for _ in 0..count {
         // A record cut short *inside* a complete frame is corruption (the
         // header promised `count` records), folded into the same
@@ -384,7 +374,7 @@ fn parse_frame(
         let rec = LogRecord::decode(&mut rest).map_err(|_| PageFailure::Corrupt)?;
         records.push((Lsn(u64::from_le_bytes(lsn8)), rec));
     }
-    Ok((records, header_bytes + len))
+    Ok((records, HEADER_BYTES + len))
 }
 
 /// Copies four bytes out of a slice known to hold at least four (callers
@@ -484,31 +474,70 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_readable() {
-        // Hand-encode a v1 (unchecksummed, 12-byte header) frame and mix
-        // it with a v2 frame: both must replay.
-        let path = tmp("v1compat.log");
+    fn old_magic_frame_is_a_corrupt_page() {
+        // A good page, then a frame in the retired unchecksummed layout
+        // (magic "MMWL", 12-byte header) claiming u32::MAX records: the
+        // log truncates there and nothing is sized from its header.
+        let path = tmp("oldmagic.log");
+        let mut dev = WalDevice::create(&path, 4096, Duration::ZERO).unwrap();
         let p1 = typical(1, 7);
-        let mut payload = Vec::new();
-        for (lsn, rec) in &p1 {
-            payload.extend_from_slice(&lsn.0.to_le_bytes());
-            rec.encode(&mut payload);
-        }
+        dev.append_page(&p1).unwrap();
         let mut frame = Vec::new();
-        frame.extend_from_slice(&PAGE_MAGIC_V1.to_le_bytes());
-        frame.extend_from_slice(&(p1.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        std::fs::write(&path, &frame).unwrap();
-        // Append a v2 frame after the v1 one.
-        let p2 = typical(2, 8);
+        frame.extend_from_slice(&0x4D4D_574Cu32.to_le_bytes());
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        frame.extend_from_slice(&8u32.to_le_bytes());
+        frame.extend_from_slice(&[0u8; 8]);
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         use std::io::Write;
-        file.write_all(&encode_frame(&p2, 4096)).unwrap();
+        file.write_all(&frame).unwrap();
+        file.write_all(&encode_frame(&typical(2, 8), 4096)).unwrap();
         drop(file);
-        let read = read_log_file(&path).unwrap();
-        let want: Vec<_> = p1.into_iter().chain(p2).collect();
-        assert_eq!(read, want);
+        let report = read_log_file_report(&path).unwrap();
+        assert_eq!(report.records, p1);
+        assert_eq!(report.corrupt_pages_dropped, 1);
+        assert!(report.bytes_dropped > frame.len() as u64);
+    }
+
+    #[test]
+    fn put_page_cut_anywhere_or_forged_never_panics() {
+        let page = vec![
+            (Lsn(1), LogRecord::Begin { txn: TxnId(1) }),
+            (
+                Lsn(2),
+                LogRecord::Put {
+                    txn: TxnId(1),
+                    key: 9,
+                    old: Some(crate::Record::from(&b"old"[..])),
+                    new: crate::Record::from(&[5u8; 40][..]),
+                },
+            ),
+            (Lsn(3), LogRecord::Commit { txn: TxnId(1) }),
+        ];
+        let frame = encode_frame(&page, 4096);
+        let path = tmp("putcut.log");
+        for cut in 0..frame.len() {
+            std::fs::write(&path, &frame[..cut]).unwrap();
+            let report = read_log_file_report(&path).unwrap();
+            assert!(report.records.is_empty(), "cut at {cut}");
+            assert_eq!(report.bytes_dropped, cut as u64);
+        }
+        // The put's new-value length claims 4 GiB under a valid checksum.
+        let reseal = |f: &mut Vec<u8>| {
+            let crc = crc32_continue(crc32(&f[4..12]), &f[HEADER_BYTES..]);
+            f[12..16].copy_from_slice(&crc.to_le_bytes());
+        };
+        let mut forged = frame.clone();
+        reseal(&mut forged);
+        assert_eq!(forged, frame, "resealing an intact frame changes nothing");
+        let new_len_at = HEADER_BYTES + (8 + 9) + 8 + 18 + 4 + 3;
+        forged[new_len_at..new_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut forged);
+        std::fs::write(&path, &forged).unwrap();
+        let report = read_log_file_report(&path).unwrap();
+        assert!(report.records.is_empty());
+        assert_eq!(report.corrupt_pages_dropped, 1);
+        std::fs::write(&path, &frame).unwrap();
+        assert_eq!(read_log_file(&path).unwrap(), page);
     }
 
     #[test]
@@ -597,7 +626,7 @@ mod tests {
 
     #[test]
     fn lsn_cut_short_inside_complete_frame_truncates() {
-        // Forge a v2 frame whose header promises more records than the
+        // Forge a frame whose header promises more records than the
         // payload holds (checksum valid, so only record parsing trips):
         // the old code returned Err(CorruptLog), the prefix rule drops it.
         let path = tmp("cutshort.log");
@@ -611,7 +640,7 @@ mod tests {
         crc = crc32_continue(crc, &len.to_le_bytes());
         crc = crc32_continue(crc, &payload);
         let mut frame = Vec::new();
-        frame.extend_from_slice(&PAGE_MAGIC_V2.to_le_bytes());
+        frame.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
         frame.extend_from_slice(&count.to_le_bytes());
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc.to_le_bytes());
@@ -667,7 +696,7 @@ mod tests {
         dev.append_page(&recs[3..6]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload byte of the FIRST page, past its first LSN.
-        bytes[HEADER_BYTES_V2 + 10] ^= 0xFF;
+        bytes[HEADER_BYTES + 10] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let full = read_log_file_report(&path).unwrap();
         assert!(full.records.is_empty(), "full read truncates at the flip");

@@ -187,12 +187,14 @@ impl Server {
             .map_err(|e| Error::Io(format!("set_nonblocking: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
+        let served = db.clone();
         let accept = std::thread::Builder::new()
             .name("mmdb-server-accept".to_string())
-            .spawn(move || accept_loop(listener, db, metrics, admission, flag, config))
+            .spawn(move || accept_loop(listener, served, metrics, admission, flag, config))
             .map_err(|e| Error::Io(format!("spawn accept thread: {e}")))?;
         Ok(ServerHandle {
             addr,
+            db,
             shutdown,
             accept: Some(accept),
         })
@@ -203,6 +205,7 @@ impl Server {
 /// switch. Dropping the handle also shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
+    db: SqlDb,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
@@ -211,6 +214,12 @@ impl ServerHandle {
     /// The address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The SQL database every connection of this server runs against —
+    /// for auditing its row cache against the engine once drained.
+    pub fn db(&self) -> &SqlDb {
+        &self.db
     }
 
     /// Stops accepting, lets in-flight requests finish, joins every

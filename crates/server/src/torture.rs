@@ -22,6 +22,10 @@
 //!   transfer is zero-sum, so recovered balances must sum to zero —
 //!   and must equal exactly the balances implied by the recovered
 //!   ledger markers' transfer deltas.
+//! * **The row cache is the engine.** Once drained, before the crash,
+//!   the server's [`mmdb_sql::SqlDb`] audit must pass: every cached row
+//!   equals the engine's record for its key, whatever mix of aborts,
+//!   deadlock victims and dropped connections the seed produced.
 //! * **The failure surface is honest.** A connection that dies with a
 //!   transaction open must surface as
 //!   [`ClientError::ConnectionLost`]` { in_txn: true }` — never as a
@@ -36,7 +40,7 @@ use crate::server::{Server, ServerConfig};
 use crate::transport::{ChaosTransport, NetFaultPlan, Transport};
 use mmdb_session::torture::{Lcg, TortureReport};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_types::{Error, Result};
+use mmdb_types::{Auditable, Error, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -385,6 +389,16 @@ fn int_at(row: &[mmdb_types::Value], idx: usize) -> Option<i64> {
     row.get(idx).and_then(|v| v.as_int())
 }
 
+/// Drains the server — every in-flight request finishes and is
+/// answered, every session is dropped — and audits its row cache
+/// against the engine at that quiescent point.
+fn drain_and_audit(handle: crate::server::ServerHandle, seed: u64) -> Result<()> {
+    let db = handle.db().clone();
+    handle.shutdown()?;
+    db.audit()
+        .map_err(|v| violation(seed, format!("after drain: {v}")))
+}
+
 /// Phase 1+2: serve traffic under chaos (optionally crashing the
 /// engine mid-run), then drain. Returns the engine for the final
 /// crash/recover plus every client's transfer record.
@@ -436,7 +450,7 @@ fn run_workload(
     // reconnects; their open transactions die honestly.
     let (engine, handle) = if scenario == ServerChaosScenario::MidRunCrash {
         std::thread::sleep(crash_after);
-        handle.shutdown()?;
+        drain_and_audit(handle, seed)?;
         engine.crash()?;
         let (engine2, _info) = Engine::recover(options.clone())?;
         let handle2 = Server::start(&engine2, cfg)?;
@@ -456,8 +470,7 @@ fn run_workload(
         transfers.extend(client_transfers);
     }
 
-    // Drain: every in-flight request finishes and is answered.
-    handle.shutdown()?;
+    drain_and_audit(handle, seed)?;
     Ok((engine, transfers))
 }
 

@@ -36,9 +36,9 @@
 
 use crate::daemon::Shared;
 use crate::engine::{device_file_name, log_files};
-use crate::recover::{generation_of, write_snapshot};
+use crate::recover::{append_paged, generation_of, write_snapshot};
 use mmdb_recovery::wal::WalDevice;
-use mmdb_recovery::{LogRecord, Lsn};
+use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{Error, Result, TxnId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
@@ -53,7 +53,8 @@ pub(crate) struct CheckpointState {
     /// Per-shard image from the last sweep, kept only when the shard was
     /// *settled* (empty undo list — every value durably committed) at
     /// copy time. A clean shard with a cached image is not re-copied.
-    cache: Vec<Option<HashMap<u64, i64>>>,
+    /// An image shares its records with the store it was copied from.
+    cache: Vec<Option<HashMap<u64, Record>>>,
     /// The generation the engine's live log files belong to. Never
     /// deleted by the sweeper: the live log is the suffix recovery
     /// replays past the checkpoint's floor.
@@ -146,7 +147,7 @@ pub(crate) fn sweep(
 
     let shard_count = shared.shards.len();
     let mut start = captured_next_lsn;
-    let mut fresh: Vec<Option<HashMap<u64, i64>>> = Vec::with_capacity(shard_count);
+    let mut fresh: Vec<Option<HashMap<u64, Record>>> = Vec::with_capacity(shard_count);
     let mut rewritten: Vec<usize> = Vec::new();
     for (i, (shard, cache)) in shared.shards.iter().zip(ck.cache.iter_mut()).enumerate() {
         let mut state = shard.guard()?;
@@ -167,11 +168,11 @@ pub(crate) fn sweep(
         let mut image = state.db.clone();
         // Back out in-flight writes newest-first so chained overwrites
         // by different transactions unwind in the right order.
-        let mut entries: Vec<(u64, u64, Option<i64>)> = state
+        let mut entries: Vec<(u64, u64, Option<Record>)> = state
             .undo
             .values()
             .flatten()
-            .map(|e| (e.lsn, e.key, e.old))
+            .map(|e| (e.lsn, e.key, e.old.clone()))
             .collect();
         entries.sort_by_key(|e| std::cmp::Reverse(e.0));
         let settled = entries.is_empty();
@@ -199,12 +200,10 @@ pub(crate) fn sweep(
     }
 
     // No engine locks held from here on: merge, write, truncate.
-    let mut merged: BTreeMap<u64, i64> = BTreeMap::new();
+    let mut merged: BTreeMap<u64, Record> = BTreeMap::new();
     for (new_copy, cached) in fresh.iter().zip(ck.cache.iter()) {
         if let Some(image) = new_copy.as_ref().or(cached.as_ref()) {
-            for (k, v) in image {
-                merged.insert(*k, *v);
-            }
+            merged.extend(image.iter().map(|(k, v)| (*k, Record::clone(v))));
         }
     }
 
@@ -270,7 +269,7 @@ pub(crate) fn sweep(
 /// midway through the dump leaves behind. Torture-only.
 fn write_torn_image(
     device: &mut WalDevice,
-    image: &BTreeMap<u64, i64>,
+    image: &BTreeMap<u64, Record>,
     page_bytes: usize,
     marker: (Lsn, u64),
 ) -> Result<()> {
@@ -281,30 +280,14 @@ fn write_torn_image(
         next_txn: marker.1,
     });
     for (key, value) in image.iter().take(image.len() / 2) {
-        records.push(LogRecord::Update {
+        records.push(LogRecord::Put {
             txn: TxnId(0),
             key: *key,
             old: None,
-            new: *value,
-            padding: 0,
+            new: Record::clone(value),
         });
     }
-    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut bytes = 0usize;
-    for (lsn, rec) in (1u64..).zip(records) {
-        let size = rec.byte_size();
-        if !page.is_empty() && bytes + size > page_bytes {
-            device.append_page(&page)?;
-            page.clear();
-            bytes = 0;
-        }
-        page.push((Lsn(lsn), rec));
-        bytes += size;
-    }
-    if !page.is_empty() {
-        device.append_page(&page)?;
-    }
-    Ok(())
+    append_paged(device, records, page_bytes).map(|_| ())
 }
 
 /// The background checkpointer thread body (§5.3): sweep every

@@ -33,7 +33,7 @@ use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{shard_of, Shard, TxnTable};
 use mmdb_obs::TraceStage;
 use mmdb_recovery::wal::WalDevice;
-use mmdb_recovery::{LogRecord, Lsn};
+use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,7 +167,7 @@ impl Shared {
     /// of shards by key hash.
     pub fn new(
         options: EngineOptions,
-        db: HashMap<u64, i64>,
+        db: HashMap<u64, Record>,
         next_txn: u64,
         next_lsn: u64,
     ) -> Self {
@@ -175,7 +175,7 @@ impl Shared {
         // Partition the image before any mutex exists: constructing each
         // shard around its slice avoids taking (and possibly swallowing
         // a poisoned) state lock during startup.
-        let mut images: Vec<HashMap<u64, i64>> = (0..n).map(|_| HashMap::new()).collect();
+        let mut images: Vec<HashMap<u64, Record>> = (0..n).map(|_| HashMap::new()).collect();
         for (key, value) in db {
             if let Some(image) = images.get_mut(shard_of(key, n)) {
                 image.insert(key, value);
@@ -210,6 +210,11 @@ impl Shared {
         self.shards
             .get(self.shard_of(key))
             .ok_or_else(|| Error::Poisoned("shard table".into()))
+    }
+
+    /// A key's current (possibly not-yet-durable) record, unlocked.
+    pub fn get(&self, key: u64) -> Result<Option<Record>> {
+        Ok(self.shard(key)?.guard()?.db.get(&key).cloned())
     }
 
     /// Allocates the next transaction id (no lock taken).
@@ -551,8 +556,9 @@ impl Shared {
 }
 
 /// Cuts as many pages as the queue currently justifies. Full pages are
-/// always cut; a trailing partial page is cut only when `flush_partial`
-/// (force, timeout, or shutdown). Under the synchronous policy every
+/// always cut — a page is full once it holds `page_bytes`, which a single
+/// record larger than a page does on its own — and a trailing partial
+/// page is cut only when `flush_partial` (force, timeout, or shutdown). Under the synchronous policy every
 /// commit record ends its page, making each commit pay its own page
 /// write — the paper's 100 tps baseline.
 pub(crate) fn cut_pages(
@@ -575,7 +581,7 @@ pub(crate) fn cut_pages(
             }
             taken += 1;
             bytes += size;
-            if sync_cut && rec.commit.is_some() {
+            if bytes >= page_bytes || (sync_cut && rec.commit.is_some()) {
                 cut = true;
                 break;
             }
@@ -941,6 +947,30 @@ mod tests {
         assert_eq!(more[0].seqno, 1);
         assert!(q.records.is_empty());
         assert_eq!(q.bytes, 0);
+    }
+
+    #[test]
+    fn a_record_larger_than_a_page_is_a_full_page_on_its_own() {
+        // The daemon wakes whenever `bytes >= page_bytes`; if the cut did
+        // not agree that such a page is full it would spin on the queue
+        // until the transaction's next record arrived.
+        let big = LogRecord::Put {
+            txn: TxnId(1),
+            key: 1,
+            old: None,
+            new: Record::from(vec![0u8; 3 * 4096]),
+        };
+        let mut q = queue_of(vec![
+            rec(1, LogRecord::Begin { txn: TxnId(1) }),
+            rec(2, big),
+            rec(3, LogRecord::Commit { txn: TxnId(1) }),
+        ]);
+        let mut seq = 0;
+        let pages = cut_pages(&mut q, 4096, false, false, &mut seq);
+        assert_eq!(pages.len(), 2, "begin alone, then the big record alone");
+        assert_eq!(pages[1].records.len(), 1);
+        assert_eq!(q.records.len(), 1, "the commit waits for its group");
+        assert!(q.bytes < 4096);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The engine front-end and its session handles (§5.2 made concurrent).
 //!
 //! An [`Engine`] owns the shared volatile state — the memory-resident
-//! key/value store, §5.2 [`mmdb_recovery::LockManager`] partitions, and
-//! undo lists, split by key hash over the [`crate::shard`] shards — plus
+//! store of `u64` keys to byte [`Record`]s, §5.2
+//! [`mmdb_recovery::LockManager`] partitions, and undo lists, split by
+//! key hash over the [`crate::shard`] shards — plus
 //! the log queue, the group-commit daemon, and one writer thread per log
 //! device. [`Session`] is the per-client handle: any number may be
 //! created and moved to OS threads; all of them funnel commits through
@@ -18,6 +19,14 @@
 //! later, when the record's page (and every earlier page) is on disk;
 //! [`Session::wait_durable`] blocks for it and a synchronous-policy
 //! commit does so before returning.
+//!
+//! The store's value is a byte record: [`Session::get`],
+//! [`Session::get_for_update`] and [`Session::put`] move whole records —
+//! one key, one lock, one [`LogRecord::Put`] per write, whatever the
+//! length. [`Session::read`], [`Session::read_shared`],
+//! [`Session::read_for_update`], [`Session::write`] and
+//! [`Session::transfer`] are the same operations seen through an 8-byte
+//! little-endian `i64` view, for the §5 banking workloads.
 
 use crate::checkpoint::{self, CheckpointState, CheckpointStats, SweepHalt};
 use crate::daemon::{self, CommitInfo, Page, Shared};
@@ -26,7 +35,7 @@ use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{rollback_shard, ShardState, TxnPhase, UndoEntry};
 use mmdb_obs::{Registry, StatsSnapshot, TraceEvent, TraceStage};
 use mmdb_recovery::wal::WalDevice;
-use mmdb_recovery::{detect_deadlocks_in, LogRecord, Lsn};
+use mmdb_recovery::{detect_deadlocks_in, LogRecord, Lsn, Record, MAX_RECORD_BYTES};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::HashMap;
 use std::path::Path;
@@ -97,7 +106,7 @@ impl Engine {
     /// [`recover`]: Engine::recover
     pub(crate) fn start_with(
         options: EngineOptions,
-        db: HashMap<u64, i64>,
+        db: HashMap<u64, Record>,
         next_txn: u64,
         next_lsn: u64,
         devices: Vec<WalDevice>,
@@ -173,9 +182,10 @@ impl Engine {
         }
     }
 
-    /// Reads a key's current (possibly not-yet-durable) value.
+    /// Reads a key's current (possibly not-yet-durable) value through
+    /// the 8-byte view.
     pub fn read(&self, key: u64) -> Result<Option<i64>> {
-        Ok(self.shared.shard(key)?.guard()?.db.get(&key).copied())
+        word_of(key, self.shared.get(key)?)
     }
 
     /// True once the ticket's commit record — and every log record
@@ -363,49 +373,33 @@ impl Session {
         }
     }
 
-    /// Reads a key's current value without locking — the latest image,
-    /// which may belong to an uncommitted writer. Use [`read_shared`] or
-    /// [`read_for_update`] for isolated reads.
-    ///
-    /// [`read_shared`]: Session::read_shared
-    /// [`read_for_update`]: Session::read_for_update
-    pub fn read(&self, key: u64) -> Result<Option<i64>> {
-        Ok(self.shared.shard(key)?.guard()?.db.get(&key).copied())
+    /// Reads a key's current record without locking — the latest image,
+    /// which may belong to an uncommitted writer. Use
+    /// [`get_for_update`](Session::get_for_update) for an isolated read.
+    pub fn get(&self, key: u64) -> Result<Option<Record>> {
+        self.shared.get(key)
     }
 
-    /// Reads a key under a shared lock. If the holder is pre-committed,
-    /// the lock is granted and `txn` picks up a §5.2 commit dependency
-    /// on it instead of blocking.
-    pub fn read_shared(&self, txn: &Txn, key: u64) -> Result<Option<i64>> {
-        let state = self.lock_key(txn.0, key, false)?;
-        Ok(state.db.get(&key).copied())
+    /// Reads a key's record under an exclusive lock (read-modify-write
+    /// without upgrade deadlocks). If the previous holder is
+    /// pre-committed, the lock is granted and `txn` picks up a §5.2
+    /// commit dependency on it instead of blocking.
+    pub fn get_for_update(&self, txn: &Txn, key: u64) -> Result<Option<Record>> {
+        Ok(self.lock_key(txn.0, key, true)?.db.get(&key).cloned())
     }
 
-    /// Reads a key under an exclusive lock (read-modify-write without
-    /// upgrade deadlocks).
-    pub fn read_for_update(&self, txn: &Txn, key: u64) -> Result<Option<i64>> {
-        let state = self.lock_key(txn.0, key, true)?;
-        Ok(state.db.get(&key).copied())
-    }
-
-    /// Writes `key := value` under an exclusive lock, logging old and
-    /// new images (no padding).
-    pub fn write(&self, txn: &Txn, key: u64, value: i64) -> Result<()> {
-        self.write_padded(txn, key, value, 0)
-    }
-
-    /// Writes with enough log padding that a two-write transaction
-    /// matches the paper's 400-byte "typical" accounting (§5.1: 40
-    /// bytes of begin/commit + 360 bytes of values).
-    pub fn write_typical(&self, txn: &Txn, key: u64, value: i64) -> Result<()> {
-        self.write_padded(txn, key, value, 160)
-    }
-
-    fn write_padded(&self, txn: &Txn, key: u64, value: i64, padding: u32) -> Result<()> {
+    /// Writes `key := value` under an exclusive lock and logs one
+    /// [`LogRecord::Put`] carrying the old and new records. The store,
+    /// the undo entry and the queued log record share the two
+    /// allocations; nothing is copied.
+    pub fn put(&self, txn: &Txn, key: u64, value: Record) -> Result<()> {
+        if value.len() > MAX_RECORD_BYTES {
+            return Err(Error::TupleTooLarge(value.len()));
+        }
         // `lock_key` validated the transaction as active under this
         // shard's lock, so the write cannot race an abort's rollback.
         let mut state = self.lock_key(txn.0, key, true)?;
-        let old = state.db.get(&key).copied();
+        let old = state.db.get(&key).cloned();
         // Appended while the owning shard is locked: updates of the same
         // key reach the queue in the order their values were applied. The
         // append happens *before* the shard mutates so a failed append
@@ -415,12 +409,11 @@ impl Session {
         // as the replay floor for the log suffix.
         let lsn = self.shared.append(
             vec![(
-                LogRecord::Update {
+                LogRecord::Put {
                     txn: txn.0,
                     key,
-                    old,
-                    new: value,
-                    padding,
+                    old: old.clone(),
+                    new: Arc::clone(&value),
                 },
                 None,
             )],
@@ -435,6 +428,29 @@ impl Session {
         state.dirty = true;
         drop(state);
         Ok(())
+    }
+
+    /// [`get`](Session::get) through the 8-byte view.
+    pub fn read(&self, key: u64) -> Result<Option<i64>> {
+        word_of(key, self.get(key)?)
+    }
+
+    /// Reads a key under a shared lock, through the 8-byte view.
+    pub fn read_shared(&self, txn: &Txn, key: u64) -> Result<Option<i64>> {
+        let record = self.lock_key(txn.0, key, false)?.db.get(&key).cloned();
+        word_of(key, record)
+    }
+
+    /// [`get_for_update`](Session::get_for_update) through the 8-byte
+    /// view.
+    pub fn read_for_update(&self, txn: &Txn, key: u64) -> Result<Option<i64>> {
+        word_of(key, self.get_for_update(txn, key)?)
+    }
+
+    /// [`put`](Session::put) of `value` as an 8-byte little-endian
+    /// record.
+    pub fn write(&self, txn: &Txn, key: u64, value: i64) -> Result<()> {
+        self.put(txn, key, Arc::new(value.to_le_bytes()))
     }
 
     /// Commits `txn` with the paper's pre-commit protocol: locks are
@@ -592,17 +608,17 @@ impl Session {
         Ok(())
     }
 
-    /// The §5.1 "typical" banking transaction: moves `amount` from one
-    /// account to another under exclusive locks and commits (400 logged
-    /// bytes). Returns the commit ticket; on lock failure the
+    /// The §5.1 banking transaction: moves `amount` from one account to
+    /// another under exclusive locks and commits — begin, two 8-byte
+    /// puts, commit. Returns the commit ticket; on lock failure the
     /// transaction is rolled back and the error surfaced.
     pub fn transfer(&self, from: u64, to: u64, amount: i64) -> Result<CommitTicket> {
         let txn = self.begin()?;
         let result = (|| {
             let src = self.read_for_update(&txn, from)?.unwrap_or(0);
-            self.write_typical(&txn, from, src - amount)?;
+            self.write(&txn, from, src - amount)?;
             let dst = self.read_for_update(&txn, to)?.unwrap_or(0);
-            self.write_typical(&txn, to, dst + amount)?;
+            self.write(&txn, to, dst + amount)?;
             self.commit(txn)
         })();
         if result.is_err() {
@@ -611,18 +627,19 @@ impl Session {
         result
     }
 
-    /// A point-in-time copy of every key/value pair in the store,
-    /// merged across shards (each shard locked one at a time, so the
-    /// copy is per-shard consistent, not globally so). The SQL front
+    /// A point-in-time copy of every key and record in the store (the
+    /// records shared, not copied), merged across shards (each shard
+    /// locked one at a time, so the copy is per-shard consistent, not
+    /// globally so). The SQL front
     /// end uses this after [`Engine::recover`] to rebuild its volatile
     /// catalog from the durable image (§5.2: post-crash state is
     /// exactly the committed log replayed into memory).
     ///
     /// [`Engine::recover`]: crate::recover::recover
-    pub fn snapshot_kv(&self) -> Result<Vec<(u64, i64)>> {
+    pub fn snapshot_kv(&self) -> Result<Vec<(u64, Record)>> {
         let mut out = Vec::new();
         for shard in &self.shared.shards {
-            out.extend(shard.guard()?.db.iter().map(|(k, v)| (*k, *v)));
+            out.extend(shard.guard()?.db.iter().map(|(k, v)| (*k, Arc::clone(v))));
         }
         Ok(out)
     }
@@ -746,6 +763,24 @@ impl Session {
         }
         Ok(detect_deadlocks_in(&edges))
     }
+}
+
+/// The 8-byte view of a record: a little-endian `i64`. A record of any
+/// other length under `key` was written through [`Session::put`] by
+/// someone else; reading it as a number would be a silent lie.
+fn word_of(key: u64, record: Option<Record>) -> Result<Option<i64>> {
+    record
+        .map(|r| {
+            <[u8; 8]>::try_from(r.as_ref())
+                .map(i64::from_le_bytes)
+                .map_err(|_| {
+                    Error::Internal(format!(
+                        "key {key} holds a {}-byte record, not an 8-byte value",
+                        r.len()
+                    ))
+                })
+        })
+        .transpose()
 }
 
 /// The `*.log` device files under `dir`, sorted by name.

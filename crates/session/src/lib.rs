@@ -78,6 +78,7 @@ pub mod torture;
 
 pub use checkpoint::CheckpointStats;
 pub use engine::{CommitTicket, Engine, Session, Txn};
+pub use mmdb_recovery::{Record, MAX_RECORD_BYTES};
 pub use policy::{CommitPolicy, EngineOptions};
 pub use recover::RecoveryInfo;
 pub use torture::TortureReport;
@@ -142,6 +143,51 @@ mod tests {
         assert_eq!(s.read(1).unwrap(), Some(10), "pre-image restored");
         assert_eq!(s.read(2).unwrap(), None, "insert undone");
         engine.audit().unwrap();
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn byte_records_are_one_key_one_log_record_at_any_length() {
+        let opts = fast(CommitPolicy::Group, "records");
+        let dir = opts.log_dir.clone();
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        // Three pages' worth of bytes under one key.
+        let big = Record::from(vec![0xAB; opts.page_bytes * 3]);
+        let t = s.begin().unwrap();
+        s.put(&t, 1, Record::clone(&big)).unwrap();
+        s.put(&t, 2, Record::from(&b"short"[..])).unwrap();
+        s.put(&t, 3, Record::from(&[][..])).unwrap();
+        s.commit_durable(t).unwrap();
+        assert_eq!(s.snapshot_kv().unwrap().len(), 3);
+        // Abort swaps the pre-image back in.
+        let t = s.begin().unwrap();
+        assert_eq!(
+            s.get_for_update(&t, 2).unwrap().as_deref(),
+            Some(&b"short"[..])
+        );
+        s.put(&t, 2, Record::from(&b"longer than before"[..]))
+            .unwrap();
+        s.abort(t).unwrap();
+        assert_eq!(s.get(2).unwrap().as_deref(), Some(&b"short"[..]));
+        // The 8-byte view refuses a record that is not 8 bytes.
+        assert!(matches!(s.read(2), Err(Error::Internal(_))));
+        let t = s.begin().unwrap();
+        let too_big = Record::from(vec![0u8; MAX_RECORD_BYTES + 1]);
+        assert!(matches!(
+            s.put(&t, 4, too_big),
+            Err(Error::TupleTooLarge(_))
+        ));
+        s.abort(t).unwrap();
+        engine.audit().unwrap();
+        engine.crash().unwrap();
+        let (engine, info) = Engine::recover(opts).unwrap();
+        assert_eq!(info.records_replayed, 3);
+        let s = engine.session();
+        assert_eq!(s.get(1).unwrap(), Some(big));
+        assert_eq!(s.get(3).unwrap().map(|r| r.len()), Some(0));
+        assert_eq!(s.get(4).unwrap(), None);
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -28,7 +28,7 @@ use crate::daemon::Shared;
 use crate::engine::{log_files, open_devices, Engine};
 use crate::policy::EngineOptions;
 use mmdb_recovery::wal::{read_log_file_report_from, WalDevice};
-use mmdb_recovery::{LogRecord, Lsn};
+use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{Error, Result, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -44,7 +44,7 @@ pub struct RecoveryInfo {
     pub losers: Vec<TxnId>,
     /// Records read off the devices (all complete pages).
     pub records_scanned: usize,
-    /// Update records replayed into the recovered image.
+    /// Put records replayed into the recovered image.
     pub records_replayed: usize,
     /// First missing LSN, when the prefix rule truncated the log —
     /// `None` means every scanned record counted.
@@ -74,7 +74,7 @@ pub struct RecoveryInfo {
 /// The outcome of replaying a log directory, before compaction.
 #[derive(Debug)]
 pub(crate) struct RecoveredImage {
-    pub db: BTreeMap<u64, i64>,
+    pub db: BTreeMap<u64, Record>,
     pub next_txn: u64,
     /// Highest log generation found on disk (0 when the directory is
     /// empty); compaction writes generation `max_generation + 1`.
@@ -172,20 +172,32 @@ fn checkpoint_marker(prefix: &[LogRecord]) -> Option<(Lsn, u64)> {
 }
 
 /// Two-pass redo over a contiguous record prefix: commit decisions
-/// first, then committed transactions' updates applied in LSN order
-/// onto `db` (absolute values, so re-applying records whose effects a
+/// first, then committed transactions' puts applied in LSN order onto
+/// `db` (absolute values, so re-applying records whose effects a
 /// checkpoint image already carries is idempotent — §5.3). Returns how
-/// many update records were replayed.
+/// many put records were replayed.
+///
+/// The engine writes one update-record kind, [`LogRecord::Put`]. A
+/// [`LogRecord::Update`] — the virtual-time manager's paper-accounted
+/// record — under a valid checksum means these files are not this
+/// engine's log: replay refuses them rather than guess what an 8-byte
+/// value with padding was meant to store.
 fn redo_prefix(
     prefix: &[LogRecord],
-    db: &mut BTreeMap<u64, i64>,
+    db: &mut BTreeMap<u64, Record>,
     seen: &mut BTreeSet<TxnId>,
     committed: &mut BTreeSet<TxnId>,
-) -> usize {
+) -> Result<usize> {
     for rec in prefix {
         match rec {
-            LogRecord::Begin { txn } | LogRecord::Update { txn, .. } | LogRecord::Abort { txn } => {
+            LogRecord::Begin { txn } | LogRecord::Put { txn, .. } | LogRecord::Abort { txn } => {
                 seen.insert(*txn);
+            }
+            LogRecord::Update { txn, key, .. } => {
+                return Err(Error::CorruptLog(format!(
+                    "paper-accounted Update record ({txn:?}, key {key}) in a session log; \
+                     the session engine writes and replays only Put"
+                )));
             }
             LogRecord::Commit { txn } => {
                 seen.insert(*txn);
@@ -197,14 +209,14 @@ fn redo_prefix(
     }
     let mut records_replayed = 0usize;
     for rec in prefix {
-        if let LogRecord::Update { txn, key, new, .. } = rec {
+        if let LogRecord::Put { txn, key, new, .. } = rec {
             if committed.contains(txn) {
-                db.insert(*key, *new);
+                db.insert(*key, Record::clone(new));
                 records_replayed += 1;
             }
         }
     }
-    records_replayed
+    Ok(records_replayed)
 }
 
 /// Replays the log files under `dir` into an image, applying the
@@ -260,7 +272,7 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
         records_scanned += scan.records_scanned;
         corrupt_pages_dropped += scan.corrupt_pages_dropped;
         bytes_replayed += scan.bytes_replayed;
-        records_replayed += redo_prefix(&scan.prefix, &mut db, &mut seen, &mut committed);
+        records_replayed += redo_prefix(&scan.prefix, &mut db, &mut seen, &mut committed)?;
         let live_paths = oldest
             .filter(|&g| g != generation)
             .and_then(|g| generations.get(&g));
@@ -274,7 +286,8 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
                 records_scanned += suffix.records_scanned;
                 corrupt_pages_dropped += suffix.corrupt_pages_dropped;
                 bytes_replayed += suffix.bytes_replayed;
-                records_replayed += redo_prefix(&suffix.prefix, &mut db, &mut seen, &mut committed);
+                records_replayed +=
+                    redo_prefix(&suffix.prefix, &mut db, &mut seen, &mut committed)?;
                 truncated_at = suffix.truncated_at;
                 checkpoint_start = Some(start);
                 txn_floor = floor;
@@ -324,28 +337,38 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
 /// that proves the snapshot finished also carries the replay floor.
 pub(crate) fn write_snapshot(
     device: &mut WalDevice,
-    image: &BTreeMap<u64, i64>,
+    image: &BTreeMap<u64, Record>,
     page_bytes: usize,
     marker: Option<(Lsn, u64)>,
 ) -> Result<u64> {
-    let mut lsn = 1u64;
-    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut bytes = 0usize;
     let mut records: Vec<LogRecord> = Vec::with_capacity(image.len() + 3);
     records.push(LogRecord::Begin { txn: TxnId(0) });
     if let Some((start, next_txn)) = marker {
         records.push(LogRecord::Checkpoint { start, next_txn });
     }
     for (key, value) in image {
-        records.push(LogRecord::Update {
+        records.push(LogRecord::Put {
             txn: TxnId(0),
             key: *key,
             old: None,
-            new: *value,
-            padding: 0,
+            new: Record::clone(value),
         });
     }
     records.push(LogRecord::Commit { txn: TxnId(0) });
+    append_paged(device, records, page_bytes)
+}
+
+/// Appends `records` to `device` as LSNs 1, 2, … packed into pages of
+/// `page_bytes` (a larger record gets a page to itself), returning the
+/// next free LSN.
+pub(crate) fn append_paged(
+    device: &mut WalDevice,
+    records: Vec<LogRecord>,
+    page_bytes: usize,
+) -> Result<u64> {
+    let mut lsn = 1u64;
+    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
+    let mut bytes = 0usize;
     for rec in records {
         let size = rec.byte_size();
         if !page.is_empty() && bytes + size > page_bytes {
@@ -453,6 +476,19 @@ mod tests {
         dir
     }
 
+    fn word(value: i64) -> Record {
+        Record::from(&value.to_le_bytes()[..])
+    }
+
+    fn put(txn: u64, key: u64, value: i64) -> LogRecord {
+        LogRecord::Put {
+            txn: TxnId(txn),
+            key,
+            old: None,
+            new: word(value),
+        }
+    }
+
     #[test]
     fn replay_empty_dir_is_empty() {
         let dir = tmp_dir("empty");
@@ -471,16 +507,7 @@ mod tests {
         // with LSNs 4..=6 missing (their page died with the crash).
         dev.append_page(&[
             (Lsn(1), LogRecord::Begin { txn: TxnId(1) }),
-            (
-                Lsn(2),
-                LogRecord::Update {
-                    txn: TxnId(1),
-                    key: 10,
-                    old: None,
-                    new: 100,
-                    padding: 0,
-                },
-            ),
+            (Lsn(2), put(1, 10, 100)),
             (Lsn(3), LogRecord::Commit { txn: TxnId(1) }),
         ])
         .unwrap();
@@ -489,7 +516,7 @@ mod tests {
         let image = replay_dir(&dir).unwrap();
         assert_eq!(image.info.truncated_at, Some(Lsn(4)));
         assert_eq!(image.info.committed, vec![TxnId(1)]);
-        assert_eq!(image.db.get(&10), Some(&100));
+        assert_eq!(image.db.get(&10), Some(&word(100)));
         assert_eq!(image.db.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -497,6 +524,30 @@ mod tests {
     #[test]
     fn losers_are_discarded() {
         let dir = tmp_dir("losers");
+        let mut dev = WalDevice::create(dir.join("wal-d0.log"), 4096, Duration::ZERO).unwrap();
+        dev.append_page(&[
+            (Lsn(1), LogRecord::Begin { txn: TxnId(1) }),
+            (Lsn(2), put(1, 1, 11)),
+            (Lsn(3), LogRecord::Begin { txn: TxnId(2) }),
+            (Lsn(4), put(2, 2, 22)),
+            (Lsn(5), LogRecord::Commit { txn: TxnId(1) }),
+        ])
+        .unwrap();
+        let image = replay_dir(&dir).unwrap();
+        assert_eq!(image.info.committed, vec![TxnId(1)]);
+        assert_eq!(image.info.losers, vec![TxnId(2)]);
+        assert_eq!(image.db.get(&1), Some(&word(11)));
+        assert_eq!(image.db.get(&2), None, "loser's update discarded");
+        assert_eq!(image.next_txn, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn paper_accounted_update_in_a_session_log_is_refused() {
+        // A checksum-valid page carrying the virtual-time manager's
+        // record kind: not media damage, so not a truncation — these
+        // files are not a session log, and recovery says so.
+        let dir = tmp_dir("foreign-update");
         let mut dev = WalDevice::create(dir.join("wal-d0.log"), 4096, Duration::ZERO).unwrap();
         dev.append_page(&[
             (Lsn(1), LogRecord::Begin { txn: TxnId(1) }),
@@ -510,26 +561,16 @@ mod tests {
                     padding: 0,
                 },
             ),
-            (Lsn(3), LogRecord::Begin { txn: TxnId(2) }),
-            (
-                Lsn(4),
-                LogRecord::Update {
-                    txn: TxnId(2),
-                    key: 2,
-                    old: None,
-                    new: 22,
-                    padding: 0,
-                },
-            ),
-            (Lsn(5), LogRecord::Commit { txn: TxnId(1) }),
+            (Lsn(3), LogRecord::Commit { txn: TxnId(1) }),
         ])
         .unwrap();
-        let image = replay_dir(&dir).unwrap();
-        assert_eq!(image.info.committed, vec![TxnId(1)]);
-        assert_eq!(image.info.losers, vec![TxnId(2)]);
-        assert_eq!(image.db.get(&1), Some(&11));
-        assert_eq!(image.db.get(&2), None, "loser's update discarded");
-        assert_eq!(image.next_txn, 3);
+        assert!(matches!(replay_dir(&dir), Err(Error::CorruptLog(_))));
+        let opts = crate::EngineOptions::new(crate::CommitPolicy::Group, &dir);
+        assert!(matches!(Engine::recover(opts), Err(Error::CorruptLog(_))));
+        assert!(
+            dir.join("wal-d0.log").exists(),
+            "nothing was compacted away"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -563,16 +604,7 @@ mod tests {
         stray
             .append_page(&[
                 (Lsn(1), LogRecord::Begin { txn: TxnId(9) }),
-                (
-                    Lsn(2),
-                    LogRecord::Update {
-                        txn: TxnId(9),
-                        key: 5,
-                        old: None,
-                        new: 55,
-                        padding: 0,
-                    },
-                ),
+                (Lsn(2), put(9, 5, 55)),
             ])
             .unwrap();
         let image = replay_dir(&dir).unwrap();
@@ -637,7 +669,10 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_through_replay() {
         let dir = tmp_dir("snapshot");
-        let image: BTreeMap<u64, i64> = (0..100).map(|i| (i, i as i64 * 7)).collect();
+        // Records of every length from empty up, some past the page size.
+        let image: BTreeMap<u64, Record> = (0..100u64)
+            .map(|i| (i, Record::from(vec![i as u8; (i as usize) * 9])))
+            .collect();
         let mut dev = WalDevice::create(dir.join("wal-d0.log"), 512, Duration::ZERO).unwrap();
         let next = write_snapshot(&mut dev, &image, 512, None).unwrap();
         assert_eq!(next as usize, image.len() + 3, "begin + updates + commit");

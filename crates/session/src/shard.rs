@@ -5,7 +5,9 @@
 //! precisely so lock traffic never waits on the log — could not show the
 //! concurrency it buys: a single mutex *is* a log-shaped choke point,
 //! just a volatile one. This module splits that state by key hash into N
-//! [`Shard`]s, each owning its slice of the key/value image, its
+//! [`Shard`]s, each owning its slice of the store — `u64` keys to
+//! immutable byte [`Record`]s, so replacing a value swaps one pointer
+//! and the old allocation lives on as the undo pre-image — its
 //! [`LockManager`] partition, and the undo entries for its own keys,
 //! guarded by a per-shard `Mutex` + `Condvar`. Transaction ids come from
 //! an atomic counter and per-transaction bookkeeping lives in the
@@ -27,7 +29,7 @@
 //! index order, which makes lock-order cycles impossible. Single-key
 //! operations lock exactly one shard and never see the others.
 
-use mmdb_recovery::LockManager;
+use mmdb_recovery::{LockManager, Record};
 use mmdb_types::{Error, Result, TxnId};
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -60,12 +62,13 @@ pub(crate) fn shard_of(key: u64, shards: usize) -> usize {
 /// in-flight transaction overwrote another's value), and a floor on the
 /// log suffix a checkpoint image still needs replayed (the smallest
 /// in-flight LSN it backed out).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct UndoEntry {
     /// Updated key (owned by this shard).
     pub key: u64,
-    /// Pre-image (`None` for an insert).
-    pub old: Option<i64>,
+    /// Pre-image (`None` for an insert) — the allocation the store held
+    /// before the write, shared with the queued log record.
+    pub old: Option<Record>,
     /// LSN of the update record this entry mirrors.
     pub lsn: u64,
 }
@@ -77,7 +80,7 @@ pub(crate) struct UndoEntry {
 #[derive(Debug, Default)]
 pub(crate) struct ShardState {
     /// This shard's slice of the §5 memory-resident store.
-    pub db: HashMap<u64, i64>,
+    pub db: HashMap<u64, Record>,
     /// This shard's partition of the §5.2 lock table.
     pub locks: LockManager,
     /// Per-transaction undo entries for keys owned by this shard.
@@ -101,7 +104,7 @@ pub(crate) struct Shard {
 impl Shard {
     /// A shard born around its slice of the restart image, so startup
     /// never has to take (or recover) a state lock.
-    pub fn with_db(db: HashMap<u64, i64>) -> Self {
+    pub fn with_db(db: HashMap<u64, Record>) -> Self {
         Shard {
             state: Mutex::new(ShardState {
                 db,
@@ -329,14 +332,19 @@ mod tests {
         let mut state = ShardState::default();
         let txn = TxnId(1);
         state.locks.begin(txn);
-        state.db.insert(1, 10);
+        let rec = |byte: u8| Record::from(&[byte][..]);
+        state.db.insert(1, rec(10));
         let entry = |key, old, lsn| UndoEntry { key, old, lsn };
         state.undo.insert(
             txn,
-            vec![entry(1, None, 1), entry(2, None, 2), entry(1, Some(10), 3)],
+            vec![
+                entry(1, None, 1),
+                entry(2, None, 2),
+                entry(1, Some(rec(10)), 3),
+            ],
         );
-        state.db.insert(2, 99);
-        state.db.insert(1, 100);
+        state.db.insert(2, rec(99));
+        state.db.insert(1, rec(100));
         rollback_shard(&mut state, txn);
         assert_eq!(state.db.get(&1), None, "first write's pre-image wins");
         assert_eq!(state.db.get(&2), None);

@@ -253,10 +253,10 @@ fn run_client(session: crate::Session, seed: u64, client: u64, txns: u64) -> Vec
         let body = (|| -> Result<Vec<(u64, i64)>> {
             let mut writes = Vec::with_capacity(2);
             let src = session.read_for_update(&txn, from)?.unwrap_or(0);
-            session.write_typical(&txn, from, src - amount)?;
+            session.write(&txn, from, src - amount)?;
             writes.push((from, src - amount));
             let dst = session.read_for_update(&txn, to)?.unwrap_or(0);
-            session.write_typical(&txn, to, dst + amount)?;
+            session.write(&txn, to, dst + amount)?;
             writes.push((to, dst + amount));
             Ok(writes)
         })();

@@ -1,21 +1,24 @@
-//! The volatile catalog: an in-memory mirror of the durable SQL image.
+//! The volatile catalog: table schemas, plus a decoded cache of rows.
 //!
-//! The durable truth lives in the session engine's store (see
-//! [`crate::codec`] for the key layout); this module holds the decoded
-//! mirror — table schemas plus rows — that statements bind and scan
-//! against. The mirror is rebuilt from a store snapshot after
-//! crash/recover, and mutated in lockstep with engine writes by
-//! [`crate::session`].
+//! The rows themselves live in the session engine's store, one byte
+//! record per row (see [`crate::codec`] for the key layout); this
+//! module holds what statements bind and scan against — each table's
+//! schema and a cache of its rows, decoded. The cache is filled from a
+//! store snapshot when the database opens and afterwards only by
+//! [`crate::session`]'s refill, which copies the engine's current
+//! record for a key into it; nothing else puts a row here.
 //!
 //! Lock discipline: the catalog sits behind one `RwLock` accessed only
 //! through the short closure helpers on [`SharedCatalog`]
 //! (`with_catalog_read` / `with_catalog_write`). The catalog lock is
-//! the *outermost* class in the engine's documented lock order — no
-//! engine lock may be taken while it is held, which the helpers make
-//! structural: closures receive the catalog by reference and nothing
-//! else, so an engine call inside one would need the session handle
-//! smuggled in, and the audit's lock-order pass watches these helper
-//! names for exactly that.
+//! the *outermost* class in the engine's documented lock order. The
+//! only engine calls made while it is held are unlocked store reads —
+//! the refill's `Session::get`, the audit's `snapshot_kv` — which take
+//! a shard lock for the length of a map lookup (`catalog` → `shard`,
+//! downward) and never touch the lock manager; anything that can wait
+//! on a row lock (`get_for_update`, `put`, commit, abort) stays outside
+//! the closures, or a writer queued behind the catalog lock could
+//! stall the very transaction it is waiting on.
 
 use mmdb_types::error::{Error, Result};
 use mmdb_types::ids::TxnId;
@@ -31,7 +34,8 @@ pub struct TableEntry {
     pub id: u32,
     /// The table's schema.
     pub schema: Schema,
-    /// Decoded rows by row id.
+    /// Cached rows by row id: each the decoded engine record for its
+    /// key, per the refill rule in [`crate::session`].
     pub rows: BTreeMap<u32, Tuple>,
     /// Next row id to allocate.
     pub next_rid: u32,
@@ -82,9 +86,8 @@ impl Catalog {
             .ok_or_else(|| Error::RelationNotFound(name.to_string()))
     }
 
-    /// Mutable lookup ignoring visibility. Only for the undo path,
-    /// whose records always describe state the undoing transaction
-    /// itself produced.
+    /// Mutable lookup ignoring visibility. Only for the refill path,
+    /// which copies engine state and so needs no permission to see it.
     pub fn table_mut_any(&mut self, name: &str) -> Result<&mut TableEntry> {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
@@ -125,7 +128,7 @@ impl Catalog {
         self.tables.insert(name.to_ascii_lowercase(), entry);
     }
 
-    /// Removes a table (the `CREATE TABLE` undo path).
+    /// Removes a table (rollback of a `CREATE TABLE`).
     pub fn remove(&mut self, name: &str) {
         self.tables.remove(&name.to_ascii_lowercase());
     }
@@ -156,7 +159,7 @@ pub struct SharedCatalog {
 impl SharedCatalog {
     /// Runs `f` with shared (read) access to the catalog. The guard
     /// lives only for the closure — the catalog lock is the outermost
-    /// lock class, so no engine call may happen inside `f`.
+    /// lock class, so nothing inside `f` may wait on an engine row lock.
     pub fn with_catalog_read<T>(&self, f: impl FnOnce(&Catalog) -> Result<T>) -> Result<T> {
         let guard = self
             .inner

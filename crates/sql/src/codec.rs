@@ -1,25 +1,24 @@
-//! Encoding of SQL catalog entries and rows into the engine's
-//! `u64 → i64` store.
+//! Encoding of SQL catalog entries and rows into the engine's byte
+//! records.
 //!
 //! Everything the SQL layer persists rides the session engine's
 //! ordinary write path, so schemas and rows get WAL framing, group
-//! commit, and crash/recover for free. The store is a flat key space;
-//! the SQL layer claims the keys whose top bit is set:
+//! commit, and crash/recover for free. The store maps `u64` keys to
+//! byte records; the SQL layer claims the keys whose top bit is set,
+//! one key per schema and one key per row:
 //!
 //! ```text
 //! bit 63  SQL_BIT   — set for every SQL-owned key
 //! bit 62  ROW_BIT   — clear: catalog entry, set: row
 //!
-//! catalog key:  SQL_BIT | table_id << 16 | chunk          (chunk: 16 bits)
-//! row key:      SQL_BIT | ROW_BIT | table_id << 46
-//!                       | rid << 14 | chunk               (chunk: 14 bits)
+//! catalog key:  SQL_BIT | table_id                  (table_id: 16 bits)
+//! row key:      SQL_BIT | ROW_BIT | table_id << 32 | rid   (rid: 32 bits)
 //! ```
 //!
-//! Chunk 0 is the *header*: its `i64` value is the byte length of the
-//! entry's blob, or [`TOMBSTONE`] for a deleted row. Chunks `1..=n`
-//! carry the blob eight bytes per value, little-endian, zero-padded.
-//! An update may shrink a blob and leave stale high chunks behind; the
-//! header length bounds every read, so they are never decoded.
+//! The record under a key is the blob below, encoded once at this
+//! boundary and handed to the engine as bytes. A deleted row's record is
+//! empty (no row encodes to zero bytes — a table has at least one
+//! column), which keeps its rid from ever being reissued.
 //!
 //! Blob formats (all integers little-endian):
 //!
@@ -38,115 +37,70 @@ use mmdb_types::value::Value;
 pub const SQL_BIT: u64 = 1 << 63;
 /// Second bit: row (set) vs catalog entry (clear).
 pub const ROW_BIT: u64 = 1 << 62;
-/// Header value marking a deleted row.
-pub const TOMBSTONE: i64 = -1;
 
 /// Highest table id the key layout can carry (16 bits).
 pub const MAX_TABLE_ID: u32 = 0xFFFF;
 /// Highest row id the key layout can carry (32 bits).
 pub const MAX_RID: u32 = u32::MAX;
-/// Highest chunk index of a catalog entry (16 bits).
-const MAX_CATALOG_CHUNK: u64 = 0xFFFF;
-/// Highest chunk index of a row (14 bits).
-const MAX_ROW_CHUNK: u64 = 0x3FFF;
 
 /// True when `key` belongs to the SQL subsystem.
 pub fn is_sql_key(key: u64) -> bool {
     key & SQL_BIT != 0
 }
 
-/// Builds the store key of catalog chunk `chunk` for `table_id`.
-pub fn catalog_key(table_id: u32, chunk: u64) -> Result<u64> {
+fn check_table_id(table_id: u32) -> Result<u64> {
     if table_id > MAX_TABLE_ID {
         return Err(Error::Internal(format!("table id {table_id} out of range")));
     }
-    if chunk > MAX_CATALOG_CHUNK {
-        return Err(Error::TupleTooLarge(chunk as usize * 8));
-    }
-    Ok(SQL_BIT | (u64::from(table_id) << 16) | chunk)
+    Ok(u64::from(table_id))
 }
 
-/// Builds the store key of row chunk `chunk` for `(table_id, rid)`.
-pub fn row_key(table_id: u32, rid: u32, chunk: u64) -> Result<u64> {
-    if table_id > MAX_TABLE_ID {
-        return Err(Error::Internal(format!("table id {table_id} out of range")));
-    }
-    if chunk > MAX_ROW_CHUNK {
-        return Err(Error::TupleTooLarge(chunk as usize * 8));
-    }
-    Ok(SQL_BIT | ROW_BIT | (u64::from(table_id) << 46) | (u64::from(rid) << 14) | chunk)
+/// The store key of `table_id`'s schema.
+pub fn catalog_key(table_id: u32) -> Result<u64> {
+    Ok(SQL_BIT | check_table_id(table_id)?)
+}
+
+/// The store key of row `rid` of `table_id`.
+pub fn row_key(table_id: u32, rid: u32) -> Result<u64> {
+    Ok(SQL_BIT | ROW_BIT | (check_table_id(table_id)? << 32) | u64::from(rid))
 }
 
 /// A decoded SQL store key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SqlKey {
-    /// A catalog (schema) chunk.
+    /// A table's schema.
     Catalog {
-        /// Owning table.
+        /// The table.
         table_id: u32,
-        /// Chunk index (0 = header).
-        chunk: u64,
     },
-    /// A row chunk.
+    /// One row.
     Row {
         /// Owning table.
         table_id: u32,
         /// Row id within the table.
         rid: u32,
-        /// Chunk index (0 = header).
-        chunk: u64,
     },
 }
 
-/// Splits a SQL-owned key into its components; `None` for keys outside
-/// the SQL key space.
+/// Splits a SQL-owned key into its components — the exact inverse of
+/// [`catalog_key`] / [`row_key`]: `None` for a key outside the SQL key
+/// space *and* for a SQL-owned key with a bit set that neither layout
+/// uses (tell the two apart with [`is_sql_key`]).
 pub fn parse_key(key: u64) -> Option<SqlKey> {
-    if key & SQL_BIT == 0 {
+    if !is_sql_key(key) {
         return None;
     }
-    if key & ROW_BIT == 0 {
-        Some(SqlKey::Catalog {
-            table_id: ((key >> 16) & 0xFFFF) as u32,
-            chunk: key & 0xFFFF,
-        })
+    let table_mask = u64::from(MAX_TABLE_ID);
+    let (parsed, rebuilt) = if key & ROW_BIT == 0 {
+        let table_id = (key & table_mask) as u32;
+        (SqlKey::Catalog { table_id }, catalog_key(table_id))
     } else {
-        Some(SqlKey::Row {
-            table_id: ((key >> 46) & 0xFFFF) as u32,
-            rid: ((key >> 14) & 0xFFFF_FFFF) as u32,
-            chunk: key & MAX_ROW_CHUNK,
-        })
-    }
-}
-
-/// Packs blob bytes into store words, eight per `i64`, little-endian,
-/// zero-padded.
-pub fn blob_to_words(blob: &[u8]) -> Vec<i64> {
-    blob.chunks(8)
-        .map(|chunk| {
-            let mut b = [0u8; 8];
-            for (dst, src) in b.iter_mut().zip(chunk) {
-                *dst = *src;
-            }
-            i64::from_le_bytes(b)
-        })
-        .collect()
-}
-
-/// Reassembles a blob of `len` bytes from store words.
-pub fn words_to_blob(words: &[i64], len: usize) -> Result<Vec<u8>> {
-    let need = len.div_ceil(8);
-    if words.len() < need {
-        return Err(Error::CorruptLog(format!(
-            "blob of {len} bytes needs {need} chunks, found {}",
-            words.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(len);
-    for w in words.iter().take(need) {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out.truncate(len);
-    Ok(out)
+        let table_id = ((key >> 32) & table_mask) as u32;
+        let rid = (key & u64::from(MAX_RID)) as u32;
+        (SqlKey::Row { table_id, rid }, row_key(table_id, rid))
+    };
+    // A bit neither layout uses does not survive the round trip.
+    (rebuilt.ok() == Some(key)).then_some(parsed)
 }
 
 // ---------------------------------------------------------------------
@@ -234,8 +188,9 @@ impl<'a> Reader<'a> {
 pub const MAX_NAME_BYTES: usize = 256;
 /// Most columns a table may declare.
 pub const MAX_COLUMNS: usize = 256;
-/// Largest encoded row blob (bounded by the 14-bit chunk space).
-pub const MAX_ROW_BYTES: usize = (MAX_ROW_CHUNK as usize) * 8;
+/// Largest encoded row blob: 128 KiB, far below the engine's own
+/// per-record ceiling, so one row stays a small multiple of a log page.
+pub const MAX_ROW_BYTES: usize = 128 * 1024;
 
 fn push_name(out: &mut Vec<u8>, name: &str) -> Result<()> {
     if name.len() > MAX_NAME_BYTES {
@@ -381,50 +336,33 @@ mod tests {
 
     #[test]
     fn key_roundtrip() {
-        let k = catalog_key(7, 3).unwrap();
+        let k = catalog_key(7).unwrap();
         assert!(is_sql_key(k));
-        assert_eq!(
-            parse_key(k),
-            Some(SqlKey::Catalog {
-                table_id: 7,
-                chunk: 3
-            })
-        );
-        let k = row_key(MAX_TABLE_ID, MAX_RID, MAX_ROW_CHUNK).unwrap();
+        assert_eq!(parse_key(k), Some(SqlKey::Catalog { table_id: 7 }));
+        let k = row_key(MAX_TABLE_ID, MAX_RID).unwrap();
         assert_eq!(
             parse_key(k),
             Some(SqlKey::Row {
                 table_id: MAX_TABLE_ID,
-                rid: MAX_RID,
-                chunk: MAX_ROW_CHUNK
+                rid: MAX_RID
             })
         );
         assert_eq!(parse_key(42), None);
-        assert!(catalog_key(0x10000, 0).is_err());
-        assert!(row_key(0, 0, MAX_ROW_CHUNK + 1).is_err());
+        assert!(catalog_key(0x10000).is_err());
+        assert!(row_key(0x10000, 0).is_err());
     }
 
     #[test]
-    fn catalog_and_row_keys_do_not_collide() {
-        let c = catalog_key(1, 0).unwrap();
-        let r = row_key(1, 0, 0).unwrap();
+    fn keys_outside_the_two_layouts_do_not_parse() {
+        let c = catalog_key(1).unwrap();
+        let r = row_key(1, 0).unwrap();
         assert_ne!(c, r);
         assert!(c & ROW_BIT == 0 && r & ROW_BIT != 0);
-    }
-
-    #[test]
-    fn words_roundtrip() {
-        for blob in [
-            Vec::new(),
-            vec![1u8],
-            vec![0xAB; 8],
-            (0..=255u8).collect::<Vec<u8>>(),
-        ] {
-            let words = blob_to_words(&blob);
-            assert_eq!(words.len(), blob.len().div_ceil(8));
-            assert_eq!(words_to_blob(&words, blob.len()).unwrap(), blob);
+        // A stray bit between the table id and the flag bits.
+        for stray in [c | 1 << 16, c | 1 << 40, r | 1 << 48, r | 1 << 61] {
+            assert!(is_sql_key(stray));
+            assert_eq!(parse_key(stray), None, "{stray:#x}");
         }
-        assert!(words_to_blob(&[1], 16).is_err());
     }
 
     #[test]

@@ -10,22 +10,22 @@
 //!   recursive-descent parser (no dependencies) for `CREATE TABLE`,
 //!   `INSERT`, `SELECT` (with `WHERE` conjunctions and equi-joins),
 //!   `UPDATE`, `DELETE`, and `BEGIN`/`COMMIT`/`ABORT`.
-//! * [`codec`] — encodes table schemas and rows into the engine's
-//!   `u64 → i64` store so the catalog and all rows ride the same WAL,
-//!   group commit, and crash/recover machinery as raw key/value
+//! * [`codec`] — encodes a table schema or a row into one byte record
+//!   under one engine key, so the catalog and all rows ride the same
+//!   WAL, group commit, and crash/recover machinery as raw key/value
 //!   transactions.
-//! * [`catalog`] — the volatile in-memory mirror of that durable
-//!   image: schemas plus decoded rows, rebuilt from a store snapshot
-//!   after recovery.
+//! * [`catalog`] — the volatile catalog: schemas plus a decoded cache
+//!   of the engine's row records, filled from a store snapshot after
+//!   recovery.
 //! * [`query`] — the binder/planner bridge: resolves names, splits
 //!   `WHERE` conjunctions into per-table predicates and join edges,
 //!   feeds them to the §4 selectivity planner, and executes the chosen
 //!   physical plan with the §3 `mmdb-exec` operators.
 //! * [`session`] — [`SqlDb`]/[`SqlSession`]: per-connection statement
 //!   execution with explicit transactions, engine row locks for
-//!   write/write conflicts, and a volatile undo log so `ABORT` (or a
-//!   deadlock victim) rolls the catalog mirror back in lockstep with
-//!   the engine's own undo.
+//!   write/write conflicts, and the row cache's one refill rule, under
+//!   which `ABORT` (or a deadlock victim) is "abort the engine
+//!   transaction, then refill the rows it touched".
 //!
 //! Error surface: parse errors are [`ParseError`] (with a byte
 //! offset); everything downstream is [`SqlError`].

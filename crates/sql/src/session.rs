@@ -1,38 +1,62 @@
 //! Statement execution against the session engine.
 //!
 //! [`SqlDb`] pairs one engine [`Session`] handle with the shared
-//! volatile [`Catalog`]; [`SqlSession`] adds per-connection transaction
-//! state. Durability rides the engine's ordinary write path: every
-//! schema and row is chunked into the `u64 → i64` store (see
-//! [`crate::codec`]), so SQL state gets WAL framing, group commit, and
-//! crash/recover without any code of its own.
+//! volatile [`Catalog`](crate::catalog::Catalog); [`SqlSession`] adds
+//! per-connection transaction state. Durability rides the engine's
+//! ordinary write path: a schema is one byte record, a row is one byte
+//! record (see [`crate::codec`]), so `INSERT` is one engine `put` per
+//! row, `UPDATE` is one exclusive `get_for_update` plus one `put`, and
+//! `DELETE` puts the empty record — one key, one lock, one log record —
+//! and SQL state gets WAL framing, group commit, and crash/recover
+//! without any code of its own.
 //!
-//! # Visibility and rollback
+//! # The row cache and its one rule
 //!
-//! The catalog mirror is updated as statements execute, *before*
+//! The engine's records are the rows. The catalog's decoded
+//! `TableEntry::rows` are a *cache* of them, kept so `SELECT` can scan
+//! without decoding, and maintained by exactly one rule: **a cached row
+//! is only ever (re)filled from the engine's current record for its
+//! key, under the catalog write lock, after the engine write or abort
+//! that changed the record has returned** ([`SqlDb::refill`]). Nothing
+//! else writes a row into the cache — not the tuple a statement just
+//! encoded, not a saved pre-image.
+//!
+//! Every engine change to a key is followed by a refill of that key by
+//! the thread that made it, refills of one key are serialized by the
+//! catalog lock, and each reads the record under that lock; so whichever
+//! refill runs last sees the last change, and at quiescence every cached
+//! row equals its engine record (`impl Auditable for SqlDb` checks
+//! exactly that). Rollback needs no undo log of its own: abort the
+//! engine transaction — which restores every pre-image under the row
+//! locks — then refill the rows the transaction touched. A deadlock
+//! victim, whose engine transaction was rolled back *inside* the engine
+//! before its session heard about it, is the same case: by the time its
+//! session refills, a successor may already have rewritten the row, and
+//! the refill picks up the successor's record because that is what the
+//! engine holds.
+//!
+//! # Visibility
+//!
+//! Cached rows are visible as soon as their statement returns, *before*
 //! commit — row reads are read-uncommitted, matching the engine's own
-//! `read()`. DDL is stricter: a table created inside an open
+//! unlocked `get`. DDL is stricter: a table created inside an open
 //! transaction stays private to that transaction (the entry carries a
 //! `pending_owner` tag filtered out of every other session's lookups)
 //! until commit publishes it. Otherwise another session could durably
 //! commit rows into a table whose catalog entry never commits, leaving
 //! orphan row keys in the log. Write-write conflicts are real
-//! conflicts: every
-//! `INSERT`/`UPDATE`/`DELETE` locks its row's header key through the
-//! engine's per-shard lock manager, so two transactions mutating the
-//! same row serialize (or deadlock, and the victim aborts). Each
-//! catalog mutation pushes a volatile undo record; `ABORT` (or any
-//! failed statement, which aborts the whole transaction) replays the
-//! undo log in reverse and then aborts the engine transaction, which
-//! rolls the durable side back.
+//! conflicts: every `INSERT`/`UPDATE`/`DELETE` takes its row's exclusive
+//! lock through the engine's per-shard lock manager, so two
+//! transactions mutating the same row serialize (or deadlock, and the
+//! victim aborts). Any failed statement aborts the whole transaction.
 //!
 //! Statements outside an explicit `BEGIN` autocommit: they run in a
 //! fresh transaction committed durably (`commit_durable`) before the
 //! result returns.
 
 use crate::ast::{Condition, Literal, SetExpr, Statement};
-use crate::catalog::{SharedCatalog, TableEntry};
-use crate::codec;
+use crate::catalog::{Catalog, SharedCatalog, TableEntry};
+use crate::codec::{self, SqlKey};
 use crate::parser::{parse, ParseError};
 use crate::query::{self, QueryResult};
 use mmdb_session::{Engine, Session, Txn};
@@ -40,7 +64,8 @@ use mmdb_types::error::{Error, Result};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{Column, DataType, Schema};
 use mmdb_types::tuple::Tuple;
-use std::collections::BTreeMap;
+use mmdb_types::{AuditViolation, Auditable};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Any error a SQL statement can produce.
 #[derive(Debug)]
@@ -112,32 +137,6 @@ impl From<Error> for SqlError {
     }
 }
 
-/// One reversible catalog mutation, recorded as the statement applies
-/// so `ABORT` can restore the mirror (the engine's own abort restores
-/// the durable side).
-#[derive(Debug)]
-enum UndoOp {
-    /// Undo an `INSERT`: drop the row from the mirror.
-    RemoveRow { table: String, rid: u32 },
-    /// Undo an `UPDATE` or `DELETE`: put the old tuple back — but only
-    /// if the mirror still shows what this transaction wrote. A
-    /// deadlock victim's engine locks are released (and its engine
-    /// writes rolled back) *inside* the engine, before this volatile
-    /// undo runs; a successor may have legitimately overwritten the row
-    /// in that window, and restoring over its value would clobber
-    /// committed state.
-    RestoreRow {
-        table: String,
-        rid: u32,
-        tuple: Tuple,
-        /// What this transaction left in the mirror: `Some(new)` for an
-        /// `UPDATE`, `None` for a `DELETE` (row absent).
-        wrote: Option<Tuple>,
-    },
-    /// Undo a `CREATE TABLE`.
-    DropTable { name: String },
-}
-
 /// A SQL database bound to one engine: the shared catalog plus a
 /// session handle. Cheap to clone — make one [`SqlSession`] per
 /// connection via [`SqlDb::session`].
@@ -148,115 +147,58 @@ pub struct SqlDb {
 }
 
 impl SqlDb {
-    /// Opens the SQL layer over an engine, rebuilding the volatile
-    /// catalog from the store's SQL-owned keys. After
-    /// [`Engine::recover`] this is exactly the committed image: the
-    /// log replayed into memory (§5.2), decoded back into schemas and
-    /// rows.
+    /// Opens the SQL layer over an engine, filling the volatile catalog
+    /// and its row cache from the store's SQL-owned records, entry by
+    /// entry. After [`Engine::recover`] this is exactly the committed
+    /// image: the log replayed into memory (§5.2), decoded back into
+    /// schemas and rows.
     pub fn open(engine: &Engine) -> Result<SqlDb> {
         let session = engine.session();
-        let catalog = SharedCatalog::default();
         let snapshot = session.snapshot_kv()?;
-
-        // Regroup the flat key space per table / per row.
-        let mut schema_chunks: BTreeMap<u32, BTreeMap<u64, i64>> = BTreeMap::new();
-        let mut row_chunks: BTreeMap<(u32, u32), BTreeMap<u64, i64>> = BTreeMap::new();
-        for (key, value) in snapshot {
-            match codec::parse_key(key) {
-                Some(codec::SqlKey::Catalog { table_id, chunk }) => {
-                    schema_chunks
-                        .entry(table_id)
-                        .or_default()
-                        .insert(chunk, value);
+        let mut tables: BTreeMap<u32, (String, TableEntry)> = BTreeMap::new();
+        let mut rows = Vec::new();
+        for (key, record) in &snapshot {
+            match codec::parse_key(*key) {
+                Some(SqlKey::Catalog { table_id }) => {
+                    let (name, schema) = codec::decode_schema(record)?;
+                    let entry = TableEntry {
+                        id: table_id,
+                        schema,
+                        rows: BTreeMap::new(),
+                        next_rid: 0,
+                        pending_owner: None,
+                    };
+                    tables.insert(table_id, (name, entry));
                 }
-                Some(codec::SqlKey::Row {
-                    table_id,
-                    rid,
-                    chunk,
-                }) => {
-                    row_chunks
-                        .entry((table_id, rid))
-                        .or_default()
-                        .insert(chunk, value);
+                Some(SqlKey::Row { table_id, rid }) => rows.push((table_id, rid, record)),
+                None if codec::is_sql_key(*key) => {
+                    return Err(Error::CorruptLog(format!(
+                        "SQL-owned key {key:#x} fits neither the catalog nor the row layout"
+                    )));
                 }
                 None => {}
             }
         }
-
-        let assemble = |chunks: &BTreeMap<u64, i64>, what: &str| -> Result<Option<Vec<u8>>> {
-            let header = match chunks.get(&0) {
-                Some(h) => *h,
-                None => {
-                    return Err(Error::CorruptLog(format!("{what} has no header chunk")));
-                }
+        // Rows second: decoding one needs its table's arity.
+        for (table_id, rid, record) in rows {
+            // An orphan row (no catalog entry) is quarantined — skipped —
+            // rather than failing the whole open and leaving the database
+            // permanently unopenable.
+            let Some((_, entry)) = tables.get_mut(&table_id) else {
+                continue;
             };
-            if header == codec::TOMBSTONE {
-                return Ok(None);
+            // Deleted rows (the empty record) still advance the rid
+            // watermark.
+            entry.next_rid = entry.next_rid.max(rid.saturating_add(1));
+            if !record.is_empty() {
+                let tuple = codec::decode_row(record, entry.schema.arity())?;
+                entry.rows.insert(rid, tuple);
             }
-            if header < 0 {
-                return Err(Error::CorruptLog(format!(
-                    "{what} header {header} is not a length"
-                )));
-            }
-            let len = header as usize;
-            let need = len.div_ceil(8) as u64;
-            let mut words = Vec::with_capacity(need as usize);
-            for chunk in 1..=need {
-                match chunks.get(&chunk) {
-                    Some(w) => words.push(*w),
-                    None => {
-                        return Err(Error::CorruptLog(format!(
-                            "{what} is missing chunk {chunk}"
-                        )))
-                    }
-                }
-            }
-            codec::words_to_blob(&words, len).map(Some)
-        };
-
-        // Schemas first (rows need arities), then rows.
-        let mut by_id: BTreeMap<u32, (String, Schema)> = BTreeMap::new();
-        for (table_id, chunks) in &schema_chunks {
-            let blob = match assemble(chunks, &format!("catalog entry {table_id}"))? {
-                Some(b) => b,
-                None => continue,
-            };
-            let (name, schema) = codec::decode_schema(&blob)?;
-            by_id.insert(*table_id, (name, schema));
         }
-        let mut rows: BTreeMap<u32, BTreeMap<u32, Tuple>> = BTreeMap::new();
-        let mut next_rid: BTreeMap<u32, u32> = BTreeMap::new();
-        for ((table_id, rid), chunks) in &row_chunks {
-            // Tombstoned rows still advance the rid watermark.
-            let bound = next_rid.entry(*table_id).or_insert(0);
-            *bound = (*bound).max(rid.saturating_add(1));
-            let blob = match assemble(chunks, &format!("row {rid} of table {table_id}"))? {
-                Some(b) => b,
-                None => continue,
-            };
-            // An orphan row (no catalog entry) is quarantined — skipped,
-            // with its rid watermark kept — rather than failing the whole
-            // open and leaving the database permanently unopenable.
-            let (_, schema) = match by_id.get(table_id) {
-                Some(entry) => entry,
-                None => continue,
-            };
-            let tuple = codec::decode_row(&blob, schema.arity())?;
-            rows.entry(*table_id).or_default().insert(*rid, tuple);
-        }
-
+        let catalog = SharedCatalog::default();
         catalog.with_catalog_write(|cat| {
-            for (table_id, (name, schema)) in &by_id {
-                cat.install(
-                    name,
-                    TableEntry {
-                        id: *table_id,
-                        schema: schema.clone(),
-                        rows: rows.remove(table_id).unwrap_or_default(),
-                        next_rid: next_rid.get(table_id).copied().unwrap_or(0),
-                        pending_owner: None,
-                    },
-                );
+            for (name, entry) in tables.into_values() {
+                cat.install(&name, entry);
             }
             Ok(())
         })?;
@@ -268,7 +210,8 @@ impl SqlDb {
         SqlSession {
             db: self.clone(),
             txn: None,
-            undo: Vec::new(),
+            touched: Vec::new(),
+            created: Vec::new(),
         }
     }
 
@@ -282,14 +225,116 @@ impl SqlDb {
                 .collect())
         })
     }
+
+    /// The cache's one rule (see the module docs): sets each of
+    /// `table`'s cached rows `rids` to what the engine holds for its key
+    /// right now — decoded if there is a non-empty record, absent
+    /// otherwise. Call it only after the engine write or abort that
+    /// changed those records has returned. The engine read takes a shard
+    /// lock under the catalog lock (downward in the lock order) and
+    /// never waits on a row lock. A table that is gone — created and
+    /// rolled back by the caller — has no cache left to fill.
+    fn refill(&self, table: &str, rids: &[u32]) -> Result<()> {
+        if rids.is_empty() {
+            return Ok(());
+        }
+        self.catalog.with_catalog_write(|cat| {
+            let Ok(entry) = cat.table_mut_any(table) else {
+                return Ok(());
+            };
+            for &rid in rids {
+                match self.session.get(codec::row_key(entry.id, rid)?)? {
+                    Some(record) if !record.is_empty() => {
+                        let tuple = codec::decode_row(&record, entry.schema.arity())?;
+                        entry.rows.insert(rid, tuple);
+                    }
+                    _ => {
+                        entry.rows.remove(&rid);
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// The audit proper, with refills shut out by the catalog lock.
+    fn audit_cache(&self, cat: &Catalog) -> std::result::Result<(), AuditViolation> {
+        const C: &str = "SqlDb";
+        let snapshot = self
+            .session
+            .snapshot_kv()
+            .map_err(|e| AuditViolation::new(C, "engine-read", e.to_string()))?;
+        let by_id: BTreeMap<u32, &TableEntry> = cat.iter().map(|(_, e)| (e.id, e)).collect();
+        let mut live: BTreeSet<(u32, u32)> = BTreeSet::new();
+        for (key, record) in &snapshot {
+            match codec::parse_key(*key) {
+                Some(SqlKey::Row { table_id, rid }) if !record.is_empty() => {
+                    let Some(entry) = by_id.get(&table_id) else {
+                        continue; // quarantined orphan, as in `open`
+                    };
+                    let decoded = codec::decode_row(record, entry.schema.arity())
+                        .map_err(|e| AuditViolation::new(C, "row-decodes", e.to_string()))?;
+                    AuditViolation::ensure(
+                        entry.rows.get(&rid) == Some(&decoded),
+                        C,
+                        "cache-equals-engine",
+                        || {
+                            format!(
+                                "table {table_id} row {rid}: cache holds {:?}, engine {decoded:?}",
+                                entry.rows.get(&rid)
+                            )
+                        },
+                    )?;
+                    live.insert((table_id, rid));
+                }
+                Some(_) => {}
+                None => AuditViolation::ensure(!codec::is_sql_key(*key), C, "key-layout", || {
+                    format!("SQL-owned key {key:#x} fits neither layout")
+                })?,
+            }
+        }
+        for entry in by_id.values() {
+            for rid in entry.rows.keys() {
+                AuditViolation::ensure(
+                    live.contains(&(entry.id, *rid)),
+                    C,
+                    "cache-backed",
+                    || {
+                        format!(
+                            "table {} caches row {rid} but the engine has no record for it",
+                            entry.id
+                        )
+                    },
+                )?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Auditable for SqlDb {
+    /// At quiescence (no statement running): every cached row equals
+    /// `decode_row` of the engine's record for its key, every non-empty
+    /// engine row record of a catalogued table is cached, and no
+    /// SQL-owned key lies outside the catalog and row layouts.
+    fn audit(&self) -> std::result::Result<(), AuditViolation> {
+        self.catalog
+            .with_catalog_read(|cat| Ok(self.audit_cache(cat)))
+            .map_err(|e| AuditViolation::new("SqlDb", "poison", e.to_string()))?
+    }
 }
 
 /// Per-connection statement execution state: an optional open
-/// transaction and its volatile undo log.
+/// transaction and what rolling it back would have to revisit.
 pub struct SqlSession {
     db: SqlDb,
     txn: Option<Txn>,
-    undo: Vec<UndoOp>,
+    /// Rows the open transaction wrote, per statement: `(table, rids)`.
+    /// Rollback refills exactly these.
+    touched: Vec<(String, Vec<u32>)>,
+    /// Tables the open transaction created: published on commit,
+    /// removed on rollback.
+    created: Vec<String>,
 }
 
 impl SqlSession {
@@ -319,26 +364,15 @@ impl SqlSession {
                     .txn
                     .take()
                     .ok_or_else(|| SqlError::Sql("COMMIT outside a transaction".to_string()))?;
-                match self.db.session.commit_durable(txn) {
-                    Ok(_) => {
-                        self.publish_and_clear_undo();
-                        Ok(QueryResult::ack())
-                    }
-                    Err(e) => {
-                        self.rollback_volatile();
-                        Err(SqlError::Exec(e))
-                    }
-                }
+                self.commit(txn)?;
+                Ok(QueryResult::ack())
             }
             Statement::Abort => {
                 let txn = self
                     .txn
                     .take()
                     .ok_or_else(|| SqlError::Sql("ABORT outside a transaction".to_string()))?;
-                self.rollback_volatile();
-                // The engine may have already aborted us as a deadlock
-                // victim; either way the durable side is rolled back.
-                let _ = self.db.session.abort(txn);
+                self.rollback(txn);
                 Ok(QueryResult::ack())
             }
             Statement::Select(sel) => {
@@ -358,135 +392,110 @@ impl SqlSession {
     }
 
     /// Runs a DDL/DML statement, autocommitting when no transaction is
-    /// open. Any failure aborts the whole transaction (volatile undo
-    /// replayed, engine transaction aborted) — the error message tells
-    /// the client so.
+    /// open. Any failure aborts the whole transaction — the error
+    /// message tells the client so.
     fn run_mutation(&mut self, stmt: &Statement) -> std::result::Result<QueryResult, SqlError> {
+        // An autocommit transaction lives only in this call: `self.txn`
+        // stays `None`, so every exit below either commits it or rolls
+        // it back.
         let auto = self.txn.is_none();
-        if auto {
-            self.txn = Some(self.db.session.begin()?);
-        }
-        let outcome = match self.txn.as_ref() {
-            Some(txn) => {
-                // `txn` borrows self.txn, so split the borrows by hand.
-                let txn_ref = txn;
-                match stmt {
-                    Statement::CreateTable { name, columns } => {
-                        create_table(&self.db, txn_ref, &mut self.undo, name, columns)
-                    }
-                    Statement::Insert {
-                        table,
-                        columns,
-                        rows,
-                    } => insert(&self.db, txn_ref, &mut self.undo, table, columns, rows),
-                    Statement::Update {
-                        table,
-                        sets,
-                        conditions,
-                    } => update(&self.db, txn_ref, &mut self.undo, table, sets, conditions),
-                    Statement::Delete { table, conditions } => {
-                        delete(&self.db, txn_ref, &mut self.undo, table, conditions)
-                    }
-                    _ => Err(Error::Internal("not a mutation statement".to_string())),
-                }
-            }
-            None => Err(Error::Internal(
-                "mutation without a transaction".to_string(),
-            )),
+        let txn = match self.txn {
+            Some(txn) => txn,
+            None => self.db.session.begin()?,
         };
+        let mut rids = Vec::new();
+        let (table, outcome) = match stmt {
+            Statement::CreateTable { name, columns } => (
+                name.as_str(),
+                create_table(&self.db, &txn, &mut self.created, name, columns),
+            ),
+            Statement::Insert {
+                table,
+                columns,
+                rows,
+            } => (
+                table.as_str(),
+                insert(&self.db, &txn, &mut rids, table, columns, rows),
+            ),
+            Statement::Update {
+                table,
+                sets,
+                conditions,
+            } => (
+                table.as_str(),
+                update(&self.db, &txn, &mut rids, table, sets, conditions),
+            ),
+            Statement::Delete { table, conditions } => (
+                table.as_str(),
+                delete(&self.db, &txn, &mut rids, table, conditions),
+            ),
+            _ => (
+                "",
+                Err(Error::Internal("not a mutation statement".to_string())),
+            ),
+        };
+        // The statement's engine writes have returned: refill what it
+        // wrote. On failure the rollback below refills instead, after
+        // the abort.
+        let outcome = outcome.and_then(|result| {
+            self.db.refill(table, &rids)?;
+            Ok(result)
+        });
+        if !rids.is_empty() {
+            self.touched.push((table.to_string(), rids));
+        }
         match outcome {
-            Ok(result) => {
-                if auto {
-                    match self.txn.take() {
-                        Some(txn) => match self.db.session.commit_durable(txn) {
-                            Ok(_) => {
-                                self.publish_and_clear_undo();
-                                Ok(result)
-                            }
-                            Err(e) => {
-                                self.rollback_volatile();
-                                Err(SqlError::Exec(e))
-                            }
-                        },
-                        None => Err(SqlError::Exec(Error::Internal(
-                            "autocommit transaction vanished".to_string(),
-                        ))),
-                    }
-                } else {
-                    Ok(result)
-                }
-            }
+            Ok(result) if auto => self.commit(txn).map(|()| result),
+            Ok(result) => Ok(result),
             Err(e) => {
-                self.rollback_volatile();
-                if let Some(txn) = self.txn.take() {
-                    let _ = self.db.session.abort(txn);
-                }
-                if auto {
-                    Err(SqlError::Exec(e))
+                self.txn = None;
+                self.rollback(txn);
+                let e = SqlError::Exec(e);
+                Err(if auto {
+                    e
                 } else {
-                    Err(SqlError::TxnAborted(Box::new(SqlError::Exec(e))))
-                }
+                    SqlError::TxnAborted(Box::new(e))
+                })
             }
         }
     }
 
-    /// After a successful commit: clears the pending markers of tables
-    /// this transaction created — making them visible to every other
-    /// session — and drops the undo log (the changes are durable now).
-    fn publish_and_clear_undo(&mut self) {
-        let created: Vec<String> = self
-            .undo
-            .iter()
-            .filter_map(|op| match op {
-                UndoOp::DropTable { name } => Some(name.clone()),
-                _ => None,
-            })
-            .collect();
+    /// Commits durably, then publishes the tables the transaction
+    /// created — making them visible to every other session. The cache
+    /// already shows the transaction's rows. A failed commit rolls back.
+    fn commit(&mut self, txn: Txn) -> std::result::Result<(), SqlError> {
+        if let Err(e) = self.db.session.commit_durable(txn) {
+            self.rollback(txn);
+            return Err(SqlError::Exec(e));
+        }
+        self.touched.clear();
+        self.settle_created(Catalog::publish);
+        Ok(())
+    }
+
+    /// Hands every table the transaction created to `settle` — publish
+    /// on commit, remove on rollback — under one catalog write lock.
+    fn settle_created(&mut self, settle: fn(&mut Catalog, &str)) {
+        let created = std::mem::take(&mut self.created);
         if !created.is_empty() {
             let _ = self.db.catalog.with_catalog_write(|cat| {
-                for name in &created {
-                    cat.publish(name);
-                }
+                created.iter().for_each(|name| settle(cat, name));
                 Ok(())
             });
         }
-        self.undo.clear();
     }
 
-    /// Replays the volatile undo log in reverse, restoring the catalog
-    /// mirror. Engine-side rollback is the caller's job. Lookups skip
-    /// the visibility filter: every record describes state this
-    /// transaction itself produced.
-    fn rollback_volatile(&mut self) {
-        while let Some(op) = self.undo.pop() {
-            let _ = self.db.catalog.with_catalog_write(|cat| {
-                match op {
-                    UndoOp::RemoveRow { ref table, rid } => {
-                        if let Ok(entry) = cat.table_mut_any(table) {
-                            entry.rows.remove(&rid);
-                        }
-                    }
-                    UndoOp::RestoreRow {
-                        ref table,
-                        rid,
-                        ref tuple,
-                        ref wrote,
-                    } => {
-                        if let Ok(entry) = cat.table_mut_any(table) {
-                            // Restore only when the mirror still shows
-                            // this transaction's own write; anything
-                            // else means a successor overwrote the row
-                            // after the engine released our locks, and
-                            // its value is the correct one.
-                            if entry.rows.get(&rid) == wrote.as_ref() {
-                                entry.rows.insert(rid, tuple.clone());
-                            }
-                        }
-                    }
-                    UndoOp::DropTable { ref name } => cat.remove(name),
-                }
-                Ok(())
-            });
+    /// Rollback: abort the engine transaction, then refill the rows it
+    /// touched and drop the tables it created. The engine may have
+    /// aborted `txn` already (a deadlock victim is rolled back inside
+    /// the engine); either way its records are restored once `abort`
+    /// returns, and the refill reads whatever the engine holds *now* —
+    /// a successor's write included.
+    fn rollback(&mut self, txn: Txn) {
+        let _ = self.db.session.abort(txn);
+        self.settle_created(Catalog::remove);
+        for (table, rids) in std::mem::take(&mut self.touched) {
+            let _ = self.db.refill(&table, &rids);
         }
     }
 }
@@ -496,8 +505,7 @@ impl Drop for SqlSession {
     /// disconnecting client must not leave row locks behind.
     fn drop(&mut self) {
         if let Some(txn) = self.txn.take() {
-            self.rollback_volatile();
-            let _ = self.db.session.abort(txn);
+            self.rollback(txn);
         }
     }
 }
@@ -506,37 +514,26 @@ impl Drop for SqlSession {
 // Mutation statements
 // ---------------------------------------------------------------------
 
-/// Writes `blob` as a chunked entry under `key_of(chunk)`: header
-/// (chunk 0) carries the byte length, chunks `1..=n` the payload. The
-/// header is written first — it is the row's lock point, so conflicts
-/// surface before any payload writes.
-fn write_blob(
-    session: &Session,
-    txn: &Txn,
-    blob: &[u8],
-    key_of: impl Fn(u64) -> Result<u64>,
-) -> Result<()> {
-    session.write(txn, key_of(0)?, blob.len() as i64)?;
-    for (i, word) in codec::blob_to_words(blob).into_iter().enumerate() {
-        session.write(txn, key_of(i as u64 + 1)?, word)?;
-    }
-    Ok(())
-}
-
 fn create_table(
     db: &SqlDb,
     txn: &Txn,
-    undo: &mut Vec<UndoOp>,
+    created: &mut Vec<String>,
     name: &str,
     columns: &[(String, DataType)],
 ) -> Result<QueryResult> {
+    if columns.is_empty() {
+        // Also what keeps "the empty record" free to mean "deleted".
+        return Err(Error::Planning(format!(
+            "table '{name}' needs at least one column"
+        )));
+    }
     let schema = Schema::new(
         columns
             .iter()
             .map(|(n, ty)| Column::new(n.clone(), *ty))
             .collect(),
     )?;
-    // Install in the mirror first, tagged as pending: only this
+    // Install in the catalog first, tagged as pending: only this
     // transaction sees the table until commit publishes it, so no other
     // session can durably commit rows into a table whose catalog entry
     // might never commit. The name itself is claimed immediately —
@@ -560,27 +557,23 @@ fn create_table(
         );
         Ok((id, blob))
     })?;
-    undo.push(UndoOp::DropTable {
-        name: name.to_string(),
-    });
-    write_blob(&db.session, txn, &blob, |chunk| {
-        codec::catalog_key(table_id, chunk)
-    })?;
+    created.push(name.to_string());
+    db.session
+        .put(txn, codec::catalog_key(table_id)?, blob.into())?;
     Ok(QueryResult::ack())
 }
 
 fn insert(
     db: &SqlDb,
     txn: &Txn,
-    undo: &mut Vec<UndoOp>,
+    rids: &mut Vec<u32>,
     table: &str,
     columns: &Option<Vec<String>>,
     rows: &[Vec<Literal>],
 ) -> Result<QueryResult> {
-    // Bind every row and reserve rids under one catalog lock.
-    let viewer = Some(txn.id());
+    // Bind and encode every row and reserve rids under one catalog lock.
     let (table_id, bound) = db.catalog.with_catalog_write(|cat| {
-        let entry = cat.table_mut(table, viewer)?;
+        let entry = cat.table_mut(table, Some(txn.id()))?;
         let mut bound = Vec::with_capacity(rows.len());
         for row in rows {
             let tuple = query::bind_insert_row(&entry.schema, columns, row)?;
@@ -591,39 +584,26 @@ fn insert(
                     available: codec::MAX_RID as usize,
                 });
             }
-            let rid = entry.next_rid;
+            bound.push((entry.next_rid, blob));
             entry.next_rid += 1;
-            bound.push((rid, tuple, blob));
         }
         Ok((entry.id, bound))
     })?;
-    // Per row: durable write, then mirror + undo — so a failure part
-    // way through leaves only undo-covered state behind.
     let count = bound.len() as u64;
-    for (rid, tuple, blob) in bound {
-        write_blob(&db.session, txn, &blob, |chunk| {
-            codec::row_key(table_id, rid, chunk)
-        })?;
-        db.catalog.with_catalog_write(|cat| {
-            cat.table_mut(table, viewer)?
-                .rows
-                .insert(rid, tuple.clone());
-            Ok(())
-        })?;
-        undo.push(UndoOp::RemoveRow {
-            table: table.to_string(),
-            rid,
-        });
+    for (rid, blob) in bound {
+        rids.push(rid);
+        db.session
+            .put(txn, codec::row_key(table_id, rid)?, blob.into())?;
     }
     Ok(QueryResult::affected(count))
 }
 
-/// Snapshot of the rows an `UPDATE`/`DELETE` will touch, plus what it
-/// needs to touch them.
+/// The rows an `UPDATE`/`DELETE` may touch — candidates from an unlocked
+/// scan of the cache — plus what it needs to touch them.
 struct MutationScan {
     table_id: u32,
     schema: Schema,
-    matches: Vec<(u32, Tuple)>,
+    candidates: Vec<u32>,
 }
 
 fn scan_matching(
@@ -635,79 +615,43 @@ fn scan_matching(
     db.catalog.with_catalog_read(|cat| {
         let entry = cat.table(table, viewer)?;
         let pred = query::bind_table_predicate(table, &entry.schema, conditions)?;
-        let matches = entry
+        let candidates = entry
             .rows
             .iter()
             .filter(|(_, t)| pred.eval(t))
-            .map(|(rid, t)| (*rid, t.clone()))
+            .map(|(rid, _)| *rid)
             .collect();
         Ok(MutationScan {
             table_id: entry.id,
             schema: entry.schema.clone(),
-            matches,
+            candidates,
         })
     })
 }
 
-/// Locks one row's header through the engine and re-reads its current
-/// tuple *from the engine* under that lock. Returns `None` when the
-/// row vanished (or was tombstoned) between the scan and the lock —
-/// the statement skips it, exactly as if the scan had never seen it.
+/// Takes one row's exclusive lock through the engine and decodes its
+/// current record *from the engine* under that lock. Returns `None`
+/// when the row is gone (never committed, or deleted — the empty
+/// record) by the time the lock is granted; the statement skips it,
+/// exactly as if the scan had never seen it.
 ///
-/// The engine, not the catalog mirror, is the authority here: an
-/// engine-side abort (deadlock victim) rolls the store back and
-/// releases the victim's locks atomically under the shard lock, while
-/// the victim's *mirror* writes linger until its session observes the
-/// abort. Re-reading the mirror in that window reads uncommitted data
-/// — a read-modify-write built on it silently drops the concurrent
-/// committed update.
-fn lock_and_refetch(
-    db: &SqlDb,
-    txn: &Txn,
-    table_id: u32,
-    rid: u32,
-    arity: usize,
-) -> Result<Option<Tuple>> {
-    let header = db
-        .session
-        .read_for_update(txn, codec::row_key(table_id, rid, 0)?)?;
-    let len = match header {
-        None => return Ok(None),
-        Some(h) if h == codec::TOMBSTONE => return Ok(None),
-        Some(h) if h < 0 => {
-            return Err(Error::Internal(format!(
-                "row {rid} of table {table_id}: header {h} is not a length"
-            )))
-        }
-        Some(h) => h as usize,
-    };
-    // The header's exclusive lock is the row's lock point (every writer
-    // takes it first), so the payload chunks cannot change under us;
-    // shared locks suffice and pick up §5.2 commit dependencies from a
-    // pre-committed writer.
-    let need = len.div_ceil(8) as u64;
-    let mut words = Vec::with_capacity(need as usize);
-    for chunk in 1..=need {
-        match db
-            .session
-            .read_shared(txn, codec::row_key(table_id, rid, chunk)?)?
-        {
-            Some(w) => words.push(w),
-            None => {
-                return Err(Error::Internal(format!(
-                    "row {rid} of table {table_id} is missing chunk {chunk}"
-                )))
-            }
-        }
+/// The engine, not the cache, is the authority here: an engine-side
+/// abort (deadlock victim) rolls the store back and releases the
+/// victim's locks atomically under the shard lock, while the victim's
+/// *cached* rows linger until its session refills them. A
+/// read-modify-write built on the cache in that window silently drops
+/// the concurrent committed update.
+fn lock_row(db: &SqlDb, txn: &Txn, key: u64, arity: usize) -> Result<Option<Tuple>> {
+    match db.session.get_for_update(txn, key)? {
+        Some(record) if !record.is_empty() => codec::decode_row(&record, arity).map(Some),
+        _ => Ok(None),
     }
-    let blob = codec::words_to_blob(&words, len)?;
-    codec::decode_row(&blob, arity).map(Some)
 }
 
 fn update(
     db: &SqlDb,
     txn: &Txn,
-    undo: &mut Vec<UndoOp>,
+    rids: &mut Vec<u32>,
     table: &str,
     sets: &[(String, SetExpr)],
     conditions: &[Condition],
@@ -715,73 +659,42 @@ fn update(
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     let bound_sets = query::bind_sets(&scan.schema, sets)?;
     let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
-    let mut affected = 0u64;
-    for (rid, _) in scan.matches {
+    for rid in scan.candidates {
         // The scan ran unlocked; lock the row, then recheck against its
         // current value (it may have changed or stopped matching).
-        let current = match lock_and_refetch(db, txn, scan.table_id, rid, scan.schema.arity())? {
+        let key = codec::row_key(scan.table_id, rid)?;
+        let current = match lock_row(db, txn, key, scan.schema.arity())? {
             Some(t) if pred.eval(&t) => t,
             _ => continue,
         };
         let new = query::apply_sets(&scan.schema, &current, &bound_sets)?;
-        let blob = codec::encode_row(&new)?;
-        write_blob(&db.session, txn, &blob, |chunk| {
-            codec::row_key(scan.table_id, rid, chunk)
-        })?;
-        db.catalog.with_catalog_write(|cat| {
-            cat.table_mut(table, Some(txn.id()))?
-                .rows
-                .insert(rid, new.clone());
-            Ok(())
-        })?;
-        undo.push(UndoOp::RestoreRow {
-            table: table.to_string(),
-            rid,
-            tuple: current,
-            wrote: Some(new),
-        });
-        affected += 1;
+        rids.push(rid);
+        db.session.put(txn, key, codec::encode_row(&new)?.into())?;
     }
-    Ok(QueryResult::affected(affected))
+    Ok(QueryResult::affected(rids.len() as u64))
 }
 
 fn delete(
     db: &SqlDb,
     txn: &Txn,
-    undo: &mut Vec<UndoOp>,
+    rids: &mut Vec<u32>,
     table: &str,
     conditions: &[Condition],
 ) -> Result<QueryResult> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
-    let mut affected = 0u64;
-    for (rid, _) in scan.matches {
-        let current = match lock_and_refetch(db, txn, scan.table_id, rid, scan.schema.arity())? {
-            Some(t) if pred.eval(&t) => t,
+    for rid in scan.candidates {
+        let key = codec::row_key(scan.table_id, rid)?;
+        match lock_row(db, txn, key, scan.schema.arity())? {
+            Some(t) if pred.eval(&t) => {}
             _ => continue,
-        };
-        // A tombstone header is all deletion takes: stale payload
-        // chunks are never read (the header bounds every decode), and
-        // recovery skips tombstoned rows while keeping their rid
-        // watermark.
-        db.session.write(
-            txn,
-            codec::row_key(scan.table_id, rid, 0)?,
-            codec::TOMBSTONE,
-        )?;
-        db.catalog.with_catalog_write(|cat| {
-            cat.table_mut(table, Some(txn.id()))?.rows.remove(&rid);
-            Ok(())
-        })?;
-        undo.push(UndoOp::RestoreRow {
-            table: table.to_string(),
-            rid,
-            tuple: current,
-            wrote: None,
-        });
-        affected += 1;
+        }
+        // Deletion is the empty record: the key stays, so recovery keeps
+        // the rid watermark and the rid is never reissued.
+        rids.push(rid);
+        db.session.put(txn, key, Vec::new().into())?;
     }
-    Ok(QueryResult::affected(affected))
+    Ok(QueryResult::affected(rids.len() as u64))
 }
 
 #[cfg(test)]
@@ -828,6 +741,7 @@ mod tests {
         let r = s.execute("SELECT * FROM acct").unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][1], Value::Str("bob".to_string()));
+        db.audit().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -848,6 +762,7 @@ mod tests {
         let r = s.execute("SELECT id FROM t").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
         assert!(s.execute("SELECT * FROM u").is_err());
+        db.audit().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -865,6 +780,150 @@ mod tests {
         assert!(!s.in_transaction());
         let r = s.execute("SELECT * FROM t").unwrap();
         assert!(r.rows.is_empty());
+        db.audit().unwrap();
+        eng.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropped_session_rolls_back_its_open_transaction() {
+        let dir = temp_dir("drop");
+        let eng = engine(&dir);
+        let db = SqlDb::open(&eng).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE t (id INT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        {
+            let mut gone = db.session();
+            gone.execute("BEGIN").unwrap();
+            gone.execute("INSERT INTO t VALUES (3)").unwrap();
+            gone.execute("DELETE FROM t WHERE id = 1").unwrap();
+            gone.execute("UPDATE t SET id = 20 WHERE id = 2").unwrap();
+            gone.execute("CREATE TABLE u (x INT)").unwrap();
+        }
+        let r = s.execute("SELECT id FROM t").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(db.table_names().unwrap(), vec!["t".to_string()]);
+        db.audit().unwrap();
+        // The dropped session's row locks are gone.
+        s.execute("UPDATE t SET id = 9 WHERE id = 2").unwrap();
+        eng.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deadlock_victim_rolls_back_and_the_survivor_commits() {
+        let dir = temp_dir("deadlock");
+        let eng = engine(&dir);
+        let db = SqlDb::open(&eng).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE t (id INT, n INT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, 0), (2, 0)").unwrap();
+        // Each session locks its first row, meets the other at the
+        // barrier, then asks for the other's row. The crossing statements
+        // block in the engine until deadlock detection aborts one.
+        let barrier = std::sync::Barrier::new(2);
+        let cross = |first: i64, second: i64, add: i64| {
+            let mut s = db.session();
+            let barrier = &barrier;
+            move || {
+                s.execute("BEGIN").unwrap();
+                s.execute(&format!("UPDATE t SET n = n + {add} WHERE id = {first}"))
+                    .unwrap();
+                barrier.wait();
+                match s.execute(&format!("UPDATE t SET n = n + {add} WHERE id = {second}")) {
+                    Ok(_) => {
+                        s.execute("COMMIT").unwrap();
+                        Some(add)
+                    }
+                    Err(e) => {
+                        assert_eq!(e.class(), ErrorClass::Retryable, "{e}");
+                        assert!(!s.in_transaction());
+                        None
+                    }
+                }
+            }
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(cross(1, 2, 10));
+            let b = scope.spawn(cross(2, 1, 100));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let survivor = match (a, b) {
+            (Some(add), None) | (None, Some(add)) => add,
+            other => panic!("exactly one of the two must commit, got {other:?}"),
+        };
+        let r = s.execute("SELECT n FROM t").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(survivor)]; 2]);
+        db.audit().unwrap();
+        eng.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn victim_rollback_keeps_a_successors_equal_value() {
+        // T1 updates the row and is aborted inside the engine — what
+        // deadlock-victim selection does, before the victim's session
+        // hears of it. T2 then commits the very tuple T1 had written.
+        // Only then does T1's session roll back: the row is T2's.
+        let dir = temp_dir("equal-value");
+        let eng = engine(&dir);
+        let db = SqlDb::open(&eng).unwrap();
+        let mut t1 = db.session();
+        let mut t2 = db.session();
+        t1.execute("CREATE TABLE t (id INT, n INT)").unwrap();
+        t1.execute("INSERT INTO t VALUES (1, 0)").unwrap();
+        t1.execute("BEGIN").unwrap();
+        t1.execute("UPDATE t SET n = 5 WHERE id = 1").unwrap();
+        let victim = t1.txn.expect("T1 is open");
+        db.session.abort(victim).unwrap();
+        t2.execute("UPDATE t SET n = 5 WHERE id = 1").unwrap();
+        assert!(t1.execute("UPDATE t SET n = n + 1 WHERE id = 1").is_err());
+        assert!(!t1.in_transaction());
+        let r = t2.execute("SELECT n FROM t WHERE id = 1").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(5)]], "T2's committed value");
+        db.audit().unwrap();
+        eng.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn audit_catches_a_cache_that_disagrees_with_the_engine() {
+        let dir = temp_dir("audit");
+        let eng = engine(&dir);
+        let db = SqlDb::open(&eng).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE t (id INT)").unwrap();
+        s.execute("INSERT INTO t VALUES (1)").unwrap();
+        db.audit().unwrap();
+        let set_cached = |rid: u32, tuple: Option<Tuple>| {
+            db.catalog
+                .with_catalog_write(|cat| {
+                    let rows = &mut cat.table_mut("t", None)?.rows;
+                    match tuple {
+                        Some(t) => rows.insert(rid, t),
+                        None => rows.remove(&rid),
+                    };
+                    Ok(())
+                })
+                .unwrap();
+        };
+        let row = |v: i64| Some(Tuple::new(vec![Value::Int(v)]));
+        set_cached(0, row(2));
+        assert_eq!(db.audit().unwrap_err().invariant, "cache-equals-engine");
+        set_cached(0, None);
+        assert_eq!(db.audit().unwrap_err().invariant, "cache-equals-engine");
+        set_cached(0, row(1));
+        set_cached(7, row(1));
+        assert_eq!(db.audit().unwrap_err().invariant, "cache-backed");
+        set_cached(7, None);
+        // A SQL-owned key with a bit neither layout uses.
+        let raw = eng.session();
+        let t = raw.begin().unwrap();
+        raw.write(&t, codec::SQL_BIT | 1 << 40, 0).unwrap();
+        raw.commit_durable(t).unwrap();
+        assert_eq!(db.audit().unwrap_err().invariant, "key-layout");
+        assert!(SqlDb::open(&eng).is_err(), "open refuses it too");
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -904,6 +963,7 @@ mod tests {
         s.execute("INSERT INTO kv VALUES (5, 'five')").unwrap();
         let r = s.execute("SELECT k FROM kv").unwrap();
         assert_eq!(r.rows.len(), 3);
+        db.audit().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -954,6 +1014,7 @@ mod tests {
         b.execute("CREATE TABLE t (x INT)").unwrap();
         let r = b.execute("SELECT * FROM t").unwrap();
         assert!(r.rows.is_empty());
+        db.audit().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -974,6 +1035,7 @@ mod tests {
         a.execute("COMMIT").unwrap();
         let r = b.execute("SELECT n FROM t WHERE id = 1").unwrap();
         assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
+        db.audit().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -93,7 +93,7 @@ fn dependent_commit_is_never_written_before_its_dependency() {
     // Transaction A writes key 7 and pre-commits; its page (seqno 0)
     // goes to slow device 0.
     let a = s.begin().unwrap();
-    s.write_typical(&a, 7, 1).unwrap();
+    s.write(&a, 7, 1).unwrap();
     let ticket_a = s.commit(a).unwrap();
     // Let the daemon's timeout cut A's page and dispatch it before B's
     // records enter the queue, so B's page is a separate, later one.
@@ -103,7 +103,7 @@ fn dependent_commit_is_never_written_before_its_dependency() {
     // dependency on A, and pre-commits too; its page (seqno 1) goes to
     // fast device 1 — which must wait for device 0.
     let b = s.begin().unwrap();
-    s.write_typical(&b, 7, 2).unwrap();
+    s.write(&b, 7, 2).unwrap();
     let ticket_b = s.commit(b).unwrap();
     std::thread::sleep(Duration::from_millis(80));
 
@@ -148,11 +148,11 @@ fn dependency_becomes_durable_no_later_than_dependent() {
     let engine = Engine::start(opts.clone()).unwrap();
     let s = engine.session();
     let a = s.begin().unwrap();
-    s.write_typical(&a, 7, 1).unwrap();
+    s.write(&a, 7, 1).unwrap();
     let ticket_a = s.commit(a).unwrap();
     std::thread::sleep(Duration::from_millis(15));
     let b = s.begin().unwrap();
-    s.write_typical(&b, 7, 2).unwrap();
+    s.write(&b, 7, 2).unwrap();
     let ticket_b = s.commit(b).unwrap();
     s.wait_durable(&ticket_b).unwrap();
     assert!(
@@ -239,12 +239,12 @@ fn torn_snapshot_generation_falls_back_to_previous() {
         (Lsn(1), LogRecord::Begin { txn: TxnId(0) }),
         (
             Lsn(2),
-            LogRecord::Update {
+            LogRecord::Put {
                 txn: TxnId(0),
                 key: 1,
                 old: None,
-                new: 999, // a value the real image never held
-                padding: 0,
+                // A value the real image never held.
+                new: std::sync::Arc::new(999i64.to_le_bytes()),
             },
         ),
     ])
