@@ -149,7 +149,6 @@ fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
     std::fs::remove_dir_all(&dir).ok();
     let opts = EngineOptions::new(policy, &dir)
         .with_page_write_latency(cfg.page_write)
-        .with_flush_interval(cfg.page_write / 4)
         .with_lock_wait_timeout(Duration::from_secs(2));
     let engine = Engine::start(opts).expect("engine start");
 

@@ -82,7 +82,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// A wall-clock log device: an append-only file written one page frame at
-/// a time, synced after every page (§5.2's unit of durability).
+/// a time, synced after every log page (§5.2's unit of durability) or
+/// once per snapshot image.
 #[derive(Debug)]
 pub struct WalDevice {
     backend: Box<dyn LogBackend>,
@@ -156,12 +157,28 @@ impl WalDevice {
     /// the last good frame (best effort) so a retried append starts from
     /// a clean boundary instead of landing after a torn partial frame.
     pub fn append_page(&mut self, records: &[(Lsn, LogRecord)]) -> Result<()> {
+        let (pages, bytes) = (self.pages_written, self.bytes_written);
+        self.append_page_unsynced(records)?;
+        let synced = self.backend.sync();
+        if synced.is_err() {
+            // A failed sync leaves the frame's durability unknown: take
+            // the frame back, as a failed write takes its own.
+            let _ = self.backend.truncate(bytes);
+            self.pages_written = pages;
+            self.bytes_written = bytes;
+        }
+        synced
+    }
+
+    /// Appends one page frame *without* syncing it: nothing is durable
+    /// until [`WalDevice::sync`] returns. For a writer that lays down a
+    /// whole image — a snapshot generation, trusted only once its final
+    /// commit record is readable — and pays one sync for all of it; live
+    /// log pages go through [`WalDevice::append_page`]. A failed write
+    /// rewinds to the end of the last frame, as there.
+    pub fn append_page_unsynced(&mut self, records: &[(Lsn, LogRecord)]) -> Result<()> {
         let frame = encode_frame(records, self.page_bytes);
-        let result = self
-            .backend
-            .write_all(&frame)
-            .and_then(|()| self.backend.sync());
-        match result {
+        match self.backend.write_all(&frame) {
             Ok(()) => {
                 self.pages_written += 1;
                 self.bytes_written += frame.len() as u64;
@@ -177,12 +194,17 @@ impl WalDevice {
         }
     }
 
-    /// Pages durably written so far.
+    /// Durability barrier over every frame appended so far.
+    pub fn sync(&mut self) -> Result<()> {
+        self.backend.sync()
+    }
+
+    /// Pages written so far (durable once synced).
     pub fn pages_written(&self) -> usize {
         self.pages_written
     }
 
-    /// Bytes durably written so far (frames included).
+    /// Bytes written so far, frames included (durable once synced).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
@@ -705,6 +727,30 @@ mod tests {
         assert_eq!(suffix.records, recs[3..6], "suffix read survives it");
         assert_eq!(suffix.pages_skipped, 1);
         assert_eq!(suffix.corrupt_pages_dropped, 0);
+    }
+
+    #[test]
+    fn unsynced_frames_cost_one_sync_and_a_failed_sync_takes_its_page_back() {
+        // Sync #0 belongs to the image (three unsynced frames, one
+        // barrier); sync #1, the first live page's, fails once.
+        let path = tmp("unsynced.log");
+        let plan = FaultPlan::none().fail_sync(1, 1);
+        let backend = FaultyBackend::create(&path, plan).unwrap();
+        let mut dev = WalDevice::with_backend(Box::new(backend), &path, 4096, Duration::ZERO);
+        let image = [typical(1, 7), typical(2, 8), typical(3, 9)];
+        for page in &image {
+            dev.append_page_unsynced(page).unwrap();
+        }
+        dev.sync().unwrap();
+        assert_eq!(dev.pages_written(), 3);
+        let live = typical(4, 1);
+        let before = dev.bytes_written();
+        assert!(dev.append_page(&live).is_err(), "the injected sync failure");
+        assert_eq!(dev.pages_written(), 3, "the unsynced page does not count");
+        assert_eq!(dev.bytes_written(), before);
+        dev.append_page(&live).unwrap();
+        let want: Vec<_> = image.into_iter().flatten().chain(live).collect();
+        assert_eq!(read_log_file(&path).unwrap(), want, "no duplicate frame");
     }
 
     #[test]

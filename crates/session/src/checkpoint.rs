@@ -23,9 +23,10 @@
 //!   transaction-id floor. The live generation keeps growing in place;
 //!   the sweeper never touches it.
 //! - Old checkpoint generations are deleted only *after* the new
-//!   generation's commit record is durable (`append_page` syncs every
-//!   page), reusing restart compaction's crash-fallback semantics: a
-//!   crash mid-sweep leaves a torn generation that recovery skips.
+//!   generation's commit record is durable (the image is written, then
+//!   synced once), reusing restart compaction's crash-fallback
+//!   semantics: a crash mid-sweep leaves a torn generation that recovery
+//!   skips.
 //! - A **dirty-shard table** ([`crate::shard::ShardState::dirty`] plus
 //!   the sweeper's settled-image cache) makes successive sweeps copy
 //!   only shards mutated since the last sweep.
@@ -226,7 +227,7 @@ pub(crate) fn sweep(
     )?;
     let log_bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-    // The image is durably complete (every page synced); superseded
+    // The image is durably complete (written, then synced); superseded
     // checkpoint generations — and any torn leftovers from crashed
     // sweeps — can go. The live generation is never deleted online.
     if halt != SweepHalt::BeforeTruncate {

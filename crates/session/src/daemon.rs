@@ -22,11 +22,44 @@
 //!   restart recovery's contiguous-LSN-prefix rule: nothing is promised
 //!   that a crash could take back.
 //!
+//! **Who releases a partial page** (the one decision is
+//! [`cut_decision`]): a full page leaves at once. A partial page leaves
+//! when somebody is blocked on one of its records — *demand*, raised by
+//! `wait_durable`, `commit_durable`, a synchronous commit and `flush` —
+//! **a log device is free, and the group window is open**: the previous
+//! partial page left at least `flush_interval` ago. A commit that finds
+//! the log quiet therefore pays one page write and no timer; clients in a
+//! closed loop get one group per `flush_interval`, formed *while* the
+//! previous group is written and their next statements run, instead of
+//! after a silence that follows both. The window is what keeps the commit
+//! rate steady: paced by the device alone it follows every wobble of the
+//! disk's sync time (EXPERIMENTS.md §S1, "Why a window"). While every
+//! device is busy the queue keeps accumulating whatever the window says.
+//! Commits nobody waits on leave with the next group, or once the oldest
+//! of them has been queued for `flush_interval` (an absolute deadline;
+//! other sessions' records do not postpone it). `flush` reopens the
+//! window: an explicit flush waits for a device and nothing else. Records
+//! nobody *can* wait on (begin, put, abort) never buy a page write of
+//! their own.
+//!
+//! **Who wakes whom.** The daemon sleeps on `queue_cv` — until the window
+//! opens or the deadline passes, when one of them is pending — and is
+//! notified only by a change that can alter its decision or its timer: an
+//! append that queues the first commit record (arming the deadline),
+//! fills a page or carries demand; a waiter raising demand; a writer
+//! finishing a page (that completion frees the device the next group
+//! needs); and the stop flags. Waiters sleep on `durable_cv`, notified by
+//! the writers. Every wait sits in a predicate loop.
+//!
 //! Lock order (a thread may only acquire downward): shard state locks in
 //! ascending shard index → one txn-table slot → `queue` → `durable` (see
 //! [`crate::shard`] for the shard half of the discipline). The writers
 //! take `durable` and the shard locks one group at a time, never nested
-//! across groups.
+//! across groups, and take `queue` for their wake-up only after all of
+//! those are dropped. A waiter raises demand under `queue` and releases it
+//! before taking `durable`. The daemon registers a cut page's commits in
+//! `durable` before it releases `queue`, so a commit is at every instant
+//! either queued or registered.
 
 use crate::metrics::{us_since, SessionMetrics};
 use crate::policy::{CommitPolicy, EngineOptions};
@@ -65,6 +98,9 @@ pub(crate) struct PendingCommit {
     pub lsn: Lsn,
     /// Lock-table shards the transaction touched.
     pub mask: u64,
+    /// When the record entered the queue: the start of the group wait and
+    /// of the `flush_interval` deadline.
+    pub queued_at: Instant,
 }
 
 /// One record in the shared log queue.
@@ -82,8 +118,23 @@ pub(crate) struct LogQueue {
     /// Paper-accounted bytes queued (decides when a page is full).
     pub bytes: usize,
     pub next_lsn: u64,
-    /// A committer (or `flush`) asked for an immediate partial flush.
-    pub force: bool,
+    /// Highest LSN somebody is blocked on. It is *demand* only while that
+    /// record is still queued ([`LogQueue::has_demand`]); dispatching the
+    /// record answers it, so nothing ever resets this.
+    pub demand: u64,
+    /// When the oldest queued commit record was appended — arms the
+    /// `flush_interval` deadline. Kept by [`Shared::append`] and
+    /// [`cut_pages`].
+    pub oldest_commit: Option<Instant>,
+    /// Earliest instant the next awaited partial page may leave: one
+    /// `flush_interval` after the last partial page left. `None`: at once
+    /// (nothing cut yet, or [`Shared::raise_demand`] reopened it for a
+    /// flush). Set by the daemon.
+    pub window_opens: Option<Instant>,
+    /// Pages handed to the writers and not yet completed (a page parked
+    /// on its dependencies or in its modeled write counts). A device is
+    /// free while this is below the device count.
+    pub in_flight: usize,
     /// Graceful shutdown: drain everything, then stop.
     pub shutdown: bool,
     /// Simulated crash: drop everything volatile on the floor.
@@ -92,6 +143,13 @@ pub(crate) struct LogQueue {
     /// fail-stop degraded state and appends are refused with
     /// [`Error::LogDeviceFailed`] instead of the generic shutdown error.
     pub failed: bool,
+}
+
+impl LogQueue {
+    /// True while a record somebody is blocked on is still queued.
+    pub fn has_demand(&self) -> bool {
+        self.records.front().is_some_and(|r| r.lsn.0 <= self.demand)
+    }
 }
 
 /// A cut page travelling from the daemon to one writer.
@@ -150,7 +208,8 @@ pub(crate) struct Shared {
     /// lock (§5.2: nothing global sits on the transaction hot path).
     pub next_txn: AtomicU64,
     pub queue: Mutex<LogQueue>,
-    /// Signalled when the queue gains records or flags change.
+    /// Signalled when the daemon's decision may have changed (see the
+    /// module docs) or a stop flag was set.
     pub queue_cv: Condvar,
     pub durable: Mutex<DurableTable>,
     /// Signalled on every durability transition (page written, crash).
@@ -264,15 +323,56 @@ impl Shared {
             .map_err(|_| Error::Poisoned("durable table".into()))
     }
 
+    /// What the daemon would do with the queue as it stands at `now`, and
+    /// the instant time alone would change that (the window opening under
+    /// a waiter, or the deadline) — the state a mutation of the queue must
+    /// change to be worth waking the daemon for.
+    fn daemon_view(&self, q: &LogQueue, now: Instant) -> (Cut, Option<Instant>) {
+        let sync = matches!(self.options.policy, CommitPolicy::Synchronous);
+        let window = q.has_demand().then(|| q.window_opens.unwrap_or(now));
+        let deadline = q
+            .oldest_commit
+            .and_then(|t| t.checked_add(self.options.flush_interval));
+        let cut = cut_decision(
+            window.is_some_and(|t| t <= now),
+            q.in_flight < self.options.policy.devices(),
+            deadline.is_some_and(|t| t <= now),
+            // Under the synchronous policy a commit record ends its page,
+            // so a queued commit is a full page.
+            q.bytes >= self.options.page_bytes || (sync && q.oldest_commit.is_some()),
+        );
+        let timer = [window, deadline]
+            .into_iter()
+            .flatten()
+            .filter(|t| *t > now)
+            .min();
+        (cut, timer)
+    }
+
+    /// Releases the queue after a mutation and wakes the daemon only if
+    /// the mutation changed its view (taken at `now`) since `before`.
+    fn release_queue(
+        &self,
+        q: MutexGuard<'_, LogQueue>,
+        before: (Cut, Option<Instant>),
+        now: Instant,
+    ) {
+        let wake = self.daemon_view(&q, now) != before;
+        drop(q);
+        if wake {
+            self.queue_cv.notify_all();
+        }
+    }
+
     /// Appends records to the log queue, assigning LSNs. Update records
     /// MUST be appended while holding the owning shard's lock (per-key
     /// LSN order); a commit record MUST be appended while holding *every*
     /// shard lock its transaction touched — dependencies only arise
     /// through shared keys, hence shared shards, so this queues commit
     /// records in precommit order and keeps every dependency's commit
-    /// LSN (and page) ahead of its dependent's. `force` requests an
-    /// immediate flush (synchronous commit).
-    pub fn append(&self, items: Vec<(LogRecord, Option<CommitInfo>)>, force: bool) -> Result<Lsn> {
+    /// LSN (and page) ahead of its dependent's. `demand` says the caller
+    /// is about to block on the last record (see [`Shared::raise_demand`]).
+    pub fn append(&self, items: Vec<(LogRecord, Option<CommitInfo>)>, demand: bool) -> Result<Lsn> {
         let mut q = self.queue_guard()?;
         if q.failed {
             // Degraded: surface the device failure, not a bland
@@ -286,6 +386,8 @@ impl Shared {
         if q.shutdown || q.crashed {
             return Err(Error::Shutdown);
         }
+        let now = Instant::now();
+        let before = self.daemon_view(&q, now);
         let mut last = Lsn(q.next_lsn);
         let mut commits = 0usize;
         for (record, info) in items {
@@ -297,11 +399,13 @@ impl Shared {
                     commits += 1;
                     self.metrics
                         .trace(TraceStage::Queued, *txn, lsn.0, info.mask);
+                    q.oldest_commit.get_or_insert(now);
                     Some(PendingCommit {
                         txn: *txn,
                         deps: info.deps,
                         lsn,
                         mask: info.mask,
+                        queued_at: now,
                     })
                 }
                 _ => None,
@@ -314,15 +418,50 @@ impl Shared {
             last = lsn;
         }
         self.metrics.note_appended_lsn(last.0);
-        if force {
-            q.force = true;
+        if demand {
+            q.demand = q.demand.max(last.0);
         }
         if commits > 0 {
             // Nested queue → durable follows the lock order.
             self.durable_guard()?.outstanding += commits;
         }
-        self.queue_cv.notify_all();
+        self.release_queue(q, before, now);
         Ok(last)
+    }
+
+    /// Announces that somebody is about to block until every record up to
+    /// `lsn` is durable, so the daemon stops holding those still queued
+    /// for a fuller page. Takes `queue` and releases it: call it *before*
+    /// taking `durable`. A record already dispatched needs no announcing
+    /// — its page is the writers' business — and wakes nobody. `lsn` is
+    /// clamped to what has been appended, so `u64::MAX` means "everything
+    /// so far". `flush` says the caller is [`crate::Engine::flush`], which
+    /// also reopens the group window.
+    pub fn raise_demand(&self, lsn: u64, flush: bool) -> Result<()> {
+        let mut q = self.queue_guard()?;
+        let now = Instant::now();
+        let before = self.daemon_view(&q, now);
+        q.demand = q.demand.max(lsn.min(q.next_lsn.saturating_sub(1)));
+        if flush {
+            q.window_opens = None;
+        }
+        self.release_queue(q, before, now);
+        Ok(())
+    }
+
+    /// A writer finished a page: its device is free, and that is what
+    /// releases the next group, so the daemon is woken. Called with no
+    /// lock held (`queue` sits above `durable` and the shard locks the
+    /// writer has just dropped). Returns `false` on a poisoned queue.
+    fn release_device(&self) -> bool {
+        let Ok(mut q) = self.queue.lock() else {
+            self.poison_fail_stop("log queue");
+            return false;
+        };
+        q.in_flight = q.in_flight.saturating_sub(1);
+        drop(q);
+        self.queue_cv.notify_all();
+        true
     }
 
     /// True once a crash (simulated or device failure) was declared.
@@ -483,7 +622,20 @@ impl Shared {
             format!("queue says {} bytes, records sum to {bytes}", q.bytes)
         })?;
         let queued_commits = q.records.iter().filter(|r| r.commit.is_some()).count();
-        drop(q);
+        AuditViolation::ensure(
+            q.oldest_commit.is_some() == (queued_commits > 0),
+            C,
+            "deadline-armed",
+            || {
+                format!(
+                    "deadline armed: {}, but {queued_commits} commit record(s) queued",
+                    q.oldest_commit.is_some()
+                )
+            },
+        )?;
+        // The queue stays locked while the durable table is read (queue →
+        // durable, the lock order): the daemon moves a commit from one to
+        // the other under both, so the accounting below sees each once.
         let d = self
             .durable
             .lock()
@@ -544,6 +696,7 @@ impl Shared {
             },
         )?;
         drop(d);
+        drop(q);
         // Every deadlock-victim abort rode the ordinary abort path, and
         // its per-shard counter is bumped strictly after the abort
         // counter — so the family sum can never exceed total aborts.
@@ -555,12 +708,44 @@ impl Shared {
     }
 }
 
+/// What the daemon does with the queue now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cut {
+    /// Keep accumulating.
+    Hold,
+    /// Cut the full pages; the partial tail keeps accumulating.
+    FullPages,
+    /// Cut everything queued, the partial tail included.
+    All,
+}
+
+/// The one place that decides when a page is cut. A partial page leaves
+/// when it is wanted — somebody is blocked on one of its records and the
+/// group window is open (`demand`), or its oldest commit record has waited
+/// `flush_interval` (`deadline_passed`) — *and* a device is free to write
+/// it; cutting it behind a busy device would only fix the group's size
+/// early. A full page leaves whatever the devices are doing.
+pub(crate) fn cut_decision(
+    demand: bool,
+    device_free: bool,
+    deadline_passed: bool,
+    page_full: bool,
+) -> Cut {
+    if (demand || deadline_passed) && device_free {
+        Cut::All
+    } else if page_full {
+        Cut::FullPages
+    } else {
+        Cut::Hold
+    }
+}
+
 /// Cuts as many pages as the queue currently justifies. Full pages are
 /// always cut — a page is full once it holds `page_bytes`, which a single
 /// record larger than a page does on its own — and a trailing partial
-/// page is cut only when `flush_partial` (force, timeout, or shutdown). Under the synchronous policy every
-/// commit record ends its page, making each commit pay its own page
-/// write — the paper's 100 tps baseline.
+/// page is cut only when `flush_partial` ([`Cut::All`], or shutdown).
+/// Under the synchronous policy every commit record ends its page, making
+/// each commit pay its own page write — the paper's 100 tps baseline.
 pub(crate) fn cut_pages(
     q: &mut LogQueue,
     page_bytes: usize,
@@ -608,12 +793,19 @@ pub(crate) fn cut_pages(
         });
         *next_seqno += 1;
     }
+    if !pages.is_empty() {
+        // The deadline follows the oldest commit record still queued.
+        q.oldest_commit = q
+            .records
+            .iter()
+            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at));
+    }
     pages
 }
 
-/// The group-commit daemon: drains the queue, cuts pages, stripes them
-/// over the writers. Exits on shutdown (after draining), crash, or a
-/// poisoned lock.
+/// The group-commit daemon: drains the queue, cuts pages as
+/// [`cut_decision`] says, stripes them over the writers. Exits on
+/// shutdown (after draining), crash, or a poisoned lock.
 pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
     let sync_cut = matches!(shared.options.policy, CommitPolicy::Synchronous);
     let mut next_seqno = 0u64;
@@ -627,32 +819,43 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 shared.poison_fail_stop("log queue");
                 return;
             };
-            let mut flush_partial;
-            loop {
+            let flush_partial = loop {
                 if q.crashed {
                     return;
                 }
-                flush_partial = q.force || q.shutdown;
-                let ready = flush_partial
-                    || q.bytes >= shared.options.page_bytes
-                    || (sync_cut && q.records.iter().any(|r| r.commit.is_some()));
-                if ready {
-                    break;
+                if q.shutdown {
+                    break true;
                 }
-                let Ok((guard, timeout)) = shared
-                    .queue_cv
-                    .wait_timeout(q, shared.options.flush_interval)
-                else {
+                let now = Instant::now();
+                let (cut, timer) = shared.daemon_view(&q, now);
+                match cut {
+                    Cut::All => {
+                        // This group leaves now; the next awaited one no
+                        // sooner than a flush interval from here.
+                        q.window_opens = now.checked_add(shared.options.flush_interval);
+                        break true;
+                    }
+                    Cut::FullPages => break false,
+                    Cut::Hold => {}
+                }
+                // Only `timer` can change the decision without another
+                // thread changing the queue (and notifying). With none
+                // pending the hold is for a busy device or an empty
+                // queue, and whoever ends that wakes us.
+                let woken = match timer {
+                    Some(t) => shared
+                        .queue_cv
+                        .wait_timeout(q, t.duration_since(now))
+                        .map(|(guard, _)| guard)
+                        .ok(),
+                    None => shared.queue_cv.wait(q).ok(),
+                };
+                let Some(guard) = woken else {
                     shared.poison_fail_stop("log queue");
                     return;
                 };
                 q = guard;
-                if timeout.timed_out() && !q.records.is_empty() {
-                    flush_partial = true;
-                    break;
-                }
-            }
-            q.force = false;
+            };
             let pages = cut_pages(
                 &mut q,
                 shared.options.page_bytes,
@@ -660,6 +863,30 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 flush_partial,
                 &mut next_seqno,
             );
+            q.in_flight += pages.len();
+            if !pages.is_empty() {
+                // Register commit → page before dispatch, so writers can
+                // resolve dependency pages and waiters can be found, and
+                // before the queue is released (queue → durable, the
+                // lock order), so a commit is at every instant either
+                // queued or registered — the audit's accounting.
+                let Ok(mut d) = shared.durable.lock() else {
+                    drop(q); // `fail_stop` takes the queue itself
+                    shared.poison_fail_stop("durable table");
+                    return;
+                };
+                if d.crashed {
+                    return;
+                }
+                for page in &pages {
+                    for c in &page.commits {
+                        d.commit_page.insert(c.txn, page.seqno);
+                    }
+                    if !page.commits.is_empty() {
+                        d.waiting.insert(page.seqno, page.commits.clone());
+                    }
+                }
+            }
             (pages, q.shutdown && q.records.is_empty())
         };
         if !pages.is_empty() {
@@ -667,25 +894,10 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 if !page.commits.is_empty() {
                     shared.metrics.batch_txns.record(page.commits.len() as u64);
                 }
-            }
-            // Register commit → page before dispatch so writers can
-            // resolve dependency pages and waiters can be found.
-            let Ok(mut d) = shared.durable.lock() else {
-                shared.poison_fail_stop("durable table");
-                return;
-            };
-            if d.crashed {
-                return;
-            }
-            for page in &pages {
                 for c in &page.commits {
-                    d.commit_page.insert(c.txn, page.seqno);
-                }
-                if !page.commits.is_empty() {
-                    d.waiting.insert(page.seqno, page.commits.clone());
+                    shared.metrics.group_wait_us.record(us_since(c.queued_at));
                 }
             }
-            drop(d);
             for page in pages {
                 let Some(tx) = senders.get(rr) else {
                     return;
@@ -703,7 +915,8 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
 }
 
 /// One log-writer thread: sleeps the device's modeled latency, writes
-/// and syncs the page, then advances durability. A crash flag set during
+/// and syncs the page, advances durability, then frees its device and
+/// wakes the daemon for the next group. A crash flag set during
 /// the modeled write loses the page — exactly the §5.2 failure the
 /// recovery test exercises. A failed append is retried within the
 /// configured budget (the device rewinds to the last good frame before
@@ -741,7 +954,7 @@ pub(crate) fn run_writer(
                 .metrics
                 .trace(TraceStage::Flushed, c.txn, c.lsn.0, c.mask);
         }
-        if !complete_page(&shared, page) {
+        if !complete_page(&shared, page) || !shared.release_device() {
             return;
         }
     }
@@ -901,6 +1114,7 @@ mod tests {
                 deps: Vec::new(),
                 lsn: Lsn(lsn),
                 mask: 0,
+                queued_at: Instant::now(),
             }),
             _ => None,
         };
@@ -914,10 +1128,14 @@ mod tests {
     fn queue_of(records: Vec<QueuedRecord>) -> LogQueue {
         let bytes = records.iter().map(|r| r.record.byte_size()).sum();
         let next_lsn = records.last().map(|r| r.lsn.0 + 1).unwrap_or(1);
+        let oldest_commit = records
+            .iter()
+            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at));
         LogQueue {
             records: records.into(),
             bytes,
             next_lsn,
+            oldest_commit,
             ..LogQueue::default()
         }
     }
@@ -986,6 +1204,103 @@ mod tests {
                 Some((_, LogRecord::Commit { .. }))
             ));
         }
+    }
+
+    #[test]
+    fn cut_decision_over_every_input() {
+        use Cut::{All, FullPages, Hold};
+        const T: bool = true;
+        const F: bool = false;
+        // (demand, device free, deadline passed, page full) → decision.
+        let table = [
+            // Nobody waits, no deadline: only a full page leaves.
+            ((F, F, F, F), Hold),
+            ((F, T, F, F), Hold),
+            ((F, F, F, T), FullPages),
+            ((F, T, F, T), FullPages),
+            // Wanted and a device free: everything leaves.
+            ((T, T, F, F), All),
+            ((F, T, T, F), All),
+            ((T, T, T, F), All),
+            ((T, T, F, T), All),
+            ((F, T, T, T), All),
+            ((T, T, T, T), All),
+            // Wanted but every device busy: the partial page keeps
+            // accumulating behind the write in flight…
+            ((T, F, F, F), Hold),
+            ((F, F, T, F), Hold),
+            ((T, F, T, F), Hold),
+            // …and a full page still leaves at once.
+            ((T, F, F, T), FullPages),
+            ((F, F, T, T), FullPages),
+            ((T, F, T, T), FullPages),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for ((demand, device_free, deadline_passed, page_full), want) in table {
+            assert!(seen.insert((demand, device_free, deadline_passed, page_full)));
+            assert_eq!(
+                cut_decision(demand, device_free, deadline_passed, page_full),
+                want,
+                "demand {demand}, free {device_free}, deadline {deadline_passed}, full {page_full}"
+            );
+        }
+        assert_eq!(seen.len(), 16, "every combination is listed once");
+    }
+
+    #[test]
+    fn a_waiter_is_served_when_the_group_window_opens() {
+        let interval = std::time::Duration::from_millis(10);
+        let options =
+            EngineOptions::new(CommitPolicy::Group, "unused").with_flush_interval(interval);
+        let shared = Shared::new(options, HashMap::new(), 1, 1);
+        let mut q = queue_of(typical(1, 1));
+        let queued_at = q.oldest_commit.unwrap();
+        let now = queued_at + interval / 10;
+        let deadline = queued_at + interval;
+        // Nobody waits: only the deadline is pending.
+        assert_eq!(shared.daemon_view(&q, now), (Cut::Hold, Some(deadline)));
+        assert_eq!(shared.daemon_view(&q, deadline).0, Cut::All);
+        // Somebody waits and no group has left yet: the page leaves now.
+        q.demand = 3;
+        assert_eq!(shared.daemon_view(&q, now), (Cut::All, Some(deadline)));
+        // A group left a moment ago: the page leaves when the window opens.
+        let opens = now + interval / 2;
+        q.window_opens = Some(opens);
+        assert_eq!(shared.daemon_view(&q, now), (Cut::Hold, Some(opens)));
+        assert_eq!(shared.daemon_view(&q, opens).0, Cut::All);
+        // …and no sooner for a free device, but later for a busy one.
+        q.in_flight = 1;
+        assert_eq!(shared.daemon_view(&q, opens), (Cut::Hold, Some(deadline)));
+        assert_eq!(shared.daemon_view(&q, deadline), (Cut::Hold, None));
+    }
+
+    #[test]
+    fn demand_lasts_while_its_record_is_queued() {
+        let mut q = queue_of(typical(1, 1));
+        assert!(!q.has_demand(), "nobody waits yet");
+        q.demand = 3;
+        assert!(q.has_demand());
+        let mut seq = 0;
+        cut_pages(&mut q, 4096, false, true, &mut seq);
+        assert!(!q.has_demand(), "dispatching the record answers it");
+        q.records.extend(typical(2, 4));
+        assert!(!q.has_demand(), "a later transaction inherits nothing");
+    }
+
+    #[test]
+    fn the_deadline_follows_the_oldest_queued_commit() {
+        let mut q = queue_of((0..2).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
+        let second = q.records[5].commit.as_ref().unwrap().queued_at;
+        assert!(q.oldest_commit.is_some_and(|t| t <= second));
+        let mut seq = 0;
+        // A 500-byte page takes the first 400-byte transaction (and the
+        // second's begin record); the second commit stays queued.
+        let pages = cut_pages(&mut q, 500, false, false, &mut seq);
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].commits.len(), 1);
+        assert_eq!(q.oldest_commit, Some(second), "moved to the second commit");
+        cut_pages(&mut q, 500, false, true, &mut seq);
+        assert_eq!(q.oldest_commit, None, "nothing queued, nothing armed");
     }
 
     #[test]

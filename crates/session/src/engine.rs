@@ -18,7 +18,10 @@
 //! commit records in precommit order in the queue. Durability arrives
 //! later, when the record's page (and every earlier page) is on disk;
 //! [`Session::wait_durable`] blocks for it and a synchronous-policy
-//! commit does so before returning.
+//! commit does so before returning. Blocking is also what releases the
+//! record: a waiter announces itself to the daemon, which then cuts the
+//! record's page as soon as a log device is free and the group window is
+//! open (see [`crate::daemon`]).
 //!
 //! The store's value is a byte record: [`Session::get`],
 //! [`Session::get_for_update`] and [`Session::put`] move whole records —
@@ -194,25 +197,12 @@ impl Engine {
         Ok(self.shared.durable_guard()?.durable_lsn >= ticket.lsn.0)
     }
 
-    /// Forces a partial-page flush and blocks until every commit issued
-    /// so far is durable.
+    /// Flushes everything appended so far — the partial page included,
+    /// as soon as a log device is free, whatever the group window says —
+    /// and blocks until every commit issued so far is durable.
     pub fn flush(&self) -> Result<()> {
-        {
-            let mut q = self.shared.queue_guard()?;
-            if q.failed {
-                // Degraded fail-stop (§5.2): surface the device failure
-                // rather than blocking or reporting a bland shutdown.
-                let failure = self.shared.durable_guard()?.failure.clone();
-                return Err(
-                    failure.unwrap_or_else(|| Error::LogDeviceFailed("log device failed".into()))
-                );
-            }
-            if q.crashed {
-                return Err(Error::Shutdown);
-            }
-            q.force = true;
-        }
-        self.shared.queue_cv.notify_all();
+        // A failed or crashed engine is reported by the wait below.
+        self.shared.raise_demand(u64::MAX, true)?;
         let mut d = self.shared.durable_guard()?;
         loop {
             if let Some(e) = &d.failure {
@@ -457,11 +447,24 @@ impl Session {
     /// released (to waiters, who pick up commit dependencies) *before*
     /// the commit record is durable. Under [`CommitPolicy::Synchronous`]
     /// this also waits for durability; grouped policies return
-    /// immediately with a ticket for [`wait_durable`].
+    /// immediately with a ticket for [`wait_durable`]. A ticket nobody
+    /// waits on becomes durable with the next group, or within
+    /// [`EngineOptions::flush_interval`] plus a page write.
     ///
     /// [`wait_durable`]: Session::wait_durable
     pub fn commit(&self, txn: Txn) -> Result<CommitTicket> {
         let sync = matches!(self.shared.options.policy, CommitPolicy::Synchronous);
+        self.commit_with(txn, sync)
+    }
+
+    /// Commits and waits for durability regardless of policy.
+    pub fn commit_durable(&self, txn: Txn) -> Result<CommitTicket> {
+        self.commit_with(txn, true)
+    }
+
+    /// Pre-commits `txn`; with `wait`, queues the commit record as one
+    /// somebody is blocked on and blocks until it is durable.
+    fn commit_with(&self, txn: Txn, wait: bool) -> Result<CommitTicket> {
         let id = txn.0;
         // Claim the transaction (Active → Precommitted). The claim only
         // succeeds against the mask we read, so lock traffic racing in
@@ -519,29 +522,33 @@ impl Session {
                 LogRecord::Commit { txn: id },
                 Some(CommitInfo { deps, mask }),
             )],
-            sync,
+            wait,
         )?;
         self.shared.metrics.commits.inc();
         drop(guards);
         // Pre-commit released this transaction's locks: wake waiters.
         self.shared.notify_shards(mask);
         let ticket = CommitTicket { txn: id, lsn };
-        if sync {
-            self.wait_durable(&ticket)?;
+        if wait {
+            self.await_durable(&ticket)?;
         }
         Ok(ticket)
     }
 
-    /// Commits and waits for durability regardless of policy.
-    pub fn commit_durable(&self, txn: Txn) -> Result<CommitTicket> {
-        let ticket = self.commit(txn)?;
-        self.wait_durable(&ticket)?;
-        Ok(ticket)
+    /// Blocks until the ticket's transaction is durable (its page and
+    /// every earlier page on disk). The wait is announced to the daemon
+    /// first, so a record still queued leaves with the next group — at
+    /// once if the previous one left an [`EngineOptions::flush_interval`]
+    /// ago and a log device is free — instead of waiting out the interval
+    /// from its own arrival.
+    pub fn wait_durable(&self, ticket: &CommitTicket) -> Result<()> {
+        // `queue` is taken and released before `durable`: the lock order.
+        self.shared.raise_demand(ticket.lsn.0, false)?;
+        self.await_durable(ticket)
     }
 
-    /// Blocks until the ticket's transaction is durable (its page and
-    /// every earlier page on disk).
-    pub fn wait_durable(&self, ticket: &CommitTicket) -> Result<()> {
+    /// The wait itself, for a ticket whose demand is already raised.
+    fn await_durable(&self, ticket: &CommitTicket) -> Result<()> {
         let mut d = self.shared.durable_guard()?;
         loop {
             if d.durable_lsn >= ticket.lsn.0 {

@@ -3,7 +3,7 @@
 //! One [`SessionMetrics`] lives in [`crate::daemon::Shared`] and owns
 //! every handle the engine records through: per-shard lock wait/hold
 //! histograms and deadlock-abort counters (the §5.2 lock manager),
-//! group-commit batch-size and fsync-latency histograms plus the
+//! group-commit batch-size, group-wait and fsync-latency histograms plus the
 //! durable-watermark lag gauge (the §5.2 group-commit daemon), and the
 //! commit-pipeline [`TraceRing`] (begin → precommit → queued → flushed
 //! → durable). Every recording is a handful of relaxed atomics, cheap
@@ -52,6 +52,9 @@ pub(crate) struct SessionMetrics {
     /// Commit records per written log page that carried any — the §5.2
     /// group-commit batching the paper's 1000-tps claim rests on.
     pub batch_txns: Arc<Histogram>,
+    /// Commit record queued → its page handed to a writer, µs: the part
+    /// of a commit that is neither the device nor dependency ordering.
+    pub group_wait_us: Arc<Histogram>,
     /// Wall time of one page write (dependency wait excluded): modeled
     /// device latency + real append-and-sync, µs.
     pub fsync_us: Arc<Histogram>,
@@ -130,6 +133,10 @@ impl SessionMetrics {
             "mmdb_session_commit_batch_txns",
             "Commit records per written log page that carried any",
         );
+        let group_wait_us = registry.histogram(
+            "mmdb_session_group_wait_us",
+            "Commit record queued to its page handed to a log writer",
+        );
         let fsync_us = registry.histogram(
             "mmdb_session_fsync_us",
             "Page write wall time (modeled latency + append-and-sync)",
@@ -183,6 +190,7 @@ impl SessionMetrics {
             lock_hold_us,
             commit_latency_us,
             batch_txns,
+            group_wait_us,
             fsync_us,
             io_errors,
             io_retries,

@@ -18,9 +18,13 @@ pub enum CommitPolicy {
     /// the write — the paper's 100 tps baseline, one page write per
     /// transaction.
     Synchronous,
-    /// Commit records accumulate until a page fills (or the group timeout
-    /// fires); one page write commits the whole group and the committer
-    /// is *pre-committed* in between, holding no locks.
+    /// Commit records accumulate while the log device is busy and the
+    /// group window ([`EngineOptions::flush_interval`]) is closed: one
+    /// page write commits whatever arrived since the previous one left,
+    /// and the committer is *pre-committed* in between, holding no locks.
+    /// A page leaves when it fills, or — partial — once a committer is
+    /// blocked on it, a device is free and the window is open, so a
+    /// commit on a quiet log pays one page write and no timer.
     Group,
     /// Group commit striped round-robin over `devices` log devices, the
     /// §5.2 recipe for pushing past one device's page rate.
@@ -67,9 +71,17 @@ pub struct EngineOptions {
     pub device_latencies: Vec<Duration>,
     /// Directory the log device files live in.
     pub log_dir: PathBuf,
-    /// Group-commit timeout: the daemon flushes a partial page once the
-    /// oldest queued record has waited this long (§5.2's answer to "what
-    /// if the page never fills?").
+    /// The group window (§5.2's answer to "what if the page never
+    /// fills?"). A partial page somebody is blocked on leaves when a
+    /// device is free and the previous partial page left at least this
+    /// long ago: at once on a quiet log, once per interval in a closed
+    /// loop — the interval runs while the previous page is written, not
+    /// after it, and keeps the commit rate from following the disk's sync
+    /// time. A partial page nobody waits on (a [`crate::Session::commit`]
+    /// ticket only polled with `is_durable`) leaves once its oldest
+    /// queued *commit* record has waited this long and a device is free —
+    /// an absolute deadline that other sessions' records do not postpone.
+    /// [`crate::Engine::flush`] waits for neither.
     pub flush_interval: Duration,
     /// How long a writer waits on a lock before giving up with a
     /// conflict error (deadlock victims abort much sooner).
@@ -105,7 +117,7 @@ pub struct EngineOptions {
 impl EngineOptions {
     /// Options for `policy` logging under `log_dir`, with the paper's
     /// 4096-byte pages, no modeled page-write latency, a 1 ms group
-    /// timeout, and a 1 s lock wait.
+    /// window, and a 1 s lock wait.
     pub fn new(policy: CommitPolicy, log_dir: impl Into<PathBuf>) -> Self {
         EngineOptions {
             policy,
@@ -161,7 +173,7 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the group-commit flush timeout.
+    /// Sets the group window (see [`EngineOptions::flush_interval`]).
     pub fn with_flush_interval(mut self, interval: Duration) -> Self {
         self.flush_interval = interval;
         self

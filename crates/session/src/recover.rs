@@ -14,10 +14,11 @@
 //!
 //! Recovery then *compacts*: the recovered image is written to a fresh
 //! **log generation** (`wal-gen{g}-d{i}.log`) as one synthetic committed
-//! transaction (id 0), and only once that snapshot is durably complete
-//! are the old generation's files deleted — so a real crash at any point
-//! inside recovery leaves either the old generation intact or both, and
-//! replay picks the newest generation whose snapshot finished. The new
+//! transaction (id 0) — every frame written, then one sync — and only
+//! once that snapshot is durably complete are the old generation's files
+//! deleted, so a real crash at any point inside recovery leaves either
+//! the old generation intact or both, and replay picks the newest
+//! generation whose snapshot finished. The new
 //! engine then appends to the *same* device files (they are handed over
 //! open, never reopened-and-truncated), so its LSN sequence continues
 //! the snapshot's and stale post-gap records can never collide with it.
@@ -360,7 +361,12 @@ pub(crate) fn write_snapshot(
 
 /// Appends `records` to `device` as LSNs 1, 2, … packed into pages of
 /// `page_bytes` (a larger record gets a page to itself), returning the
-/// next free LSN.
+/// next free LSN. The image costs **one sync**, after its last frame: a
+/// generation is trusted only once its CRC-framed `Commit { txn: 0 }` is
+/// readable behind a contiguous prefix, so a crash that leaves any subset
+/// of the unsynced frames behind leaves a torn generation
+/// [`replay_dir`] falls back past — and callers delete what the image
+/// supersedes only after this returns.
 pub(crate) fn append_paged(
     device: &mut WalDevice,
     records: Vec<LogRecord>,
@@ -372,7 +378,7 @@ pub(crate) fn append_paged(
     for rec in records {
         let size = rec.byte_size();
         if !page.is_empty() && bytes + size > page_bytes {
-            device.append_page(&page)?;
+            device.append_page_unsynced(&page)?;
             page.clear();
             bytes = 0;
         }
@@ -381,8 +387,9 @@ pub(crate) fn append_paged(
         bytes += size;
     }
     if !page.is_empty() {
-        device.append_page(&page)?;
+        device.append_page_unsynced(&page)?;
     }
+    device.sync()?;
     Ok(lsn)
 }
 
@@ -406,10 +413,11 @@ impl Engine {
             .collect();
         let live_generation = image.max_generation + 1;
         let mut devices = open_devices(&options, live_generation)?;
-        // Snapshot before deleting anything: `append_page` syncs every
-        // page, so by the time the old generation goes away the new one
-        // is durably complete. A crash in between leaves both on disk
-        // and `replay_dir` picks the newest complete generation.
+        // Snapshot before deleting anything: `write_snapshot` returns
+        // after the image's one sync, so by the time the old generation
+        // goes away the new one is durably complete. A crash in between
+        // leaves both on disk and `replay_dir` picks the newest complete
+        // generation.
         let first = devices
             .first_mut()
             .ok_or_else(|| Error::Io("no log devices configured".into()))?;

@@ -85,7 +85,7 @@ const T: bool = false; // transient: acquires and releases internally
 /// and guard-returning helpers are `G`; helpers that take and drop locks
 /// inside their own body are `T` (their bodies are analyzed where they
 /// are defined — this entry only records what a *call* acquires).
-const ENGINE_LOCK_PATTERNS: [LockPattern; 22] = [
+const ENGINE_LOCK_PATTERNS: [LockPattern; 24] = [
     LockPattern {
         pat: "with_catalog_read(",
         classes: &["catalog"],
@@ -163,7 +163,17 @@ const ENGINE_LOCK_PATTERNS: [LockPattern; 22] = [
     },
     LockPattern {
         pat: "wait_durable(",
-        classes: &["durable"],
+        classes: &["queue", "durable"],
+        returns_guard: T,
+    },
+    LockPattern {
+        pat: "raise_demand(",
+        classes: &["queue"],
+        returns_guard: T,
+    },
+    LockPattern {
+        pat: "release_device(",
+        classes: &["queue"],
         returns_guard: T,
     },
     LockPattern {

@@ -26,7 +26,7 @@ fn fast(policy: CommitPolicy, name: &str) -> EngineOptions {
 /// The engine's metric inventory, `(family, prometheus type)`. This
 /// list is the golden surface: adding a metric means adding a row here,
 /// and renaming or dropping one fails the test.
-const SESSION_FAMILIES: [(&str, &str); 19] = [
+const SESSION_FAMILIES: [(&str, &str); 20] = [
     ("mmdb_session_begins_total", "counter"),
     ("mmdb_session_commits_total", "counter"),
     ("mmdb_session_aborts_total", "counter"),
@@ -39,6 +39,7 @@ const SESSION_FAMILIES: [(&str, &str); 19] = [
     ("mmdb_session_lock_hold_us", "histogram"),
     ("mmdb_session_commit_latency_us", "histogram"),
     ("mmdb_session_commit_batch_txns", "histogram"),
+    ("mmdb_session_group_wait_us", "histogram"),
     ("mmdb_session_fsync_us", "histogram"),
     ("mmdb_session_durable_lag_lsn", "gauge"),
     ("mmdb_session_checkpoints_total", "counter"),
@@ -156,6 +157,11 @@ fn engine_exposition_is_complete_and_parseable() {
         .expect("_count sample");
     assert_eq!(inf.1, count.1, "+Inf bucket must equal _count");
     assert_eq!(count.1, 6.0, "one sample per durable commit");
+    let waits = samples
+        .iter()
+        .find(|(n, _)| n == "mmdb_session_group_wait_us_count")
+        .expect("group-wait _count sample");
+    assert_eq!(waits.1, 6.0, "one sample per commit handed to a writer");
 
     std::fs::remove_dir_all(&dir).ok();
 }

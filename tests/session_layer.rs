@@ -1,7 +1,9 @@
 //! End-to-end tests of the wall-clock session layer (§5.2): group-commit
 //! crash semantics, pre-commit dependency ordering across partitioned
-//! log devices, and a property test checking concurrent sessions against
-//! a single-threaded serial oracle.
+//! log devices, who releases a partial page (a waiter, a free device and
+//! an open group window; the flush interval as a deadline only for
+//! commits nobody waits on), and a property test checking concurrent
+//! sessions against a single-threaded serial oracle.
 
 use mmdb_recovery::wal::{read_log_file, WalDevice};
 use mmdb_recovery::{LogRecord, Lsn};
@@ -9,7 +11,9 @@ use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{Auditable, Error, TxnId};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mmdb-session-e2e-{}-{name}", std::process::id()));
@@ -165,6 +169,314 @@ fn dependency_becomes_durable_no_later_than_dependent() {
     assert!(info.committed.contains(&ticket_a.txn));
     assert!(info.committed.contains(&ticket_b.txn));
     assert_eq!(engine.read(7).unwrap(), Some(2));
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Polls `done` until it holds, failing after `limit`.
+fn eventually(limit: Duration, what: &str, mut done: impl FnMut() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(started.elapsed() < limit, "{what}: not within {limit:?}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// A fresh engine with the flush interval at 30 s: nothing but a waiter
+/// can release a partial page in the lifetime of a test.
+fn engine_with_a_30s_interval(name: &str) -> (Engine, PathBuf) {
+    let dir = tmp_dir(name);
+    let opts =
+        EngineOptions::new(CommitPolicy::Group, &dir).with_flush_interval(Duration::from_secs(30));
+    (Engine::start(opts).unwrap(), dir)
+}
+
+/// A commit somebody is blocked on, arriving at a quiet log, leaves as
+/// soon as the device is free: with the flush interval at 30 s and nobody
+/// else to join the group, every way of waiting returns at device speed.
+#[test]
+fn a_waited_commit_on_a_quiet_log_never_waits_out_the_flush_interval() {
+    let prompt = Duration::from_secs(1);
+
+    let (engine, dir) = engine_with_a_30s_interval("waiter-commit-durable");
+    let s = engine.session();
+    let started = Instant::now();
+    let t = s.begin().unwrap();
+    s.write(&t, 1, 100).unwrap();
+    s.commit_durable(t).unwrap();
+    assert!(
+        started.elapsed() < prompt,
+        "commit_durable waited for the timer"
+    );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (engine, dir) = engine_with_a_30s_interval("waiter-wait-durable");
+    let s = engine.session();
+    let started = Instant::now();
+    let t = s.begin().unwrap();
+    s.write(&t, 2, 0).unwrap();
+    let ticket = s.commit(t).unwrap();
+    s.wait_durable(&ticket).unwrap();
+    assert!(
+        started.elapsed() < prompt,
+        "commit + wait_durable waited for the timer"
+    );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let (engine, dir) = engine_with_a_30s_interval("waiter-transfer");
+    let s = engine.session();
+    let started = Instant::now();
+    let ticket = s.transfer(1, 2, 5).unwrap();
+    s.wait_durable(&ticket).unwrap();
+    assert!(
+        started.elapsed() < prompt,
+        "transfer + wait_durable waited for the timer"
+    );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The group window: awaited partial pages leave one flush interval
+/// apart, however fast the device is — the commit rate of a closed loop
+/// is set by the interval, not by how long the disk took this time.
+#[test]
+fn awaited_groups_leave_one_flush_interval_apart() {
+    const COMMITS: u32 = 20;
+    let interval = Duration::from_millis(5);
+    let dir = tmp_dir("group-window");
+    let opts = EngineOptions::new(CommitPolicy::Group, &dir).with_flush_interval(interval);
+    let engine = Engine::start(opts).unwrap();
+    let s = engine.session();
+    let started = Instant::now();
+    for k in 0..COMMITS {
+        let t = s.begin().unwrap();
+        s.write(&t, u64::from(k), 1).unwrap();
+        s.commit_durable(t).unwrap();
+    }
+    let elapsed = started.elapsed();
+    // The first finds the window open; each of the rest waits for it.
+    assert!(
+        elapsed >= interval * (COMMITS - 1),
+        "{COMMITS} awaited commits left in {elapsed:?}: closer than {interval:?} apart"
+    );
+    assert!(
+        elapsed < interval * (COMMITS - 1) * 3,
+        "{COMMITS} awaited commits took {elapsed:?}: the window is not the only wait"
+    );
+    assert_eq!(engine.pages_written().unwrap(), COMMITS as usize);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `flush` waits for a device and nothing else: it reopens the window an
+/// awaited commit has just closed for 30 s.
+#[test]
+fn flush_does_not_wait_for_the_group_window() {
+    let (engine, dir) = engine_with_a_30s_interval("flush-reopens");
+    let s = engine.session();
+    let t = s.begin().unwrap();
+    s.write(&t, 1, 1).unwrap();
+    s.commit_durable(t).unwrap();
+    let t = s.begin().unwrap();
+    s.write(&t, 2, 2).unwrap();
+    let ticket = s.commit(t).unwrap();
+    let started = Instant::now();
+    engine.flush().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "flush waited for the group window"
+    );
+    assert!(s.is_durable(&ticket).unwrap());
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Wall time of 50 back-to-back durable commits from one client on a
+/// 1 ms modeled device, the flush interval no longer than the page write.
+fn fifty_lone_commits(policy: CommitPolicy, name: &str) -> Duration {
+    let dir = tmp_dir(name);
+    let opts = EngineOptions::new(policy, &dir)
+        .with_page_write_latency(Duration::from_millis(1))
+        .with_flush_interval(Duration::from_millis(1));
+    let engine = Engine::start(opts).unwrap();
+    let s = engine.session();
+    let started = Instant::now();
+    for k in 0..50 {
+        let t = s.begin().unwrap();
+        s.write(&t, k, 1).unwrap();
+        s.commit_durable(t).unwrap();
+    }
+    let elapsed = started.elapsed();
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    elapsed
+}
+
+/// §5.2's group commit exists to share a page write, not to add a wait
+/// on top of it: the window runs *while* the page is written, so with an
+/// interval no longer than the page write a lone client's group commit
+/// costs what a synchronous commit costs (twice that when the interval
+/// was a silence that followed the write).
+#[test]
+fn group_commit_keeps_up_with_synchronous_at_one_client() {
+    let sync = fifty_lone_commits(CommitPolicy::Synchronous, "lone-sync");
+    let group = fifty_lone_commits(CommitPolicy::Group, "lone-group");
+    assert!(
+        group <= sync.mul_f64(1.5),
+        "group commit took {group:?} against synchronous {sync:?} at one client"
+    );
+}
+
+/// A device slower than the window sets the pace, and must still group:
+/// while one page is being written, the commits that arrive share the next one. One page per
+/// commit is the failure this guards against.
+#[test]
+fn commits_that_arrive_during_a_page_write_share_the_next_page() {
+    const CLIENTS: u64 = 8;
+    const EACH: u64 = 40;
+    let dir = tmp_dir("device-paced");
+    let opts = EngineOptions::new(CommitPolicy::Group, &dir)
+        .with_page_write_latency(Duration::from_millis(5));
+    let engine = Engine::start(opts).unwrap();
+    let barrier = Arc::new(Barrier::new(CLIENTS as usize));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let s = engine.session();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                for i in 0..EACH {
+                    let t = s.begin().unwrap();
+                    s.write(&t, c * EACH + i, 1).unwrap();
+                    s.commit_durable(t).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let commits = (CLIENTS * EACH) as usize;
+    let pages = engine.pages_written().unwrap();
+    assert!(
+        pages <= commits / 3,
+        "{pages} pages for {commits} commits: the device is not pacing the groups"
+    );
+    let registry = engine.registry();
+    engine.shutdown().unwrap();
+    let stats = registry.snapshot();
+    let batch = stats.histogram("mmdb_session_commit_batch_txns").unwrap();
+    assert_eq!(batch.sum, commits as u64);
+    assert!(
+        batch.sum >= 3 * batch.count,
+        "{} commits over {} commit-carrying pages",
+        batch.sum,
+        batch.count
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Partitioned { devices: 2 }`: a partial page leaves while *a* device
+/// is free, so two may be in flight at once — never three.
+#[test]
+fn two_devices_carry_two_partial_pages_at_once_never_three() {
+    let dir = tmp_dir("two-in-flight");
+    let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, &dir)
+        .with_page_write_latency(Duration::from_millis(300));
+    let engine = Engine::start(opts).unwrap();
+    // The group-wait histogram records a commit the moment its page is
+    // handed to a writer: its count is the commits dispatched so far.
+    let dispatched = || {
+        engine
+            .stats()
+            .histogram("mmdb_session_group_wait_us")
+            .map_or(0, |h| h.count)
+    };
+    let commit = |key: u64| {
+        let s = engine.session();
+        std::thread::spawn(move || {
+            let t = s.begin().unwrap();
+            s.write(&t, key, 1).unwrap();
+            s.commit_durable(t).unwrap();
+        })
+    };
+    let limit = Duration::from_secs(5);
+    let mut handles = vec![commit(1)];
+    eventually(limit, "first page dispatched", || dispatched() == 1);
+    handles.push(commit(2));
+    eventually(limit, "second page dispatched", || dispatched() == 2);
+    let both_in_flight = engine.pages_written().unwrap() == 0;
+    handles.push(commit(3));
+    handles.push(commit(4));
+    eventually(limit, "all four committed", || {
+        engine.stats().counter("mmdb_session_commits_total") == Some(4)
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let dispatched_now = dispatched();
+    // Only meaningful if this thread was not descheduled for a whole
+    // 300 ms page write somewhere above.
+    let still_both = engine.pages_written().unwrap() == 0;
+    for h in handles {
+        h.join().unwrap();
+    }
+    if both_in_flight && still_both {
+        assert_eq!(
+            dispatched_now, 2,
+            "a third partial page was cut while both devices were busy"
+        );
+        assert_eq!(
+            engine.pages_written().unwrap(),
+            3,
+            "the two commits that found both devices busy share one page"
+        );
+    }
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The flush interval is an absolute deadline on the oldest queued
+/// *commit*: a trickle of other sessions' records (arriving faster than
+/// the interval, into a page that will not fill) must not postpone a
+/// commit nobody waits on.
+#[test]
+fn a_trickle_of_records_does_not_postpone_an_unawaited_commit() {
+    let dir = tmp_dir("trickle");
+    let mut opts =
+        EngineOptions::new(CommitPolicy::Group, &dir).with_flush_interval(Duration::from_millis(2));
+    opts.page_bytes = 1 << 20;
+    let engine = Engine::start(opts).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickle = {
+        let s = engine.session();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let t = s.begin().unwrap();
+            let mut v = 0;
+            while !stop.load(Ordering::SeqCst) {
+                v += 1;
+                s.write(&t, 1, v).unwrap();
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            s.abort(t).unwrap();
+        })
+    };
+    let s = engine.session();
+    let t = s.begin().unwrap();
+    s.write(&t, 2, 20).unwrap();
+    let ticket = s.commit(t).unwrap();
+    let started = Instant::now();
+    while !s.is_durable(&ticket).unwrap() && started.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let took = started.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    trickle.join().unwrap();
+    assert!(
+        took < Duration::from_millis(500),
+        "an un-awaited commit took {took:?} to become durable behind a trickle of puts"
+    );
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
