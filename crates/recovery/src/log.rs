@@ -1,19 +1,20 @@
 //! Log records.
 //!
-//! §5.1 logs the old and new *value of a record*. Two record kinds carry
-//! one, for the two §5 stacks:
+//! §5.1 logs the old and new *value of a record*; §5.4 observes that a
+//! memory-resident database undoes from memory, so the disk log needs
+//! only the new values of transactions that commit. Two record kinds, for
+//! the two §5 stacks, sit on either side of that observation:
 //!
 //! * [`LogRecord::Put`] is what the wall-clock session engine writes and
-//!   replays: a variable-length byte [`Record`] with its pre-image, whose
-//!   [`LogRecord::byte_size`] is exactly its encoded length. One row is
-//!   one such record.
+//!   replays — §5.4's record: a variable-length byte [`Record`], new
+//!   value only, written once at pre-commit, whose
+//!   [`LogRecord::byte_size`] is exactly its encoded length.
 //! * [`LogRecord::Update`] is the virtual-time `RecoveryManager`'s
 //!   paper-accounted record: an 8-byte value plus explicit `padding`, so
 //!   a "typical" transaction charges the paper's 400 bytes — 40 for
-//!   begin/end and 360 for old/new values — without carrying them.
-//!
-//! Both store old and new values, so the §5.4 compression (dropping old
-//! values of committed transactions) is measurable byte-for-byte.
+//!   begin/end and 360 for old/new values — without carrying them. It
+//!   keeps its old value, so the §5.4 compression model
+//!   ([`LogRecord::compressed_size`]) stays measurable byte-for-byte.
 
 use bytes::{Buf, BufMut};
 use mmdb_types::{Error, Result, TxnId};
@@ -41,15 +42,14 @@ pub enum LogRecord {
         /// Transaction.
         txn: TxnId,
     },
-    /// A byte-record write by the session engine: pre-image for undo,
-    /// post-image for redo, both at their real length.
+    /// A byte-record write by the session engine, redo-only (§5.4): the
+    /// value the committing transaction left under `key`, at its real
+    /// length.
     Put {
         /// Transaction.
         txn: TxnId,
         /// Written key.
         key: u64,
-        /// Pre-image (`None` for an insert).
-        old: Option<Record>,
         /// Post-image.
         new: Record,
     },
@@ -99,8 +99,8 @@ const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
 const TAG_PUT: u8 = 6;
 
-/// Fixed part of an encoded [`LogRecord::Put`]: tag, txn, key, old flag.
-const PUT_HEADER_BYTES: usize = 1 + 8 + 8 + 1;
+/// Fixed part of an encoded [`LogRecord::Put`]: tag, txn, key.
+const PUT_HEADER_BYTES: usize = 1 + 8 + 8;
 
 impl LogRecord {
     /// The transaction this record belongs to. A checkpoint marker
@@ -119,14 +119,12 @@ impl LogRecord {
     /// Bytes this record occupies in a log page, matching §5.1: begin and
     /// commit are 20 bytes each; an update is a 24-byte header plus 8
     /// bytes of old value, 8 of new, and its padding; a put is its
-    /// encoded length (length-prefixed old and new values after an
-    /// 18-byte header).
+    /// encoded length (the length-prefixed new value after a 17-byte
+    /// header).
     pub fn byte_size(&self) -> usize {
         match self {
             LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => 20,
-            LogRecord::Put { old, .. } => {
-                self.compressed_size() + old.as_ref().map_or(0, |o| 4 + o.len())
-            }
+            LogRecord::Put { new, .. } => PUT_HEADER_BYTES + 4 + new.len(),
             LogRecord::Update { old, padding, .. } => {
                 24 + 8 + if old.is_some() { 8 } else { 0 } + *padding as usize
             }
@@ -138,9 +136,9 @@ impl LogRecord {
 
     /// Byte size after §5.4 compression: old values stripped (the 8-byte
     /// pre-image plus half of the padding, which models old-value bytes).
+    /// A put never carried one.
     pub fn compressed_size(&self) -> usize {
         match self {
-            LogRecord::Put { new, .. } => PUT_HEADER_BYTES + 4 + new.len(),
             LogRecord::Update { padding, .. } => 24 + 8 + (*padding as usize) / 2,
             other => other.byte_size(),
         }
@@ -153,17 +151,10 @@ impl LogRecord {
                 out.put_u8(TAG_BEGIN);
                 out.put_u64_le(txn.0);
             }
-            LogRecord::Put { txn, key, old, new } => {
+            LogRecord::Put { txn, key, new } => {
                 out.put_u8(TAG_PUT);
                 out.put_u64_le(txn.0);
                 out.put_u64_le(*key);
-                match old {
-                    Some(v) => {
-                        out.put_u8(1);
-                        put_bytes(out, v);
-                    }
-                    None => out.put_u8(0),
-                }
                 put_bytes(out, new);
             }
             LogRecord::Update {
@@ -222,17 +213,12 @@ impl LogRecord {
             TAG_COMMIT => Ok(LogRecord::Commit { txn }),
             TAG_ABORT => Ok(LogRecord::Abort { txn }),
             TAG_PUT => {
-                if buf.remaining() < 8 + 1 {
+                if buf.remaining() < 8 {
                     return Err(Error::CorruptLog("truncated put".into()));
                 }
                 let key = buf.get_u64_le();
-                let old = match buf.get_u8() {
-                    0 => None,
-                    1 => Some(take_bytes(buf, "old value")?),
-                    other => return Err(Error::CorruptLog(format!("put old-value flag {other}"))),
-                };
                 let new = take_bytes(buf, "new value")?;
-                Ok(LogRecord::Put { txn, key, old, new })
+                Ok(LogRecord::Put { txn, key, new })
             }
             TAG_UPDATE => {
                 if buf.remaining() < 8 + 1 {
@@ -355,13 +341,11 @@ mod tests {
             LogRecord::Put {
                 txn: TxnId(9),
                 key: u64::MAX,
-                old: Some(Record::from(&b"old row"[..])),
                 new: Record::from(&b"a longer new row"[..]),
             },
             LogRecord::Put {
                 txn: TxnId(9),
                 key: 5,
-                old: None,
                 new: Record::from(&[][..]),
             },
             LogRecord::Commit { txn: TxnId(9) },
@@ -384,18 +368,17 @@ mod tests {
 
     #[test]
     fn put_byte_size_is_its_encoded_length() {
-        for old in [None, Some(Record::from(&[7u8; 100][..]))] {
+        for len in [0usize, 8, 106] {
             let rec = LogRecord::Put {
                 txn: TxnId(1),
                 key: 2,
-                old: old.clone(),
-                new: Record::from(&[9u8; 64][..]),
+                new: Record::from(vec![9u8; len]),
             };
             let mut buf = Vec::new();
             rec.encode(&mut buf);
+            assert_eq!(buf.len(), 17 + 4 + len);
             assert_eq!(rec.byte_size(), buf.len());
-            let old_bytes = old.map_or(0, |o| 4 + o.len());
-            assert_eq!(rec.compressed_size(), buf.len() - old_bytes, "§5.4");
+            assert_eq!(rec.compressed_size(), buf.len(), "§5.4: nothing to strip");
         }
     }
 
@@ -404,7 +387,6 @@ mod tests {
         let rec = LogRecord::Put {
             txn: TxnId(3),
             key: 4,
-            old: Some(Record::from(&b"before"[..])),
             new: Record::from(&b"after!"[..]),
         };
         let mut buf = Vec::new();
@@ -413,18 +395,38 @@ mod tests {
             let mut view = &buf[..cut];
             assert!(LogRecord::decode(&mut view).is_err(), "cut at {cut}");
         }
-        // Each length field in turn claims 4 GiB: an error, not an
-        // allocation of the claimed size.
-        for at in [PUT_HEADER_BYTES, PUT_HEADER_BYTES + 4 + 6] {
-            let mut forged = buf.clone();
-            forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let mut view = forged.as_slice();
-            assert!(LogRecord::decode(&mut view).is_err(), "length at {at}");
-        }
-        let mut bad_flag = buf;
-        bad_flag[PUT_HEADER_BYTES - 1] = 2;
-        let mut view = bad_flag.as_slice();
+        // The length field claims 4 GiB: an error, not an allocation of
+        // the claimed size.
+        let mut forged = buf;
+        forged[PUT_HEADER_BYTES..PUT_HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut view = forged.as_slice();
         assert!(LogRecord::decode(&mut view).is_err());
+    }
+
+    /// The retired layout carried a flag byte and a length-prefixed
+    /// pre-image ahead of the new value. Read as the current layout, flag
+    /// and length run together into a length field the record cannot
+    /// honour.
+    #[test]
+    fn put_in_the_retired_layout_fails_its_length_check() {
+        for pre_image in [None, Some(&b"was"[..])] {
+            let mut buf = vec![TAG_PUT];
+            buf.put_u64_le(3);
+            buf.put_u64_le(4);
+            match pre_image {
+                Some(v) => {
+                    buf.put_u8(1);
+                    put_bytes(&mut buf, v);
+                }
+                None => buf.put_u8(0),
+            }
+            put_bytes(&mut buf, &[5u8; 40]);
+            let mut view = buf.as_slice();
+            assert!(
+                matches!(LogRecord::decode(&mut view), Err(Error::CorruptLog(_))),
+                "retired layout, pre-image {pre_image:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! plan. A failed append rewinds the file to the last good frame before
 //! returning, so a retried page never lands after torn garbage.
 //!
-//! On-disk format, per page: a 16-byte header — magic `"MMW2"`, record
+//! On-disk format, per page: a 16-byte header — magic `"MMW3"`, record
 //! count, payload bytes, and a CRC32 over count‖len‖payload — followed
 //! by `count` records, each an 8-byte LSN and the [`LogRecord`] encoding
 //! from [`crate::log`]. A page holds whole records, so one record larger
@@ -36,8 +36,9 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Magic number opening every page frame ("MMW2"); CRC32-guarded.
-const PAGE_MAGIC: u32 = 0x4D4D_5732;
+/// Magic number opening every page frame ("MMW3"); CRC32-guarded. "MMW2"
+/// frames carried puts with pre-images and are corrupt pages now.
+const PAGE_MAGIC: u32 = 0x4D4D_5733;
 
 /// Size of the page-frame header in bytes (magic, count, len, crc).
 const HEADER_BYTES: usize = 16;
@@ -396,6 +397,10 @@ fn parse_frame(
         let rec = LogRecord::decode(&mut rest).map_err(|_| PageFailure::Corrupt)?;
         records.push((Lsn(u64::from_le_bytes(lsn8)), rec));
     }
+    // Payload left over: some length field inside the records lies.
+    if !rest.is_empty() {
+        return Err(PageFailure::Corrupt);
+    }
     Ok((records, HEADER_BYTES + len))
 }
 
@@ -495,45 +500,99 @@ mod tests {
         assert_eq!(report.bytes_dropped, 0);
     }
 
-    #[test]
-    fn old_magic_frame_is_a_corrupt_page() {
-        // A good page, then a frame in the retired unchecksummed layout
-        // (magic "MMWL", 12-byte header) claiming u32::MAX records: the
-        // log truncates there and nothing is sized from its header.
-        let path = tmp("oldmagic.log");
+    /// Recomputes a forged frame's checksum, so only record parsing can
+    /// reject it.
+    fn reseal(frame: &mut [u8]) {
+        let crc = crc32_continue(crc32(&frame[4..12]), &frame[HEADER_BYTES..]);
+        frame[12..16].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Appends `frames` after one good page and expects the log to
+    /// truncate there, reporting one corrupt page.
+    fn assert_truncates_after_first_page(name: &str, frames: &[Vec<u8>]) {
+        let path = tmp(name);
         let mut dev = WalDevice::create(&path, 4096, Duration::ZERO).unwrap();
         let p1 = typical(1, 7);
         dev.append_page(&p1).unwrap();
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&0x4D4D_574Cu32.to_le_bytes());
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        frame.extend_from_slice(&8u32.to_le_bytes());
-        frame.extend_from_slice(&[0u8; 8]);
         let mut file = OpenOptions::new().append(true).open(&path).unwrap();
         use std::io::Write;
-        file.write_all(&frame).unwrap();
-        file.write_all(&encode_frame(&typical(2, 8), 4096)).unwrap();
+        for frame in frames {
+            file.write_all(frame).unwrap();
+        }
         drop(file);
+        let dropped: usize = frames.iter().map(Vec::len).sum();
         let report = read_log_file_report(&path).unwrap();
         assert_eq!(report.records, p1);
         assert_eq!(report.corrupt_pages_dropped, 1);
-        assert!(report.bytes_dropped > frame.len() as u64);
+        assert_eq!(report.bytes_dropped, dropped as u64);
+    }
+
+    #[test]
+    fn old_magic_frame_is_a_corrupt_page() {
+        // A good page, then a frame in the first, unchecksummed layout
+        // (magic "MMWL", 12-byte header) claiming u32::MAX records: the
+        // log truncates there and nothing is sized from its header.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&0x4D4D_574Cu32.to_le_bytes());
+        v1.extend_from_slice(&u32::MAX.to_le_bytes());
+        v1.extend_from_slice(&8u32.to_le_bytes());
+        v1.extend_from_slice(&[0u8; 8]);
+        assert_truncates_after_first_page(
+            "oldmagic.log",
+            &[v1, encode_frame(&typical(2, 8), 4096)],
+        );
+        // The previous magic ("MMW2", puts with pre-images): same header
+        // layout and a valid checksum, still not this log's page.
+        let mut v2 = encode_frame(&typical(2, 8), 4096);
+        v2[..4].copy_from_slice(&0x4D4D_5732u32.to_le_bytes());
+        assert_truncates_after_first_page("prevmagic.log", &[v2]);
+    }
+
+    #[test]
+    fn retired_put_layout_under_the_new_magic_is_a_corrupt_page() {
+        // A tag-6 record as "MMW2" wrote it — flag byte, length-prefixed
+        // pre-image, then the new value — sealed into a current frame.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&4u64.to_le_bytes()); // LSN
+        payload.push(6);
+        payload.extend_from_slice(&1u64.to_le_bytes()); // txn
+        payload.extend_from_slice(&9u64.to_le_bytes()); // key
+        payload.push(1);
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        payload.extend_from_slice(b"was");
+        payload.extend_from_slice(&40u32.to_le_bytes());
+        payload.extend_from_slice(&[5u8; 40]);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&PAGE_MAGIC.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&[0u8; 4]);
+        frame.extend_from_slice(&payload);
+        reseal(&mut frame);
+        assert_truncates_after_first_page("retiredput.log", &[frame]);
     }
 
     #[test]
     fn put_page_cut_anywhere_or_forged_never_panics() {
         let page = vec![
-            (Lsn(1), LogRecord::Begin { txn: TxnId(1) }),
             (
-                Lsn(2),
+                Lsn(1),
                 LogRecord::Put {
                     txn: TxnId(1),
                     key: 9,
-                    old: Some(crate::Record::from(&b"old"[..])),
                     new: crate::Record::from(&[5u8; 40][..]),
                 },
             ),
-            (Lsn(3), LogRecord::Commit { txn: TxnId(1) }),
+            (Lsn(2), LogRecord::Commit { txn: TxnId(1) }),
+            // A page may end inside the next transaction's run.
+            (
+                Lsn(3),
+                LogRecord::Put {
+                    txn: TxnId(2),
+                    key: 10,
+                    new: crate::Record::from(&b"row"[..]),
+                },
+            ),
         ];
         let frame = encode_frame(&page, 4096);
         let path = tmp("putcut.log");
@@ -543,21 +602,22 @@ mod tests {
             assert!(report.records.is_empty(), "cut at {cut}");
             assert_eq!(report.bytes_dropped, cut as u64);
         }
-        // The put's new-value length claims 4 GiB under a valid checksum.
-        let reseal = |f: &mut Vec<u8>| {
-            let crc = crc32_continue(crc32(&f[4..12]), &f[HEADER_BYTES..]);
-            f[12..16].copy_from_slice(&crc.to_le_bytes());
-        };
         let mut forged = frame.clone();
         reseal(&mut forged);
         assert_eq!(forged, frame, "resealing an intact frame changes nothing");
-        let new_len_at = HEADER_BYTES + (8 + 9) + 8 + 18 + 4 + 3;
-        forged[new_len_at..new_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        reseal(&mut forged);
-        std::fs::write(&path, &forged).unwrap();
-        let report = read_log_file_report(&path).unwrap();
-        assert!(report.records.is_empty());
-        assert_eq!(report.corrupt_pages_dropped, 1);
+        // Under a valid checksum, the last put's length claims 4 GiB,
+        // then one byte less than it has (the records no longer fill the
+        // payload): a corrupt page both times, nothing sized from it.
+        let len_at = HEADER_BYTES + (8 + 17 + 4 + 40) + (8 + 9) + 8 + 17;
+        for claim in [u32::MAX, 2] {
+            let mut forged = frame.clone();
+            forged[len_at..len_at + 4].copy_from_slice(&claim.to_le_bytes());
+            reseal(&mut forged);
+            std::fs::write(&path, &forged).unwrap();
+            let report = read_log_file_report(&path).unwrap();
+            assert!(report.records.is_empty(), "length {claim}");
+            assert_eq!(report.corrupt_pages_dropped, 1, "length {claim}");
+        }
         std::fs::write(&path, &frame).unwrap();
         assert_eq!(read_log_file(&path).unwrap(), page);
     }

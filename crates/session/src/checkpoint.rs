@@ -12,11 +12,18 @@
 //!   consistent** per shard, no global pause, exactly the paper's fuzzy
 //!   dump discipline.
 //! - In-flight (not yet durably committed) writes are backed out of the
-//!   copy using the shard's undo list, newest LSN first, so the image
-//!   holds only durable data. The minimum undo LSN across all shards —
-//!   together with the queue's next-LSN capture at sweep start — gives
-//!   the **replay floor** `start`: every effect missing from the image
-//!   sits in the live log at LSN ≥ `start`.
+//!   copy using the shard's undo list, newest write first by the shard's
+//!   own write sequence, so the image holds only durable data. A
+//!   transaction is in the log only from pre-commit on (§5.4), as one
+//!   LSN run its undo lists are stamped with. The sweep captures the
+//!   queue's next LSN, then the durable LSN, before visiting any shard:
+//!   a list committed at or below that durable LSN is *settled* — left
+//!   in the image, finalized or not; a pre-committed list above it is
+//!   backed out and pulls the **replay floor** `start` down to its run's
+//!   first LSN; an active one is backed out and needs no floor — its run
+//!   will land at or past the captured next LSN, `start`'s upper bound.
+//!   Every effect missing from the image sits in the live log at
+//!   LSN ≥ `start`.
 //! - The image goes to a **new generation file** through the same
 //!   [`WalDevice`] / `LogBackend` stack the commit path uses, with a
 //!   [`LogRecord::Checkpoint`] marker carrying `start` and the
@@ -38,6 +45,7 @@
 use crate::daemon::Shared;
 use crate::engine::{device_file_name, log_files};
 use crate::recover::{append_paged, generation_of, write_snapshot};
+use crate::shard::UndoEntry;
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{Error, Result, TxnId};
@@ -52,7 +60,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub(crate) struct CheckpointState {
     /// Per-shard image from the last sweep, kept only when the shard was
-    /// *settled* (empty undo list — every value durably committed) at
+    /// *settled* (nothing to back out — every value durably committed) at
     /// copy time. A clean shard with a cached image is not re-copied.
     /// An image shares its records with the store it was copied from.
     cache: Vec<Option<HashMap<u64, Record>>>,
@@ -130,9 +138,8 @@ pub(crate) fn sweep(
 ) -> Result<CheckpointStats> {
     let started = Instant::now();
     // Capture the fuzziness window's upper bound before visiting any
-    // shard: every write that happens after this capture gets an LSN
-    // ≥ captured_next_lsn, so even if it sneaks into a shard image we
-    // copy later, the replay floor still covers it.
+    // shard: whatever pre-commits after this gets LSNs ≥ it, so even if
+    // its writes sneak into a shard image copied later, replay covers it.
     let captured_next_lsn = {
         let q = shared.queue_guard()?;
         if q.shutdown || q.crashed {
@@ -145,6 +152,12 @@ pub(crate) fn sweep(
     // capture, so their `fetch_add`s on next_txn are already visible;
     // later allocations only push the floor higher, which is safe.
     let next_txn = shared.next_txn.load(Ordering::Relaxed);
+    // Read once, before any shard: a commit at or below this is durable
+    // whether or not the writer has dropped its undo lists yet.
+    let durable_lsn = {
+        let d = shared.durable_guard()?;
+        d.durable_lsn
+    };
 
     let shard_count = shared.shards.len();
     let mut start = captured_next_lsn;
@@ -152,13 +165,17 @@ pub(crate) fn sweep(
     let mut rewritten: Vec<usize> = Vec::new();
     for (i, (shard, cache)) in shared.shards.iter().zip(ck.cache.iter_mut()).enumerate() {
         let mut state = shard.guard()?;
-        // Fold every in-flight write's LSN into the replay floor: its
-        // effect is backed out of (or absent from) the image, so replay
-        // must start no later than its log record.
+        // What the image must not contain: every list not durably
+        // committed. A pre-committed one also lowers the replay floor to
+        // its run's first record, cached copy or not.
+        let mut in_flight: Vec<&UndoEntry> = Vec::new();
         for list in state.undo.values() {
-            for entry in list {
-                start = start.min(entry.lsn);
+            match list.logged {
+                Some((_, commit)) if commit <= durable_lsn => continue,
+                Some((first, _)) => start = start.min(first),
+                None => {}
             }
+            in_flight.extend(&list.entries);
         }
         if !state.dirty && cache.is_some() {
             // Untouched since its cached settled image — the §5.3
@@ -167,23 +184,17 @@ pub(crate) fn sweep(
             continue;
         }
         let mut image = state.db.clone();
-        // Back out in-flight writes newest-first so chained overwrites
-        // by different transactions unwind in the right order.
-        let mut entries: Vec<(u64, u64, Option<Record>)> = state
-            .undo
-            .values()
-            .flatten()
-            .map(|e| (e.lsn, e.key, e.old.clone()))
-            .collect();
-        entries.sort_by_key(|e| std::cmp::Reverse(e.0));
-        let settled = entries.is_empty();
-        for (_, key, old) in entries {
-            match old {
+        // Back out newest-first so chained overwrites by different
+        // transactions unwind in the right order.
+        in_flight.sort_by_key(|e| std::cmp::Reverse(e.seq));
+        let settled = in_flight.is_empty();
+        for entry in in_flight {
+            match &entry.old {
                 Some(v) => {
-                    image.insert(key, v);
+                    image.insert(entry.key, Record::clone(v));
                 }
                 None => {
-                    image.remove(&key);
+                    image.remove(&entry.key);
                 }
             }
         }
@@ -284,7 +295,6 @@ fn write_torn_image(
         records.push(LogRecord::Put {
             txn: TxnId(0),
             key: *key,
-            old: None,
             new: Record::clone(value),
         });
     }
@@ -359,22 +369,7 @@ mod tests {
         }
     }
 
-    /// Sweeps until the dirty-shard table reports nothing left to copy
-    /// (in-flight undo entries settle once the daemon finalizes their
-    /// durable commits, which can lag `wait_durable` by a beat).
-    fn sweep_until_settled(engine: &Engine) {
-        for _ in 0..200 {
-            if engine.checkpoint_now().unwrap().rewritten.is_empty() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        panic!("shards never settled");
-    }
-
-    #[test]
-    fn checkpoint_then_crash_recovers_image_plus_suffix() {
-        let o = opts("basic");
+    fn image_plus_suffix_round_trip(o: EngineOptions) {
         let dir = o.log_dir.clone();
         let engine = Engine::start(o.clone()).unwrap();
         commit_keys(&engine, 0..20);
@@ -396,14 +391,38 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_then_crash_recovers_image_plus_suffix() {
+        image_plus_suffix_round_trip(opts("basic"));
+    }
+
+    /// `commit_durable` returns when `durable_lsn` advances; the writer
+    /// drops the transaction's undo lists a moment later. A sweep in
+    /// between used to back that durable write out of the image and start
+    /// replay one transaction early (about 1 run in 30). The sweeper now
+    /// reads `durable_lsn` first and leaves such a list alone; at raw
+    /// device speed, 200 times over, the window gets hit.
+    #[test]
+    fn a_sweep_never_backs_out_a_durable_commit_the_writer_has_not_finalized() {
+        for _ in 0..200 {
+            image_plus_suffix_round_trip(
+                opts("finalize-race")
+                    .with_page_write_latency(Duration::ZERO)
+                    .with_flush_interval(Duration::from_micros(50)),
+            );
+        }
+    }
+
+    #[test]
     fn dirty_shard_table_skips_untouched_shards() {
         let o = opts("dirty");
         let dir = o.log_dir.clone();
         let engine = Engine::start(o).unwrap();
         commit_keys(&engine, 0..32);
-        // First sweeps copy everything; once all undo settles, a sweep
-        // with no traffic in between copies nothing.
-        sweep_until_settled(&engine);
+        // The first sweep copies everything — every commit is durable, so
+        // every shard settles, finalized or not — and a second with no
+        // traffic in between copies nothing.
+        assert_eq!(engine.checkpoint_now().unwrap().rewritten.len(), 4);
+        assert!(engine.checkpoint_now().unwrap().rewritten.is_empty());
         // One write re-dirties exactly one shard.
         commit_keys(&engine, std::iter::once(5));
         let stats = engine.checkpoint_now().unwrap();
@@ -517,6 +536,53 @@ mod tests {
             Some(-999),
             "in-flight commit recovered from the suffix"
         );
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One shard, three kinds of undo list at sweep time: settled (durable,
+    /// perhaps not finalized), pre-committed but not durable, and active.
+    /// The image holds the first only; the floor reaches back to the
+    /// pre-committed run's first record and no further.
+    #[test]
+    fn sweep_beside_an_active_and_a_pre_committed_transaction_on_one_shard() {
+        let o = opts("three-kinds")
+            .with_shards(1)
+            .with_flush_interval(Duration::from_secs(30));
+        let dir = o.log_dir.clone();
+        let engine = Engine::start(o.clone()).unwrap();
+        let s = engine.session();
+        // `flush` is the one wait the 30 s group window does not apply to.
+        for k in 1..4 {
+            let t = s.begin().unwrap();
+            s.write(&t, k, k as i64 * 7).unwrap();
+            s.commit(t).unwrap();
+        }
+        engine.flush().unwrap();
+        let active = s.begin().unwrap();
+        s.write(&active, 1, -1).unwrap();
+        // Nobody waits on this commit and the interval is 30 s: it stays
+        // queued, pre-committed, its two puts and commit one LSN run.
+        let pre = s.begin().unwrap();
+        s.write(&pre, 2, 22).unwrap();
+        s.write(&pre, 3, 33).unwrap();
+        let ticket = s.commit(pre).unwrap();
+        let first_lsn = ticket.lsn.0 - 2;
+
+        let stats = engine.checkpoint_now().unwrap();
+        assert_eq!(stats.start.0, first_lsn, "floor = its first redo record");
+        assert_eq!(stats.image_keys, 3);
+        engine.flush().unwrap();
+        assert!(engine.is_durable(&ticket).unwrap());
+        engine.crash().unwrap();
+
+        let (engine, info) = Engine::recover(o).unwrap();
+        assert_eq!(info.checkpoint_start, Some(stats.start));
+        assert_eq!(info.committed, vec![ticket.txn], "the suffix is that run");
+        assert_eq!(info.records_replayed, 3 + 2, "image, then its two puts");
+        assert_eq!(engine.read(1).unwrap(), Some(7), "active write backed out");
+        assert_eq!(engine.read(2).unwrap(), Some(22));
+        assert_eq!(engine.read(3).unwrap(), Some(33));
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

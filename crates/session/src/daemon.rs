@@ -9,6 +9,9 @@
 //! * **Pre-commit** — committers release locks at precommit (in
 //!   [`crate::engine`]) and only *wait* here, so a log page in flight
 //!   never blocks lock traffic.
+//! * **Commit-time logging (§5.4)** — a transaction reaches the queue
+//!   once, at pre-commit, as one contiguous LSN run: its redo records,
+//!   then its commit record. Aborts and open transactions never do.
 //! * **Dependency write ordering** — a commit record's page is not
 //!   written until every page carrying a dependency's commit record is on
 //!   disk (the paper's rule for partitioned logs). Commit records enter
@@ -38,15 +41,13 @@
 //! Commits nobody waits on leave with the next group, or once the oldest
 //! of them has been queued for `flush_interval` (an absolute deadline;
 //! other sessions' records do not postpone it). `flush` reopens the
-//! window: an explicit flush waits for a device and nothing else. Records
-//! nobody *can* wait on (begin, put, abort) never buy a page write of
-//! their own.
+//! window: an explicit flush waits for a device and nothing else.
 //!
 //! **Who wakes whom.** The daemon sleeps on `queue_cv` — until the window
 //! opens or the deadline passes, when one of them is pending — and is
 //! notified only by a change that can alter its decision or its timer: an
-//! append that queues the first commit record (arming the deadline),
-//! fills a page or carries demand; a waiter raising demand; a writer
+//! append into an empty queue (arming the deadline), or one that fills a
+//! page or carries demand; a waiter raising demand; a writer
 //! finishing a page (that completion frees the device the next group
 //! needs); and the stop flags. Waiters sleep on `durable_cv`, notified by
 //! the writers. Every wait sits in a predicate loop.
@@ -69,21 +70,10 @@ use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// What a committer hands [`Shared::append`] alongside its commit
-/// record: the §5.2 dependency list its precommit produced and the
-/// shard mask its trace events carry.
-#[derive(Debug, Clone)]
-pub(crate) struct CommitInfo {
-    /// Transactions whose commit records must be durable first.
-    pub deps: Vec<TxnId>,
-    /// Lock-table shards the transaction touched (trace metadata).
-    pub mask: u64,
-}
 
 /// A commit record waiting to become durable: the transaction, the
 /// §5.2 dependency list its precommit produced, and the identity its
@@ -122,10 +112,6 @@ pub(crate) struct LogQueue {
     /// record is still queued ([`LogQueue::has_demand`]); dispatching the
     /// record answers it, so nothing ever resets this.
     pub demand: u64,
-    /// When the oldest queued commit record was appended — arms the
-    /// `flush_interval` deadline. Kept by [`Shared::append`] and
-    /// [`cut_pages`].
-    pub oldest_commit: Option<Instant>,
     /// Earliest instant the next awaited partial page may leave: one
     /// `flush_interval` after the last partial page left. `None`: at once
     /// (nothing cut yet, or [`Shared::raise_demand`] reopened it for a
@@ -137,18 +123,35 @@ pub(crate) struct LogQueue {
     pub in_flight: usize,
     /// Graceful shutdown: drain everything, then stop.
     pub shutdown: bool,
-    /// Simulated crash: drop everything volatile on the floor.
+    /// Simulated crash, or fail-stop after a log device exhausted its
+    /// retries: drop everything volatile on the floor.
     pub crashed: bool,
-    /// A log device exhausted its retries: the engine is in its
-    /// fail-stop degraded state and appends are refused with
-    /// [`Error::LogDeviceFailed`] instead of the generic shutdown error.
-    pub failed: bool,
 }
 
 impl LogQueue {
     /// True while a record somebody is blocked on is still queued.
     pub fn has_demand(&self) -> bool {
         self.records.front().is_some_and(|r| r.lsn.0 <= self.demand)
+    }
+
+    /// When the oldest queued commit record was appended — what arms the
+    /// `flush_interval` deadline. Looks no further than the first
+    /// transaction's run.
+    pub fn oldest_commit(&self) -> Option<Instant> {
+        self.records
+            .iter()
+            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at))
+    }
+
+    /// Queues one record under the next LSN.
+    fn push(&mut self, record: LogRecord, commit: Option<PendingCommit>) {
+        self.bytes += record.byte_size();
+        self.records.push_back(QueuedRecord {
+            lsn: Lsn(self.next_lsn),
+            record,
+            commit,
+        });
+        self.next_lsn += 1;
     }
 }
 
@@ -207,6 +210,9 @@ pub(crate) struct Shared {
     /// Transaction id allocator — atomic, so `begin` takes no global
     /// lock (§5.2: nothing global sits on the transaction hot path).
     pub next_txn: AtomicU64,
+    /// Set once the engine has shut down, crashed or failed: `begin`,
+    /// which takes no lock that could tell it, reads this instead.
+    pub stopped: AtomicBool,
     pub queue: Mutex<LogQueue>,
     /// Signalled when the daemon's decision may have changed (see the
     /// module docs) or a stop flag was set.
@@ -248,6 +254,7 @@ impl Shared {
             shards,
             txns: TxnTable::new(),
             next_txn: AtomicU64::new(next_txn.max(1)),
+            stopped: AtomicBool::new(false),
             queue: Mutex::new(LogQueue {
                 next_lsn: next_lsn.max(1),
                 ..LogQueue::default()
@@ -281,6 +288,26 @@ impl Shared {
         // ordering: ids only need to be unique; every structure they
         // index is guarded by its own lock.
         TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// What a stopped engine refuses work with: the device failure, if
+    /// that is what stopped it — callers can tell "operator stopped us"
+    /// from "the log device died under us" (§5.2 fail-stop).
+    fn stop_reason(&self) -> Error {
+        match self.durable_guard() {
+            Ok(d) => d.failure.clone().unwrap_or(Error::Shutdown),
+            Err(e) => e,
+        }
+    }
+
+    /// Refuses new transactions on a stopped engine, so a client loop
+    /// ends at its next `begin` rather than at a commit that can never
+    /// be logged.
+    pub fn refuse_if_stopped(&self) -> Result<()> {
+        if self.stopped.load(Ordering::Acquire) {
+            return Err(self.stop_reason());
+        }
+        Ok(())
     }
 
     /// Wakes lock waiters on every shard in `mask` (call after releasing
@@ -330,16 +357,15 @@ impl Shared {
     fn daemon_view(&self, q: &LogQueue, now: Instant) -> (Cut, Option<Instant>) {
         let sync = matches!(self.options.policy, CommitPolicy::Synchronous);
         let window = q.has_demand().then(|| q.window_opens.unwrap_or(now));
-        let deadline = q
-            .oldest_commit
-            .and_then(|t| t.checked_add(self.options.flush_interval));
+        let oldest = q.oldest_commit();
+        let deadline = oldest.and_then(|t| t.checked_add(self.options.flush_interval));
         let cut = cut_decision(
             window.is_some_and(|t| t <= now),
             q.in_flight < self.options.policy.devices(),
             deadline.is_some_and(|t| t <= now),
             // Under the synchronous policy a commit record ends its page,
             // so a queued commit is a full page.
-            q.bytes >= self.options.page_bytes || (sync && q.oldest_commit.is_some()),
+            q.bytes >= self.options.page_bytes || (sync && oldest.is_some()),
         );
         let timer = [window, deadline]
             .into_iter()
@@ -364,69 +390,53 @@ impl Shared {
         }
     }
 
-    /// Appends records to the log queue, assigning LSNs. Update records
-    /// MUST be appended while holding the owning shard's lock (per-key
-    /// LSN order); a commit record MUST be appended while holding *every*
-    /// shard lock its transaction touched — dependencies only arise
-    /// through shared keys, hence shared shards, so this queues commit
-    /// records in precommit order and keeps every dependency's commit
-    /// LSN (and page) ahead of its dependent's. `demand` says the caller
-    /// is about to block on the last record (see [`Shared::raise_demand`]).
-    pub fn append(&self, items: Vec<(LogRecord, Option<CommitInfo>)>, demand: bool) -> Result<Lsn> {
+    /// Appends a pre-committing transaction's whole log — redo records,
+    /// then the commit record — as one contiguous LSN run, returning the
+    /// commit record's LSN. The caller MUST hold *every* shard lock the
+    /// transaction touched: a key's next writer cannot pre-commit before
+    /// this one has, so same-key redo records queue in the order their
+    /// values were applied, and — dependencies only arise through shared
+    /// keys, hence shared shards — commit records queue in precommit
+    /// order, every dependency's LSN (and page) ahead of its dependent's.
+    /// `demand` says the caller is about to block on the commit record
+    /// (see [`Shared::raise_demand`]).
+    pub fn append(
+        &self,
+        txn: TxnId,
+        redo: Vec<LogRecord>,
+        deps: Vec<TxnId>,
+        mask: u64,
+        demand: bool,
+    ) -> Result<Lsn> {
         let mut q = self.queue_guard()?;
-        if q.failed {
-            // Degraded: surface the device failure, not a bland
-            // shutdown — callers can tell "operator stopped us" from
-            // "the log device died under us" (§5.2 fail-stop).
-            let failure = self.durable_guard()?.failure.clone();
-            return Err(
-                failure.unwrap_or_else(|| Error::LogDeviceFailed("log device failed".into()))
-            );
-        }
         if q.shutdown || q.crashed {
-            return Err(Error::Shutdown);
+            return Err(self.stop_reason());
         }
         let now = Instant::now();
         let before = self.daemon_view(&q, now);
-        let mut last = Lsn(q.next_lsn);
-        let mut commits = 0usize;
-        for (record, info) in items {
-            let lsn = Lsn(q.next_lsn);
-            q.next_lsn += 1;
-            q.bytes += record.byte_size();
-            let commit = match (&record, info) {
-                (LogRecord::Commit { txn }, Some(info)) => {
-                    commits += 1;
-                    self.metrics
-                        .trace(TraceStage::Queued, *txn, lsn.0, info.mask);
-                    q.oldest_commit.get_or_insert(now);
-                    Some(PendingCommit {
-                        txn: *txn,
-                        deps: info.deps,
-                        lsn,
-                        mask: info.mask,
-                        queued_at: now,
-                    })
-                }
-                _ => None,
-            };
-            q.records.push_back(QueuedRecord {
+        for record in redo {
+            q.push(record, None);
+        }
+        let lsn = Lsn(q.next_lsn);
+        self.metrics.trace(TraceStage::Queued, txn, lsn.0, mask);
+        q.push(
+            LogRecord::Commit { txn },
+            Some(PendingCommit {
+                txn,
+                deps,
                 lsn,
-                record,
-                commit,
-            });
-            last = lsn;
-        }
-        self.metrics.note_appended_lsn(last.0);
+                mask,
+                queued_at: now,
+            }),
+        );
+        self.metrics.note_appended_lsn(lsn.0);
         if demand {
-            q.demand = q.demand.max(last.0);
+            q.demand = q.demand.max(lsn.0);
         }
-        if commits > 0 {
-            // Nested queue → durable follows the lock order.
-            self.durable_guard()?.outstanding += commits;
-        }
+        // Nested queue → durable follows the lock order.
+        self.durable_guard()?.outstanding += 1;
         self.release_queue(q, before, now);
-        Ok(last)
+        Ok(lsn)
     }
 
     /// Announces that somebody is about to block until every record up to
@@ -515,11 +525,7 @@ impl Shared {
     /// flags are written through `PoisonError::into_inner`.
     fn fail_stop(&self, failure: Error) {
         self.metrics.degraded.add(1);
-        {
-            let mut q = self.queue.lock().unwrap_or_else(|p| p.into_inner());
-            q.failed = true;
-            q.crashed = true; // the daemon and sibling writers stand down
-        }
+        // The failure first: whoever then sees a stop flag finds it.
         {
             let mut d = self.durable.lock().unwrap_or_else(|p| p.into_inner());
             d.crashed = true;
@@ -527,6 +533,9 @@ impl Shared {
                 d.failure = Some(failure);
             }
         }
+        // The daemon and sibling writers stand down.
+        self.queue.lock().unwrap_or_else(|p| p.into_inner()).crashed = true;
+        self.stopped.store(true, Ordering::Release);
         self.queue_cv.notify_all();
         self.durable_cv.notify_all();
         for shard in &self.shards {
@@ -581,7 +590,7 @@ impl Shared {
                     "undo-owning-shard",
                     || format!("undo for {txn:?} on shard {i} missing from its shard mask"),
                 )?;
-                for entry in list {
+                for entry in &list.entries {
                     let key = entry.key;
                     AuditViolation::ensure(shard_of(key, n) == i, C, "undo-owned-key", || {
                         format!(
@@ -622,17 +631,6 @@ impl Shared {
             format!("queue says {} bytes, records sum to {bytes}", q.bytes)
         })?;
         let queued_commits = q.records.iter().filter(|r| r.commit.is_some()).count();
-        AuditViolation::ensure(
-            q.oldest_commit.is_some() == (queued_commits > 0),
-            C,
-            "deadline-armed",
-            || {
-                format!(
-                    "deadline armed: {}, but {queued_commits} commit record(s) queued",
-                    q.oldest_commit.is_some()
-                )
-            },
-        )?;
         // The queue stays locked while the durable table is read (queue →
         // durable, the lock order): the daemon moves a commit from one to
         // the other under both, so the accounting below sees each once.
@@ -793,13 +791,6 @@ pub(crate) fn cut_pages(
         });
         *next_seqno += 1;
     }
-    if !pages.is_empty() {
-        // The deadline follows the oldest commit record still queued.
-        q.oldest_commit = q
-            .records
-            .iter()
-            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at));
-    }
     pages
 }
 
@@ -944,10 +935,15 @@ pub(crate) fn run_writer(
         if shared.is_crashed() {
             continue; // crash mid-write: the page is lost
         }
+        let bytes_before = device.bytes_written();
         if let Err(e) = append_with_retry(&shared, &mut device, &page) {
             shared.degrade(index, &e);
             return;
         }
+        shared
+            .metrics
+            .log_bytes
+            .add(device.bytes_written().saturating_sub(bytes_before));
         shared.metrics.fsync_us.record(us_since(write_started));
         for c in &page.commits {
             shared
@@ -1128,14 +1124,10 @@ mod tests {
     fn queue_of(records: Vec<QueuedRecord>) -> LogQueue {
         let bytes = records.iter().map(|r| r.record.byte_size()).sum();
         let next_lsn = records.last().map(|r| r.lsn.0 + 1).unwrap_or(1);
-        let oldest_commit = records
-            .iter()
-            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at));
         LogQueue {
             records: records.into(),
             bytes,
             next_lsn,
-            oldest_commit,
             ..LogQueue::default()
         }
     }
@@ -1175,7 +1167,6 @@ mod tests {
         let big = LogRecord::Put {
             txn: TxnId(1),
             key: 1,
-            old: None,
             new: Record::from(vec![0u8; 3 * 4096]),
         };
         let mut q = queue_of(vec![
@@ -1254,7 +1245,7 @@ mod tests {
             EngineOptions::new(CommitPolicy::Group, "unused").with_flush_interval(interval);
         let shared = Shared::new(options, HashMap::new(), 1, 1);
         let mut q = queue_of(typical(1, 1));
-        let queued_at = q.oldest_commit.unwrap();
+        let queued_at = q.oldest_commit().unwrap();
         let now = queued_at + interval / 10;
         let deadline = queued_at + interval;
         // Nobody waits: only the deadline is pending.
@@ -1291,16 +1282,20 @@ mod tests {
     fn the_deadline_follows_the_oldest_queued_commit() {
         let mut q = queue_of((0..2).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
         let second = q.records[5].commit.as_ref().unwrap().queued_at;
-        assert!(q.oldest_commit.is_some_and(|t| t <= second));
+        assert!(q.oldest_commit().is_some_and(|t| t <= second));
         let mut seq = 0;
         // A 500-byte page takes the first 400-byte transaction (and the
         // second's begin record); the second commit stays queued.
         let pages = cut_pages(&mut q, 500, false, false, &mut seq);
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].commits.len(), 1);
-        assert_eq!(q.oldest_commit, Some(second), "moved to the second commit");
+        assert_eq!(
+            q.oldest_commit(),
+            Some(second),
+            "moved to the second commit"
+        );
         cut_pages(&mut q, 500, false, true, &mut seq);
-        assert_eq!(q.oldest_commit, None, "nothing queued, nothing armed");
+        assert_eq!(q.oldest_commit(), None, "nothing queued, nothing armed");
     }
 
     #[test]

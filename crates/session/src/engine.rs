@@ -13,9 +13,13 @@
 //! the transaction in the [`crate::shard::TxnTable`], locks every shard
 //! the transaction touched (ascending), runs `precommit` on each shard's
 //! lock manager — releasing the transaction's locks to its waiters and
-//! recording the resulting commit dependencies — and queues the commit
-//! record *while still holding those shard locks*, which is what keeps
-//! commit records in precommit order in the queue. Durability arrives
+//! recording the resulting commit dependencies — and queues the
+//! transaction's log *while still holding those shard locks*, which is
+//! what keeps commit records in precommit order in the queue. That is the
+//! only time a transaction reaches the log (§5.4): until then its undo
+//! list is its log — begin, put and abort never touch the queue — and
+//! what is queued is redo-only: one [`LogRecord::Put`] per key written,
+//! then the commit record. Durability arrives
 //! later, when the record's page (and every earlier page) is on disk;
 //! [`Session::wait_durable`] blocks for it and a synchronous-policy
 //! commit does so before returning. Blocking is also what releases the
@@ -25,23 +29,25 @@
 //!
 //! The store's value is a byte record: [`Session::get`],
 //! [`Session::get_for_update`] and [`Session::put`] move whole records —
-//! one key, one lock, one [`LogRecord::Put`] per write, whatever the
-//! length. [`Session::read`], [`Session::read_shared`],
-//! [`Session::read_for_update`], [`Session::write`] and
-//! [`Session::transfer`] are the same operations seen through an 8-byte
-//! little-endian `i64` view, for the §5 banking workloads.
+//! one key, one lock, one [`LogRecord::Put`] per key a committing
+//! transaction wrote, whatever the length. [`Session::read`],
+//! [`Session::read_shared`], [`Session::read_for_update`],
+//! [`Session::write`] and [`Session::transfer`] are the same operations
+//! seen through an 8-byte little-endian `i64` view, for the §5 banking
+//! workloads.
 
 use crate::checkpoint::{self, CheckpointState, CheckpointStats, SweepHalt};
-use crate::daemon::{self, CommitInfo, Page, Shared};
+use crate::daemon::{self, Page, Shared};
 use crate::metrics::us_since;
 use crate::policy::{CommitPolicy, EngineOptions};
-use crate::shard::{rollback_shard, ShardState, TxnPhase, UndoEntry};
+use crate::shard::{rollback_shard, ShardState, TxnMeta, TxnPhase};
 use mmdb_obs::{Registry, StatsSnapshot, TraceEvent, TraceStage};
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{detect_deadlocks_in, LogRecord, Lsn, Record, MAX_RECORD_BYTES};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -291,6 +297,7 @@ impl Engine {
                 .unwrap_or_else(|p| p.into_inner());
             d.crashed = true;
         }
+        self.shared.stopped.store(true, Ordering::Release);
         self.shared.queue_cv.notify_all();
         self.shared.durable_cv.notify_all();
         for shard in &self.shared.shards {
@@ -339,28 +346,18 @@ pub struct Session {
 }
 
 impl Session {
-    /// Begins a transaction: allocates its id from the atomic counter,
-    /// registers it in the transaction table, and queues its begin
-    /// record — no shard lock is taken (§5.2: nothing global sits on the
-    /// transaction hot path). Per-shard lock-manager registration
-    /// happens lazily, on the first lock the transaction takes there.
+    /// Begins a transaction: allocates its id from the atomic counter and
+    /// registers it in the transaction table. No shard lock is taken and
+    /// nothing is logged (§5.2: nothing global sits on the transaction
+    /// hot path). Per-shard lock-manager registration happens lazily, on
+    /// the first lock the transaction takes there. A stopped engine refuses.
     pub fn begin(&self) -> Result<Txn> {
+        self.shared.refuse_if_stopped()?;
         let id = self.shared.alloc_txn();
         self.shared.txns.register(id)?;
-        match self
-            .shared
-            .append(vec![(LogRecord::Begin { txn: id }, None)], false)
-        {
-            Ok(lsn) => {
-                self.shared.metrics.begins.inc();
-                self.shared.metrics.trace(TraceStage::Begin, id, lsn.0, 0);
-                Ok(Txn(id))
-            }
-            Err(e) => {
-                let _ = self.shared.txns.remove(id);
-                Err(e)
-            }
-        }
+        self.shared.metrics.begins.inc();
+        self.shared.metrics.trace(TraceStage::Begin, id, 0, 0);
+        Ok(Txn(id))
     }
 
     /// Reads a key's current record without locking — the latest image,
@@ -378,45 +375,17 @@ impl Session {
         Ok(self.lock_key(txn.0, key, true)?.db.get(&key).cloned())
     }
 
-    /// Writes `key := value` under an exclusive lock and logs one
-    /// [`LogRecord::Put`] carrying the old and new records. The store,
-    /// the undo entry and the queued log record share the two
-    /// allocations; nothing is copied.
+    /// Writes `key := value` under an exclusive lock: the shard swaps its
+    /// pointer and keeps the old record as the undo pre-image. Nothing is
+    /// logged — the value reaches the log at pre-commit, if the
+    /// transaction gets there, and only its last value per key (§5.4).
     pub fn put(&self, txn: &Txn, key: u64, value: Record) -> Result<()> {
         if value.len() > MAX_RECORD_BYTES {
             return Err(Error::TupleTooLarge(value.len()));
         }
         // `lock_key` validated the transaction as active under this
         // shard's lock, so the write cannot race an abort's rollback.
-        let mut state = self.lock_key(txn.0, key, true)?;
-        let old = state.db.get(&key).cloned();
-        // Appended while the owning shard is locked: updates of the same
-        // key reach the queue in the order their values were applied. The
-        // append happens *before* the shard mutates so a failed append
-        // (shutdown/poison) leaves nothing to roll back, and the record's
-        // LSN can stamp the undo entry — the checkpoint sweeper uses that
-        // stamp both to back out entries in reverse application order and
-        // as the replay floor for the log suffix.
-        let lsn = self.shared.append(
-            vec![(
-                LogRecord::Put {
-                    txn: txn.0,
-                    key,
-                    old: old.clone(),
-                    new: Arc::clone(&value),
-                },
-                None,
-            )],
-            false,
-        )?;
-        state.undo.entry(txn.0).or_default().push(UndoEntry {
-            key,
-            old,
-            lsn: lsn.0,
-        });
-        state.db.insert(key, value);
-        state.dirty = true;
-        drop(state);
+        self.lock_key(txn.0, key, true)?.write(txn.0, key, value);
         Ok(())
     }
 
@@ -462,39 +431,41 @@ impl Session {
         self.commit_with(txn, true)
     }
 
-    /// Pre-commits `txn`; with `wait`, queues the commit record as one
-    /// somebody is blocked on and blocks until it is durable.
+    /// Moves an active transaction into `next` (Precommitted or Aborting)
+    /// and returns its meta. The claim only succeeds against the mask it
+    /// read, so lock traffic racing in through a stale Copy of the handle
+    /// either lands before the claim (retried with the grown mask) or
+    /// fails its own validation after it.
+    fn claim(&self, id: TxnId, next: TxnPhase) -> Result<TxnMeta> {
+        loop {
+            match self.shared.txns.get(id)? {
+                Some(meta) if meta.phase == TxnPhase::Active => {
+                    if self.shared.txns.claim(id, meta.mask, next)? {
+                        return Ok(meta);
+                    }
+                }
+                _ => return Err(Error::InvalidTransaction(id.0)),
+            }
+        }
+    }
+
+    /// Pre-commits `txn` and logs it — the one place user data enters the
+    /// log: one redo [`LogRecord::Put`] per distinct key it wrote (the
+    /// shard's current record, shared) and the commit record, in a single
+    /// append. With `wait`, the commit record is queued as one somebody
+    /// is blocked on and this blocks until it is durable.
     fn commit_with(&self, txn: Txn, wait: bool) -> Result<CommitTicket> {
         let id = txn.0;
-        // Claim the transaction (Active → Precommitted). The claim only
-        // succeeds against the mask we read, so lock traffic racing in
-        // through a stale Copy of the handle either lands before the
-        // claim (we retry with the grown mask) or fails its own
-        // validation after it.
-        let meta = loop {
-            let Some(meta) = self.shared.txns.get(id)? else {
-                return Err(Error::InvalidTransaction(id.0));
-            };
-            if meta.phase != TxnPhase::Active {
-                return Err(Error::InvalidTransaction(id.0));
-            }
-            if self
-                .shared
-                .txns
-                .claim(id, meta.mask, TxnPhase::Precommitted)?
-            {
-                break meta;
-            }
-        };
+        let meta = self.claim(id, TxnPhase::Precommitted)?;
         let mask = meta.mask;
         // Lock every touched shard (ascending) and pre-commit on each:
         // locks are released to waiters, who inherit §5.2 commit
-        // dependencies. The commit record is appended while the guards
-        // are still held — dependencies arise only through shared keys,
-        // hence shared shards, so this queues commit records in
-        // precommit order (see `Shared::append`).
+        // dependencies. The log is appended while the guards are still
+        // held, which queues commit records in precommit order and
+        // same-key redo records in value order (see `Shared::append`).
         let mut guards = self.shared.lock_mask(mask)?;
         let mut deps: Vec<TxnId> = Vec::new();
+        let mut redo: Vec<LogRecord> = Vec::new();
         let held_us = meta.locked_at.map(us_since);
         for (i, state) in guards.iter_mut() {
             // The mask may overestimate (a failed acquire still sets the
@@ -507,23 +478,31 @@ impl Session {
                     h.record(us);
                 }
             }
-            // Undo entries survive pre-commit: they are dropped only once
-            // the commit record is durable (daemon finalize), so the
-            // checkpoint sweeper can treat an empty undo map as "every
-            // value in this shard is durably committed".
+            redo.extend(
+                state
+                    .redo_image(id)
+                    .into_iter()
+                    .map(|(key, new)| LogRecord::Put { txn: id, key, new }),
+            );
         }
         deps.sort_unstable_by_key(|t| t.0);
         deps.dedup();
         self.shared
             .metrics
             .trace(TraceStage::Precommit, id, 0, mask);
-        let lsn = self.shared.append(
-            vec![(
-                LogRecord::Commit { txn: id },
-                Some(CommitInfo { deps, mask }),
-            )],
-            wait,
-        )?;
+        let run = redo.len() as u64;
+        let lsn = self.shared.append(id, redo, deps, mask, wait)?;
+        // Undo entries survive pre-commit, stamped with the run: they are
+        // dropped only once the commit record is durable (daemon
+        // finalize, which needs these guards); until then the stamp tells
+        // the checkpoint sweeper whether the writes are durable and where
+        // replay must start if they are not.
+        let logged = Some((lsn.0.saturating_sub(run), lsn.0));
+        for (_, state) in guards.iter_mut() {
+            if let Some(list) = state.undo.get_mut(&id) {
+                list.logged = logged;
+            }
+        }
         self.shared.metrics.commits.inc();
         drop(guards);
         // Pre-commit released this transaction's locks: wake waiters.
@@ -574,7 +553,7 @@ impl Session {
     }
 
     /// Aborts `txn`: undoes its writes from the undo list (reverse
-    /// order), releases its locks, and queues an abort record. Fails
+    /// order) and releases its locks. The log never hears of it. Fails
     /// with [`Error::InvalidTransaction`] if `txn` is not active — in
     /// particular, aborting a stale copy of an already-committed handle
     /// must not reach the lock manager, where it would strip the
@@ -586,29 +565,12 @@ impl Session {
     /// The abort path shared by [`Session::abort`] and deadlock-victim
     /// cleanup: claim the transaction (Active → Aborting), lock every
     /// touched shard in ascending order, roll each back in reverse write
-    /// order, queue the abort record (under the guards, so it follows
-    /// every update the transaction logged), and retire the txn-table
-    /// entry.
+    /// order, and retire the txn-table entry.
     fn abort_by_id(&self, txn: TxnId) -> Result<()> {
-        let mask = loop {
-            let Some(meta) = self.shared.txns.get(txn)? else {
-                return Err(Error::InvalidTransaction(txn.0));
-            };
-            if meta.phase != TxnPhase::Active {
-                return Err(Error::InvalidTransaction(txn.0));
-            }
-            if self.shared.txns.claim(txn, meta.mask, TxnPhase::Aborting)? {
-                break meta.mask;
-            }
-        };
-        let mut guards = self.shared.lock_mask(mask)?;
-        for (_, state) in guards.iter_mut() {
+        let mask = self.claim(txn, TxnPhase::Aborting)?.mask;
+        for (_, state) in self.shared.lock_mask(mask)?.iter_mut() {
             rollback_shard(state, txn);
         }
-        let _ = self
-            .shared
-            .append(vec![(LogRecord::Abort { txn }, None)], false);
-        drop(guards);
         let _ = self.shared.txns.remove(txn);
         self.shared.metrics.aborts.inc();
         self.shared.notify_shards(mask);
@@ -616,8 +578,8 @@ impl Session {
     }
 
     /// The §5.1 banking transaction: moves `amount` from one account to
-    /// another under exclusive locks and commits — begin, two 8-byte
-    /// puts, commit. Returns the commit ticket; on lock failure the
+    /// another under exclusive locks and commits (two 8-byte puts and a
+    /// commit record). Returns the commit ticket; on lock failure the
     /// transaction is rolled back and the error surfaced.
     pub fn transfer(&self, from: u64, to: u64, amount: i64) -> Result<CommitTicket> {
         let txn = self.begin()?;
@@ -839,4 +801,201 @@ pub(crate) fn open_devices(options: &EngineOptions, generation: u64) -> Result<V
         devices.push(device);
     }
     Ok(devices)
+}
+
+#[cfg(test)]
+mod tests {
+    //! §5.4 on the live engine: what reaches the log, and when.
+
+    use super::*;
+    use mmdb_recovery::wal::read_log_file;
+    use std::sync::{Arc, Barrier};
+
+    fn options(name: &str) -> EngineOptions {
+        let dir =
+            std::env::temp_dir().join(format!("mmdb-session-engine-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        EngineOptions::new(CommitPolicy::Group, dir)
+    }
+
+    fn commit_durable(s: &Session, writes: &[(u64, i64)]) -> CommitTicket {
+        let t = s.begin().unwrap();
+        for (key, value) in writes {
+            s.write(&t, *key, *value).unwrap();
+        }
+        s.commit_durable(t).unwrap()
+    }
+
+    #[test]
+    fn abort_and_a_deadlock_victim_leave_the_log_byte_identical() {
+        let opts = options("abort-bytes");
+        let log = opts.log_dir.join("wal-d0.log");
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        commit_durable(&s, &[(1, 10), (2, 20)]);
+        let bytes_before = std::fs::read(&log).unwrap();
+        let records_before = read_log_file(&log).unwrap().len();
+
+        let t = s.begin().unwrap();
+        s.write(&t, 1, 11).unwrap();
+        s.write(&t, 3, 30).unwrap();
+        s.abort(t).unwrap();
+
+        // Two transactions take keys 1 and 2 in opposite orders: the
+        // detector aborts one, the other gets its lock and rolls back.
+        let barrier = Arc::new(Barrier::new(2));
+        let clients: Vec<_> = [(1u64, 2u64), (2, 1)]
+            .into_iter()
+            .map(|(first, second)| {
+                let s = engine.session();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let t = s.begin().unwrap();
+                    s.write(&t, first, -1).unwrap();
+                    barrier.wait();
+                    match s.write(&t, second, -2) {
+                        Ok(()) => {
+                            s.abort(t).unwrap();
+                            false
+                        }
+                        Err(Error::TransactionAborted(_)) => true,
+                        Err(e) => panic!("unexpected {e}"),
+                    }
+                })
+            })
+            .collect();
+        let victims = clients
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .filter(|victim| *victim)
+            .count();
+        assert_eq!(victims, 1, "exactly one deadlock victim");
+        assert_eq!(engine.read(1).unwrap(), Some(10));
+        assert_eq!(engine.read(2).unwrap(), Some(20));
+        assert_eq!(std::fs::read(&log).unwrap(), bytes_before);
+
+        // Nor is anything of theirs waiting in the queue: the next
+        // commit's page holds that commit alone.
+        commit_durable(&s, &[(4, 40)]);
+        let records = read_log_file(&log).unwrap();
+        assert!(
+            matches!(
+                &records[records_before..],
+                [
+                    (_, LogRecord::Put { key: 4, .. }),
+                    (_, LogRecord::Commit { .. })
+                ]
+            ),
+            "{:?}",
+            &records[records_before..]
+        );
+        engine.audit().unwrap();
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
+    }
+
+    #[test]
+    fn a_key_written_three_times_logs_one_put_with_the_last_value() {
+        let opts = options("thrice");
+        let log = opts.log_dir.join("wal-d0.log");
+        let engine = Engine::start(opts.clone()).unwrap();
+        let ticket = commit_durable(&engine.session(), &[(7, 1), (8, 80), (7, 2), (7, 3)]);
+        let records = read_log_file(&log).unwrap();
+        let mut puts: Vec<(u64, i64)> = records
+            .iter()
+            .filter_map(|(_, rec)| match rec {
+                LogRecord::Put { key, new, .. } => {
+                    Some((*key, word_of(*key, Some(Record::clone(new))).unwrap()?))
+                }
+                _ => None,
+            })
+            .collect();
+        puts.sort_unstable();
+        assert_eq!(puts, [(7, 3), (8, 80)]);
+        assert_eq!(records.len(), 3, "two puts and the commit, one LSN run");
+        assert_eq!(
+            records.last().map(|(lsn, _)| *lsn),
+            Some(ticket.lsn),
+            "the commit record closes the run"
+        );
+        engine.crash().unwrap();
+        let (engine, info) = Engine::recover(opts.clone()).unwrap();
+        assert_eq!(info.records_replayed, 2);
+        assert_eq!(engine.read(7).unwrap(), Some(3));
+        assert_eq!(engine.read(8).unwrap(), Some(80));
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
+    }
+
+    /// `begin` takes no lock that knows the engine stopped; a client loop
+    /// must still end there, not spin on commits that cannot be logged.
+    #[test]
+    fn a_stopped_engine_takes_no_new_transactions() {
+        for crash in [true, false] {
+            let opts = options("stopped");
+            let engine = Engine::start(opts.clone()).unwrap();
+            let s = engine.session();
+            let open = s.begin().unwrap();
+            s.write(&open, 1, 1).unwrap();
+            if crash {
+                engine.crash().unwrap();
+            } else {
+                engine.shutdown().unwrap();
+            }
+            assert!(matches!(s.begin(), Err(Error::Shutdown)));
+            assert!(matches!(s.commit(open), Err(Error::Shutdown)));
+            std::fs::remove_dir_all(&opts.log_dir).ok();
+        }
+    }
+
+    /// A transaction's redo records can be on disk without its commit
+    /// record: here a page boundary falls between them and the page with
+    /// the commit is still inside a slow device when the engine dies.
+    /// Redo-only recovery has nothing to undo — it just never applies a
+    /// put whose transaction did not commit in the prefix.
+    #[test]
+    fn puts_on_disk_without_their_commit_record_are_a_loser() {
+        let mut opts = options("cut-commit");
+        opts.policy = CommitPolicy::Partitioned { devices: 2 };
+        // Two 8-byte puts (29 accounted bytes each) fill a page; the
+        // commit record starts the next one, bound for the other device.
+        opts.page_bytes = 58;
+        let opts = opts
+            .with_device_latencies(vec![Duration::ZERO, Duration::from_millis(400)])
+            .with_flush_interval(Duration::from_millis(1));
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        let first = commit_durable(&s, &[(1, 10), (2, 20)]);
+        assert_eq!(engine.pages_written().unwrap(), 2);
+
+        let t = s.begin().unwrap();
+        s.write(&t, 1, 11).unwrap();
+        s.write(&t, 2, 21).unwrap();
+        let second = s.commit(t).unwrap();
+        let waited = Instant::now();
+        while engine.pages_written().unwrap() < 3 {
+            assert!(waited.elapsed() < Duration::from_secs(5), "puts page");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(!engine.is_durable(&second).unwrap());
+        engine.crash().unwrap();
+
+        let on_disk = mmdb_recovery::wal::read_log_dir(&opts.log_dir).unwrap();
+        assert_eq!(
+            on_disk
+                .iter()
+                .filter(|(_, rec)| rec.txn() == second.txn)
+                .count(),
+            2,
+            "both of its puts are on disk, its commit record is not"
+        );
+        let (engine, info) = Engine::recover(opts.clone()).unwrap();
+        assert_eq!(info.committed, vec![first.txn]);
+        assert_eq!(info.losers, vec![second.txn]);
+        assert_eq!(info.records_replayed, 2);
+        assert_eq!(engine.read(1).unwrap(), Some(10));
+        assert_eq!(engine.read(2).unwrap(), Some(20));
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
+    }
 }

@@ -39,6 +39,8 @@ pub(crate) struct SessionMetrics {
     /// Log pages durably written (mirrors `DurableTable::pages_written`;
     /// the audit cross-checks the two).
     pub pages_written: Arc<Counter>,
+    /// Bytes the log writers put on their devices, frame headers included.
+    pub log_bytes: Arc<Counter>,
     /// Deadlock-victim aborts, one counter per shard (indexed by the
     /// shard the victim was waiting on when it lost).
     pub deadlock_aborts: Vec<Arc<Counter>>,
@@ -104,6 +106,10 @@ impl SessionMetrics {
         let pages_written = registry.counter(
             "mmdb_session_pages_written_total",
             "Log pages durably written across all devices",
+        );
+        let log_bytes = registry.counter(
+            "mmdb_session_log_bytes_total",
+            "Bytes written to the log devices, page-frame headers included",
         );
         let mut deadlock_aborts = Vec::with_capacity(shards);
         let mut lock_wait_us = Vec::with_capacity(shards);
@@ -185,6 +191,7 @@ impl SessionMetrics {
             commits,
             aborts,
             pages_written,
+            log_bytes,
             deadlock_aborts,
             lock_wait_us,
             lock_hold_us,

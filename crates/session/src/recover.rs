@@ -351,7 +351,6 @@ pub(crate) fn write_snapshot(
         records.push(LogRecord::Put {
             txn: TxnId(0),
             key: *key,
-            old: None,
             new: Record::clone(value),
         });
     }
@@ -492,7 +491,6 @@ mod tests {
         LogRecord::Put {
             txn: TxnId(txn),
             key,
-            old: None,
             new: word(value),
         }
     }

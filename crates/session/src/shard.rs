@@ -31,7 +31,7 @@
 
 use mmdb_recovery::{LockManager, Record};
 use mmdb_types::{Error, Result, TxnId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -55,22 +55,29 @@ pub(crate) fn shard_of(key: u64, shards: usize) -> usize {
 }
 
 /// One §5.2 undo entry: the pre-image a rollback restores, stamped with
-/// the LSN of the update record it mirrors. The stamp gives the §5.3
-/// checkpoint sweeper two things at once: a total back-out order within
-/// the shard (applying entries in descending LSN exactly reverses
-/// application order, even across pre-commit dependency chains where one
-/// in-flight transaction overwrote another's value), and a floor on the
-/// log suffix a checkpoint image still needs replayed (the smallest
-/// in-flight LSN it backed out).
+/// the shard's write sequence. Descending sequence exactly reverses
+/// application order within the shard, even across pre-commit dependency
+/// chains where one in-flight transaction overwrote another's value —
+/// the order the §5.3 sweeper backs in-flight writes out of its copy in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct UndoEntry {
     /// Updated key (owned by this shard).
     pub key: u64,
     /// Pre-image (`None` for an insert) — the allocation the store held
-    /// before the write, shared with the queued log record.
+    /// before the write. Never logged (§5.4).
     pub old: Option<Record>,
-    /// LSN of the update record this entry mirrors.
-    pub lsn: u64,
+    /// This write's position in the shard's write sequence.
+    pub seq: u64,
+}
+
+/// One transaction's undo entries on one shard, in write order — its
+/// only log until pre-commit derives the redo records from it and stamps
+/// where they went: `logged` is the (first, commit) LSNs of the
+/// transaction's one contiguous run, `None` while it is active.
+#[derive(Debug, Default)]
+pub(crate) struct UndoList {
+    pub entries: Vec<UndoEntry>,
+    pub logged: Option<(u64, u64)>,
 }
 
 /// One shard's slice of the volatile engine state: its keys' current
@@ -84,12 +91,40 @@ pub(crate) struct ShardState {
     /// This shard's partition of the §5.2 lock table.
     pub locks: LockManager,
     /// Per-transaction undo entries for keys owned by this shard.
-    pub undo: HashMap<TxnId, Vec<UndoEntry>>,
+    pub undo: HashMap<TxnId, UndoList>,
+    /// Writes applied to this shard so far ([`UndoEntry::seq`]).
+    pub writes: u64,
     /// §5.3 dirty flag: set (under the shard guard) by every write and
     /// rollback, cleared by the checkpoint sweeper when it caches a
     /// settled image of this shard — so successive sweeps only re-copy
     /// shards that actually mutated.
     pub dirty: bool,
+}
+
+impl ShardState {
+    /// Applies `key := value` for `txn`, which holds the key's exclusive
+    /// lock, keeping the replaced record as the undo pre-image.
+    pub fn write(&mut self, txn: TxnId, key: u64, value: Record) {
+        self.writes += 1;
+        let old = self.db.insert(key, value);
+        self.undo.entry(txn).or_default().entries.push(UndoEntry {
+            key,
+            old,
+            seq: self.writes,
+        });
+        self.dirty = true;
+    }
+
+    /// The distinct keys `txn` wrote on this shard, each with the record
+    /// it holds now (shared, not copied): the transaction's redo image.
+    pub fn redo_image(&self, txn: TxnId) -> BTreeMap<u64, Record> {
+        self.undo
+            .get(&txn)
+            .into_iter()
+            .flat_map(|list| &list.entries)
+            .filter_map(|e| Some((e.key, Record::clone(self.db.get(&e.key)?))))
+            .collect()
+    }
 }
 
 /// A shard: its state under a mutex, plus the condvar lock waiters park
@@ -189,8 +224,7 @@ impl TxnTable {
         Ok(())
     }
 
-    /// Removes a transaction (abort cleanup, commit finalization, or a
-    /// begin whose log append failed).
+    /// Removes a transaction (abort cleanup or commit finalization).
     pub fn remove(&self, txn: TxnId) -> Result<()> {
         self.slot(txn)?.remove(&txn);
         Ok(())
@@ -260,8 +294,8 @@ impl TxnTable {
 /// `lock_cv` afterwards (§5.2 abort, restricted to one shard's keys).
 pub(crate) fn rollback_shard(state: &mut ShardState, txn: TxnId) {
     if let Some(list) = state.undo.remove(&txn) {
-        state.dirty = !list.is_empty() || state.dirty;
-        for entry in list.into_iter().rev() {
+        state.dirty = !list.entries.is_empty() || state.dirty;
+        for entry in list.entries.into_iter().rev() {
             match entry.old {
                 Some(v) => state.db.insert(entry.key, v),
                 None => state.db.remove(&entry.key),
@@ -274,6 +308,7 @@ pub(crate) fn rollback_shard(state: &mut ShardState, txn: TxnId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
@@ -333,21 +368,30 @@ mod tests {
         let txn = TxnId(1);
         state.locks.begin(txn);
         let rec = |byte: u8| Record::from(&[byte][..]);
-        state.db.insert(1, rec(10));
-        let entry = |key, old, lsn| UndoEntry { key, old, lsn };
-        state.undo.insert(
-            txn,
-            vec![
-                entry(1, None, 1),
-                entry(2, None, 2),
-                entry(1, Some(rec(10)), 3),
-            ],
-        );
-        state.db.insert(2, rec(99));
-        state.db.insert(1, rec(100));
+        state.write(txn, 1, rec(10));
+        state.write(txn, 2, rec(99));
+        state.write(txn, 1, rec(100));
+        let seqs: Vec<u64> = state.undo[&txn].entries.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 2, 3], "the shard's write sequence");
         rollback_shard(&mut state, txn);
         assert_eq!(state.db.get(&1), None, "first write's pre-image wins");
         assert_eq!(state.db.get(&2), None);
         assert!(state.undo.is_empty());
+    }
+
+    #[test]
+    fn redo_image_is_one_record_per_key_with_the_last_value() {
+        let mut state = ShardState::default();
+        let (txn, other) = (TxnId(1), TxnId(2));
+        let rec = |byte: u8| Record::from(&[byte][..]);
+        state.write(other, 7, rec(70));
+        for v in [1, 2, 3] {
+            state.write(txn, 5, rec(v));
+        }
+        state.write(txn, 4, rec(40));
+        let image = state.redo_image(txn);
+        assert_eq!(image, BTreeMap::from([(4, rec(40)), (5, rec(3))]));
+        assert!(Arc::ptr_eq(&image[&5], &state.db[&5]));
+        assert!(state.redo_image(TxnId(9)).is_empty());
     }
 }

@@ -26,11 +26,12 @@ fn fast(policy: CommitPolicy, name: &str) -> EngineOptions {
 /// The engine's metric inventory, `(family, prometheus type)`. This
 /// list is the golden surface: adding a metric means adding a row here,
 /// and renaming or dropping one fails the test.
-const SESSION_FAMILIES: [(&str, &str); 20] = [
+const SESSION_FAMILIES: [(&str, &str); 21] = [
     ("mmdb_session_begins_total", "counter"),
     ("mmdb_session_commits_total", "counter"),
     ("mmdb_session_aborts_total", "counter"),
     ("mmdb_session_pages_written_total", "counter"),
+    ("mmdb_session_log_bytes_total", "counter"),
     ("mmdb_session_deadlock_aborts_total", "counter"),
     ("mmdb_session_io_errors_total", "counter"),
     ("mmdb_session_io_retries_total", "counter"),
@@ -162,6 +163,15 @@ fn engine_exposition_is_complete_and_parseable() {
         .find(|(n, _)| n == "mmdb_session_group_wait_us_count")
         .expect("group-wait _count sample");
     assert_eq!(waits.1, 6.0, "one sample per commit handed to a writer");
+    // Log volume without listing a directory: the counter is the device
+    // file's length, and per commit it is a frame header's share plus a
+    // 37-byte put and a 17-byte commit record — the abort cost nothing.
+    let sample = |name: &str| samples.iter().find(|(n, _)| n == name).expect(name).1;
+    let log_bytes = sample("mmdb_session_log_bytes_total");
+    let on_disk = std::fs::metadata(dir.join("wal-d0.log")).unwrap().len();
+    assert_eq!(log_bytes, on_disk as f64);
+    let pages = sample("mmdb_session_pages_written_total");
+    assert_eq!(log_bytes, 16.0 * pages + 6.0 * (37.0 + 17.0));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -293,40 +293,39 @@ fn flush_does_not_wait_for_the_group_window() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Wall time of 50 back-to-back durable commits from one client on a
-/// 1 ms modeled device, the flush interval no longer than the page write.
-fn fifty_lone_commits(policy: CommitPolicy, name: &str) -> Duration {
-    let dir = tmp_dir(name);
-    let opts = EngineOptions::new(policy, &dir)
-        .with_page_write_latency(Duration::from_millis(1))
-        .with_flush_interval(Duration::from_millis(1));
+/// §5.2's group commit exists to share a page write, not to add a wait
+/// on top of it: the window runs *while* the page is written, so with an
+/// interval no longer than the page write a lone client's commit finds
+/// the window open again by the time it arrives. Judged on the engine's
+/// own clock — commit queued to page handed to a writer — so a stall of
+/// the shared disk lengthens the write, never what is measured here.
+#[test]
+fn group_commit_adds_no_wait_to_a_lone_clients_page_write() {
+    const COMMITS: u64 = 50;
+    let interval = Duration::from_millis(1);
+    let dir = tmp_dir("lone-group");
+    let opts = EngineOptions::new(CommitPolicy::Group, &dir)
+        .with_page_write_latency(interval)
+        .with_flush_interval(interval);
     let engine = Engine::start(opts).unwrap();
     let s = engine.session();
-    let started = Instant::now();
-    for k in 0..50 {
+    for k in 0..COMMITS {
         let t = s.begin().unwrap();
         s.write(&t, k, 1).unwrap();
         s.commit_durable(t).unwrap();
     }
-    let elapsed = started.elapsed();
+    assert_eq!(engine.pages_written().unwrap() as u64, COMMITS);
+    let stats = engine.stats();
+    let wait = stats.histogram("mmdb_session_group_wait_us").unwrap();
+    assert_eq!(wait.count, COMMITS);
+    let limit = interval.as_micros() as u64 * 3 / 2;
+    assert!(
+        wait.p50() <= limit,
+        "median group wait {} us > {limit} us: the window ran after the write, not during it",
+        wait.p50()
+    );
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    elapsed
-}
-
-/// §5.2's group commit exists to share a page write, not to add a wait
-/// on top of it: the window runs *while* the page is written, so with an
-/// interval no longer than the page write a lone client's group commit
-/// costs what a synchronous commit costs (twice that when the interval
-/// was a silence that followed the write).
-#[test]
-fn group_commit_keeps_up_with_synchronous_at_one_client() {
-    let sync = fifty_lone_commits(CommitPolicy::Synchronous, "lone-sync");
-    let group = fifty_lone_commits(CommitPolicy::Group, "lone-group");
-    assert!(
-        group <= sync.mul_f64(1.5),
-        "group commit took {group:?} against synchronous {sync:?} at one client"
-    );
 }
 
 /// A device slower than the window sets the pace, and must still group:
@@ -437,36 +436,36 @@ fn two_devices_carry_two_partial_pages_at_once_never_three() {
 }
 
 /// The flush interval is an absolute deadline on the oldest queued
-/// *commit*: a trickle of other sessions' records (arriving faster than
-/// the interval, into a page that will not fill) must not postpone a
-/// commit nobody waits on.
+/// commit: a trickle of other sessions' un-awaited commits (arriving
+/// faster than the interval, into a page that will not fill) must not
+/// postpone it, as a timer restarted by every append would.
 #[test]
-fn a_trickle_of_records_does_not_postpone_an_unawaited_commit() {
+fn a_trickle_of_commits_does_not_postpone_an_unawaited_commit() {
     let dir = tmp_dir("trickle");
     let mut opts =
         EngineOptions::new(CommitPolicy::Group, &dir).with_flush_interval(Duration::from_millis(2));
     opts.page_bytes = 1 << 20;
     let engine = Engine::start(opts).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let trickle = {
-        let s = engine.session();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let t = s.begin().unwrap();
-            let mut v = 0;
-            while !stop.load(Ordering::SeqCst) {
-                v += 1;
-                s.write(&t, 1, v).unwrap();
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            s.abort(t).unwrap();
-        })
-    };
     let s = engine.session();
     let t = s.begin().unwrap();
     s.write(&t, 2, 20).unwrap();
     let ticket = s.commit(t).unwrap();
     let started = Instant::now();
+    let trickle = {
+        let s = engine.session();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut v = 0;
+            while !stop.load(Ordering::SeqCst) {
+                v += 1;
+                let t = s.begin().unwrap();
+                s.write(&t, 1, v).unwrap();
+                s.commit(t).unwrap();
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        })
+    };
     while !s.is_durable(&ticket).unwrap() && started.elapsed() < Duration::from_secs(2) {
         std::thread::sleep(Duration::from_micros(200));
     }
@@ -475,7 +474,7 @@ fn a_trickle_of_records_does_not_postpone_an_unawaited_commit() {
     trickle.join().unwrap();
     assert!(
         took < Duration::from_millis(500),
-        "an un-awaited commit took {took:?} to become durable behind a trickle of puts"
+        "an un-awaited commit took {took:?} to become durable behind a trickle of commits"
     );
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -554,7 +553,6 @@ fn torn_snapshot_generation_falls_back_to_previous() {
             LogRecord::Put {
                 txn: TxnId(0),
                 key: 1,
-                old: None,
                 // A value the real image never held.
                 new: std::sync::Arc::new(999i64.to_le_bytes()),
             },
