@@ -126,11 +126,7 @@ fn main() {
         }
     }
     for seed in cfg.first..cfg.first.saturating_add(cfg.seeds) {
-        let dir = if cfg.server {
-            mmdb_server::torture::seed_dir(&cfg.artifacts, seed)
-        } else {
-            torture::seed_dir(&cfg.artifacts, seed)
-        };
+        let dir = torture::seed_dir(&cfg.artifacts, seed);
         let result = if cfg.server {
             mmdb_server::torture::run_server_seed(seed, &dir)
         } else if cfg.checkpoint {

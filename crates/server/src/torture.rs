@@ -43,7 +43,7 @@ use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{Auditable, Error, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -626,32 +626,4 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         corrupt_pages_dropped: 0,
         degraded: false,
     })
-}
-
-/// Sweeps `count` seeds from `first`, one directory per seed, stopping
-/// at the first violation. A passing seed's directory is removed; a
-/// failing seed's is kept as the artifact (its path is in the error).
-pub fn run_server_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureReport>> {
-    let mut reports = Vec::with_capacity(count as usize);
-    for seed in first..first.saturating_add(count) {
-        let log_dir = seed_dir(base_dir, seed);
-        match run_server_seed(seed, &log_dir) {
-            Ok(report) => {
-                std::fs::remove_dir_all(&log_dir).ok();
-                reports.push(report);
-            }
-            Err(e) => {
-                return Err(Error::Internal(format!(
-                    "{e} [artifacts: {}]",
-                    log_dir.display()
-                )));
-            }
-        }
-    }
-    Ok(reports)
-}
-
-/// The per-seed log directory under `base_dir`.
-pub fn seed_dir(base_dir: &Path, seed: u64) -> PathBuf {
-    base_dir.join(format!("server-seed-{seed}"))
 }

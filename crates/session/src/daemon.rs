@@ -1,9 +1,12 @@
-//! The group-commit daemon and log-writer threads (§5.2 on OS threads).
+//! The log queue and its writers (§5.2 on OS threads).
 //!
-//! One *daemon* thread owns page formation: it drains the shared log
-//! queue, cuts page-sized batches, and stripes them round-robin over one
-//! *writer* thread per log device. Each writer sleeps the device's
-//! modeled page-write latency, then appends-and-syncs the page through
+//! Sessions append to one shared log queue; one *writer* thread per log
+//! device drains it. Pages are striped round-robin by sequence number, and
+//! the writer of device `i` is the only thing that cuts pages for device
+//! `i` ([`next_page`]): when the next sequence number is its own it cuts
+//! every page [`cut_decision`] releases and parks them for the devices
+//! they stripe to, its own among them. It then sleeps the device's
+//! modeled page-write latency and appends-and-syncs its page through
 //! [`WalDevice`]. The §5.2 invariants live here:
 //!
 //! * **Pre-commit** — committers release locks at precommit (in
@@ -26,41 +29,43 @@
 //!   that a crash could take back.
 //!
 //! **Who releases a partial page** (the one decision is
-//! [`cut_decision`]): a full page leaves at once. A partial page leaves
-//! when somebody is blocked on one of its records — *demand*, raised by
+//! [`cut_decision`], asked by the writer whose turn it is — a writer that
+//! asks is free): a full page leaves at once. A partial page leaves when
+//! somebody is blocked on one of its records — *demand*, raised by
 //! `wait_durable`, `commit_durable`, a synchronous commit and `flush` —
-//! **a log device is free, and the group window is open**: the previous
-//! partial page left at least `flush_interval` ago. A commit that finds
-//! the log quiet therefore pays one page write and no timer; clients in a
+//! **and the group window is open**: the previous partial page left at
+//! least `flush_interval` ago. A commit that finds the log quiet
+//! therefore pays one page write and no timer; clients in a
 //! closed loop get one group per `flush_interval`, formed *while* the
 //! previous group is written and their next statements run, instead of
 //! after a silence that follows both. The window is what keeps the commit
 //! rate steady: paced by the device alone it follows every wobble of the
-//! disk's sync time (EXPERIMENTS.md §S1, "Why a window"). While every
-//! device is busy the queue keeps accumulating whatever the window says.
-//! Commits nobody waits on leave with the next group, or once the oldest
+//! disk's sync time (EXPERIMENTS.md §S1, "Why a window"). While the
+//! device whose turn it is writes, the queue keeps accumulating whatever
+//! the window says. Commits nobody waits on leave with the next group, or
+//! once the oldest
 //! of them has been queued for `flush_interval` (an absolute deadline;
 //! other sessions' records do not postpone it). `flush` reopens the
 //! window: an explicit flush waits for a device and nothing else.
 //!
-//! **Who wakes whom.** The daemon sleeps on `queue_cv` — until the window
-//! opens or the deadline passes, when one of them is pending — and is
-//! notified only by a change that can alter its decision or its timer: an
-//! append into an empty queue (arming the deadline), or one that fills a
-//! page or carries demand; a waiter raising demand; a writer
-//! finishing a page (that completion frees the device the next group
-//! needs); and the stop flags. Waiters sleep on `durable_cv`, notified by
-//! the writers. Every wait sits in a predicate loop.
+//! **Who wakes whom.** A writer with nothing to write sleeps on
+//! `queue_cv` — until the window opens or the deadline passes, when it
+//! holds the turn and one of them is pending — and is notified only by a
+//! change that can alter its decision or its timer: an append into an
+//! empty queue (arming the deadline), or one that fills a page or carries
+//! demand; a waiter raising demand; another writer parking pages and
+//! passing the turn; and the stop flags. Waiters sleep on `durable_cv`,
+//! notified by the writers. Every wait sits in a predicate loop.
 //!
 //! Lock order (a thread may only acquire downward): shard state locks in
 //! ascending shard index → one txn-table slot → `queue` → `durable` (see
 //! [`crate::shard`] for the shard half of the discipline). The writers
 //! take `durable` and the shard locks one group at a time, never nested
-//! across groups, and take `queue` for their wake-up only after all of
-//! those are dropped. A waiter raises demand under `queue` and releases it
-//! before taking `durable`. The daemon registers a cut page's commits in
-//! `durable` before it releases `queue`, so a commit is at every instant
-//! either queued or registered.
+//! across groups, and come back to `queue` only after all of those are
+//! dropped. A waiter raises demand under `queue` and releases it before
+//! taking `durable`. A writer registers a cut page's commits in `durable`
+//! before it releases `queue`, so a commit is at every instant either
+//! queued or registered.
 
 use crate::metrics::{us_since, SessionMetrics};
 use crate::policy::{CommitPolicy, EngineOptions};
@@ -71,7 +76,6 @@ use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -101,7 +105,7 @@ pub(crate) struct QueuedRecord {
     pub commit: Option<PendingCommit>,
 }
 
-/// The shared log queue sessions append to and the daemon drains.
+/// The shared log queue sessions append to and the writers drain.
 #[derive(Debug, Default)]
 pub(crate) struct LogQueue {
     pub records: VecDeque<QueuedRecord>,
@@ -115,12 +119,13 @@ pub(crate) struct LogQueue {
     /// Earliest instant the next awaited partial page may leave: one
     /// `flush_interval` after the last partial page left. `None`: at once
     /// (nothing cut yet, or [`Shared::raise_demand`] reopened it for a
-    /// flush). Set by the daemon.
+    /// flush). Set by the writer that cuts the page.
     pub window_opens: Option<Instant>,
-    /// Pages handed to the writers and not yet completed (a page parked
-    /// on its dependencies or in its modeled write counts). A device is
-    /// free while this is below the device count.
-    pub in_flight: usize,
+    /// Sequence number of the next page cut. Pages are striped round-robin,
+    /// so it also names whose turn it is to cut: device `next_seqno % k`.
+    pub next_seqno: u64,
+    /// Pages cut by another device's writer, waiting for their own.
+    pub ready: VecDeque<Page>,
     /// Graceful shutdown: drain everything, then stop.
     pub shutdown: bool,
     /// Simulated crash, or fail-stop after a log device exhausted its
@@ -155,7 +160,7 @@ impl LogQueue {
     }
 }
 
-/// A cut page travelling from the daemon to one writer.
+/// A cut page: with its writer, or parked in [`LogQueue::ready`] for it.
 #[derive(Debug)]
 pub(crate) struct Page {
     /// Dense page sequence number (0, 1, 2, …) across all devices.
@@ -196,8 +201,7 @@ pub(crate) struct DurableTable {
     pub failure: Option<Error>,
 }
 
-/// Everything the engine, its sessions, the daemon, and the writers
-/// share. Lock order: shards (ascending index) → one txn-table slot →
+/// Everything the engine, its sessions and the writers share. Lock order: shards (ascending index) → one txn-table slot →
 /// `queue` → `durable`.
 #[derive(Debug)]
 pub(crate) struct Shared {
@@ -214,7 +218,7 @@ pub(crate) struct Shared {
     /// which takes no lock that could tell it, reads this instead.
     pub stopped: AtomicBool,
     pub queue: Mutex<LogQueue>,
-    /// Signalled when the daemon's decision may have changed (see the
+    /// Signalled when a writer's decision may have changed (see the
     /// module docs) or a stop flag was set.
     pub queue_cv: Condvar,
     pub durable: Mutex<DurableTable>,
@@ -247,7 +251,7 @@ impl Shared {
             }
         }
         let shards: Vec<Shard> = images.into_iter().map(Shard::with_db).collect();
-        let metrics = SessionMetrics::new(n, options.trace_capacity);
+        let metrics = SessionMetrics::new(n);
         metrics.note_appended_lsn(next_lsn.max(1).saturating_sub(1));
         Shared {
             options,
@@ -350,18 +354,17 @@ impl Shared {
             .map_err(|_| Error::Poisoned("durable table".into()))
     }
 
-    /// What the daemon would do with the queue as it stands at `now`, and
-    /// the instant time alone would change that (the window opening under
-    /// a waiter, or the deadline) — the state a mutation of the queue must
-    /// change to be worth waking the daemon for.
-    fn daemon_view(&self, q: &LogQueue, now: Instant) -> (Cut, Option<Instant>) {
+    /// What the writer whose turn it is would do with the queue as it
+    /// stands at `now`, and the instant time alone would change that (the
+    /// window opening under a waiter, or the deadline) — the state a
+    /// mutation of the queue must change to be worth a wake-up.
+    fn cut_view(&self, q: &LogQueue, now: Instant) -> (Cut, Option<Instant>) {
         let sync = matches!(self.options.policy, CommitPolicy::Synchronous);
         let window = q.has_demand().then(|| q.window_opens.unwrap_or(now));
         let oldest = q.oldest_commit();
         let deadline = oldest.and_then(|t| t.checked_add(self.options.flush_interval));
         let cut = cut_decision(
             window.is_some_and(|t| t <= now),
-            q.in_flight < self.options.policy.devices(),
             deadline.is_some_and(|t| t <= now),
             // Under the synchronous policy a commit record ends its page,
             // so a queued commit is a full page.
@@ -375,15 +378,15 @@ impl Shared {
         (cut, timer)
     }
 
-    /// Releases the queue after a mutation and wakes the daemon only if
-    /// the mutation changed its view (taken at `now`) since `before`.
+    /// Releases the queue after a mutation and wakes the writers only if
+    /// the mutation changed their view (taken at `now`) since `before`.
     fn release_queue(
         &self,
         q: MutexGuard<'_, LogQueue>,
         before: (Cut, Option<Instant>),
         now: Instant,
     ) {
-        let wake = self.daemon_view(&q, now) != before;
+        let wake = self.cut_view(&q, now) != before;
         drop(q);
         if wake {
             self.queue_cv.notify_all();
@@ -413,7 +416,7 @@ impl Shared {
             return Err(self.stop_reason());
         }
         let now = Instant::now();
-        let before = self.daemon_view(&q, now);
+        let before = self.cut_view(&q, now);
         for record in redo {
             q.push(record, None);
         }
@@ -440,38 +443,23 @@ impl Shared {
     }
 
     /// Announces that somebody is about to block until every record up to
-    /// `lsn` is durable, so the daemon stops holding those still queued
+    /// `lsn` is durable, so the writers stop holding those still queued
     /// for a fuller page. Takes `queue` and releases it: call it *before*
-    /// taking `durable`. A record already dispatched needs no announcing
-    /// — its page is the writers' business — and wakes nobody. `lsn` is
+    /// taking `durable`. A record already cut needs no announcing — its
+    /// page is on its way — and wakes nobody. `lsn` is
     /// clamped to what has been appended, so `u64::MAX` means "everything
     /// so far". `flush` says the caller is [`crate::Engine::flush`], which
     /// also reopens the group window.
     pub fn raise_demand(&self, lsn: u64, flush: bool) -> Result<()> {
         let mut q = self.queue_guard()?;
         let now = Instant::now();
-        let before = self.daemon_view(&q, now);
+        let before = self.cut_view(&q, now);
         q.demand = q.demand.max(lsn.min(q.next_lsn.saturating_sub(1)));
         if flush {
             q.window_opens = None;
         }
         self.release_queue(q, before, now);
         Ok(())
-    }
-
-    /// A writer finished a page: its device is free, and that is what
-    /// releases the next group, so the daemon is woken. Called with no
-    /// lock held (`queue` sits above `durable` and the shard locks the
-    /// writer has just dropped). Returns `false` on a poisoned queue.
-    fn release_device(&self) -> bool {
-        let Ok(mut q) = self.queue.lock() else {
-            self.poison_fail_stop("log queue");
-            return false;
-        };
-        q.in_flight = q.in_flight.saturating_sub(1);
-        drop(q);
-        self.queue_cv.notify_all();
-        true
     }
 
     /// True once a crash (simulated or device failure) was declared.
@@ -533,7 +521,7 @@ impl Shared {
                 d.failure = Some(failure);
             }
         }
-        // The daemon and sibling writers stand down.
+        // The writers stand down.
         self.queue.lock().unwrap_or_else(|p| p.into_inner()).crashed = true;
         self.stopped.store(true, Ordering::Release);
         self.queue_cv.notify_all();
@@ -632,7 +620,7 @@ impl Shared {
         })?;
         let queued_commits = q.records.iter().filter(|r| r.commit.is_some()).count();
         // The queue stays locked while the durable table is read (queue →
-        // durable, the lock order): the daemon moves a commit from one to
+        // durable, the lock order): a writer moves a commit from one to
         // the other under both, so the accounting below sees each once.
         let d = self
             .durable
@@ -706,7 +694,7 @@ impl Shared {
     }
 }
 
-/// What the daemon does with the queue now.
+/// What the writer whose turn it is does with the queue now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Cut {
     /// Keep accumulating.
@@ -720,16 +708,11 @@ pub(crate) enum Cut {
 /// The one place that decides when a page is cut. A partial page leaves
 /// when it is wanted — somebody is blocked on one of its records and the
 /// group window is open (`demand`), or its oldest commit record has waited
-/// `flush_interval` (`deadline_passed`) — *and* a device is free to write
-/// it; cutting it behind a busy device would only fix the group's size
-/// early. A full page leaves whatever the devices are doing.
-pub(crate) fn cut_decision(
-    demand: bool,
-    device_free: bool,
-    deadline_passed: bool,
-    page_full: bool,
-) -> Cut {
-    if (demand || deadline_passed) && device_free {
+/// `flush_interval` (`deadline_passed`). Only a writer with nothing to
+/// write asks, so the device that will write the page is free: while it
+/// is busy the group keeps growing. A full page leaves regardless.
+pub(crate) fn cut_decision(demand: bool, deadline_passed: bool, page_full: bool) -> Cut {
+    if demand || deadline_passed {
         Cut::All
     } else if page_full {
         Cut::FullPages
@@ -749,7 +732,6 @@ pub(crate) fn cut_pages(
     page_bytes: usize,
     sync_cut: bool,
     flush_partial: bool,
-    next_seqno: &mut u64,
 ) -> Vec<Page> {
     let mut pages = Vec::new();
     loop {
@@ -785,141 +767,117 @@ pub(crate) fn cut_pages(
             records.push((r.lsn, r.record));
         }
         pages.push(Page {
-            seqno: *next_seqno,
+            seqno: q.next_seqno,
             records,
             commits,
         });
-        *next_seqno += 1;
+        q.next_seqno += 1;
     }
     pages
 }
 
-/// The group-commit daemon: drains the queue, cuts pages as
-/// [`cut_decision`] says, stripes them over the writers. Exits on
-/// shutdown (after draining), crash, or a poisoned lock.
-pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
+/// Blocks until writer `index` has a page to write: one already cut for
+/// its device, else — when the next sequence number is its own — every
+/// page [`cut_decision`] releases, cut here as one group and parked in
+/// [`LogQueue::ready`] for the devices they stripe to. `None` means stand
+/// down: shutdown with the queue drained, crash, or a poisoned lock (a
+/// thread panicked holding a table — the engine fails before the writer
+/// leaves, or waiters would hang on a live condvar).
+fn next_page(shared: &Shared, index: usize) -> Option<Page> {
+    let devices = shared.options.policy.devices() as u64;
+    let mine = |seqno: u64| seqno % devices == index as u64;
     let sync_cut = matches!(shared.options.policy, CommitPolicy::Synchronous);
-    let mut next_seqno = 0u64;
-    let mut rr = 0usize;
+    let Ok(mut q) = shared.queue.lock() else {
+        shared.poison_fail_stop("log queue");
+        return None;
+    };
     loop {
-        let (pages, finished) = {
-            let Ok(mut q) = shared.queue.lock() else {
-                // A writer panicked holding the queue: nothing can be
-                // flushed any more, so fail the engine before standing
-                // down (waiters would otherwise hang on a live condvar).
-                shared.poison_fail_stop("log queue");
-                return;
+        if q.crashed {
+            return None;
+        }
+        if let Some(at) = q.ready.iter().position(|p| mine(p.seqno)) {
+            return q.ready.remove(at);
+        }
+        let now = Instant::now();
+        // Only `timer` can change the decision without another thread
+        // changing the queue (and notifying). Without the turn, or with
+        // none pending, the wait is for an append, a waiter or the turn,
+        // and whoever brings it wakes us.
+        let mut timer = None;
+        if mine(q.next_seqno) {
+            let (cut, t) = shared.cut_view(&q, now);
+            timer = t;
+            if cut == Cut::All {
+                // This group leaves now; the next awaited one no sooner
+                // than a flush interval from here.
+                q.window_opens = now.checked_add(shared.options.flush_interval);
+            }
+            let flush_partial = q.shutdown || cut == Cut::All;
+            let pages = if flush_partial || cut == Cut::FullPages {
+                cut_pages(&mut q, shared.options.page_bytes, sync_cut, flush_partial)
+            } else {
+                Vec::new()
             };
-            let flush_partial = loop {
-                if q.crashed {
-                    return;
-                }
-                if q.shutdown {
-                    break true;
-                }
-                let now = Instant::now();
-                let (cut, timer) = shared.daemon_view(&q, now);
-                match cut {
-                    Cut::All => {
-                        // This group leaves now; the next awaited one no
-                        // sooner than a flush interval from here.
-                        q.window_opens = now.checked_add(shared.options.flush_interval);
-                        break true;
-                    }
-                    Cut::FullPages => break false,
-                    Cut::Hold => {}
-                }
-                // Only `timer` can change the decision without another
-                // thread changing the queue (and notifying). With none
-                // pending the hold is for a busy device or an empty
-                // queue, and whoever ends that wakes us.
-                let woken = match timer {
-                    Some(t) => shared
-                        .queue_cv
-                        .wait_timeout(q, t.duration_since(now))
-                        .map(|(guard, _)| guard)
-                        .ok(),
-                    None => shared.queue_cv.wait(q).ok(),
-                };
-                let Some(guard) = woken else {
-                    shared.poison_fail_stop("log queue");
-                    return;
-                };
-                q = guard;
-            };
-            let pages = cut_pages(
-                &mut q,
-                shared.options.page_bytes,
-                sync_cut,
-                flush_partial,
-                &mut next_seqno,
-            );
-            q.in_flight += pages.len();
             if !pages.is_empty() {
-                // Register commit → page before dispatch, so writers can
-                // resolve dependency pages and waiters can be found, and
-                // before the queue is released (queue → durable, the
-                // lock order), so a commit is at every instant either
-                // queued or registered — the audit's accounting.
+                // Register commit → page before the queue is released
+                // (queue → durable, the lock order): writers resolve
+                // dependency pages here, waiters are found here, and a
+                // commit is at every instant either queued or registered
+                // — the audit's accounting.
                 let Ok(mut d) = shared.durable.lock() else {
                     drop(q); // `fail_stop` takes the queue itself
                     shared.poison_fail_stop("durable table");
-                    return;
+                    return None;
                 };
                 if d.crashed {
-                    return;
+                    return None;
                 }
-                for page in &pages {
+                for page in pages.iter().filter(|p| !p.commits.is_empty()) {
+                    shared.metrics.batch_txns.record(page.commits.len() as u64);
                     for c in &page.commits {
+                        shared.metrics.group_wait_us.record(us_since(c.queued_at));
                         d.commit_page.insert(c.txn, page.seqno);
                     }
-                    if !page.commits.is_empty() {
-                        d.waiting.insert(page.seqno, page.commits.clone());
-                    }
+                    d.waiting.insert(page.seqno, page.commits.clone());
                 }
+                drop(d);
+                q.ready.extend(pages);
+                if devices > 1 {
+                    shared.queue_cv.notify_all(); // pages parked, turn passed
+                }
+                continue;
             }
-            (pages, q.shutdown && q.records.is_empty())
+        }
+        if q.shutdown && q.records.is_empty() {
+            return None;
+        }
+        let woken = match timer {
+            Some(t) => shared
+                .queue_cv
+                .wait_timeout(q, t.saturating_duration_since(now))
+                .map(|(guard, _)| guard)
+                .ok(),
+            None => shared.queue_cv.wait(q).ok(),
         };
-        if !pages.is_empty() {
-            for page in &pages {
-                if !page.commits.is_empty() {
-                    shared.metrics.batch_txns.record(page.commits.len() as u64);
-                }
-                for c in &page.commits {
-                    shared.metrics.group_wait_us.record(us_since(c.queued_at));
-                }
-            }
-            for page in pages {
-                let Some(tx) = senders.get(rr) else {
-                    return;
-                };
-                rr = (rr + 1) % senders.len().max(1);
-                if tx.send(page).is_err() {
-                    return; // a writer died; fail() already ran
-                }
-            }
-        }
-        if finished {
-            return;
-        }
+        let Some(guard) = woken else {
+            shared.poison_fail_stop("log queue");
+            return None;
+        };
+        q = guard;
     }
 }
 
-/// One log-writer thread: sleeps the device's modeled latency, writes
-/// and syncs the page, advances durability, then frees its device and
-/// wakes the daemon for the next group. A crash flag set during
+/// One log-writer thread: takes or cuts its next page ([`next_page`]),
+/// waits out the page's dependencies, sleeps the device's modeled
+/// latency, writes and syncs the page, advances durability, and comes
+/// back for the next group. A crash flag set during
 /// the modeled write loses the page — exactly the §5.2 failure the
 /// recovery test exercises. A failed append is retried within the
 /// configured budget (the device rewinds to the last good frame before
 /// each retry); exhausting it degrades the whole engine fail-stop
 /// rather than leaving committers hung on a page that will never land.
-pub(crate) fn run_writer(
-    shared: Arc<Shared>,
-    rx: Receiver<Page>,
-    mut device: WalDevice,
-    index: usize,
-) {
-    while let Ok(page) = rx.recv() {
+pub(crate) fn run_writer(shared: Arc<Shared>, mut device: WalDevice, index: usize) {
+    while let Some(page) = next_page(&shared, index) {
         if !wait_for_dependencies(&shared, &page) {
             continue; // crashed: the page is abandoned, never written
         }
@@ -950,7 +908,7 @@ pub(crate) fn run_writer(
                 .metrics
                 .trace(TraceStage::Flushed, c.txn, c.lsn.0, c.mask);
         }
-        if !complete_page(&shared, page) || !shared.release_device() {
+        if !complete_page(&shared, page) {
             return;
         }
     }
@@ -1145,14 +1103,13 @@ mod tests {
         // 11 typical transactions = 4400 bytes: one full 4096-byte page
         // (10 txns) cut, the 11th held until a flush is forced.
         let mut q = queue_of((0..11).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let mut seq = 0;
-        let pages = cut_pages(&mut q, 4096, false, false, &mut seq);
+        let pages = cut_pages(&mut q, 4096, false, false);
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].commits.len(), 10, "ten commits share the page");
         // The 11th transaction's 20-byte begin record still fits in the
         // page (4020 ≤ 4096); its update and commit stay queued.
         assert_eq!(q.records.len(), 2);
-        let more = cut_pages(&mut q, 4096, false, true, &mut seq);
+        let more = cut_pages(&mut q, 4096, false, true);
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].seqno, 1);
         assert!(q.records.is_empty());
@@ -1161,9 +1118,9 @@ mod tests {
 
     #[test]
     fn a_record_larger_than_a_page_is_a_full_page_on_its_own() {
-        // The daemon wakes whenever `bytes >= page_bytes`; if the cut did
-        // not agree that such a page is full it would spin on the queue
-        // until the transaction's next record arrived.
+        // A writer is woken whenever `bytes >= page_bytes`; if the cut did
+        // not agree that such a page is full it would find nothing to
+        // take until the transaction's next record arrived.
         let big = LogRecord::Put {
             txn: TxnId(1),
             key: 1,
@@ -1174,8 +1131,7 @@ mod tests {
             rec(2, big),
             rec(3, LogRecord::Commit { txn: TxnId(1) }),
         ]);
-        let mut seq = 0;
-        let pages = cut_pages(&mut q, 4096, false, false, &mut seq);
+        let pages = cut_pages(&mut q, 4096, false, false);
         assert_eq!(pages.len(), 2, "begin alone, then the big record alone");
         assert_eq!(pages[1].records.len(), 1);
         assert_eq!(q.records.len(), 1, "the commit waits for its group");
@@ -1185,8 +1141,7 @@ mod tests {
     #[test]
     fn sync_cut_ends_every_page_at_a_commit() {
         let mut q = queue_of((0..3).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let mut seq = 0;
-        let pages = cut_pages(&mut q, 4096, true, true, &mut seq);
+        let pages = cut_pages(&mut q, 4096, true, true);
         assert_eq!(pages.len(), 3, "one page per commit under sync policy");
         for p in &pages {
             assert_eq!(p.commits.len(), 1);
@@ -1202,40 +1157,29 @@ mod tests {
         use Cut::{All, FullPages, Hold};
         const T: bool = true;
         const F: bool = false;
-        // (demand, device free, deadline passed, page full) → decision.
+        // (demand, deadline passed, page full) → decision.
         let table = [
             // Nobody waits, no deadline: only a full page leaves.
-            ((F, F, F, F), Hold),
-            ((F, T, F, F), Hold),
-            ((F, F, F, T), FullPages),
-            ((F, T, F, T), FullPages),
-            // Wanted and a device free: everything leaves.
-            ((T, T, F, F), All),
-            ((F, T, T, F), All),
-            ((T, T, T, F), All),
-            ((T, T, F, T), All),
-            ((F, T, T, T), All),
-            ((T, T, T, T), All),
-            // Wanted but every device busy: the partial page keeps
-            // accumulating behind the write in flight…
-            ((T, F, F, F), Hold),
-            ((F, F, T, F), Hold),
-            ((T, F, T, F), Hold),
-            // …and a full page still leaves at once.
-            ((T, F, F, T), FullPages),
-            ((F, F, T, T), FullPages),
-            ((T, F, T, T), FullPages),
+            ((F, F, F), Hold),
+            ((F, F, T), FullPages),
+            // Wanted: everything leaves, the partial tail included.
+            ((T, F, F), All),
+            ((F, T, F), All),
+            ((T, T, F), All),
+            ((T, F, T), All),
+            ((F, T, T), All),
+            ((T, T, T), All),
         ];
         let mut seen = std::collections::BTreeSet::new();
-        for ((demand, device_free, deadline_passed, page_full), want) in table {
-            assert!(seen.insert((demand, device_free, deadline_passed, page_full)));
+        for ((demand, deadline_passed, page_full), want) in table {
+            assert!(seen.insert((demand, deadline_passed, page_full)));
             assert_eq!(
-                cut_decision(demand, device_free, deadline_passed, page_full),
+                cut_decision(demand, deadline_passed, page_full),
                 want,
-                "demand {demand}, free {device_free}, deadline {deadline_passed}, full {page_full}"
+                "demand {demand}, deadline {deadline_passed}, full {page_full}"
             );
         }
-        assert_eq!(seen.len(), 16, "every combination is listed once");
+        assert_eq!(seen.len(), 8, "every combination is listed once");
     }
 
     #[test]
@@ -1249,20 +1193,16 @@ mod tests {
         let now = queued_at + interval / 10;
         let deadline = queued_at + interval;
         // Nobody waits: only the deadline is pending.
-        assert_eq!(shared.daemon_view(&q, now), (Cut::Hold, Some(deadline)));
-        assert_eq!(shared.daemon_view(&q, deadline).0, Cut::All);
+        assert_eq!(shared.cut_view(&q, now), (Cut::Hold, Some(deadline)));
+        assert_eq!(shared.cut_view(&q, deadline).0, Cut::All);
         // Somebody waits and no group has left yet: the page leaves now.
         q.demand = 3;
-        assert_eq!(shared.daemon_view(&q, now), (Cut::All, Some(deadline)));
+        assert_eq!(shared.cut_view(&q, now), (Cut::All, Some(deadline)));
         // A group left a moment ago: the page leaves when the window opens.
         let opens = now + interval / 2;
         q.window_opens = Some(opens);
-        assert_eq!(shared.daemon_view(&q, now), (Cut::Hold, Some(opens)));
-        assert_eq!(shared.daemon_view(&q, opens).0, Cut::All);
-        // …and no sooner for a free device, but later for a busy one.
-        q.in_flight = 1;
-        assert_eq!(shared.daemon_view(&q, opens), (Cut::Hold, Some(deadline)));
-        assert_eq!(shared.daemon_view(&q, deadline), (Cut::Hold, None));
+        assert_eq!(shared.cut_view(&q, now), (Cut::Hold, Some(opens)));
+        assert_eq!(shared.cut_view(&q, opens), (Cut::All, Some(deadline)));
     }
 
     #[test]
@@ -1271,8 +1211,7 @@ mod tests {
         assert!(!q.has_demand(), "nobody waits yet");
         q.demand = 3;
         assert!(q.has_demand());
-        let mut seq = 0;
-        cut_pages(&mut q, 4096, false, true, &mut seq);
+        cut_pages(&mut q, 4096, false, true);
         assert!(!q.has_demand(), "dispatching the record answers it");
         q.records.extend(typical(2, 4));
         assert!(!q.has_demand(), "a later transaction inherits nothing");
@@ -1283,10 +1222,9 @@ mod tests {
         let mut q = queue_of((0..2).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
         let second = q.records[5].commit.as_ref().unwrap().queued_at;
         assert!(q.oldest_commit().is_some_and(|t| t <= second));
-        let mut seq = 0;
         // A 500-byte page takes the first 400-byte transaction (and the
         // second's begin record); the second commit stays queued.
-        let pages = cut_pages(&mut q, 500, false, false, &mut seq);
+        let pages = cut_pages(&mut q, 500, false, false);
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].commits.len(), 1);
         assert_eq!(
@@ -1294,15 +1232,14 @@ mod tests {
             Some(second),
             "moved to the second commit"
         );
-        cut_pages(&mut q, 500, false, true, &mut seq);
+        cut_pages(&mut q, 500, false, true);
         assert_eq!(q.oldest_commit(), None, "nothing queued, nothing armed");
     }
 
     #[test]
     fn lsn_order_is_preserved_across_pages() {
         let mut q = queue_of((0..25).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let mut seq = 0;
-        let pages = cut_pages(&mut q, 4096, false, true, &mut seq);
+        let pages = cut_pages(&mut q, 4096, false, true);
         let flat: Vec<u64> = pages
             .iter()
             .flat_map(|p| p.records.iter().map(|(l, _)| l.0))

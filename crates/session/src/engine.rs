@@ -4,10 +4,10 @@
 //! store of `u64` keys to byte [`Record`]s, §5.2
 //! [`mmdb_recovery::LockManager`] partitions, and undo lists, split by
 //! key hash over the [`crate::shard`] shards — plus
-//! the log queue, the group-commit daemon, and one writer thread per log
-//! device. [`Session`] is the per-client handle: any number may be
-//! created and moved to OS threads; all of them funnel commits through
-//! the daemon, which batches them per the configured [`CommitPolicy`].
+//! the log queue and one writer thread per log device. [`Session`] is the
+//! per-client handle: any number may be created and moved to OS threads;
+//! all of them funnel commits through the queue, which the writers batch
+//! into pages per the configured [`CommitPolicy`].
 //!
 //! The commit path is the paper's pre-commit protocol: `commit` claims
 //! the transaction in the [`crate::shard::TxnTable`], locks every shard
@@ -23,9 +23,9 @@
 //! later, when the record's page (and every earlier page) is on disk;
 //! [`Session::wait_durable`] blocks for it and a synchronous-policy
 //! commit does so before returning. Blocking is also what releases the
-//! record: a waiter announces itself to the daemon, which then cuts the
-//! record's page as soon as a log device is free and the group window is
-//! open (see [`crate::daemon`]).
+//! record: a waiter announces itself on the queue, and the record's page
+//! is cut as soon as its log device is free and the group window is open
+//! (see [`crate::daemon`]).
 //!
 //! The store's value is a byte record: [`Session::get`],
 //! [`Session::get_for_update`] and [`Session::put`] move whole records —
@@ -37,7 +37,7 @@
 //! workloads.
 
 use crate::checkpoint::{self, CheckpointState, CheckpointStats, SweepHalt};
-use crate::daemon::{self, Page, Shared};
+use crate::daemon::{self, Shared};
 use crate::metrics::us_since;
 use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{rollback_shard, ShardState, TxnMeta, TxnPhase};
@@ -48,7 +48,6 @@ use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,8 +74,8 @@ pub struct CommitTicket {
     pub lsn: Lsn,
 }
 
-/// The multi-threaded engine front-end: shared state, the group-commit
-/// daemon, and one log-writer thread per device (§5.2).
+/// The multi-threaded engine front-end: shared state and one log-writer
+/// thread per device (§5.2).
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
@@ -123,23 +122,14 @@ impl Engine {
     ) -> Result<Engine> {
         let shared = Arc::new(Shared::new(options, db, next_txn, next_lsn));
         let mut threads = Vec::new();
-        let mut senders: Vec<mpsc::Sender<Page>> = Vec::new();
         for (i, device) in devices.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
             let shared_w = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("mmdb-log-writer-{i}"))
-                .spawn(move || daemon::run_writer(shared_w, rx, device, i))
+                .spawn(move || daemon::run_writer(shared_w, device, i))
                 .map_err(|e| Error::Io(format!("spawn writer {i}: {e}")))?;
             threads.push(handle);
         }
-        let shared_d = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("mmdb-commit-daemon".into())
-            .spawn(move || daemon::run_daemon(shared_d, senders))
-            .map_err(|e| Error::Io(format!("spawn daemon: {e}")))?;
-        threads.push(handle);
         let checkpoint = Arc::new(Mutex::new(CheckpointState::new(
             shared.shards.len(),
             live_generation,
@@ -276,7 +266,7 @@ impl Engine {
             return Ok(());
         }
         self.finished = true;
-        // The stop flags must land even if a daemon panicked holding a
+        // The stop flags must land even if a writer panicked holding a
         // table — otherwise the join below waits on threads that will
         // never see the shutdown — so poisoning is recovered, not
         // swallowed: the flags are whole-word writes that cannot be
@@ -493,7 +483,7 @@ impl Session {
         let run = redo.len() as u64;
         let lsn = self.shared.append(id, redo, deps, mask, wait)?;
         // Undo entries survive pre-commit, stamped with the run: they are
-        // dropped only once the commit record is durable (daemon
+        // dropped only once the commit record is durable (the writer's
         // finalize, which needs these guards); until then the stamp tells
         // the checkpoint sweeper whether the writes are durable and where
         // replay must start if they are not.
@@ -515,7 +505,7 @@ impl Session {
     }
 
     /// Blocks until the ticket's transaction is durable (its page and
-    /// every earlier page on disk). The wait is announced to the daemon
+    /// every earlier page on disk). The wait is announced on the queue
     /// first, so a record still queued leaves with the next group — at
     /// once if the previous one left an [`EngineOptions::flush_interval`]
     /// ago and a log device is free — instead of waiting out the interval
@@ -824,6 +814,118 @@ mod tests {
             s.write(&t, *key, *value).unwrap();
         }
         s.commit_durable(t).unwrap()
+    }
+
+    /// Runs `f` on its own thread and fails, instead of hanging the test
+    /// run, if it has not finished within `limit`.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let worker = std::thread::spawn(f);
+        let started = Instant::now();
+        while !worker.is_finished() {
+            assert!(started.elapsed() < limit, "still running after {limit:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        worker.join().unwrap()
+    }
+
+    /// The threads an engine owns are its log writers and, when asked
+    /// for, the checkpointer — nothing stands between a session and the
+    /// writer of its page.
+    #[test]
+    fn an_engine_owns_one_thread_per_log_device_plus_the_checkpointer() {
+        for policy in [
+            CommitPolicy::Synchronous,
+            CommitPolicy::Group,
+            CommitPolicy::Partitioned { devices: 3 },
+        ] {
+            for sweeper in [false, true] {
+                let mut opts = options("threads");
+                opts.policy = policy;
+                if sweeper {
+                    opts = opts.with_checkpoint_interval(Duration::from_secs(30));
+                }
+                let engine = Engine::start(opts.clone()).unwrap();
+                assert_eq!(
+                    engine.threads.len(),
+                    policy.devices() + usize::from(sweeper),
+                    "{policy:?}, checkpointer {sweeper}"
+                );
+                engine.shutdown().unwrap();
+                std::fs::remove_dir_all(&opts.log_dir).ok();
+            }
+        }
+    }
+
+    /// A transaction longer than a page leaves as one group: the writer
+    /// that cuts its first page cuts its tail too, rather than closing
+    /// the group window on it.
+    #[test]
+    fn a_three_page_transaction_is_one_group_not_three_windows() {
+        let mut opts = options("three-pages").with_flush_interval(Duration::from_secs(30));
+        opts.page_bytes = 58; // two 8-byte puts
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        within(Duration::from_secs(10), move || {
+            commit_durable(&s, &[(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)])
+        });
+        assert_eq!(engine.pages_written().unwrap(), 3);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
+    }
+
+    /// Striping is a turn the writers pass among themselves: every page
+    /// cut hands the next sequence number to the other device's writer.
+    #[test]
+    fn back_to_back_commits_alternate_between_two_devices() {
+        let mut opts = options("alternate");
+        opts.policy = CommitPolicy::Partitioned { devices: 2 };
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        within(Duration::from_secs(10), move || {
+            for i in 0..20 {
+                commit_durable(&s, &[(i, 1)]);
+            }
+        });
+        assert_eq!(engine.pages_written().unwrap(), 20);
+        for device in ["wal-d0.log", "wal-d1.log"] {
+            let commits = read_log_file(&opts.log_dir.join(device))
+                .unwrap()
+                .iter()
+                .filter(|(_, rec)| matches!(rec, LogRecord::Commit { .. }))
+                .count();
+            assert_eq!(commits, 10, "{device}");
+        }
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
+    }
+
+    /// Shutdown drains pages parked for a writer, not only the queue: the
+    /// writer that cuts the remainder parks every other page for a device
+    /// that must not have left yet.
+    #[test]
+    fn shutdown_writes_pages_parked_for_the_other_device() {
+        let mut opts = options("parked")
+            .with_flush_interval(Duration::from_secs(30))
+            .with_page_write_latency(Duration::from_millis(20));
+        opts.policy = CommitPolicy::Partitioned { devices: 2 };
+        // One transaction (two puts and a commit record, 78 bytes) per
+        // page; the fifth is a partial page nobody waits on.
+        opts.page_bytes = 100;
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        let mut txns = Vec::new();
+        for i in 0..5u64 {
+            let t = s.begin().unwrap();
+            s.write(&t, 2 * i, 1).unwrap();
+            s.write(&t, 2 * i + 1, 1).unwrap();
+            txns.push(s.commit(t).unwrap().txn);
+        }
+        within(Duration::from_secs(10), move || engine.shutdown().unwrap());
+        let (engine, info) = Engine::recover(opts.clone()).unwrap();
+        assert_eq!(info.committed, txns);
+        assert_eq!(info.records_replayed, 10);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&opts.log_dir).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * An [`Engine`] owns the shared volatile store, the §5.2 lock manager
 //!   (with pre-commit and commit-dependency tracking), a log queue, and
-//!   a background **group-commit daemon** that batches commit records
+//!   one background **log writer** per device that batches commit records
 //!   from every session into page-sized log writes.
 //! * [`Session`] handles are cheap, cloneable, and `Send` — one per
 //!   client OS thread, the paper's "terminals".
@@ -59,7 +59,7 @@
 /// table, and generation truncation that bound recovery by the
 /// checkpoint interval.
 mod checkpoint;
-/// §5.2 the group-commit daemon, log-writer threads, and shared state.
+/// §5.2 the log queue, its log-writer threads, and shared state.
 mod daemon;
 /// §5.2 the engine front-end, sessions, and the pre-commit protocol.
 mod engine;

@@ -4,7 +4,7 @@
 //! every handle the engine records through: per-shard lock wait/hold
 //! histograms and deadlock-abort counters (the §5.2 lock manager),
 //! group-commit batch-size, group-wait and fsync-latency histograms plus the
-//! durable-watermark lag gauge (the §5.2 group-commit daemon), and the
+//! durable-watermark lag gauge (the §5.2 log queue and its writers), and the
 //! commit-pipeline [`TraceRing`] (begin → precommit → queued → flushed
 //! → durable). Every recording is a handful of relaxed atomics, cheap
 //! enough to stay enabled inside shard critical sections and the log
@@ -54,7 +54,7 @@ pub(crate) struct SessionMetrics {
     /// Commit records per written log page that carried any — the §5.2
     /// group-commit batching the paper's 1000-tps claim rests on.
     pub batch_txns: Arc<Histogram>,
-    /// Commit record queued → its page handed to a writer, µs: the part
+    /// Commit record queued → its page cut by its writer, µs: the part
     /// of a commit that is neither the device nor dependency ordering.
     pub group_wait_us: Arc<Histogram>,
     /// Wall time of one page write (dependency wait excluded): modeled
@@ -88,12 +88,16 @@ pub(crate) struct SessionMetrics {
     pub appended_lsn: AtomicU64,
 }
 
+/// Slots in the commit-pipeline trace ring (overwrite-oldest; recording
+/// is lock-free regardless of size).
+const TRACE_CAPACITY: usize = 1024;
+
 impl SessionMetrics {
     /// Registers the full metric inventory for an engine with `shards`
-    /// lock-table shards and a `trace_capacity`-slot trace ring.
-    pub fn new(shards: usize, trace_capacity: usize) -> Self {
+    /// lock-table shards and a [`TRACE_CAPACITY`]-slot trace ring.
+    pub fn new(shards: usize) -> Self {
         let registry = Arc::new(Registry::new());
-        let trace = TraceRing::new(trace_capacity);
+        let trace = TraceRing::new(TRACE_CAPACITY);
         let begins = registry.counter("mmdb_session_begins_total", "Transactions begun");
         let commits = registry.counter(
             "mmdb_session_commits_total",
@@ -141,7 +145,7 @@ impl SessionMetrics {
         );
         let group_wait_us = registry.histogram(
             "mmdb_session_group_wait_us",
-            "Commit record queued to its page handed to a log writer",
+            "Commit record queued to its page cut by its log writer",
         );
         let fsync_us = registry.histogram(
             "mmdb_session_fsync_us",
@@ -257,7 +261,7 @@ mod tests {
 
     #[test]
     fn inventory_registers_per_shard_families() {
-        let m = SessionMetrics::new(4, 64);
+        let m = SessionMetrics::new(4);
         assert_eq!(m.deadlock_aborts.len(), 4);
         assert_eq!(m.lock_wait_us.len(), 4);
         assert_eq!(m.lock_hold_us.len(), 4);
@@ -271,7 +275,7 @@ mod tests {
 
     #[test]
     fn durable_lag_tracks_appended_minus_durable() {
-        let m = SessionMetrics::new(1, 8);
+        let m = SessionMetrics::new(1);
         m.note_appended_lsn(10);
         m.note_appended_lsn(7); // fetch_max: never regresses
         m.update_durable_lag(4);
@@ -284,7 +288,7 @@ mod tests {
 
     #[test]
     fn trace_carries_the_pipeline_stages() {
-        let m = SessionMetrics::new(1, 8);
+        let m = SessionMetrics::new(1);
         m.trace(TraceStage::Begin, TxnId(5), 0, 0);
         m.trace(TraceStage::Durable, TxnId(5), 9, 0b11);
         let events = m.trace_events();

@@ -29,7 +29,7 @@ pub enum CommitPolicy {
     /// Group commit striped round-robin over `devices` log devices, the
     /// §5.2 recipe for pushing past one device's page rate.
     Partitioned {
-        /// Number of log devices the daemon stripes pages across.
+        /// Number of log devices pages are striped across, one writer each.
         devices: usize,
     },
 }
@@ -91,9 +91,6 @@ pub struct EngineOptions {
     /// state lock). Defaults to the machine's available parallelism;
     /// clamped to `1..=64`.
     pub shards: usize,
-    /// Slots in the commit-pipeline trace ring (overwrite-oldest);
-    /// recording is lock-free regardless of size. Defaults to 1024.
-    pub trace_capacity: usize,
     /// Deterministic fault plans, one per log device (device `i` takes
     /// entry `i`; missing or empty entries mean the real, un-faulted
     /// backend). Empty by default — production engines never inject.
@@ -128,7 +125,6 @@ impl EngineOptions {
             flush_interval: Duration::from_millis(1),
             lock_wait_timeout: Duration::from_secs(1),
             shards: default_shards(),
-            trace_capacity: 1024,
             fault_plans: Vec::new(),
             io_retries: 3,
             io_retry_backoff: Duration::from_millis(1),
@@ -194,13 +190,6 @@ impl EngineOptions {
     /// Sets the lock-table shard count (clamped to `1..=64`).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the commit-pipeline trace ring capacity (slots; clamped to
-    /// at least 1 by the ring itself).
-    pub fn with_trace_capacity(mut self, slots: usize) -> Self {
-        self.trace_capacity = slots;
         self
     }
 

@@ -7,7 +7,7 @@
 //! only up to the first missing LSN. A gap means a later page beat an
 //! earlier one to disk and the earlier one died with the crash — exactly
 //! the reordering partitioned logs permit — and nothing past the gap was
-//! ever reported durable (the daemon's watermark enforces the same
+//! ever reported durable (the writers' watermark enforces the same
 //! prefix), so dropping it breaks no promise. Committed transactions in
 //! the prefix are redone from their new values; everything else is a
 //! loser and vanishes with the volatile state.

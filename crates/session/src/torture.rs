@@ -305,6 +305,57 @@ fn violation(seed: u64, msg: String) -> Error {
     Error::Internal(format!("torture seed {seed}: {msg}"))
 }
 
+/// Phase 1 of every scenario: `clients` threads run the transfer workload
+/// while `act` does the scenario's part to the live engine, then the engine
+/// is crashed from outside (§5.2's failure can arrive at any write
+/// boundary) and every client must join. A device failure surfaced at
+/// crash time must be the distinct degraded error, never a bland shutdown
+/// or a hang upstream.
+fn crash_under_load<T>(
+    seed: u64,
+    engine: Engine,
+    clients: u64,
+    txns_per_client: u64,
+    act: impl FnOnce(&Engine) -> T,
+) -> Result<(T, Vec<TxnOutcome>)> {
+    let mut handles = Vec::new();
+    for client in 0..clients {
+        let session = engine.session();
+        let handle = std::thread::Builder::new()
+            .name(format!("torture-client-{client}"))
+            .spawn(move || run_client(session, seed, client, txns_per_client))
+            .map_err(|e| Error::Io(format!("spawn torture client: {e}")))?;
+        handles.push(handle);
+    }
+    let acted = act(&engine);
+    let crash_result = engine.crash();
+    let mut outcomes: Vec<TxnOutcome> = Vec::new();
+    for handle in handles {
+        let client_outcomes = handle
+            .join()
+            .map_err(|_| violation(seed, "client thread panicked".into()))?;
+        outcomes.extend(client_outcomes);
+    }
+    match crash_result {
+        Ok(()) | Err(Error::LogDeviceFailed(_)) => Ok((acted, outcomes)),
+        Err(e) => Err(violation(seed, format!("crash surfaced {e}"))),
+    }
+}
+
+/// Liveness probe: the recovered engine must still commit durably, and
+/// shut down cleanly afterwards.
+fn probe_and_shutdown(seed: u64, engine: Engine) -> Result<()> {
+    let session = engine.session();
+    let probe = session.begin()?;
+    session.write(&probe, 0, 0)?;
+    session
+        .commit_durable(probe)
+        .map_err(|e| violation(seed, format!("post-recovery probe commit failed: {e}")))?;
+    engine
+        .shutdown()
+        .map_err(|e| violation(seed, format!("post-recovery shutdown failed: {e}")))
+}
+
 /// Runs one full seeded torture iteration in `log_dir` (created fresh;
 /// the caller owns cleanup — keep the directory when this returns
 /// `Err`, it is the failure artifact). See the module docs for the
@@ -321,43 +372,17 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     let crash_after = Duration::from_millis(2 + rng.below(25));
 
     // Phase 1: concurrent workload under the injected fault, crashed
-    // from outside at a wall-clock moment (§5.2's failure can arrive
-    // at any write boundary).
-    let engine = Engine::start(
-        options
-            .clone()
-            .with_fault_plans(vec![workload_plan.clone()]),
-    )?;
-    let mut handles = Vec::new();
-    for client in 0..clients {
-        let session = engine.session();
-        let handle = std::thread::Builder::new()
-            .name(format!("torture-client-{client}"))
-            .spawn(move || run_client(session, seed, client, txns_per_client))
-            .map_err(|e| Error::Io(format!("spawn torture client: {e}")))?;
-        handles.push(handle);
-    }
-    std::thread::sleep(crash_after);
-    let degraded = engine
-        .stats()
-        .gauges
-        .iter()
-        .any(|(name, value)| name == "mmdb_session_degraded_count" && *value > 0);
-    let crash_result = engine.crash();
-    let mut outcomes: Vec<TxnOutcome> = Vec::new();
-    for handle in handles {
-        let client_outcomes = handle
-            .join()
-            .map_err(|_| violation(seed, "client thread panicked".into()))?;
-        outcomes.extend(client_outcomes);
-    }
-    if let Err(e) = crash_result {
-        // A device failure surfaced at crash time must be the distinct
-        // degraded error, never a bland shutdown or a hang upstream.
-        if !matches!(e, Error::LogDeviceFailed(_)) {
-            return Err(violation(seed, format!("crash surfaced {e}")));
-        }
-    }
+    // at a wall-clock moment.
+    let engine = Engine::start(options.clone().with_fault_plans(vec![workload_plan]))?;
+    let (degraded, outcomes) =
+        crash_under_load(seed, engine, clients, txns_per_client, |engine| {
+            std::thread::sleep(crash_after);
+            engine
+                .stats()
+                .gauges
+                .iter()
+                .any(|(name, value)| name == "mmdb_session_degraded_count" && *value > 0)
+        })?;
 
     // Phase 2 (FaultDuringRecovery only): a first recovery attempt
     // whose compaction snapshot write is faulted. Usually the attempt
@@ -370,11 +395,7 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     let mut recovered_count = 0usize;
     let mut corrupt_dropped = 0usize;
     if scenario == Scenario::FaultDuringRecovery {
-        match Engine::recover(
-            options
-                .clone()
-                .with_fault_plans(vec![recovery_plan.clone()]),
-        ) {
+        match Engine::recover(options.clone().with_fault_plans(vec![recovery_plan])) {
             Ok((engine, info)) => {
                 let verdict = verify_oracle(seed, scenario, &engine, &info.committed, &outcomes);
                 recovered_count = info.committed.len();
@@ -424,16 +445,7 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
             format!("recovered balances sum to {sum}, transfers must conserve zero"),
         ));
     }
-    // Liveness probe: the recovered engine must still commit durably.
-    let session = engine.session();
-    let probe = session.begin()?;
-    session.write(&probe, 0, 0)?;
-    session
-        .commit_durable(probe)
-        .map_err(|e| violation(seed, format!("post-recovery probe commit failed: {e}")))?;
-    engine
-        .shutdown()
-        .map_err(|e| violation(seed, format!("post-recovery shutdown failed: {e}")))?;
+    probe_and_shutdown(seed, engine)?;
 
     Ok(TortureReport {
         seed,
@@ -540,16 +552,27 @@ fn verify_oracle(
     Ok(())
 }
 
-/// Runs seeds `first..first + count` under `base_dir`, one log
-/// directory per seed, stopping at the first violation. A passing
+/// Runs [`run_seed`] on seeds `first..first + count` under `base_dir`
+/// (see [`sweep`]).
+pub fn run_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureReport>> {
+    sweep(first, count, base_dir, run_seed)
+}
+
+/// Runs `per_seed` on seeds `first..first + count` under `base_dir`, one
+/// log directory per seed, stopping at the first violation. A passing
 /// seed's directory is removed; a failing seed's is kept as the
 /// artifact (its path is embedded in the error). Returns the reports
 /// of every passing seed.
-pub fn run_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureReport>> {
+fn sweep(
+    first: u64,
+    count: u64,
+    base_dir: &Path,
+    per_seed: fn(u64, &Path) -> Result<TortureReport>,
+) -> Result<Vec<TortureReport>> {
     let mut reports = Vec::with_capacity(count as usize);
     for seed in first..first.saturating_add(count) {
         let log_dir = seed_dir(base_dir, seed);
-        match run_seed(seed, &log_dir) {
+        match per_seed(seed, &log_dir) {
             Ok(report) => {
                 std::fs::remove_dir_all(&log_dir).ok();
                 reports.push(report);
@@ -665,73 +688,56 @@ fn run_checkpoint_scenario(
 
     // Phase 1: concurrent workload, checkpoints during live traffic.
     let engine = Engine::start(options.clone())?;
-    let mut handles = Vec::new();
-    for client in 0..clients {
-        let session = engine.session();
-        let handle = std::thread::Builder::new()
-            .name(format!("ckpt-torture-client-{client}"))
-            .spawn(move || run_client(session, seed, client, txns_per_client))
-            .map_err(|e| Error::Io(format!("spawn torture client: {e}")))?;
-        handles.push(handle);
-    }
     // `expect_checkpoint = Some(true)` → recovery must use one;
     // `Some(false)` → it must not; `None` → racy, don't assert.
-    let mut expect_checkpoint: Option<bool> = None;
-    match scenario {
-        CheckpointScenario::Background => {
-            let traffic = sustain.unwrap_or(Duration::from_millis(5 + rng.below(30)));
-            std::thread::sleep(traffic);
-            // A snapshot *read*, not a registration — metrics-lint only
-            // audits literal registration sites, so forward the name
-            // through a binding to keep it out of the uniqueness scan.
-            let sweeps_family = "mmdb_session_checkpoints_total";
-            let swept = engine.stats().counter(sweeps_family).unwrap_or(0);
-            if swept >= 1 {
-                expect_checkpoint = Some(true);
-            }
-        }
-        CheckpointScenario::CrashMidImage => {
-            std::thread::sleep(Duration::from_millis(2 + rng.below(10)));
-            let prior = rng.below(2) == 0 && engine.checkpoint_now().is_ok();
-            std::thread::sleep(Duration::from_millis(rng.below(5)));
-            let halted = engine.checkpoint_halted(SweepHalt::MidImage);
-            if halted.is_err() {
-                // The torn image is on disk; only a prior complete
-                // checkpoint may be used by recovery.
-                expect_checkpoint = Some(prior);
-            }
-            std::thread::sleep(Duration::from_millis(rng.below(4)));
-        }
-        CheckpointScenario::CrashBeforeTruncate => {
-            std::thread::sleep(Duration::from_millis(2 + rng.below(10)));
-            let first = engine.checkpoint_halted(SweepHalt::BeforeTruncate).is_ok();
-            std::thread::sleep(Duration::from_millis(rng.below(5)));
-            // Half the seeds layer a second, fully successful sweep on
-            // top: it must truncate the stranded generation.
-            if rng.below(2) == 0 {
-                let second = engine.checkpoint_now().is_ok();
-                if first || second {
+    let act = |engine: &Engine| {
+        let mut expect_checkpoint: Option<bool> = None;
+        match scenario {
+            CheckpointScenario::Background => {
+                let traffic = sustain.unwrap_or(Duration::from_millis(5 + rng.below(30)));
+                std::thread::sleep(traffic);
+                // A snapshot *read*, not a registration — metrics-lint only
+                // audits literal registration sites, so forward the name
+                // through a binding to keep it out of the uniqueness scan.
+                let sweeps_family = "mmdb_session_checkpoints_total";
+                let swept = engine.stats().counter(sweeps_family).unwrap_or(0);
+                if swept >= 1 {
                     expect_checkpoint = Some(true);
                 }
-            } else if first {
-                expect_checkpoint = Some(true);
             }
-            std::thread::sleep(Duration::from_millis(rng.below(4)));
+            CheckpointScenario::CrashMidImage => {
+                std::thread::sleep(Duration::from_millis(2 + rng.below(10)));
+                let prior = rng.below(2) == 0 && engine.checkpoint_now().is_ok();
+                std::thread::sleep(Duration::from_millis(rng.below(5)));
+                let halted = engine.checkpoint_halted(SweepHalt::MidImage);
+                if halted.is_err() {
+                    // The torn image is on disk; only a prior complete
+                    // checkpoint may be used by recovery.
+                    expect_checkpoint = Some(prior);
+                }
+                std::thread::sleep(Duration::from_millis(rng.below(4)));
+            }
+            CheckpointScenario::CrashBeforeTruncate => {
+                std::thread::sleep(Duration::from_millis(2 + rng.below(10)));
+                let first = engine.checkpoint_halted(SweepHalt::BeforeTruncate).is_ok();
+                std::thread::sleep(Duration::from_millis(rng.below(5)));
+                // Half the seeds layer a second, fully successful sweep on
+                // top: it must truncate the stranded generation.
+                if rng.below(2) == 0 {
+                    let second = engine.checkpoint_now().is_ok();
+                    if first || second {
+                        expect_checkpoint = Some(true);
+                    }
+                } else if first {
+                    expect_checkpoint = Some(true);
+                }
+                std::thread::sleep(Duration::from_millis(rng.below(4)));
+            }
         }
-    }
-    let crash_result = engine.crash();
-    let mut outcomes: Vec<TxnOutcome> = Vec::new();
-    for handle in handles {
-        let client_outcomes = handle
-            .join()
-            .map_err(|_| violation(seed, "client thread panicked".into()))?;
-        outcomes.extend(client_outcomes);
-    }
-    if let Err(e) = crash_result {
-        if !matches!(e, Error::LogDeviceFailed(_)) {
-            return Err(violation(seed, format!("crash surfaced {e}")));
-        }
-    }
+        expect_checkpoint
+    };
+    let (expect_checkpoint, outcomes) =
+        crash_under_load(seed, engine, clients, txns_per_client, act)?;
 
     // Phase 2: the full-log oracle. Copy only the live generation
     // (generation 0 — the engine started fresh) into a side directory:
@@ -861,16 +867,7 @@ fn run_checkpoint_scenario(
             ));
         }
     }
-    // Liveness probe on the recovered engine.
-    let session = engine.session();
-    let probe = session.begin()?;
-    session.write(&probe, 0, 0)?;
-    session
-        .commit_durable(probe)
-        .map_err(|e| violation(seed, format!("post-recovery probe commit failed: {e}")))?;
-    engine
-        .shutdown()
-        .map_err(|e| violation(seed, format!("post-recovery shutdown failed: {e}")))?;
+    probe_and_shutdown(seed, engine)?;
 
     Ok(TortureReport {
         seed,
@@ -882,28 +879,6 @@ fn run_checkpoint_scenario(
         corrupt_pages_dropped: info.corrupt_pages_dropped,
         degraded: false,
     })
-}
-
-/// Runs checkpoint-torture seeds `first..first + count` under
-/// `base_dir`, mirroring [`run_range`]'s artifact handling.
-pub fn run_checkpoint_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureReport>> {
-    let mut reports = Vec::with_capacity(count as usize);
-    for seed in first..first.saturating_add(count) {
-        let log_dir = seed_dir(base_dir, seed);
-        match run_checkpoint_seed(seed, &log_dir) {
-            Ok(report) => {
-                std::fs::remove_dir_all(&log_dir).ok();
-                reports.push(report);
-            }
-            Err(e) => {
-                return Err(Error::Internal(format!(
-                    "{e} [artifacts: {}]",
-                    log_dir.display()
-                )));
-            }
-        }
-    }
-    Ok(reports)
 }
 
 #[cfg(test)]
@@ -961,7 +936,7 @@ mod tests {
         // The broad sweep is the checkpoint-torture CI job; this is the
         // fast in-crate smoke check of the full-log oracle comparison.
         let dir = base("ckpt-smoke");
-        let reports = run_checkpoint_range(0, 6, &dir).unwrap();
+        let reports = sweep(0, 6, &dir, run_checkpoint_seed).unwrap();
         assert_eq!(reports.len(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -172,8 +172,8 @@ const ENGINE_LOCK_PATTERNS: [LockPattern; 24] = [
         returns_guard: T,
     },
     LockPattern {
-        pat: "release_device(",
-        classes: &["queue"],
+        pat: "next_page(",
+        classes: &["queue", "durable"],
         returns_guard: T,
     },
     LockPattern {
