@@ -1,12 +1,27 @@
-//! The volatile catalog: table schemas, plus a decoded cache of rows.
+//! The volatile catalog: table schemas, a decoded cache of rows, and
+//! the §2 indexes over that cache.
 //!
 //! The rows themselves live in the session engine's store, one byte
 //! record per row (see [`crate::codec`] for the key layout); this
-//! module holds what statements bind and scan against — each table's
-//! schema and a cache of its rows, decoded. The cache is filled from a
+//! module holds what statements bind and read against — each table's
+//! schema, a cache of its rows, decoded, and a B+-tree per column that
+//! some statement has probed by equality. The cache is filled from a
 //! store snapshot when the database opens and afterwards only by
 //! [`crate::session`]'s refill, which copies the engine's current
-//! record for a key into it; nothing else puts a row here.
+//! record for a key into it; nothing else puts a row here. **The cache
+//! and its indexes change only in refill**: `Catalog::refill_rows` is
+//! the one function that writes a cached row, and it moves the row's
+//! entry in every index of the table in the same critical section, so
+//! an index is at every instant a projection of the cache —
+//! `{(row[column], rid)}`, nothing more authoritative than that.
+//!
+//! Indexes are volatile and created by use, not by syntax: a statement
+//! that finds an equality conjunct on an un-indexed column answers by
+//! filtered scan and then has `Catalog::build_index` bulk-load that
+//! column's tree from the cached rows. A table that is only ever
+//! inserted into has none; [`crate::SqlDb::open`] builds none.
+//! `Catalog::reach` is the one probe-or-scan rule `SELECT`, `UPDATE`
+//! and `DELETE` share.
 //!
 //! Lock discipline: the catalog sits behind one `RwLock` accessed only
 //! through the short closure helpers on [`SharedCatalog`]
@@ -18,12 +33,19 @@
 //! downward) and never touch the lock manager; anything that can wait
 //! on a row lock (`get_for_update`, `put`, commit, abort) stays outside
 //! the closures, or a writer queued behind the catalog lock could
-//! stall the very transaction it is waiting on.
+//! stall the very transaction it is waiting on. Index probes run under
+//! the read lock, builds and maintenance under the write lock; the
+//! indexes add no lock of their own.
 
+use mmdb_index::BPlusTree;
+use mmdb_obs::{Counter, Registry};
 use mmdb_types::error::{Error, Result};
+use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::Schema;
 use mmdb_types::tuple::Tuple;
+use mmdb_types::value::Value;
+use mmdb_types::AuditViolation;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -59,14 +81,239 @@ impl TableEntry {
     }
 }
 
-/// The catalog proper: tables by (case-insensitive) name.
+/// One column's §2 index over a table's cached rows: the pairs
+/// `(row[column], rid)` in a B+-tree. Duplicate and `NULL` keys are just
+/// more pairs, and the order is the `Value::cmp` that `Predicate::eval`
+/// compares with, so a probe and a filtered scan agree by construction.
+type ColumnIndex = BPlusTree<(Value, u32), ()>;
+
+/// Node geometry of a [`ColumnIndex`], and the fill it is bulk-loaded
+/// at — Yao's steady-state occupancy, which leaves every leaf room for
+/// the inserts that follow.
+const INDEX_FANOUT: usize = 64;
+const INDEX_FILL: f64 = 0.69;
+
+/// The `mmdb_sql_*` counters. A default set counts into the void; the
+/// one [`SqlMetrics::register`] returns is on an engine's exposition.
+#[derive(Debug, Default)]
+struct SqlMetrics {
+    index_probes: Arc<Counter>,
+    index_builds: Arc<Counter>,
+    rows_scanned: Arc<Counter>,
+}
+
+impl SqlMetrics {
+    fn register(registry: &Registry) -> SqlMetrics {
+        SqlMetrics {
+            index_probes: registry.counter(
+                "mmdb_sql_index_probes_total",
+                "Table accesses answered by an index probe",
+            ),
+            index_builds: registry.counter(
+                "mmdb_sql_index_builds_total",
+                "Column indexes built, each on the first equality probe of its column",
+            ),
+            rows_scanned: registry.counter(
+                "mmdb_sql_rows_scanned_total",
+                "Cached rows visited by table accesses that had no index to probe",
+            ),
+        }
+    }
+}
+
+/// What one table access kept.
+pub(crate) struct Reached<T> {
+    /// One item per row the predicate accepted, in rid order.
+    pub(crate) kept: Vec<T>,
+    /// The column of the first equality conjunct, when no equality
+    /// conjunct's column had an index: the access was a scan, and the
+    /// caller asks for [`Catalog::build_index`] once the read lock is
+    /// released.
+    pub(crate) wants_index: Option<usize>,
+}
+
+/// Collects the `column = value` conjuncts of a conjunction.
+fn equality_conjuncts<'p>(pred: &'p Predicate, out: &mut Vec<(usize, &'p Value)>) {
+    match pred {
+        Predicate::Compare {
+            column,
+            op: CmpOp::Eq,
+            value,
+        } => out.push((*column, value)),
+        Predicate::And(a, b) => {
+            equality_conjuncts(a, out);
+            equality_conjuncts(b, out);
+        }
+        _ => {}
+    }
+}
+
+/// The catalog proper: tables by (case-insensitive) name, and their
+/// indexes by `(table id, column)`.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, TableEntry>,
     next_table_id: u32,
+    indexes: BTreeMap<(u32, usize), ColumnIndex>,
+    metrics: SqlMetrics,
 }
 
 impl Catalog {
+    /// An empty catalog whose `mmdb_sql_*` counters are on `registry`.
+    pub(crate) fn registered(registry: &Registry) -> Catalog {
+        Catalog {
+            metrics: SqlMetrics::register(registry),
+            ..Catalog::default()
+        }
+    }
+
+    /// How a table is reached (§2): decided here, under the catalog read
+    /// lock, before any row is copied, for `SELECT`, `UPDATE` and
+    /// `DELETE` alike. `pred` is the conjunction of the table's own
+    /// `column op literal` conditions. If one of them is an equality on
+    /// an indexed column, the index is probed and `pred` evaluated on the
+    /// rows it names only; otherwise every cached row is evaluated. Either
+    /// way `keep` sees exactly the rows `pred` accepts. `entry` must be
+    /// one of this catalog's tables.
+    pub(crate) fn reach<T>(
+        &self,
+        entry: &TableEntry,
+        pred: &Predicate,
+        mut keep: impl FnMut(u32, &Tuple) -> T,
+    ) -> Reached<T> {
+        let mut equalities = Vec::new();
+        equality_conjuncts(pred, &mut equalities);
+        for (column, value) in &equalities {
+            let Some(index) = self.indexes.get(&(entry.id, *column)) else {
+                continue;
+            };
+            self.metrics.index_probes.inc();
+            let (lo, hi) = (((*value).clone(), 0), ((*value).clone(), u32::MAX));
+            let kept = index
+                .range(&lo, &hi)
+                .into_iter()
+                .filter_map(|((_, rid), ())| {
+                    let row = entry.rows.get(rid).filter(|row| pred.eval(row))?;
+                    Some(keep(*rid, row))
+                })
+                .collect();
+            return Reached {
+                kept,
+                wants_index: None,
+            };
+        }
+        self.metrics.rows_scanned.add(entry.rows.len() as u64);
+        let kept = entry
+            .rows
+            .iter()
+            .filter(|(_, row)| pred.eval(row))
+            .map(|(rid, row)| keep(*rid, row))
+            .collect();
+        Reached {
+            kept,
+            wants_index: equalities.first().map(|(column, _)| *column),
+        }
+    }
+
+    /// Builds the index of `table`'s `column` from the cached rows, unless
+    /// it exists (two statements may have wanted it at once) or the table
+    /// is gone. Call under the catalog write lock.
+    pub(crate) fn build_index(&mut self, table: &str, column: usize) {
+        let Some(entry) = self.tables.get(&table.to_ascii_lowercase()) else {
+            return;
+        };
+        if column >= entry.schema.arity() || self.indexes.contains_key(&(entry.id, column)) {
+            return;
+        }
+        let mut keys: Vec<(Value, u32)> = entry
+            .rows
+            .iter()
+            .map(|(rid, row)| (row.get(column).clone(), *rid))
+            .collect();
+        keys.sort_unstable();
+        let index = BPlusTree::bulk_load(
+            INDEX_FANOUT,
+            INDEX_FANOUT,
+            INDEX_FILL,
+            keys.into_iter().map(|key| (key, ())),
+        );
+        self.indexes.insert((entry.id, column), index);
+        self.metrics.index_builds.inc();
+    }
+
+    /// The one place a cached row changes — and so the one place an
+    /// index changes. Sets each of `table`'s cached rows `rids` to what
+    /// `current` returns for it (`None`: no row), moving the row's entry
+    /// in every index of the table in the same step: old key out, new key
+    /// in, nothing when the key did not change. A table that is gone has
+    /// no cache left to fill. Call under the catalog write lock; see the
+    /// refill rule in [`crate::session`].
+    pub(crate) fn refill_rows(
+        &mut self,
+        table: &str,
+        rids: &[u32],
+        mut current: impl FnMut(&TableEntry, u32) -> Result<Option<Tuple>>,
+    ) -> Result<()> {
+        let Some(entry) = self.tables.get_mut(&table.to_ascii_lowercase()) else {
+            return Ok(());
+        };
+        for &rid in rids {
+            let new = current(entry, rid)?;
+            let old = entry.rows.get(&rid);
+            let of_table = (entry.id, 0)..=(entry.id, usize::MAX);
+            for ((_, column), index) in self.indexes.range_mut(of_table) {
+                let was = old.map(|row| row.get(*column));
+                let now = new.as_ref().map(|row| row.get(*column));
+                if was == now {
+                    continue;
+                }
+                if let Some(key) = was {
+                    index.remove(&(key.clone(), rid));
+                }
+                if let Some(key) = now {
+                    index.insert((key.clone(), rid), ());
+                }
+            }
+            match new {
+                Some(row) => entry.rows.insert(rid, row),
+                None => entry.rows.remove(&rid),
+            };
+        }
+        Ok(())
+    }
+
+    /// The index half of `SqlDb`'s audit: every index belongs to a table,
+    /// is a well-formed B+-tree, and holds exactly `{(row[column], rid)}`
+    /// of that table's cached rows.
+    pub(crate) fn audit_indexes(&self) -> std::result::Result<(), AuditViolation> {
+        const C: &str = "SqlDb";
+        for ((table_id, column), index) in &self.indexes {
+            let of = || format!("index on table {table_id} column {column}");
+            index
+                .check_invariants()
+                .map_err(|e| AuditViolation::new(C, "index-structure", format!("{}: {e}", of())))?;
+            let Some(entry) = self.tables.values().find(|e| e.id == *table_id) else {
+                return Err(AuditViolation::new(C, "index-has-table", of()));
+            };
+            let mut cached: Vec<(&Value, u32)> = entry
+                .rows
+                .iter()
+                .map(|(rid, row)| (row.get(*column), *rid))
+                .collect();
+            cached.sort_unstable();
+            let indexed = index.iter().map(|((key, rid), ())| (key, *rid));
+            AuditViolation::ensure(indexed.eq(cached), C, "index-equals-cache", || {
+                format!(
+                    "{}: its {} entries are not (row[{column}], rid) of the {} cached rows",
+                    of(),
+                    index.len(),
+                    entry.rows.len()
+                )
+            })?;
+        }
+        Ok(())
+    }
+
     /// Looks up a table as seen by `viewer`; a table another
     /// transaction created but has not committed yet reads as missing,
     /// and the error names the relation either way.
@@ -83,14 +330,6 @@ impl Catalog {
         self.tables
             .get_mut(&name.to_ascii_lowercase())
             .filter(|e| e.visible_to(viewer))
-            .ok_or_else(|| Error::RelationNotFound(name.to_string()))
-    }
-
-    /// Mutable lookup ignoring visibility. Only for the refill path,
-    /// which copies engine state and so needs no permission to see it.
-    pub fn table_mut_any(&mut self, name: &str) -> Result<&mut TableEntry> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::RelationNotFound(name.to_string()))
     }
 
@@ -128,9 +367,12 @@ impl Catalog {
         self.tables.insert(name.to_ascii_lowercase(), entry);
     }
 
-    /// Removes a table (rollback of a `CREATE TABLE`).
+    /// Removes a table and its indexes (rollback of a `CREATE TABLE`).
     pub fn remove(&mut self, name: &str) {
-        self.tables.remove(&name.to_ascii_lowercase());
+        if let Some(entry) = self.tables.remove(&name.to_ascii_lowercase()) {
+            self.indexes
+                .retain(|(table_id, _), _| *table_id != entry.id);
+        }
     }
 
     /// Iterates tables as `(name, entry)` in name order.
@@ -157,6 +399,13 @@ pub struct SharedCatalog {
 }
 
 impl SharedCatalog {
+    /// Puts `catalog` behind its lock.
+    pub(crate) fn new(catalog: Catalog) -> SharedCatalog {
+        SharedCatalog {
+            inner: Arc::new(RwLock::new(catalog)),
+        }
+    }
+
     /// Runs `f` with shared (read) access to the catalog. The guard
     /// lives only for the closure — the catalog lock is the outermost
     /// lock class, so nothing inside `f` may wait on an engine row lock.
@@ -216,7 +465,6 @@ mod tests {
         assert!(c.table("t", Some(TxnId(7))).is_ok());
         assert!(c.table_mut("t", None).is_err());
         assert!(c.table_mut("t", Some(TxnId(7))).is_ok());
-        assert!(c.table_mut_any("t").is_ok());
         assert!(c.contains("t"));
         c.publish("t");
         assert!(c.table("t", None).is_ok());

@@ -14,18 +14,21 @@
 //!   under one engine key, so the catalog and all rows ride the same
 //!   WAL, group commit, and crash/recover machinery as raw key/value
 //!   transactions.
-//! * [`catalog`] — the volatile catalog: schemas plus a decoded cache
-//!   of the engine's row records, filled from a store snapshot after
-//!   recovery.
+//! * [`catalog`] — the volatile catalog: schemas, a decoded cache of
+//!   the engine's row records filled from a store snapshot after
+//!   recovery, and a §2 B+-tree (`mmdb-index`) over each column a
+//!   statement has probed by equality; one rule decides, per table and
+//!   before a row is copied, between index probe and filtered scan.
 //! * [`query`] — the binder/planner bridge: resolves names, splits
-//!   `WHERE` conjunctions into per-table predicates and join edges,
-//!   feeds them to the §4 selectivity planner, and executes the chosen
-//!   physical plan with the §3 `mmdb-exec` operators.
+//!   `WHERE` conjunctions into per-table predicates — applied as the
+//!   tables are reached — and join edges, feeds the survivors to the §4
+//!   selectivity planner, and executes the chosen physical plan with
+//!   the §3 `mmdb-exec` operators.
 //! * [`session`] — [`SqlDb`]/[`SqlSession`]: per-connection statement
 //!   execution with explicit transactions, engine row locks for
-//!   write/write conflicts, and the row cache's one refill rule, under
-//!   which `ABORT` (or a deadlock victim) is "abort the engine
-//!   transaction, then refill the rows it touched".
+//!   write/write conflicts, and the one refill rule of the row cache
+//!   and its indexes, under which `ABORT` (or a deadlock victim) is
+//!   "abort the engine transaction, then refill the rows it touched".
 //!
 //! Error surface: parse errors are [`ParseError`] (with a byte
 //! offset); everything downstream is [`SqlError`].

@@ -1,26 +1,28 @@
 //! The binder/planner bridge and plan executor.
 //!
-//! `SELECT` statements are bound against the volatile catalog, turned
-//! into the §4 optimizer's [`QuerySpec`] (per-table predicate
-//! conjunctions plus equi-join edges), planned with exact statistics
-//! computed from the resident rows, and executed with the §3
+//! A `SELECT` runs in two phases. Under the catalog read lock,
+//! [`snapshot_tables`] binds each `FROM` table's own `column op literal`
+//! conjuncts (only schemas are needed) and has `Catalog::reach` decide
+//! how the table is reached — §2 index probe or filtered scan — so that
+//! only the rows the conjuncts keep are copied, once. With the lock
+//! released, [`run_select_on`] turns what is left — the equi-join edges
+//! — into the §4 optimizer's [`QuerySpec`], planned with exact
+//! statistics of the surviving rows, and executes the plan with the §3
 //! `mmdb-exec` operators. `INSERT`/`UPDATE`/`DELETE` binding helpers
-//! (row coercion, single-table predicates, `SET` expressions) also
-//! live here so [`crate::session`] stays focused on transaction
-//! mechanics.
+//! (row coercion, single-table predicates, `SET` expressions) also live
+//! here so [`crate::session`] stays focused on transaction mechanics.
 
 use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, TableEntry};
 use mmdb_exec::join::{run_join, Algo};
-use mmdb_exec::{select, ExecContext, JoinSpec};
+use mmdb_exec::{ExecContext, JoinSpec};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{
-    optimize, AccessPath, ColumnStats, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef,
-    TableStats,
+    optimize, ColumnStats, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef, TableStats,
 };
 use mmdb_storage::MemRelation;
 use mmdb_types::error::{Error, Result};
-use mmdb_types::expr::Predicate;
+use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{DataType, Schema};
 use mmdb_types::tuple::Tuple;
@@ -57,14 +59,25 @@ impl QueryResult {
     }
 }
 
-/// One table's snapshot used during planning and execution. Built
-/// under the catalog read lock by [`snapshot_tables`], then planned
-/// and executed lock-free by [`run_select_on`].
+/// One `FROM` table as a `SELECT` sees it: the rows its own conjuncts
+/// kept. Built under the catalog read lock by [`snapshot_tables`], then
+/// planned and executed lock-free by [`run_select_on`].
 pub struct BoundTable {
     /// Lowercased canonical name (what the planner sees).
     name: String,
-    schema: Schema,
-    tuples: Vec<Tuple>,
+    /// The surviving rows, copied once; the join operators take the
+    /// relation itself.
+    rows: MemRelation,
+    /// The column an equality conjunct named while it had no index (see
+    /// `Reached::wants_index`).
+    wants_index: Option<usize>,
+}
+
+impl BoundTable {
+    /// The `(table, column)` index this table's access path asked for.
+    pub(crate) fn wanted_index(&self) -> Option<(&str, usize)> {
+        self.wants_index.map(|column| (self.name.as_str(), column))
+    }
 }
 
 /// Coerces a bound value toward a column type: integers widen to
@@ -246,13 +259,7 @@ pub fn bind_table_predicate(
                     }
                 }
                 let idx = schema.index_of(&col.column)?;
-                let ty = schema
-                    .column(idx)
-                    .map(|c| c.ty)
-                    .ok_or_else(|| Error::ColumnNotFound(col.column.clone()))?;
-                let value = coerce(lit.to_value(), ty);
-                let leaf = Predicate::cmp(idx, *op, value);
-                pred = conjoin(pred, leaf);
+                pred = conjoin(pred, compare_leaf(schema, idx, *op, lit)?);
             }
             Condition::ColEqCol { left, right } => {
                 return Err(Error::Planning(format!(
@@ -264,6 +271,15 @@ pub fn bind_table_predicate(
     Ok(pred)
 }
 
+/// Binds `column op literal` against `schema`'s column `idx`.
+fn compare_leaf(schema: &Schema, idx: usize, op: CmpOp, lit: &Literal) -> Result<Predicate> {
+    let ty = schema
+        .column(idx)
+        .map(|c| c.ty)
+        .ok_or_else(|| Error::ColumnNotFound(format!("#{idx}")))?;
+    Ok(Predicate::cmp(idx, op, coerce(lit.to_value(), ty)))
+}
+
 fn conjoin(acc: Predicate, leaf: Predicate) -> Predicate {
     if acc == Predicate::True {
         leaf
@@ -272,23 +288,23 @@ fn conjoin(acc: Predicate, leaf: Predicate) -> Predicate {
     }
 }
 
-/// Resolves a column reference against the `FROM` tables; returns
-/// `(table index, column index)`.
-fn resolve(col: &ColRef, tables: &[BoundTable]) -> Result<(usize, usize)> {
+/// Resolves a column reference against the `FROM` tables, given as
+/// `(lowercased name, schema)`; returns `(table index, column index)`.
+fn resolve(col: &ColRef, tables: &[(&str, &Schema)]) -> Result<(usize, usize)> {
     match &col.table {
         Some(q) => {
             let q = q.to_ascii_lowercase();
-            let (ti, t) = tables
+            let (ti, (_, schema)) = tables
                 .iter()
                 .enumerate()
-                .find(|(_, t)| t.name == q)
+                .find(|(_, (name, _))| *name == q)
                 .ok_or_else(|| Error::Planning(format!("table '{q}' is not listed in FROM")))?;
-            Ok((ti, t.schema.index_of(&col.column)?))
+            Ok((ti, schema.index_of(&col.column)?))
         }
         None => {
             let mut hit: Option<(usize, usize)> = None;
-            for (ti, t) in tables.iter().enumerate() {
-                if let Ok(ci) = t.schema.index_of(&col.column) {
+            for (ti, (_, schema)) in tables.iter().enumerate() {
+                if let Ok(ci) = schema.index_of(&col.column) {
                     if hit.is_some() {
                         return Err(Error::Planning(format!(
                             "column '{}' is ambiguous; qualify it with a table name",
@@ -303,24 +319,25 @@ fn resolve(col: &ColRef, tables: &[BoundTable]) -> Result<(usize, usize)> {
     }
 }
 
-/// Computes exact [`TableStats`] from resident rows (distinct counts
-/// and min/max per column — affordable because everything is already
-/// in memory, exactly the paper's argument for cheap statistics).
+/// Computes exact [`TableStats`] of the rows a table's own conjuncts
+/// kept (distinct counts and min/max per column — affordable because
+/// everything is already in memory, exactly the paper's argument for
+/// cheap statistics). A row the query discarded is never seen here.
 fn compute_stats(t: &BoundTable) -> TableStats {
     struct Acc<'a> {
         distinct: HashSet<&'a Value>,
         min: Option<&'a Value>,
         max: Option<&'a Value>,
     }
-    let arity = t.schema.arity();
-    let mut accs: Vec<Acc<'_>> = (0..arity)
+    let tuples = t.rows.tuples();
+    let mut accs: Vec<Acc<'_>> = (0..t.rows.schema().arity())
         .map(|_| Acc {
             distinct: HashSet::new(),
             min: None,
             max: None,
         })
         .collect();
-    for tuple in &t.tuples {
+    for tuple in tuples {
         for (acc, v) in accs.iter_mut().zip(tuple.values()) {
             acc.distinct.insert(v);
             if acc.min.map_or(true, |m| v < m) {
@@ -333,8 +350,8 @@ fn compute_stats(t: &BoundTable) -> TableStats {
     }
     TableStats {
         name: t.name.clone(),
-        tuples: t.tuples.len() as u64,
-        pages: (t.tuples.len() as u64).div_ceil(TUPLES_PER_PAGE as u64),
+        tuples: tuples.len() as u64,
+        pages: (tuples.len() as u64).div_ceil(TUPLES_PER_PAGE as u64),
         tuples_per_page: TUPLES_PER_PAGE as u64,
         columns: accs
             .iter()
@@ -349,61 +366,25 @@ fn compute_stats(t: &BoundTable) -> TableStats {
     }
 }
 
-fn to_relation(t: &BoundTable) -> Result<MemRelation> {
-    MemRelation::from_tuples(t.schema.clone(), TUPLES_PER_PAGE, t.tuples.clone())
-}
-
 fn exec_ctx(env: &PlanEnv) -> ExecContext {
     ExecContext::new(env.mem_pages, 1.2)
 }
 
+/// Executes a plan over the `FROM` tables' surviving rows, each taken —
+/// not copied — by the one access that names it.
 fn execute_plan(
     plan: &PhysicalPlan,
-    tables: &[BoundTable],
+    tables: &mut [(String, Option<MemRelation>)],
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    let table_by_name = |name: &str| -> Result<&BoundTable> {
-        tables
-            .iter()
-            .find(|t| t.name == name)
-            .ok_or_else(|| Error::RelationNotFound(name.to_string()))
-    };
     match plan {
-        PhysicalPlan::Access(AccessPath::SeqScan { table, predicate }) => {
-            let rel = to_relation(table_by_name(table)?)?;
-            select::select(&rel, predicate, ctx)
-        }
-        // SQL tables carry no indexes today, so the planner cannot pick
-        // these — but execute them faithfully as filtered scans if a
-        // future catalog grows index metadata.
-        PhysicalPlan::Access(AccessPath::IndexLookup {
-            table,
-            column,
-            value,
-            residual,
-        }) => {
-            let rel = to_relation(table_by_name(table)?)?;
-            let pred = conjoin(Predicate::eq(*column, value.clone()), residual.clone());
-            select::select(&rel, &pred, ctx)
-        }
-        PhysicalPlan::Access(AccessPath::IndexRange {
-            table,
-            column,
-            lo,
-            hi,
-            residual,
-        }) => {
-            let rel = to_relation(table_by_name(table)?)?;
-            let pred = conjoin(
-                Predicate::Between {
-                    column: *column,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                },
-                residual.clone(),
-            );
-            select::select(&rel, &pred, ctx)
-        }
+        // Whatever path the optimizer priced, the table's own conjuncts
+        // were applied on the way out of the catalog.
+        PhysicalPlan::Access(path) => tables
+            .iter_mut()
+            .find(|(name, _)| name == path.table())
+            .and_then(|(_, rows)| rows.take())
+            .ok_or_else(|| Error::RelationNotFound(path.table().to_string())),
         PhysicalPlan::Join {
             left,
             right,
@@ -425,80 +406,91 @@ fn execute_plan(
     }
 }
 
-/// Snapshots the tables a `SELECT` references — schemas plus cloned
-/// resident rows, resolved with `viewer` visibility. This is the only
-/// part of `SELECT` that touches the catalog; callers run it under the
-/// catalog read lock, release the lock, and hand the snapshots to
-/// [`run_select_on`] so planning and join execution never stall
-/// writers.
+/// Reaches the tables a `SELECT` references, resolved with `viewer`
+/// visibility: binds each table's own `column op literal` conjuncts,
+/// lets `Catalog::reach` probe or scan, and copies the rows that
+/// survive. This is the only part of `SELECT` that touches the catalog;
+/// callers run it under the catalog read lock, release the lock, and
+/// hand the result to [`run_select_on`] so planning and join execution
+/// never stall writers.
 pub fn snapshot_tables(
     stmt: &SelectStmt,
     catalog: &Catalog,
     viewer: Option<TxnId>,
 ) -> Result<Vec<BoundTable>> {
-    let mut tables: Vec<BoundTable> = Vec::with_capacity(stmt.tables.len());
+    let mut names: Vec<String> = Vec::with_capacity(stmt.tables.len());
+    let mut entries: Vec<&TableEntry> = Vec::with_capacity(stmt.tables.len());
     for name in &stmt.tables {
         let lower = name.to_ascii_lowercase();
-        if tables.iter().any(|t| t.name == lower) {
+        if names.contains(&lower) {
             return Err(Error::Planning(format!(
                 "table '{lower}' appears twice in FROM; self-joins are not supported"
             )));
         }
-        let entry = catalog.table(name, viewer)?;
+        entries.push(catalog.table(name, viewer)?);
+        names.push(lower);
+    }
+    let schemas: Vec<(&str, &Schema)> = names
+        .iter()
+        .zip(&entries)
+        .map(|(name, entry)| (name.as_str(), &entry.schema))
+        .collect();
+    let mut preds: Vec<Predicate> = entries.iter().map(|_| Predicate::True).collect();
+    for cond in &stmt.conditions {
+        if let Condition::Compare { col, op, lit } = cond {
+            let (ti, ci) = resolve(col, &schemas)?;
+            if let (Some(slot), Some((_, schema))) = (preds.get_mut(ti), schemas.get(ti)) {
+                let acc = std::mem::replace(slot, Predicate::True);
+                *slot = conjoin(acc, compare_leaf(schema, ci, *op, lit)?);
+            }
+        }
+    }
+    let mut tables = Vec::with_capacity(names.len());
+    for ((name, entry), pred) in names.into_iter().zip(entries).zip(preds) {
+        let reached = catalog.reach(entry, &pred, |_, row| row.clone());
         tables.push(BoundTable {
-            name: lower,
-            schema: entry.schema.clone(),
-            tuples: entry.rows.values().cloned().collect(),
+            name,
+            rows: MemRelation::from_tuples(entry.schema.clone(), TUPLES_PER_PAGE, reached.kept)?,
+            wants_index: reached.wants_index,
         });
     }
     Ok(tables)
 }
 
-/// Plans and executes a bound `SELECT` over pre-snapshotted tables.
-/// No catalog access happens here, so no lock need be held.
+/// Plans and executes a bound `SELECT` over the rows [`snapshot_tables`]
+/// kept. No catalog access happens here, so no lock need be held.
 pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<QueryResult> {
-    // Split conditions into per-table predicates and join edges.
-    let mut preds: Vec<Predicate> = tables.iter().map(|_| Predicate::True).collect();
+    let schemas: Vec<(&str, &Schema)> = tables
+        .iter()
+        .map(|t| (t.name.as_str(), t.rows.schema()))
+        .collect();
+    // The `column op literal` conditions were applied when the tables
+    // were reached; what is left to plan are the join edges.
     let mut joins: Vec<JoinEdge> = Vec::new();
     for cond in &stmt.conditions {
-        match cond {
-            Condition::Compare { col, op, lit } => {
-                let (ti, ci) = resolve(col, &tables)?;
-                let ty = tables
-                    .get(ti)
-                    .and_then(|t| t.schema.column(ci))
-                    .map(|c| c.ty)
-                    .ok_or_else(|| Error::ColumnNotFound(col.column.clone()))?;
-                let leaf = Predicate::cmp(ci, *op, coerce(lit.to_value(), ty));
-                if let Some(slot) = preds.get_mut(ti) {
-                    let acc = std::mem::replace(slot, Predicate::True);
-                    *slot = conjoin(acc, leaf);
-                }
+        if let Condition::ColEqCol { left, right } = cond {
+            let (lt, lc) = resolve(left, &schemas)?;
+            let (rt, rc) = resolve(right, &schemas)?;
+            if lt == rt {
+                return Err(Error::Planning(format!(
+                    "'{left} = {right}' compares columns of the same table; join conditions must span two tables"
+                )));
             }
-            Condition::ColEqCol { left, right } => {
-                let (lt, lc) = resolve(left, &tables)?;
-                let (rt, rc) = resolve(right, &tables)?;
-                if lt == rt {
-                    return Err(Error::Planning(format!(
-                        "'{left} = {right}' compares columns of the same table; join conditions must span two tables"
-                    )));
-                }
-                joins.push(JoinEdge {
-                    left_table: lt,
-                    left_column: lc,
-                    right_table: rt,
-                    right_column: rc,
-                });
-            }
+            joins.push(JoinEdge {
+                left_table: lt,
+                left_column: lc,
+                right_table: rt,
+                right_column: rc,
+            });
         }
     }
 
-    // Feed the §4 optimizer.
+    // Feed the §4 optimizer the survivors' exact cardinalities; their
+    // predicates are spent, so none is charged a selectivity twice.
     let spec = QuerySpec {
         tables: tables
             .iter()
-            .zip(preds)
-            .map(|(t, p)| TableRef::filtered(t.name.clone(), p))
+            .map(|t| TableRef::plain(t.name.clone()))
             .collect(),
         joins,
     };
@@ -506,22 +498,18 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
     let env = PlanEnv::default();
     let planned = optimize(&spec, &stats, &env)?;
 
-    // Execute the chosen physical plan with the §3 operators.
-    let ctx = exec_ctx(&env);
-    let rel = execute_plan(&planned.plan, &tables, &ctx)?;
-
     // Output offsets follow the plan's base-table order, which the
     // optimizer may have permuted relative to FROM.
     let plan_order = planned.plan.tables();
     let mut offsets: Vec<(usize, usize)> = Vec::with_capacity(plan_order.len());
     let mut off = 0usize;
     for name in &plan_order {
-        let ti = tables
+        let ti = schemas
             .iter()
-            .position(|t| &t.name == name)
+            .position(|(n, _)| n == name)
             .ok_or_else(|| Error::RelationNotFound((*name).to_string()))?;
         offsets.push((ti, off));
-        off += tables.get(ti).map(|t| t.schema.arity()).unwrap_or_default();
+        off += schemas.get(ti).map(|(_, s)| s.arity()).unwrap_or_default();
     }
     let offset_of = |ti: usize| -> Result<usize> {
         offsets
@@ -536,10 +524,10 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
             let mut names = Vec::new();
             let mut idx = Vec::new();
             for (ti, off) in &offsets {
-                if let Some(t) = tables.get(*ti) {
-                    for (ci, c) in t.schema.columns().iter().enumerate() {
-                        names.push(if tables.len() > 1 {
-                            format!("{}.{}", t.name, c.name)
+                if let Some((table, schema)) = schemas.get(*ti) {
+                    for (ci, c) in schema.columns().iter().enumerate() {
+                        names.push(if schemas.len() > 1 {
+                            format!("{table}.{}", c.name)
                         } else {
                             c.name.clone()
                         });
@@ -553,13 +541,18 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
             let mut names = Vec::new();
             let mut idx = Vec::new();
             for col in cols {
-                let (ti, ci) = resolve(col, &tables)?;
+                let (ti, ci) = resolve(col, &schemas)?;
                 names.push(col.to_string());
                 idx.push(offset_of(ti)? + ci);
             }
             (names, idx)
         }
     };
+
+    // Execute the chosen physical plan with the §3 operators.
+    let mut rows_of: Vec<(String, Option<MemRelation>)> =
+        tables.into_iter().map(|t| (t.name, Some(t.rows))).collect();
+    let rel = execute_plan(&planned.plan, &mut rows_of, &exec_ctx(&env))?;
 
     let arity = rel.schema().arity();
     if indices.iter().any(|&i| i >= arity) {

@@ -10,23 +10,29 @@
 //! and SQL state gets WAL framing, group commit, and crash/recover
 //! without any code of its own.
 //!
-//! # The row cache and its one rule
+//! # The row cache, its indexes, and their one rule
 //!
 //! The engine's records are the rows. The catalog's decoded
-//! `TableEntry::rows` are a *cache* of them, kept so `SELECT` can scan
-//! without decoding, and maintained by exactly one rule: **a cached row
-//! is only ever (re)filled from the engine's current record for its
-//! key, under the catalog write lock, after the engine write or abort
-//! that changed the record has returned** ([`SqlDb::refill`]). Nothing
-//! else writes a row into the cache — not the tuple a statement just
-//! encoded, not a saved pre-image.
+//! `TableEntry::rows` are a *cache* of them, kept so `SELECT` can read
+//! without decoding, and the catalog's column indexes are §2 B+-trees
+//! over that cache, built the first time a statement probes a column by
+//! equality (see [`crate::catalog`]). All of it is maintained by exactly
+//! one rule: **the cache and its indexes change only in refill — a
+//! cached row is only ever (re)filled from the engine's current record
+//! for its key, under the catalog write lock, after the engine write or
+//! abort that changed the record has returned, and the row's entry in
+//! every index of its table moves in that same critical section**
+//! ([`SqlDb::refill`]). Nothing else writes a row into the cache — not
+//! the tuple a statement just encoded, not a saved pre-image — and
+//! nothing else touches an index once it is built.
 //!
 //! Every engine change to a key is followed by a refill of that key by
 //! the thread that made it, refills of one key are serialized by the
 //! catalog lock, and each reads the record under that lock; so whichever
 //! refill runs last sees the last change, and at quiescence every cached
-//! row equals its engine record (`impl Auditable for SqlDb` checks
-//! exactly that). Rollback needs no undo log of its own: abort the
+//! row equals its engine record and every index holds exactly its
+//! column of the cached rows (`impl Auditable for SqlDb` checks exactly
+//! that). Rollback needs no undo log of its own: abort the
 //! engine transaction — which restores every pre-image under the row
 //! locks — then refill the rows the transaction touched. A deadlock
 //! victim, whose engine transaction was rolled back *inside* the engine
@@ -34,6 +40,11 @@
 //! session refills, a successor may already have rewritten the row, and
 //! the refill picks up the successor's record because that is what the
 //! engine holds.
+//!
+//! An index is therefore never more than a projection of the cache: a
+//! probe reads exactly as read-uncommitted as a scan does, and
+//! `UPDATE`/`DELETE` still recheck each candidate against the engine's
+//! record under its row lock ([`lock_row`]).
 //!
 //! # Visibility
 //!
@@ -61,6 +72,7 @@ use crate::parser::{parse, ParseError};
 use crate::query::{self, QueryResult};
 use mmdb_session::{Engine, Session, Txn};
 use mmdb_types::error::{Error, Result};
+use mmdb_types::expr::Predicate;
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{Column, DataType, Schema};
 use mmdb_types::tuple::Tuple;
@@ -151,7 +163,8 @@ impl SqlDb {
     /// and its row cache from the store's SQL-owned records, entry by
     /// entry. After [`Engine::recover`] this is exactly the committed
     /// image: the log replayed into memory (§5.2), decoded back into
-    /// schemas and rows.
+    /// schemas and rows. No index is built here: each appears when a
+    /// statement first probes its column.
     pub fn open(engine: &Engine) -> Result<SqlDb> {
         let session = engine.session();
         let snapshot = session.snapshot_kv()?;
@@ -195,14 +208,14 @@ impl SqlDb {
                 entry.rows.insert(rid, tuple);
             }
         }
-        let catalog = SharedCatalog::default();
-        catalog.with_catalog_write(|cat| {
-            for (name, entry) in tables.into_values() {
-                cat.install(&name, entry);
-            }
-            Ok(())
-        })?;
-        Ok(SqlDb { session, catalog })
+        let mut catalog = Catalog::registered(&engine.registry());
+        for (name, entry) in tables.into_values() {
+            catalog.install(&name, entry);
+        }
+        Ok(SqlDb {
+            session,
+            catalog: SharedCatalog::new(catalog),
+        })
     }
 
     /// A new statement session (one per connection or client thread).
@@ -226,33 +239,36 @@ impl SqlDb {
         })
     }
 
-    /// The cache's one rule (see the module docs): sets each of
-    /// `table`'s cached rows `rids` to what the engine holds for its key
-    /// right now — decoded if there is a non-empty record, absent
-    /// otherwise. Call it only after the engine write or abort that
-    /// changed those records has returned. The engine read takes a shard
-    /// lock under the catalog lock (downward in the lock order) and
-    /// never waits on a row lock. A table that is gone — created and
-    /// rolled back by the caller — has no cache left to fill.
+    /// The one rule of the cache and its indexes (see the module docs):
+    /// sets each of `table`'s cached rows `rids` to what the engine holds
+    /// for its key right now — decoded if there is a non-empty record,
+    /// absent otherwise — and moves its index entries to match. Call it
+    /// only after the engine write or abort that changed those records
+    /// has returned. The engine read takes a shard lock under the catalog
+    /// lock (downward in the lock order) and never waits on a row lock. A
+    /// table that is gone — created and rolled back by the caller — has no
+    /// cache left to fill.
     fn refill(&self, table: &str, rids: &[u32]) -> Result<()> {
         if rids.is_empty() {
             return Ok(());
         }
         self.catalog.with_catalog_write(|cat| {
-            let Ok(entry) = cat.table_mut_any(table) else {
-                return Ok(());
-            };
-            for &rid in rids {
+            cat.refill_rows(table, rids, |entry, rid| {
                 match self.session.get(codec::row_key(entry.id, rid)?)? {
                     Some(record) if !record.is_empty() => {
-                        let tuple = codec::decode_row(&record, entry.schema.arity())?;
-                        entry.rows.insert(rid, tuple);
+                        codec::decode_row(&record, entry.schema.arity()).map(Some)
                     }
-                    _ => {
-                        entry.rows.remove(&rid);
-                    }
+                    _ => Ok(None),
                 }
-            }
+            })
+        })
+    }
+
+    /// Builds the index a table access asked for (`Reached::wants_index`),
+    /// before the statement that probed the column returns.
+    fn build_index(&self, table: &str, column: usize) -> Result<()> {
+        self.catalog.with_catalog_write(|cat| {
+            cat.build_index(table, column);
             Ok(())
         })
     }
@@ -308,15 +324,17 @@ impl SqlDb {
                 )?;
             }
         }
-        Ok(())
+        cat.audit_indexes()
     }
 }
 
 impl Auditable for SqlDb {
     /// At quiescence (no statement running): every cached row equals
     /// `decode_row` of the engine's record for its key, every non-empty
-    /// engine row record of a catalogued table is cached, and no
-    /// SQL-owned key lies outside the catalog and row layouts.
+    /// engine row record of a catalogued table is cached, no SQL-owned
+    /// key lies outside the catalog and row layouts, and every column
+    /// index is a well-formed B+-tree holding exactly `{(row[column],
+    /// rid)}` of its table's cached rows.
     fn audit(&self) -> std::result::Result<(), AuditViolation> {
         self.catalog
             .with_catalog_read(|cat| Ok(self.audit_cache(cat)))
@@ -376,16 +394,18 @@ impl SqlSession {
                 Ok(QueryResult::ack())
             }
             Statement::Select(sel) => {
-                // Snapshot under the catalog read lock, then plan and
-                // execute with the lock released — a long analytic join
-                // must not stall every writer on the outermost lock.
+                // Reach the tables under the catalog read lock, then plan
+                // and execute with the lock released — a long analytic
+                // join must not stall every writer on the outermost lock.
                 let viewer = self.txn.as_ref().map(Txn::id);
                 let tables = self
                     .db
                     .catalog
-                    .with_catalog_read(|c| query::snapshot_tables(sel, c, viewer))
-                    .map_err(SqlError::Exec)?;
-                query::run_select_on(sel, tables).map_err(SqlError::Exec)
+                    .with_catalog_read(|c| query::snapshot_tables(sel, c, viewer))?;
+                for (table, column) in tables.iter().filter_map(query::BoundTable::wanted_index) {
+                    self.db.build_index(table, column)?;
+                }
+                Ok(query::run_select_on(sel, tables)?)
             }
             mutation => self.run_mutation(mutation),
         }
@@ -599,34 +619,40 @@ fn insert(
 }
 
 /// The rows an `UPDATE`/`DELETE` may touch — candidates from an unlocked
-/// scan of the cache — plus what it needs to touch them.
+/// read of the cache — plus what it needs to touch them.
 struct MutationScan {
     table_id: u32,
     schema: Schema,
+    /// The bound `WHERE` clause: what chose the candidates, and what each
+    /// is rechecked against once its row lock is held.
+    pred: Predicate,
     candidates: Vec<u32>,
 }
 
+/// Binds the `WHERE` clause and reaches the table by the same
+/// probe-or-scan rule as `SELECT` (`Catalog::reach`).
 fn scan_matching(
     db: &SqlDb,
     viewer: Option<TxnId>,
     table: &str,
     conditions: &[Condition],
 ) -> Result<MutationScan> {
-    db.catalog.with_catalog_read(|cat| {
+    let (scan, wants_index) = db.catalog.with_catalog_read(|cat| {
         let entry = cat.table(table, viewer)?;
         let pred = query::bind_table_predicate(table, &entry.schema, conditions)?;
-        let candidates = entry
-            .rows
-            .iter()
-            .filter(|(_, t)| pred.eval(t))
-            .map(|(rid, _)| *rid)
-            .collect();
-        Ok(MutationScan {
+        let reached = cat.reach(entry, &pred, |rid, _| rid);
+        let scan = MutationScan {
             table_id: entry.id,
             schema: entry.schema.clone(),
-            candidates,
-        })
-    })
+            pred,
+            candidates: reached.kept,
+        };
+        Ok((scan, reached.wants_index))
+    })?;
+    if let Some(column) = wants_index {
+        db.build_index(table, column)?;
+    }
+    Ok(scan)
 }
 
 /// Takes one row's exclusive lock through the engine and decodes its
@@ -658,13 +684,12 @@ fn update(
 ) -> Result<QueryResult> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     let bound_sets = query::bind_sets(&scan.schema, sets)?;
-    let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
     for rid in scan.candidates {
         // The scan ran unlocked; lock the row, then recheck against its
         // current value (it may have changed or stopped matching).
         let key = codec::row_key(scan.table_id, rid)?;
         let current = match lock_row(db, txn, key, scan.schema.arity())? {
-            Some(t) if pred.eval(&t) => t,
+            Some(t) if scan.pred.eval(&t) => t,
             _ => continue,
         };
         let new = query::apply_sets(&scan.schema, &current, &bound_sets)?;
@@ -682,11 +707,10 @@ fn delete(
     conditions: &[Condition],
 ) -> Result<QueryResult> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
-    let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
     for rid in scan.candidates {
         let key = codec::row_key(scan.table_id, rid)?;
         match lock_row(db, txn, key, scan.schema.arity())? {
-            Some(t) if pred.eval(&t) => {}
+            Some(t) if scan.pred.eval(&t) => {}
             _ => continue,
         }
         // Deletion is the empty record: the key stays, so recovery keeps

@@ -224,9 +224,20 @@ const SERVER_FAMILIES: [(&str, &str); 13] = [
     ("mmdb_server_admission_wait_us", "histogram"),
 ];
 
-/// Starting a server adds exactly the [`SERVER_FAMILIES`] to the
-/// engine's exposition, labeled latency samples parse, and traffic
-/// moves the counters the way the protocol says it should.
+/// The SQL layer's metric inventory: [`mmdb_sql::SqlDb::open`] — which
+/// starting a server does — registers these on the engine's registry.
+/// How a table was reached (§2): by index probe, or by visiting cached
+/// rows; and how many column indexes that has built so far.
+const SQL_FAMILIES: [(&str, &str); 3] = [
+    ("mmdb_sql_index_probes_total", "counter"),
+    ("mmdb_sql_index_builds_total", "counter"),
+    ("mmdb_sql_rows_scanned_total", "counter"),
+];
+
+/// Starting a server adds exactly the [`SERVER_FAMILIES`] and the
+/// [`SQL_FAMILIES`] to the engine's exposition, labeled latency samples
+/// parse, and traffic moves the counters the way the protocol says it
+/// should.
 #[test]
 fn server_families_join_the_engine_exposition() {
     use mmdb_server::{Client, Server, ServerConfig};
@@ -242,13 +253,17 @@ fn server_families_join_the_engine_exposition() {
     assert!(c.execute("NOT SQL AT ALL").is_err());
 
     let stats = engine.stats();
+    // One unkeyed SELECT over two rows: a scan, no index touched.
+    assert_eq!(stats.counter("mmdb_sql_rows_scanned_total"), Some(2));
+    assert_eq!(stats.counter("mmdb_sql_index_probes_total"), Some(0));
+    assert_eq!(stats.counter("mmdb_sql_index_builds_total"), Some(0));
     assert_eq!(stats.counter("mmdb_server_requests_total"), Some(4));
     assert_eq!(stats.counter("mmdb_server_parse_errors_total"), Some(1));
     assert_eq!(stats.counter("mmdb_server_connections_total"), Some(1));
     assert_eq!(stats.gauge("mmdb_server_active_connections_count"), Some(1));
 
     let render = engine.render_metrics();
-    for (family, kind) in SERVER_FAMILIES {
+    for (family, kind) in SERVER_FAMILIES.into_iter().chain(SQL_FAMILIES) {
         let type_line = format!("# TYPE {family} {kind}");
         assert_eq!(
             render.matches(&type_line).count(),
@@ -268,11 +283,11 @@ fn server_families_join_the_engine_exposition() {
             "missing latency series for statement kind {kind}"
         );
     }
-    // Exactly session + server families, nothing unlisted.
+    // Exactly session + server + SQL families, nothing unlisted.
     let type_lines = render.lines().filter(|l| l.starts_with("# TYPE ")).count();
     assert_eq!(
         type_lines,
-        SESSION_FAMILIES.len() + SERVER_FAMILIES.len(),
+        SESSION_FAMILIES.len() + SERVER_FAMILIES.len() + SQL_FAMILIES.len(),
         "exposition grew a family the golden lists do not know:\n{render}"
     );
     let samples = parse_exposition(&render);
@@ -349,11 +364,11 @@ fn client_families_join_the_exposition_when_opted_in() {
             "expected exactly one HELP for {family}"
         );
     }
-    // Exactly session + server + client families, nothing unlisted.
+    // Exactly session + server + SQL + client families, nothing unlisted.
     let type_lines = render.lines().filter(|l| l.starts_with("# TYPE ")).count();
     assert_eq!(
         type_lines,
-        SESSION_FAMILIES.len() + SERVER_FAMILIES.len() + CLIENT_FAMILIES.len(),
+        SESSION_FAMILIES.len() + SERVER_FAMILIES.len() + SQL_FAMILIES.len() + CLIENT_FAMILIES.len(),
         "exposition grew a family the golden lists do not know:\n{render}"
     );
     assert!(engine.registry().hygiene_violations().is_empty());
