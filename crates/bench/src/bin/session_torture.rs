@@ -22,7 +22,10 @@
 //! workloads driven through a fault-injecting transport (torn frames,
 //! stalls, drops, duplicated and delayed deliveries), overload
 //! shedding, and a mid-run crash→recover→reconnect, verified by an
-//! acked-implies-recovered and zero-sum conservation oracle.
+//! acked-implies-recovered and zero-sum conservation oracle. The sweep
+//! also fails if a scenario whose faults must land mid-frame (torn,
+//! duplicated, delayed writes) ran and fired none: a chaos gate that is
+//! green because its faults stopped landing proves nothing.
 //!
 //! Usage: `session_torture [--seeds N] [--first S] [--artifacts DIR]
 //! [--watchdog-secs T] [--checkpoint] [--sustain-secs S] [--server]`.
@@ -98,7 +101,8 @@ fn main() {
     });
 
     let started = Instant::now();
-    let mut by_scenario: BTreeMap<String, u64> = BTreeMap::new();
+    // Per scenario: seeds run, network faults fired.
+    let mut by_scenario: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut by_policy: BTreeMap<String, u64> = BTreeMap::new();
     let mut degraded_runs = 0u64;
     let mut corrupt_pages = 0usize;
@@ -136,7 +140,9 @@ fn main() {
         };
         match result {
             Ok(report) => {
-                *by_scenario.entry(report.scenario).or_insert(0) += 1;
+                let tally = by_scenario.entry(report.scenario).or_insert((0, 0));
+                tally.0 += 1;
+                tally.1 += report.faults_fired;
                 *by_policy.entry(report.policy).or_insert(0) += 1;
                 degraded_runs += u64::from(report.degraded);
                 corrupt_pages += report.corrupt_pages_dropped;
@@ -164,10 +170,28 @@ fn main() {
         degraded_runs,
         corrupt_pages
     );
-    for (scenario, count) in &by_scenario {
-        println!("torture:   scenario {scenario}: {count}");
+    for (scenario, (count, faults)) in &by_scenario {
+        if cfg.server {
+            println!("torture:   scenario {scenario}: {count} ({faults} network faults fired)");
+        } else {
+            println!("torture:   scenario {scenario}: {count}");
+        }
     }
     for (policy, count) in &by_policy {
         println!("torture:   policy {policy}: {count}");
     }
+    for scenario in MUST_FIRE {
+        if let Some((count @ MIN_SEEDS_TO_JUDGE.., 0)) = by_scenario.get(scenario) {
+            eprintln!("torture: FAILED: {scenario} ran {count} seeds and fired no fault");
+            std::process::exit(1);
+        }
+    }
 }
+
+/// Server-chaos scenarios whose whole point is a fault landing inside a
+/// frame; each must fire at least once across a sweep that ran it.
+const MUST_FIRE: [&str; 3] = ["server-torn-wire", "server-dup-wire", "server-delay-wire"];
+
+/// Half of a seed's connections dial clean, so a handful of seeds can
+/// honestly fire nothing; only judge a scenario that ran this often.
+const MIN_SEEDS_TO_JUDGE: u64 = 4;

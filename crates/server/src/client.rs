@@ -21,7 +21,7 @@
 //! deadline: a hung server surfaces as [`ClientError::Timeout`]
 //! instead of blocking forever.
 
-use crate::proto::{self, FrameRead};
+use crate::proto::{self, Framed, Recv};
 use crate::transport::Transport;
 use mmdb_obs::{Counter, Registry};
 use mmdb_session::torture::Lcg;
@@ -173,7 +173,7 @@ pub type Dialer = Box<dyn FnMut() -> io::Result<Box<dyn Transport>> + Send>;
 pub struct Client {
     config: ClientConfig,
     dial: Dialer,
-    transport: Option<Box<dyn Transport>>,
+    conn: Option<Framed<Box<dyn Transport>>>,
     in_txn: bool,
     ever_connected: bool,
     rng: Lcg,
@@ -222,7 +222,7 @@ impl Client {
         let mut client = Client {
             config,
             dial,
-            transport: None,
+            conn: None,
             in_txn: false,
             ever_connected: false,
             rng,
@@ -278,19 +278,29 @@ impl Client {
     /// and reports whether a transaction died with it.
     fn execute_once(&mut self, sql: &str) -> Result<QueryResult, ClientError> {
         self.ensure_connected()?;
-        let Some(transport) = self.transport.as_mut() else {
+        let Some(conn) = self.conn.as_mut() else {
             return Err(ClientError::Io("not connected".to_string()));
         };
-        if let Err(e) = proto::write_frame(transport, sql.as_bytes()) {
+        // One request is in flight at a time, so bytes the server sent
+        // beyond its last answer belong to no request: the stream is
+        // desynchronized, and decoding them as the next answer would
+        // pair statements with the wrong results.
+        if conn.has_unread() {
+            return Err(self.lose_connection("unsolicited bytes after a response".to_string()));
+        }
+        let (_, request) = conn.exchange();
+        request.extend_from_slice(sql.as_bytes());
+        // No stall budget: a write timeout is already a dead server.
+        if let Err(e) = conn.send(Duration::ZERO) {
             return Err(self.lose_connection(format!("send: {e}")));
         }
-        let Some(transport) = self.transport.as_mut() else {
+        let Some(conn) = self.conn.as_mut() else {
             return Err(ClientError::Io("not connected".to_string()));
         };
-        match proto::read_frame(transport) {
+        match conn.recv() {
             // The socket read timeout is the read deadline, so a single
             // Idle means the deadline expired with no response started.
-            Ok(FrameRead::Idle) => {
+            Ok(Recv::Idle) => {
                 let was_in_txn = self.in_txn;
                 let lost = self.lose_connection(format!(
                     "no response within the read deadline ({:?})",
@@ -305,10 +315,8 @@ impl Client {
                     )))
                 }
             }
-            Ok(FrameRead::Eof) => {
-                Err(self.lose_connection("server closed the connection".to_string()))
-            }
-            Ok(FrameRead::Frame(payload)) => match proto::decode_response(&payload) {
+            Ok(Recv::Eof) => Err(self.lose_connection("server closed the connection".to_string())),
+            Ok(Recv::Frame) => match proto::decode_response(conn.payload()) {
                 Ok(Ok(result)) => Ok(result),
                 Ok(Err(we)) => Err(ClientError::Server {
                     msg: we.msg,
@@ -329,7 +337,7 @@ impl Client {
     /// [`ClientError::Io`]: nothing was sent, so callers may retry
     /// freely.
     fn ensure_connected(&mut self) -> Result<(), ClientError> {
-        if self.transport.is_some() {
+        if self.conn.is_some() {
             return Ok(());
         }
         let mut transport = (self.dial)().map_err(|e| ClientError::Io(format!("connect: {e}")))?;
@@ -344,7 +352,9 @@ impl Client {
             }
         }
         self.ever_connected = true;
-        self.transport = Some(transport);
+        // A fresh `Framed`: no byte buffered on a lost connection
+        // survives into the next one.
+        self.conn = Some(Framed::new(transport));
         Ok(())
     }
 
@@ -352,7 +362,7 @@ impl Client {
     /// server session (and any open transaction) is gone, so the
     /// client's transaction flag resets — a reconnect starts clean.
     fn lose_connection(&mut self, detail: String) -> ClientError {
-        self.transport = None;
+        self.conn = None;
         let in_txn = std::mem::take(&mut self.in_txn);
         if let Some(m) = &self.metrics {
             m.lost.inc();
@@ -361,8 +371,10 @@ impl Client {
     }
 
     /// Tracks explicit-transaction state from a successful statement.
+    /// The server parsed and ran it, so its leading keyword names its
+    /// kind; no second parse.
     fn track_success(&mut self, sql: &str) {
-        match statement_kind(sql) {
+        match mmdb_sql::parser::leading_kind(sql) {
             Some("begin") => self.in_txn = true,
             Some("commit" | "abort") => self.in_txn = false,
             _ => {}
@@ -402,7 +414,7 @@ impl Client {
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("connected", &self.transport.is_some())
+            .field("connected", &self.conn.is_some())
             .field("in_txn", &self.in_txn)
             .field("config", &self.config)
             .finish_non_exhaustive()

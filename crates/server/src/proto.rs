@@ -1,4 +1,5 @@
-//! The wire protocol: length-prefixed frames and result encoding.
+//! The wire protocol: length-prefixed frames, per-connection buffered
+//! framing, and result encoding.
 //!
 //! Every message is one frame: a `u32` little-endian payload length
 //! followed by the payload, capped at [`MAX_FRAME_BYTES`]. A request
@@ -16,14 +17,31 @@
 //!                  the same statement may succeed if retried)
 //! ```
 //!
+//! **One frame, one system call each way.** Each end of a connection
+//! owns a [`Framed`]: the transport, a reused read buffer and a reused
+//! write buffer. A frame leaves as one `write` — the payload is encoded
+//! straight into the write buffer behind four reserved prefix bytes —
+//! and arrives in one greedy `read`; bytes past the frame stay buffered
+//! for the next call, so a peer may pipeline without any protocol
+//! change. The free [`read_frame`] / [`write_frame`] run the *same* fill
+//! loop and write loop over a one-shot buffer, with the read slice
+//! clamped to the bytes the frame still needs, so they never consume
+//! past their frame. Nothing here splits a frame into a prefix write
+//! and a payload write; the fault-injecting
+//! [`crate::transport::ChaosTransport`] makes that cut itself, which is
+//! what keeps its faults landing mid-frame.
+//!
 //! Reads distinguish three outcomes so the server can poll: a full
-//! [`FrameRead::Frame`], a clean [`FrameRead::Eof`] before any byte of
-//! a frame, or [`FrameRead::Idle`] when a read timeout expired before
-//! any byte arrived (keep-alive poll; the caller rechecks shutdown).
-//! *Inside* a frame, per-read socket timeouts are retried until
-//! [`MID_FRAME_TIMEOUT`] — the server polls its socket every 50 ms for
-//! shutdown, and one slow TCP segment must not kill the connection —
-//! after which (or on EOF) the frame is a hard protocol error.
+//! frame, a clean EOF before any byte of a frame, or *idle* when a read
+//! timeout expired with nothing buffered (keep-alive poll; the caller
+//! rechecks shutdown). *Inside* a frame, per-read socket timeouts are
+//! retried until [`MID_FRAME_TIMEOUT`] — the server polls its socket
+//! every 50 ms for shutdown, and one slow TCP segment must not kill the
+//! connection — after which (or on EOF) the frame is a hard protocol
+//! error. The length is checked against the cap before anything is
+//! sized from it, and the read buffer grows only as bytes arrive: a
+//! prefix claiming 16 MiB costs its sender 16 MiB of traffic before it
+//! costs the receiver 16 MiB of memory.
 
 use mmdb_sql::codec;
 use mmdb_sql::QueryResult;
@@ -34,11 +52,23 @@ use std::time::{Duration, Instant};
 /// Largest frame either side will send or accept (16 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Bytes of length prefix ahead of every payload.
+pub const PREFIX_BYTES: usize = 4;
+
 /// How long a started frame may take to arrive in full. Per-read
 /// timeouts inside a frame (the short shutdown-poll interval on the
 /// server) are retried until this much wall time has passed since the
-/// frame's first byte.
+/// frame's first bytes were seen waiting in the buffer.
 pub const MID_FRAME_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Size a connection's read buffer starts at: every frame that fits
+/// arrives in one `read`.
+const BUF_FLOOR: usize = 8 * 1024;
+
+/// A connection buffer that a large frame grew past this is given back
+/// once the frame is done, so a 16 MiB reply does not stay resident per
+/// connection.
+const BUF_KEEP: usize = 256 * 1024;
 
 /// An in-band error response: the server's message plus whether the
 /// failure is transient. `retryable` is the wire form of
@@ -59,7 +89,7 @@ impl std::fmt::Display for WireError {
     }
 }
 
-/// Outcome of one framed read.
+/// Outcome of one framed read through the free [`read_frame`].
 #[derive(Debug)]
 pub enum FrameRead {
     /// A complete frame payload.
@@ -70,6 +100,18 @@ pub enum FrameRead {
     Idle,
 }
 
+/// Outcome of [`Framed::recv`] — [`FrameRead`] with the payload left in
+/// the connection's buffer (see [`Framed::payload`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recv {
+    /// A complete frame is buffered.
+    Frame,
+    /// The peer closed the connection between frames.
+    Eof,
+    /// A read timeout expired with nothing buffered.
+    Idle,
+}
+
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -77,96 +119,204 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Fills `buf` completely. `got` bytes are already present. A read
-/// timeout is retried — the caller's socket may be using a short
-/// shutdown-poll timeout — until `deadline`, after which it becomes a
-/// hard error; EOF mid-buffer is always an error.
-fn fill(r: &mut impl Read, buf: &mut [u8], mut got: usize, deadline: Instant) -> io::Result<()> {
-    while got < buf.len() {
-        let dst = buf.get_mut(got..).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "fill cursor out of range")
-        })?;
-        match r.read(dst) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "timed out mid-frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
+/// The payload of a `lent`-byte frame (prefix included) at `buf[head..]`;
+/// empty when no frame is lent out.
+fn lent_payload(buf: &[u8], head: usize, lent: usize) -> &[u8] {
+    buf.get(head + PREFIX_BYTES..head + lent)
+        .unwrap_or_default()
+}
+
+/// One end of a connection: the transport plus a reused read buffer and
+/// a reused write buffer, owned by the one thread that serves it. See
+/// the module docs for what the buffering buys.
+pub struct Framed<T> {
+    io: T,
+    /// Bytes received and not yet handed out are `buf[head..tail]`; the
+    /// rest of `buf` (zero-filled) is the space reads may use.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+    /// Bytes at `head` (prefix + payload) of the frame the last `recv`
+    /// returned; the next `recv` drops them.
+    lent: usize,
+    /// When the incomplete frame at `head` was first seen — the start
+    /// of its [`MID_FRAME_TIMEOUT`] clock.
+    started: Option<Instant>,
+    /// A connection reads as much as the buffer holds; the one-shot
+    /// buffer behind [`read_frame`] never reads past its frame.
+    greedy: bool,
+    /// The outgoing frame: reserved prefix, then the payload.
+    out: Vec<u8>,
+}
+
+impl<T> Framed<T> {
+    /// Wraps a transport whose timeouts are already configured.
+    pub fn new(io: T) -> Framed<T> {
+        Framed {
+            io,
+            buf: Vec::new(),
+            head: 0,
+            tail: 0,
+            lent: 0,
+            started: None,
+            greedy: true,
+            out: Vec::new(),
         }
     }
-    Ok(())
-}
 
-/// Reads one frame (see [`FrameRead`] for the non-frame outcomes),
-/// allowing [`MID_FRAME_TIMEOUT`] for a started frame to finish.
-pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
-    read_frame_within(r, MID_FRAME_TIMEOUT)
-}
+    /// The transport underneath.
+    pub fn get_ref(&self) -> &T {
+        &self.io
+    }
 
-/// [`read_frame`] with an explicit mid-frame budget, measured from the
-/// frame's first byte (tests shrink it; timeouts *before* the first
-/// byte still surface as [`FrameRead::Idle`]).
-pub fn read_frame_within(r: &mut impl Read, mid_frame: Duration) -> io::Result<FrameRead> {
-    let mut len_buf = [0u8; 4];
-    // The first byte decides between Eof/Idle and a real frame.
-    let first = loop {
-        let mut one = [0u8; 1];
-        match r.read(&mut one) {
-            Ok(0) => return Ok(FrameRead::Eof),
-            Ok(_) => break one,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => return Ok(FrameRead::Idle),
-            Err(e) => return Err(e),
-        }
-    };
-    if let Some(slot) = len_buf.first_mut() {
-        *slot = match first.first() {
-            Some(b) => *b,
-            None => 0,
+    /// Payload of the frame the last `recv` returned, valid until the
+    /// next `recv`.
+    pub fn payload(&self) -> &[u8] {
+        lent_payload(&self.buf, self.head, self.lent)
+    }
+
+    /// True when bytes beyond the frame last received are already
+    /// buffered: the next pipelined request on a server; on a client
+    /// with one request in flight, a desynchronized stream.
+    pub fn has_unread(&self) -> bool {
+        self.tail - self.head > self.lent
+    }
+
+    /// The received payload, and the write buffer to append the next
+    /// outgoing payload to (emptied but for the reserved prefix), which
+    /// [`Framed::send`] then frames.
+    pub fn exchange(&mut self) -> (&[u8], &mut Vec<u8>) {
+        self.out.clear();
+        self.out.extend_from_slice(&[0; PREFIX_BYTES]);
+        (lent_payload(&self.buf, self.head, self.lent), &mut self.out)
+    }
+
+    /// Bytes the read and write buffers currently hold on to.
+    pub fn buffer_capacity(&self) -> (usize, usize) {
+        (self.buf.capacity(), self.out.capacity())
+    }
+
+    /// Total bytes (prefix + payload) of the frame at `head`, once its
+    /// prefix is in. The cap is checked here, before anything is sized
+    /// from the length.
+    fn frame_bytes(&self) -> io::Result<Option<usize>> {
+        let prefix = self
+            .buf
+            .get(self.head..self.tail)
+            .and_then(|have| have.get(..PREFIX_BYTES))
+            .and_then(|p| <[u8; PREFIX_BYTES]>::try_from(p).ok());
+        let Some(prefix) = prefix else {
+            return Ok(None);
         };
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte cap"),
+            ));
+        }
+        Ok(Some(PREFIX_BYTES + len))
     }
-    let deadline = Instant::now() + mid_frame;
-    fill(r, &mut len_buf, 1, deadline)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte cap"),
-        ));
+
+    /// Moves the unconsumed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
     }
-    let mut payload = vec![0u8; len];
-    fill(r, &mut payload, 0, deadline)?;
-    Ok(FrameRead::Frame(payload))
+
+    /// Makes room for the next read and returns where in `buf` it may
+    /// end, for a frame at `head` that is `want` bytes in total as far
+    /// as is known. A full buffer is compacted, else grown: at most
+    /// doubled, and never beyond the frame — so it grows only as fast
+    /// as bytes actually arrive.
+    fn room(&mut self, want: usize) -> usize {
+        if self.head == self.tail || self.tail == self.buf.len() {
+            self.compact();
+        }
+        let (mut ceil, mut end) = (want, self.head + want);
+        if self.greedy {
+            (ceil, end) = (want.max(BUF_FLOOR), usize::MAX);
+        }
+        if self.tail == self.buf.len() {
+            let grown = (self.buf.len() * 2).max(BUF_FLOOR).min(ceil);
+            self.buf.resize(grown, 0);
+        }
+        end.min(self.buf.len())
+    }
 }
 
-/// Writes one frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds the cap", payload.len()),
-        ));
+impl<T: Read> Framed<T> {
+    /// Receives the next frame — from the buffer if a previous read
+    /// already brought it in, else with one greedy `read` — allowing
+    /// [`MID_FRAME_TIMEOUT`] for a started frame to finish.
+    pub fn recv(&mut self) -> io::Result<Recv> {
+        self.recv_within(MID_FRAME_TIMEOUT)
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+
+    /// [`Framed::recv`] with an explicit mid-frame budget. This is the
+    /// one fill loop: it reads until a whole frame sits at `head`.
+    /// `Eof` and `Idle` are decided only while nothing is buffered;
+    /// with part of a frame in hand a read timeout is retried — the
+    /// caller's socket may be using a short shutdown-poll timeout —
+    /// until `mid_frame` has passed, after which it is a hard error,
+    /// and EOF is always an error.
+    pub fn recv_within(&mut self, mid_frame: Duration) -> io::Result<Recv> {
+        // Drop the frame handed out last time, and give back a buffer a
+        // large frame left oversized.
+        self.head += std::mem::take(&mut self.lent);
+        if self.buf.len() > BUF_KEEP && self.tail - self.head <= BUF_FLOOR {
+            self.compact();
+            self.buf.truncate(BUF_FLOOR);
+            self.buf.shrink_to_fit();
+        }
+        loop {
+            let have = self.tail - self.head;
+            let total = self.frame_bytes()?;
+            if let Some(total) = total.filter(|t| have >= *t) {
+                self.lent = total;
+                self.started = None;
+                return Ok(Recv::Frame);
+            }
+            if have > 0 && self.started.is_none() {
+                self.started = Some(Instant::now());
+            }
+            let end = self.room(total.unwrap_or(PREFIX_BYTES));
+            let dst = self.buf.get_mut(self.tail..end).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "fill cursor out of range")
+            })?;
+            match self.io.read(dst) {
+                Ok(0) if have == 0 => return Ok(Recv::Eof),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => {
+                    if have == 0 {
+                        return Ok(Recv::Idle);
+                    }
+                    if self.started.is_some_and(|t| t.elapsed() >= mid_frame) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "timed out mid-frame",
+                        ));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
-/// Slow-receiver accounting from [`write_frame_stalled`]: how many
-/// write attempts hit the socket's write timeout and how much wall
-/// time they spent blocked.
+/// Slow-receiver accounting from a framed write: how many write
+/// attempts hit the socket's write timeout and how much wall time they
+/// spent blocked.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WriteStalls {
     /// Write attempts that returned `WouldBlock`/`TimedOut`.
@@ -175,95 +325,121 @@ pub struct WriteStalls {
     pub stalled: Duration,
 }
 
-/// Writes a buffer completely, tracking the offset by hand (a plain
-/// `write_all` loses its position on the first timeout) and charging
-/// every timed-out attempt's wall time against `budget`. Exhausting
-/// the budget is a hard `TimedOut` error — the caller treats the peer
-/// as a slow client and disconnects it.
-fn write_all_stalled(
-    w: &mut impl Write,
-    buf: &[u8],
-    acct: &mut WriteStalls,
-    budget: Duration,
-) -> io::Result<()> {
-    let mut at = 0usize;
-    while at < buf.len() {
-        let src = buf.get(at..).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "write cursor out of range")
+impl<T: Write> Framed<T> {
+    /// Sends what [`Framed::exchange`]'s buffer holds as one frame —
+    /// prefix and payload in one `write` unless the peer stalls. This
+    /// is the one write loop: it tracks the offset by hand (a plain
+    /// `write_all` loses its position on the first timeout) and charges
+    /// every timed-out attempt's wall time against `budget`. A
+    /// cumulative stall of `budget` or more is a hard `TimedOut` error
+    /// — the caller treats the peer as a slow client and disconnects
+    /// it — and the caller carries the budget *across* responses by
+    /// passing the remainder on the next call.
+    pub fn send(&mut self, budget: Duration) -> io::Result<WriteStalls> {
+        let sent = self.send_out(budget);
+        if self.out.capacity() > BUF_KEEP {
+            self.out = Vec::new();
+        }
+        sent
+    }
+
+    fn send_out(&mut self, budget: Duration) -> io::Result<WriteStalls> {
+        let len = self.out.len().saturating_sub(PREFIX_BYTES);
+        let prefix = u32::try_from(len).ok().filter(|_| len <= MAX_FRAME_BYTES);
+        let prefix = prefix.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame of {len} bytes exceeds the cap"),
+            )
         })?;
-        let attempt = Instant::now();
-        match w.write(src) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "connection refused further bytes mid-frame",
-                ))
-            }
-            Ok(n) => at += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                acct.stalls += 1;
-                // A zero-latency timeout still burns budget, so this
-                // loop always terminates.
-                acct.stalled += attempt.elapsed().max(Duration::from_micros(1));
-                if acct.stalled >= budget {
+        for (dst, src) in self.out.iter_mut().zip(prefix.to_le_bytes()) {
+            *dst = src;
+        }
+        let mut acct = WriteStalls::default();
+        let mut at = 0usize;
+        loop {
+            let rest = self.out.get(at..).unwrap_or_default();
+            let attempt = Instant::now();
+            let step = if rest.is_empty() {
+                self.io.flush().map(|()| None)
+            } else {
+                self.io.write(rest).map(Some)
+            };
+            match step {
+                Ok(None) => return Ok(acct),
+                Ok(Some(0)) => {
                     return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "write stalled past the slow-client budget",
-                    ));
+                        io::ErrorKind::WriteZero,
+                        "connection refused further bytes mid-frame",
+                    ))
                 }
+                Ok(Some(n)) => at += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => {
+                    acct.stalls += 1;
+                    // A zero-latency timeout still burns budget, so
+                    // this loop always terminates.
+                    acct.stalled += attempt.elapsed().max(Duration::from_micros(1));
+                    if acct.stalled >= budget {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "write stalled past its budget",
+                        ));
+                    }
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
-/// [`write_frame`] with write-stall accounting for slow-client
-/// detection: each write attempt runs under the socket's (short) write
-/// timeout, timed-out attempts accumulate into the returned
-/// [`WriteStalls`], and a cumulative stall beyond `budget` fails with
-/// `TimedOut`. The caller carries the budget *across* responses by
-/// passing the remainder on the next call.
+/// Reads one frame (see [`FrameRead`] for the non-frame outcomes),
+/// allowing [`MID_FRAME_TIMEOUT`] for a started frame to finish. Never
+/// reads past the frame, so `r` may hold several.
+pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
+    read_frame_within(r, MID_FRAME_TIMEOUT)
+}
+
+/// [`read_frame`] with an explicit mid-frame budget, measured from the
+/// frame's first byte (tests shrink it; timeouts *before* the first
+/// byte still surface as [`FrameRead::Idle`]).
+pub fn read_frame_within(r: &mut impl Read, mid_frame: Duration) -> io::Result<FrameRead> {
+    let mut one = Framed::new(r);
+    one.greedy = false;
+    Ok(match one.recv_within(mid_frame)? {
+        Recv::Eof => FrameRead::Eof,
+        Recv::Idle => FrameRead::Idle,
+        Recv::Frame => {
+            // Clamped reads leave exactly the frame in the buffer.
+            one.buf.truncate(one.lent);
+            one.buf.drain(..PREFIX_BYTES.min(one.lent));
+            FrameRead::Frame(one.buf)
+        }
+    })
+}
+
+/// Writes one frame; a write timeout is an error.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    write_frame_stalled(w, payload, Duration::ZERO).map(|_| ())
+}
+
+/// [`write_frame`] with [`Framed::send`]'s write-stall accounting: each
+/// write attempt runs under the socket's (short) write timeout.
 pub fn write_frame_stalled(
     w: &mut impl Write,
     payload: &[u8],
     budget: Duration,
 ) -> io::Result<WriteStalls> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds the cap", payload.len()),
-        ));
-    }
-    let mut acct = WriteStalls::default();
-    write_all_stalled(w, &(payload.len() as u32).to_le_bytes(), &mut acct, budget)?;
-    write_all_stalled(w, payload, &mut acct, budget)?;
-    loop {
-        let attempt = Instant::now();
-        match w.flush() {
-            Ok(()) => return Ok(acct),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                acct.stalls += 1;
-                // A zero-latency timeout still burns budget, so this
-                // loop always terminates.
-                acct.stalled += attempt.elapsed().max(Duration::from_micros(1));
-                if acct.stalled >= budget {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "flush stalled past the slow-client budget",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let mut one = Framed::new(w);
+    one.out.reserve_exact(PREFIX_BYTES + payload.len());
+    one.exchange().1.extend_from_slice(payload);
+    one.send(budget)
 }
 
-/// Encodes a successful result.
-pub fn encode_ok(result: &QueryResult) -> Result<Vec<u8>> {
-    let mut out = vec![0u8];
+/// Appends a successful result to `out`. On `Err`, `out` holds a
+/// partial encoding the caller must truncate away.
+pub fn encode_ok_into(out: &mut Vec<u8>, result: &QueryResult) -> Result<()> {
+    out.push(0);
     if result.columns.len() > u16::MAX as usize {
         return Err(Error::TupleTooLarge(result.columns.len()));
     }
@@ -284,28 +460,46 @@ pub fn encode_ok(result: &QueryResult) -> Result<Vec<u8>> {
             return Err(Error::Internal("result row arity mismatch".to_string()));
         }
         for v in row {
-            codec::encode_value_into(&mut out, v)?;
+            codec::encode_value_into(out, v)?;
         }
     }
     out.extend_from_slice(&result.affected.to_le_bytes());
-    Ok(out)
+    Ok(())
 }
 
-/// Encodes a fatal error response carrying `msg` (status byte `0x01`):
+/// Encodes a successful result.
+pub fn encode_ok(result: &QueryResult) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_ok_into(&mut out, result).map(|()| out)
+}
+
+/// Appends a fatal error response carrying `msg` (status byte `0x01`):
 /// re-sending the same statement cannot succeed.
-pub fn encode_err(msg: &str) -> Vec<u8> {
-    let mut out = vec![1u8];
+pub fn encode_err_into(out: &mut Vec<u8>, msg: &str) {
+    out.push(1);
     out.extend_from_slice(msg.as_bytes());
+}
+
+/// Encodes a fatal error response (see [`encode_err_into`]).
+pub fn encode_err(msg: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_err_into(&mut out, msg);
     out
 }
 
-/// Encodes a retryable error response carrying `msg` (status byte
+/// Appends a retryable error response carrying `msg` (status byte
 /// `0x02`): the failure is transient — shed by admission control, a
 /// deadlock victim, a shutdown race — and the same statement may
 /// succeed if re-sent.
-pub fn encode_retryable(msg: &str) -> Vec<u8> {
-    let mut out = vec![2u8];
+pub fn encode_retryable_into(out: &mut Vec<u8>, msg: &str) {
+    out.push(2);
     out.extend_from_slice(msg.as_bytes());
+}
+
+/// Encodes a retryable error response (see [`encode_retryable_into`]).
+pub fn encode_retryable(msg: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_retryable_into(&mut out, msg);
     out
 }
 
@@ -320,31 +514,10 @@ fn take<'a>(frame: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     Ok(s)
 }
 
-fn take_u16(frame: &[u8], pos: &mut usize) -> Result<u16> {
-    let s = take(frame, pos, 2)?;
-    let mut b = [0u8; 2];
-    for (dst, src) in b.iter_mut().zip(s) {
-        *dst = *src;
-    }
-    Ok(u16::from_le_bytes(b))
-}
-
-fn take_u32(frame: &[u8], pos: &mut usize) -> Result<u32> {
-    let s = take(frame, pos, 4)?;
-    let mut b = [0u8; 4];
-    for (dst, src) in b.iter_mut().zip(s) {
-        *dst = *src;
-    }
-    Ok(u32::from_le_bytes(b))
-}
-
-fn take_u64(frame: &[u8], pos: &mut usize) -> Result<u64> {
-    let s = take(frame, pos, 8)?;
-    let mut b = [0u8; 8];
-    for (dst, src) in b.iter_mut().zip(s) {
-        *dst = *src;
-    }
-    Ok(u64::from_le_bytes(b))
+/// The next `N` bytes, for the `from_le_bytes` of whichever integer.
+fn take_le<const N: usize>(frame: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    <[u8; N]>::try_from(take(frame, pos, N)?)
+        .map_err(|_| Error::Io("truncated response frame".to_string()))
 }
 
 /// Decodes a response frame. The outer `Result` is a protocol failure
@@ -366,19 +539,19 @@ pub fn decode_response(frame: &[u8]) -> Result<std::result::Result<QueryResult, 
             }))
         }
         0 => {
-            let ncols = take_u16(frame, &mut pos)? as usize;
+            let ncols = u16::from_le_bytes(take_le(frame, &mut pos)?) as usize;
             let mut columns = Vec::with_capacity(ncols);
             for _ in 0..ncols {
-                let len = take_u16(frame, &mut pos)? as usize;
+                let len = u16::from_le_bytes(take_le(frame, &mut pos)?) as usize;
                 let name = take(frame, &mut pos, len)?;
                 columns.push(String::from_utf8_lossy(name).into_owned());
             }
-            let nrows = take_u32(frame, &mut pos)? as usize;
+            let nrows = u32::from_le_bytes(take_le(frame, &mut pos)?) as usize;
             let mut rows = Vec::with_capacity(nrows.min(1 << 20));
             for _ in 0..nrows {
                 rows.push(codec::decode_values_at(frame, &mut pos, ncols)?);
             }
-            let affected = take_u64(frame, &mut pos)?;
+            let affected = u64::from_le_bytes(take_le(frame, &mut pos)?);
             if pos != frame.len() {
                 return Err(Error::Io("trailing bytes in response frame".to_string()));
             }

@@ -13,7 +13,7 @@
 //! response — that is the drain.
 
 use crate::admission::{Admission, AdmitClass};
-use crate::proto::{self, FrameRead};
+use crate::proto::{self, Framed, Recv};
 use crate::transport::Transport;
 use mmdb_obs::{Counter, Gauge, Histogram, Registry};
 use mmdb_session::Engine;
@@ -21,6 +21,7 @@ use mmdb_sql::ast::STATEMENT_KINDS;
 use mmdb_sql::parser::parse;
 use mmdb_sql::{ErrorClass, SqlDb, SqlError, StatementKind};
 use mmdb_types::error::{Error, Result};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,6 +87,8 @@ struct Metrics {
     retryable_errors: Arc<Counter>,
     write_stalls: Arc<Counter>,
     slow_client_disconnects: Arc<Counter>,
+    socket_reads: Arc<Counter>,
+    socket_writes: Arc<Counter>,
     inflight: Arc<Gauge>,
     admission_wait: Arc<Histogram>,
     latency: Vec<(StatementKind, Arc<Histogram>)>,
@@ -141,6 +144,14 @@ impl Metrics {
             slow_client_disconnects: registry.counter(
                 "mmdb_server_slow_client_disconnects_total",
                 "Connections dropped for exhausting the write-stall budget",
+            ),
+            socket_reads: registry.counter(
+                "mmdb_server_socket_reads_total",
+                "read calls made on connection sockets (idle polls included)",
+            ),
+            socket_writes: registry.counter(
+                "mmdb_server_socket_writes_total",
+                "write calls made on connection sockets",
             ),
             inflight: registry.gauge(
                 "mmdb_server_inflight_statements_count",
@@ -327,6 +338,32 @@ fn refuse(mut stream: TcpStream, metrics: &Metrics) {
     }
 }
 
+/// A connection's transport with every `read` and `write` call counted:
+/// with `mmdb_server_requests_total` the two counters give system calls
+/// per request from a running server.
+struct Metered<'a, T> {
+    io: T,
+    metrics: &'a Metrics,
+}
+
+impl<T: Read> Read for Metered<'_, T> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.metrics.socket_reads.inc();
+        self.io.read(buf)
+    }
+}
+
+impl<T: Write> Write for Metered<'_, T> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.metrics.socket_writes.inc();
+        self.io.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.io.flush()
+    }
+}
+
 fn serve_connection<T: Transport>(
     mut stream: T,
     mut session: mmdb_sql::SqlSession,
@@ -344,6 +381,10 @@ fn serve_connection<T: Transport>(
         return;
     }
     let _ = stream.set_nodelay(true);
+    let mut conn = Framed::new(Metered {
+        io: stream,
+        metrics,
+    });
     let mut idle_since = Instant::now();
     // Slow-client accounting: response writes share one per-connection
     // stall budget; a client that keeps the server blocked in write()
@@ -351,8 +392,8 @@ fn serve_connection<T: Transport>(
     // a server thread (and whatever locks its session holds).
     let mut stall_budget = config.write_stall_budget;
     loop {
-        match proto::read_frame(&mut stream) {
-            Ok(FrameRead::Idle) => {
+        match conn.recv() {
+            Ok(Recv::Idle) => {
                 // ordering: shutdown flag, see ServerHandle::stop.
                 if shutdown.load(Ordering::Relaxed) {
                     break;
@@ -361,12 +402,13 @@ fn serve_connection<T: Transport>(
                     break;
                 }
             }
-            Ok(FrameRead::Eof) => break,
-            Ok(FrameRead::Frame(payload)) => {
+            Ok(Recv::Eof) => break,
+            Ok(Recv::Frame) => {
                 idle_since = Instant::now();
                 metrics.requests.inc();
-                let response = handle_request(&payload, &mut session, metrics, admission);
-                match proto::write_frame_stalled(&mut stream, &response, stall_budget) {
+                let (request, reply) = conn.exchange();
+                handle_request(request, reply, &mut session, metrics, admission);
+                match conn.send(stall_budget) {
                     Ok(stalls) => {
                         metrics.write_stalls.add(stalls.stalls);
                         stall_budget = stall_budget.saturating_sub(stalls.stalled);
@@ -391,24 +433,26 @@ fn serve_connection<T: Transport>(
     // SqlSession::drop aborts any transaction the client left open.
 }
 
+/// Runs one request and appends its response payload to `reply`.
 fn handle_request(
     payload: &[u8],
+    reply: &mut Vec<u8>,
     session: &mut mmdb_sql::SqlSession,
     metrics: &Metrics,
     admission: &Admission,
-) -> Vec<u8> {
+) {
     let sql = match std::str::from_utf8(payload) {
         Ok(s) => s,
         Err(_) => {
             metrics.protocol_errors.inc();
-            return proto::encode_err("request is not UTF-8");
+            return proto::encode_err_into(reply, "request is not UTF-8");
         }
     };
     let stmt = match parse(sql) {
         Ok(stmt) => stmt,
         Err(e) => {
             metrics.parse_errors.inc();
-            return proto::encode_err(&e.to_string());
+            return proto::encode_err_into(reply, &e.to_string());
         }
     };
     let kind = stmt.kind();
@@ -433,7 +477,7 @@ fn handle_request(
         Err(shed) => {
             metrics.shed.inc();
             metrics.retryable_errors.inc();
-            return proto::encode_retryable(shed.message());
+            return proto::encode_retryable_into(reply, shed.message());
         }
     };
     metrics.inflight.add(1);
@@ -444,38 +488,46 @@ fn handle_request(
     }
     metrics.inflight.add(-1);
     match outcome {
-        Ok(result) => match proto::encode_ok(&result) {
-            Ok(frame) => cap_frame(frame),
-            Err(e) => proto::encode_err(&e.to_string()),
-        },
+        Ok(result) => {
+            let mark = reply.len();
+            match proto::encode_ok_into(reply, &result) {
+                Ok(()) => cap_frame(reply, mark),
+                Err(e) => {
+                    reply.truncate(mark);
+                    proto::encode_err_into(reply, &e.to_string());
+                }
+            }
+        }
         Err(SqlError::Parse(e)) => {
             metrics.parse_errors.inc();
-            proto::encode_err(&e.to_string())
+            proto::encode_err_into(reply, &e.to_string());
         }
         Err(e) => match e.class() {
             ErrorClass::Retryable => {
                 metrics.retryable_errors.inc();
-                proto::encode_retryable(&e.to_string())
+                proto::encode_retryable_into(reply, &e.to_string());
             }
-            ErrorClass::Fatal => proto::encode_err(&e.to_string()),
+            ErrorClass::Fatal => proto::encode_err_into(reply, &e.to_string()),
         },
     }
 }
 
-/// Substitutes an in-band error for a response too large to frame, so
-/// an oversized `SELECT` gets an error answer instead of a write-side
-/// failure that drops the connection (and with it the client's open
-/// transaction). Only genuine socket errors should break the serve
-/// loop.
-fn cap_frame(frame: Vec<u8>) -> Vec<u8> {
-    if frame.len() > proto::MAX_FRAME_BYTES {
-        proto::encode_err(&format!(
-            "result too large: {} bytes exceeds the {} byte frame cap; narrow the query",
-            frame.len(),
-            proto::MAX_FRAME_BYTES
-        ))
-    } else {
-        frame
+/// Substitutes an in-band error for a response payload (`reply[mark..]`)
+/// too large to frame, so an oversized `SELECT` gets an error answer
+/// instead of a write-side failure that drops the connection (and with
+/// it the client's open transaction). Only genuine socket errors should
+/// break the serve loop.
+fn cap_frame(reply: &mut Vec<u8>, mark: usize) {
+    let len = reply.len().saturating_sub(mark);
+    if len > proto::MAX_FRAME_BYTES {
+        reply.truncate(mark);
+        proto::encode_err_into(
+            reply,
+            &format!(
+                "result too large: {len} bytes exceeds the {} byte frame cap; narrow the query",
+                proto::MAX_FRAME_BYTES
+            ),
+        );
     }
 }
 
@@ -485,11 +537,15 @@ mod tests {
 
     #[test]
     fn oversized_frames_become_error_responses() {
-        let small = vec![0u8; 16];
-        assert_eq!(cap_frame(small.clone()), small);
-        let capped = cap_frame(vec![0u8; proto::MAX_FRAME_BYTES + 1]);
-        assert!(capped.len() <= proto::MAX_FRAME_BYTES);
-        match proto::decode_response(&capped).unwrap() {
+        // The payload starts behind whatever the buffer already holds
+        // (the reserved frame prefix on a live connection).
+        let mut small = vec![7u8; 4 + 16];
+        cap_frame(&mut small, 4);
+        assert_eq!(small, vec![7u8; 4 + 16]);
+        let mut capped = vec![0u8; 4 + proto::MAX_FRAME_BYTES + 1];
+        cap_frame(&mut capped, 4);
+        assert!(capped.len() - 4 <= proto::MAX_FRAME_BYTES);
+        match proto::decode_response(&capped[4..]).unwrap() {
             Err(we) => {
                 assert!(we.msg.contains("result too large"), "{}", we.msg);
                 assert!(!we.retryable, "an oversized result is not transient");

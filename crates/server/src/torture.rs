@@ -172,13 +172,21 @@ fn current_addr(slot: &AtomicU64) -> SocketAddr {
     SocketAddr::from(([127, 0, 0, 1], slot.load(Ordering::Relaxed) as u16))
 }
 
-fn make_dialer(slot: Arc<AtomicU64>, scenario: ServerChaosScenario, dial_seed: u64) -> Dialer {
+/// What every dialer of a run shares: where the server is now, and
+/// the run's tally of faults its chaos transports fired.
+#[derive(Clone)]
+struct Wire {
+    port: Arc<AtomicU64>,
+    faults: Arc<AtomicU64>,
+}
+
+fn make_dialer(wire: Wire, scenario: ServerChaosScenario, dial_seed: u64) -> Dialer {
     let mut rng = Lcg::new(dial_seed);
     Box::new(move || {
-        let addr = current_addr(&slot);
+        let addr = current_addr(&wire.port);
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-        let plan = scenario.draw_plan(&mut rng);
-        Ok(Box::new(ChaosTransport::new(stream, plan)) as Box<dyn Transport>)
+        let chaos = ChaosTransport::new(stream, scenario.draw_plan(&mut rng));
+        Ok(Box::new(chaos.count_into(Arc::clone(&wire.faults))) as Box<dyn Transport>)
     })
 }
 
@@ -199,7 +207,7 @@ fn chaos_client_config(seed: u64, client: u64) -> ClientConfig {
 /// Builds a chaos client, retrying the eager dial while a mid-run
 /// crash swaps servers. `None` once the retry budget is exhausted.
 fn connect_chaos(
-    slot: &Arc<AtomicU64>,
+    wire: &Wire,
     scenario: ServerChaosScenario,
     seed: u64,
     client: u64,
@@ -208,7 +216,7 @@ fn connect_chaos(
     for _ in 0..100 {
         *generation = generation.wrapping_add(1);
         let dialer = make_dialer(
-            Arc::clone(slot),
+            wire.clone(),
             scenario,
             seed ^ client.wrapping_mul(0x00C0_FFEE) ^ generation.wrapping_mul(0x1_0000_0001),
         );
@@ -292,7 +300,7 @@ fn attempt_transfer(client: &mut Client, t: &Transfer) -> Attempt {
 /// One client thread's workload: `txns` transfers, each retried at
 /// most once and only when the previous attempt definitively aborted.
 fn run_chaos_client(
-    slot: Arc<AtomicU64>,
+    wire: Wire,
     scenario: ServerChaosScenario,
     seed: u64,
     client_id: u64,
@@ -300,7 +308,7 @@ fn run_chaos_client(
 ) -> std::result::Result<Vec<Transfer>, String> {
     let mut rng = Lcg::new((seed ^ client_id.wrapping_mul(0x00C0_FFEE)) | 1);
     let mut generation = 0u64;
-    let mut client = connect_chaos(&slot, scenario, seed, client_id, &mut generation);
+    let mut client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
     let mut transfers = Vec::with_capacity(txns as usize);
     for s in 0..txns {
         let from = rng.below(KEYS as u64) as i64;
@@ -321,7 +329,7 @@ fn run_chaos_client(
             let c = match client.as_mut() {
                 Some(c) => c,
                 None => {
-                    client = connect_chaos(&slot, scenario, seed, client_id, &mut generation);
+                    client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
                     match client.as_mut() {
                         Some(c) => c,
                         None => break,
@@ -401,17 +409,21 @@ fn drain_and_audit(handle: crate::server::ServerHandle, seed: u64) -> Result<()>
 
 /// Phase 1+2: serve traffic under chaos (optionally crashing the
 /// engine mid-run), then drain. Returns the engine for the final
-/// crash/recover plus every client's transfer record.
+/// crash/recover, every client's transfer record, and how many network
+/// faults fired.
 fn run_workload(
     seed: u64,
     scenario: ServerChaosScenario,
     options: &EngineOptions,
     rng: &mut Lcg,
-) -> Result<(Engine, Vec<Transfer>)> {
+) -> Result<(Engine, Vec<Transfer>, u64)> {
     let engine = Engine::start(options.clone())?;
     let cfg = server_config(scenario);
     let handle = Server::start(&engine, cfg.clone())?;
-    let slot = Arc::new(AtomicU64::new(u64::from(handle.addr().port())));
+    let wire = Wire {
+        port: Arc::new(AtomicU64::new(u64::from(handle.addr().port()))),
+        faults: Arc::default(),
+    };
 
     // Schema + zeroed accounts through a plain client.
     {
@@ -437,10 +449,10 @@ fn run_workload(
 
     let mut joins = Vec::new();
     for client_id in 0..clients {
-        let slot_c = Arc::clone(&slot);
+        let wire_c = wire.clone();
         let join = std::thread::Builder::new()
             .name(format!("server-chaos-client-{client_id}"))
-            .spawn(move || run_chaos_client(slot_c, scenario, seed, client_id, txns_per_client))
+            .spawn(move || run_chaos_client(wire_c, scenario, seed, client_id, txns_per_client))
             .map_err(|e| Error::Io(format!("spawn chaos client: {e}")))?;
         joins.push(join);
     }
@@ -454,8 +466,9 @@ fn run_workload(
         engine.crash()?;
         let (engine2, _info) = Engine::recover(options.clone())?;
         let handle2 = Server::start(&engine2, cfg)?;
+        let port = u64::from(handle2.addr().port());
         // ordering: see current_addr — dialers tolerate staleness.
-        slot.store(u64::from(handle2.addr().port()), Ordering::Relaxed);
+        wire.port.store(port, Ordering::Relaxed);
         (engine2, handle2)
     } else {
         (engine, handle)
@@ -471,7 +484,10 @@ fn run_workload(
     }
 
     drain_and_audit(handle, seed)?;
-    Ok((engine, transfers))
+    // ordering: every client thread was joined above, so the tally is
+    // final; the counter publishes no other data.
+    let faults_fired = wire.faults.load(Ordering::Relaxed);
+    Ok((engine, transfers, faults_fired))
 }
 
 /// Runs one full seeded server-chaos iteration in `log_dir` (created
@@ -484,7 +500,7 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     let options = engine_options(&mut rng, log_dir);
     let policy = format!("{:?}", options.policy);
 
-    let (engine, transfers) = run_workload(seed, scenario, &options, &mut rng)?;
+    let (engine, transfers, faults_fired) = run_workload(seed, scenario, &options, &mut rng)?;
 
     // Dump the workload's view of every transfer next to the log: on a
     // failing seed the directory is kept, and the oracle's verdict is
@@ -625,5 +641,6 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         recovered: recovered_txns,
         corrupt_pages_dropped: 0,
         degraded: false,
+        faults_fired,
     })
 }

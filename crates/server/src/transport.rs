@@ -6,17 +6,34 @@
 //! wire path is unchanged; [`ChaosTransport`] wraps any transport and
 //! injects a seeded [`NetFaultPlan`] — the network-path mirror of the
 //! log layer's `FaultyBackend`. Faults are counted in *transport
-//! operations* (individual `read`/`write` calls), which is exactly the
-//! granularity the framing layer exercises: a frame is at least two
-//! writes (length prefix, payload), so a torn or duplicated write op
-//! lands mid-frame, where it hurts.
+//! operations* (`read` calls, and the halves of a `write` described
+//! next).
+//!
+//! **No fault unit is a whole frame.** The framing layer
+//! ([`crate::proto::Framed`]) sends a frame — length prefix and payload
+//! — in one `write`, because that is one system call and one TCP
+//! segment. If that write were also the unit of injected faults, a
+//! duplicated write would be a *clean duplicate statement*, a torn one
+//! could only lose a frame's tail, and the chaos gate would stay green
+//! because its faults stopped landing anywhere that hurts. So the cut
+//! the sender does not make is made here: [`ChaosTransport`] splits
+//! every write longer than the prefix at byte 4 and runs the halves
+//! through its fault logic as two counted operations. A torn,
+//! duplicated or delayed operation therefore lands mid-frame, and a
+//! duplicate desynchronizes the stream instead of replaying a
+//! statement.
 //!
 //! Every fault is deterministic given the plan: the torture harness
 //! derives one plan per dialed connection from its seeded RNG, so a
-//! failing seed replays the same teardown byte-for-byte.
+//! failing seed replays the same teardown byte-for-byte. Faults that
+//! fire are counted ([`ChaosTransport::count_into`]), so a sweep can
+//! prove its faults landed.
 
+use crate::proto::PREFIX_BYTES;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the wire path needs from a socket: blocking reads and writes
@@ -57,8 +74,8 @@ pub struct NetFaultPlan {
     stall_read: Option<(u64, Duration)>,
     /// Sleep this long before every `every`th write.
     stall_write: Option<(u64, Duration)>,
-    /// Deliver the Nth write twice back-to-back (desyncs the framing —
-    /// the length prefix and payload are separate writes, so a
+    /// Deliver the Nth write op twice back-to-back (desyncs the framing
+    /// — the length prefix and the payload are separate ops, so a
     /// duplicated op can never form a clean duplicate statement).
     dup_at: Option<u64>,
     /// Swallow the Nth write and deliver its bytes immediately before
@@ -133,6 +150,7 @@ pub struct ChaosTransport<T: Transport> {
     ops: u64,
     dead: bool,
     delayed: Vec<u8>,
+    fired: Arc<AtomicU64>,
 }
 
 impl<T: Transport> ChaosTransport<T> {
@@ -146,7 +164,26 @@ impl<T: Transport> ChaosTransport<T> {
             ops: 0,
             dead: false,
             delayed: Vec::new(),
+            fired: Arc::default(),
         }
+    }
+
+    /// Counts every fault this transport fires into `fired` as well, so
+    /// a harness can total them across the connections it dials.
+    pub fn count_into(mut self, fired: Arc<AtomicU64>) -> ChaosTransport<T> {
+        self.fired = fired;
+        self
+    }
+
+    /// Faults fired so far on the counter this transport reports to.
+    pub fn faults_fired(&self) -> u64 {
+        // ordering: a statistic; it publishes no other data.
+        self.fired.load(Ordering::Relaxed)
+    }
+
+    fn fire(&self) {
+        // ordering: a statistic; it publishes no other data.
+        self.fired.fetch_add(1, Ordering::Relaxed);
     }
 
     /// True once a drop or torn-write fault has fired.
@@ -155,6 +192,7 @@ impl<T: Transport> ChaosTransport<T> {
     }
 
     fn killed(&mut self, kind: io::ErrorKind, what: &str) -> io::Error {
+        self.fire();
         self.dead = true;
         io::Error::new(kind, format!("chaos: {what}"))
     }
@@ -175,6 +213,7 @@ impl<T: Transport> Read for ChaosTransport<T> {
         }
         if let Some((every, pause)) = self.plan.stall_read {
             if self.reads % every == 0 {
+                self.fire();
                 std::thread::sleep(pause);
             }
         }
@@ -182,8 +221,10 @@ impl<T: Transport> Read for ChaosTransport<T> {
     }
 }
 
-impl<T: Transport> Write for ChaosTransport<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+impl<T: Transport> ChaosTransport<T> {
+    /// One counted write operation under the fault plan: all of `buf`
+    /// is delivered (or held, or torn) before it returns.
+    fn write_op(&mut self, buf: &[u8]) -> io::Result<()> {
         if self.dead {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
@@ -197,6 +238,7 @@ impl<T: Transport> Write for ChaosTransport<T> {
         }
         if let Some((every, pause)) = self.plan.stall_write {
             if self.writes % every == 0 {
+                self.fire();
                 std::thread::sleep(pause);
             }
         }
@@ -209,8 +251,9 @@ impl<T: Transport> Write for ChaosTransport<T> {
             }
         }
         if self.plan.delay_at.is_some_and(|n| self.writes == n) {
+            self.fire();
             self.delayed.extend_from_slice(buf);
-            return Ok(buf.len());
+            return Ok(());
         }
         if !self.delayed.is_empty() {
             let held = std::mem::take(&mut self.delayed);
@@ -218,7 +261,21 @@ impl<T: Transport> Write for ChaosTransport<T> {
         }
         self.inner.write_all(buf)?;
         if self.plan.dup_at.is_some_and(|n| self.writes == n) {
+            self.fire();
             self.inner.write_all(buf)?;
+        }
+        Ok(())
+    }
+}
+
+impl<T: Transport> Write for ChaosTransport<T> {
+    /// Cuts a framed write into its prefix op and its payload op (see
+    /// the module docs); a write no longer than the prefix is one op.
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let (prefix, payload) = buf.split_at(buf.len().min(PREFIX_BYTES));
+        self.write_op(prefix)?;
+        if !payload.is_empty() {
+            self.write_op(payload)?;
         }
         Ok(buf.len())
     }
@@ -329,22 +386,74 @@ mod tests {
     fn torn_write_delivers_a_prefix_then_dies() {
         let mut t =
             ChaosTransport::new(Mem::new(Vec::new()), NetFaultPlan::none().torn_write(2, 3));
-        // Write 1 (a frame's length prefix) goes through; write 2 (the
-        // payload) is torn after 3 bytes.
-        assert!(t.write(&8u32.to_le_bytes()).is_ok());
-        let e = t.write(b"SELECT 1").unwrap_err();
+        // The frame leaves the sender as one write; chaos cuts it. Op 1
+        // (the length prefix) goes through; op 2 (the payload) is torn
+        // after 3 bytes.
+        let e = proto::write_frame(&mut t, b"SELECT 1").unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(t.inner.tx, [8, 0, 0, 0, b'S', b'E', b'L']);
         assert!(t.is_dead());
+        assert_eq!(t.faults_fired(), 1);
     }
 
     #[test]
     fn dup_write_desyncs_the_stream() {
         let mut t = ChaosTransport::new(Mem::new(Vec::new()), NetFaultPlan::none().dup_write(1));
+        // A single write from the sender, yet the duplicated op is the
+        // length prefix alone: a reader decodes garbage, never a clean
+        // duplicate frame.
         proto::write_frame(&mut t, b"ab").unwrap();
-        // The duplicated length prefix means a reader decodes garbage,
-        // never a clean duplicate frame.
         assert_eq!(t.inner.tx, [2, 0, 0, 0, 2, 0, 0, 0, b'a', b'b']);
+        assert_eq!(t.faults_fired(), 1);
+    }
+
+    /// Every plan that injects exactly one kind of fault at one of the
+    /// first few write ops.
+    fn single_fault_plans() -> Vec<NetFaultPlan> {
+        let mut plans = vec![NetFaultPlan::none()];
+        for n in 1..=4 {
+            plans.push(NetFaultPlan::none().drop_at(n));
+            plans.push(NetFaultPlan::none().dup_write(n));
+            plans.push(NetFaultPlan::none().delay_write(n));
+            plans.push(NetFaultPlan::none().stall_writes(n, Duration::ZERO));
+            plans.extend((0..6).map(|keep| NetFaultPlan::none().torn_write(n, keep)));
+        }
+        plans
+    }
+
+    #[test]
+    fn no_single_fault_delivers_a_frame_twice() {
+        let rows = |n: i64| mmdb_sql::QueryResult {
+            columns: vec!["id".to_string(), "bal".to_string()],
+            rows: (0..n)
+                .map(|i| vec![mmdb_types::Value::Int(i), mmdb_types::Value::Int(100)])
+                .collect(),
+            affected: 0,
+        };
+        let corpus: Vec<Vec<u8>> = vec![
+            b"BEGIN".to_vec(),
+            b"COMMIT".to_vec(),
+            b"UPDATE acct SET bal = bal - 5 WHERE id = 3".to_vec(),
+            b"SELECT bal FROM acct WHERE id = 3".to_vec(),
+            proto::encode_ok(&rows(0)).unwrap(),
+            proto::encode_ok(&rows(1)).unwrap(),
+            proto::encode_ok(&rows(100)).unwrap(),
+        ];
+        for plan in single_fault_plans() {
+            for frame in &corpus {
+                let mut t = ChaosTransport::new(Mem::new(Vec::new()), plan.clone());
+                // The frame once, then a different one (which also
+                // releases a delayed op); a dead transport just stops.
+                let _ = proto::write_frame(&mut t, frame)
+                    .and_then(|()| proto::write_frame(&mut t, b"a different frame"));
+                let mut delivered = io::Cursor::new(t.inner.tx);
+                let mut copies = 0;
+                while let Ok(proto::FrameRead::Frame(p)) = proto::read_frame(&mut delivered) {
+                    copies += usize::from(&p == frame);
+                }
+                assert!(copies <= 1, "{plan:?} delivered {frame:?} {copies} times");
+            }
+        }
     }
 
     #[test]

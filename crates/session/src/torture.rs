@@ -219,6 +219,9 @@ pub struct TortureReport {
     pub corrupt_pages_dropped: usize,
     /// True when the engine entered fail-stop degraded state.
     pub degraded: bool,
+    /// Network faults the run's chaos transports fired (server-chaos
+    /// scenarios; 0 where faults enter at the log device instead).
+    pub faults_fired: u64,
 }
 
 /// Options shared by every phase of a run (fault plans vary per phase).
@@ -456,6 +459,7 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         recovered: recovered_count,
         corrupt_pages_dropped: corrupt_dropped,
         degraded,
+        faults_fired: 0,
     })
 }
 
@@ -878,6 +882,7 @@ fn run_checkpoint_scenario(
         recovered: info.committed.len(),
         corrupt_pages_dropped: info.corrupt_pages_dropped,
         degraded: false,
+        faults_fired: 0,
     })
 }
 

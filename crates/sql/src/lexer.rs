@@ -146,12 +146,7 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while bytes
-                    .get(i)
-                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
-                {
-                    i += 1;
-                }
+                i = word_end(bytes, i);
                 if i - start > MAX_TOKEN_BYTES {
                     return Err(ParseError::at(start, "identifier too long"));
                 }
@@ -177,6 +172,37 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
         }
     }
     Ok(out)
+}
+
+/// Index just past the identifier characters starting at `i`.
+fn word_end(bytes: &[u8], mut i: usize) -> usize {
+    while bytes
+        .get(i)
+        .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
+    {
+        i += 1;
+    }
+    i
+}
+
+/// The first token of `input` if it is a bare word — what [`lex`] would
+/// produce first, skipping the same whitespace and `--` comments, but
+/// without tokenizing the rest.
+pub fn first_word(input: &str) -> Option<&str> {
+    let bytes = input.as_bytes();
+    let mut i = 0usize;
+    loop {
+        match bytes.get(i)? {
+            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+            b'-' if bytes.get(i + 1) == Some(&b'-') => {
+                while bytes.get(i).is_some_and(|&c| c != b'\n') {
+                    i += 1;
+                }
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => return input.get(i..word_end(bytes, i)),
+            _ => return None,
+        }
+    }
 }
 
 fn push1(out: &mut Vec<Spanned>, tok: Token, at: usize, i: &mut usize) {

@@ -24,8 +24,10 @@
 //! literal     := [ "-" ] integer | [ "-" ] float | string | "NULL"
 //! ```
 
-use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr, Statement};
-use crate::lexer::{lex, Spanned, Token};
+use crate::ast::{
+    ColRef, Condition, Literal, Projection, SelectStmt, SetExpr, Statement, StatementKind,
+};
+use crate::lexer::{first_word, lex, Spanned, Token};
 use mmdb_types::expr::CmpOp;
 use mmdb_types::schema::DataType;
 use std::fmt;
@@ -75,6 +77,36 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
         ));
     }
     Ok(stmt)
+}
+
+/// Every keyword that can open a statement, with the kind it opens —
+/// the one table [`parse`]'s dispatch and [`leading_kind`] share.
+const STATEMENT_HEADS: [(&str, StatementKind); 9] = [
+    ("CREATE", "create_table"),
+    ("INSERT", "insert"),
+    ("SELECT", "select"),
+    ("UPDATE", "update"),
+    ("DELETE", "delete"),
+    ("BEGIN", "begin"),
+    ("COMMIT", "commit"),
+    ("ABORT", "abort"),
+    ("ROLLBACK", "abort"),
+];
+
+fn head_kind(word: &str) -> Option<StatementKind> {
+    STATEMENT_HEADS
+        .iter()
+        .find(|(kw, _)| word.eq_ignore_ascii_case(kw))
+        .map(|(_, kind)| *kind)
+}
+
+/// The kind `input`'s leading keyword announces, without parsing the
+/// rest: for every statement [`parse`] accepts this equals
+/// `parse(input).kind()`, at the cost of one word. It says nothing
+/// about whether the statement is valid — callers that cannot assume
+/// that (the text was never acknowledged by a server) must `parse`.
+pub fn leading_kind(input: &str) -> Option<StatementKind> {
+    first_word(input).and_then(head_kind)
 }
 
 /// Keywords that cannot double as table or column names.
@@ -202,15 +234,15 @@ impl Parser {
     fn statement(&mut self) -> Result<Statement, ParseError> {
         let at = self.here();
         let head = self.raw_ident("a statement keyword")?;
-        match head.to_ascii_uppercase().as_str() {
-            "CREATE" => self.create_table(),
-            "INSERT" => self.insert(),
-            "SELECT" => self.select(),
-            "UPDATE" => self.update(),
-            "DELETE" => self.delete(),
-            "BEGIN" => Ok(Statement::Begin),
-            "COMMIT" => Ok(Statement::Commit),
-            "ABORT" | "ROLLBACK" => Ok(Statement::Abort),
+        match head_kind(&head) {
+            Some("create_table") => self.create_table(),
+            Some("insert") => self.insert(),
+            Some("select") => self.select(),
+            Some("update") => self.update(),
+            Some("delete") => self.delete(),
+            Some("begin") => Ok(Statement::Begin),
+            Some("commit") => Ok(Statement::Commit),
+            Some("abort") => Ok(Statement::Abort),
             _ => Err(ParseError::at(
                 at,
                 format!("unknown statement '{head}' (expected CREATE, INSERT, SELECT, UPDATE, DELETE, BEGIN, COMMIT, or ABORT)"),
@@ -747,6 +779,63 @@ mod tests {
         );
         let e = parse("SELECT * FROM t extra garbage").unwrap_err();
         assert!(e.to_string().contains("after statement"), "{e}");
+    }
+
+    /// Every statement text the tests above feed the parser — valid and
+    /// not — plus the spellings `first_word` must see through.
+    const CORPUS: [&str; 26] = [
+        "CREATE TABLE emp (id INT, name TEXT, salary FLOAT);",
+        "insert into t (a, b) values (1, 'x'), (-2, NULL)",
+        "SELECT emp.name, dept.title FROM emp JOIN dept ON emp.dept_id = dept.id \
+         WHERE emp.salary > 100.5 AND dept.title = 'eng'",
+        "SELECT * FROM a, b WHERE a.x = b.y",
+        "SELECT * FROM t WHERE 5 < x",
+        "UPDATE acct SET bal = bal - 100 WHERE id = 7",
+        "DELETE FROM t WHERE a = 1",
+        "BEGIN",
+        "commit;",
+        "ROLLBACK",
+        "abort",
+        "  \t\n begin ;",
+        "-- a comment first\nRollBack",
+        "-- one\n  -- two\nselect a from t",
+        "SELECT FROM t",
+        "CREATE TABLE t (a BLOB)",
+        "FLY TO t",
+        "SELECT * FROM t WHERE a < b",
+        "SELECT * FROM t extra garbage",
+        "",
+        ";",
+        "-- only a comment",
+        "- BEGIN",
+        "'BEGIN'",
+        "7 COMMIT",
+        "begin_work",
+    ];
+
+    #[test]
+    fn leading_kind_agrees_with_the_parser_on_everything_that_parses() {
+        let mut parsed = 0;
+        for sql in CORPUS {
+            if let Ok(stmt) = parse(sql) {
+                parsed += 1;
+                assert_eq!(leading_kind(sql), Some(stmt.kind()), "{sql:?}");
+            }
+        }
+        assert_eq!(parsed, 14);
+        // One table: every kind the parser can produce has a keyword,
+        // and no keyword names a kind the parser cannot produce.
+        for kind in crate::ast::STATEMENT_KINDS {
+            assert!(STATEMENT_HEADS.iter().any(|(_, k)| *k == kind), "{kind}");
+        }
+        for (kw, kind) in STATEMENT_HEADS {
+            assert!(crate::ast::STATEMENT_KINDS.contains(&kind), "{kw}");
+        }
+        // A leading word that is not a statement keyword is no kind.
+        assert_eq!(leading_kind("FLY TO t"), None);
+        assert_eq!(leading_kind("begin_work"), None);
+        assert_eq!(leading_kind("'BEGIN'"), None);
+        assert_eq!(leading_kind(""), None);
     }
 
     #[test]

@@ -73,6 +73,15 @@ proptest! {
     }
 
     #[test]
+    fn leading_kind_names_the_kind_of_whatever_parses(s in keyword_soup(), pad in "[ \t\n]{0,3}") {
+        let s = format!("{pad}{s}");
+        let _ = mmdb_sql::parser::leading_kind(&s);
+        if let Ok(stmt) = parse(&s) {
+            prop_assert_eq!(mmdb_sql::parser::leading_kind(&s), Some(stmt.kind()));
+        }
+    }
+
+    #[test]
     fn truncating_valid_sql_never_panics(cut in 0usize..120) {
         let sql = "SELECT a.x, b.y FROM a JOIN b ON a.id = b.id \
                    WHERE a.x >= -3 AND b.name = 'it''s' AND a.z <> 1.25;";

@@ -21,7 +21,9 @@ use std::process::ExitCode;
 /// bounded-recovery run; `--server` selects the full-stack
 /// server-chaos scenarios (SQL over TCP under seeded network faults,
 /// overload shedding, and a mid-run crash/recover) with their
-/// acked-implies-recovered and conservation oracle.
+/// acked-implies-recovered and conservation oracle; the runner also
+/// fails that sweep if its torn-, dup- or delay-wire seeds fired no
+/// network fault at all.
 pub fn torture(root: &Path, args: &[String]) -> ExitCode {
     println!("torture: running session_torture via cargo ...");
     let status = std::process::Command::new(env!("CARGO"))

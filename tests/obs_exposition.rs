@@ -208,7 +208,7 @@ fn cost_meter_bridges_into_the_engine_registry() {
 /// wire front end registers these on the engine's registry, so one
 /// exposition covers both layers. Same golden rules as
 /// [`SESSION_FAMILIES`].
-const SERVER_FAMILIES: [(&str, &str); 13] = [
+const SERVER_FAMILIES: [(&str, &str); 15] = [
     ("mmdb_server_active_connections_count", "gauge"),
     ("mmdb_server_connections_total", "counter"),
     ("mmdb_server_requests_total", "counter"),
@@ -220,6 +220,8 @@ const SERVER_FAMILIES: [(&str, &str); 13] = [
     ("mmdb_server_retryable_errors_total", "counter"),
     ("mmdb_server_write_stalls_total", "counter"),
     ("mmdb_server_slow_client_disconnects_total", "counter"),
+    ("mmdb_server_socket_reads_total", "counter"),
+    ("mmdb_server_socket_writes_total", "counter"),
     ("mmdb_server_inflight_statements_count", "gauge"),
     ("mmdb_server_admission_wait_us", "histogram"),
 ];
@@ -259,6 +261,10 @@ fn server_families_join_the_engine_exposition() {
     assert_eq!(stats.counter("mmdb_sql_index_builds_total"), Some(0));
     assert_eq!(stats.counter("mmdb_server_requests_total"), Some(4));
     assert_eq!(stats.counter("mmdb_server_parse_errors_total"), Some(1));
+    // With `requests_total`, system calls per request: every answer
+    // left in one write; reads may add idle polls to one per request.
+    assert_eq!(stats.counter("mmdb_server_socket_writes_total"), Some(4));
+    assert!(stats.counter("mmdb_server_socket_reads_total") >= Some(4));
     assert_eq!(stats.counter("mmdb_server_connections_total"), Some(1));
     assert_eq!(stats.gauge("mmdb_server_active_connections_count"), Some(1));
 

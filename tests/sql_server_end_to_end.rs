@@ -405,3 +405,138 @@ fn concurrent_connections_commit_disjoint_rows() {
     engine.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A transport that counts the calls made on a real socket.
+struct Counted {
+    stream: std::net::TcpStream,
+    reads: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    writes: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl std::io::Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.stream.read(buf)
+    }
+}
+
+impl std::io::Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.stream.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+impl mmdb_server::Transport for Counted {
+    fn set_read_timeout(&mut self, t: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_read_timeout(t)
+    }
+    fn set_write_timeout(&mut self, t: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_write_timeout(t)
+    }
+    fn set_nodelay(&mut self, on: bool) -> std::io::Result<()> {
+        self.stream.set_nodelay(on)
+    }
+}
+
+#[test]
+fn a_point_select_costs_one_read_and_one_write_on_each_end() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let dir = tmp_dir("syscalls");
+    let (engine, handle) = start(&dir);
+    let (reads, writes) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let addr = handle.addr();
+    let (r, w) = (Arc::clone(&reads), Arc::clone(&writes));
+    let dialer = Box::new(move || {
+        Ok(Box::new(Counted {
+            stream: std::net::TcpStream::connect(addr)?,
+            reads: Arc::clone(&r),
+            writes: Arc::clone(&w),
+        }) as Box<dyn mmdb_server::Transport>)
+    });
+    let mut c = Client::from_dialer(dialer, ClientConfig::default()).unwrap();
+    c.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+    let rows: Vec<String> = (0..50).map(|i| format!("({i}, {})", i * 10)).collect();
+    c.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .unwrap();
+
+    let counts = || {
+        let server = engine.stats();
+        (
+            reads.load(Ordering::SeqCst),
+            writes.load(Ordering::SeqCst),
+            server.counter("mmdb_server_socket_reads_total").unwrap(),
+            server.counter("mmdb_server_socket_writes_total").unwrap(),
+        )
+    };
+    let before = counts();
+    for i in 0..1_000i64 {
+        let id = i % 50;
+        let got = c
+            .query(&format!("SELECT v FROM t WHERE id = {id}"))
+            .unwrap();
+        assert_eq!(got, vec![vec![Value::Int(id * 10)]]);
+    }
+    let after = counts();
+    // Client: one write out and one read back per statement, exactly.
+    assert_eq!(after.1 - before.1, 1_000);
+    assert_eq!(after.0 - before.0, 1_000);
+    // Server: one write per answer, exactly; one read per request, give
+    // or take the read it is already blocked in at either snapshot, plus
+    // at most a few idle polls while the client was between statements.
+    assert_eq!(after.3 - before.3, 1_000);
+    let server_reads = after.2 - before.2;
+    assert!(
+        (999..=1_010).contains(&server_reads),
+        "{server_reads} server reads"
+    );
+
+    drop(c);
+    handle.shutdown().unwrap();
+    engine.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_requests_sent_in_one_segment_are_both_answered_in_order() {
+    use mmdb_server::proto::{self, FrameRead};
+    use std::io::Write;
+
+    let dir = tmp_dir("pipelined");
+    let (engine, handle) = start(&dir);
+    let mut setup = Client::connect(handle.addr()).unwrap();
+    setup.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+    setup
+        .execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        .unwrap();
+
+    // No client API pipelines; the protocol needs no change for a peer
+    // that does. Both frames leave in one write.
+    let mut wire = Vec::new();
+    proto::write_frame(&mut wire, b"SELECT v FROM t WHERE id = 1").unwrap();
+    proto::write_frame(&mut wire, b"SELECT v FROM t WHERE id = 2").unwrap();
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&wire).unwrap();
+    for want in [10, 20] {
+        match proto::read_frame(&mut raw).unwrap() {
+            FrameRead::Frame(payload) => {
+                let result = proto::decode_response(&payload).unwrap().unwrap();
+                assert_eq!(result.rows, vec![vec![Value::Int(want)]]);
+            }
+            other => panic!("expected an answer, got {other:?}"),
+        }
+    }
+
+    drop(raw);
+    drop(setup);
+    handle.shutdown().unwrap();
+    engine.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
