@@ -1,14 +1,16 @@
 //! Standalone crash-torture runner (§5) — the binary behind
-//! `cargo xtask torture`.
+//! `cargo torture` (an alias in `.cargo/config.toml`).
 //!
-//! Sweeps seeds through [`mmdb_session::torture::run_seed`]: each seed
-//! derives a commit policy, a concurrent transfer workload, and a
-//! deterministic fault schedule (or a plain crash, or a fault inside
-//! recovery's compaction), then crashes, recovers, and verifies the
-//! recovered image against the serial oracle. A watchdog thread turns
-//! any hang — the one failure a test harness cannot otherwise report —
-//! into exit code 124, and a failing seed leaves its log directory
-//! under the artifact dir for postmortem.
+//! Sweeps seeds through [`mmdb_session::torture::run_seed`] with
+//! [`mmdb_session::torture::sweep`], fifty seeds per progress line: each
+//! seed derives a commit policy, a concurrent transfer workload, and a
+//! deterministic fault schedule (or a plain crash, or a fault inside the
+//! checkpoint image a restart writes), then crashes, recovers, and
+//! verifies the recovered image against the serial oracle. A watchdog
+//! thread turns any hang — the one failure a test harness cannot
+//! otherwise report — into exit code 124, and a failing seed leaves its
+//! log directory under the artifact dir for postmortem. The sweep fails
+//! if `fault-during-recovery` ran and landed no fault.
 //!
 //! `--checkpoint` switches to the §5.3 checkpoint-torture scenarios
 //! (crash mid-sweep, crash before generation truncation, background
@@ -31,8 +33,9 @@
 //! [--watchdog-secs T] [--checkpoint] [--sustain-secs S] [--server]`.
 
 use mmdb_session::torture;
+use mmdb_session::TortureReport;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 struct Config {
@@ -101,78 +104,70 @@ fn main() {
     });
 
     let started = Instant::now();
-    // Per scenario: seeds run, network faults fired.
-    let mut by_scenario: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut by_policy: BTreeMap<String, u64> = BTreeMap::new();
-    let mut degraded_runs = 0u64;
-    let mut corrupt_pages = 0usize;
     // The sustained-load acceptance run first: long traffic, one crash,
     // bounded recovery — failure keeps its artifacts like any seed.
     if let Some(sustain) = cfg.sustain {
-        let dir = cfg.artifacts.join("sustained");
         println!(
             "torture: sustained checkpoint run ({}s of traffic)...",
             sustain.as_secs()
         );
-        match torture::run_sustained_checkpoint(cfg.first, &dir, sustain) {
-            Ok(report) => {
-                println!(
-                    "torture: sustained run ok ({} committed, {} replayed at recovery)",
-                    report.committed, report.recovered
-                );
-                std::fs::remove_dir_all(&dir).ok();
-            }
-            Err(e) => {
-                eprintln!("torture: sustained run FAILED: {e}");
-                eprintln!("torture: log directory kept at {}", dir.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    for seed in cfg.first..cfg.first.saturating_add(cfg.seeds) {
-        let dir = torture::seed_dir(&cfg.artifacts, seed);
-        let result = if cfg.server {
-            mmdb_server::torture::run_server_seed(seed, &dir)
-        } else if cfg.checkpoint {
-            torture::run_checkpoint_seed(seed, &dir)
-        } else {
-            torture::run_seed(seed, &dir)
-        };
-        match result {
-            Ok(report) => {
-                let tally = by_scenario.entry(report.scenario).or_insert((0, 0));
-                tally.0 += 1;
-                tally.1 += report.faults_fired;
-                *by_policy.entry(report.policy).or_insert(0) += 1;
-                degraded_runs += u64::from(report.degraded);
-                corrupt_pages += report.corrupt_pages_dropped;
-                std::fs::remove_dir_all(&dir).ok();
-            }
-            Err(e) => {
-                eprintln!("torture: FAILED: {e}");
-                eprintln!("torture: log directory kept at {}", dir.display());
-                std::process::exit(1);
-            }
-        }
-        let done = seed - cfg.first + 1;
-        if done % 50 == 0 || done == cfg.seeds {
+        let dir = cfg.artifacts.join("sustained");
+        for report in passed(torture::sweep(cfg.first, 1, &dir, |seed, dir| {
+            torture::run_sustained_checkpoint(seed, dir, sustain)
+        })) {
             println!(
-                "torture: {done}/{} seeds ok ({:.1}s)",
-                cfg.seeds,
-                started.elapsed().as_secs_f64()
+                "torture: sustained run ok ({} committed, {} replayed at recovery)",
+                report.committed, report.recovered
             );
         }
+    }
+    let per_seed: fn(u64, &Path) -> mmdb_types::Result<TortureReport> = if cfg.server {
+        mmdb_server::torture::run_server_seed
+    } else if cfg.checkpoint {
+        torture::run_checkpoint_seed
+    } else {
+        torture::run_seed
+    };
+    let mut reports = Vec::new();
+    let mut done = 0;
+    while done < cfg.seeds {
+        let block = PROGRESS_EVERY.min(cfg.seeds - done);
+        reports.extend(passed(torture::sweep(
+            cfg.first + done,
+            block,
+            &cfg.artifacts,
+            per_seed,
+        )));
+        done += block;
+        println!(
+            "torture: {done}/{} seeds ok ({:.1}s)",
+            cfg.seeds,
+            started.elapsed().as_secs_f64()
+        );
+    }
+
+    // Per scenario: seeds run, faults seen to land.
+    let mut by_scenario: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    let mut by_policy: BTreeMap<&str, u64> = BTreeMap::new();
+    for report in &reports {
+        let tally = by_scenario.entry(&report.scenario).or_insert((0, 0));
+        tally.0 += 1;
+        tally.1 += report.faults_fired;
+        *by_policy.entry(&report.policy).or_insert(0) += 1;
     }
     println!(
         "torture: {} seeds passed in {:.1}s ({} degraded runs, {} corrupt pages dropped)",
         cfg.seeds,
         started.elapsed().as_secs_f64(),
-        degraded_runs,
-        corrupt_pages
+        reports.iter().filter(|r| r.degraded).count(),
+        reports
+            .iter()
+            .map(|r| r.corrupt_pages_dropped)
+            .sum::<usize>()
     );
     for (scenario, (count, faults)) in &by_scenario {
-        if cfg.server {
-            println!("torture:   scenario {scenario}: {count} ({faults} network faults fired)");
+        if *faults > 0 || MUST_FIRE.contains(scenario) {
+            println!("torture:   scenario {scenario}: {count} ({faults} faults landed)");
         } else {
             println!("torture:   scenario {scenario}: {count}");
         }
@@ -182,16 +177,35 @@ fn main() {
     }
     for scenario in MUST_FIRE {
         if let Some((count @ MIN_SEEDS_TO_JUDGE.., 0)) = by_scenario.get(scenario) {
-            eprintln!("torture: FAILED: {scenario} ran {count} seeds and fired no fault");
+            eprintln!("torture: FAILED: {scenario} ran {count} seeds and landed no fault");
             std::process::exit(1);
         }
     }
 }
 
-/// Server-chaos scenarios whose whole point is a fault landing inside a
-/// frame; each must fire at least once across a sweep that ran it.
-const MUST_FIRE: [&str; 3] = ["server-torn-wire", "server-dup-wire", "server-delay-wire"];
+/// The reports of a sweep that passed; a violation (its artifact
+/// directory named in the error) ends the process.
+fn passed(sweep: mmdb_types::Result<Vec<TortureReport>>) -> Vec<TortureReport> {
+    sweep.unwrap_or_else(|e| {
+        eprintln!("torture: FAILED: {e}");
+        std::process::exit(1)
+    })
+}
 
-/// Half of a seed's connections dial clean, so a handful of seeds can
-/// honestly fire nothing; only judge a scenario that ran this often.
+/// Seeds per [`torture::sweep`] call, and so per progress line.
+const PROGRESS_EVERY: u64 = 50;
+
+/// Scenarios whose whole point is a fault landing where it hurts — a
+/// wire fault inside a frame, a disk fault inside a restart's image —
+/// each must land at least once across a sweep that ran it.
+const MUST_FIRE: [&str; 4] = [
+    "server-torn-wire",
+    "server-dup-wire",
+    "server-delay-wire",
+    "fault-during-recovery",
+];
+
+/// Half of a server seed's connections dial clean, so a handful of
+/// seeds can honestly fire nothing; only judge a scenario that ran this
+/// often.
 const MIN_SEEDS_TO_JUDGE: u64 = 4;

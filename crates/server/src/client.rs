@@ -24,9 +24,9 @@
 use crate::proto::{self, Framed, Recv};
 use crate::transport::Transport;
 use mmdb_obs::{Counter, Registry};
-use mmdb_session::torture::Lcg;
 use mmdb_sql::QueryResult;
 use mmdb_types::value::Value;
+use mmdb_types::WorkloadRng;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -176,7 +176,7 @@ pub struct Client {
     conn: Option<Framed<Box<dyn Transport>>>,
     in_txn: bool,
     ever_connected: bool,
-    rng: Lcg,
+    rng: WorkloadRng,
     metrics: Option<ClientMetrics>,
 }
 
@@ -218,7 +218,7 @@ impl Client {
     /// fast.
     pub fn from_dialer(dial: Dialer, config: ClientConfig) -> Result<Client, ClientError> {
         let metrics = config.registry.as_deref().map(ClientMetrics::register);
-        let rng = Lcg::new(config.retry_seed ^ 0xC11E_27B0_0757_0FF5);
+        let rng = WorkloadRng::seeded(config.retry_seed ^ 0xC11E_27B0_0757_0FF5);
         let mut client = Client {
             config,
             dial,
@@ -406,7 +406,7 @@ impl Client {
             .backoff_base
             .saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
         let cap = doubled.min(self.config.backoff_cap);
-        let jitter_us = self.rng.below((cap.as_micros() as u64 / 2).max(1));
+        let jitter_us = self.rng.index((cap.as_micros() as usize / 2).max(1)) as u64;
         std::thread::sleep(cap / 2 + Duration::from_micros(jitter_us));
     }
 }

@@ -30,10 +30,10 @@
 //!   transaction open must surface as
 //!   [`ClientError::ConnectionLost`]` { in_txn: true }` — never as a
 //!   shape a naive caller would blindly retry.
-//! * **Nobody hangs.** Every deadline is finite; the xtask watchdog
+//! * **Nobody hangs.** Every deadline is finite; the runner's watchdog
 //!   bounds the whole sweep.
 //!
-//! Run as `cargo xtask torture --server --seeds N`.
+//! Run as `cargo torture --server --seeds N`.
 
 use crate::client::{Client, ClientConfig, ClientError, Dialer};
 use crate::server::{Server, ServerConfig};

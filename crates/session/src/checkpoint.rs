@@ -1,11 +1,10 @@
-//! §5.3 online fuzzy checkpointing for the wall-clock engine.
+//! §5.3 online fuzzy checkpointing for the wall-clock engine — the one
+//! writer of checkpoint images, on a timer, on demand, and as the last
+//! step of every restart ([`Engine::recover`]).
 //!
 //! The paper's recovery-cost argument is that replay work should be
-//! bounded by the *checkpoint interval*, not by total history. The
-//! restart path already proves the generation mechanics (recovery
-//! compacts into a fresh `wal-gen{g}` snapshot and deletes the old one
-//! only after the new one is durably complete); this module runs the
-//! same trick *during live traffic*, §5.3-style:
+//! bounded by the *checkpoint interval*, not by total history. A sweep
+//! runs *during live traffic*, §5.3-style:
 //!
 //! - A background sweeper walks the shards one at a time, taking each
 //!   shard guard only long enough to copy its table — **action
@@ -24,16 +23,17 @@
 //!   will land at or past the captured next LSN, `start`'s upper bound.
 //!   Every effect missing from the image sits in the live log at
 //!   LSN ≥ `start`.
-//! - The image goes to a **new generation file** through the same
-//!   [`WalDevice`] / `LogBackend` stack the commit path uses, with a
-//!   [`LogRecord::Checkpoint`] marker carrying `start` and the
-//!   transaction-id floor. The live generation keeps growing in place;
-//!   the sweeper never touches it.
-//! - Old checkpoint generations are deleted only *after* the new
-//!   generation's commit record is durable (the image is written, then
-//!   synced once), reusing restart compaction's crash-fallback
-//!   semantics: a crash mid-sweep leaves a torn generation that recovery
-//!   skips.
+//! - The image goes to a **new generation** — device 0 of it, opened
+//!   like any log device, through the same [`WalDevice`] /
+//!   `LogBackend` stack the commit path uses — as one synthetic
+//!   committed transaction (id 0) whose [`LogRecord::Checkpoint`] marker
+//!   carries `start` and the transaction-id floor. The live generation
+//!   keeps growing in place; the sweeper never touches it.
+//! - Every other generation — superseded images, torn leftovers of
+//!   crashed sweeps, and after a restart the pre-restart live log — is
+//!   deleted only *after* the new image's commit record is durable (the
+//!   image is written, then synced once): a crash mid-sweep leaves a
+//!   torn generation that recovery skips, with its predecessors intact.
 //! - A **dirty-shard table** ([`crate::shard::ShardState::dirty`] plus
 //!   the sweeper's settled-image cache) makes successive sweeps copy
 //!   only shards mutated since the last sweep.
@@ -41,15 +41,17 @@
 //! Recovery ([`crate::recover`]) loads the newest complete checkpoint
 //! and replays only the live-log suffix past `start`, making recovery
 //! O(checkpoint interval).
+//!
+//! [`Engine::recover`]: crate::Engine::recover
 
 use crate::daemon::Shared;
-use crate::engine::{device_file_name, log_files};
-use crate::recover::{append_paged, generation_of, write_snapshot};
+use crate::engine::{log_files, open_device};
+use crate::recover::generation_of;
 use crate::shard::UndoEntry;
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{Error, Result, TxnId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -94,9 +96,10 @@ impl CheckpointState {
 pub(crate) enum SweepHalt {
     /// Run the sweep to completion (production behavior).
     None,
-    /// Write a torn image — begin record, checkpoint marker, half the
-    /// updates, **no commit** — then fail, leaving an incomplete
-    /// generation on disk exactly as a crash mid-checkpoint would.
+    /// Write a truncated copy of the image's records — begin record,
+    /// checkpoint marker, half the puts, **no commit** — then fail,
+    /// leaving an incomplete generation on disk exactly as a crash
+    /// mid-checkpoint would.
     MidImage,
     /// Write the complete image but skip truncating superseded
     /// generations, as a crash between the final sync and the deletes
@@ -211,36 +214,33 @@ pub(crate) fn sweep(
         rewritten.push(i);
     }
 
-    // No engine locks held from here on: merge, write, truncate.
-    let mut merged: BTreeMap<u64, Record> = BTreeMap::new();
-    for (new_copy, cached) in fresh.iter().zip(ck.cache.iter()) {
-        if let Some(image) = new_copy.as_ref().or(cached.as_ref()) {
-            merged.extend(image.iter().map(|(k, v)| (*k, Record::clone(v))));
-        }
-    }
+    // No engine locks held from here on: merge, write, truncate. A key
+    // lives on one shard, so merging is concatenating; sorting makes an
+    // image's bytes a function of its contents.
+    let mut merged: Vec<(u64, Record)> = fresh
+        .iter()
+        .zip(ck.cache.iter())
+        .filter_map(|(new_copy, cached)| new_copy.as_ref().or(cached.as_ref()))
+        .flat_map(|image| image.iter().map(|(k, v)| (*k, Record::clone(v))))
+        .collect();
+    merged.sort_unstable_by_key(|(key, _)| *key);
+    let image_keys = merged.len();
 
     let generation = ck.next_generation;
     ck.next_generation += 1;
-    let path = shared.options.log_dir.join(device_file_name(generation, 0));
-    // §5.3 puts the checkpoint dump on its own disk, off the commit
-    // path — so the modeled commit-log latency does not apply here.
-    let mut device = WalDevice::create(&path, shared.options.page_bytes, Duration::ZERO)?;
-    let marker = (Lsn(start), next_txn);
+    let mut device = open_device(&shared.options, generation, 0)?;
+    let mut records = image_records(merged, Lsn(start), next_txn);
     if halt == SweepHalt::MidImage {
-        write_torn_image(&mut device, &merged, shared.options.page_bytes, marker)?;
+        // Begin, marker, half the puts, no commit record.
+        records.truncate(2 + image_keys / 2);
+        write_image(&mut device, records)?;
         return Err(Error::Io("checkpoint halted mid-image (torture)".into()));
     }
-    write_snapshot(
-        &mut device,
-        &merged,
-        shared.options.page_bytes,
-        Some(marker),
-    )?;
-    let log_bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    write_image(&mut device, records)?;
+    let log_bytes_written = device.bytes_written();
 
-    // The image is durably complete (written, then synced); superseded
-    // checkpoint generations — and any torn leftovers from crashed
-    // sweeps — can go. The live generation is never deleted online.
+    // The image is durably complete (written, then synced); every
+    // generation but it and the live log can go.
     if halt != SweepHalt::BeforeTruncate {
         for p in log_files(&shared.options.log_dir)? {
             if let Some(g) = generation_of(&p) {
@@ -271,34 +271,56 @@ pub(crate) fn sweep(
         start: Lsn(start),
         rewritten,
         shards: shard_count,
-        image_keys: merged.len(),
+        image_keys,
         log_bytes_written,
     })
 }
 
-/// Writes a deliberately torn checkpoint image: begin record, marker,
-/// half the updates, **no commit record** — byte-for-byte what a crash
-/// midway through the dump leaves behind. Torture-only.
-fn write_torn_image(
-    device: &mut WalDevice,
-    image: &BTreeMap<u64, Record>,
-    page_bytes: usize,
-    marker: (Lsn, u64),
-) -> Result<()> {
-    let mut records: Vec<LogRecord> = Vec::with_capacity(image.len() / 2 + 2);
-    records.push(LogRecord::Begin { txn: TxnId(0) });
-    records.push(LogRecord::Checkpoint {
-        start: marker.0,
-        next_txn: marker.1,
-    });
-    for (key, value) in image.iter().take(image.len() / 2) {
-        records.push(LogRecord::Put {
-            txn: TxnId(0),
-            key: *key,
-            new: Record::clone(value),
-        });
+/// The records of a checkpoint image: one synthetic transaction (id 0)
+/// — begin, the [`LogRecord::Checkpoint`] marker carrying the replay
+/// floor `start` and the transaction-id floor, one put per key, commit.
+/// The marker rides right after the begin record, so any prefix that
+/// proves the image complete (its commit is there) also carries the
+/// floor; an empty image is still a begin/marker/commit triple.
+fn image_records(image: Vec<(u64, Record)>, start: Lsn, next_txn: u64) -> Vec<LogRecord> {
+    let txn = TxnId(0);
+    let mut records = Vec::with_capacity(image.len() + 3);
+    records.push(LogRecord::Begin { txn });
+    records.push(LogRecord::Checkpoint { start, next_txn });
+    records.extend(
+        image
+            .into_iter()
+            .map(|(key, new)| LogRecord::Put { txn, key, new }),
+    );
+    records.push(LogRecord::Commit { txn });
+    records
+}
+
+/// Appends `records` to `device` as LSNs 1, 2, … packed into the
+/// device's pages (a larger record gets a page to itself). The image costs
+/// **one sync**, after its last frame: a generation is trusted only once
+/// its CRC-framed `Commit { txn: 0 }` is readable behind a contiguous
+/// prefix, so a crash that leaves any subset of the unsynced frames
+/// behind leaves a torn generation recovery falls back past — and the
+/// sweep deletes what the image supersedes only after this returns.
+fn write_image(device: &mut WalDevice, records: Vec<LogRecord>) -> Result<()> {
+    let page_bytes = device.page_bytes();
+    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
+    let mut bytes = 0usize;
+    for (lsn, rec) in (1..).zip(records) {
+        let size = rec.byte_size();
+        if !page.is_empty() && bytes + size > page_bytes {
+            device.append_page_unsynced(&page)?;
+            page.clear();
+            bytes = 0;
+        }
+        page.push((Lsn(lsn), rec));
+        bytes += size;
     }
-    append_paged(device, records, page_bytes).map(|_| ())
+    if !page.is_empty() {
+        device.append_page_unsynced(&page)?;
+    }
+    device.sync()
 }
 
 /// The background checkpointer thread body (§5.3): sweep every
@@ -343,10 +365,12 @@ pub(crate) fn run_checkpointer(
 
 #[cfg(test)]
 mod tests {
-    use super::SweepHalt;
-    use crate::engine::log_files;
+    use super::{image_records, write_image, SweepHalt};
+    use crate::engine::{log_files, open_device};
     use crate::recover::generation_of;
     use crate::{CommitPolicy, Engine, EngineOptions};
+    use mmdb_recovery::{Lsn, Record};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::time::Duration;
 
@@ -393,6 +417,33 @@ mod tests {
     #[test]
     fn checkpoint_then_crash_recovers_image_plus_suffix() {
         image_plus_suffix_round_trip(opts("basic"));
+    }
+
+    #[test]
+    fn image_roundtrips_through_replay() {
+        let mut o = opts("image");
+        o.page_bytes = 512;
+        std::fs::create_dir_all(&o.log_dir).unwrap();
+        // Records of every length from empty up, some past the page size.
+        let image: BTreeMap<u64, Record> = (0..100u64)
+            .map(|i| (i, Record::from(vec![i as u8; (i as usize) * 9])))
+            .collect();
+        let records = image_records(image.clone().into_iter().collect(), Lsn(1), 1);
+        assert_eq!(
+            records.len(),
+            image.len() + 3,
+            "begin, marker, puts, commit"
+        );
+        // An empty live log beside the image, as a fresh engine leaves it.
+        open_device(&o, 0, 0).unwrap();
+        let mut dev = open_device(&o, 1, 0).unwrap();
+        write_image(&mut dev, records).unwrap();
+        assert!(dev.pages_written() > 1, "image spans pages");
+        let replayed = crate::recover::replay_dir(&o.log_dir).unwrap();
+        assert_eq!(replayed.db, image);
+        assert_eq!(replayed.info.checkpoint_start, Some(Lsn(1)));
+        assert_eq!(replayed.info.truncated_at, None);
+        std::fs::remove_dir_all(&o.log_dir).ok();
     }
 
     /// `commit_durable` returns when `durable_lsn` advances; the writer

@@ -100,15 +100,14 @@ impl Engine {
                 options.log_dir.display()
             )));
         }
-        let devices = open_devices(&options, 0)?;
-        Engine::start_with(options, HashMap::new(), 1, 1, devices, 0)
+        Engine::start_with(options, HashMap::new(), 1, 1, 0)
     }
 
     /// Starts the threads around an initial image — shared by [`start`]
-    /// (empty image) and [`recover`] (replayed image). The caller opens
-    /// the devices: `recover` writes its compaction snapshot to them
-    /// first and hands over the *same* handles, so nothing here may
-    /// reopen (and truncate) the files.
+    /// (empty image, generation 0) and [`recover`] (replayed image, a
+    /// generation above every one on disk). Opens a fresh live log file
+    /// per device for `live_generation`; the first commit gets LSN
+    /// `next_lsn`.
     ///
     /// [`start`]: Engine::start
     /// [`recover`]: Engine::recover
@@ -117,9 +116,11 @@ impl Engine {
         db: HashMap<u64, Record>,
         next_txn: u64,
         next_lsn: u64,
-        devices: Vec<WalDevice>,
         live_generation: u64,
     ) -> Result<Engine> {
+        let devices = (0..options.policy.devices())
+            .map(|i| open_device(&options, live_generation, i))
+            .collect::<Result<Vec<_>>>()?;
         let shared = Arc::new(Shared::new(options, db, next_txn, next_lsn));
         let mut threads = Vec::new();
         for (i, device) in devices.into_iter().enumerate() {
@@ -154,10 +155,11 @@ impl Engine {
     /// Runs one §5.3 fuzzy checkpoint sweep right now, regardless of the
     /// configured interval: copies dirty shards action-consistently
     /// (backing out in-flight writes via their undo records), writes a
-    /// marker-carrying snapshot to a fresh log generation, and truncates
-    /// superseded generations once it is durably complete. Commit
-    /// traffic proceeds throughout; recovery afterwards replays only the
-    /// live-log suffix past the returned replay floor.
+    /// checkpoint image to a fresh log generation, and deletes every
+    /// generation but it and the live log once it is durably complete.
+    /// Commit traffic proceeds throughout; recovery afterwards replays
+    /// only the live-log suffix past the returned replay floor.
+    /// [`Engine::recover`] ends with one of these.
     pub fn checkpoint_now(&self) -> Result<CheckpointStats> {
         self.checkpoint_halted(SweepHalt::None)
     }
@@ -755,9 +757,10 @@ pub(crate) fn log_files(dir: &Path) -> Result<Vec<std::path::PathBuf>> {
 }
 
 /// Device file name for log generation `generation`, device `index`.
-/// Generation 0 (a fresh start) uses the plain `wal-d{i}.log`; recovery
-/// compacts into successive generations (`wal-gen{g}-d{i}.log`) so the
-/// snapshot never overwrites the files it is recovering from.
+/// Generation 0 (a fresh start's live log) uses the plain
+/// `wal-d{i}.log`; every later generation — the live log of a restarted
+/// engine, or a §5.3 checkpoint image — is `wal-gen{g}-d{i}.log`, so no
+/// writer ever opens (and truncates) a file it may still need.
 pub(crate) fn device_file_name(generation: u64, index: usize) -> String {
     if generation == 0 {
         format!("wal-d{index}.log")
@@ -766,31 +769,30 @@ pub(crate) fn device_file_name(generation: u64, index: usize) -> String {
     }
 }
 
-/// Creates one fresh [`WalDevice`] per configured device for the given
-/// log generation, honoring per-device latency overrides. A device with
-/// a configured [`mmdb_recovery::FaultPlan`] writes through a
-/// fault-injecting backend (testing and the torture harness); the plan
-/// applies to whichever generation is opened next, which is how the
-/// harness faults the compaction write *inside* [`Engine::recover`].
-pub(crate) fn open_devices(options: &EngineOptions, generation: u64) -> Result<Vec<WalDevice>> {
-    let mut devices = Vec::new();
-    for i in 0..options.policy.devices() {
-        let path = options.log_dir.join(device_file_name(generation, i));
-        let plan = options.fault_plan(i);
-        let device = if plan.is_empty() {
-            WalDevice::create(&path, options.page_bytes, options.device_latency(i))?
-        } else {
-            let backend = mmdb_recovery::FaultyBackend::create(&path, plan)?;
-            WalDevice::with_backend(
-                Box::new(backend),
-                &path,
-                options.page_bytes,
-                options.device_latency(i),
-            )
-        };
-        devices.push(device);
+/// Creates (truncating) device `index` of log generation `generation`:
+/// a live log device, or — as device 0 — a checkpoint image. A device
+/// with a configured [`mmdb_recovery::FaultPlan`] writes through a
+/// fault-injecting backend (testing and the torture harness), so the
+/// plan applies to every file opened under its index, image included;
+/// each file counts its operations from zero.
+pub(crate) fn open_device(
+    options: &EngineOptions,
+    generation: u64,
+    index: usize,
+) -> Result<WalDevice> {
+    let path = options.log_dir.join(device_file_name(generation, index));
+    let plan = options.fault_plan(index);
+    let latency = options.device_latency(index);
+    if plan.is_empty() {
+        return WalDevice::create(&path, options.page_bytes, latency);
     }
-    Ok(devices)
+    let backend = mmdb_recovery::FaultyBackend::create(&path, plan)?;
+    Ok(WalDevice::with_backend(
+        Box::new(backend),
+        &path,
+        options.page_bytes,
+        latency,
+    ))
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Restart recovery for the wall-clock log (§5.2).
+//! Restart recovery for the wall-clock log (§5.2), closed by a §5.3
+//! checkpoint.
 //!
 //! After a crash the volatile store is gone; the log files are all that
 //! remain, and only *complete* pages at that (a torn tail is dropped by
@@ -12,23 +13,27 @@
 //! the prefix are redone from their new values; everything else is a
 //! loser and vanishes with the volatile state.
 //!
-//! Recovery then *compacts*: the recovered image is written to a fresh
-//! **log generation** (`wal-gen{g}-d{i}.log`) as one synthetic committed
-//! transaction (id 0) — every frame written, then one sync — and only
-//! once that snapshot is durably complete are the old generation's files
-//! deleted, so a real crash at any point inside recovery leaves either
-//! the old generation intact or both, and replay picks the newest
-//! generation whose snapshot finished. The new
-//! engine then appends to the *same* device files (they are handed over
-//! open, never reopened-and-truncated), so its LSN sequence continues
-//! the snapshot's and stale post-gap records can never collide with it.
-//! This is the restart flavor of the §5.3 idea: bound future recovery
-//! work by checkpointing the recovered state.
+//! The log directory holds **log generations** (`wal-d{i}.log` is
+//! generation 0, `wal-gen{g}-d{i}.log` generation `g`), and replay has
+//! one rule for them: the oldest generation is the live log, every other
+//! one is a §5.3 checkpoint image. Replay loads the newest *complete*
+//! image — its transaction-0 commit and its marker both in its prefix —
+//! and redoes the live log from the image's replay floor; with no
+//! complete image it redoes the live log from LSN 1.
+//!
+//! [`Engine::recover`] then starts the engine on a fresh live generation
+//! above every one on disk, its LSNs continuing the replayed prefix, and
+//! takes one checkpoint of the recovered state. That sweep deletes the
+//! generations it supersedes only once its image is durable, so a crash
+//! anywhere inside recovery leaves the pre-restart generations intact
+//! and the next restart recovers the same state — bounding future
+//! recovery work by checkpointing the recovered state, as §5.3 does for
+//! live traffic.
 
 use crate::daemon::Shared;
-use crate::engine::{log_files, open_devices, Engine};
+use crate::engine::{device_file_name, log_files, Engine};
 use crate::policy::EngineOptions;
-use mmdb_recovery::wal::{read_log_file_report_from, WalDevice};
+use mmdb_recovery::wal::read_log_file_report_from;
 use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{Error, Result, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,7 +63,7 @@ pub struct RecoveryInfo {
     /// `*.log` files in the log directory whose names match no known
     /// device-file pattern. They are neither replayed nor deleted —
     /// a stray file must not be merged into the image (it was never
-    /// part of the LSN sequence) nor destroyed by compaction.
+    /// part of the LSN sequence) nor destroyed by a checkpoint sweep.
     pub skipped_files: Vec<String>,
     /// Log bytes actually checksummed and decoded during replay. This is
     /// the §5.3 recovery-cost denominator: with online checkpointing the
@@ -68,38 +73,41 @@ pub struct RecoveryInfo {
     pub log_bytes_replayed: u64,
     /// When replay combined a complete §5.3 checkpoint with the live
     /// generation's suffix, the first LSN that suffix replay started at;
-    /// `None` for a plain full-log (or restart-snapshot) replay.
+    /// `None` for a full-log replay from LSN 1.
     pub checkpoint_start: Option<Lsn>,
 }
 
-/// The outcome of replaying a log directory, before compaction.
+/// The outcome of replaying a log directory.
 #[derive(Debug)]
 pub(crate) struct RecoveredImage {
     pub db: BTreeMap<u64, Record>,
     pub next_txn: u64,
+    /// The LSN after the live log's contiguous prefix: where the
+    /// restarted engine's LSNs continue.
+    pub next_lsn: u64,
     /// Highest log generation found on disk (0 when the directory is
-    /// empty); compaction writes generation `max_generation + 1`.
+    /// empty); the restarted engine's live log is the next one.
     pub max_generation: u64,
     pub info: RecoveryInfo,
 }
 
 /// Log generation a device file belongs to — the exact inverse of
-/// [`crate::engine::device_file_name`]: `wal-d{i}.log` is generation 0,
-/// `wal-gen{g}-d{i}.log` is generation `g`. Any other name returns
-/// `None`: a stray `*.log` file must not be silently merged into replay
-/// as generation 0 (its records were never part of the LSN sequence).
+/// [`device_file_name`]: a name is accepted only if `device_file_name`
+/// reproduces it byte for byte. Any other name returns `None`: a stray
+/// `*.log` file (`debug.log`, `wal-gen0-d0.log`, `wal-d01.log`) must not
+/// be merged into a generation's replay, where its LSNs would collide
+/// with the real device files' (its records were never part of the LSN
+/// sequence), nor deleted with that generation.
 pub(crate) fn generation_of(path: &Path) -> Option<u64> {
-    let stem = path.file_stem()?.to_str()?;
-    let rest = stem.strip_prefix("wal-")?;
-    if let Some(device) = rest.strip_prefix('d') {
-        device.parse::<u64>().ok()?;
-        return Some(0);
-    }
-    let rest = rest.strip_prefix("gen")?;
-    let (generation, device) = rest.split_once("-d")?;
+    let name = path.file_name()?.to_str()?;
+    let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+    let (generation, device) = match rest.strip_prefix("gen") {
+        Some(rest) => rest.split_once("-d")?,
+        None => ("0", rest.strip_prefix('d')?),
+    };
     let g = generation.parse::<u64>().ok()?;
-    device.parse::<u64>().ok()?;
-    Some(g)
+    let i = device.parse::<usize>().ok()?;
+    (device_file_name(g, i) == name).then_some(g)
 }
 
 /// One generation's device files merged by LSN and cut to a contiguous
@@ -115,14 +123,14 @@ struct GenScan {
 /// Reads and merges one generation's device files by LSN, deduplicating
 /// records that reached more than one device — the restart-recovery view
 /// of a partitioned log (§5.2) — and applies the contiguous-prefix rule
-/// starting at `first`. A non-zero `floor` lets the reader skip whole
-/// pages below the §5.3 checkpoint's replay floor without decoding them.
-fn scan_generation(paths: &[PathBuf], floor: Lsn, first: u64) -> Result<GenScan> {
+/// starting at LSN `first`. Whole pages below `first` (the §5.3
+/// checkpoint's replay floor) are skipped without being decoded.
+fn scan_generation(paths: &[PathBuf], first: u64) -> Result<GenScan> {
     let mut all = Vec::new();
     let mut corrupt = 0usize;
     let mut bytes = 0u64;
     for p in paths {
-        let report = read_log_file_report_from(p, floor)?;
+        let report = read_log_file_report_from(p, Lsn(first))?;
         corrupt += report.corrupt_pages_dropped;
         bytes += report.bytes_replayed;
         all.extend(report.records);
@@ -152,88 +160,88 @@ fn scan_generation(paths: &[PathBuf], floor: Lsn, first: u64) -> Result<GenScan>
     })
 }
 
-/// True when the prefix carries a complete compaction snapshot: the
-/// synthetic transaction 0's commit record made it to disk.
-fn snapshot_complete(prefix: &[LogRecord]) -> bool {
-    prefix
+/// The marker of a *complete* checkpoint image — `(replay floor,
+/// txn-id allocator floor)` — when the prefix carries both the
+/// synthetic transaction 0's commit record and a
+/// [`LogRecord::Checkpoint`]; `None` for a torn image.
+fn complete_image(prefix: &[LogRecord]) -> Option<(Lsn, u64)> {
+    let committed = prefix
         .iter()
-        .any(|r| matches!(r, LogRecord::Commit { txn } if txn.0 == 0))
-}
-
-/// The §5.3 checkpoint marker carried by a generation's prefix, if any:
-/// `(replay floor, txn-id allocator floor)`. Restart-compaction
-/// snapshots carry no marker — they *are* the live generation — so a
-/// marker distinguishes an online checkpoint, whose image must be
-/// combined with the live generation's suffix.
-fn checkpoint_marker(prefix: &[LogRecord]) -> Option<(Lsn, u64)> {
-    prefix.iter().find_map(|r| match r {
+        .any(|r| matches!(r, LogRecord::Commit { txn } if txn.0 == 0));
+    let marker = prefix.iter().find_map(|r| match r {
         LogRecord::Checkpoint { start, next_txn } => Some((*start, *next_txn)),
         _ => None,
-    })
+    });
+    marker.filter(|_| committed)
 }
 
-/// Two-pass redo over a contiguous record prefix: commit decisions
-/// first, then committed transactions' puts applied in LSN order onto
-/// `db` (absolute values, so re-applying records whose effects a
-/// checkpoint image already carries is idempotent — §5.3). Returns how
-/// many put records were replayed.
-///
-/// The engine writes one update-record kind, [`LogRecord::Put`]. A
-/// [`LogRecord::Update`] — the virtual-time manager's paper-accounted
-/// record — under a valid checksum means these files are not this
-/// engine's log: replay refuses them rather than guess what an 8-byte
-/// value with padding was meant to store.
-fn redo_prefix(
-    prefix: &[LogRecord],
-    db: &mut BTreeMap<u64, Record>,
-    seen: &mut BTreeSet<TxnId>,
-    committed: &mut BTreeSet<TxnId>,
-) -> Result<usize> {
-    for rec in prefix {
-        match rec {
-            LogRecord::Begin { txn } | LogRecord::Put { txn, .. } | LogRecord::Abort { txn } => {
-                seen.insert(*txn);
-            }
-            LogRecord::Update { txn, key, .. } => {
-                return Err(Error::CorruptLog(format!(
-                    "paper-accounted Update record ({txn:?}, key {key}) in a session log; \
-                     the session engine writes and replays only Put"
-                )));
-            }
-            LogRecord::Commit { txn } => {
-                seen.insert(*txn);
-                committed.insert(*txn);
-            }
-            // A checkpoint marker frames replay; it has no effects.
-            LogRecord::Checkpoint { .. } => {}
-        }
-    }
-    let mut records_replayed = 0usize;
-    for rec in prefix {
-        if let LogRecord::Put { txn, key, new, .. } = rec {
-            if committed.contains(txn) {
-                db.insert(*key, Record::clone(new));
-                records_replayed += 1;
-            }
-        }
-    }
-    Ok(records_replayed)
+/// The image being rebuilt and what replay has counted so far.
+#[derive(Default)]
+struct Redo {
+    db: BTreeMap<u64, Record>,
+    seen: BTreeSet<TxnId>,
+    committed: BTreeSet<TxnId>,
+    records_scanned: usize,
+    records_replayed: usize,
+    corrupt_pages_dropped: usize,
+    bytes_replayed: u64,
 }
 
-/// Replays the log files under `dir` into an image, applying the
-/// contiguous-LSN-prefix rule.
-///
-/// When more than one log generation is present, the newest generation
-/// whose snapshot completed wins. If that snapshot carries a §5.3
-/// checkpoint marker it is an *online* checkpoint: its image is loaded
-/// and only the live (oldest) generation's records at or past the
-/// marker's replay floor are replayed on top — making recovery work
-/// proportional to the checkpoint interval, not total history. A
-/// marker-less complete snapshot is a restart compaction and stands
-/// alone. The oldest generation present is always usable: old files are
-/// only ever deleted *after* the superseding snapshot is durably
-/// complete, so an incomplete (torn) snapshot generation always has an
-/// intact predecessor still on disk to fall back to.
+impl Redo {
+    /// Two-pass redo over a scanned prefix: commit decisions first, then
+    /// committed transactions' puts applied in LSN order (absolute
+    /// values, so re-applying records whose effects a checkpoint image
+    /// already carries is idempotent — §5.3).
+    ///
+    /// The engine writes one update-record kind, [`LogRecord::Put`]. A
+    /// [`LogRecord::Update`] — the virtual-time manager's paper-accounted
+    /// record — under a valid checksum means these files are not this
+    /// engine's log: replay refuses them rather than guess what an 8-byte
+    /// value with padding was meant to store.
+    fn apply(&mut self, scan: &GenScan) -> Result<()> {
+        self.records_scanned += scan.records_scanned;
+        self.corrupt_pages_dropped += scan.corrupt_pages_dropped;
+        self.bytes_replayed += scan.bytes_replayed;
+        for rec in &scan.prefix {
+            match rec {
+                LogRecord::Begin { txn }
+                | LogRecord::Put { txn, .. }
+                | LogRecord::Abort { txn } => {
+                    self.seen.insert(*txn);
+                }
+                LogRecord::Update { txn, key, .. } => {
+                    return Err(Error::CorruptLog(format!(
+                        "paper-accounted Update record ({txn:?}, key {key}) in a session log; \
+                         the session engine writes and replays only Put"
+                    )));
+                }
+                LogRecord::Commit { txn } => {
+                    self.seen.insert(*txn);
+                    self.committed.insert(*txn);
+                }
+                // A checkpoint marker frames replay; it has no effects.
+                LogRecord::Checkpoint { .. } => {}
+            }
+        }
+        for rec in &scan.prefix {
+            if let LogRecord::Put { txn, key, new, .. } = rec {
+                if self.committed.contains(txn) {
+                    self.db.insert(*key, Record::clone(new));
+                    self.records_replayed += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Replays the log files under `dir` into an image by the one rule of
+/// the module docs: the newest complete checkpoint image, then the live
+/// (oldest) generation from that image's floor — or, with no complete
+/// image, from LSN 1. A torn image is passed over: superseded
+/// generations are deleted only *after* the image superseding them is
+/// durably complete, so whatever a torn image was replacing is still on
+/// disk.
 pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
     let mut generations: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
     let mut skipped_files: Vec<String> = Vec::new();
@@ -250,191 +258,81 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
     }
     skipped_files.sort();
     let max_generation = generations.keys().next_back().copied().unwrap_or(0);
-    let oldest = generations.keys().next().copied();
-    let mut db = BTreeMap::new();
-    let mut seen = BTreeSet::new();
-    let mut committed = BTreeSet::new();
-    let mut records_replayed = 0usize;
-    let mut records_scanned = 0usize;
-    let mut corrupt_pages_dropped = 0usize;
-    let mut bytes_replayed = 0u64;
-    let mut truncated_at = None;
+    let mut generations = generations.into_values();
+    let live = generations.next().unwrap_or_default();
+    let mut redo = Redo::default();
+    let mut first = 1;
+    let mut txn_floor = 0;
     let mut checkpoint_start = None;
-    let mut txn_floor = 0u64;
-    for (&generation, paths) in generations.iter().rev() {
-        let scan = scan_generation(paths, Lsn(0), 1)?;
-        let complete = snapshot_complete(&scan.prefix);
-        if Some(generation) != oldest && !complete {
-            // Torn snapshot: the generation it superseded is still on
-            // disk (truncation waits for durable completeness).
-            continue;
+    for paths in generations.rev() {
+        let scan = scan_generation(&paths, 1)?;
+        if let Some((start, next_txn)) = complete_image(&scan.prefix) {
+            redo.apply(&scan)?;
+            first = start.0.max(1);
+            txn_floor = next_txn;
+            checkpoint_start = Some(start);
+            break;
         }
-        let marker = complete.then(|| checkpoint_marker(&scan.prefix)).flatten();
-        records_scanned += scan.records_scanned;
-        corrupt_pages_dropped += scan.corrupt_pages_dropped;
-        bytes_replayed += scan.bytes_replayed;
-        records_replayed += redo_prefix(&scan.prefix, &mut db, &mut seen, &mut committed)?;
-        let live_paths = oldest
-            .filter(|&g| g != generation)
-            .and_then(|g| generations.get(&g));
-        match (marker, live_paths) {
-            (Some((start, floor)), Some(live)) => {
-                // Online checkpoint: the live (oldest) generation holds
-                // the log suffix. Pages wholly below the floor are
-                // skipped without decoding.
-                let first = start.0.max(1);
-                let suffix = scan_generation(live, start, first)?;
-                records_scanned += suffix.records_scanned;
-                corrupt_pages_dropped += suffix.corrupt_pages_dropped;
-                bytes_replayed += suffix.bytes_replayed;
-                records_replayed +=
-                    redo_prefix(&suffix.prefix, &mut db, &mut seen, &mut committed)?;
-                truncated_at = suffix.truncated_at;
-                checkpoint_start = Some(start);
-                txn_floor = floor;
-            }
-            // Standalone generation: a restart-compaction snapshot, the
-            // plain live generation, or (defensively) a checkpoint left
-            // as the oldest generation — its image is all that remains.
-            _ => truncated_at = scan.truncated_at,
-        }
-        break;
     }
-    let next_txn = (seen.iter().map(|t| t.0).max().unwrap_or(0) + 1)
+    let suffix = scan_generation(&live, first)?;
+    redo.apply(&suffix)?;
+    let next_lsn = first + suffix.prefix.len() as u64;
+    let next_txn = (redo.seen.iter().map(|t| t.0).max().unwrap_or(0) + 1)
         .max(txn_floor)
         .max(1);
-    // The synthetic snapshot transaction (id 0) is compaction plumbing,
-    // not a recovered user transaction: keep it out of the report.
-    let losers: Vec<TxnId> = seen
-        .difference(&committed)
+    // The synthetic image transaction (id 0) is checkpoint plumbing, not
+    // a recovered user transaction: keep it out of the report.
+    let losers: Vec<TxnId> = redo
+        .seen
+        .difference(&redo.committed)
         .filter(|t| t.0 != 0)
         .copied()
         .collect();
-    let committed: Vec<TxnId> = committed.into_iter().filter(|t| t.0 != 0).collect();
+    let committed: Vec<TxnId> = redo.committed.into_iter().filter(|t| t.0 != 0).collect();
     Ok(RecoveredImage {
-        db,
+        db: redo.db,
         next_txn,
+        next_lsn,
         max_generation,
         info: RecoveryInfo {
             committed,
             losers,
-            records_scanned,
-            records_replayed,
-            truncated_at,
-            corrupt_pages_dropped,
+            records_scanned: redo.records_scanned,
+            records_replayed: redo.records_replayed,
+            truncated_at: suffix.truncated_at,
+            corrupt_pages_dropped: redo.corrupt_pages_dropped,
             skipped_files,
-            log_bytes_replayed: bytes_replayed,
+            log_bytes_replayed: redo.bytes_replayed,
             checkpoint_start,
         },
     })
 }
 
-/// Writes an image into `device` as one synthetic committed transaction
-/// (id 0), page by page, returning the next free LSN. An empty image
-/// still writes its begin/commit pair: the commit record is what marks
-/// the generation's snapshot as complete (see [`snapshot_complete`]).
-/// With `marker` set this becomes a §5.3 *online checkpoint* generation:
-/// the marker rides just after the begin record, so any complete prefix
-/// that proves the snapshot finished also carries the replay floor.
-pub(crate) fn write_snapshot(
-    device: &mut WalDevice,
-    image: &BTreeMap<u64, Record>,
-    page_bytes: usize,
-    marker: Option<(Lsn, u64)>,
-) -> Result<u64> {
-    let mut records: Vec<LogRecord> = Vec::with_capacity(image.len() + 3);
-    records.push(LogRecord::Begin { txn: TxnId(0) });
-    if let Some((start, next_txn)) = marker {
-        records.push(LogRecord::Checkpoint { start, next_txn });
-    }
-    for (key, value) in image {
-        records.push(LogRecord::Put {
-            txn: TxnId(0),
-            key: *key,
-            new: Record::clone(value),
-        });
-    }
-    records.push(LogRecord::Commit { txn: TxnId(0) });
-    append_paged(device, records, page_bytes)
-}
-
-/// Appends `records` to `device` as LSNs 1, 2, … packed into pages of
-/// `page_bytes` (a larger record gets a page to itself), returning the
-/// next free LSN. The image costs **one sync**, after its last frame: a
-/// generation is trusted only once its CRC-framed `Commit { txn: 0 }` is
-/// readable behind a contiguous prefix, so a crash that leaves any subset
-/// of the unsynced frames behind leaves a torn generation
-/// [`replay_dir`] falls back past — and callers delete what the image
-/// supersedes only after this returns.
-pub(crate) fn append_paged(
-    device: &mut WalDevice,
-    records: Vec<LogRecord>,
-    page_bytes: usize,
-) -> Result<u64> {
-    let mut lsn = 1u64;
-    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut bytes = 0usize;
-    for rec in records {
-        let size = rec.byte_size();
-        if !page.is_empty() && bytes + size > page_bytes {
-            device.append_page_unsynced(&page)?;
-            page.clear();
-            bytes = 0;
-        }
-        page.push((Lsn(lsn), rec));
-        lsn += 1;
-        bytes += size;
-    }
-    if !page.is_empty() {
-        device.append_page_unsynced(&page)?;
-    }
-    device.sync()?;
-    Ok(lsn)
-}
-
 impl Engine {
-    /// Recovers from the log files under `options.log_dir` and starts a
-    /// fresh engine on the recovered image. The old files are compacted
-    /// into a new snapshot generation (see the module docs), so recovery
-    /// is idempotent: crash, recover, crash again, recover again — and a
-    /// crash *during* recovery itself falls back to the generation it
-    /// was recovering from.
+    /// Recovers from the log files under `options.log_dir`: replays them
+    /// (see the module docs), starts a fresh engine on the recovered
+    /// image in a new live generation, and checkpoints it with
+    /// [`Engine::checkpoint_now`], whose sweep retires the old
+    /// generations once the image is durable. Recovery is idempotent —
+    /// crash, recover, crash again, recover again — and a crash or a
+    /// failed write *during* recovery leaves the generations it was
+    /// recovering from on disk: a failed sweep crashes the new engine and
+    /// returns the error.
     pub fn recover(options: EngineOptions) -> Result<(Engine, RecoveryInfo)> {
         let replay_started = std::time::Instant::now();
         let image = replay_dir(&options.log_dir)?;
         let replay_us = u64::try_from(replay_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        // Only recognized generation files are compacted away; a stray
-        // *.log was never replayed, so deleting it would destroy data
-        // recovery does not understand.
-        let old_files: Vec<PathBuf> = log_files(&options.log_dir)?
-            .into_iter()
-            .filter(|p| generation_of(p).is_some())
-            .collect();
-        let live_generation = image.max_generation + 1;
-        let mut devices = open_devices(&options, live_generation)?;
-        // Snapshot before deleting anything: `write_snapshot` returns
-        // after the image's one sync, so by the time the old generation
-        // goes away the new one is durably complete. A crash in between
-        // leaves both on disk and `replay_dir` picks the newest complete
-        // generation.
-        let first = devices
-            .first_mut()
-            .ok_or_else(|| Error::Io("no log devices configured".into()))?;
-        let next_lsn = write_snapshot(first, &image.db, options.page_bytes, None)?;
-        for path in old_files {
-            std::fs::remove_file(&path)
-                .map_err(|e| Error::Io(format!("remove {}: {e}", path.display())))?;
-        }
-        // Hand the open devices to the engine: reopening the files here
-        // would truncate the snapshot just written.
         let engine = Engine::start_with(
             options,
             image.db.into_iter().collect(),
             image.next_txn,
-            next_lsn,
-            devices,
-            live_generation,
+            image.next_lsn,
+            image.max_generation + 1,
         )?;
+        if let Err(e) = engine.checkpoint_now() {
+            let _ = engine.crash();
+            return Err(e);
+        }
         // Restart-cost visibility (§5.2's recovery-time concern): how
         // many transactions the log prefix carried and how long the
         // replay scan took, exposed through the engine's own registry.
@@ -470,6 +368,7 @@ fn _assert_shared_send_sync() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_recovery::wal::WalDevice;
     use std::path::PathBuf;
     use std::time::Duration;
 
@@ -521,6 +420,7 @@ mod tests {
             .unwrap();
         let image = replay_dir(&dir).unwrap();
         assert_eq!(image.info.truncated_at, Some(Lsn(4)));
+        assert_eq!(image.next_lsn, 4, "a restart's LSNs continue the prefix");
         assert_eq!(image.info.committed, vec![TxnId(1)]);
         assert_eq!(image.db.get(&10), Some(&word(100)));
         assert_eq!(image.db.len(), 1);
@@ -575,7 +475,7 @@ mod tests {
         assert!(matches!(Engine::recover(opts), Err(Error::CorruptLog(_))));
         assert!(
             dir.join("wal-d0.log").exists(),
-            "nothing was compacted away"
+            "nothing was checkpointed away"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -593,6 +493,10 @@ mod tests {
         assert_eq!(generation_of(Path::new("/x/wal-gen3-dx.log")), None);
         assert_eq!(generation_of(Path::new("/x/wal-dx.log")), None);
         assert_eq!(generation_of(Path::new("/x/wal-gen3.log")), None);
+        // Names that parse but that `device_file_name` never writes.
+        assert_eq!(generation_of(Path::new("/x/wal-gen0-d0.log")), None);
+        assert_eq!(generation_of(Path::new("/x/wal-gen03-d1.log")), None);
+        assert_eq!(generation_of(Path::new("/x/wal-d01.log")), None);
     }
 
     #[test]
@@ -667,25 +571,270 @@ mod tests {
         engine.shutdown().unwrap();
         assert!(
             dir.join("operator-notes.log").exists(),
-            "compaction must not delete files it did not replay"
+            "a checkpoint sweep must not delete files recovery did not replay"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn group_options(dir: &Path) -> EngineOptions {
+        crate::EngineOptions::new(crate::CommitPolicy::Group, dir)
+    }
+
+    fn commit_words(engine: &Engine, writes: &[(u64, i64)]) -> Lsn {
+        let s = engine.session();
+        let t = s.begin().unwrap();
+        for (key, value) in writes {
+            s.write(&t, *key, *value).unwrap();
+        }
+        s.commit_durable(t).unwrap().lsn
+    }
+
+    /// The log directory's generations, oldest first.
+    fn generations(dir: &Path) -> Vec<(u64, Vec<PathBuf>)> {
+        let mut by_generation: BTreeMap<u64, Vec<PathBuf>> = BTreeMap::new();
+        for path in log_files(dir).unwrap() {
+            if let Some(g) = generation_of(&path) {
+                by_generation.entry(g).or_default().push(path);
+            }
+        }
+        by_generation.into_iter().collect()
+    }
+
+    /// What every successful [`Engine::recover`] leaves: the live
+    /// generation's device files and one complete checkpoint generation
+    /// above it — strays aside, nothing else.
+    fn assert_live_log_and_one_image(dir: &Path, devices: usize) {
+        let generations = generations(dir);
+        let [(live, live_files), (image, image_files)] = generations.as_slice() else {
+            panic!("want a live log and one image, found {generations:?}");
+        };
+        assert!(image > live, "{generations:?}");
+        assert_eq!(live_files.len(), devices, "{generations:?}");
+        assert_eq!(
+            image_files.len(),
+            1,
+            "an image is device 0: {generations:?}"
+        );
+        let scan = scan_generation(image_files, 1).unwrap();
+        assert!(complete_image(&scan.prefix).is_some(), "{generations:?}");
+    }
+
+    /// Invariant (a), over one- and two-device logs, restarts after a
+    /// crash and after a clean shutdown, with and without a stray file.
     #[test]
-    fn snapshot_roundtrips_through_replay() {
-        let dir = tmp_dir("snapshot");
-        // Records of every length from empty up, some past the page size.
-        let image: BTreeMap<u64, Record> = (0..100u64)
-            .map(|i| (i, Record::from(vec![i as u8; (i as usize) * 9])))
+    fn every_restart_leaves_a_live_log_and_one_complete_image() {
+        for devices in [1, 2] {
+            let dir = tmp_dir("settled");
+            let mut opts = group_options(&dir);
+            if devices == 2 {
+                opts.policy = crate::CommitPolicy::Partitioned { devices: 2 };
+            }
+            let engine = Engine::start(opts.clone()).unwrap();
+            commit_words(&engine, &[(1, 1)]);
+            engine.crash().unwrap();
+            for round in 0..3i64 {
+                if round == 1 {
+                    std::fs::write(dir.join("notes.log"), b"stray").unwrap();
+                }
+                let (engine, _) = Engine::recover(opts.clone()).unwrap();
+                assert_live_log_and_one_image(&dir, devices);
+                assert_eq!(engine.read(1).unwrap(), Some(1 + round));
+                commit_words(&engine, &[(1, 2 + round)]);
+                if round == 2 {
+                    engine.shutdown().unwrap();
+                } else {
+                    engine.crash().unwrap();
+                }
+            }
+            assert!(dir.join("notes.log").exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Invariant (b): the first commit after a restart gets an LSN above
+    /// every one replayed — also after a restart that committed nothing,
+    /// and with stale post-gap records in the pre-restart log.
+    #[test]
+    fn lsns_never_go_backwards_across_a_restart() {
+        let dir = tmp_dir("lsn-continues");
+        let mut dev = WalDevice::create(dir.join("wal-d0.log"), 4096, Duration::ZERO).unwrap();
+        dev.append_page(&[
+            (Lsn(1), put(1, 10, 100)),
+            (Lsn(2), LogRecord::Commit { txn: TxnId(1) }),
+        ])
+        .unwrap();
+        // LSN 3 died with the crash; txn 2's put and commit beat it to disk.
+        dev.append_page(&[
+            (Lsn(4), put(2, 10, 666)),
+            (Lsn(5), LogRecord::Commit { txn: TxnId(2) }),
+        ])
+        .unwrap();
+        drop(dev);
+        let opts = group_options(&dir);
+        let (engine, info) = Engine::recover(opts.clone()).unwrap();
+        assert_eq!(info.truncated_at, Some(Lsn(3)));
+        let first = commit_words(&engine, &[(11, 1)]);
+        assert!(first > Lsn(2), "first commit after restart at {first:?}");
+        engine.crash().unwrap();
+        // A restart that commits nothing still moves no LSN backwards.
+        let (engine, _) = Engine::recover(opts.clone()).unwrap();
+        engine.crash().unwrap();
+        let (engine, _) = Engine::recover(opts.clone()).unwrap();
+        let second = commit_words(&engine, &[(12, 2)]);
+        assert!(second > first, "{second:?} after {first:?}");
+        engine.crash().unwrap();
+        let (engine, _) = Engine::recover(opts).unwrap();
+        assert_eq!(
+            engine.read(10).unwrap(),
+            Some(100),
+            "post-gap txn never redone"
+        );
+        assert_eq!(engine.read(11).unwrap(), Some(1));
+        assert_eq!(engine.read(12).unwrap(), Some(2));
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log with a checkpoint image and a suffix past it, crashed; the
+    /// state it recovers to.
+    fn crashed_with_image_and_suffix(dir: &Path) -> Vec<Option<i64>> {
+        let engine = Engine::start(group_options(dir)).unwrap();
+        commit_words(&engine, &[(1, 10), (2, 20)]);
+        engine.checkpoint_now().unwrap();
+        commit_words(&engine, &[(2, 21), (3, 30)]);
+        engine.crash().unwrap();
+        vec![Some(10), Some(21), Some(30)]
+    }
+
+    fn read_keys(engine: &Engine) -> Vec<Option<i64>> {
+        (1..4).map(|k| engine.read(k).unwrap()).collect()
+    }
+
+    /// Invariant (c), first window: the restart dies after opening its
+    /// live generation, on the image's first write. The next restart
+    /// recovers the pre-restart image plus suffix, and settles.
+    #[test]
+    fn a_restart_that_dies_before_its_image_completes_changes_nothing() {
+        let dir = tmp_dir("dies-mid-image");
+        let want = crashed_with_image_and_suffix(&dir);
+        let before = generations(&dir);
+        let faulted = group_options(&dir)
+            .with_fault_plans(vec![mmdb_recovery::FaultPlan::none().fail_write(0, 1)]);
+        assert!(matches!(Engine::recover(faulted), Err(Error::Io(_))));
+        // Its live generation and its torn image stayed behind.
+        assert_eq!(generations(&dir).len(), before.len() + 2);
+        let (engine, info) = Engine::recover(group_options(&dir)).unwrap();
+        assert!(info.checkpoint_start.is_some(), "the pre-restart image");
+        assert_eq!(info.committed.len(), 1, "and its suffix");
+        assert_eq!(read_keys(&engine), want);
+        assert_live_log_and_one_image(&dir, 1);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Invariant (c), second window: the restart's image is durable but
+    /// the generations it supersedes are still on disk (put back here by
+    /// hand, byte for byte). The next restart loads the restart's image,
+    /// and settles.
+    #[test]
+    fn a_restart_that_dies_before_retiring_old_generations_changes_nothing() {
+        let dir = tmp_dir("dies-before-delete");
+        let want = crashed_with_image_and_suffix(&dir);
+        let old: Vec<(PathBuf, Vec<u8>)> = log_files(&dir)
+            .unwrap()
+            .into_iter()
+            .map(|p| {
+                let bytes = std::fs::read(&p).unwrap();
+                (p, bytes)
+            })
             .collect();
-        let mut dev = WalDevice::create(dir.join("wal-d0.log"), 512, Duration::ZERO).unwrap();
-        let next = write_snapshot(&mut dev, &image, 512, None).unwrap();
-        assert_eq!(next as usize, image.len() + 3, "begin + updates + commit");
-        assert!(dev.pages_written() > 1, "snapshot spans pages");
-        let replayed = replay_dir(&dir).unwrap();
-        assert_eq!(replayed.db, image);
-        assert_eq!(replayed.info.truncated_at, None);
+        let (engine, _) = Engine::recover(group_options(&dir)).unwrap();
+        engine.crash().unwrap();
+        for (path, bytes) in &old {
+            std::fs::write(path, bytes).unwrap();
+        }
+        assert_eq!(generations(&dir).len(), old.len() + 2);
+        let (engine, info) = Engine::recover(group_options(&dir)).unwrap();
+        assert!(info.checkpoint_start.is_some(), "the restart's image");
+        assert!(info.committed.is_empty(), "nothing past it");
+        assert_eq!(read_keys(&engine), want);
+        assert_live_log_and_one_image(&dir, 1);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Invariant (d): a restart is one sweep, and a background sweeper on
+    /// the restarted engine allocates past the restart image's
+    /// generation instead of overwriting it.
+    #[test]
+    fn a_restart_is_one_checkpoint_and_the_sweeper_numbers_past_it() {
+        let dir = tmp_dir("one-sweep");
+        let engine = Engine::start(group_options(&dir)).unwrap();
+        commit_words(&engine, &[(1, 10)]);
+        engine.crash().unwrap();
+        let (engine, _) = Engine::recover(group_options(&dir)).unwrap();
+        assert_eq!(
+            engine.stats().counter("mmdb_session_checkpoints_total"),
+            Some(1)
+        );
+        engine.crash().unwrap();
+        let restart_image = generations(&dir).last().unwrap().0 + 2;
+        let opts = group_options(&dir).with_checkpoint_interval(Duration::from_millis(1));
+        let (engine, _) = Engine::recover(opts).unwrap();
+        while engine.stats().counter("mmdb_session_checkpoints_total") < Some(2) {
+            std::thread::yield_now();
+        }
+        engine.crash().unwrap();
+        let on_disk: Vec<u64> = generations(&dir).into_iter().map(|(g, _)| g).collect();
+        assert!(!on_disk.contains(&restart_image), "{on_disk:?}");
+        assert!(on_disk.iter().any(|&g| g > restart_image), "{on_disk:?}");
+        let (engine, _) = Engine::recover(group_options(&dir)).unwrap();
+        assert_eq!(engine.read(1).unwrap(), Some(10));
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A stray whose name *almost* matches a device file — it parses as
+    /// generation 0, device 0 — carries a committed transaction at the
+    /// LSNs right after the live log's prefix. Merged, it would extend
+    /// that prefix and be redone; instead it is skipped, reported, never
+    /// replayed, and outlives the restart's sweep.
+    #[test]
+    fn near_miss_device_name_is_a_stray_not_generation_0() {
+        let dir = tmp_dir("near-miss");
+        let opts = crate::EngineOptions::new(crate::CommitPolicy::Group, &dir);
+        let engine = Engine::start(opts.clone()).unwrap();
+        let s = engine.session();
+        let t = s.begin().unwrap();
+        s.write(&t, 1, 10).unwrap();
+        // One put and the commit record: LSNs 1 and 2.
+        assert_eq!(s.commit_durable(t).unwrap().lsn, Lsn(2));
+        engine.crash().unwrap();
+        let mut stray =
+            WalDevice::create(dir.join("wal-gen0-d0.log"), 4096, Duration::ZERO).unwrap();
+        stray
+            .append_page(&[
+                (Lsn(3), put(7, 1, 99)),
+                (Lsn(4), LogRecord::Commit { txn: TxnId(7) }),
+            ])
+            .unwrap();
+        drop(stray);
+        let (engine, info) = Engine::recover(opts.clone()).unwrap();
+        assert_eq!(info.skipped_files, vec!["wal-gen0-d0.log".to_string()]);
+        assert_eq!(
+            engine.read(1).unwrap(),
+            Some(10),
+            "the stray was not replayed"
+        );
+        engine.shutdown().unwrap();
+        assert!(
+            dir.join("wal-gen0-d0.log").exists(),
+            "the stray outlived the sweep"
+        );
+        let (engine, info) = Engine::recover(opts).unwrap();
+        assert_eq!(info.skipped_files, vec!["wal-gen0-d0.log".to_string()]);
+        assert_eq!(engine.read(1).unwrap(), Some(10));
+        engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,9 +4,10 @@
 //! failure cheap to mass-produce: [`run_seed`] derives a whole scenario
 //! from one `u64` — commit policy, client count, workload shape, and a
 //! deterministic [`mmdb_recovery::FaultPlan`] (or a plain crash at a
-//! random moment, or a fault injected *inside* recovery's compaction) —
-//! runs the concurrent transfer workload against it, crashes, recovers,
-//! and checks the §5.2 contract against what the clients observed:
+//! random moment, or a fault injected into the checkpoint image a
+//! restart writes) — runs the concurrent transfer workload against it,
+//! crashes, recovers, and checks the §5.2 contract against what the
+//! clients observed:
 //!
 //! * **Recovery never fails on damage.** A fault-free [`Engine::recover`]
 //!   after the crash must return `Ok` no matter what the injected fault
@@ -34,8 +35,8 @@
 //! seed, which reproduces the fault schedule exactly (thread
 //! interleaving varies, but every checked property must hold under all
 //! interleavings). `tests/session_torture.rs` sweeps a fixed seed range;
-//! `cargo xtask torture --seeds N` drives the standalone runner binary
-//! with a watchdog for the CI gate.
+//! `cargo torture --seeds N` drives the standalone runner binary, which
+//! calls [`sweep`] under a watchdog, for the CI gate.
 
 use crate::engine::Engine;
 use crate::policy::{CommitPolicy, EngineOptions};
@@ -101,9 +102,10 @@ enum Scenario {
     /// A write stalls, then succeeds — a slow device must delay, never
     /// wedge, the pipeline.
     StallWrite,
-    /// The workload runs fault-free, but recovery's compaction snapshot
-    /// write fails — the *next* recovery must still see the old
-    /// generation intact and succeed.
+    /// The workload runs fault-free, but the first restart's checkpoint
+    /// image fails on its first write or its one sync, so that restart
+    /// must fail — and the *next* one recover the same committed state
+    /// from the generations it left intact.
     FaultDuringRecovery,
 }
 
@@ -164,20 +166,20 @@ impl Scenario {
         }
     }
 
-    /// The fault plan injected under the *first recovery attempt*
-    /// (compaction snapshot write), for [`Scenario::FaultDuringRecovery`].
+    /// The fault plan injected under the *first restart* for
+    /// [`Scenario::FaultDuringRecovery`]: device 0's plan applies to the
+    /// restart's image too, and of its operations only the first write
+    /// and the one sync happen whatever the image's size. The image
+    /// writer has no retry, so the fault always lands and the restart
+    /// always fails; the new live log takes no write before it does.
     fn recovery_plan(self, rng: &mut Lcg) -> FaultPlan {
         if self != Scenario::FaultDuringRecovery {
             return FaultPlan::none();
         }
-        // Write-failing faults only: the snapshot writer has no retry,
-        // so the attempt errors out with the old generation intact —
-        // which is exactly the fallback the scenario exercises.
-        let at = rng.below(3);
-        if rng.below(2) == 0 {
-            FaultPlan::none().fail_write(at, 1)
-        } else {
-            FaultPlan::none().torn_write(at, rng.below(64) as usize)
+        match rng.below(3) {
+            0 => FaultPlan::none().fail_write(0, 1),
+            1 => FaultPlan::none().torn_write(0, rng.below(64) as usize),
+            _ => FaultPlan::none().fail_sync(0, 1),
         }
     }
 }
@@ -219,8 +221,10 @@ pub struct TortureReport {
     pub corrupt_pages_dropped: usize,
     /// True when the engine entered fail-stop degraded state.
     pub degraded: bool,
-    /// Network faults the run's chaos transports fired (server-chaos
-    /// scenarios; 0 where faults enter at the log device instead).
+    /// Injected faults seen to land: network faults the run's chaos
+    /// transports fired (server-chaos scenarios), or the faulted write
+    /// of a restart's image (`fault-during-recovery`); 0 where the
+    /// harness does not count them.
     pub faults_fired: u64,
 }
 
@@ -387,27 +391,24 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
                 .any(|(name, value)| name == "mmdb_session_degraded_count" && *value > 0)
         })?;
 
-    // Phase 2 (FaultDuringRecovery only): a first recovery attempt
-    // whose compaction snapshot write is faulted. Usually the attempt
-    // errors with the old generation intact; when a short snapshot
-    // finishes before the fault index the attempt succeeds instead —
-    // its replay info still names the workload's transactions, so the
-    // oracle is checked on it directly, because the compacted
-    // generation it wrote replaces them with one snapshot transaction.
-    let mut identity_checked = false;
-    let mut recovered_count = 0usize;
-    let mut corrupt_dropped = 0usize;
+    // Phase 2 (FaultDuringRecovery only): a restart whose image write
+    // is faulted must fail. The committed set is read off the log first
+    // (replay only reads): a failed sync can leave a whole image behind,
+    // which the next restart loads instead of the log, and an image
+    // names no transactions — but must hold exactly this set's state.
+    let mut committed_before = None;
+    let mut faults_fired = 0;
     if scenario == Scenario::FaultDuringRecovery {
+        committed_before = Some(crate::recover::replay_dir(log_dir)?.info.committed);
         match Engine::recover(options.clone().with_fault_plans(vec![recovery_plan])) {
-            Ok((engine, info)) => {
-                let verdict = verify_oracle(seed, scenario, &engine, &info.committed, &outcomes);
-                recovered_count = info.committed.len();
-                corrupt_dropped = info.corrupt_pages_dropped;
+            Err(Error::Io(_)) => faults_fired = 1,
+            Ok((engine, _)) => {
                 engine.crash().ok();
-                verdict?;
-                identity_checked = true;
+                return Err(violation(
+                    seed,
+                    "a restart with a faulted image succeeded".into(),
+                ));
             }
-            Err(Error::Io(_)) | Err(Error::LogDeviceFailed(_)) => {}
             Err(e) => {
                 return Err(violation(
                     seed,
@@ -426,17 +427,14 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
             format!("fault-free recovery failed ({}): {e}", scenario.name()),
         )
     })?;
-    if !identity_checked {
-        if let Err(e) = verify_oracle(seed, scenario, &engine, &info.committed, &outcomes) {
-            engine.crash().ok();
-            return Err(e);
-        }
-        recovered_count = info.committed.len();
-        corrupt_dropped = info.corrupt_pages_dropped;
+    let committed = committed_before.unwrap_or(info.committed);
+    if let Err(e) = verify_oracle(seed, scenario, &engine, &committed, &outcomes) {
+        engine.crash().ok();
+        return Err(e);
     }
     // Atomicity holds with or without transaction identity: transfers
     // conserve a zero total, so half a surviving transaction — or a
-    // torn snapshot — would unbalance the recovered image.
+    // torn checkpoint image — would unbalance the recovered image.
     let mut sum = 0i64;
     for key in 0..KEYS {
         sum = sum.saturating_add(engine.read(key)?.unwrap_or(0));
@@ -456,10 +454,10 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         policy: options.policy.name().to_string(),
         committed: outcomes.iter().filter(|o| o.lsn.is_some()).count(),
         acked: outcomes.iter().filter(|o| o.acked).count(),
-        recovered: recovered_count,
-        corrupt_pages_dropped: corrupt_dropped,
+        recovered: committed.len(),
+        corrupt_pages_dropped: info.corrupt_pages_dropped,
         degraded,
-        faults_fired: 0,
+        faults_fired,
     })
 }
 
@@ -562,20 +560,20 @@ pub fn run_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureR
     sweep(first, count, base_dir, run_seed)
 }
 
-/// Runs `per_seed` on seeds `first..first + count` under `base_dir`, one
-/// log directory per seed, stopping at the first violation. A passing
-/// seed's directory is removed; a failing seed's is kept as the
+/// Runs `per_seed` on seeds `first..first + count`, each in its own log
+/// directory `base_dir/seed-{seed}`, stopping at the first violation. A
+/// passing seed's directory is removed; a failing seed's is kept as the
 /// artifact (its path is embedded in the error). Returns the reports
-/// of every passing seed.
-fn sweep(
+/// of every passing seed. Every torture runner sweeps through here.
+pub fn sweep(
     first: u64,
     count: u64,
     base_dir: &Path,
-    per_seed: fn(u64, &Path) -> Result<TortureReport>,
+    mut per_seed: impl FnMut(u64, &Path) -> Result<TortureReport>,
 ) -> Result<Vec<TortureReport>> {
     let mut reports = Vec::with_capacity(count as usize);
     for seed in first..first.saturating_add(count) {
-        let log_dir = seed_dir(base_dir, seed);
+        let log_dir = base_dir.join(format!("seed-{seed}"));
         match per_seed(seed, &log_dir) {
             Ok(report) => {
                 std::fs::remove_dir_all(&log_dir).ok();
@@ -590,11 +588,6 @@ fn sweep(
         }
     }
     Ok(reports)
-}
-
-/// The per-seed log directory under `base_dir`.
-pub fn seed_dir(base_dir: &Path, seed: u64) -> PathBuf {
-    base_dir.join(format!("seed-{seed}"))
 }
 
 /// The §5.3 checkpoint failure a seed injects: where the crash lands

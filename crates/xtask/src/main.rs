@@ -40,17 +40,15 @@
 //! registration call site: snake_case, a unit suffix, and global
 //! uniqueness (see [`metricslint`]).
 //!
-//! `cargo xtask torture` is the crash-torture gate: seeded
-//! fault-injection sweeps of the wall-clock engine — crash, recover,
-//! verify against the serial oracle — with a watchdog so hangs fail
-//! loudly (see [`torture`]).
+//! The crash-torture gate is not an xtask: `cargo torture` is an alias
+//! (`.cargo/config.toml`) for the release-mode `session_torture` runner
+//! in `crates/bench`.
 
 mod allowlist;
 mod concurrency;
 mod metricslint;
 mod passes;
 mod scan;
-mod torture;
 
 use passes::Finding;
 use std::path::{Path, PathBuf};
@@ -78,13 +76,10 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("audit") => audit(args.iter().any(|a| a == "--verbose")),
         Some("metrics-lint") => metricslint::metrics_lint(&workspace_root()),
-        Some("torture") => torture::torture(&workspace_root(), &args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask audit [--verbose]\n       \
-                 cargo xtask metrics-lint\n       \
-                 cargo xtask torture [--seeds N] [--first S] [--artifacts DIR] [--watchdog-secs T] \
-                 [--checkpoint] [--sustain-secs S]"
+                 cargo xtask metrics-lint"
             );
             ExitCode::FAILURE
         }

@@ -1,11 +1,14 @@
 //! The §5.2 restart story on the wall-clock engine: commit under group
 //! commit, crash, recover, keep committing, restart again — every
-//! durably-committed transaction survives every restart, because
-//! recovery compacts into a fresh log generation and only deletes the
-//! old files once the snapshot is durably complete.
+//! durably-committed transaction survives every restart. Recovery
+//! replays the log, starts the engine on a fresh live log whose LSNs
+//! continue the replayed ones, and takes a §5.3 checkpoint of the
+//! recovered state; that sweep deletes the old files only once its
+//! image is durably complete, and the next restart loads the image and
+//! redoes the live log past it.
 //!
 //! ```text
-//! cargo run --example session_restart
+//! cargo run --release --example session_restart
 //! ```
 
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
@@ -37,7 +40,7 @@ fn main() {
     engine.crash().unwrap();
     println!("crashed with 10 durable commits and 1 in the queue");
 
-    // Recover, verify, commit more on top of the compacted snapshot.
+    // Recover, verify, commit more on top of the restart's checkpoint.
     let (engine, info) = Engine::recover(options(&dir)).unwrap();
     println!(
         "recover #1: {} committed, {} losers, {} records scanned",
@@ -53,11 +56,11 @@ fn main() {
     session.commit_durable(txn).unwrap();
     engine.shutdown().unwrap();
 
-    // Restart again: the snapshot generation and the post-recovery
-    // commit must both still be there.
+    // Restart again: the checkpoint image and the post-recovery commit
+    // in the live log past it must both still be there.
     let (engine, info) = Engine::recover(options(&dir)).unwrap();
     println!(
-        "recover #2: {} committed, snapshot + post-recovery commit intact",
+        "recover #2: {} committed, checkpoint image + post-recovery commit intact",
         info.committed.len()
     );
     for account in 0..10u64 {

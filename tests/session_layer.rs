@@ -480,11 +480,12 @@ fn a_trickle_of_commits_does_not_postpone_an_unawaited_commit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression: the compaction snapshot must survive the engine restart
-/// that follows recovery. Recovery writes the snapshot and hands the
-/// *same* open devices to the new engine — an earlier version reopened
-/// (and truncated) the files, so the very next restart recovered an
-/// empty store.
+/// Regression: the recovered state must survive the engine restart that
+/// follows recovery. An earlier version wrote the recovered image into
+/// the new engine's own log files and then reopened (and truncated)
+/// them, so the very next restart recovered an empty store; today the
+/// image is a checkpoint generation of its own and the new engine's live
+/// log a fresh one beside it.
 #[test]
 fn repeated_recovery_preserves_committed_state() {
     let dir = tmp_dir("recover-twice");
@@ -498,7 +499,7 @@ fn repeated_recovery_preserves_committed_state() {
     s.commit_durable(t).unwrap();
     engine.shutdown().unwrap();
 
-    // First recovery compacts into a snapshot generation…
+    // First recovery checkpoints the recovered state…
     let (engine, info) = Engine::recover(opts.clone()).unwrap();
     assert_eq!(info.committed.len(), 1);
     assert_eq!(engine.read(1).unwrap(), Some(10));
@@ -526,9 +527,9 @@ fn repeated_recovery_preserves_committed_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A crash *during* compaction — the new generation's snapshot never
-/// finished (no transaction-0 commit record) — must fall back to the
-/// intact previous generation instead of trusting the torn snapshot.
+/// A crash *during* a restart's checkpoint — its image never finished
+/// (no transaction-0 commit record) — must fall back to the intact
+/// previous generation instead of trusting the torn image.
 #[test]
 fn torn_snapshot_generation_falls_back_to_previous() {
     let dir = tmp_dir("torn-snapshot");

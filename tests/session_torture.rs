@@ -3,7 +3,7 @@
 //! contract — a dead log device must error every waiter promptly,
 //! never hang one.
 //!
-//! The broad CI gate (`cargo xtask torture --seeds 500`) drives the
+//! The broad CI gate (`cargo torture --seeds 500`) drives the
 //! same harness through the standalone runner with a watchdog; this
 //! file keeps a representative sweep in plain `cargo test`.
 
