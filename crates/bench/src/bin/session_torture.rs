@@ -10,7 +10,9 @@
 //! thread turns any hang — the one failure a test harness cannot
 //! otherwise report — into exit code 124, and a failing seed leaves its
 //! log directory under the artifact dir for postmortem. The sweep fails
-//! if `fault-during-recovery` ran and landed no fault.
+//! if `fault-during-recovery` ran and landed no fault, and any sweep of
+//! 50 seeds or more fails if one of `sync`, `group` and `partitioned` ran
+//! no seed.
 //!
 //! `--checkpoint` switches to the §5.3 checkpoint-torture scenarios
 //! (crash mid-sweep, crash before generation truncation, background
@@ -33,7 +35,7 @@
 //! [--watchdog-secs T] [--checkpoint] [--sustain-secs S] [--server]`.
 
 use mmdb_session::torture;
-use mmdb_session::TortureReport;
+use mmdb_session::{CommitPolicy, TortureReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -181,6 +183,17 @@ fn main() {
             std::process::exit(1);
         }
     }
+    if cfg.seeds >= MIN_SEEDS_FOR_EVERY_POLICY {
+        for policy in EVERY_POLICY.map(|p| p.name()) {
+            if !by_policy.contains_key(policy) {
+                eprintln!(
+                    "torture: FAILED: {} seeds and none ran policy {policy}",
+                    cfg.seeds
+                );
+                std::process::exit(1);
+            }
+        }
+    }
 }
 
 /// The reports of a sweep that passed; a violation (its artifact
@@ -209,3 +222,15 @@ const MUST_FIRE: [&str; 4] = [
 /// seeds can honestly fire nothing; only judge a scenario that ran this
 /// often.
 const MIN_SEEDS_TO_JUDGE: u64 = 4;
+
+/// Every commit policy a seed may draw. A sweep that skipped one would
+/// leave that policy's writers — the multi-writer path above all — out
+/// of the gate.
+const EVERY_POLICY: [CommitPolicy; 3] = [
+    CommitPolicy::Synchronous,
+    CommitPolicy::Group,
+    CommitPolicy::Partitioned { devices: 2 },
+];
+
+/// Seeds a sweep needs before it must have run every policy.
+const MIN_SEEDS_FOR_EVERY_POLICY: u64 = 50;

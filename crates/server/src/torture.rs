@@ -38,9 +38,9 @@
 use crate::client::{Client, ClientConfig, ClientError, Dialer};
 use crate::server::{Server, ServerConfig};
 use crate::transport::{ChaosTransport, NetFaultPlan, Transport};
-use mmdb_session::torture::{Lcg, TortureReport};
+use mmdb_session::torture::TortureReport;
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_types::{Auditable, Error, Result};
+use mmdb_types::{Auditable, Error, Result, WorkloadRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -74,7 +74,7 @@ pub enum ServerChaosScenario {
 }
 
 impl ServerChaosScenario {
-    fn from(rng: &mut Lcg) -> ServerChaosScenario {
+    fn from(rng: &mut WorkloadRng) -> ServerChaosScenario {
         match rng.below(8) {
             0 => ServerChaosScenario::CleanWire,
             1 => ServerChaosScenario::DropWire,
@@ -103,7 +103,7 @@ impl ServerChaosScenario {
 
     /// The fault plan for one freshly dialed connection. Half the
     /// connections dial clean so chaotic seeds still make progress.
-    fn draw_plan(self, rng: &mut Lcg) -> NetFaultPlan {
+    fn draw_plan(self, rng: &mut WorkloadRng) -> NetFaultPlan {
         if rng.below(2) == 0 {
             return NetFaultPlan::none();
         }
@@ -181,7 +181,7 @@ struct Wire {
 }
 
 fn make_dialer(wire: Wire, scenario: ServerChaosScenario, dial_seed: u64) -> Dialer {
-    let mut rng = Lcg::new(dial_seed);
+    let mut rng = WorkloadRng::seeded(dial_seed);
     Box::new(move || {
         let addr = current_addr(&wire.port);
         let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
@@ -306,7 +306,7 @@ fn run_chaos_client(
     client_id: u64,
     txns: u64,
 ) -> std::result::Result<Vec<Transfer>, String> {
-    let mut rng = Lcg::new((seed ^ client_id.wrapping_mul(0x00C0_FFEE)) | 1);
+    let mut rng = WorkloadRng::seeded((seed ^ client_id.wrapping_mul(0x00C0_FFEE)) | 1);
     let mut generation = 0u64;
     let mut client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
     let mut transfers = Vec::with_capacity(txns as usize);
@@ -358,11 +358,11 @@ fn run_chaos_client(
 }
 
 /// Picks the engine/commit shape for a seed.
-fn engine_options(rng: &mut Lcg, log_dir: &Path) -> EngineOptions {
-    let policy = if rng.below(3) == 0 {
-        CommitPolicy::Synchronous
-    } else {
-        CommitPolicy::Group
+fn engine_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
+    let policy = match rng.below(3) {
+        0 => CommitPolicy::Synchronous,
+        1 => CommitPolicy::Group,
+        _ => CommitPolicy::Partitioned { devices: 2 },
     };
     EngineOptions::new(policy, log_dir)
         .with_page_write_latency(Duration::from_micros(rng.below(200)))
@@ -415,7 +415,7 @@ fn run_workload(
     seed: u64,
     scenario: ServerChaosScenario,
     options: &EngineOptions,
-    rng: &mut Lcg,
+    rng: &mut WorkloadRng,
 ) -> Result<(Engine, Vec<Transfer>, u64)> {
     let engine = Engine::start(options.clone())?;
     let cfg = server_config(scenario);
@@ -495,10 +495,10 @@ fn run_workload(
 /// the module docs for the properties checked.
 pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     std::fs::remove_dir_all(log_dir).ok();
-    let mut rng = Lcg::new(seed ^ 0x5E12_7EC4_A05C_0D1E);
+    let mut rng = WorkloadRng::seeded(seed ^ 0x5E12_7EC4_A05C_0D1E);
     let scenario = ServerChaosScenario::from(&mut rng);
     let options = engine_options(&mut rng, log_dir);
-    let policy = format!("{:?}", options.policy);
+    let policy = options.policy.name().to_string();
 
     let (engine, transfers, faults_fired) = run_workload(seed, scenario, &options, &mut rng)?;
 

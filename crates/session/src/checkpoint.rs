@@ -44,8 +44,8 @@
 //!
 //! [`Engine::recover`]: crate::Engine::recover
 
-use crate::daemon::Shared;
 use crate::engine::{log_files, open_device};
+use crate::log_writer::Shared;
 use crate::recover::generation_of;
 use crate::shard::UndoEntry;
 use mmdb_recovery::wal::WalDevice;

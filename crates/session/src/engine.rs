@@ -12,20 +12,20 @@
 //! The commit path is the paper's pre-commit protocol: `commit` claims
 //! the transaction in the [`crate::shard::TxnTable`], locks every shard
 //! the transaction touched (ascending), runs `precommit` on each shard's
-//! lock manager — releasing the transaction's locks to its waiters and
-//! recording the resulting commit dependencies — and queues the
-//! transaction's log *while still holding those shard locks*, which is
-//! what keeps commit records in precommit order in the queue. That is the
-//! only time a transaction reaches the log (§5.4): until then its undo
-//! list is its log — begin, put and abort never touch the queue — and
-//! what is queued is redo-only: one [`LogRecord::Put`] per key written,
-//! then the commit record. Durability arrives
-//! later, when the record's page (and every earlier page) is on disk;
-//! [`Session::wait_durable`] blocks for it and a synchronous-policy
+//! lock manager — releasing the transaction's locks to its waiters — and
+//! queues the transaction's log *while still holding those shard locks*,
+//! which is what keeps commit records in precommit order in the queue: a
+//! waiter that takes a released lock gets a higher commit LSN, so it is
+//! never durable first. That is the only time a transaction reaches the
+//! log (§5.4): until then its undo list is its log — begin, put and
+//! abort never touch the queue — and what is queued is redo-only: one
+//! [`LogRecord::Put`] per key written, then the commit record. Durability
+//! arrives later, when the record's page (and every earlier page) is on
+//! disk; [`Session::wait_durable`] blocks for it and a synchronous-policy
 //! commit does so before returning. Blocking is also what releases the
 //! record: a waiter announces itself on the queue, and the record's page
-//! is cut as soon as its log device is free and the group window is open
-//! (see [`crate::daemon`]).
+//! is cut as soon as a log device is free and the group window is open
+//! (see [`crate::log_writer`]).
 //!
 //! The store's value is a byte record: [`Session::get`],
 //! [`Session::get_for_update`] and [`Session::put`] move whole records —
@@ -37,7 +37,7 @@
 //! workloads.
 
 use crate::checkpoint::{self, CheckpointState, CheckpointStats, SweepHalt};
-use crate::daemon::{self, Shared};
+use crate::log_writer::{self, Shared};
 use crate::metrics::us_since;
 use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{rollback_shard, ShardState, TxnMeta, TxnPhase};
@@ -127,7 +127,7 @@ impl Engine {
             let shared_w = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("mmdb-log-writer-{i}"))
-                .spawn(move || daemon::run_writer(shared_w, device, i))
+                .spawn(move || log_writer::run_writer(shared_w, device, i))
                 .map_err(|e| Error::Io(format!("spawn writer {i}: {e}")))?;
             threads.push(handle);
         }
@@ -222,7 +222,7 @@ impl Engine {
 
     /// Log pages durably written so far, across all devices.
     pub fn pages_written(&self) -> Result<usize> {
-        Ok(self.shared.durable_guard()?.pages_written)
+        Ok(self.shared.metrics.pages_written.get() as usize)
     }
 
     /// A point-in-time [`StatsSnapshot`] of every engine metric:
@@ -361,8 +361,9 @@ impl Session {
 
     /// Reads a key's record under an exclusive lock (read-modify-write
     /// without upgrade deadlocks). If the previous holder is
-    /// pre-committed, the lock is granted and `txn` picks up a §5.2
-    /// commit dependency on it instead of blocking.
+    /// pre-committed, the lock is granted instead of blocking: `txn` can
+    /// only commit behind that holder in LSN order, so it is never durable
+    /// before it (§5.2's commit dependency, kept by the LSN prefix).
     pub fn get_for_update(&self, txn: &Txn, key: u64) -> Result<Option<Record>> {
         Ok(self.lock_key(txn.0, key, true)?.db.get(&key).cloned())
     }
@@ -405,8 +406,9 @@ impl Session {
     }
 
     /// Commits `txn` with the paper's pre-commit protocol: locks are
-    /// released (to waiters, who pick up commit dependencies) *before*
-    /// the commit record is durable. Under [`CommitPolicy::Synchronous`]
+    /// released to waiters *before* the commit record is durable. A
+    /// waiter's own commit record queues behind this one, so it is never
+    /// durable first. Under [`CommitPolicy::Synchronous`]
     /// this also waits for durability; grouped policies return
     /// immediately with a ticket for [`wait_durable`]. A ticket nobody
     /// waits on becomes durable with the next group, or within
@@ -451,19 +453,18 @@ impl Session {
         let meta = self.claim(id, TxnPhase::Precommitted)?;
         let mask = meta.mask;
         // Lock every touched shard (ascending) and pre-commit on each:
-        // locks are released to waiters, who inherit §5.2 commit
-        // dependencies. The log is appended while the guards are still
-        // held, which queues commit records in precommit order and
-        // same-key redo records in value order (see `Shared::append`).
+        // locks are released to waiters. The log is appended while the
+        // guards are still held, which queues commit records in precommit
+        // order — a waiter's commit LSN above this one's — and same-key
+        // redo records in value order (see `Shared::append`).
         let mut guards = self.shared.lock_mask(mask)?;
-        let mut deps: Vec<TxnId> = Vec::new();
         let mut redo: Vec<LogRecord> = Vec::new();
         let held_us = meta.locked_at.map(us_since);
         for (i, state) in guards.iter_mut() {
             // The mask may overestimate (a failed acquire still sets the
             // bit); skip shards that never registered the transaction.
             if state.locks.is_active(id) {
-                deps.extend(state.locks.precommit(id)?);
+                state.locks.precommit(id)?;
                 // Pre-commit is the release point (§5.2): the hold
                 // histogram measures first-acquisition → here.
                 if let (Some(us), Some(h)) = (held_us, self.shared.metrics.lock_hold_us.get(*i)) {
@@ -477,13 +478,11 @@ impl Session {
                     .map(|(key, new)| LogRecord::Put { txn: id, key, new }),
             );
         }
-        deps.sort_unstable_by_key(|t| t.0);
-        deps.dedup();
         self.shared
             .metrics
             .trace(TraceStage::Precommit, id, 0, mask);
         let run = redo.len() as u64;
-        let lsn = self.shared.append(id, redo, deps, mask, wait)?;
+        let lsn = self.shared.append(id, redo, mask, wait)?;
         // Undo entries survive pre-commit, stamped with the run: they are
         // dropped only once the commit record is durable (the writer's
         // finalize, which needs these guards); until then the stamp tells
@@ -603,27 +602,6 @@ impl Session {
             out.extend(shard.guard()?.db.iter().map(|(k, v)| (*k, Arc::clone(v))));
         }
         Ok(out)
-    }
-
-    /// A point-in-time [`StatsSnapshot`] of the engine's metrics (the
-    /// same registry [`Engine::stats`] reads).
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.metrics.registry.snapshot()
-    }
-
-    /// The engine's metrics as a Prometheus-style text exposition.
-    pub fn render_metrics(&self) -> String {
-        self.shared.metrics.registry.render_text()
-    }
-
-    /// The commit-pipeline trace events currently held by the ring.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.shared.metrics.trace_events()
-    }
-
-    /// The engine's metric [`Registry`].
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.shared.metrics.registry)
     }
 
     /// Acquires a lock on `key` for `txn` on the owning shard, waiting
@@ -782,7 +760,7 @@ pub(crate) fn open_device(
 ) -> Result<WalDevice> {
     let path = options.log_dir.join(device_file_name(generation, index));
     let plan = options.fault_plan(index);
-    let latency = options.device_latency(index);
+    let latency = options.page_write_latency;
     if plan.is_empty() {
         return WalDevice::create(&path, options.page_bytes, latency);
     }
@@ -875,11 +853,12 @@ mod tests {
         std::fs::remove_dir_all(&opts.log_dir).ok();
     }
 
-    /// Striping is a turn the writers pass among themselves: every page
-    /// cut hands the next sequence number to the other device's writer.
+    /// Whichever writer is free takes the next page, so how back-to-back
+    /// commits split between two devices is up to timing; together the
+    /// two device files hold every one of them.
     #[test]
-    fn back_to_back_commits_alternate_between_two_devices() {
-        let mut opts = options("alternate");
+    fn two_device_files_together_hold_every_back_to_back_commit() {
+        let mut opts = options("two-files");
         opts.policy = CommitPolicy::Partitioned { devices: 2 };
         let engine = Engine::start(opts.clone()).unwrap();
         let s = engine.session();
@@ -889,14 +868,17 @@ mod tests {
             }
         });
         assert_eq!(engine.pages_written().unwrap(), 20);
-        for device in ["wal-d0.log", "wal-d1.log"] {
-            let commits = read_log_file(&opts.log_dir.join(device))
-                .unwrap()
-                .iter()
-                .filter(|(_, rec)| matches!(rec, LogRecord::Commit { .. }))
-                .count();
-            assert_eq!(commits, 10, "{device}");
-        }
+        let commits: usize = ["wal-d0.log", "wal-d1.log"]
+            .iter()
+            .map(|device| {
+                read_log_file(&opts.log_dir.join(device))
+                    .unwrap()
+                    .iter()
+                    .filter(|(_, rec)| matches!(rec, LogRecord::Commit { .. }))
+                    .count()
+            })
+            .sum();
+        assert_eq!(commits, 20);
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&opts.log_dir).ok();
     }
@@ -1053,19 +1035,22 @@ mod tests {
     }
 
     /// A transaction's redo records can be on disk without its commit
-    /// record: here a page boundary falls between them and the page with
-    /// the commit is still inside a slow device when the engine dies.
-    /// Redo-only recovery has nothing to undo — it just never applies a
-    /// put whose transaction did not commit in the prefix.
+    /// record: here a page boundary falls between them, and the page with
+    /// the commit failed its write and is inside the writer's retry
+    /// backoff when the engine dies. Redo-only recovery has nothing to
+    /// undo — it just never applies a put whose transaction did not
+    /// commit in the prefix.
     #[test]
     fn puts_on_disk_without_their_commit_record_are_a_loser() {
         let mut opts = options("cut-commit");
-        opts.policy = CommitPolicy::Partitioned { devices: 2 };
         // Two 8-byte puts (29 accounted bytes each) fill a page; the
-        // commit record starts the next one, bound for the other device.
+        // commit record starts the next one. The first transaction takes
+        // writes 0 and 1, the second's puts write 2; its commit record's
+        // write 3 fails once, and the retry waits out a long backoff.
         opts.page_bytes = 58;
         let opts = opts
-            .with_device_latencies(vec![Duration::ZERO, Duration::from_millis(400)])
+            .with_fault_plans(vec![mmdb_recovery::FaultPlan::none().fail_write(3, 1)])
+            .with_io_retry_backoff(Duration::from_secs(30))
             .with_flush_interval(Duration::from_millis(1));
         let engine = Engine::start(opts.clone()).unwrap();
         let s = engine.session();

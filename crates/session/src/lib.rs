@@ -11,19 +11,20 @@
 //! same design on *real* OS threads and a wall clock:
 //!
 //! * An [`Engine`] owns the shared volatile store, the §5.2 lock manager
-//!   (with pre-commit and commit-dependency tracking), a log queue, and
-//!   one background **log writer** per device that batches commit records
-//!   from every session into page-sized log writes.
+//!   (with pre-commit), a log queue, and one background **log writer**
+//!   per device that batches commit records from every session into
+//!   page-sized log writes.
 //! * [`Session`] handles are cheap, cloneable, and `Send` — one per
 //!   client OS thread, the paper's "terminals".
 //! * Commit is **pre-commit** (§5.2): locks are released before the
-//!   commit record is durable; dependents run immediately and inherit a
-//!   commit dependency the log writers honor — a dependent's page is
-//!   never written before its dependency's, and no transaction is
-//!   reported durable until its entire LSN prefix is on disk.
+//!   commit record is durable, and dependents run immediately. A
+//!   dependent's commit record always gets a higher LSN than its
+//!   dependency's, and no transaction is reported durable until its
+//!   entire LSN prefix is on disk — so LSN order alone keeps a dependent
+//!   from being durable first, whichever device writes which page.
 //! * [`CommitPolicy`] mirrors the simulator's policies: synchronous
 //!   (one page write per commit), group commit, and a partitioned log
-//!   striped over `k` devices.
+//!   over `k` devices.
 //! * [`Engine::crash`] drops every volatile structure, and
 //!   [`Engine::recover`] rebuilds the store from the surviving log
 //!   pages under the contiguous-LSN-prefix rule ([`RecoveryInfo`] says
@@ -59,10 +60,10 @@
 /// table, and generation truncation that bound recovery by the
 /// checkpoint interval.
 mod checkpoint;
-/// §5.2 the log queue, its log-writer threads, and shared state.
-mod daemon;
 /// §5.2 the engine front-end, sessions, and the pre-commit protocol.
 mod engine;
+/// §5.2 the log queue, its log-writer threads, and shared state.
+mod log_writer;
 /// Metric handles and the commit-pipeline trace (obs wiring).
 mod metrics;
 /// §5.2 commit policies and engine options.

@@ -1,6 +1,6 @@
 //! Observability wiring for the session engine (§5.2 instrumented).
 //!
-//! One [`SessionMetrics`] lives in [`crate::daemon::Shared`] and owns
+//! One [`SessionMetrics`] lives in [`crate::log_writer::Shared`] and owns
 //! every handle the engine records through: per-shard lock wait/hold
 //! histograms and deadlock-abort counters (the §5.2 lock manager),
 //! group-commit batch-size, group-wait and fsync-latency histograms plus the
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// Every metric handle the session engine records through, plus the
 /// registry that renders them. Created once per engine in
-/// [`crate::daemon::Shared::new`].
+/// [`crate::log_writer::Shared::new`].
 #[derive(Debug)]
 pub(crate) struct SessionMetrics {
     /// The engine's registry ([`crate::Engine::registry`] exposes it).
@@ -36,8 +36,8 @@ pub(crate) struct SessionMetrics {
     pub commits: Arc<Counter>,
     /// Transactions aborted, voluntary and deadlock-victim alike.
     pub aborts: Arc<Counter>,
-    /// Log pages durably written (mirrors `DurableTable::pages_written`;
-    /// the audit cross-checks the two).
+    /// Log pages durably written (what [`crate::Engine::pages_written`]
+    /// reports).
     pub pages_written: Arc<Counter>,
     /// Bytes the log writers put on their devices, frame headers included.
     pub log_bytes: Arc<Counter>,
@@ -54,11 +54,11 @@ pub(crate) struct SessionMetrics {
     /// Commit records per written log page that carried any — the §5.2
     /// group-commit batching the paper's 1000-tps claim rests on.
     pub batch_txns: Arc<Histogram>,
-    /// Commit record queued → its page cut by its writer, µs: the part
-    /// of a commit that is neither the device nor dependency ordering.
+    /// Commit record queued → its page cut by a writer, µs: the part of
+    /// a commit that is not the device.
     pub group_wait_us: Arc<Histogram>,
-    /// Wall time of one page write (dependency wait excluded): modeled
-    /// device latency + real append-and-sync, µs.
+    /// Wall time of one page write: modeled device latency + real
+    /// append-and-sync, retries and their backoff included, µs.
     pub fsync_us: Arc<Histogram>,
     /// Log-device write/sync failures observed by the writer threads
     /// (each failed attempt counts, whether or not a retry saved it).

@@ -26,10 +26,12 @@ pub enum CommitPolicy {
     /// blocked on it, a device is free and the window is open, so a
     /// commit on a quiet log pays one page write and no timer.
     Group,
-    /// Group commit striped round-robin over `devices` log devices, the
-    /// §5.2 recipe for pushing past one device's page rate.
+    /// Group commit over `devices` log devices, the §5.2 recipe for
+    /// pushing past one device's page rate: whichever device is free
+    /// writes the next page, so up to `devices` pages are in flight at
+    /// once. Durability stays one LSN prefix across all of them.
     Partitioned {
-        /// Number of log devices pages are striped across, one writer each.
+        /// Number of log devices, one writer each.
         devices: usize,
     },
 }
@@ -65,10 +67,6 @@ pub struct EngineOptions {
     /// is the only cost; a non-zero value models a slow device (the
     /// paper's 10 ms disk, scaled down, keeps the §5.2 ratios).
     pub page_write_latency: Duration,
-    /// Per-device latency overrides (tests use a slow device 0 and a fast
-    /// device 1 to force out-of-order page completion). Devices beyond
-    /// the vector's length fall back to `page_write_latency`.
-    pub device_latencies: Vec<Duration>,
     /// Directory the log device files live in.
     pub log_dir: PathBuf,
     /// The group window (§5.2's answer to "what if the page never
@@ -99,9 +97,10 @@ pub struct EngineOptions {
     /// before declaring the device dead and degrading the engine
     /// (§5.2 fail-stop). Defaults to 3.
     pub io_retries: u32,
-    /// Backoff before the first retry; doubles per attempt. Defaults
-    /// to 1 ms — long enough to ride out a transient EIO, short enough
-    /// that tests and the torture harness stay fast.
+    /// Backoff before the first retry; doubles per attempt, and a crash
+    /// cuts it short. Defaults to 1 ms — long enough to ride out a
+    /// transient EIO, short enough that tests and the torture harness
+    /// stay fast.
     pub io_retry_backoff: Duration,
     /// §5.3 online-checkpoint interval: when set, a background sweeper
     /// thread writes a fuzzy checkpoint this often during live traffic,
@@ -120,7 +119,6 @@ impl EngineOptions {
             policy,
             page_bytes: 4096,
             page_write_latency: Duration::ZERO,
-            device_latencies: Vec::new(),
             log_dir: log_dir.into(),
             flush_interval: Duration::from_millis(1),
             lock_wait_timeout: Duration::from_secs(1),
@@ -175,12 +173,6 @@ impl EngineOptions {
         self
     }
 
-    /// Sets per-device latency overrides (device `i` uses entry `i`).
-    pub fn with_device_latencies(mut self, latencies: Vec<Duration>) -> Self {
-        self.device_latencies = latencies;
-        self
-    }
-
     /// Sets the lock-wait timeout.
     pub fn with_lock_wait_timeout(mut self, timeout: Duration) -> Self {
         self.lock_wait_timeout = timeout;
@@ -197,14 +189,6 @@ impl EngineOptions {
     /// `1..=64` range the shard bit mask supports.
     pub fn shard_count(&self) -> usize {
         self.shards.clamp(1, MAX_SHARDS)
-    }
-
-    /// The latency of device `index`, honoring any override.
-    pub fn device_latency(&self, index: usize) -> Duration {
-        self.device_latencies
-            .get(index)
-            .copied()
-            .unwrap_or(self.page_write_latency)
     }
 }
 
@@ -238,13 +222,5 @@ mod tests {
         assert_eq!(CommitPolicy::Group.devices(), 1);
         assert_eq!(CommitPolicy::Partitioned { devices: 4 }.devices(), 4);
         assert_eq!(CommitPolicy::Partitioned { devices: 0 }.devices(), 1);
-    }
-
-    #[test]
-    fn device_latency_overrides() {
-        let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, "/tmp/x")
-            .with_device_latencies(vec![Duration::from_millis(50)]);
-        assert_eq!(opts.device_latency(0), Duration::from_millis(50));
-        assert_eq!(opts.device_latency(1), Duration::ZERO);
     }
 }

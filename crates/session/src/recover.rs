@@ -30,8 +30,8 @@
 //! recovery work by checkpointing the recovered state, as §5.3 does for
 //! live traffic.
 
-use crate::daemon::Shared;
 use crate::engine::{device_file_name, log_files, Engine};
+use crate::log_writer::Shared;
 use crate::policy::EngineOptions;
 use mmdb_recovery::wal::read_log_file_report_from;
 use mmdb_recovery::{LogRecord, Lsn, Record};
@@ -792,6 +792,46 @@ mod tests {
         assert_eq!(engine.read(1).unwrap(), Some(10));
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Garbage where a checkpoint image should be — arbitrary bytes,
+        /// behind or without a well-formed image page that never commits
+        /// and names a replay floor past the whole live log — is passed
+        /// over: recovery returns the live log's state.
+        #[test]
+        fn a_garbage_image_generation_beside_an_intact_live_log_is_ignored(
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            torn_image_head in proptest::prelude::any::<bool>(),
+        ) {
+            let dir = tmp_dir("garbage-image");
+            let engine = Engine::start(group_options(&dir)).unwrap();
+            commit_words(&engine, &[(1, 10), (2, 20)]);
+            commit_words(&engine, &[(2, 21)]);
+            engine.crash().unwrap();
+            let image = dir.join(device_file_name(1, 0));
+            let mut dev = WalDevice::create(&image, 4096, Duration::ZERO).unwrap();
+            if torn_image_head {
+                dev.append_page(&[
+                    (Lsn(1), LogRecord::Begin { txn: TxnId(0) }),
+                    (Lsn(2), LogRecord::Checkpoint { start: Lsn(1_000), next_txn: 1 }),
+                    (Lsn(3), put(0, 1, 999)),
+                ])
+                .unwrap();
+            }
+            drop(dev);
+            let mut bytes = std::fs::read(&image).unwrap();
+            bytes.extend_from_slice(&garbage);
+            std::fs::write(&image, &bytes).unwrap();
+            let (engine, info) = Engine::recover(group_options(&dir)).unwrap();
+            proptest::prop_assert_eq!(info.checkpoint_start, None);
+            proptest::prop_assert_eq!(info.committed.len(), 2);
+            proptest::prop_assert_eq!(read_keys(&engine), vec![Some(10), Some(21), None]);
+            engine.shutdown().unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// A stray whose name *almost* matches a device file — it parses as

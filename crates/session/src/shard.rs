@@ -16,7 +16,7 @@
 //!
 //! **Lock-ordering discipline** (a thread may only acquire downward;
 //! engine-wide order, continued by `queue` → `durable` in
-//! [`crate::daemon`]):
+//! [`crate::log_writer`]):
 //!
 //! 1. shard state locks, in ascending shard index,
 //! 2. one transaction-table slot lock (slots are leaves: a thread never

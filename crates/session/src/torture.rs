@@ -41,42 +41,13 @@
 use crate::engine::Engine;
 use crate::policy::{CommitPolicy, EngineOptions};
 use mmdb_recovery::FaultPlan;
-use mmdb_types::{Error, Result};
+use mmdb_types::{Error, Result, WorkloadRng};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Accounts the workload transfers between (keys `0..KEYS`).
 const KEYS: u64 = 8;
-
-/// A tiny deterministic generator (64-bit LCG, Knuth's constants) so a
-/// seed fully determines the scenario without pulling in an RNG crate.
-/// Public so the server-chaos torture harness draws from the same
-/// stream discipline as the log-fault harness.
-#[derive(Debug, Clone)]
-pub struct Lcg(u64);
-
-impl Lcg {
-    /// Seeds the generator, scrambling so small consecutive seeds
-    /// diverge immediately.
-    pub fn new(seed: u64) -> Lcg {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD_BEEF_CAFE_F00D)
-    }
-
-    /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 11
-    }
-
-    /// Uniform value in `0..n` (n ≥ 1).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 /// The failure a seed injects into its run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +81,7 @@ enum Scenario {
 }
 
 impl Scenario {
-    fn from(rng: &mut Lcg) -> Scenario {
+    fn from(rng: &mut WorkloadRng) -> Scenario {
         match rng.below(8) {
             0 => Scenario::CleanCrash,
             1 => Scenario::TransientWriteFail,
@@ -145,7 +116,7 @@ impl Scenario {
     }
 
     /// The fault plan injected under the *workload* engine (device 0).
-    fn workload_plan(self, rng: &mut Lcg) -> FaultPlan {
+    fn workload_plan(self, rng: &mut WorkloadRng) -> FaultPlan {
         let at = rng.below(24);
         match self {
             Scenario::CleanCrash | Scenario::FaultDuringRecovery => FaultPlan::none(),
@@ -172,7 +143,7 @@ impl Scenario {
     /// and the one sync happen whatever the image's size. The image
     /// writer has no retry, so the fault always lands and the restart
     /// always fails; the new live log takes no write before it does.
-    fn recovery_plan(self, rng: &mut Lcg) -> FaultPlan {
+    fn recovery_plan(self, rng: &mut WorkloadRng) -> FaultPlan {
         if self != Scenario::FaultDuringRecovery {
             return FaultPlan::none();
         }
@@ -229,7 +200,7 @@ pub struct TortureReport {
 }
 
 /// Options shared by every phase of a run (fault plans vary per phase).
-fn base_options(rng: &mut Lcg, log_dir: &Path) -> EngineOptions {
+fn base_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
     let policy = match rng.below(3) {
         0 => CommitPolicy::Synchronous,
         1 => CommitPolicy::Group,
@@ -248,7 +219,7 @@ fn base_options(rng: &mut Lcg, log_dir: &Path) -> EngineOptions {
 /// degrade under us at any moment — the *absence of hangs* is the
 /// property, not the absence of errors).
 fn run_client(session: crate::Session, seed: u64, client: u64, txns: u64) -> Vec<TxnOutcome> {
-    let mut rng = Lcg::new(seed ^ (client.wrapping_mul(0x00C0_FFEE) | 1));
+    let mut rng = WorkloadRng::seeded(seed ^ (client.wrapping_mul(0x00C0_FFEE) | 1));
     let mut outcomes = Vec::new();
     for _ in 0..txns {
         let from = rng.below(KEYS);
@@ -369,7 +340,7 @@ fn probe_and_shutdown(seed: u64, engine: Engine) -> Result<()> {
 /// properties checked.
 pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     std::fs::remove_dir_all(log_dir).ok();
-    let mut rng = Lcg::new(seed);
+    let mut rng = WorkloadRng::seeded(seed);
     let scenario = Scenario::from(&mut rng);
     let options = base_options(&mut rng, log_dir);
     let workload_plan = scenario.workload_plan(&mut rng);
@@ -608,7 +579,7 @@ enum CheckpointScenario {
 }
 
 impl CheckpointScenario {
-    fn from(rng: &mut Lcg) -> CheckpointScenario {
+    fn from(rng: &mut WorkloadRng) -> CheckpointScenario {
         match rng.below(3) {
             0 => CheckpointScenario::Background,
             1 => CheckpointScenario::CrashMidImage,
@@ -661,7 +632,7 @@ fn run_checkpoint_scenario(
     use crate::recover::generation_of;
 
     std::fs::remove_dir_all(log_dir).ok();
-    let mut rng = Lcg::new(seed ^ 0x5EED_0C4E_C001_D00D);
+    let mut rng = WorkloadRng::seeded(seed ^ 0x5EED_0C4E_C001_D00D);
     let scenario = if sustain.is_some() {
         CheckpointScenario::Background
     } else {
@@ -888,22 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn lcg_is_deterministic_and_varies_by_seed() {
-        let mut a = Lcg::new(7);
-        let mut b = Lcg::new(7);
-        let mut c = Lcg::new(8);
-        let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        let vc: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
-        assert_eq!(va, vb);
-        assert_ne!(va, vc);
-    }
-
-    #[test]
     fn scenarios_cover_all_kinds() {
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..200u64 {
-            let mut rng = Lcg::new(seed);
+            let mut rng = WorkloadRng::seeded(seed);
             seen.insert(Scenario::from(&mut rng).name());
         }
         assert_eq!(seen.len(), 8, "200 seeds must hit every scenario: {seen:?}");
@@ -923,7 +882,7 @@ mod tests {
     fn checkpoint_scenarios_cover_all_kinds() {
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..100u64 {
-            let mut rng = Lcg::new(seed ^ 0x5EED_0C4E_C001_D00D);
+            let mut rng = WorkloadRng::seeded(seed ^ 0x5EED_0C4E_C001_D00D);
             seen.insert(CheckpointScenario::from(&mut rng).name());
         }
         assert_eq!(seen.len(), 3, "100 seeds must hit every kind: {seen:?}");

@@ -42,6 +42,11 @@ impl WorkloadRng {
         self.rng.gen_range(0..n)
     }
 
+    /// Uniform integer in `[0, n)`; always 0 when `n` is 0.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.rng.gen_range(0..n.max(1))
+    }
+
     /// Coin flip with probability `p` of `true`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.rng.gen::<f64>() < p

@@ -58,7 +58,7 @@ pub(crate) struct LockConfig {
 }
 
 /// The engine's documented lock order (see `crates/session/src/shard.rs`
-/// and `daemon.rs` module docs), with the SQL catalog lock prepended as
+/// and `log_writer.rs` module docs), with the SQL catalog lock prepended as
 /// the outermost class: the catalog mirror lock
 /// (`crates/sql/src/catalog.rs`) may never be held across any engine
 /// lock — its closure helpers make that structural — then the server's
@@ -788,9 +788,9 @@ pub(crate) fn seqlock(path: &str, lines: &[CleanLine], raw: &[&str]) -> Vec<Find
 
 /// The condvar-discipline + poison-handling pass. `wait`/`wait_timeout`
 /// on a condvar (receiver containing `cv`) must sit lexically inside a
-/// `loop`/`while`/`for` — the §5.2 daemons re-check their predicate on
-/// every wake. And a `lock()` whose `Err` is silently discarded
-/// (`if let Ok`, `unwrap_or`, `.ok()`) hides poisoning from the
+/// `loop`/`while`/`for` — the §5.2 log writers and waiters re-check
+/// their predicate on every wake. And a `lock()` whose `Err` is silently
+/// discarded (`if let Ok`, `unwrap_or`, `.ok()`) hides poisoning from the
 /// fail-stop degrade path; `into_inner()` recovery is the sanctioned
 /// idiom and exempt.
 pub(crate) fn condvar_discipline(path: &str, lines: &[CleanLine], raw: &[&str]) -> Vec<Finding> {

@@ -1,12 +1,13 @@
 //! End-to-end tests of the wall-clock session layer (§5.2): group-commit
-//! crash semantics, pre-commit dependency ordering across partitioned
-//! log devices, who releases a partial page (a waiter, a free device and
-//! an open group window; the flush interval as a deadline only for
-//! commits nobody waits on), and a property test checking concurrent
-//! sessions against a single-threaded serial oracle.
+//! crash semantics, a pre-committed transaction's dependents never
+//! durable or recovered before it on a partitioned log, who releases a
+//! partial page (a waiter, a free device and an open group window; the
+//! flush interval as a deadline only for commits nobody waits on), and a
+//! property test checking concurrent sessions against a single-threaded
+//! serial oracle.
 
-use mmdb_recovery::wal::{read_log_file, WalDevice};
-use mmdb_recovery::{LogRecord, Lsn};
+use mmdb_recovery::wal::{read_log_dir, WalDevice};
+use mmdb_recovery::{FaultPlan, LogRecord, Lsn};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{Auditable, Error, TxnId};
 use proptest::prelude::*;
@@ -80,92 +81,175 @@ fn crash_with_parked_daemon_recovers_durable_prefix_only() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// §5.2 dependency write ordering, observed at the device level: with a
-/// partitioned log whose device 0 is slow and device 1 fast, a dependent
-/// transaction's commit page (bound for the fast device) is *held back*
-/// until its dependency's page (stuck on the slow device) is written. A
-/// crash in that window leaves neither on disk.
-#[test]
-fn dependent_commit_is_never_written_before_its_dependency() {
-    let dir = tmp_dir("dep-order");
-    let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, &dir)
-        .with_device_latencies(vec![Duration::from_millis(600), Duration::from_millis(1)])
-        .with_flush_interval(Duration::from_millis(15));
-    let engine = Engine::start(opts.clone()).unwrap();
-    let s = engine.session();
+/// A counter of the engine's registry.
+fn counter(engine: &Engine, name: &str) -> u64 {
+    engine.stats().counter(name).unwrap_or(0)
+}
 
-    // Transaction A writes key 7 and pre-commits; its page (seqno 0)
-    // goes to slow device 0.
+/// Commits whose page a writer has cut so far: the group-wait histogram
+/// records each commit at the cut.
+fn dispatched(engine: &Engine) -> u64 {
+    engine
+        .stats()
+        .histogram("mmdb_session_group_wait_us")
+        .map_or(0, |h| h.count)
+}
+
+/// A pre-committed transaction A, writing keys 7 and 8, and a dependent
+/// B that takes A's released lock on key 7 (pre-commit!). B is appended
+/// only once A's commit record has been cut, so B's page is its own.
+fn a_and_dependent_b(engine: &Engine) -> (mmdb_session::CommitTicket, mmdb_session::CommitTicket) {
+    let s = engine.session();
     let a = s.begin().unwrap();
     s.write(&a, 7, 1).unwrap();
+    s.write(&a, 8, 1).unwrap();
     let ticket_a = s.commit(a).unwrap();
-    // Let the daemon's timeout cut A's page and dispatch it before B's
-    // records enter the queue, so B's page is a separate, later one.
-    std::thread::sleep(Duration::from_millis(40));
-
-    // B takes A's released lock (pre-commit!), inheriting a commit
-    // dependency on A, and pre-commits too; its page (seqno 1) goes to
-    // fast device 1 — which must wait for device 0.
+    eventually(Duration::from_secs(5), "A's page cut", || {
+        dispatched(engine) == 1
+    });
     let b = s.begin().unwrap();
     s.write(&b, 7, 2).unwrap();
     let ticket_b = s.commit(b).unwrap();
-    std::thread::sleep(Duration::from_millis(80));
+    (ticket_a, ticket_b)
+}
+
+/// §5.2's dependency rule under a crash. A's two puts fill a page and its
+/// commit record starts the next, so A's log is two pages, one on each
+/// device (each is busy for a 50 ms page write when the other is cut).
+/// Device 0's first write fails, so one of A's pages is inside the retry
+/// backoff whichever device took which. B's page goes to device 1, the
+/// only free one, and reaches the disk ahead of A's — yet B is never
+/// durable before A, and a crash loses both.
+#[test]
+fn dependent_commit_is_never_written_before_its_dependency() {
+    let dir = tmp_dir("dep-order");
+    let mut opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, &dir)
+        .with_fault_plans(vec![FaultPlan::none().fail_write(0, 1)])
+        .with_io_retry_backoff(Duration::from_secs(30))
+        .with_page_write_latency(Duration::from_millis(50));
+    opts.page_bytes = 58; // two 8-byte puts
+    let engine = Engine::start(opts.clone()).unwrap();
+    let (ticket_a, ticket_b) = a_and_dependent_b(&engine);
+    eventually(
+        Duration::from_secs(5),
+        "A's other page and B's written",
+        || engine.pages_written().unwrap() == 2,
+    );
+    assert_eq!(counter(&engine, "mmdb_session_io_errors_total"), 1);
 
     assert!(
         !engine.is_durable(&ticket_a).unwrap(),
-        "A's page is still inside the slow device's write"
+        "A's page is still inside its retry backoff"
     );
     assert!(
         !engine.is_durable(&ticket_b).unwrap(),
         "B durable before A would break the dependency order"
     );
 
-    // Crash while device 0 is mid-write: A's page is lost, and the
-    // writer for device 1 was still holding B's page back.
+    // Crash inside the backoff: A's page is lost, B's is on disk.
     engine.crash().unwrap();
-    let fast_records = read_log_file(&dir.join("wal-d1.log")).unwrap();
     assert!(
-        !fast_records
+        read_log_dir(&dir)
+            .unwrap()
             .iter()
-            .any(|(_, r)| matches!(r, LogRecord::Commit { .. })),
-        "no commit record ever reached the fast device ahead of its dependency"
+            .any(|(_, r)| matches!(r, LogRecord::Commit { txn } if *txn == ticket_b.txn)),
+        "B's commit record reached a device ahead of A's"
     );
-    let (engine, info) = Engine::recover(opts).unwrap();
+    let (engine, info) = Engine::recover(opts.with_fault_plans(Vec::new())).unwrap();
     assert!(
         !info.committed.contains(&ticket_b.txn),
         "dependent B must not be recovered when dependency A is lost"
     );
     assert!(!info.committed.contains(&ticket_a.txn));
     assert_eq!(engine.read(7).unwrap(), None);
+    assert_eq!(engine.read(8).unwrap(), None);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// LSN order is the only write order: while one device sits in a retry
+/// backoff, the other writes the next page at once instead of holding it
+/// back. Device 0 fails its first write; each device is still busy with
+/// one page when the other is cut, so device 0 takes one of A and B and
+/// device 1 the other. Whichever of them is late, B is never durable —
+/// nor recovered — without A.
+#[test]
+fn a_free_device_writes_a_dependents_page_while_its_dependencys_page_retries() {
+    let dir = tmp_dir("free-device");
+    let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, &dir)
+        .with_fault_plans(vec![FaultPlan::none().fail_write(0, 1)])
+        .with_io_retry_backoff(Duration::from_secs(2))
+        .with_page_write_latency(Duration::from_millis(100));
+    let engine = Engine::start(opts.clone()).unwrap();
+    let (ticket_a, ticket_b) = a_and_dependent_b(&engine);
+    // Durability is monotonic: B read durable first means A is checked
+    // no earlier than B became durable.
+    let b_never_without_a = || {
+        let b = engine.is_durable(&ticket_b).unwrap();
+        assert!(
+            !b || engine.is_durable(&ticket_a).unwrap(),
+            "B durable while A is not"
+        );
+    };
+    eventually(Duration::from_millis(300), "a page written", || {
+        b_never_without_a();
+        engine.pages_written().unwrap() >= 1
+    });
+    eventually(Duration::from_secs(1), "device 0 failed once", || {
+        b_never_without_a();
+        counter(&engine, "mmdb_session_io_errors_total") == 1
+    });
+    b_never_without_a();
+    assert_eq!(engine.pages_written().unwrap(), 1, "one page is retrying");
+    let a_durable = engine.is_durable(&ticket_a).unwrap();
+    assert!(!engine.is_durable(&ticket_b).unwrap());
+
+    // Crash inside the backoff. When A is the page retrying, B's page is
+    // on disk already — and still not recovered: the LSN prefix stops at
+    // A's missing records.
+    engine.crash().unwrap();
+    let on_disk = read_log_dir(&dir).unwrap();
+    let b_on_disk = on_disk
+        .iter()
+        .any(|(_, r)| matches!(r, LogRecord::Commit { txn } if *txn == ticket_b.txn));
+    assert_eq!(
+        b_on_disk, !a_durable,
+        "the free device wrote the other page"
+    );
+    let (engine, info) = Engine::recover(opts.with_fault_plans(Vec::new())).unwrap();
+    assert!(
+        !info.committed.contains(&ticket_b.txn),
+        "B recovered though its page or A's never finished"
+    );
+    assert_eq!(info.committed.contains(&ticket_a.txn), a_durable);
+    assert_eq!(engine.read(7).unwrap(), a_durable.then_some(1));
+    assert_eq!(engine.read(8).unwrap(), a_durable.then_some(1));
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The same dependency chain without a crash: when the dependent is
-/// reported durable, its dependency must already be durable.
+/// reported durable, its dependency must already be durable. Device 0
+/// fails its first write and retries after a backoff, so whichever of
+/// the two pages it takes lands late.
 #[test]
 fn dependency_becomes_durable_no_later_than_dependent() {
     let dir = tmp_dir("dep-wait");
     let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 2 }, &dir)
-        .with_device_latencies(vec![Duration::from_millis(60), Duration::from_millis(1)])
+        .with_fault_plans(vec![FaultPlan::none().fail_write(0, 1)])
+        .with_io_retry_backoff(Duration::from_millis(60))
+        .with_page_write_latency(Duration::from_millis(20))
         .with_flush_interval(Duration::from_millis(5));
     let engine = Engine::start(opts.clone()).unwrap();
-    let s = engine.session();
-    let a = s.begin().unwrap();
-    s.write(&a, 7, 1).unwrap();
-    let ticket_a = s.commit(a).unwrap();
-    std::thread::sleep(Duration::from_millis(15));
-    let b = s.begin().unwrap();
-    s.write(&b, 7, 2).unwrap();
-    let ticket_b = s.commit(b).unwrap();
-    s.wait_durable(&ticket_b).unwrap();
+    let (ticket_a, ticket_b) = a_and_dependent_b(&engine);
+    engine.session().wait_durable(&ticket_b).unwrap();
     assert!(
         engine.is_durable(&ticket_a).unwrap(),
         "B durable implies A durable"
     );
     engine.shutdown().unwrap();
     // Both survive a restart.
-    let (engine, info) = Engine::recover(opts).unwrap();
+    let (engine, info) = Engine::recover(opts.with_fault_plans(Vec::new())).unwrap();
     assert!(info.committed.contains(&ticket_a.txn));
     assert!(info.committed.contains(&ticket_b.txn));
     assert_eq!(engine.read(7).unwrap(), Some(2));

@@ -13,7 +13,7 @@ use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::Error;
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mmdb-torture-it-{}-{name}", std::process::id()));
@@ -128,6 +128,38 @@ fn waiting_committer_errors_promptly_when_device_dies() {
         .unwrap_or(0);
     assert_eq!(degraded, 1, "exactly one device degraded the engine");
     engine.crash().ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash while a writer waits out its retry backoff is a crash, not a
+/// dead log device: the writer stands down without degrading the engine,
+/// so `crash` reports nothing and the degraded gauge stays at 0.
+#[test]
+fn a_crash_during_a_retry_backoff_is_not_a_device_failure() {
+    let opts = EngineOptions::new(CommitPolicy::Group, tmp_dir("crash-in-backoff"))
+        .with_fault_plans(vec![FaultPlan::none().fail_write(0, 1)])
+        .with_io_retry_backoff(Duration::from_millis(500));
+    let dir = opts.log_dir.clone();
+    let engine = Engine::start(opts).unwrap();
+    let registry = engine.registry();
+    let session = engine.session();
+    let txn = session.begin().unwrap();
+    session.write(&txn, 1, 10).unwrap();
+    session.commit(txn).unwrap();
+    let started = Instant::now();
+    while registry.snapshot().counter("mmdb_session_io_errors_total") != Some(1) {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "no write failed"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let crashed = engine.crash();
+    assert!(crashed.is_ok(), "crash reported {crashed:?}");
+    assert_eq!(
+        registry.snapshot().gauge("mmdb_session_degraded_count"),
+        Some(0)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
