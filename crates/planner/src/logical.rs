@@ -47,6 +47,16 @@ pub struct JoinEdge {
     pub right_column: usize,
 }
 
+impl JoinEdge {
+    /// The edge's two `(table, column)` ends, left first.
+    pub fn ends(&self) -> [(usize, usize); 2] {
+        [
+            (self.left_table, self.left_column),
+            (self.right_table, self.right_column),
+        ]
+    }
+}
+
 /// A conjunctive equijoin query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {

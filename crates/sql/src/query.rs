@@ -1,14 +1,17 @@
 //! The binder/planner bridge and plan executor.
 //!
 //! A `SELECT` runs in two phases. Under the catalog read lock,
-//! [`snapshot_tables`] binds each `FROM` table's own `column op literal`
-//! conjuncts (only schemas are needed) and has `Catalog::reach` decide
-//! how the table is reached — §2 index probe or filtered scan — so that
-//! only the rows the conjuncts keep are copied, once. With the lock
-//! released, [`run_select_on`] turns what is left — the equi-join edges
-//! — into the §4 optimizer's [`QuerySpec`], planned with exact
-//! statistics of the surviving rows, and executes the plan with the §3
-//! `mmdb-exec` operators. `INSERT`/`UPDATE`/`DELETE` binding helpers
+//! [`snapshot_tables`] binds every column the statement names against
+//! the full schemas, binds each `FROM` table's own `column op literal`
+//! conjuncts, and has `Catalog::reach` decide how the table is reached —
+//! §2 index probe or filtered scan. Only the rows the conjuncts keep are
+//! copied, once, and of each only the columns a join edge or the
+//! projection names. With the lock released, [`run_select_on`] turns the
+//! equi-join edges into the §4 optimizer's [`QuerySpec`], planned with
+//! the survivors' exact count and the exact distinct counts of their join
+//! columns (all it reads once the predicates are spent), executes the
+//! plan with the §3 `mmdb-exec` operators, and moves each result value
+//! out of the join output. `INSERT`/`UPDATE`/`DELETE` binding helpers
 //! (row coercion, single-table predicates, `SET` expressions) also live
 //! here so [`crate::session`] stays focused on transaction mechanics.
 
@@ -17,9 +20,7 @@ use crate::catalog::{Catalog, TableEntry};
 use mmdb_exec::join::{run_join, Algo};
 use mmdb_exec::{ExecContext, JoinSpec};
 use mmdb_planner::optimizer::PlanEnv;
-use mmdb_planner::{
-    optimize, ColumnStats, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef, TableStats,
-};
+use mmdb_planner::{optimize, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef, TableStats};
 use mmdb_storage::MemRelation;
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::{CmpOp, Predicate};
@@ -60,13 +61,14 @@ impl QueryResult {
 }
 
 /// One `FROM` table as a `SELECT` sees it: the rows its own conjuncts
-/// kept. Built under the catalog read lock by [`snapshot_tables`], then
+/// kept, cut down to the columns a join edge or the projection names.
+/// Built under the catalog read lock by [`snapshot_tables`], then
 /// planned and executed lock-free by [`run_select_on`].
 pub struct BoundTable {
     /// Lowercased canonical name (what the planner sees).
     name: String,
-    /// The surviving rows, copied once; the join operators take the
-    /// relation itself.
+    /// The surviving rows' named columns, copied once; the join
+    /// operators take the relation itself.
     rows: MemRelation,
     /// The column an equality conjunct named while it had no index (see
     /// `Reached::wants_index`).
@@ -319,55 +321,50 @@ fn resolve(col: &ColRef, tables: &[(&str, &Schema)]) -> Result<(usize, usize)> {
     }
 }
 
-/// Computes exact [`TableStats`] of the rows a table's own conjuncts
-/// kept (distinct counts and min/max per column — affordable because
-/// everything is already in memory, exactly the paper's argument for
-/// cheap statistics). A row the query discarded is never seen here.
-fn compute_stats(t: &BoundTable) -> TableStats {
-    struct Acc<'a> {
-        distinct: HashSet<&'a Value>,
-        min: Option<&'a Value>,
-        max: Option<&'a Value>,
-    }
-    let tuples = t.rows.tuples();
-    let mut accs: Vec<Acc<'_>> = (0..t.rows.schema().arity())
-        .map(|_| Acc {
-            distinct: HashSet::new(),
-            min: None,
-            max: None,
-        })
-        .collect();
-    for tuple in tuples {
-        for (acc, v) in accs.iter_mut().zip(tuple.values()) {
-            acc.distinct.insert(v);
-            if acc.min.map_or(true, |m| v < m) {
-                acc.min = Some(v);
+/// The equi-join edges of a `SELECT`'s conditions, resolved against the
+/// `FROM` tables as [`resolve`] takes them.
+fn join_edges(stmt: &SelectStmt, tables: &[(&str, &Schema)]) -> Result<Vec<JoinEdge>> {
+    let mut joins = Vec::new();
+    for cond in &stmt.conditions {
+        if let Condition::ColEqCol { left, right } = cond {
+            let (lt, lc) = resolve(left, tables)?;
+            let (rt, rc) = resolve(right, tables)?;
+            if lt == rt {
+                return Err(Error::Planning(format!(
+                    "'{left} = {right}' compares columns of the same table; join conditions must span two tables"
+                )));
             }
-            if acc.max.map_or(true, |m| v > m) {
-                acc.max = Some(v);
-            }
+            joins.push(JoinEdge {
+                left_table: lt,
+                left_column: lc,
+                right_table: rt,
+                right_column: rc,
+            });
         }
     }
-    TableStats {
-        name: t.name.clone(),
-        tuples: tuples.len() as u64,
-        pages: (tuples.len() as u64).div_ceil(TUPLES_PER_PAGE as u64),
-        tuples_per_page: TUPLES_PER_PAGE as u64,
-        columns: accs
-            .iter()
-            .map(|a| ColumnStats {
-                distinct: a.distinct.len().max(1) as u64,
-                min: a.min.cloned(),
-                max: a.max.cloned(),
-            })
-            .collect(),
-        indexed_columns: Vec::new(),
-        ordered_indexed_columns: Vec::new(),
-    }
+    Ok(joins)
 }
 
-fn exec_ctx(env: &PlanEnv) -> ExecContext {
-    ExecContext::new(env.mem_pages, 1.2)
+/// [`TableStats`] of the rows a table's own conjuncts kept: their exact
+/// count, and the exact distinct count of each column a join edge of
+/// table `ti` names — all the §4 optimizer reads once the predicates are
+/// spent. Other columns are [`mmdb_planner::ColumnStats::unknown`], no
+/// min/max is kept, and a single-table `SELECT` hashes nothing.
+fn compute_stats(t: &BoundTable, ti: usize, joins: &[JoinEdge]) -> TableStats {
+    let tuples = t.rows.tuples();
+    let mut stats = TableStats::uniform(
+        t.name.clone(),
+        tuples.len() as u64,
+        TUPLES_PER_PAGE as u64,
+        t.rows.schema().arity(),
+    );
+    for (table, c) in joins.iter().flat_map(JoinEdge::ends) {
+        if let Some(col) = stats.columns.get_mut(c).filter(|_| table == ti) {
+            let distinct: HashSet<&Value> = tuples.iter().map(|row| row.get(c)).collect();
+            col.distinct = distinct.len().max(1) as u64;
+        }
+    }
+    stats
 }
 
 /// Executes a plan over the `FROM` tables' surviving rows, each taken —
@@ -445,12 +442,26 @@ pub fn snapshot_tables(
             }
         }
     }
+    // The columns a table carries out of the catalog: those a join edge
+    // or the projection names. A `WHERE` column is read in place.
+    let mut named: Vec<(usize, usize)> = Vec::new();
+    named.extend(join_edges(stmt, &schemas)?.iter().flat_map(JoinEdge::ends));
+    let star = matches!(stmt.projection, Projection::Star);
+    if let Projection::Columns(cols) = &stmt.projection {
+        for col in cols {
+            named.push(resolve(col, &schemas)?);
+        }
+    }
     let mut tables = Vec::with_capacity(names.len());
-    for ((name, entry), pred) in names.into_iter().zip(entries).zip(preds) {
-        let reached = catalog.reach(entry, &pred, |_, row| row.clone());
+    for (ti, ((name, entry), pred)) in names.into_iter().zip(entries).zip(preds).enumerate() {
+        let needed: Vec<usize> = (0..entry.schema.arity())
+            .filter(|ci| star || named.contains(&(ti, *ci)))
+            .collect();
+        let reached = catalog.reach(entry, &pred, |_, row| row.project(&needed));
+        let schema = entry.schema.project(&needed)?;
         tables.push(BoundTable {
             name,
-            rows: MemRelation::from_tuples(entry.schema.clone(), TUPLES_PER_PAGE, reached.kept)?,
+            rows: MemRelation::from_tuples(schema, TUPLES_PER_PAGE, reached.kept)?,
             wants_index: reached.wants_index,
         });
     }
@@ -466,24 +477,7 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
         .collect();
     // The `column op literal` conditions were applied when the tables
     // were reached; what is left to plan are the join edges.
-    let mut joins: Vec<JoinEdge> = Vec::new();
-    for cond in &stmt.conditions {
-        if let Condition::ColEqCol { left, right } = cond {
-            let (lt, lc) = resolve(left, &schemas)?;
-            let (rt, rc) = resolve(right, &schemas)?;
-            if lt == rt {
-                return Err(Error::Planning(format!(
-                    "'{left} = {right}' compares columns of the same table; join conditions must span two tables"
-                )));
-            }
-            joins.push(JoinEdge {
-                left_table: lt,
-                left_column: lc,
-                right_table: rt,
-                right_column: rc,
-            });
-        }
-    }
+    let joins = join_edges(stmt, &schemas)?;
 
     // Feed the §4 optimizer the survivors' exact cardinalities; their
     // predicates are spent, so none is charged a selectivity twice.
@@ -494,77 +488,81 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
             .collect(),
         joins,
     };
-    let stats: Vec<TableStats> = tables.iter().map(compute_stats).collect();
+    let stats: Vec<TableStats> = tables
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| compute_stats(t, ti, &spec.joins))
+        .collect();
     let env = PlanEnv::default();
     let planned = optimize(&spec, &stats, &env)?;
 
-    // Output offsets follow the plan's base-table order, which the
-    // optimizer may have permuted relative to FROM.
-    let plan_order = planned.plan.tables();
-    let mut offsets: Vec<(usize, usize)> = Vec::with_capacity(plan_order.len());
-    let mut off = 0usize;
-    for name in &plan_order {
-        let ti = schemas
+    // The join output's columns as `(table, column)`, in the plan's
+    // base-table order, which the optimizer may have permuted from FROM.
+    let mut layout: Vec<(usize, usize)> = Vec::new();
+    for name in planned.plan.tables() {
+        let (ti, (_, schema)) = schemas
             .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| Error::RelationNotFound((*name).to_string()))?;
-        offsets.push((ti, off));
-        off += schemas.get(ti).map(|(_, s)| s.arity()).unwrap_or_default();
+            .enumerate()
+            .find(|(_, (n, _))| *n == name)
+            .ok_or_else(|| Error::RelationNotFound(name.to_string()))?;
+        layout.extend((0..schema.arity()).map(|ci| (ti, ci)));
     }
-    let offset_of = |ti: usize| -> Result<usize> {
-        offsets
-            .iter()
-            .find(|(t, _)| *t == ti)
-            .map(|(_, o)| *o)
-            .ok_or_else(|| Error::Internal("table missing from plan order".to_string()))
-    };
-
+    let qualify = schemas.len() > 1;
     let (names, indices): (Vec<String>, Vec<usize>) = match &stmt.projection {
-        Projection::Star => {
-            let mut names = Vec::new();
-            let mut idx = Vec::new();
-            for (ti, off) in &offsets {
-                if let Some((table, schema)) = schemas.get(*ti) {
-                    for (ci, c) in schema.columns().iter().enumerate() {
-                        names.push(if schemas.len() > 1 {
-                            format!("{table}.{}", c.name)
-                        } else {
-                            c.name.clone()
-                        });
-                        idx.push(off + ci);
-                    }
-                }
-            }
-            (names, idx)
-        }
-        Projection::Columns(cols) => {
-            let mut names = Vec::new();
-            let mut idx = Vec::new();
-            for col in cols {
-                let (ti, ci) = resolve(col, &schemas)?;
-                names.push(col.to_string());
-                idx.push(offset_of(ti)? + ci);
-            }
-            (names, idx)
-        }
+        Projection::Star => layout
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(ti, ci))| {
+                let (table, schema) = schemas.get(ti)?;
+                let c = &schema.column(ci)?.name;
+                let name = if qualify {
+                    format!("{table}.{c}")
+                } else {
+                    c.clone()
+                };
+                Some((name, i))
+            })
+            .collect(),
+        Projection::Columns(cols) => cols
+            .iter()
+            .map(|col| {
+                let at = resolve(col, &schemas)?;
+                let i = layout.iter().position(|x| *x == at);
+                let i = i.ok_or_else(|| Error::Internal("table missing from plan".to_string()))?;
+                Ok((col.to_string(), i))
+            })
+            .collect::<Result<_>>()?,
     };
 
     // Execute the chosen physical plan with the §3 operators.
     let mut rows_of: Vec<(String, Option<MemRelation>)> =
         tables.into_iter().map(|t| (t.name, Some(t.rows))).collect();
-    let rel = execute_plan(&planned.plan, &mut rows_of, &exec_ctx(&env))?;
+    let ctx = ExecContext::new(env.mem_pages, 1.2);
+    let rel = execute_plan(&planned.plan, &mut rows_of, &ctx)?;
 
-    let arity = rel.schema().arity();
-    if indices.iter().any(|&i| i >= arity) {
-        return Err(Error::Internal(
-            "projection index out of plan output range".to_string(),
-        ));
-    }
-    let rows: Vec<Vec<Value>> = rel
-        .tuples()
+    // Each value is moved out on its last use in the projection; only a
+    // column listed twice is cloned for its earlier uses.
+    let last_use: Vec<bool> = indices
         .iter()
-        .map(|t| indices.iter().map(|&i| t.get(i).clone()).collect())
+        .enumerate()
+        .map(|(k, i)| !indices.iter().skip(k + 1).any(|j| j == i))
         .collect();
+    let rows = rel
+        .into_tuples()
+        .into_iter()
+        .map(|t| {
+            let mut values = t.into_values();
+            indices
+                .iter()
+                .zip(&last_use)
+                .map(|(&i, &last)| match values.get_mut(i) {
+                    Some(v) if last => Ok(std::mem::replace(v, Value::Null)),
+                    Some(v) => Ok(v.clone()),
+                    None => Err(Error::Internal("projection past the plan output".into())),
+                })
+                .collect()
+        })
+        .collect::<Result<_>>()?;
     Ok(QueryResult {
         columns: names,
         rows,
@@ -707,6 +705,249 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(run_select(&s, &cat, None).is_err());
+    }
+
+    fn parse_select(sql: &str) -> SelectStmt {
+        match parse(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("not a select: {other:?}"),
+        }
+    }
+
+    /// The column names each bound table carries out of the catalog.
+    fn carried(cat: &Catalog, sql: &str) -> Vec<Vec<String>> {
+        let tables = snapshot_tables(&parse_select(sql), cat, None).unwrap();
+        tables
+            .iter()
+            .map(|t| {
+                t.rows
+                    .schema()
+                    .columns()
+                    .iter()
+                    .map(|c| c.name.clone())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn texts(rows: &[Vec<Value>], at: usize) -> Vec<String> {
+        let mut v: Vec<String> = rows
+            .iter()
+            .map(|row| row[at].as_str().unwrap().to_string())
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn a_where_only_column_is_filtered_on_but_not_copied() {
+        let cat = catalog();
+        let sql = "SELECT name FROM emp WHERE dept_id = 1";
+        assert_eq!(carried(&cat, sql), vec![vec!["name"]]);
+        assert_eq!(texts(&select(&cat, sql).rows, 0), vec!["ann", "cat"]);
+    }
+
+    #[test]
+    fn a_column_listed_twice_is_returned_twice() {
+        let cat = catalog();
+        let r = select(&cat, "SELECT name, id, name FROM emp WHERE id = 1");
+        assert_eq!(r.columns, vec!["name", "id", "name"]);
+        assert_eq!(
+            r.rows,
+            vec![vec!["bob".into(), Value::Int(1), "bob".into()]]
+        );
+        let r = select(
+            &cat,
+            "SELECT dept.title, emp.name, dept.title FROM emp JOIN dept ON emp.dept_id = dept.id",
+        );
+        assert_eq!(r.rows.len(), 3);
+        for row in &r.rows {
+            assert_eq!(row.len(), 3);
+            assert_eq!(row[0], row[2]);
+        }
+        assert_eq!(texts(&r.rows, 1), vec!["ann", "bob", "cat"]);
+        assert_eq!(texts(&r.rows, 2), vec!["eng", "eng", "ops"]);
+    }
+
+    #[test]
+    fn star_over_a_join_keeps_every_column() {
+        let cat = catalog();
+        let sql = "SELECT * FROM emp JOIN dept ON emp.dept_id = dept.id";
+        assert_eq!(
+            carried(&cat, sql),
+            vec![vec!["id", "name", "dept_id"], vec!["id", "title"]]
+        );
+        let r = select(&cat, sql);
+        let mut columns = r.columns.clone();
+        columns.sort();
+        assert_eq!(
+            columns,
+            vec!["dept.id", "dept.title", "emp.dept_id", "emp.id", "emp.name"]
+        );
+        let at = |name: &str| r.columns.iter().position(|c| c == name).unwrap();
+        assert_eq!(r.rows.len(), 3);
+        for row in &r.rows {
+            assert_eq!(row.len(), 5);
+            assert_eq!(row[at("emp.dept_id")], row[at("dept.id")]);
+        }
+        assert_eq!(texts(&r.rows, at("emp.name")), vec!["ann", "bob", "cat"]);
+    }
+
+    #[test]
+    fn a_join_only_column_is_carried_but_not_returned() {
+        let cat = catalog();
+        let sql = "SELECT dept.title FROM emp JOIN dept ON emp.dept_id = dept.id";
+        assert_eq!(
+            carried(&cat, sql),
+            vec![vec!["dept_id"], vec!["id", "title"]]
+        );
+        let r = select(&cat, sql);
+        assert_eq!(r.columns, vec!["dept.title"]);
+        assert_eq!(texts(&r.rows, 0), vec!["eng", "eng", "ops"]);
+    }
+
+    #[test]
+    fn an_unqualified_column_resolves_before_and_after_pruning() {
+        let cat = catalog();
+        let sql = "SELECT name, title FROM emp JOIN dept ON emp.dept_id = dept.id \
+                   WHERE dept_id = 1";
+        assert_eq!(
+            carried(&cat, sql),
+            vec![vec!["name", "dept_id"], vec!["id", "title"]]
+        );
+        let r = select(&cat, sql);
+        assert_eq!(r.columns, vec!["name", "title"]);
+        assert_eq!(texts(&r.rows, 0), vec!["ann", "cat"]);
+        assert_eq!(texts(&r.rows, 1), vec!["eng", "eng"]);
+    }
+
+    /// The statistics every column used to get: exact distinct counts
+    /// and min/max over the surviving rows.
+    fn all_column_stats(t: &BoundTable) -> TableStats {
+        let tuples = t.rows.tuples();
+        let mut stats = compute_stats(t, usize::MAX, &[]);
+        for (ci, col) in stats.columns.iter_mut().enumerate() {
+            let values: Vec<&Value> = tuples.iter().map(|row| row.get(ci)).collect();
+            let distinct: HashSet<&Value> = values.iter().copied().collect();
+            col.distinct = distinct.len().max(1) as u64;
+            col.min = values.iter().min().map(|v| (*v).clone());
+            col.max = values.iter().max().map(|v| (*v).clone());
+        }
+        stats
+    }
+
+    /// `analytic_join`'s tables: 1,000 customers and 10,000 orders whose
+    /// customer and amount come from a fixed LCG.
+    fn analytic_catalog() -> Catalog {
+        let mut c = Catalog::default();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let customers: BTreeMap<u32, Tuple> = (0..1_000u32)
+            .map(|id| {
+                let row = vec![
+                    Value::Int(i64::from(id)),
+                    Value::Int(i64::from(id % 10)),
+                    Value::Str(format!("customer-{id:06}")),
+                ];
+                (id, Tuple::new(row))
+            })
+            .collect();
+        let orders: BTreeMap<u32, Tuple> = (0..10_000u32)
+            .map(|id| {
+                let row = vec![
+                    Value::Int(i64::from(id)),
+                    Value::Int(next(1_000) as i64),
+                    Value::Int(next(1_000_000) as i64),
+                    Value::Str(format!("{id:032}")),
+                ];
+                (id, Tuple::new(row))
+            })
+            .collect();
+        let schemas = [
+            (
+                "customers",
+                Schema::of(&[
+                    ("id", DataType::Int),
+                    ("region", DataType::Int),
+                    ("name", DataType::Str),
+                ]),
+                customers,
+            ),
+            (
+                "orders",
+                Schema::of(&[
+                    ("id", DataType::Int),
+                    ("cust", DataType::Int),
+                    ("amount", DataType::Int),
+                    ("note", DataType::Str),
+                ]),
+                orders,
+            ),
+        ];
+        for (id, (name, schema, rows)) in schemas.into_iter().enumerate() {
+            let next_rid = rows.len() as u32;
+            let entry = TableEntry {
+                id: id as u32,
+                schema,
+                rows,
+                next_rid,
+                pending_owner: None,
+            };
+            c.install(name, entry);
+        }
+        c
+    }
+
+    #[test]
+    fn join_column_statistics_pick_the_same_plan_as_all_column_statistics() {
+        let cases = [
+            (
+                catalog(),
+                "SELECT emp.name, dept.title FROM emp JOIN dept ON emp.dept_id = dept.id",
+            ),
+            (
+                catalog(),
+                "SELECT * FROM dept, emp WHERE emp.dept_id = dept.id AND emp.id > 0",
+            ),
+            (
+                analytic_catalog(),
+                "SELECT orders.id, customers.name FROM orders, customers \
+                 WHERE orders.cust = customers.id AND orders.amount > 930000",
+            ),
+        ];
+        for (cat, sql) in cases {
+            let stmt = parse_select(sql);
+            let tables = snapshot_tables(&stmt, &cat, None).unwrap();
+            let schemas: Vec<(&str, &Schema)> = tables
+                .iter()
+                .map(|t| (t.name.as_str(), t.rows.schema()))
+                .collect();
+            let spec = QuerySpec {
+                tables: tables
+                    .iter()
+                    .map(|t| TableRef::plain(t.name.clone()))
+                    .collect(),
+                joins: join_edges(&stmt, &schemas).unwrap(),
+            };
+            let new: Vec<TableStats> = tables
+                .iter()
+                .enumerate()
+                .map(|(ti, t)| compute_stats(t, ti, &spec.joins))
+                .collect();
+            let old: Vec<TableStats> = tables.iter().map(all_column_stats).collect();
+            assert_ne!(new, old, "{sql}: the statistics differ");
+            let env = PlanEnv::default();
+            let new = optimize(&spec, &new, &env).unwrap();
+            let old = optimize(&spec, &old, &env).unwrap();
+            assert_eq!(new.plan, old.plan, "{sql}");
+            assert_eq!(new.estimated_rows, old.estimated_rows, "{sql}");
+            assert_eq!(new.plan.join_count(), 1, "{sql}");
+        }
     }
 
     #[test]

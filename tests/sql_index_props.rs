@@ -157,6 +157,38 @@ fn an_insert_only_history_and_a_restart_build_no_index() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_select_that_fails_to_bind_builds_no_index() {
+    let dir = tmp_dir("failed-bind");
+    let engine = Engine::start(options(&dir)).unwrap();
+    let db = SqlDb::open(&engine).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 1)").unwrap();
+    s.execute("INSERT INTO t VALUES (2, 1)").unwrap();
+    // `b = 1` would ask for an index on `b`, but the projection names a
+    // column `t` does not have: the statement fails while binding, before
+    // any table is reached.
+    for sql in [
+        "SELECT nope FROM t WHERE b = 1",
+        "SELECT a FROM t, u WHERE b = 1",
+        "SELECT a FROM t WHERE b = 1 AND t.a = t.b",
+    ] {
+        let before = counts(&engine);
+        assert!(s.execute(sql).is_err(), "{sql} must not bind");
+        assert_eq!(counts(&engine), before, "{sql}");
+    }
+    // The same predicate in a statement that binds builds the index once.
+    assert_eq!(
+        added_by(&engine, &mut s, "SELECT a FROM t WHERE b = 1"),
+        [0, 1, 2]
+    );
+    db.audit().unwrap();
+    drop(s);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Differential property test
 // ---------------------------------------------------------------------
