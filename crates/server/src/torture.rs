@@ -9,19 +9,19 @@
 //! WAL and back. The run then drains, crashes the engine, recovers
 //! fault-free, and checks through a *clean* connection:
 //!
-//! * **Acked implies recovered.** Every `COMMIT` the client saw
-//!   succeed is in the recovered ledger.
-//! * **No phantom commits.** Every recovered ledger marker belongs to
-//!   a transaction the client committed or one whose `COMMIT` answer
-//!   was lost in flight ("unknown" — never retried).
-//! * **No silent duplication.** Each transaction inserts one unique
-//!   ledger marker; a retry that re-applied committed work would show
-//!   up as a duplicate marker. This is the wire-level proof that the
-//!   client's retry taxonomy never resubmits non-idempotent work.
-//! * **Conservation and exactness.** Accounts start at zero and every
-//!   transfer is zero-sum, so recovered balances must sum to zero —
-//!   and must equal exactly the balances implied by the recovered
-//!   ledger markers' transfer deltas.
+//! * **The recovery oracle holds.** Each transaction inserts one unique
+//!   ledger marker, its [`Transfer`] id; the recovered markers and
+//!   account balances go through the same
+//!   [`mmdb_session::torture::check_recovered`] as the engine-level
+//!   harnesses: every acked `COMMIT` recovered, every recovered marker
+//!   acked or unknown (its `COMMIT` answer lost in flight — never
+//!   retried), and every balance exactly the sum of the recovered
+//!   transfers' deltas, summing to zero. SQL clients see no LSNs, so
+//!   the prefix rule has nothing to order here.
+//! * **No silent duplication.** A retry that re-applied committed work
+//!   would show up as a duplicate marker. This is the wire-level proof
+//!   that the client's retry taxonomy never resubmits non-idempotent
+//!   work.
 //! * **The row cache is the engine.** Once drained, before the crash,
 //!   the server's [`mmdb_sql::SqlDb`] audit must pass: every cached row
 //!   equals the engine's record for its key, whatever mix of aborts,
@@ -38,10 +38,10 @@
 use crate::client::{Client, ClientConfig, ClientError, Dialer};
 use crate::server::{Server, ServerConfig};
 use crate::transport::{ChaosTransport, NetFaultPlan, Transport};
-use mmdb_session::torture::TortureReport;
-use mmdb_session::{CommitPolicy, Engine, EngineOptions};
+use mmdb_session::torture::{check_recovered, draw_options, violation, Outcome, Transfer};
+use mmdb_session::{Engine, EngineOptions, TortureReport};
 use mmdb_types::{Auditable, Error, Result, WorkloadRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Accounts the workload transfers between (ids `0..KEYS`).
-const KEYS: i64 = 6;
+const KEYS: u64 = 6;
 
 /// The network/overload failure a seed injects into its run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,29 +124,6 @@ impl ServerChaosScenario {
     }
 }
 
-/// What one transfer ultimately came to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    /// `COMMIT` returned OK: this transaction must be recovered.
-    Acked,
-    /// The `COMMIT` answer was lost (or ambiguous): the transaction
-    /// may or may not have committed. It is never retried.
-    Unknown,
-    /// Definitively aborted (and retries exhausted): it must *not*
-    /// appear in the recovered ledger.
-    Failed,
-}
-
-/// One transfer the workload attempted, keyed by its ledger marker.
-#[derive(Debug, Clone)]
-struct Transfer {
-    marker: i64,
-    from: i64,
-    to: i64,
-    amount: i64,
-    outcome: Outcome,
-}
-
 /// How one attempt of a transfer transaction ended.
 enum Attempt {
     /// COMMIT answered OK.
@@ -157,10 +134,6 @@ enum Attempt {
     Aborted,
     /// The client surfaced a failure shape its contract forbids.
     Violation(String),
-}
-
-fn violation(seed: u64, msg: String) -> Error {
-    Error::Internal(format!("server-chaos seed {seed}: {msg}"))
 }
 
 /// The currently serving address, shared with every dialer so a
@@ -266,10 +239,7 @@ fn attempt_transfer(client: &mut Client, t: &Transfer) -> Attempt {
             "UPDATE acct SET bal = bal + {} WHERE id = {}",
             t.amount, t.to
         ),
-        format!(
-            "INSERT INTO ledger VALUES ({}, {}, {})",
-            t.marker, t.from, t.to
-        ),
+        format!("INSERT INTO ledger VALUES ({}, {}, {})", t.id, t.from, t.to),
     ];
     for sql in &body {
         if let Err(e) = client.execute(sql) {
@@ -311,14 +281,15 @@ fn run_chaos_client(
     let mut client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
     let mut transfers = Vec::with_capacity(txns as usize);
     for s in 0..txns {
-        let from = rng.below(KEYS as u64) as i64;
-        let to = (from + 1 + rng.below(KEYS as u64 - 1) as i64) % KEYS;
+        let from = rng.below(KEYS);
+        let to = (from + 1 + rng.below(KEYS - 1)) % KEYS;
         let mut t = Transfer {
-            marker: (client_id as i64) * 10_000 + s as i64,
+            id: client_id * 10_000 + s,
             from,
             to,
             amount: 1 + rng.below(9) as i64,
             outcome: Outcome::Failed,
+            lsn: None,
         };
         // Warm-up autocommit read: exercises the read-shedding path and
         // the client's safe SELECT auto-retry; every outcome tolerated.
@@ -355,21 +326,6 @@ fn run_chaos_client(
         transfers.push(t);
     }
     Ok(transfers)
-}
-
-/// Picks the engine/commit shape for a seed.
-fn engine_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
-    let policy = match rng.below(3) {
-        0 => CommitPolicy::Synchronous,
-        1 => CommitPolicy::Group,
-        _ => CommitPolicy::Partitioned { devices: 2 },
-    };
-    EngineOptions::new(policy, log_dir)
-        .with_page_write_latency(Duration::from_micros(rng.below(200)))
-        .with_flush_interval(Duration::from_micros(200))
-        .with_lock_wait_timeout(Duration::from_millis(30))
-        .with_shards(1 + rng.below(4) as usize)
-        .with_io_retry_backoff(Duration::from_micros(100))
 }
 
 fn server_config(scenario: ServerChaosScenario) -> ServerConfig {
@@ -497,40 +453,30 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     std::fs::remove_dir_all(log_dir).ok();
     let mut rng = WorkloadRng::seeded(seed ^ 0x5E12_7EC4_A05C_0D1E);
     let scenario = ServerChaosScenario::from(&mut rng);
-    let options = engine_options(&mut rng, log_dir);
-    let policy = options.policy.name().to_string();
+    let options = draw_options(&mut rng, log_dir).with_lock_wait_timeout(Duration::from_millis(30));
 
     let (engine, transfers, faults_fired) = run_workload(seed, scenario, &options, &mut rng)?;
 
     // Dump the workload's view of every transfer next to the log: on a
     // failing seed the directory is kept, and the oracle's verdict is
     // only interpretable against what each client thought happened.
-    let dump: String = transfers
-        .iter()
-        .map(|t| {
-            format!(
-                "marker {} from {} to {} amount {} outcome {:?}\n",
-                t.marker, t.from, t.to, t.amount, t.outcome
-            )
-        })
-        .collect();
+    let dump: String = transfers.iter().map(|t| format!("{t:?}\n")).collect();
     std::fs::write(log_dir.join("transfers.txt"), dump).ok();
 
     // Final failure + fault-free recovery.
     engine.crash()?;
-    let (engine, info) = Engine::recover(options.clone())?;
-    let recovered_txns = info.committed.len();
+    let (engine, _info) = Engine::recover(options.clone())?;
 
     // Verify through a fresh server and a plain client.
     let handle = Server::start(&engine, ServerConfig::default())?;
     let mut check = Client::connect(handle.addr())
         .map_err(|e| violation(seed, format!("verify connect failed: {e}")))?;
 
-    let ledger = must(&mut check, "SELECT marker, src, dst FROM ledger", seed)?;
-    let mut recovered_markers: BTreeSet<i64> = BTreeSet::new();
-    for row in &ledger.rows {
+    let mut recovered_markers: BTreeSet<u64> = BTreeSet::new();
+    for row in &must(&mut check, "SELECT marker FROM ledger", seed)?.rows {
         let marker = int_at(row, 0)
-            .ok_or_else(|| violation(seed, "ledger row without integer marker".to_string()))?;
+            .and_then(|m| u64::try_from(m).ok())
+            .ok_or_else(|| violation(seed, format!("ledger row {row:?} holds no marker")))?;
         if !recovered_markers.insert(marker) {
             return Err(violation(
                 seed,
@@ -538,77 +484,22 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
             ));
         }
     }
-
-    let by_marker: BTreeMap<i64, &Transfer> = transfers.iter().map(|t| (t.marker, t)).collect();
-
-    // Acked ⊆ recovered.
-    for t in &transfers {
-        if t.outcome == Outcome::Acked && !recovered_markers.contains(&t.marker) {
-            return Err(violation(
-                seed,
-                format!("acked transfer marker {} missing after recovery", t.marker),
-            ));
+    let mut balances: Vec<Option<i64>> = vec![None; KEYS as usize];
+    for row in &must(&mut check, "SELECT id, bal FROM acct", seed)?.rows {
+        let slot = int_at(row, 0)
+            .and_then(|id| usize::try_from(id).ok())
+            .and_then(|id| balances.get_mut(id))
+            .filter(|slot| slot.is_none());
+        match (slot, int_at(row, 1)) {
+            (Some(slot), Some(bal)) => *slot = Some(bal),
+            _ => return Err(violation(seed, format!("unexpected acct row {row:?}"))),
         }
     }
-    // Recovered ⊆ acked ∪ unknown.
-    for marker in &recovered_markers {
-        match by_marker.get(marker) {
-            Some(t) if t.outcome != Outcome::Failed => {}
-            Some(t) => {
-                return Err(violation(
-                    seed,
-                    format!(
-                        "marker {} recovered but its transfer was definitively aborted ({:?})",
-                        t.marker, t.outcome
-                    ),
-                ))
-            }
-            None => {
-                return Err(violation(
-                    seed,
-                    format!("marker {marker} recovered but never attempted"),
-                ))
-            }
-        }
-    }
-
-    // Exact balances from the recovered ledger's transfer deltas.
-    let mut expected: BTreeMap<i64, i64> = (0..KEYS).map(|id| (id, 0)).collect();
-    for marker in &recovered_markers {
-        if let Some(t) = by_marker.get(marker) {
-            if let Some(b) = expected.get_mut(&t.from) {
-                *b -= t.amount;
-            }
-            if let Some(b) = expected.get_mut(&t.to) {
-                *b += t.amount;
-            }
-        }
-    }
-    let balances = must(&mut check, "SELECT id, bal FROM acct", seed)?;
-    let mut actual: BTreeMap<i64, i64> = BTreeMap::new();
-    for row in &balances.rows {
-        match (int_at(row, 0), int_at(row, 1)) {
-            (Some(id), Some(bal)) => {
-                actual.insert(id, bal);
-            }
-            _ => {
-                return Err(violation(
-                    seed,
-                    "acct row without integer columns".to_string(),
-                ))
-            }
-        }
-    }
-    if actual != expected {
-        return Err(violation(
-            seed,
-            format!("recovered balances {actual:?} != ledger-implied {expected:?}"),
-        ));
-    }
-    let sum: i64 = actual.values().sum();
-    if sum != 0 {
-        return Err(violation(seed, format!("balances sum to {sum}, not zero")));
-    }
+    let balances: Vec<i64> = balances
+        .into_iter()
+        .collect::<Option<_>>()
+        .ok_or_else(|| violation(seed, "an acct row is missing".to_string()))?;
+    let recovered = check_recovered(seed, &transfers, &recovered_markers, &balances, false)?;
 
     // Liveness probe: the recovered stack still serves writes.
     must(&mut check, "INSERT INTO ledger VALUES (-1, -1, -1)", seed)?;
@@ -624,23 +515,28 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     handle.shutdown()?;
     engine.shutdown()?;
 
-    let acked = transfers
-        .iter()
-        .filter(|t| t.outcome == Outcome::Acked)
-        .count();
-    let committed = transfers
-        .iter()
-        .filter(|t| t.outcome != Outcome::Failed)
-        .count();
     Ok(TortureReport {
-        seed,
-        scenario: format!("server-{}", scenario.name()),
-        policy,
-        committed,
-        acked,
-        recovered: recovered_txns,
-        corrupt_pages_dropped: 0,
-        degraded: false,
         faults_fired,
+        ..TortureReport::tally(
+            seed,
+            &format!("server-{}", scenario.name()),
+            options.policy.name(),
+            &transfers,
+            recovered,
+        )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_few_server_seeds_pass_end_to_end() {
+        // The broad sweep is the server-chaos CI job; this is the fast
+        // in-crate smoke check that the driver and its oracle still run.
+        let dir =
+            std::env::temp_dir().join(format!("mmdb-server-torture-unit-{}", std::process::id()));
+        let reports = mmdb_session::torture::sweep(0, 8, &dir, super::run_server_seed).unwrap();
+        assert_eq!(reports.len(), 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

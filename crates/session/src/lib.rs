@@ -73,8 +73,8 @@ mod recover;
 /// §5.2 lock-table shards, the transaction table, and the lock-ordering
 /// discipline that keeps multi-shard operations cycle-free.
 mod shard;
-/// §5 seeded crash-torture harness: fault-injected runs, crash,
-/// recover, verify against the serial oracle.
+/// §5 seeded torture harnesses: fault-injected runs, crash, recover,
+/// and the one recovery oracle every torture driver checks.
 pub mod torture;
 
 pub use checkpoint::CheckpointStats;

@@ -1,48 +1,52 @@
-//! Seeded crash-torture harness for the wall-clock engine (§5).
+//! Seeded torture harnesses for the wall-clock engine (§5), and the one
+//! recovery oracle every torture driver checks.
 //!
 //! §5's claims are about what survives failure, so this module makes
-//! failure cheap to mass-produce: [`run_seed`] derives a whole scenario
+//! failure cheap to mass-produce. [`run_seed`] derives a whole scenario
 //! from one `u64` — commit policy, client count, workload shape, and a
 //! deterministic [`mmdb_recovery::FaultPlan`] (or a plain crash at a
 //! random moment, or a fault injected into the checkpoint image a
-//! restart writes) — runs the concurrent transfer workload against it,
-//! crashes, recovers, and checks the §5.2 contract against what the
-//! clients observed:
+//! restart writes) — runs a concurrent transfer workload against it,
+//! crashes, and recovers. [`run_checkpoint_seed`] crashes §5.3 fuzzy
+//! checkpoints mid-sweep instead, and `mmdb_server::torture` drives the
+//! same transfers as SQL over a faulty wire.
 //!
-//! * **Recovery never fails on damage.** A fault-free [`Engine::recover`]
-//!   after the crash must return `Ok` no matter what the injected fault
-//!   did to the log — corrupt and torn pages truncate and report, they
-//!   do not error (§5.2 prefix rule).
-//! * **Acked durability holds.** Every transaction whose
-//!   `wait_durable` returned `Ok` must be in the recovered committed
-//!   set. (Relaxed for bit-flip scenarios: silent media corruption can
-//!   eat an acked page, which is exactly what the v2 checksum converts
-//!   from wrong answers into detected, truncated damage.)
-//! * **The committed set is a log prefix.** If a later commit survived,
-//!   every earlier one did too (LSN order — §5.2's contiguous-prefix
-//!   watermark seen from the client side).
-//! * **Transactions are atomic.** Transfers move money between
-//!   accounts that start at zero, so the recovered balances always sum
-//!   to zero — half a transaction surviving would break the sum.
-//! * **State matches the serial oracle.** Replaying the recovered
-//!   committed transactions' write-sets in commit-LSN order reproduces
-//!   the recovered image exactly.
-//! * **Nobody hangs.** Every client thread joins and the recovered
-//!   engine commits a probe transaction; a permanently failed device
-//!   must surface [`mmdb_types::Error::LogDeviceFailed`], never a hang.
+//! Every driver records each transfer its clients attempted as one
+//! [`Transfer`] and hands the recovered committed set and balances to
+//! one check, [`check_recovered`] — §5.2's contract seen from the client:
+//!
+//! * **Acked durability.** Every acked transfer was recovered. (Relaxed
+//!   for bit-flip scenarios: silent media corruption can eat an acked
+//!   page, which is exactly what the v2 checksum converts from wrong
+//!   answers into detected, truncated damage.)
+//! * **No phantoms.** Every recovered transfer was attempted, and none
+//!   of them definitively failed.
+//! * **The committed set is a log prefix.** Among transfers with a known
+//!   commit LSN, a later one survived only if every earlier one did.
+//! * **Exact balances.** Accounts start at zero, so every account's
+//!   recovered balance is the sum of the recovered transfers' deltas on
+//!   it — every key, whatever order the transfers committed in.
+//! * **Atomicity.** The balances sum to zero: half a surviving
+//!   transaction, or a torn checkpoint image, would unbalance them.
+//!
+//! Around the oracle, a fault-free [`Engine::recover`] must succeed
+//! whatever the injected fault did to the log (damage truncates and
+//! reports, §5.2 prefix rule), and nobody hangs: every client joins, the
+//! recovered engine commits a probe, and a permanently failed device
+//! surfaces [`mmdb_types::Error::LogDeviceFailed`].
 //!
 //! A violation is reported as `Err(Error::Internal(...))` naming the
 //! seed, which reproduces the fault schedule exactly (thread
 //! interleaving varies, but every checked property must hold under all
-//! interleavings). `tests/session_torture.rs` sweeps a fixed seed range;
-//! `cargo torture --seeds N` drives the standalone runner binary, which
-//! calls [`sweep`] under a watchdog, for the CI gate.
+//! interleavings). Every driver runs through [`sweep`]:
+//! `tests/session_torture.rs` sweeps a fixed seed range, and
+//! `cargo torture` runs the standalone `torture` binary for the CI gates.
 
 use crate::engine::Engine;
 use crate::policy::{CommitPolicy, EngineOptions};
 use mmdb_recovery::FaultPlan;
-use mmdb_types::{Error, Result, WorkloadRng};
-use std::collections::BTreeMap;
+use mmdb_types::{Error, Result, TxnId, WorkloadRng};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -155,22 +159,93 @@ impl Scenario {
     }
 }
 
-/// What one client observed for one of its transactions.
+/// How one transfer ended, as its client saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The engine promised durability (`wait_durable` or `COMMIT`
+    /// returned OK): the transfer must be recovered.
+    Acked,
+    /// The commit may or may not have reached the log (no ack waited
+    /// for, or its answer was lost): recovery may keep it or not.
+    Unknown,
+    /// Definitively aborted before any commit: it must not be recovered.
+    Failed,
+}
+
+/// One transfer a torture client attempted.
 #[derive(Debug, Clone)]
-struct TxnOutcome {
-    /// The transaction id.
-    txn: u64,
-    /// Key/value pairs the transaction wrote, in lock-held order (the
-    /// serial oracle replays these by commit LSN).
-    writes: Vec<(u64, i64)>,
-    /// The commit record's LSN, when `commit` returned a ticket. A
-    /// commit that errored mid-call may still have reached the log
-    /// (sync policy fails *after* the append when the engine dies
-    /// waiting), so `None` means "LSN unknown", not "not committed".
-    lsn: Option<u64>,
-    /// `wait_durable` (or a synchronous commit) returned `Ok`: the
-    /// engine promised this transaction survives any crash.
-    acked: bool,
+pub struct Transfer {
+    /// What the recovered committed set names: the transaction id for
+    /// engine clients, the ledger marker for SQL clients.
+    pub id: u64,
+    /// The account debited.
+    pub from: u64,
+    /// The account credited.
+    pub to: u64,
+    /// How much moves.
+    pub amount: i64,
+    /// How the transfer ended.
+    pub outcome: Outcome,
+    /// The commit record's LSN, when the commit call returned a ticket.
+    /// A commit that errored may still have reached the log, so `None`
+    /// means "LSN unknown", not "not committed".
+    pub lsn: Option<u64>,
+}
+
+/// The one recovery oracle (see the module docs): checks the ids
+/// recovery reported committed and every account's recovered balance
+/// (indexed by account) against what the clients observed. Returns how
+/// many transfers recovery kept.
+pub fn check_recovered(
+    seed: u64,
+    transfers: &[Transfer],
+    recovered: &BTreeSet<u64>,
+    balances: &[i64],
+    relax_acked: bool,
+) -> Result<usize> {
+    let fail = |msg: String| Err(violation(seed, msg));
+    for t in transfers {
+        if t.outcome == Outcome::Acked && !relax_acked && !recovered.contains(&t.id) {
+            return fail(format!("acked transfer {} missing after recovery", t.id));
+        }
+    }
+    let by_id: BTreeMap<u64, &Transfer> = transfers.iter().map(|t| (t.id, t)).collect();
+    let mut expected = vec![0i64; balances.len()];
+    for id in recovered {
+        let t = match by_id.get(id) {
+            Some(t) if t.outcome != Outcome::Failed => t,
+            Some(_) => return fail(format!("transfer {id} recovered but it failed")),
+            None => return fail(format!("transfer {id} recovered but never attempted")),
+        };
+        for (key, delta) in [(t.from, -t.amount), (t.to, t.amount)] {
+            match usize::try_from(key).ok().and_then(|k| expected.get_mut(k)) {
+                Some(balance) => *balance += delta,
+                None => return fail(format!("transfer {id} names account {key}")),
+            }
+        }
+    }
+    let mut known: Vec<&Transfer> = transfers.iter().filter(|t| t.lsn.is_some()).collect();
+    known.sort_by_key(|t| t.lsn);
+    let mut from_gap = known.iter().skip_while(|t| recovered.contains(&t.id));
+    if let Some(gap) = from_gap.next() {
+        if let Some(later) = from_gap.find(|t| recovered.contains(&t.id)) {
+            return fail(format!(
+                "recovered set is not an LSN prefix: transfer {} survived but earlier transfer \
+                 {} did not",
+                later.id, gap.id
+            ));
+        }
+    }
+    let sum: i64 = balances.iter().sum();
+    if sum != 0 {
+        return fail(format!("recovered balances sum to {sum}, not zero"));
+    }
+    if balances != expected.as_slice() {
+        return fail(format!(
+            "recovered balances {balances:?}, recovered transfers imply {expected:?}"
+        ));
+    }
+    Ok(recovered.len())
 }
 
 /// The verdict of one seeded run, for reports and the CI gate.
@@ -182,11 +257,12 @@ pub struct TortureReport {
     pub scenario: String,
     /// Commit policy the run used.
     pub policy: String,
-    /// Transactions whose commit call returned a ticket.
+    /// Transfers that reached their commit call ([`Outcome::Acked`] or
+    /// [`Outcome::Unknown`]).
     pub committed: usize,
-    /// Transactions the engine acked as durable before the crash.
+    /// Transfers the engine acked as durable before the crash.
     pub acked: usize,
-    /// Transactions restart recovery reported committed.
+    /// Transfers recovery kept.
     pub recovered: usize,
     /// Corrupt pages the recovery scan dropped (and reported).
     pub corrupt_pages_dropped: usize,
@@ -199,8 +275,36 @@ pub struct TortureReport {
     pub faults_fired: u64,
 }
 
-/// Options shared by every phase of a run (fault plans vary per phase).
-fn base_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
+impl TortureReport {
+    /// A report of `transfers`, of which recovery kept `recovered`; the
+    /// fields the transfers do not tell are zero.
+    pub fn tally(
+        seed: u64,
+        scenario: &str,
+        policy: &str,
+        transfers: &[Transfer],
+        recovered: usize,
+    ) -> TortureReport {
+        let count =
+            |keep: fn(Outcome) -> bool| transfers.iter().filter(|t| keep(t.outcome)).count();
+        TortureReport {
+            seed,
+            scenario: scenario.to_string(),
+            policy: policy.to_string(),
+            committed: count(|o| o != Outcome::Failed),
+            acked: count(|o| o == Outcome::Acked),
+            recovered,
+            corrupt_pages_dropped: 0,
+            degraded: false,
+            faults_fired: 0,
+        }
+    }
+}
+
+/// The engine shape a seed draws — commit policy, page-write latency,
+/// shard count — for every torture driver; fault plans and the
+/// checkpoint interval vary per driver and phase.
+pub fn draw_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
     let policy = match rng.below(3) {
         0 => CommitPolicy::Synchronous,
         1 => CommitPolicy::Group,
@@ -214,13 +318,19 @@ fn base_options(rng: &mut WorkloadRng, log_dir: &Path) -> EngineOptions {
         .with_io_retry_backoff(Duration::from_micros(100))
 }
 
+/// A violation: an `Error::Internal` naming the seed, so one failing
+/// seed reproduces the fault schedule byte-for-byte.
+pub fn violation(seed: u64, msg: String) -> Error {
+    Error::Internal(format!("torture seed {seed}: {msg}"))
+}
+
 /// One client thread's workload: deterministic transfer shape, every
 /// outcome recorded, every error tolerated (the engine may crash or
 /// degrade under us at any moment — the *absence of hangs* is the
 /// property, not the absence of errors).
-fn run_client(session: crate::Session, seed: u64, client: u64, txns: u64) -> Vec<TxnOutcome> {
+fn run_client(session: crate::Session, seed: u64, client: u64, txns: u64) -> Vec<Transfer> {
     let mut rng = WorkloadRng::seeded(seed ^ (client.wrapping_mul(0x00C0_FFEE) | 1));
-    let mut outcomes = Vec::new();
+    let mut transfers = Vec::new();
     for _ in 0..txns {
         let from = rng.below(KEYS);
         let to = (from + 1 + rng.below(KEYS - 1)) % KEYS;
@@ -228,59 +338,38 @@ fn run_client(session: crate::Session, seed: u64, client: u64, txns: u64) -> Vec
         let Ok(txn) = session.begin() else {
             break; // crashed/degraded: nothing more will start
         };
-        let body = (|| -> Result<Vec<(u64, i64)>> {
-            let mut writes = Vec::with_capacity(2);
+        let mut t = Transfer {
+            id: txn.id().0,
+            from,
+            to,
+            amount,
+            outcome: Outcome::Failed,
+            lsn: None,
+        };
+        let body = (|| -> Result<()> {
             let src = session.read_for_update(&txn, from)?.unwrap_or(0);
             session.write(&txn, from, src - amount)?;
-            writes.push((from, src - amount));
             let dst = session.read_for_update(&txn, to)?.unwrap_or(0);
-            session.write(&txn, to, dst + amount)?;
-            writes.push((to, dst + amount));
-            Ok(writes)
+            session.write(&txn, to, dst + amount)
         })();
-        let writes = match body {
-            Ok(writes) => writes,
-            Err(_) => {
-                let _ = session.abort(txn);
-                continue;
-            }
-        };
-        if rng.below(8) == 0 {
-            let _ = session.abort(txn); // exercise abort records too
-            continue;
-        }
-        let mut outcome = TxnOutcome {
-            txn: txn.id().0,
-            writes,
-            lsn: None,
-            acked: false,
-        };
-        match session.commit(txn) {
-            Ok(ticket) => {
-                outcome.lsn = Some(ticket.lsn.0);
+        // Some transfers abort on purpose, to exercise abort records too.
+        if body.is_err() || rng.below(8) == 0 {
+            let _ = session.abort(txn);
+        } else {
+            t.outcome = Outcome::Unknown;
+            if let Ok(ticket) = session.commit(txn) {
+                t.lsn = Some(ticket.lsn.0);
                 // Most commits wait for the ack — acked durability is
                 // the §5.2 promise under test; some return immediately
                 // to keep pre-committed work in flight at crash time.
                 if rng.below(4) != 0 && session.wait_durable(&ticket).is_ok() {
-                    outcome.acked = true;
+                    t.outcome = Outcome::Acked;
                 }
-                outcomes.push(outcome);
-            }
-            Err(_) => {
-                // The commit record may or may not have reached the
-                // log; record the write-set with an unknown LSN so the
-                // oracle can still account for it if it survived.
-                outcomes.push(outcome);
             }
         }
+        transfers.push(t);
     }
-    outcomes
-}
-
-/// A violation: an `Error::Internal` naming the seed, so one failing
-/// seed reproduces the fault schedule byte-for-byte.
-fn violation(seed: u64, msg: String) -> Error {
-    Error::Internal(format!("torture seed {seed}: {msg}"))
+    transfers
 }
 
 /// Phase 1 of every scenario: `clients` threads run the transfer workload
@@ -295,7 +384,7 @@ fn crash_under_load<T>(
     clients: u64,
     txns_per_client: u64,
     act: impl FnOnce(&Engine) -> T,
-) -> Result<(T, Vec<TxnOutcome>)> {
+) -> Result<(T, Vec<Transfer>)> {
     let mut handles = Vec::new();
     for client in 0..clients {
         let session = engine.session();
@@ -307,17 +396,37 @@ fn crash_under_load<T>(
     }
     let acted = act(&engine);
     let crash_result = engine.crash();
-    let mut outcomes: Vec<TxnOutcome> = Vec::new();
+    let mut transfers = Vec::new();
     for handle in handles {
-        let client_outcomes = handle
+        let client_transfers = handle
             .join()
             .map_err(|_| violation(seed, "client thread panicked".into()))?;
-        outcomes.extend(client_outcomes);
+        transfers.extend(client_transfers);
     }
     match crash_result {
-        Ok(()) | Err(Error::LogDeviceFailed(_)) => Ok((acted, outcomes)),
+        Ok(()) | Err(Error::LogDeviceFailed(_)) => Ok((acted, transfers)),
         Err(e) => Err(violation(seed, format!("crash surfaced {e}"))),
     }
+}
+
+/// Every account's value in a recovered engine (`None`: never written).
+fn image(engine: &Engine) -> Result<Vec<Option<i64>>> {
+    (0..KEYS).map(|key| engine.read(key)).collect()
+}
+
+/// [`check_recovered`] against an engine recovered with `committed`. The
+/// caller still owns the engine and crashes or shuts it down regardless
+/// of the verdict.
+fn check_engine(
+    seed: u64,
+    engine: &Engine,
+    committed: &[TxnId],
+    transfers: &[Transfer],
+    relax_acked: bool,
+) -> Result<usize> {
+    let balances: Vec<i64> = image(engine)?.into_iter().map(|v| v.unwrap_or(0)).collect();
+    let recovered: BTreeSet<u64> = committed.iter().map(|t| t.0).collect();
+    check_recovered(seed, transfers, &recovered, &balances, relax_acked)
 }
 
 /// Liveness probe: the recovered engine must still commit durably, and
@@ -342,7 +451,7 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     std::fs::remove_dir_all(log_dir).ok();
     let mut rng = WorkloadRng::seeded(seed);
     let scenario = Scenario::from(&mut rng);
-    let options = base_options(&mut rng, log_dir);
+    let options = draw_options(&mut rng, log_dir);
     let workload_plan = scenario.workload_plan(&mut rng);
     let recovery_plan = scenario.recovery_plan(&mut rng);
     let clients = 2 + rng.below(3);
@@ -352,7 +461,7 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     // Phase 1: concurrent workload under the injected fault, crashed
     // at a wall-clock moment.
     let engine = Engine::start(options.clone().with_fault_plans(vec![workload_plan]))?;
-    let (degraded, outcomes) =
+    let (degraded, transfers) =
         crash_under_load(seed, engine, clients, txns_per_client, |engine| {
             std::thread::sleep(crash_after);
             engine
@@ -399,143 +508,43 @@ pub fn run_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         )
     })?;
     let committed = committed_before.unwrap_or(info.committed);
-    if let Err(e) = verify_oracle(seed, scenario, &engine, &committed, &outcomes) {
-        engine.crash().ok();
-        return Err(e);
-    }
-    // Atomicity holds with or without transaction identity: transfers
-    // conserve a zero total, so half a surviving transaction — or a
-    // torn checkpoint image — would unbalance the recovered image.
-    let mut sum = 0i64;
-    for key in 0..KEYS {
-        sum = sum.saturating_add(engine.read(key)?.unwrap_or(0));
-    }
-    if sum != 0 {
-        engine.crash().ok();
-        return Err(violation(
-            seed,
-            format!("recovered balances sum to {sum}, transfers must conserve zero"),
-        ));
-    }
+    let recovered = match check_engine(
+        seed,
+        &engine,
+        &committed,
+        &transfers,
+        scenario.relaxes_acked(),
+    ) {
+        Ok(recovered) => recovered,
+        Err(e) => {
+            engine.crash().ok();
+            return Err(e);
+        }
+    };
     probe_and_shutdown(seed, engine)?;
 
     Ok(TortureReport {
-        seed,
-        scenario: scenario.name().to_string(),
-        policy: options.policy.name().to_string(),
-        committed: outcomes.iter().filter(|o| o.lsn.is_some()).count(),
-        acked: outcomes.iter().filter(|o| o.acked).count(),
-        recovered: committed.len(),
         corrupt_pages_dropped: info.corrupt_pages_dropped,
         degraded,
         faults_fired,
+        ..TortureReport::tally(
+            seed,
+            scenario.name(),
+            options.policy.name(),
+            &transfers,
+            recovered,
+        )
     })
 }
 
-/// Checks the recovered committed set and image against the
-/// client-side record: acked durability (unless the scenario relaxes
-/// it), LSN-prefix closure, no invented transactions, and the serial
-/// oracle — recovered committed write-sets applied in commit-LSN order
-/// reproduce the image (§5.2). The caller still owns the engine and
-/// crashes or shuts it down regardless of the verdict.
-fn verify_oracle(
-    seed: u64,
-    scenario: Scenario,
-    engine: &Engine,
-    committed: &[mmdb_types::TxnId],
-    outcomes: &[TxnOutcome],
-) -> Result<()> {
-    let by_txn: BTreeMap<u64, &TxnOutcome> = outcomes.iter().map(|o| (o.txn, o)).collect();
-    let recovered: std::collections::BTreeSet<u64> = committed.iter().map(|t| t.0).collect();
-    for outcome in outcomes {
-        if outcome.acked && !scenario.relaxes_acked() && !recovered.contains(&outcome.txn) {
-            return Err(violation(
-                seed,
-                format!(
-                    "acked transaction {} missing after recovery ({})",
-                    outcome.txn,
-                    scenario.name()
-                ),
-            ));
-        }
-    }
-    // Prefix closure: the recovered set, restricted to known-LSN
-    // tickets, must be downward closed in LSN order.
-    let mut known: Vec<&TxnOutcome> = outcomes.iter().filter(|o| o.lsn.is_some()).collect();
-    known.sort_by_key(|o| o.lsn.unwrap_or(0));
-    let mut seen_missing: Option<u64> = None;
-    for outcome in &known {
-        if recovered.contains(&outcome.txn) {
-            if let Some(missing) = seen_missing {
-                return Err(violation(
-                    seed,
-                    format!(
-                        "recovered set is not an LSN prefix: txn {} survived but earlier txn \
-                         {missing} did not",
-                        outcome.txn
-                    ),
-                ));
-            }
-        } else {
-            seen_missing.get_or_insert(outcome.txn);
-        }
-    }
-    // Every recovered transaction must be one some client ran.
-    for txn in &recovered {
-        if !by_txn.contains_key(txn) {
-            return Err(violation(
-                seed,
-                format!("recovery invented transaction {txn}"),
-            ));
-        }
-    }
-    // Serial oracle: apply recovered write-sets in commit-LSN order;
-    // keys touched by recovered transactions with unknown LSNs (the
-    // commit call died after the append) cannot be ordered and are
-    // excluded from the comparison.
-    let mut expected: BTreeMap<u64, i64> = BTreeMap::new();
-    let mut unordered_keys: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for outcome in &known {
-        if recovered.contains(&outcome.txn) {
-            for (key, value) in &outcome.writes {
-                expected.insert(*key, *value);
-            }
-        }
-    }
-    for outcome in outcomes {
-        if outcome.lsn.is_none() && recovered.contains(&outcome.txn) {
-            for (key, _) in &outcome.writes {
-                unordered_keys.insert(*key);
-            }
-        }
-    }
-    for key in 0..KEYS {
-        if unordered_keys.contains(&key) {
-            continue;
-        }
-        let actual = engine.read(key)?;
-        let want = expected.get(&key).copied();
-        if actual != want {
-            return Err(violation(
-                seed,
-                format!("key {key}: recovered {actual:?}, serial oracle says {want:?}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Runs [`run_seed`] on seeds `first..first + count` under `base_dir`
-/// (see [`sweep`]).
-pub fn run_range(first: u64, count: u64, base_dir: &Path) -> Result<Vec<TortureReport>> {
-    sweep(first, count, base_dir, run_seed)
-}
-
 /// Runs `per_seed` on seeds `first..first + count`, each in its own log
-/// directory `base_dir/seed-{seed}`, stopping at the first violation. A
-/// passing seed's directory is removed; a failing seed's is kept as the
-/// artifact (its path is embedded in the error). Returns the reports
-/// of every passing seed. Every torture runner sweeps through here.
+/// directory `base_dir/seed-{seed}`, stopping at the first violation —
+/// including a report whose tallies break the oracle's rules (more
+/// transfers recovered than committed, or fewer than acked outside
+/// bit-flip). A passing seed's directory is removed; a failing seed's is
+/// kept as the artifact (its path is embedded in the error). Returns the
+/// reports of every passing seed. Every torture runner sweeps through
+/// here.
 pub fn sweep(
     first: u64,
     count: u64,
@@ -545,7 +554,17 @@ pub fn sweep(
     let mut reports = Vec::with_capacity(count as usize);
     for seed in first..first.saturating_add(count) {
         let log_dir = base_dir.join(format!("seed-{seed}"));
-        match per_seed(seed, &log_dir) {
+        let verdict = per_seed(seed, &log_dir).and_then(|r| {
+            let relaxed = r.scenario == Scenario::BitFlip.name();
+            if r.recovered > r.committed || (r.acked > r.recovered && !relaxed) {
+                return Err(violation(
+                    seed,
+                    format!("report tallies do not add up: {r:?}"),
+                ));
+            }
+            Ok(r)
+        });
+        match verdict {
             Ok(report) => {
                 std::fs::remove_dir_all(&log_dir).ok();
                 reports.push(report);
@@ -601,10 +620,9 @@ impl CheckpointScenario {
 /// transfer workload with fuzzy checkpoints taken during live traffic,
 /// a crash at a scenario-chosen point in the sweep protocol, then a
 /// **full-log oracle comparison**: the live generation alone (every
-/// checkpoint generation deleted) is recovered separately, and the
-/// checkpoint-assisted recovery must produce the *same image* the full
-/// replay does — plus all of [`run_seed`]'s §5.2 client-side checks
-/// against the oracle recovery.
+/// checkpoint generation deleted) is recovered separately and checked by
+/// [`check_recovered`], and the checkpoint-assisted recovery must
+/// produce the *same image* the full replay does.
 pub fn run_checkpoint_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     run_checkpoint_scenario(seed, log_dir, None)
 }
@@ -643,7 +661,7 @@ fn run_checkpoint_scenario(
     } else {
         2 + rng.below(8)
     });
-    let mut options = base_options(&mut rng, log_dir);
+    let mut options = draw_options(&mut rng, log_dir);
     if scenario == CheckpointScenario::Background {
         options = options.with_checkpoint_interval(interval);
     }
@@ -704,7 +722,7 @@ fn run_checkpoint_scenario(
         }
         expect_checkpoint
     };
-    let (expect_checkpoint, outcomes) =
+    let (expect_checkpoint, transfers) =
         crash_under_load(seed, engine, clients, txns_per_client, act)?;
 
     // Phase 2: the full-log oracle. Copy only the live generation
@@ -733,25 +751,17 @@ fn run_checkpoint_scenario(
     let mut oracle_options = options.clone();
     oracle_options.log_dir = oracle_dir;
     oracle_options.checkpoint_interval = None;
-    let (oracle_engine, oracle_info) = Engine::recover(oracle_options).map_err(|e| {
+    let (oracle, oracle_info) = Engine::recover(oracle_options).map_err(|e| {
         violation(
             seed,
             format!("full-log oracle recovery failed ({}): {e}", scenario.name()),
         )
     })?;
-    let oracle_verdict = verify_oracle(
-        seed,
-        Scenario::CleanCrash,
-        &oracle_engine,
-        &oracle_info.committed,
-        &outcomes,
-    );
-    let mut oracle_image: BTreeMap<u64, Option<i64>> = BTreeMap::new();
-    for key in 0..KEYS {
-        oracle_image.insert(key, oracle_engine.read(key)?);
-    }
-    oracle_engine.crash().ok();
-    oracle_verdict?;
+    let verdict = check_engine(seed, &oracle, &oracle_info.committed, &transfers, false);
+    let oracle_image = image(&oracle);
+    oracle.crash().ok();
+    let recovered = verdict?;
+    let oracle_image = oracle_image?;
 
     // Phase 3: checkpoint-assisted recovery must reproduce the oracle
     // image exactly, replay only a log suffix, and stay live.
@@ -763,90 +773,50 @@ fn run_checkpoint_scenario(
             format!("checkpoint recovery failed ({}): {e}", scenario.name()),
         )
     })?;
-    match expect_checkpoint {
-        Some(true) if info.checkpoint_start.is_none() => {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                format!(
-                    "a complete checkpoint was on disk but recovery replayed the full log ({})",
-                    scenario.name()
-                ),
-            ));
-        }
-        Some(false) if info.checkpoint_start.is_some() => {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                format!(
-                    "recovery used a checkpoint but only a torn one existed ({})",
-                    scenario.name()
-                ),
-            ));
-        }
-        _ => {}
-    }
-    for key in 0..KEYS {
-        let actual = engine.read(key)?;
-        let want = oracle_image.get(&key).copied().flatten();
-        if actual != want {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                format!(
-                    "key {key}: checkpoint recovery read {actual:?}, full-log oracle says \
-                     {want:?} ({})",
-                    scenario.name()
-                ),
-            ));
-        }
-    }
-    // The suffix must not invent transactions the oracle never saw.
-    let oracle_committed: std::collections::BTreeSet<u64> =
-        oracle_info.committed.iter().map(|t| t.0).collect();
-    for txn in &info.committed {
-        if !oracle_committed.contains(&txn.0) {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                format!("suffix replayed txn {} unknown to the full log", txn.0),
-            ));
-        }
-    }
-    // §5.3 bounded recovery, asserted under sustained load where the
+    // §5.3 bounded recovery is asserted under sustained load, where the
     // live log dwarfs one checkpoint interval's worth of suffix.
-    if sustain.is_some() && live_bytes > 200_000 {
-        if info.checkpoint_start.is_none() {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                "sustained run with the sweeper on recovered without a checkpoint".into(),
-            ));
+    let bounded = sustain.is_some() && live_bytes > 200_000;
+    let oracle_committed: BTreeSet<TxnId> = oracle_info.committed.iter().copied().collect();
+    let mismatch = match (expect_checkpoint, info.checkpoint_start) {
+        (Some(true), None) => {
+            Some("a complete checkpoint was on disk but recovery replayed the full log".into())
         }
-        if info.log_bytes_replayed.saturating_mul(4) >= live_bytes {
-            engine.crash().ok();
-            return Err(violation(
-                seed,
-                format!(
-                    "recovery replayed {} of {live_bytes} live-log bytes — not bounded by the \
-                     checkpoint interval",
-                    info.log_bytes_replayed
-                ),
-            ));
+        (Some(false), Some(_)) => {
+            Some("recovery used a checkpoint but only a torn one existed".into())
         }
+        (_, None) if bounded => Some("a sustained run recovered without a checkpoint".into()),
+        _ if bounded && info.log_bytes_replayed.saturating_mul(4) >= live_bytes => Some(format!(
+            "recovery replayed {} of {live_bytes} live-log bytes — not bounded by the \
+             checkpoint interval",
+            info.log_bytes_replayed
+        )),
+        _ => match image(&engine) {
+            Ok(actual) if actual != oracle_image => Some(format!(
+                "checkpoint recovery read {actual:?}, full-log oracle says {oracle_image:?}"
+            )),
+            Ok(_) => info
+                .committed
+                .iter()
+                .find(|txn| !oracle_committed.contains(txn))
+                .map(|txn| format!("suffix replayed txn {} unknown to the full log", txn.0)),
+            Err(e) => Some(format!("reading the recovered image failed: {e}")),
+        },
+    };
+    if let Some(msg) = mismatch {
+        engine.crash().ok();
+        return Err(violation(seed, format!("{msg} ({})", scenario.name())));
     }
     probe_and_shutdown(seed, engine)?;
 
     Ok(TortureReport {
-        seed,
-        scenario: scenario.name().to_string(),
-        policy: options.policy.name().to_string(),
-        committed: outcomes.iter().filter(|o| o.lsn.is_some()).count(),
-        acked: outcomes.iter().filter(|o| o.acked).count(),
-        recovered: info.committed.len(),
         corrupt_pages_dropped: info.corrupt_pages_dropped,
-        degraded: false,
-        faults_fired: 0,
+        ..TortureReport::tally(
+            seed,
+            scenario.name(),
+            options.policy.name(),
+            &transfers,
+            recovered,
+        )
     })
 }
 
@@ -873,7 +843,7 @@ mod tests {
         // The broad sweep lives in tests/session_torture.rs and the CI
         // torture gate; this is the fast in-crate smoke check.
         let dir = base("smoke");
-        let reports = run_range(0, 4, &dir).unwrap();
+        let reports = sweep(0, 4, &dir, run_seed).unwrap();
         assert_eq!(reports.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -896,5 +866,88 @@ mod tests {
         let reports = sweep(0, 6, &dir, run_checkpoint_seed).unwrap();
         assert_eq!(reports.len(), 6);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Five transfers over three accounts: acked 1, unknown 2, 3 (known
+    /// LSNs) and 5 (LSN lost), failed 4.
+    fn ledger() -> Vec<Transfer> {
+        let t = |id, from, to, amount, outcome, lsn| Transfer {
+            id,
+            from,
+            to,
+            amount,
+            outcome,
+            lsn,
+        };
+        vec![
+            t(1, 0, 1, 5, Outcome::Acked, Some(10)),
+            t(2, 1, 2, 3, Outcome::Unknown, Some(20)),
+            t(3, 2, 0, 2, Outcome::Unknown, Some(30)),
+            t(4, 0, 2, 7, Outcome::Failed, None),
+            t(5, 1, 0, 4, Outcome::Unknown, None),
+        ]
+    }
+
+    /// Runs the oracle on a doctored input and returns its complaint.
+    fn rejects(recovered: &[u64], balances: &[i64], relax_acked: bool) -> String {
+        let recovered: BTreeSet<u64> = recovered.iter().copied().collect();
+        match check_recovered(7, &ledger(), &recovered, balances, relax_acked) {
+            Ok(n) => panic!("the oracle accepted {recovered:?} / {balances:?} ({n} kept)"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn the_oracle_accepts_an_honest_recovery() {
+        let recovered: BTreeSet<u64> = [1, 2, 5].into();
+        assert_eq!(
+            check_recovered(7, &ledger(), &recovered, &[-1, -2, 3], false).unwrap(),
+            3
+        );
+        // Bit-flip may lose the acked transfer; the rest still holds.
+        assert_eq!(
+            check_recovered(7, &ledger(), &BTreeSet::new(), &[0, 0, 0], true).unwrap(),
+            0
+        );
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_missing_acked_transfer() {
+        assert!(rejects(&[], &[0, 0, 0], false).contains("acked transfer 1 missing"));
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_recovered_failed_transfer() {
+        let msg = rejects(&[1, 2, 4, 5], &[-8, -2, 10], false);
+        assert!(msg.contains("transfer 4 recovered but it failed"), "{msg}");
+    }
+
+    #[test]
+    fn the_oracle_rejects_an_unknown_id() {
+        let msg = rejects(&[1, 2, 5, 99], &[-1, -2, 3], false);
+        assert!(
+            msg.contains("transfer 99 recovered but never attempted"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn the_oracle_rejects_an_lsn_gap() {
+        // Transfer 3 (LSN 30) survived without transfer 2 (LSN 20).
+        let msg = rejects(&[1, 3, 5], &[1, 1, -2], false);
+        assert!(msg.contains("not an LSN prefix"), "{msg}");
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_balance_off_by_one() {
+        // One unit moved between accounts: the sum still holds.
+        let msg = rejects(&[1, 2, 5], &[0, -3, 3], false);
+        assert!(msg.contains("recovered transfers imply"), "{msg}");
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_nonzero_sum() {
+        let msg = rejects(&[1, 2, 5], &[-1, -2, 4], false);
+        assert!(msg.contains("sum to 1"), "{msg}");
     }
 }

@@ -40,8 +40,8 @@
 //! registration call site: snake_case, a unit suffix, and global
 //! uniqueness (see [`metricslint`]).
 //!
-//! The crash-torture gate is not an xtask: `cargo torture` is an alias
-//! (`.cargo/config.toml`) for the release-mode `session_torture` runner
+//! The torture gates are not an xtask: `cargo torture` is an alias
+//! (`.cargo/config.toml`) for the release-mode `torture` runner
 //! in `crates/bench`.
 
 mod allowlist;

@@ -36,7 +36,7 @@ fn expected_shard(key: u64, shards: usize) -> usize {
     ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
 }
 
-fn engine_options(dir: &Path, shards: usize) -> EngineOptions {
+fn ckpt_options(dir: &Path, shards: usize) -> EngineOptions {
     EngineOptions::new(CommitPolicy::Group, dir)
         .with_page_write_latency(Duration::from_micros(200))
         .with_flush_interval(Duration::from_micros(500))
@@ -85,7 +85,7 @@ proptest! {
         let dir = std::env::temp_dir().join(
             format!("mmdb-ckpt-dirty-{}-{shards}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let engine = Engine::start(engine_options(&dir, shards)).unwrap();
+        let engine = Engine::start(ckpt_options(&dir, shards)).unwrap();
         let s = engine.session();
 
         // First sweeps cache every shard's (empty) image; from here on
@@ -142,7 +142,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&oracle_dir).ok();
 
-        let engine = Engine::start(engine_options(&dir, shards)).unwrap();
+        let engine = Engine::start(ckpt_options(&dir, shards)).unwrap();
         let s = engine.session();
         let mut commits = 0usize;
         let mut last_sweep = None;
@@ -176,8 +176,8 @@ proptest! {
             }
         }
 
-        let (oracle, oracle_info) = Engine::recover(engine_options(&oracle_dir, shards)).unwrap();
-        let (real, real_info) = Engine::recover(engine_options(&dir, shards)).unwrap();
+        let (oracle, oracle_info) = Engine::recover(ckpt_options(&oracle_dir, shards)).unwrap();
+        let (real, real_info) = Engine::recover(ckpt_options(&dir, shards)).unwrap();
 
         prop_assert!(oracle_info.checkpoint_start.is_none(),
             "oracle dir had only live files yet recovery found a checkpoint");

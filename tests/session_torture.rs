@@ -57,7 +57,8 @@ fn within<T: Send + 'static>(
 #[test]
 fn seed_sweep_recovers_to_oracle_state() {
     let base = tmp_dir("sweep");
-    let reports = torture::run_range(0, 24, &base).expect("torture sweep found a violation");
+    let reports =
+        torture::sweep(0, 24, &base, torture::run_seed).expect("torture sweep found a violation");
     assert_eq!(reports.len(), 24);
     // The sweep must actually exercise injected faults, not only clean
     // crashes.
