@@ -16,7 +16,7 @@ use crate::context::ExecContext;
 use crate::partition::uniform_class;
 use crate::spill::{SpillFile, SpillIo};
 use mmdb_storage::MemRelation;
-use mmdb_types::Result;
+use mmdb_types::{Result, Tuple};
 use std::sync::Arc;
 
 /// Joins `r` and `s` with the two-phase GRACE algorithm.
@@ -61,14 +61,13 @@ pub fn grace_hash_join(
             // and the read-back is skipped entirely.
             continue;
         }
-        let expected = r_part.tuple_count();
-        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, expected);
-        for page in r_part.drain_pages(SpillIo::Sequential) {
-            for t in page {
-                ctx.meter.charge_hashes(1);
-                let h = crate::partition::hash_key(t.get(spec.r_key));
-                table.insert(h, t);
-            }
+        let r_tuples: Vec<Tuple> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        let expected = r_tuples.len();
+        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, expected, &r_tuples);
+        for (pos, t) in r_tuples.iter().enumerate() {
+            ctx.meter.charge_hashes(1);
+            let h = crate::partition::hash_key(t.get(spec.r_key));
+            table.insert(pos, h);
         }
         for page in s_part.drain_pages(SpillIo::Sequential) {
             for t in page {

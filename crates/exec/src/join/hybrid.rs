@@ -90,17 +90,18 @@ pub fn hybrid_hash_join_with_stats(
         Arc::clone(&ctx.meter),
         spec.r_key,
         r0_capacity_tuples.min(r.tuple_count()),
+        r.tuples(),
     );
     let mut r_parts: Vec<SpillFile> = (0..b)
         .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
         .collect();
     let mut r0_count = 0usize;
-    for t in r.tuples() {
+    for (pos, t) in r.tuples().iter().enumerate() {
         let h = charged_hash(&ctx.meter, t, spec.r_key);
         match split.classify(h) {
             0 => {
                 r0_count += 1;
-                table0.insert(h, t.clone());
+                table0.insert(pos, h);
             }
             i => {
                 ctx.meter.charge_moves(1);
@@ -184,11 +185,16 @@ fn join_pair(
         if level >= MAX_RECURSION && r_tuples.len() > capacity {
             stats.depth_capped = true;
         }
-        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, r_tuples.len());
-        for t in r_tuples {
+        let mut table = ProbeTable::new(
+            Arc::clone(&ctx.meter),
+            spec.r_key,
+            r_tuples.len(),
+            &r_tuples,
+        );
+        for (pos, t) in r_tuples.iter().enumerate() {
             ctx.meter.charge_hashes(1);
             let h = hash_key_level(t.get(spec.r_key), level);
-            table.insert(h, t);
+            table.insert(pos, h);
         }
         for t in s_tuples {
             ctx.meter.charge_hashes(1);

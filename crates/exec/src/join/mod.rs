@@ -52,66 +52,95 @@ pub(crate) fn output_relation(spec: &JoinSpec, r: &MemRelation, s: &MemRelation)
     )
 }
 
-/// An in-memory chained hash table for build/probe phases, charging the
-/// shared meter: the *caller* charges `hash` when it computes the key hash;
-/// the table charges `move` per insertion and `comp` per chain comparison
-/// during probes.
+/// No entry: the end of a chain, or an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// An in-memory chained hash table for build/probe phases over a
+/// borrowed build side: it holds positions in `tuples`, never the tuples
+/// themselves. Each bucket is a chain head and a chain tail; each
+/// inserted position has its key's hash and the next position of its
+/// chain, so a chain keeps insertion order and a probe compares a key
+/// only where the stored hash matches. It charges the shared meter: the
+/// *caller* charges `hash` when it computes the key hash; the table
+/// charges `move` per insertion and `comp` per chain comparison during
+/// probes.
 #[derive(Debug)]
-pub(crate) struct ProbeTable {
-    buckets: Vec<Vec<(u64, Tuple)>>,
+pub(crate) struct ProbeTable<'a> {
+    tuples: &'a [Tuple],
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    /// By position in `tuples`; meaningful only for inserted positions.
+    hashes: Vec<u64>,
+    next: Vec<u32>,
     meter: Arc<CostMeter>,
     key_col: usize,
-    len: usize,
 }
 
-impl ProbeTable {
-    /// A table expecting about `expected` entries.
-    pub fn new(meter: Arc<CostMeter>, key_col: usize, expected: usize) -> Self {
+impl<'a> ProbeTable<'a> {
+    /// A table over `tuples` expecting about `expected` of them to be
+    /// inserted.
+    pub fn new(
+        meter: Arc<CostMeter>,
+        key_col: usize,
+        expected: usize,
+        tuples: &'a [Tuple],
+    ) -> Self {
+        assert!(
+            tuples.len() < NIL as usize,
+            "build side too large for u32 positions"
+        );
         let n = expected.next_power_of_two().max(16);
         ProbeTable {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
+            tuples,
+            heads: vec![NIL; n],
+            tails: vec![NIL; n],
+            hashes: vec![0; tuples.len()],
+            next: vec![NIL; tuples.len()],
             meter,
             key_col,
-            len: 0,
         }
     }
 
-    /// Entries inserted.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     fn bucket(&self, hash: u64) -> usize {
-        (hash & (self.buckets.len() as u64 - 1)) as usize
+        (hash & (self.heads.len() as u64 - 1)) as usize
     }
 
-    /// Inserts a build tuple whose key hashed to `hash` (one `move`).
-    pub fn insert(&mut self, hash: u64, tuple: Tuple) {
+    /// Inserts the build tuple at position `pos`, whose key hashed to
+    /// `hash` (one `move`). Each position is inserted at most once.
+    pub fn insert(&mut self, pos: usize, hash: u64) {
         self.meter.charge_moves(1);
         let b = self.bucket(hash);
-        self.buckets[b].push((hash, tuple));
-        self.len += 1;
+        let at = pos as u32;
+        self.hashes[pos] = hash;
+        match self.tails[b] {
+            NIL => self.heads[b] = at,
+            tail => self.next[tail as usize] = at,
+        }
+        self.tails[b] = at;
     }
 
     /// Probes with a key hash and the probing tuple's key value; invokes
-    /// `on_match` for every matching build tuple, stopping at the first
-    /// error. Charges one `comp` per chain entry whose hash matches (the
-    /// key comparison the paper prices at `F · comp` on average).
+    /// `on_match` for every matching build tuple, in insertion order,
+    /// stopping at the first error. Charges one `comp` per chain entry
+    /// whose hash matches (the key comparison the paper prices at
+    /// `F · comp` on average).
     pub fn probe(
         &self,
         hash: u64,
         key: &mmdb_types::Value,
-        mut on_match: impl FnMut(&Tuple) -> Result<()>,
+        mut on_match: impl FnMut(&'a Tuple) -> Result<()>,
     ) -> Result<()> {
-        let b = self.bucket(hash);
-        for (h, t) in &self.buckets[b] {
-            if *h == hash {
+        let mut at = self.heads[self.bucket(hash)];
+        while at != NIL {
+            let pos = at as usize;
+            if self.hashes[pos] == hash {
                 self.meter.charge_comparisons(1);
+                let t = &self.tuples[pos];
                 if t.get(self.key_col) == key {
                     on_match(t)?;
                 }
             }
+            at = self.next[pos];
         }
         Ok(())
     }
@@ -217,5 +246,107 @@ pub(crate) mod testkit {
             want.len()
         );
         assert_eq!(got, want);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::keyed;
+    use super::*;
+    use crate::ExecContext;
+    use mmdb_storage::CostSnapshot;
+
+    /// A snapshot with no swaps, in the order the meter prints.
+    fn snap(
+        comparisons: u64,
+        hashes: u64,
+        moves: u64,
+        seq_ios: u64,
+        rand_ios: u64,
+    ) -> CostSnapshot {
+        CostSnapshot {
+            comparisons,
+            hashes,
+            moves,
+            swaps: 0,
+            seq_ios,
+            rand_ios,
+        }
+    }
+
+    /// What the three hash joins charge on fixed inputs, in memory and
+    /// partitioned. The §3 cost model prices hashes, moves, comparisons
+    /// and I/O, not how the hash table holds its build side, so these
+    /// figures are the paper's and must not move with the table's layout.
+    #[test]
+    fn hash_joins_charge_the_meter_as_pinned() {
+        let in_memory = (keyed(80, 1_000, 300, 40), keyed(81, 1_500, 300, 40), 1_000);
+        let partitioned = (keyed(82, 4_000, 500, 40), keyed(83, 6_000, 500, 40), 30);
+        let cases = [
+            (
+                &in_memory,
+                Algo::HybridHash,
+                5_058,
+                snap(5_058, 2_500, 1_000, 0, 0),
+            ),
+            (
+                &in_memory,
+                Algo::SimpleHash,
+                5_058,
+                snap(5_058, 2_500, 1_000, 0, 0),
+            ),
+            (
+                &in_memory,
+                Algo::GraceHash,
+                5_058,
+                snap(5_058, 4_980, 3_500, 488, 493),
+            ),
+            (
+                &partitioned,
+                Algo::HybridHash,
+                47_900,
+                snap(47_900, 17_957, 11_957, 203, 203),
+            ),
+            (
+                &partitioned,
+                Algo::SimpleHash,
+                47_900,
+                snap(47_900, 24_422, 18_422, 726, 0),
+            ),
+            (
+                &partitioned,
+                Algo::GraceHash,
+                47_900,
+                snap(47_900, 20_000, 14_000, 280, 280),
+            ),
+        ];
+        for ((r, s, mem), algo, rows, want) in cases {
+            let ctx = ExecContext::new(*mem, 1.2);
+            let out = run_join(algo, r, s, JoinSpec::new(0, 0), &ctx).unwrap();
+            assert_eq!(out.tuple_count(), rows, "{} at {mem} pages", algo.name());
+            assert_eq!(ctx.meter.snapshot(), want, "{} at {mem} pages", algo.name());
+        }
+
+        // Zipf-skewed keys in 8 pages: hybrid's spilled partitions overflow
+        // and are re-partitioned, so the recursive build-and-probe is pinned
+        // too.
+        let schema = Schema::of(&[
+            ("k", mmdb_types::DataType::Int),
+            ("payload", mmdb_types::DataType::Int),
+        ]);
+        let zipf = |seed| {
+            let tuples = mmdb_types::WorkloadRng::seeded(seed).zipf_tuples(6_000, 2_000, 1.1);
+            MemRelation::from_tuples(schema.clone(), 40, tuples).unwrap()
+        };
+        let ctx = ExecContext::new(8, 1.2);
+        let (out, stats) =
+            hybrid::hybrid_hash_join_with_stats(&zipf(70), &zipf(71), JoinSpec::new(0, 0), &ctx)
+                .unwrap();
+        assert!(stats.recursive_partitionings > 0, "{stats:?}");
+        assert_eq!(out.tuple_count(), 1_489_593);
+        assert_eq!(
+            ctx.meter.snapshot(),
+            snap(1_489_593, 48_856, 42_857, 995, 995)
+        );
     }
 }

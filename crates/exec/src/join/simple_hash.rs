@@ -13,6 +13,7 @@ use crate::partition::in_first_fraction;
 use crate::spill::{SpillFile, SpillIo};
 use mmdb_storage::MemRelation;
 use mmdb_types::{Result, Tuple};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Joins `r` and `s` by multipass simple hashing.
@@ -27,9 +28,11 @@ pub fn simple_hash_join(
     let s_tpp = s.tuples_per_page().max(1);
     let capacity = ctx.mem_tuple_capacity(r_tpp);
 
-    // The initial read of R and S is not charged (§3.2).
-    let mut r_remaining: Vec<Tuple> = r.tuples().to_vec();
-    let mut s_remaining: Vec<Tuple> = s.tuples().to_vec();
+    // The initial read of R and S is not charged (§3.2): the first pass
+    // reads both in place, and each later pass reads back what the one
+    // before it passed over (`None` until then).
+    let mut r_read: Option<Vec<Tuple>> = None;
+    let mut s_read: Option<Vec<Tuple>> = None;
 
     // §3.5 step 1 *re-chooses* the hash range on every pass so that
     // "P pages of R-tuples will hash into that range". Passed-over tuples
@@ -37,8 +40,12 @@ pub fn simple_hash_join(
     // pass's acceptance window is sized within that tail; `consumed`
     // tracks its lower edge.
     let mut consumed = 0.0f64;
-    while !r_remaining.is_empty() {
-        let rel_fraction = (capacity as f64 / r_remaining.len() as f64).min(1.0);
+    loop {
+        let r_in = r_read.as_deref().unwrap_or(r.tuples());
+        if r_in.is_empty() {
+            break;
+        }
+        let rel_fraction = (capacity as f64 / r_in.len() as f64).min(1.0);
         let whole = rel_fraction >= 1.0;
         let fraction = consumed + rel_fraction * (1.0 - consumed);
 
@@ -47,40 +54,66 @@ pub fn simple_hash_join(
         let mut table = ProbeTable::new(
             Arc::clone(&ctx.meter),
             spec.r_key,
-            capacity.min(r_remaining.len()),
+            capacity.min(r_in.len()),
+            r_in,
         );
-        let mut r_spill = SpillFile::new(Arc::clone(&ctx.meter), r_tpp);
-        for t in r_remaining.drain(..) {
-            let h = charged_hash(&ctx.meter, &t, spec.r_key);
+        let mut passed: Vec<usize> = Vec::new();
+        for (pos, t) in r_in.iter().enumerate() {
+            let h = charged_hash(&ctx.meter, t, spec.r_key);
             if whole || in_first_fraction(h, fraction) {
-                table.insert(h, t);
+                table.insert(pos, h);
             } else {
-                ctx.meter.charge_moves(1);
-                r_spill.append(t, SpillIo::Sequential);
+                passed.push(pos);
             }
         }
 
         // Probe phase: in-range S tuples probe, the rest are passed over.
         let mut s_spill = SpillFile::new(Arc::clone(&ctx.meter), s_tpp);
-        for t in s_remaining.drain(..) {
+        for t in pass_input(s.tuples(), s_read.take()) {
             let h = charged_hash(&ctx.meter, &t, spec.s_key);
             if whole || in_first_fraction(h, fraction) {
                 table.probe(h, t.get(spec.s_key), |rt| out.push(rt.concat(&t)))?;
             } else {
                 ctx.meter.charge_moves(1);
-                s_spill.append(t, SpillIo::Sequential);
+                s_spill.append(t.into_owned(), SpillIo::Sequential);
             }
         }
+        // The table borrows `r_read`, whose passed-over tuples move out next.
+        drop(table);
 
-        if r_spill.is_empty() {
+        if passed.is_empty() {
             break; // passed-over S tuples (if any) cannot match anything
+        }
+        let mut r_spill = SpillFile::new(Arc::clone(&ctx.meter), r_tpp);
+        let mut passed = passed.into_iter().peekable();
+        for (pos, t) in pass_input(r.tuples(), r_read.take()).enumerate() {
+            if passed.next_if_eq(&pos).is_some() {
+                ctx.meter.charge_moves(1);
+                r_spill.append(t.into_owned(), SpillIo::Sequential);
+            }
         }
         // Read the passed-over files back as the next pass's inputs.
         consumed = fraction;
-        r_remaining = r_spill.drain_pages(SpillIo::Sequential).flatten().collect();
-        s_remaining = s_spill.drain_pages(SpillIo::Sequential).flatten().collect();
+        r_read = Some(r_spill.drain_pages(SpillIo::Sequential).flatten().collect());
+        s_read = Some(s_spill.drain_pages(SpillIo::Sequential).flatten().collect());
     }
     Ok(out)
+}
+
+/// The tuples one pass reads: `first` in place while nothing has been
+/// read back, else the read-back tuples, moved rather than cloned.
+fn pass_input(
+    first: &[Tuple],
+    read_back: Option<Vec<Tuple>>,
+) -> impl Iterator<Item = Cow<'_, Tuple>> {
+    let (in_place, owned) = match read_back {
+        Some(tuples) => (&[][..], tuples),
+        None => (first, Vec::new()),
+    };
+    in_place
+        .iter()
+        .map(Cow::Borrowed)
+        .chain(owned.into_iter().map(Cow::Owned))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! [`BPlusTree::occupancy`] accessor lets experiments verify it.
 
 use crate::AccessTrace;
+use std::ops::Bound;
 
 #[derive(Debug, Clone)]
 enum Node<K, V> {
@@ -613,12 +614,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
 
     /// In-order iteration over `(key, value)` pairs via the leaf chain.
     pub fn iter(&self) -> BPlusIter<'_, K, V> {
-        BPlusIter {
-            tree: self,
-            leaf: Some(self.leftmost_leaf()),
-            idx: 0,
-            started: self.len > 0,
-        }
+        self.range_bounds(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Sequential access (§2 case 2): descends to the smallest key `≥ from`
@@ -669,35 +665,41 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     }
 
     /// All entries with `lo ≤ key ≤ hi`, in order, via the leaf chain.
-    pub fn range(&self, lo: &K, hi: &K) -> Vec<(&K, &V)> {
-        let mut out = Vec::new();
-        // Descend to the leaf containing lo.
-        let mut cur = self.root;
-        while let Node::Internal { keys, children } = self.node(cur) {
-            let slot = Self::child_slot(keys, lo, None);
-            cur = children[slot];
-        }
-        let mut start = match self.node(cur) {
-            Node::Leaf { keys, .. } => match Self::search_keys(keys, lo, None) {
-                Ok(i) | Err(i) => i,
-            },
-            _ => unreachable!(),
-        };
-        let mut leaf = Some(cur);
-        while let Some(l) = leaf {
-            let Node::Leaf { keys, values, next } = self.node(l) else {
-                unreachable!()
-            };
-            for i in start..keys.len() {
-                if keys[i] > *hi {
-                    return out;
-                }
-                out.push((&keys[i], &values[i]));
+    pub fn range<'a>(&'a self, lo: &K, hi: &'a K) -> Vec<(&'a K, &'a V)> {
+        self.range_bounds(Bound::Included(lo), Bound::Included(hi))
+            .collect()
+    }
+
+    /// The entries whose keys lie between `lo` and `hi`, in key order:
+    /// one descent to the first key the low end admits, then the leaf
+    /// chain until the high end stops it. Either end may be open
+    /// (`Unbounded`), inclusive or exclusive; `lo > hi` yields nothing.
+    pub fn range_bounds<'a>(&'a self, lo: Bound<&K>, hi: Bound<&'a K>) -> BPlusIter<'a, K, V> {
+        let mut leaf = self.root;
+        let idx = match lo {
+            Bound::Unbounded => {
+                leaf = self.leftmost_leaf();
+                0
             }
-            start = 0;
-            leaf = *next;
+            Bound::Included(key) | Bound::Excluded(key) => {
+                while let Node::Internal { keys, children } = self.node(leaf) {
+                    leaf = children[Self::child_slot(keys, key, None)];
+                }
+                let Node::Leaf { keys, .. } = self.node(leaf) else {
+                    unreachable!()
+                };
+                match (Self::search_keys(keys, key, None), lo) {
+                    (Ok(i), Bound::Excluded(_)) => i + 1,
+                    (Ok(i) | Err(i), _) => i,
+                }
+            }
+        };
+        BPlusIter {
+            tree: self,
+            leaf: Some(leaf),
+            idx,
+            hi,
         }
-        out
     }
 
     /// Bulk-loads a tree from sorted pairs at a target `fill` fraction per
@@ -890,30 +892,38 @@ impl<K: Ord + Clone + std::fmt::Debug, V> mmdb_types::Auditable for BPlusTree<K,
     }
 }
 
-/// Iterator over a [`BPlusTree`]'s leaf chain.
+/// Iterator over a stretch of a [`BPlusTree`]'s leaf chain: the whole
+/// chain ([`BPlusTree::iter`]) or the keys up to an end
+/// ([`BPlusTree::range_bounds`]).
 pub struct BPlusIter<'a, K, V> {
     tree: &'a BPlusTree<K, V>,
     leaf: Option<u32>,
     idx: usize,
-    started: bool,
+    hi: Bound<&'a K>,
 }
 
 impl<'a, K: Ord + Clone, V> Iterator for BPlusIter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if !self.started {
-            return None;
-        }
         loop {
             let leaf = self.leaf?;
             let Node::Leaf { keys, values, next } = self.tree.node(leaf) else {
                 unreachable!()
             };
-            if self.idx < keys.len() {
+            if let Some(key) = keys.get(self.idx) {
+                let past_end = match self.hi {
+                    Bound::Unbounded => false,
+                    Bound::Included(hi) => key > hi,
+                    Bound::Excluded(hi) => key >= hi,
+                };
+                if past_end {
+                    self.leaf = None;
+                    return None;
+                }
                 let i = self.idx;
                 self.idx += 1;
-                return Some((&keys[i], &values[i]));
+                return Some((key, &values[i]));
             }
             self.leaf = *next;
             self.idx = 0;
@@ -1160,6 +1170,131 @@ mod tests {
             assert_eq!(got, want, "range [{lo}, {hi}]");
         }
         assert!(t.range(&500, &600).is_empty());
+    }
+
+    /// Every `Bound` kind at each end, as a `BTreeMap` would take it.
+    fn bounds_of(a: i64, b: i64, kinds: (u8, u8)) -> (Bound<i64>, Bound<i64>) {
+        let end = |kind, key| match kind {
+            0 => Bound::Unbounded,
+            1 => Bound::Included(key),
+            _ => Bound::Excluded(key),
+        };
+        (end(kinds.0, a), end(kinds.1, b))
+    }
+
+    #[test]
+    fn range_bounds_matches_btreemap_on_every_kind_of_end() {
+        let mut t = BPlusTree::new(4, 4);
+        let mut oracle = std::collections::BTreeMap::new();
+        let mut rng = WorkloadRng::seeded(43);
+        for _ in 0..400 {
+            let k = rng.int_in(0, 200) * 2; // even keys: odd bounds fall between
+            t.insert(k, k);
+            oracle.insert(k, k);
+        }
+        assert!(t.height() >= 2, "the walks below cross leaves and levels");
+        for _ in 0..300 {
+            let (a, b) = (rng.int_in(-5, 405), rng.int_in(-5, 405));
+            for kinds in [
+                (0, 0),
+                (0, 1),
+                (0, 2),
+                (1, 0),
+                (2, 0),
+                (1, 1),
+                (1, 2),
+                (2, 1),
+                (2, 2),
+            ] {
+                let (lo, hi) = bounds_of(a, b, kinds);
+                let got: Vec<i64> = t
+                    .range_bounds(lo.as_ref(), hi.as_ref())
+                    .map(|(k, _)| *k)
+                    .collect();
+                // `BTreeMap::range` panics on an empty or inverted range;
+                // the walk yields nothing there.
+                let empty = match (lo, hi) {
+                    (Bound::Included(l), Bound::Included(h)) => l > h,
+                    (
+                        Bound::Included(l) | Bound::Excluded(l),
+                        Bound::Included(h) | Bound::Excluded(h),
+                    ) => l >= h,
+                    _ => false,
+                };
+                let want: Vec<i64> = if empty {
+                    Vec::new()
+                } else {
+                    oracle.range((lo, hi)).map(|(k, _)| *k).collect()
+                };
+                assert_eq!(got, want, "{lo:?} .. {hi:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_bounds_walks_duplicate_values_and_a_null_first_key() {
+        use mmdb_types::Value;
+        // A SQL column index: `(value, rid)` pairs, so a value repeats
+        // once per row that holds it, and `NULL` sorts below every number.
+        let pairs: Vec<((Value, u32), ())> = (0..300u32)
+            .map(|rid| {
+                let value = match rid % 7 {
+                    0 => Value::Null,
+                    r => Value::Int(i64::from(r)),
+                };
+                ((value, rid), ())
+            })
+            .collect::<std::collections::BTreeMap<_, _>>()
+            .into_iter()
+            .collect();
+        let t = BPlusTree::bulk_load(4, 4, 0.69, pairs);
+        let walk = |lo: Bound<&(Value, u32)>, hi: Bound<&(Value, u32)>| -> Vec<(Value, u32)> {
+            t.range_bounds(lo, hi).map(|(k, ())| k.clone()).collect()
+        };
+        let value_of = |rid: u32| match rid % 7 {
+            0 => Value::Null,
+            r => Value::Int(i64::from(r)),
+        };
+        let rids_where = |keep: &dyn Fn(&Value) -> bool| -> Vec<u32> {
+            let mut v: Vec<(Value, u32)> = (0..300).map(|rid| (value_of(rid), rid)).collect();
+            v.sort();
+            v.into_iter()
+                .filter(|(x, _)| keep(x))
+                .map(|(_, rid)| rid)
+                .collect()
+        };
+        let rids =
+            |keys: Vec<(Value, u32)>| keys.into_iter().map(|(_, rid)| rid).collect::<Vec<_>>();
+
+        // `v < 3`: an open low end starts at `NULL`, and an exclusive
+        // high end `(3, rid 0)` stops before every row holding 3.
+        let lt3 = walk(Bound::Unbounded, Bound::Excluded(&(Value::Int(3), 0)));
+        assert_eq!(lt3.first().map(|(v, _)| v), Some(&Value::Null));
+        assert_eq!(rids(lt3), rids_where(&|v| *v < Value::Int(3)));
+        // `v <= 3` and `v > 3`: `(3, u32::MAX)` is past every rid of 3.
+        let le3 = walk(
+            Bound::Unbounded,
+            Bound::Included(&(Value::Int(3), u32::MAX)),
+        );
+        assert_eq!(rids(le3), rids_where(&|v| *v <= Value::Int(3)));
+        let gt3 = walk(
+            Bound::Excluded(&(Value::Int(3), u32::MAX)),
+            Bound::Unbounded,
+        );
+        assert_eq!(rids(gt3), rids_where(&|v| *v > Value::Int(3)));
+        // `2 <= v <= 2`: every duplicate of 2, across leaves, in rid order.
+        let eq2 = walk(
+            Bound::Included(&(Value::Int(2), 0)),
+            Bound::Included(&(Value::Int(2), u32::MAX)),
+        );
+        assert_eq!(eq2.len(), 43);
+        assert_eq!(rids(eq2), rids_where(&|v| *v == Value::Int(2)));
+        // `v >= 5 AND v < 2`: low end above the high end.
+        let none = walk(
+            Bound::Included(&(Value::Int(5), 0)),
+            Bound::Excluded(&(Value::Int(2), 0)),
+        );
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -5,23 +5,28 @@
 //! record per row (see [`crate::codec`] for the key layout); this
 //! module holds what statements bind and read against — each table's
 //! schema, a cache of its rows, decoded, and a B+-tree per column that
-//! some statement has probed by equality. The cache is filled from a
-//! store snapshot when the database opens and afterwards only by
-//! [`crate::session`]'s refill, which copies the engine's current
-//! record for a key into it; nothing else puts a row here. **The cache
-//! and its indexes change only in refill**: `Catalog::refill_rows` is
-//! the one function that writes a cached row, and it moves the row's
-//! entry in every index of the table in the same critical section, so
-//! an index is at every instant a projection of the cache —
-//! `{(row[column], rid)}`, nothing more authoritative than that.
+//! some statement has used by equality or by a selective range. The
+//! cache is filled from a store snapshot when the database opens and
+//! afterwards only by [`crate::session`]'s refill, which copies the
+//! engine's current record for a key into it; nothing else puts a row
+//! here. **The cache and its indexes change only in refill**:
+//! `Catalog::refill_rows` is the one function that writes a cached row,
+//! and it moves the row's entry in every index of the table in the same
+//! critical section, so an index is at every instant a projection of the
+//! cache — `{(row[column], rid)}`, nothing more authoritative than that.
 //!
 //! Indexes are volatile and created by use, not by syntax: a statement
 //! that finds an equality conjunct on an un-indexed column answers by
 //! filtered scan and then has `Catalog::build_index` bulk-load that
-//! column's tree from the cached rows. A table that is only ever
-//! inserted into has none; [`crate::SqlDb::open`] builds none.
-//! `Catalog::reach` is the one probe-or-scan rule `SELECT`, `UPDATE`
-//! and `DELETE` share.
+//! column's tree from the cached rows. So does a statement whose scan
+//! saw a `<`, `<=`, `>` or `>=` conjunct on an un-indexed column and
+//! kept fewer than `rows / k` rows, where `k` is
+//! [`CANDIDATE_COST_RATIO`]: what fetching one row an index names costs
+//! against visiting one row in a scan, measured on this cache. A range
+//! that keeps more would never walk its index, so it builds none. A
+//! table that is only ever inserted into has none;
+//! [`crate::SqlDb::open`] builds none. `Catalog::reach` is the one
+//! probe-walk-or-scan rule `SELECT`, `UPDATE` and `DELETE` share.
 //!
 //! Lock discipline: the catalog sits behind one `RwLock` accessed only
 //! through the short closure helpers on [`SharedCatalog`]
@@ -47,6 +52,7 @@ use mmdb_types::tuple::Tuple;
 use mmdb_types::value::Value;
 use mmdb_types::AuditViolation;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::{Arc, RwLock};
 
 /// One table's volatile state.
@@ -85,13 +91,31 @@ impl TableEntry {
 /// `(row[column], rid)` in a B+-tree. Duplicate and `NULL` keys are just
 /// more pairs, and the order is the `Value::cmp` that `Predicate::eval`
 /// compares with, so a probe and a filtered scan agree by construction.
-type ColumnIndex = BPlusTree<(Value, u32), ()>;
+type ColumnIndex = BPlusTree<IndexKey, ()>;
+
+/// A [`ColumnIndex`] key: a column value and the rid of the row holding
+/// it. `(v, 0)` sorts before every key of `v` and `(v, u32::MAX)` after.
+type IndexKey = (Value, u32);
 
 /// Node geometry of a [`ColumnIndex`], and the fill it is bulk-loaded
 /// at — Yao's steady-state occupancy, which leaves every leaf room for
 /// the inserts that follow.
 const INDEX_FANOUT: usize = 64;
 const INDEX_FILL: f64 = 0.69;
+
+/// `k`: what fetching one candidate an index walk names costs (its rid
+/// from the leaf chain, the rids sorted back into rid order, a lookup of
+/// the cached row, `pred`), in units of what visiting one cached row in
+/// a scan costs (the next row of the cache, `pred`). Measured 5–8 on
+/// 10,000 cached rows for ranges keeping 10–20 % of them, where a walk
+/// and a scan cost the same at 13–17 % kept (EXPERIMENTS.md J1b; the
+/// `candidate_cost_ratio` test below re-measures it). It makes both
+/// range decisions in `Catalog::reach`: a walk that names more than
+/// `rows / k` candidates costs more than the scan it would replace, so
+/// the scan runs instead; and a scan asks for a range column's index
+/// only if it kept fewer than `rows / k` rows, since a range wider than
+/// that would not walk it.
+pub const CANDIDATE_COST_RATIO: usize = 6;
 
 /// The `mmdb_sql_*` counters. A default set counts into the void; the
 /// one [`SqlMetrics::register`] returns is on an engine's exposition.
@@ -107,15 +131,15 @@ impl SqlMetrics {
         SqlMetrics {
             index_probes: registry.counter(
                 "mmdb_sql_index_probes_total",
-                "Table accesses answered by an index probe",
+                "Table accesses answered by an index probe or range walk",
             ),
             index_builds: registry.counter(
                 "mmdb_sql_index_builds_total",
-                "Column indexes built, each on the first equality probe of its column",
+                "Column indexes built, each on the first equality or selective range use of its column",
             ),
             rows_scanned: registry.counter(
                 "mmdb_sql_rows_scanned_total",
-                "Cached rows visited by table accesses that had no index to probe",
+                "Cached rows visited by table accesses that used no index",
             ),
         }
     }
@@ -125,27 +149,89 @@ impl SqlMetrics {
 pub(crate) struct Reached<T> {
     /// One item per row the predicate accepted, in rid order.
     pub(crate) kept: Vec<T>,
-    /// The column of the first equality conjunct, when no equality
-    /// conjunct's column had an index: the access was a scan, and the
-    /// caller asks for [`Catalog::build_index`] once the read lock is
-    /// released.
+    /// The column whose index the access asks for, when it was a scan:
+    /// the first equality conjunct's column, else — if the scan kept
+    /// fewer than `rows / k` rows ([`CANDIDATE_COST_RATIO`]) — the first
+    /// un-indexed range conjunct's. The caller asks for
+    /// [`Catalog::build_index`] once the read lock is released.
     pub(crate) wants_index: Option<usize>,
 }
 
-/// Collects the `column = value` conjuncts of a conjunction.
-fn equality_conjuncts<'p>(pred: &'p Predicate, out: &mut Vec<(usize, &'p Value)>) {
+/// Collects the `column op value` conjuncts of a conjunction that a
+/// column index can answer: `=`, `<`, `<=`, `>` and `>=` (not `<>`).
+fn indexable_conjuncts<'p>(pred: &'p Predicate, out: &mut Vec<(usize, CmpOp, &'p Value)>) {
     match pred {
-        Predicate::Compare {
-            column,
-            op: CmpOp::Eq,
-            value,
-        } => out.push((*column, value)),
+        Predicate::Compare { column, op, value } if *op != CmpOp::Ne => {
+            out.push((*column, *op, value));
+        }
         Predicate::And(a, b) => {
-            equality_conjuncts(a, out);
-            equality_conjuncts(b, out);
+            indexable_conjuncts(a, out);
+            indexable_conjuncts(b, out);
         }
         _ => {}
     }
+}
+
+/// The one `[lo, hi]` of `column`'s index keys that its `<`, `<=`, `>`
+/// and `>=` conjuncts admit together: the tightest bound at each end, an
+/// end no conjunct names left open. An open low end starts at `NULL`,
+/// which `Value::cmp` orders below every number, so `c < 5` walks the
+/// `NULL` rows `Predicate::eval` keeps.
+fn key_range(
+    conjuncts: &[(usize, CmpOp, &Value)],
+    column: usize,
+) -> (Bound<IndexKey>, Bound<IndexKey>) {
+    fn key(bound: &Bound<IndexKey>) -> Option<&IndexKey> {
+        match bound {
+            Bound::Included(key) | Bound::Excluded(key) => Some(key),
+            Bound::Unbounded => None,
+        }
+    }
+    let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+    for &(_, op, value) in conjuncts.iter().filter(|(c, ..)| *c == column) {
+        let v = || value.clone();
+        match op {
+            CmpOp::Gt | CmpOp::Ge => {
+                let new = match op {
+                    CmpOp::Gt => Bound::Excluded((v(), u32::MAX)),
+                    _ => Bound::Included((v(), 0)),
+                };
+                if key(&lo).map_or(true, |at| key(&new) > Some(at)) {
+                    lo = new;
+                }
+            }
+            CmpOp::Lt | CmpOp::Le => {
+                let new = match op {
+                    CmpOp::Lt => Bound::Excluded((v(), 0)),
+                    _ => Bound::Included((v(), u32::MAX)),
+                };
+                if key(&hi).map_or(true, |at| key(&new) < Some(at)) {
+                    hi = new;
+                }
+            }
+            CmpOp::Eq | CmpOp::Ne => {}
+        }
+    }
+    (lo, hi)
+}
+
+/// The rids `index` holds between `lo` and `hi`, in rid order — or
+/// `None` as soon as there are more than `limit` of them.
+fn candidates(
+    index: &ColumnIndex,
+    lo: Bound<&IndexKey>,
+    hi: Bound<&IndexKey>,
+    limit: usize,
+) -> Option<Vec<u32>> {
+    let mut rids = Vec::new();
+    for ((_, rid), ()) in index.range_bounds(lo, hi) {
+        if rids.len() == limit {
+            return None;
+        }
+        rids.push(*rid);
+    }
+    rids.sort_unstable();
+    Some(rids)
 }
 
 /// The catalog proper: tables by (case-insensitive) name, and their
@@ -171,30 +257,51 @@ impl Catalog {
     /// lock, before any row is copied, for `SELECT`, `UPDATE` and
     /// `DELETE` alike. `pred` is the conjunction of the table's own
     /// `column op literal` conditions. If one of them is an equality on
-    /// an indexed column, the index is probed and `pred` evaluated on the
-    /// rows it names only; otherwise every cached row is evaluated. Either
-    /// way `keep` sees exactly the rows `pred` accepts. `entry` must be
-    /// one of this catalog's tables.
+    /// an indexed column, that index is probed. Failing that, the range
+    /// conjuncts of each indexed column in turn are walked as one
+    /// `[lo, hi]`, and the first walk naming at most `rows / k`
+    /// candidates ([`CANDIDATE_COST_RATIO`]) is used. Either way `pred` is
+    /// evaluated on the rows the index names only; otherwise every cached
+    /// row is evaluated. `keep` sees exactly the rows `pred` accepts.
+    /// `entry` must be one of this catalog's tables.
     pub(crate) fn reach<T>(
         &self,
         entry: &TableEntry,
         pred: &Predicate,
         mut keep: impl FnMut(u32, &Tuple) -> T,
     ) -> Reached<T> {
-        let mut equalities = Vec::new();
-        equality_conjuncts(pred, &mut equalities);
-        for (column, value) in &equalities {
-            let Some(index) = self.indexes.get(&(entry.id, *column)) else {
-                continue;
-            };
+        let mut conjuncts = Vec::new();
+        indexable_conjuncts(pred, &mut conjuncts);
+        let index_of = |column: usize| self.indexes.get(&(entry.id, column));
+        let limit = entry.rows.len() / CANDIDATE_COST_RATIO;
+        let equality = conjuncts.iter().find_map(|&(column, op, value)| {
+            let index = index_of(column).filter(|_| op == CmpOp::Eq)?;
+            let (lo, hi) = ((value.clone(), 0), (value.clone(), u32::MAX));
+            candidates(
+                index,
+                Bound::Included(&lo),
+                Bound::Included(&hi),
+                usize::MAX,
+            )
+        });
+        let probed = equality.or_else(|| {
+            conjuncts
+                .iter()
+                .enumerate()
+                .filter(|&(i, (column, ..))| !conjuncts.iter().take(i).any(|(c, ..)| c == column))
+                .find_map(|(_, &(column, ..))| {
+                    let index = index_of(column)?;
+                    let (lo, hi) = key_range(&conjuncts, column);
+                    candidates(index, lo.as_ref(), hi.as_ref(), limit)
+                })
+        });
+        if let Some(rids) = probed {
             self.metrics.index_probes.inc();
-            let (lo, hi) = (((*value).clone(), 0), ((*value).clone(), u32::MAX));
-            let kept = index
-                .range(&lo, &hi)
+            let kept = rids
                 .into_iter()
-                .filter_map(|((_, rid), ())| {
-                    let row = entry.rows.get(rid).filter(|row| pred.eval(row))?;
-                    Some(keep(*rid, row))
+                .filter_map(|rid| {
+                    let row = entry.rows.get(&rid).filter(|row| pred.eval(row))?;
+                    Some(keep(rid, row))
                 })
                 .collect();
             return Reached {
@@ -203,16 +310,22 @@ impl Catalog {
             };
         }
         self.metrics.rows_scanned.add(entry.rows.len() as u64);
-        let kept = entry
+        let kept: Vec<T> = entry
             .rows
             .iter()
             .filter(|(_, row)| pred.eval(row))
             .map(|(rid, row)| keep(*rid, row))
             .collect();
-        Reached {
-            kept,
-            wants_index: equalities.first().map(|(column, _)| *column),
-        }
+        let equality_column = conjuncts.iter().find(|(_, op, _)| *op == CmpOp::Eq);
+        let wants_index = match equality_column {
+            Some(&(column, ..)) => Some(column),
+            None if kept.len() < limit => conjuncts
+                .iter()
+                .map(|&(column, ..)| column)
+                .find(|&column| index_of(column).is_none()),
+            None => None,
+        };
+        Reached { kept, wants_index }
     }
 
     /// Builds the index of `table`'s `column` from the cached rows, unless
@@ -225,7 +338,7 @@ impl Catalog {
         if column >= entry.schema.arity() || self.indexes.contains_key(&(entry.id, column)) {
             return;
         }
-        let mut keys: Vec<(Value, u32)> = entry
+        let mut keys: Vec<IndexKey> = entry
             .rows
             .iter()
             .map(|(rid, row)| (row.get(column).clone(), *rid))
@@ -491,5 +604,87 @@ mod tests {
             .unwrap();
         let n = shared.with_catalog_read(|c| Ok(c.len())).unwrap();
         assert_eq!(n, 1);
+    }
+
+    /// Re-measures `k` ([`CANDIDATE_COST_RATIO`]) on this machine: 10,000
+    /// cached `analytic_join`-shaped orders, ranges `amount > t` keeping
+    /// 2–20 % of them, each reached by scan and then by walk, 400 times.
+    /// Prints the median nanoseconds of each and the ratio of a candidate
+    /// to a scanned row; the two paths cost the same where the kept share
+    /// is `1 / k`. Run with `cargo test --release -p mmdb-sql --lib
+    /// candidate_cost_ratio -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "a wall-clock measurement, not a check"]
+    fn candidate_cost_ratio() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut amount = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((state >> 33) % 1_000_000) as i64
+        };
+        let rows: BTreeMap<u32, Tuple> = (0..10_000u32)
+            .map(|id| {
+                let row = vec![
+                    Value::Int(i64::from(id)),
+                    Value::Int(i64::from(id % 1_000)),
+                    Value::Int(amount()),
+                    Value::Str(format!("{id:032}")),
+                ];
+                (id, Tuple::new(row))
+            })
+            .collect();
+        let mut c = Catalog::default();
+        c.install(
+            "orders",
+            TableEntry {
+                schema: Schema::of(&[
+                    ("id", DataType::Int),
+                    ("cust", DataType::Int),
+                    ("amount", DataType::Int),
+                    ("note", DataType::Str),
+                ]),
+                rows,
+                ..entry(0)
+            },
+        );
+        c.build_index("orders", 2);
+        let orders = c.table("orders", None).unwrap();
+        let index = c.indexes.get(&(0, 2)).unwrap();
+        let median_ns = |reach: &dyn Fn() -> Vec<u32>| {
+            let mut ns: Vec<u128> = (0..400)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(reach());
+                    start.elapsed().as_nanos()
+                })
+                .collect();
+            ns.sort_unstable();
+            ns[ns.len() / 2] as f64
+        };
+        for percent in [2, 5, 10, 12, 15, 17, 20] {
+            let threshold = Value::Int(1_000_000 - 10_000 * percent);
+            let pred = Predicate::cmp(2, CmpOp::Gt, threshold.clone());
+            // `reach`'s two paths, minus the limit that picks between them.
+            let scan = || -> Vec<u32> {
+                let kept = orders.rows.iter().filter(|(_, row)| pred.eval(row));
+                kept.map(|(rid, _)| *rid).collect()
+            };
+            let walk = || -> Vec<u32> {
+                let (lo, hi) = key_range(&[(2, CmpOp::Gt, &threshold)], 2);
+                let rids = candidates(index, lo.as_ref(), hi.as_ref(), usize::MAX).unwrap();
+                let kept = rids
+                    .into_iter()
+                    .filter(|rid| orders.rows.get(rid).is_some_and(|row| pred.eval(row)));
+                kept.collect()
+            };
+            assert_eq!(scan(), walk());
+            let kept = scan().len() as f64;
+            let (scan_ns, walk_ns) = (median_ns(&scan), median_ns(&walk));
+            println!(
+                "{percent:>2} %: {kept} kept, scan {scan_ns:.0} ns, walk {walk_ns:.0} ns, k = {:.2}",
+                (walk_ns / kept) / (scan_ns / 10_000.0)
+            );
+        }
     }
 }

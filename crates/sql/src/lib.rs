@@ -17,8 +17,9 @@
 //! * [`catalog`] — the volatile catalog: schemas, a decoded cache of
 //!   the engine's row records filled from a store snapshot after
 //!   recovery, and a §2 B+-tree (`mmdb-index`) over each column a
-//!   statement has probed by equality; one rule decides, per table and
-//!   before a row is copied, between index probe and filtered scan.
+//!   statement has used by equality or by a selective range; one rule
+//!   decides, per table and before a row is copied, between index probe,
+//!   range walk and filtered scan.
 //! * [`query`] — the binder/planner bridge: resolves names, splits
 //!   `WHERE` conjunctions into per-table predicates — applied as the
 //!   tables are reached — and join edges, feeds the survivors to the §4

@@ -4,14 +4,21 @@
 //! [`snapshot_tables`] binds every column the statement names against
 //! the full schemas, binds each `FROM` table's own `column op literal`
 //! conjuncts, and has `Catalog::reach` decide how the table is reached —
-//! §2 index probe or filtered scan. Only the rows the conjuncts keep are
-//! copied, once, and of each only the columns a join edge or the
-//! projection names. With the lock released, [`run_select_on`] turns the
-//! equi-join edges into the §4 optimizer's [`QuerySpec`], planned with
-//! the survivors' exact count and the exact distinct counts of their join
-//! columns (all it reads once the predicates are spent), executes the
-//! plan with the §3 `mmdb-exec` operators, and moves each result value
-//! out of the join output. `INSERT`/`UPDATE`/`DELETE` binding helpers
+//! a §2 index probe for an equality, a walk of the index's leaf chain for
+//! the `<`/`<=`/`>`/`>=` conjuncts of one column, or a filtered scan.
+//! A scan asks for the index an equality would have used, or that a
+//! selective range would: one that kept fewer than `rows / k` rows, with
+//! `k` ([`crate::catalog::CANDIDATE_COST_RATIO`]) the measured cost of
+//! fetching one row an index names against visiting one in a scan. The
+//! `SELECT` builds it once the read lock is released. Only the rows the
+//! conjuncts keep are copied, once, and of each only the columns a join
+//! edge or the projection names. With the lock released,
+//! [`run_select_on`] turns the equi-join edges into the §4 optimizer's
+//! [`QuerySpec`], planned with the survivors' exact count and the exact
+//! distinct counts of their join columns (all it reads once the
+//! predicates are spent), executes the plan with the §3 `mmdb-exec`
+//! operators, and moves each result value out of the join output.
+//! `INSERT`/`UPDATE`/`DELETE` binding helpers
 //! (row coercion, single-table predicates, `SET` expressions) also live
 //! here so [`crate::session`] stays focused on transaction mechanics.
 
@@ -70,7 +77,7 @@ pub struct BoundTable {
     /// The surviving rows' named columns, copied once; the join
     /// operators take the relation itself.
     rows: MemRelation,
-    /// The column an equality conjunct named while it had no index (see
+    /// The column whose index the access asked for (see
     /// `Reached::wants_index`).
     wants_index: Option<usize>,
 }
@@ -405,7 +412,7 @@ fn execute_plan(
 
 /// Reaches the tables a `SELECT` references, resolved with `viewer`
 /// visibility: binds each table's own `column op literal` conjuncts,
-/// lets `Catalog::reach` probe or scan, and copies the rows that
+/// lets `Catalog::reach` probe, walk or scan, and copies the rows that
 /// survive. This is the only part of `SELECT` that touches the catalog;
 /// callers run it under the catalog read lock, release the lock, and
 /// hand the result to [`run_select_on`] so planning and join execution

@@ -630,7 +630,7 @@ struct MutationScan {
 }
 
 /// Binds the `WHERE` clause and reaches the table by the same
-/// probe-or-scan rule as `SELECT` (`Catalog::reach`).
+/// probe-walk-or-scan rule as `SELECT` (`Catalog::reach`).
 fn scan_matching(
     db: &SqlDb,
     viewer: Option<TxnId>,

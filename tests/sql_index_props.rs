@@ -10,19 +10,23 @@
 //! *Differentially*: random statement sequences from two interleaved
 //! sessions — inserts, key-changing updates, deletes, commits and
 //! rollbacks over duplicate, `NULL`, and `FLOAT`-vs-`INT`-literal keys —
-//! where every `WHERE col = lit [AND …]` statement must return or affect
-//! exactly what a reference filter over `SELECT *` (an unkeyed scan, no
-//! index involved) says, before and after the column's index exists,
-//! with `SqlDb::audit` (cache = engine, index = column of the cache)
-//! after every step.
+//! where every `WHERE` with an equality, a one-sided range or a
+//! two-sided range on a column must return or affect exactly what a
+//! reference filter over `SELECT *` (an unkeyed scan, no index involved)
+//! says, before and after the column's index exists, with
+//! `SqlDb::audit` (cache = engine, index = column of the cache) after
+//! every step. The reference spells out the `Value` order itself, so a
+//! walk that drops the `NULL` rows below `c < v` fails it.
 
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
+use mmdb_sql::catalog::CANDIDATE_COST_RATIO;
 use mmdb_sql::{ErrorClass, SqlDb, SqlSession};
 use mmdb_types::{Auditable, Value};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{self, AtomicUsize};
 use std::time::Duration;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -106,11 +110,40 @@ fn keyed_statements_probe_once_and_scan_nothing_at_1k_and_10k_rows() {
             let again = added_by(&engine, &mut s, "SELECT id FROM acct WHERE branch = 3");
             assert_eq!(again, [1, 0, 0]);
         }
-        // No equality conjunct, no probe and no build: a scan.
-        let ranged = added_by(&engine, &mut s, "SELECT id FROM acct WHERE bal > 100");
-        assert_eq!(ranged, [0, 0, two_gone]);
+        // A selective range — it keeps fewer than `rows / k` rows — builds
+        // its column's index once, the way an equality does, and from then
+        // on walks it: one probe, no build, no row scanned, at either size.
+        let first = added_by(&engine, &mut s, "SELECT id FROM acct WHERE bal > 100");
+        assert_eq!(first, [0, 1, two_gone], "first range on bal at {rows}");
+        for sql in [
+            "SELECT id FROM acct WHERE bal > 100",
+            "SELECT id, note FROM acct WHERE bal <= 0",
+            "SELECT id FROM acct WHERE bal < 1 AND bal >= 0 AND branch = 3",
+            "UPDATE acct SET note = 'z' WHERE bal < 1",
+            "SELECT note FROM acct WHERE id > 5 AND id < 12",
+            "DELETE FROM acct WHERE bal > 100",
+        ] {
+            assert_eq!(added_by(&engine, &mut s, sql), [1, 0, 0], "{sql} at {rows}");
+        }
+        // A range that keeps nearly every row stays a scan, and builds
+        // nothing — on an indexed column, whose walk gives up past
+        // `rows / k` candidates, and on an un-indexed one.
+        for sql in [
+            "SELECT id FROM acct WHERE id >= 0",
+            "SELECT id FROM acct WHERE bal >= 0 AND bal < 1000",
+            "SELECT id FROM acct WHERE note > 'a'",
+            "SELECT id FROM acct WHERE note > 'a' AND bal >= 0",
+        ] {
+            assert_eq!(
+                added_by(&engine, &mut s, sql),
+                [0, 0, two_gone],
+                "{sql} at {rows}"
+            );
+        }
 
         let r = s.execute("SELECT id FROM acct WHERE branch = 3").unwrap();
+        assert_eq!(r.rows.len() as u64, rows / 10);
+        let r = s.execute("SELECT id FROM acct WHERE note = 'z'").unwrap();
         assert_eq!(r.rows.len() as u64, rows / 10);
         db.audit().unwrap();
         drop(s);
@@ -213,47 +246,156 @@ impl Lit {
     }
 }
 
-/// `cell = literal`, spelled out independently of the engine: `NULL`
-/// equals only `NULL`, `INT` and `FLOAT` compare numerically whichever
-/// side is which, strings compare as strings, and values of different
-/// kinds are never equal.
-fn ref_eq(cell: &Value, lit: &Lit) -> bool {
+/// Where `cell` sits against `literal` in the documented `Value` order,
+/// spelled out independently of the engine: `NULL` below every number
+/// (and equal only to `NULL`), `INT` and `FLOAT` compared numerically
+/// whichever side is which, `TEXT` above every number and compared as
+/// text.
+fn ref_cmp(cell: &Value, lit: &Lit) -> Ordering {
     match (cell, lit) {
-        (Value::Null, Lit::Null) => true,
-        (Value::Int(a), Lit::Int(b)) => a == b,
-        (Value::Int(a), Lit::Float(b)) => *a as f64 == *b,
-        (Value::Float(a), Lit::Int(b)) => *a == *b as f64,
-        (Value::Float(a), Lit::Float(b)) => a == b,
-        (Value::Str(a), Lit::Str(b)) => a == b,
-        _ => false,
+        (Value::Int(a), Lit::Int(b)) => a.cmp(b),
+        (Value::Int(a), Lit::Float(b)) => (*a as f64).partial_cmp(b).unwrap(),
+        (Value::Float(a), Lit::Int(b)) => a.partial_cmp(&(*b as f64)).unwrap(),
+        (Value::Float(a), Lit::Float(b)) => a.partial_cmp(b).unwrap(),
+        (Value::Str(a), Lit::Str(b)) => a.as_str().cmp(b),
+        _ => {
+            // NULL, then numbers, then TEXT.
+            let cell_rank = match cell {
+                Value::Null => 0,
+                Value::Int(_) | Value::Float(_) => 1,
+                Value::Str(_) => 2,
+            };
+            let lit_rank = match lit {
+                Lit::Null => 0,
+                Lit::Int(_) | Lit::Float(_) => 1,
+                Lit::Str(_) => 2,
+            };
+            cell_rank.cmp(&lit_rank)
+        }
     }
 }
 
 /// Table `t (k INT, f FLOAT, s TEXT, n INT)`; `n` is never `NULL`.
 const COLUMNS: [&str; 4] = ["k", "f", "s", "n"];
 
-/// `WHERE <column> = <lit> [AND n >= <min_n>]`.
+/// The sixteen `TEXT` values a row of `t` may hold in `s`.
+const TEXTS: [&str; 16] = [
+    "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p",
+];
+
+/// A comparison a `WHERE` conjunct makes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cmp {
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl Cmp {
+    fn sql(self) -> &'static str {
+        match self {
+            Cmp::Eq => "=",
+            Cmp::Lt => "<",
+            Cmp::Le => "<=",
+            Cmp::Gt => ">",
+            Cmp::Ge => ">=",
+        }
+    }
+
+    /// Whether a cell ordered `ord` against the literal passes.
+    fn holds(self, ord: Ordering) -> bool {
+        match self {
+            Cmp::Eq => ord == Ordering::Equal,
+            Cmp::Lt => ord == Ordering::Less,
+            Cmp::Le => ord != Ordering::Greater,
+            Cmp::Gt => ord == Ordering::Greater,
+            Cmp::Ge => ord != Ordering::Less,
+        }
+    }
+}
+
+/// `WHERE <column> <cmp> <lit> [AND <column> <cmp> <lit>] [AND n >= <min_n>]`:
+/// an equality, a one-sided range or a two-sided range on one of `k`, `f`,
+/// `s`, and maybe a range on `n` beside it.
 #[derive(Debug, Clone)]
 struct Where {
     column: usize,
-    lit: Lit,
+    ends: Vec<(Cmp, Lit)>,
     min_n: Option<i64>,
 }
 
 impl Where {
+    /// The conjuncts as `(column, cmp, literal)`, in the order the SQL
+    /// names them.
+    fn conjuncts(&self) -> Vec<(usize, Cmp, Lit)> {
+        let mut all: Vec<(usize, Cmp, Lit)> = self
+            .ends
+            .iter()
+            .map(|(cmp, lit)| (self.column, *cmp, lit.clone()))
+            .collect();
+        all.extend(self.min_n.map(|min| (3, Cmp::Ge, Lit::Int(min))));
+        all
+    }
+
     fn sql(&self) -> String {
-        let mut sql = format!("{} = {}", COLUMNS[self.column], self.lit.sql());
-        if let Some(min) = self.min_n {
-            sql.push_str(&format!(" AND n >= {min}"));
-        }
-        sql
+        let conjuncts: Vec<String> = self
+            .conjuncts()
+            .iter()
+            .map(|(column, cmp, lit)| format!("{} {} {}", COLUMNS[*column], cmp.sql(), lit.sql()))
+            .collect();
+        conjuncts.join(" AND ")
     }
 
     fn keeps(&self, row: &[Value]) -> bool {
-        ref_eq(&row[self.column], &self.lit)
-            && self
-                .min_n
-                .map_or(true, |min| matches!(row[3], Value::Int(n) if n >= min))
+        self.conjuncts()
+            .iter()
+            .all(|(column, cmp, lit)| cmp.holds(ref_cmp(&row[*column], lit)))
+    }
+
+    /// The column whose index the statement has built, given the rows it
+    /// reaches and the columns `indexed` so far — `Catalog::reach`'s rule
+    /// restated: an equality on an indexed column probes; else an indexed
+    /// column whose range conjuncts name at most `rows / k` rows is walked;
+    /// else the statement scans, and asks for the first equality column,
+    /// or — only when it kept fewer than `rows / k` rows — for the first
+    /// range column without an index.
+    fn builds(&self, rows: &[Vec<Value>], indexed: &BTreeSet<usize>) -> Option<usize> {
+        let conjuncts = self.conjuncts();
+        let limit = rows.len() / CANDIDATE_COST_RATIO;
+        let is_eq = |cmp: &Cmp| *cmp == Cmp::Eq;
+        if conjuncts
+            .iter()
+            .any(|(column, cmp, _)| is_eq(cmp) && indexed.contains(column))
+        {
+            return None;
+        }
+        for column in indexed {
+            let range: Vec<&(usize, Cmp, Lit)> = conjuncts
+                .iter()
+                .filter(|(c, cmp, _)| c == column && !is_eq(cmp))
+                .collect();
+            let named = rows
+                .iter()
+                .filter(|row| {
+                    range
+                        .iter()
+                        .all(|(c, cmp, lit)| cmp.holds(ref_cmp(&row[*c], lit)))
+                })
+                .count();
+            if !range.is_empty() && named <= limit {
+                return None;
+            }
+        }
+        if let Some((column, ..)) = conjuncts.iter().find(|(_, cmp, _)| is_eq(cmp)) {
+            return Some(*column);
+        }
+        let kept = rows.iter().filter(|row| self.keeps(row)).count();
+        conjuncts
+            .iter()
+            .map(|(column, ..)| *column)
+            .find(|column| kept < limit && !indexed.contains(column))
     }
 }
 
@@ -297,74 +439,120 @@ enum Op {
     Delete(Where),
 }
 
-fn int_key() -> BoxedStrategy<Lit> {
-    prop_oneof![(0i64..4).prop_map(Lit::Int), Just(Lit::Null)].boxed()
+/// `strategy`'s value, or `NULL` one time in sixteen: rare enough that
+/// a range below every number (`k < 0`) is narrow enough to walk.
+fn sometimes_null(strategy: BoxedStrategy<Lit>) -> BoxedStrategy<Lit> {
+    (0u8..16, strategy)
+        .prop_map(|(draw, lit)| if draw == 0 { Lit::Null } else { lit })
+        .boxed()
 }
 
-fn float_key() -> BoxedStrategy<Lit> {
+/// A value of `column` as a row of `t` holds it, from sixteen per column.
+fn cell(column: usize) -> BoxedStrategy<Lit> {
+    match column {
+        0 => sometimes_null((0i64..16).prop_map(Lit::Int).boxed()),
+        1 => sometimes_null((0i64..16).prop_map(|x| Lit::Float(x as f64 / 2.0)).boxed()),
+        _ => sometimes_null(text()),
+    }
+}
+
+fn text() -> BoxedStrategy<Lit> {
+    (0usize..16).prop_map(|i| Lit::Str(TEXTS[i])).boxed()
+}
+
+/// A literal a `WHERE` clause compares `column` with: the column's own
+/// kind (one step past each end too), or `NULL`, or another kind.
+fn literal(column: usize) -> BoxedStrategy<Lit> {
+    match column {
+        // `k`, the INT column: INT, FLOAT (whole and not), NULL and TEXT.
+        0 => prop_oneof![
+            (-1i64..17).prop_map(Lit::Int),
+            (-1i64..17).prop_map(Lit::Int),
+            (-1i64..17).prop_map(|x| Lit::Float(x as f64 + 0.5)),
+            Just(Lit::Float(3.0)),
+            Just(Lit::Null),
+            text()
+        ]
+        .boxed(),
+        // `f`, the FLOAT column: FLOAT, INT and NULL.
+        1 => prop_oneof![
+            (-1i64..17).prop_map(|x| Lit::Float(x as f64 / 2.0)),
+            (-1i64..17).prop_map(|x| Lit::Float(x as f64 / 2.0)),
+            (0i64..8).prop_map(Lit::Int),
+            Just(Lit::Null)
+        ]
+        .boxed(),
+        // `s`, the TEXT column: TEXT, NULL and INT.
+        _ => prop_oneof![
+            text(),
+            text(),
+            Just(Lit::Null),
+            (0i64..3).prop_map(Lit::Int)
+        ]
+        .boxed(),
+    }
+}
+
+fn any_cmp() -> BoxedStrategy<Cmp> {
     prop_oneof![
-        Just(Lit::Float(0.5)),
-        Just(Lit::Float(1.0)),
-        Just(Lit::Float(2.0)),
-        Just(Lit::Null)
+        Just(Cmp::Eq),
+        Just(Cmp::Lt),
+        Just(Cmp::Le),
+        Just(Cmp::Gt),
+        Just(Cmp::Ge)
     ]
     .boxed()
 }
 
-fn str_key() -> BoxedStrategy<Lit> {
-    prop_oneof![Just(Lit::Str("a")), Just(Lit::Str("b")), Just(Lit::Null)].boxed()
-}
-
-fn where_clause() -> BoxedStrategy<Where> {
-    let keyed = prop_oneof![
-        // `k`, the INT column: INT, FLOAT (whole and not), NULL and TEXT
-        // literals.
-        (
-            Just(0usize),
-            prop_oneof![
-                int_key(),
-                Just(Lit::Float(1.0)),
-                Just(Lit::Float(1.5)),
-                Just(Lit::Str("a"))
-            ]
-        ),
-        // `f`, the FLOAT column: FLOAT, INT and NULL literals.
-        (
-            Just(1usize),
-            prop_oneof![float_key(), (0i64..3).prop_map(Lit::Int)]
-        ),
-        (Just(2usize), str_key()),
+/// An equality, a one-sided range (twice as often) or a two-sided range
+/// on `column`, maybe beside `n >= min`.
+fn where_on(column: usize) -> BoxedStrategy<Where> {
+    let lower = prop_oneof![Just(Cmp::Gt), Just(Cmp::Ge)];
+    let upper = prop_oneof![Just(Cmp::Lt), Just(Cmp::Le)];
+    let ends = prop_oneof![
+        (any_cmp(), literal(column)).prop_map(|end| vec![end]),
+        (any_cmp(), literal(column)).prop_map(|end| vec![end]),
+        ((lower, literal(column)), (upper, literal(column))).prop_map(|(lo, hi)| vec![lo, hi]),
     ];
-    (keyed, prop_oneof![Just(None), (0i64..3).prop_map(Some)])
-        .prop_map(|((column, lit), min_n)| Where { column, lit, min_n })
+    (ends, prop_oneof![Just(None), (0i64..3).prop_map(Some)])
+        .prop_map(move |(ends, min_n)| Where {
+            column,
+            ends,
+            min_n,
+        })
         .boxed()
 }
 
+fn where_clause() -> BoxedStrategy<Where> {
+    prop_oneof![where_on(0), where_on(1), where_on(2)].boxed()
+}
+
 fn set_clause() -> BoxedStrategy<Set> {
+    let set = |column: usize| {
+        cell(column).prop_map(move |lit| Set {
+            column,
+            value: Some(lit),
+        })
+    };
     prop_oneof![
         Just(Set {
             column: 3,
             value: None
         }),
-        int_key().prop_map(|lit| Set {
-            column: 0,
-            value: Some(lit)
-        }),
-        prop_oneof![float_key(), (0i64..3).prop_map(Lit::Int)].prop_map(|lit| Set {
+        set(0),
+        set(1),
+        set(2),
+        (0i64..8).prop_map(|i| Set {
             column: 1,
-            value: Some(lit)
-        }),
-        str_key().prop_map(|lit| Set {
-            column: 2,
-            value: Some(lit)
+            value: Some(Lit::Int(i))
         }),
     ]
     .boxed()
 }
 
-fn insert_op() -> BoxedStrategy<Op> {
-    (int_key(), float_key(), str_key(), 0i64..3)
-        .prop_map(|(k, f, s, n)| Op::Insert([k, f, s, Lit::Int(n)]))
+fn row() -> BoxedStrategy<[Lit; 4]> {
+    (cell(0), cell(1), cell(2), 0i64..3)
+        .prop_map(|(k, f, s, n)| [k, f, s, Lit::Int(n)])
         .boxed()
 }
 
@@ -373,9 +561,9 @@ fn op() -> BoxedStrategy<Op> {
         Just(Op::Begin),
         Just(Op::Commit),
         Just(Op::Rollback),
-        insert_op(),
-        insert_op(),
-        insert_op(),
+        row().prop_map(Op::Insert),
+        row().prop_map(Op::Insert),
+        where_clause().prop_map(Op::Select),
         where_clause().prop_map(Op::Select),
         where_clause().prop_map(Op::Select),
         (set_clause(), where_clause()).prop_map(|(set, w)| Op::Update(set, w)),
@@ -425,17 +613,31 @@ proptest! {
 
     #[test]
     fn keyed_statements_agree_with_a_reference_filter(
+        initial in collection::vec(row(), 40..120),
         script in collection::vec((0usize..2, op()), 10..50),
     ) {
         // ordering: a test-local sequence number, nothing is published.
-        let dir = tmp_dir(&format!("props-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+        let dir = tmp_dir(&format!("props-{}", CASE.fetch_add(1, atomic::Ordering::Relaxed)));
         let engine = Engine::start(options(&dir)).unwrap();
         let db = SqlDb::open(&engine).unwrap();
         let mut sessions = [db.session(), db.session()];
         sessions[0]
             .execute("CREATE TABLE t (k INT, f FLOAT, s TEXT, n INT)")
             .unwrap();
-        let mut probed: BTreeSet<usize> = BTreeSet::new();
+        // Enough rows that `rows / k` admits some walks.
+        let values: Vec<String> = initial
+            .iter()
+            .map(|row| format!("({})", row.iter().map(Lit::sql).collect::<Vec<_>>().join(", ")))
+            .collect();
+        sessions[0]
+            .execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            .unwrap();
+        let mut indexed: BTreeSet<usize> = BTreeSet::new();
+        let mut build = |w: &Where, rows: &[Vec<Value>]| {
+            if let Some(column) = w.builds(rows, &indexed) {
+                indexed.insert(column);
+            }
+        };
 
         for (who, step) in &script {
             let s = &mut sessions[*who];
@@ -456,20 +658,21 @@ proptest! {
                     prop_assert_eq!(s.execute(&sql).unwrap().affected, 1);
                 }
                 Op::Select(w) => {
-                    probed.insert(w.column);
+                    let rows = select_all(s);
                     let expected: Vec<Vec<Value>> =
-                        select_all(s).into_iter().filter(|row| w.keeps(row)).collect();
+                        rows.iter().filter(|row| w.keeps(row)).cloned().collect();
                     let sql = format!("SELECT * FROM t WHERE {}", w.sql());
-                    // Twice: the first may be the scan that builds the
-                    // column's index, the second is certainly a probe.
+                    // Twice: the first may be the scan that builds an
+                    // index, the second may probe it.
                     for _ in 0..2 {
+                        build(w, &rows);
                         let got = s.execute(&sql).unwrap().rows;
                         prop_assert_eq!(&got, &expected, "{}", &sql);
                     }
                 }
                 Op::Update(set, w) => {
-                    probed.insert(w.column);
                     let mut expected = select_all(s);
+                    build(w, &expected);
                     let mut affected = 0;
                     for row in expected.iter_mut().filter(|row| w.keeps(row)) {
                         set.apply(row);
@@ -479,8 +682,8 @@ proptest! {
                     check_mutation(s, &sql, affected, expected)?;
                 }
                 Op::Delete(w) => {
-                    probed.insert(w.column);
                     let before = select_all(s);
+                    build(w, &before);
                     let expected: Vec<Vec<Value>> =
                         before.iter().filter(|row| !w.keeps(row)).cloned().collect();
                     let affected = before.len() - expected.len();
@@ -493,12 +696,12 @@ proptest! {
             }
         }
 
-        // An index exists for exactly the columns some statement probed
-        // by equality — never for `n`, which none did.
+        // An index exists for exactly the columns the rule says some
+        // statement asked for: by equality, or by a selective range.
         let stats = engine.stats();
         prop_assert_eq!(
             stats.counter("mmdb_sql_index_builds_total"),
-            Some(probed.len() as u64)
+            Some(indexed.len() as u64)
         );
         drop(sessions);
         db.audit().unwrap();
