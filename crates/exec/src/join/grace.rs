@@ -11,10 +11,11 @@
 //! its Figure 1 curve is flat — it never exploits memory beyond the
 //! `sqrt(|S|·F)` minimum.
 
-use super::{charged_hash, output_relation, JoinSpec, ProbeTable};
+use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
-use crate::partition::uniform_class;
+use crate::partition::{hash_key, uniform_class};
 use crate::spill::{SpillFile, SpillIo};
+use crate::{Row, Rows};
 use mmdb_storage::MemRelation;
 use mmdb_types::{Result, Tuple};
 use std::sync::Arc;
@@ -26,29 +27,34 @@ pub fn grace_hash_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    let mut out = output_relation(&spec, r, s);
-    let r_tpp = r.tuples_per_page().max(1);
-    let s_tpp = s.tuples_per_page().max(1);
+    run_join(Algo::GraceHash, r, s, spec, ctx)
+}
+
+/// The GRACE core: each matching pair goes to `emit`.
+pub(crate) fn join_rows<T: Row>(
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<()> {
     // One output-buffer page per bucket; the paper uses |M| buckets.
     let buckets = ctx.mem_pages.max(1);
 
     // Phase 1: partition R, then S (steps 1 and 2).
-    let mut r_parts: Vec<SpillFile> = (0..buckets)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
-        .collect();
-    for t in r.tuples() {
-        let h = charged_hash(&ctx.meter, t, spec.r_key);
-        ctx.meter.charge_moves(1);
-        r_parts[uniform_class(h, buckets)].append(t.clone(), SpillIo::Random);
-    }
-    let mut s_parts: Vec<SpillFile> = (0..buckets)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), s_tpp))
-        .collect();
-    for t in s.tuples() {
-        let h = charged_hash(&ctx.meter, t, spec.s_key);
-        ctx.meter.charge_moves(1);
-        s_parts[uniform_class(h, buckets)].append(t.clone(), SpillIo::Random);
-    }
+    let partition = |input: Rows<'_, T>, key: usize| {
+        let mut parts: Vec<SpillFile<T>> = (0..buckets)
+            .map(|_| SpillFile::new(Arc::clone(&ctx.meter), input.tuples_per_page))
+            .collect();
+        for row in input.tuples {
+            let h = charged_hash(&ctx.meter, row.borrow(), key);
+            ctx.meter.charge_moves(1);
+            parts[uniform_class(h, buckets)].append(row.clone(), SpillIo::Random);
+        }
+        parts
+    };
+    let mut r_parts = partition(r, spec.r_key);
+    let mut s_parts = partition(s, spec.s_key);
     for p in r_parts.iter_mut().chain(s_parts.iter_mut()) {
         p.flush(SpillIo::Random);
     }
@@ -61,23 +67,23 @@ pub fn grace_hash_join(
             // and the read-back is skipped entirely.
             continue;
         }
-        let r_tuples: Vec<Tuple> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        let expected = r_tuples.len();
-        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, expected, &r_tuples);
-        for (pos, t) in r_tuples.iter().enumerate() {
+        let r_rows: Vec<T> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, r_rows.len(), &r_rows);
+        for (pos, row) in r_rows.iter().enumerate() {
             ctx.meter.charge_hashes(1);
-            let h = crate::partition::hash_key(t.get(spec.r_key));
-            table.insert(pos, h);
+            let t: &Tuple = row.borrow();
+            table.insert(pos, hash_key(t.get(spec.r_key)));
         }
         for page in s_part.drain_pages(SpillIo::Sequential) {
-            for t in page {
+            for row in &page {
+                let t: &Tuple = row.borrow();
                 ctx.meter.charge_hashes(1);
-                let h = crate::partition::hash_key(t.get(spec.s_key));
-                table.probe(h, t.get(spec.s_key), |rt| out.push(rt.concat(&t)))?;
+                let h = hash_key(t.get(spec.s_key));
+                table.probe(h, t.get(spec.s_key), |rt| emit(rt, t))?;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

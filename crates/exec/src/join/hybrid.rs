@@ -7,12 +7,13 @@
 //! `q → 1` and the algorithm becomes the one-pass hash join; as `|M|`
 //! shrinks it degrades gracefully toward GRACE.
 
-use super::{charged_hash, output_relation, JoinSpec, ProbeTable};
+use super::{charged_hash, output_relation, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::{hash_key_level, HybridSplit};
 use crate::spill::{SpillFile, SpillIo};
+use crate::{Row, Rows};
 use mmdb_storage::MemRelation;
-use mmdb_types::Result;
+use mmdb_types::{Result, Tuple};
 use std::sync::Arc;
 
 /// Execution statistics exposing the memory discipline (for tests and the
@@ -60,18 +61,32 @@ pub fn hybrid_hash_join_with_stats(
     ctx: &ExecContext,
 ) -> Result<(MemRelation, HybridStats)> {
     let mut out = output_relation(&spec, r, s);
-    let r_tpp = r.tuples_per_page().max(1);
-    let s_tpp = s.tuples_per_page().max(1);
+    let stats = join_rows(r.into(), s.into(), spec, ctx, |rt: &Tuple, st: &Tuple| {
+        out.push(rt.concat(st))
+    })?;
+    Ok((out, stats))
+}
+
+/// The hybrid-hash core: each matching pair goes to `emit`.
+pub(crate) fn join_rows<T: Row>(
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<HybridStats> {
+    let (r_tpp, s_tpp) = (r.tuples_per_page, s.tuples_per_page);
+    let r_count = r.tuples.len();
 
     let b = disk_partitions(r.page_count(), ctx.fudge, ctx.mem_pages);
     // Memory left for R0's hash table after reserving B buffer pages.
     let r0_capacity_tuples = if b == 0 {
-        r.tuple_count().max(1)
+        r_count.max(1)
     } else {
         ((((ctx.mem_pages.saturating_sub(b)) as f64) * r_tpp as f64 / ctx.fudge).floor() as usize)
             .max(1)
     };
-    let q = (r0_capacity_tuples as f64 / r.tuple_count().max(1) as f64).min(1.0);
+    let q = (r0_capacity_tuples as f64 / r_count.max(1) as f64).min(1.0);
     let split = HybridSplit {
         in_memory_fraction: q,
         disk_partitions: b,
@@ -89,15 +104,15 @@ pub fn hybrid_hash_join_with_stats(
     let mut table0 = ProbeTable::new(
         Arc::clone(&ctx.meter),
         spec.r_key,
-        r0_capacity_tuples.min(r.tuple_count()),
-        r.tuples(),
+        r0_capacity_tuples.min(r_count),
+        r.tuples,
     );
-    let mut r_parts: Vec<SpillFile> = (0..b)
+    let mut r_parts: Vec<SpillFile<T>> = (0..b)
         .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
         .collect();
     let mut r0_count = 0usize;
-    for (pos, t) in r.tuples().iter().enumerate() {
-        let h = charged_hash(&ctx.meter, t, spec.r_key);
+    for (pos, row) in r.tuples.iter().enumerate() {
+        let h = charged_hash(&ctx.meter, row.borrow(), spec.r_key);
         match split.classify(h) {
             0 => {
                 r0_count += 1;
@@ -105,23 +120,24 @@ pub fn hybrid_hash_join_with_stats(
             }
             i => {
                 ctx.meter.charge_moves(1);
-                r_parts[i - 1].append(t.clone(), write_io);
+                r_parts[i - 1].append(row.clone(), write_io);
             }
         }
     }
     stats.max_build_tuples = r0_count;
 
     // Step 2: scan S — partition 0 probes immediately, the rest spills.
-    let mut s_parts: Vec<SpillFile> = (0..b)
+    let mut s_parts: Vec<SpillFile<T>> = (0..b)
         .map(|_| SpillFile::new(Arc::clone(&ctx.meter), s_tpp))
         .collect();
-    for t in s.tuples() {
+    for row in s.tuples {
+        let t: &Tuple = row.borrow();
         let h = charged_hash(&ctx.meter, t, spec.s_key);
         match split.classify(h) {
-            0 => table0.probe(h, t.get(spec.s_key), |rt| out.push(rt.concat(t)))?,
+            0 => table0.probe(h, t.get(spec.s_key), |rt| emit(rt, t))?,
             i => {
                 ctx.meter.charge_moves(1);
-                s_parts[i - 1].append(t.clone(), write_io);
+                s_parts[i - 1].append(row.clone(), write_io);
             }
         }
     }
@@ -134,19 +150,16 @@ pub fn hybrid_hash_join_with_stats(
     // the algorithm *recursively* when a partition overflowed memory
     // (§3.3: "we can always apply the hybrid hash join recursively,
     // thereby adding an extra pass for the overflow tuples").
+    let pages = (r_tpp, s_tpp);
     for (r_part, s_part) in r_parts.into_iter().zip(s_parts) {
         if r_part.is_empty() {
             continue;
         }
-        let r_tuples: Vec<mmdb_types::Tuple> =
-            r_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        let s_tuples: Vec<mmdb_types::Tuple> =
-            s_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        join_pair(
-            r_tuples, s_tuples, 1, spec, ctx, r_tpp, s_tpp, &mut out, &mut stats,
-        )?;
+        let r_rows: Vec<T> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        let s_rows: Vec<T> = s_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        join_pair(r_rows, s_rows, 1, spec, ctx, pages, &mut emit, &mut stats)?;
     }
-    Ok((out, stats))
+    Ok(stats)
 }
 
 /// Hard cap on recursion: beyond this a partition is joined in place even
@@ -156,22 +169,23 @@ const MAX_RECURSION: u32 = 8;
 
 /// Joins one spilled partition pair at recursion `level`: build-and-probe
 /// when R's side fits the memory grant, otherwise re-partition both sides
-/// with the level-salted hash and recurse.
+/// with the level-salted hash and recurse. `pages` is R's and S's tuples
+/// per page.
 #[allow(clippy::too_many_arguments)]
-fn join_pair(
-    r_tuples: Vec<mmdb_types::Tuple>,
-    s_tuples: Vec<mmdb_types::Tuple>,
+fn join_pair<T: Row>(
+    r_rows: Vec<T>,
+    s_rows: Vec<T>,
     level: u32,
     spec: JoinSpec,
     ctx: &ExecContext,
-    r_tpp: usize,
-    s_tpp: usize,
-    out: &mut MemRelation,
+    pages: (usize, usize),
+    emit: &mut impl Emit,
     stats: &mut HybridStats,
 ) -> Result<()> {
-    if r_tuples.is_empty() {
+    if r_rows.is_empty() {
         return Ok(());
     }
+    let (r_tpp, s_tpp) = pages;
     stats.max_recursion_depth = stats.max_recursion_depth.max(level);
     let capacity = ctx.mem_tuple_capacity(r_tpp);
     // §3.3: partition sizes vary around their mean (central limit
@@ -179,77 +193,61 @@ fn join_pair(
     // the hash table just runs marginally over its F allowance. Recursion
     // is reserved for genuine overflow (skew, or memory far too small).
     let slack_capacity = capacity + capacity / 4;
-    if r_tuples.len() <= slack_capacity || level >= MAX_RECURSION {
+    if r_rows.len() <= slack_capacity || level >= MAX_RECURSION {
         // Build and probe in memory.
-        stats.max_build_tuples = stats.max_build_tuples.max(r_tuples.len());
-        if level >= MAX_RECURSION && r_tuples.len() > capacity {
+        stats.max_build_tuples = stats.max_build_tuples.max(r_rows.len());
+        if level >= MAX_RECURSION && r_rows.len() > capacity {
             stats.depth_capped = true;
         }
-        let mut table = ProbeTable::new(
-            Arc::clone(&ctx.meter),
-            spec.r_key,
-            r_tuples.len(),
-            &r_tuples,
-        );
-        for (pos, t) in r_tuples.iter().enumerate() {
+        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, r_rows.len(), &r_rows);
+        for (pos, row) in r_rows.iter().enumerate() {
             ctx.meter.charge_hashes(1);
-            let h = hash_key_level(t.get(spec.r_key), level);
-            table.insert(pos, h);
+            let t: &Tuple = row.borrow();
+            table.insert(pos, hash_key_level(t.get(spec.r_key), level));
         }
-        for t in s_tuples {
+        for row in &s_rows {
+            let t: &Tuple = row.borrow();
             ctx.meter.charge_hashes(1);
             let h = hash_key_level(t.get(spec.s_key), level);
-            table.probe(h, t.get(spec.s_key), |rt| out.push(rt.concat(&t)))?;
+            table.probe(h, t.get(spec.s_key), |rt| emit(rt, t))?;
         }
         return Ok(());
     }
 
     // Overflow: re-partition with an independent (level-salted) hash.
     stats.recursive_partitionings += 1;
-    let r_pages = r_tuples.len().div_ceil(r_tpp);
+    let r_pages = r_rows.len().div_ceil(r_tpp);
     let b = disk_partitions(r_pages, ctx.fudge, ctx.mem_pages).max(2);
     let write_io = if b <= 1 {
         SpillIo::Sequential
     } else {
         SpillIo::Random
     };
-    let mut r_parts: Vec<SpillFile> = (0..b)
+    let mut r_parts: Vec<SpillFile<T>> = (0..b)
         .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
         .collect();
-    for t in r_tuples {
+    for row in r_rows {
         ctx.meter.charge_hashes(1);
-        let h = hash_key_level(t.get(spec.r_key), level);
+        let h = hash_key_level(row.borrow().get(spec.r_key), level);
         ctx.meter.charge_moves(1);
-        r_parts[crate::partition::uniform_class(h, b)].append(t, write_io);
+        r_parts[crate::partition::uniform_class(h, b)].append(row, write_io);
     }
-    let mut s_parts: Vec<SpillFile> = (0..b)
+    let mut s_parts: Vec<SpillFile<T>> = (0..b)
         .map(|_| SpillFile::new(Arc::clone(&ctx.meter), s_tpp))
         .collect();
-    for t in s_tuples {
+    for row in s_rows {
         ctx.meter.charge_hashes(1);
-        let h = hash_key_level(t.get(spec.s_key), level);
+        let h = hash_key_level(row.borrow().get(spec.s_key), level);
         ctx.meter.charge_moves(1);
-        s_parts[crate::partition::uniform_class(h, b)].append(t, write_io);
+        s_parts[crate::partition::uniform_class(h, b)].append(row, write_io);
     }
     for p in r_parts.iter_mut().chain(s_parts.iter_mut()) {
         p.flush(write_io);
     }
     for (r_part, s_part) in r_parts.into_iter().zip(s_parts) {
-        let r_next: Vec<mmdb_types::Tuple> =
-            r_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        let s_next: Vec<mmdb_types::Tuple> =
-            s_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        join_pair(
-            r_next,
-            s_next,
-            level + 1,
-            spec,
-            ctx,
-            r_tpp,
-            s_tpp,
-            out,
-            stats,
-        )?;
+        let r_next: Vec<T> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        let s_next: Vec<T> = s_part.drain_pages(SpillIo::Sequential).flatten().collect();
+        join_pair(r_next, s_next, level + 1, spec, ctx, pages, emit, stats)?;
     }
     Ok(())
 }

@@ -1,9 +1,15 @@
 //! The four §3 join algorithms, plus a nested-loops reference.
 //!
-//! All five take the same inputs — relations `R` (smaller) and `S`, a
-//! [`JoinSpec`] naming the key columns, and an [`crate::ExecContext`] — and
-//! produce the same result relation, so every algorithm is testable
-//! against every other. They differ only in what they charge to the meter.
+//! Each algorithm has one core, generic over its [`Row`] type, that hands
+//! every matching pair to an `emit(&Tuple, &Tuple)` sink: the SQL layer
+//! runs the cores over rows lent from its cache and builds only the
+//! projected output row, while the `&MemRelation` functions — what the
+//! 1984 experiments and their `CostMeter` pins call — are wrappers whose
+//! sink pushes the concatenated pair into a result relation. All of them
+//! take the same inputs — `R` (smaller) and `S`, a [`JoinSpec`] naming
+//! the key columns, and an [`crate::ExecContext`] — and produce the same
+//! pairs, so every algorithm is testable against every other. They differ
+//! only in what they charge to the meter.
 
 pub mod grace;
 pub mod hybrid;
@@ -18,8 +24,10 @@ pub use simple_hash::simple_hash_join;
 pub use sort_merge::sort_merge_join;
 
 use crate::partition::hash_key;
+use crate::{Row, Rows};
 use mmdb_storage::{CostMeter, MemRelation};
 use mmdb_types::{Result, Schema, Tuple};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Which columns join.
@@ -45,18 +53,23 @@ impl JoinSpec {
 
 /// Builds the output relation container for a join. Result tuples are not
 /// charged (§3.2: the cost of writing the result is ignored).
-pub(crate) fn output_relation(spec: &JoinSpec, r: &MemRelation, s: &MemRelation) -> MemRelation {
+fn output_relation(spec: &JoinSpec, r: &MemRelation, s: &MemRelation) -> MemRelation {
     MemRelation::new(
         spec.output_schema(r, s),
         r.tuples_per_page().max(s.tuples_per_page()),
     )
 }
 
+/// The sink every core hands its matching pairs to, `R`'s row first.
+pub trait Emit: FnMut(&Tuple, &Tuple) -> Result<()> {}
+
+impl<F: FnMut(&Tuple, &Tuple) -> Result<()>> Emit for F {}
+
 /// No entry: the end of a chain, or an empty bucket.
 const NIL: u32 = u32::MAX;
 
 /// An in-memory chained hash table for build/probe phases over a
-/// borrowed build side: it holds positions in `tuples`, never the tuples
+/// borrowed build side: it holds positions in `tuples`, never the rows
 /// themselves. Each bucket is a chain head and a chain tail; each
 /// inserted position has its key's hash and the next position of its
 /// chain, so a chain keeps insertion order and a probe compares a key
@@ -65,8 +78,8 @@ const NIL: u32 = u32::MAX;
 /// charges `move` per insertion and `comp` per chain comparison during
 /// probes.
 #[derive(Debug)]
-pub(crate) struct ProbeTable<'a> {
-    tuples: &'a [Tuple],
+pub(crate) struct ProbeTable<'a, T> {
+    tuples: &'a [T],
     heads: Vec<u32>,
     tails: Vec<u32>,
     /// By position in `tuples`; meaningful only for inserted positions.
@@ -76,15 +89,10 @@ pub(crate) struct ProbeTable<'a> {
     key_col: usize,
 }
 
-impl<'a> ProbeTable<'a> {
+impl<'a, T: Borrow<Tuple>> ProbeTable<'a, T> {
     /// A table over `tuples` expecting about `expected` of them to be
     /// inserted.
-    pub fn new(
-        meter: Arc<CostMeter>,
-        key_col: usize,
-        expected: usize,
-        tuples: &'a [Tuple],
-    ) -> Self {
+    pub fn new(meter: Arc<CostMeter>, key_col: usize, expected: usize, tuples: &'a [T]) -> Self {
         assert!(
             tuples.len() < NIL as usize,
             "build side too large for u32 positions"
@@ -135,7 +143,7 @@ impl<'a> ProbeTable<'a> {
             let pos = at as usize;
             if self.hashes[pos] == hash {
                 self.meter.charge_comparisons(1);
-                let t = &self.tuples[pos];
+                let t: &'a Tuple = self.tuples[pos].borrow();
                 if t.get(self.key_col) == key {
                     on_match(t)?;
                 }
@@ -196,7 +204,27 @@ impl Algo {
     }
 }
 
-/// Runs the selected join algorithm.
+/// Runs the selected algorithm's core, handing each matching pair to
+/// `emit`.
+pub fn join_rows<T: Row>(
+    algo: Algo,
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &crate::ExecContext,
+    emit: impl Emit,
+) -> Result<()> {
+    match algo {
+        Algo::NestedLoops => nested_loops::join_rows(r, s, spec, ctx, emit),
+        Algo::SortMerge => sort_merge::join_rows(r, s, spec, ctx, emit),
+        Algo::SimpleHash => simple_hash::join_rows(r, s, spec, ctx, emit),
+        Algo::GraceHash => grace::join_rows(r, s, spec, ctx, emit),
+        Algo::HybridHash => hybrid::join_rows(r, s, spec, ctx, emit).map(drop),
+    }
+}
+
+/// Runs the selected join algorithm over two relations, collecting each
+/// matching pair concatenated into the result relation.
 pub fn run_join(
     algo: Algo,
     r: &MemRelation,
@@ -204,13 +232,16 @@ pub fn run_join(
     spec: JoinSpec,
     ctx: &crate::ExecContext,
 ) -> Result<MemRelation> {
-    match algo {
-        Algo::NestedLoops => nested_loops_join(r, s, spec, ctx),
-        Algo::SortMerge => sort_merge_join(r, s, spec, ctx),
-        Algo::SimpleHash => simple_hash_join(r, s, spec, ctx),
-        Algo::GraceHash => grace_hash_join(r, s, spec, ctx),
-        Algo::HybridHash => hybrid_hash_join(r, s, spec, ctx),
-    }
+    let mut out = output_relation(&spec, r, s);
+    join_rows(
+        algo,
+        r.into(),
+        s.into(),
+        spec,
+        ctx,
+        |rt: &Tuple, st: &Tuple| out.push(rt.concat(st)),
+    )?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -348,5 +379,41 @@ mod tests {
             ctx.meter.snapshot(),
             snap(1_489_593, 48_856, 42_857, 995, 995)
         );
+    }
+
+    /// Every core fed rows lent as `&Tuple` — what the SQL layer hands
+    /// them — emits exactly the pairs nested loops finds over the owned
+    /// relations, in memory and partitioned (spills then hold references).
+    #[test]
+    fn borrowed_cores_match_nested_loops() {
+        let (r, s) = (keyed(90, 3_000, 400, 40), keyed(91, 4_000, 400, 40));
+        let spec = JoinSpec::new(0, 0);
+        let reference = ExecContext::new(usize::MAX / 2, 1.2);
+        let want = canonical(&nested_loops_join(&r, &s, spec, &reference).unwrap());
+        let r_lent: Vec<&Tuple> = r.tuples().iter().collect();
+        let s_lent: Vec<&Tuple> = s.tuples().iter().collect();
+        for algo in Algo::PAPER {
+            for mem in [1_000, 20] {
+                let ctx = ExecContext::new(mem, 1.2);
+                let mut got = Vec::new();
+                join_rows(
+                    algo,
+                    Rows::new(&r_lent, 40),
+                    Rows::new(&s_lent, 40),
+                    spec,
+                    &ctx,
+                    |rt: &Tuple, st: &Tuple| {
+                        got.push(rt.concat(st));
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                got.sort();
+                assert_eq!(got, want, "{} at {mem} pages", algo.name());
+                if mem == 20 {
+                    assert!(ctx.meter.snapshot().total_ios() > 0, "{}", algo.name());
+                }
+            }
+        }
     }
 }

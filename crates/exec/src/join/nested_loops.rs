@@ -5,10 +5,11 @@
 //! fallback for non-equijoin predicates. Charges one comparison per tuple
 //! pair, no I/O (both relations are memory-resident by assumption).
 
-use super::{output_relation, JoinSpec};
+use super::{run_join, Algo, Emit, JoinSpec};
 use crate::context::ExecContext;
+use crate::{Row, Rows};
 use mmdb_storage::MemRelation;
-use mmdb_types::Result;
+use mmdb_types::{Result, Tuple};
 
 /// Joins `r` and `s` by comparing every pair of tuples.
 pub fn nested_loops_join(
@@ -17,17 +18,28 @@ pub fn nested_loops_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    let mut out = output_relation(&spec, r, s);
-    for rt in r.tuples() {
-        let rk = rt.get(spec.r_key);
-        for st in s.tuples() {
+    run_join(Algo::NestedLoops, r, s, spec, ctx)
+}
+
+/// The nested-loops core: every pair compared, each match emitted.
+pub(crate) fn join_rows<T: Row>(
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<()> {
+    for rt in r.tuples {
+        let rt: &Tuple = rt.borrow();
+        for st in s.tuples {
+            let st: &Tuple = st.borrow();
             ctx.meter.charge_comparisons(1);
-            if rk == st.get(spec.s_key) {
-                out.push(rt.concat(st))?;
+            if rt.get(spec.r_key) == st.get(spec.s_key) {
+                emit(rt, st)?;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

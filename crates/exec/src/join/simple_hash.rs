@@ -7,10 +7,11 @@
 //! `A = ceil(|R|·F/|M|)` passes the passed-over work is what makes the
 //! algorithm blow up at low memory (the steep left edge of Figure 1).
 
-use super::{charged_hash, output_relation, JoinSpec, ProbeTable};
+use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::in_first_fraction;
 use crate::spill::{SpillFile, SpillIo};
+use crate::{Row, Rows};
 use mmdb_storage::MemRelation;
 use mmdb_types::{Result, Tuple};
 use std::borrow::Cow;
@@ -23,16 +24,25 @@ pub fn simple_hash_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    let mut out = output_relation(&spec, r, s);
-    let r_tpp = r.tuples_per_page().max(1);
-    let s_tpp = s.tuples_per_page().max(1);
+    run_join(Algo::SimpleHash, r, s, spec, ctx)
+}
+
+/// The simple-hash core: each matching pair goes to `emit`.
+pub(crate) fn join_rows<T: Row>(
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<()> {
+    let (r_tpp, s_tpp) = (r.tuples_per_page, s.tuples_per_page);
     let capacity = ctx.mem_tuple_capacity(r_tpp);
 
     // The initial read of R and S is not charged (§3.2): the first pass
     // reads both in place, and each later pass reads back what the one
     // before it passed over (`None` until then).
-    let mut r_read: Option<Vec<Tuple>> = None;
-    let mut s_read: Option<Vec<Tuple>> = None;
+    let mut r_read: Option<Vec<T>> = None;
+    let mut s_read: Option<Vec<T>> = None;
 
     // §3.5 step 1 *re-chooses* the hash range on every pass so that
     // "P pages of R-tuples will hash into that range". Passed-over tuples
@@ -41,7 +51,7 @@ pub fn simple_hash_join(
     // tracks its lower edge.
     let mut consumed = 0.0f64;
     loop {
-        let r_in = r_read.as_deref().unwrap_or(r.tuples());
+        let r_in = r_read.as_deref().unwrap_or(r.tuples);
         if r_in.is_empty() {
             break;
         }
@@ -58,8 +68,8 @@ pub fn simple_hash_join(
             r_in,
         );
         let mut passed: Vec<usize> = Vec::new();
-        for (pos, t) in r_in.iter().enumerate() {
-            let h = charged_hash(&ctx.meter, t, spec.r_key);
+        for (pos, row) in r_in.iter().enumerate() {
+            let h = charged_hash(&ctx.meter, row.borrow(), spec.r_key);
             if whole || in_first_fraction(h, fraction) {
                 table.insert(pos, h);
             } else {
@@ -69,13 +79,14 @@ pub fn simple_hash_join(
 
         // Probe phase: in-range S tuples probe, the rest are passed over.
         let mut s_spill = SpillFile::new(Arc::clone(&ctx.meter), s_tpp);
-        for t in pass_input(s.tuples(), s_read.take()) {
-            let h = charged_hash(&ctx.meter, &t, spec.s_key);
+        for row in pass_input(s.tuples, s_read.take()) {
+            let t: &Tuple = (*row).borrow();
+            let h = charged_hash(&ctx.meter, t, spec.s_key);
             if whole || in_first_fraction(h, fraction) {
-                table.probe(h, t.get(spec.s_key), |rt| out.push(rt.concat(&t)))?;
+                table.probe(h, t.get(spec.s_key), |rt| emit(rt, t))?;
             } else {
                 ctx.meter.charge_moves(1);
-                s_spill.append(t.into_owned(), SpillIo::Sequential);
+                s_spill.append(row.into_owned(), SpillIo::Sequential);
             }
         }
         // The table borrows `r_read`, whose passed-over tuples move out next.
@@ -86,10 +97,10 @@ pub fn simple_hash_join(
         }
         let mut r_spill = SpillFile::new(Arc::clone(&ctx.meter), r_tpp);
         let mut passed = passed.into_iter().peekable();
-        for (pos, t) in pass_input(r.tuples(), r_read.take()).enumerate() {
+        for (pos, row) in pass_input(r.tuples, r_read.take()).enumerate() {
             if passed.next_if_eq(&pos).is_some() {
                 ctx.meter.charge_moves(1);
-                r_spill.append(t.into_owned(), SpillIo::Sequential);
+                r_spill.append(row.into_owned(), SpillIo::Sequential);
             }
         }
         // Read the passed-over files back as the next pass's inputs.
@@ -97,17 +108,17 @@ pub fn simple_hash_join(
         r_read = Some(r_spill.drain_pages(SpillIo::Sequential).flatten().collect());
         s_read = Some(s_spill.drain_pages(SpillIo::Sequential).flatten().collect());
     }
-    Ok(out)
+    Ok(())
 }
 
-/// The tuples one pass reads: `first` in place while nothing has been
-/// read back, else the read-back tuples, moved rather than cloned.
-fn pass_input(
-    first: &[Tuple],
-    read_back: Option<Vec<Tuple>>,
-) -> impl Iterator<Item = Cow<'_, Tuple>> {
+/// The rows one pass reads: `first` in place while nothing has been
+/// read back, else the read-back rows, moved rather than cloned.
+fn pass_input<T: Clone>(
+    first: &[T],
+    read_back: Option<Vec<T>>,
+) -> impl Iterator<Item = Cow<'_, T>> {
     let (in_place, owned) = match read_back {
-        Some(tuples) => (&[][..], tuples),
+        Some(rows) => (&[][..], rows),
         None => (first, Vec::new()),
     };
     in_place

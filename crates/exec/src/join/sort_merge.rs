@@ -6,11 +6,13 @@
 //! no R tuple joins more than a page of S tuples — the implementation
 //! handles arbitrarily large equal-key groups correctly.
 
-use super::{output_relation, JoinSpec};
+use super::{run_join, Algo, Emit, JoinSpec};
 use crate::context::ExecContext;
-use crate::sort::external_sort;
+use crate::sort::sort_rows;
+use crate::{Row, Rows};
 use mmdb_storage::MemRelation;
 use mmdb_types::{Result, Tuple};
+use std::borrow::Borrow;
 
 /// Joins `r` and `s` by sorting both on their key columns and merging.
 pub fn sort_merge_join(
@@ -19,15 +21,25 @@ pub fn sort_merge_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    let sorted_r = external_sort(r, spec.r_key, ctx);
-    let sorted_s = external_sort(s, spec.s_key, ctx);
-    let mut out = output_relation(&spec, r, s);
+    run_join(Algo::SortMerge, r, s, spec, ctx)
+}
+
+/// The sort-merge core: each matching pair goes to `emit`.
+pub(crate) fn join_rows<T: Row>(
+    r: Rows<'_, T>,
+    s: Rows<'_, T>,
+    spec: JoinSpec,
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<()> {
+    let sorted_r: Vec<T> = sort_rows(r, spec.r_key, ctx);
+    let sorted_s: Vec<T> = sort_rows(s, spec.s_key, ctx);
 
     let (mut i, mut j) = (0usize, 0usize);
     while i < sorted_r.len() && j < sorted_s.len() {
         ctx.meter.charge_comparisons(1);
-        let rk = sorted_r[i].get(spec.r_key);
-        let sk = sorted_s[j].get(spec.s_key);
+        let rk = sorted_r[i].borrow().get(spec.r_key);
+        let sk = sorted_s[j].borrow().get(spec.s_key);
         match rk.cmp(sk) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
@@ -38,7 +50,7 @@ pub fn sort_merge_join(
                 let gj_end = run_end(&sorted_s, j, spec.s_key, &key, ctx);
                 for rt in &sorted_r[i..gi_end] {
                     for st in &sorted_s[j..gj_end] {
-                        out.push(rt.concat(st))?;
+                        emit(rt.borrow(), st.borrow())?;
                     }
                 }
                 i = gi_end;
@@ -46,21 +58,21 @@ pub fn sort_merge_join(
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// First index after `start` whose key differs; one comparison per probe.
-fn run_end(
-    tuples: &[Tuple],
+fn run_end<T: Borrow<Tuple>>(
+    rows: &[T],
     start: usize,
     key_col: usize,
     key: &mmdb_types::Value,
     ctx: &ExecContext,
 ) -> usize {
     let mut end = start + 1;
-    while end < tuples.len() {
+    while end < rows.len() {
         ctx.meter.charge_comparisons(1);
-        if tuples[end].get(key_col) != key {
+        if rows[end].borrow().get(key_col) != key {
             break;
         }
         end += 1;

@@ -31,3 +31,47 @@ pub mod workload;
 pub use context::ExecContext;
 pub use join::JoinSpec;
 pub use spill::SpillFile;
+
+use mmdb_storage::MemRelation;
+use mmdb_types::Tuple;
+use std::borrow::Borrow;
+
+/// A row the join and sort cores read: an owned [`Tuple`] (the 1984
+/// experiments' relations), a `&Tuple` lent from where it lives (the SQL
+/// layer's row cache), or a `Cow` of either (a join's intermediate
+/// result). Cloning one is what spilling it moves: a tuple copy for an
+/// owned row, a pointer for a lent one.
+pub trait Row: Borrow<Tuple> + Clone + Ord {}
+
+impl<T: Borrow<Tuple> + Clone + Ord> Row for T {}
+
+/// One operator input: its rows and the logical page fanout the §3 cost
+/// model groups them by.
+#[derive(Debug)]
+pub struct Rows<'a, T> {
+    /// The rows, in input order.
+    pub tuples: &'a [T],
+    /// Rows per logical page (at least 1).
+    pub tuples_per_page: usize,
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// `tuples` grouped `tuples_per_page` to a page.
+    pub fn new(tuples: &'a [T], tuples_per_page: usize) -> Self {
+        Rows {
+            tuples,
+            tuples_per_page: tuples_per_page.max(1),
+        }
+    }
+
+    /// `|R|`: pages, the last one possibly partial.
+    pub fn page_count(&self) -> usize {
+        self.tuples.len().div_ceil(self.tuples_per_page)
+    }
+}
+
+impl<'a> From<&'a MemRelation> for Rows<'a, Tuple> {
+    fn from(rel: &'a MemRelation) -> Self {
+        Rows::new(rel.tuples(), rel.tuples_per_page())
+    }
+}

@@ -7,6 +7,7 @@
 
 use crate::context::ExecContext;
 use crate::spill::{SpillFile, SpillIo};
+use crate::{Row, Rows};
 use mmdb_storage::{CostMeter, MemRelation};
 use mmdb_types::{Tuple, Value};
 use std::sync::Arc;
@@ -101,25 +102,29 @@ impl<T: Ord> CountingHeap<T> {
 /// Heap entry for replacement selection: ordered by `(run, key)` so the
 /// current run drains before the next begins.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct RsEntry {
+struct RsEntry<T> {
     run: u32,
     key: Value,
     seq: u64, // tie-break keeps the ordering total without comparing tuples
-    tuple: Tuple,
+    tuple: T,
 }
 
-/// Forms sorted runs from `rel` (keyed on column `key_col`) by replacement
-/// selection, using at most the context's memory for the selection tree.
-/// Runs are written sequentially; each averages `2·{M}` tuples on random
-/// input (Knuth via §3.4).
-pub fn form_runs(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Vec<SpillFile> {
-    let tpp = rel.tuples_per_page().max(1);
+/// Forms sorted runs from `rows` (keyed on column `key_col`) by
+/// replacement selection, using at most the context's memory for the
+/// selection tree. Runs are written sequentially; each averages `2·{M}`
+/// tuples on random input (Knuth via §3.4).
+pub fn form_runs<T: Row>(
+    rows: Rows<'_, T>,
+    key_col: usize,
+    ctx: &ExecContext,
+) -> Vec<SpillFile<T>> {
+    let tpp = rows.tuples_per_page;
     let capacity = ctx.mem_tuple_capacity(tpp);
-    let mut input = rel.tuples().iter();
-    let mut heap: CountingHeap<RsEntry> = CountingHeap::new(Arc::clone(&ctx.meter));
+    let mut input = rows.tuples.iter();
+    let mut heap: CountingHeap<RsEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
     let mut seq = 0u64;
-    let mut push = |heap: &mut CountingHeap<RsEntry>, run: u32, tuple: &Tuple| {
-        let key = tuple.get(key_col).clone();
+    let mut push = |heap: &mut CountingHeap<RsEntry<T>>, run: u32, tuple: &T| {
+        let key = tuple.borrow().get(key_col).clone();
         let entry = RsEntry {
             run,
             key,
@@ -134,7 +139,7 @@ pub fn form_runs(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Vec<Sp
         push(&mut heap, 0, t);
     }
 
-    let mut runs: Vec<SpillFile> = Vec::new();
+    let mut runs: Vec<SpillFile<T>> = Vec::new();
     let mut current_run = 0u32;
     let mut current = SpillFile::new(Arc::clone(&ctx.meter), tpp);
     while let Some(entry) = heap.pop() {
@@ -146,7 +151,7 @@ pub fn form_runs(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Vec<Sp
         }
         if let Some(t) = input.next() {
             ctx.meter.charge_comparisons(1);
-            let next_run = if *t.get(key_col) >= entry.key {
+            let next_run = if *t.borrow().get(key_col) >= entry.key {
                 entry.run
             } else {
                 entry.run + 1
@@ -164,24 +169,24 @@ pub fn form_runs(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Vec<Sp
 
 /// Heap entry for the n-way merge: `(key, run index, position)`.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct MergeEntry {
+struct MergeEntry<T> {
     key: Value,
     seq: u64,
     run: usize,
-    tuple: Tuple,
+    tuple: T,
 }
 
 /// Cursor over one run's pages, reading each page with one random I/O as
 /// the merge interleaves across runs.
-struct RunCursor {
-    file: SpillFile,
+struct RunCursor<T> {
+    file: SpillFile<T>,
     page_idx: usize,
-    buffer: Vec<Tuple>,
+    buffer: Vec<T>,
     pos: usize,
 }
 
-impl RunCursor {
-    fn new(file: SpillFile) -> Self {
+impl<T: Clone> RunCursor<T> {
+    fn new(file: SpillFile<T>) -> Self {
         RunCursor {
             file,
             page_idx: 0,
@@ -190,7 +195,7 @@ impl RunCursor {
         }
     }
 
-    fn next(&mut self) -> Option<Tuple> {
+    fn next(&mut self) -> Option<T> {
         if self.pos >= self.buffer.len() {
             if self.page_idx >= self.file.closed_pages() {
                 return None;
@@ -205,11 +210,11 @@ impl RunCursor {
     }
 }
 
-/// Merges sorted runs into one fully sorted tuple vector, charging heap
+/// Merges sorted runs into one fully sorted row vector, charging heap
 /// comparisons/swaps and one random I/O per run page read.
-pub fn merge_runs(runs: Vec<SpillFile>, key_col: usize, ctx: &ExecContext) -> Vec<Tuple> {
+pub fn merge_runs<T: Row>(runs: Vec<SpillFile<T>>, key_col: usize, ctx: &ExecContext) -> Vec<T> {
     // Make sure trailing partial pages are on "disk".
-    let mut cursors: Vec<RunCursor> = runs
+    let mut cursors: Vec<RunCursor<T>> = runs
         .into_iter()
         .map(|mut f| {
             f.flush(SpillIo::Sequential);
@@ -217,12 +222,12 @@ pub fn merge_runs(runs: Vec<SpillFile>, key_col: usize, ctx: &ExecContext) -> Ve
         })
         .collect();
     let total: usize = cursors.iter().map(|c| c.file.tuple_count()).sum();
-    let mut heap: CountingHeap<MergeEntry> = CountingHeap::new(Arc::clone(&ctx.meter));
+    let mut heap: CountingHeap<MergeEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
     let mut seq = 0u64;
     for (i, c) in cursors.iter_mut().enumerate() {
         if let Some(t) = c.next() {
             heap.push(MergeEntry {
-                key: t.get(key_col).clone(),
+                key: t.borrow().get(key_col).clone(),
                 seq,
                 run: i,
                 tuple: t,
@@ -234,7 +239,7 @@ pub fn merge_runs(runs: Vec<SpillFile>, key_col: usize, ctx: &ExecContext) -> Ve
     while let Some(e) = heap.pop() {
         if let Some(t) = cursors[e.run].next() {
             heap.push(MergeEntry {
-                key: t.get(key_col).clone(),
+                key: t.borrow().get(key_col).clone(),
                 seq,
                 run: e.run,
                 tuple: t,
@@ -250,25 +255,30 @@ pub fn merge_runs(runs: Vec<SpillFile>, key_col: usize, ctx: &ExecContext) -> Ve
 /// in memory when `|R|·F ≤ |M|` (no I/O — the paper's beyond-ratio-1.0
 /// regime), otherwise replacement-selection runs plus one merge pass.
 pub fn external_sort(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Vec<Tuple> {
-    let fits = (rel.page_count() as f64) * ctx.fudge <= ctx.mem_pages as f64;
+    sort_rows(rel.into(), key_col, ctx)
+}
+
+/// [`external_sort`] over rows of any [`Row`] type.
+pub(crate) fn sort_rows<T: Row>(rows: Rows<'_, T>, key_col: usize, ctx: &ExecContext) -> Vec<T> {
+    let fits = (rows.page_count() as f64) * ctx.fudge <= ctx.mem_pages as f64;
     if fits {
         // Heap-sort in place: same comparison/swap pricing, no I/O.
-        let mut heap: CountingHeap<RsEntry> = CountingHeap::new(Arc::clone(&ctx.meter));
-        for (seq, t) in rel.tuples().iter().enumerate() {
+        let mut heap: CountingHeap<RsEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
+        for (seq, t) in rows.tuples.iter().enumerate() {
             heap.push(RsEntry {
                 run: 0,
-                key: t.get(key_col).clone(),
+                key: t.borrow().get(key_col).clone(),
                 seq: seq as u64,
                 tuple: t.clone(),
             });
         }
-        let mut out = Vec::with_capacity(rel.tuple_count());
+        let mut out = Vec::with_capacity(rows.tuples.len());
         while let Some(e) = heap.pop() {
             out.push(e.tuple);
         }
         out
     } else {
-        let runs = form_runs(rel, key_col, ctx);
+        let runs = form_runs(rows, key_col, ctx);
         merge_runs(runs, key_col, ctx)
     }
 }
@@ -336,7 +346,7 @@ mod tests {
         let r = rel(&keys, 40);
         // Memory for 1000 tuples (F = 1.0 to make the arithmetic exact).
         let ctx = ExecContext::new(25, 1.0);
-        let runs = form_runs(&r, 0, &ctx);
+        let runs = form_runs(Rows::from(&r), 0, &ctx);
         let avg = n as f64 / runs.len() as f64;
         let mem_tuples = 1000.0;
         assert!(
@@ -357,7 +367,7 @@ mod tests {
         let keys: Vec<i64> = (0..5_000).collect();
         let r = rel(&keys, 40);
         let ctx = ExecContext::new(5, 1.0);
-        let runs = form_runs(&r, 0, &ctx);
+        let runs = form_runs(Rows::from(&r), 0, &ctx);
         assert_eq!(runs.len(), 1, "replacement selection on sorted input");
     }
 
@@ -394,7 +404,7 @@ mod tests {
         let keys: Vec<i64> = (0..4_000).map(|_| rng.int_in(0, 1 << 30)).collect();
         let r = rel(&keys, 40);
         let ctx = ExecContext::new(10, 1.0);
-        let runs = form_runs(&r, 0, &ctx);
+        let runs = form_runs(Rows::from(&r), 0, &ctx);
         assert!(runs.len() > 1);
         let before = ctx.meter.snapshot();
         let merged = merge_runs(runs, 0, &ctx);

@@ -4,7 +4,10 @@
 //! `tuples_per_page`. Every page written and read charges the meter —
 //! sequential or random per the caller's access pattern — which is the
 //! whole of the paper's I/O cost accounting (the tuples themselves stay in
-//! process memory; see DESIGN.md on the simulated-disk substitution).
+//! process memory; see DESIGN.md on the simulated-disk substitution). A
+//! file holds whatever its operator's input holds: owned tuples for the
+//! 1984 experiments, references when the rows are lent (see
+//! [`crate::Row`]), so spilling a lent row moves a pointer.
 
 use mmdb_storage::CostMeter;
 use mmdb_types::Tuple;
@@ -21,15 +24,15 @@ pub enum SpillIo {
 
 /// A temporary file of tuple pages with priced I/O.
 #[derive(Debug)]
-pub struct SpillFile {
-    pages: Vec<Vec<Tuple>>,
-    open_page: Vec<Tuple>,
+pub struct SpillFile<T = Tuple> {
+    pages: Vec<Vec<T>>,
+    open_page: Vec<T>,
     tuples_per_page: usize,
     meter: Arc<CostMeter>,
     tuples: usize,
 }
 
-impl SpillFile {
+impl<T> SpillFile<T> {
     /// A fresh spill file.
     pub fn new(meter: Arc<CostMeter>, tuples_per_page: usize) -> Self {
         assert!(tuples_per_page > 0);
@@ -65,7 +68,7 @@ impl SpillFile {
     /// Appends a tuple to the open output buffer; when the buffer fills it
     /// is written out with one I/O of `io`. (The buffer page itself is part
     /// of the operator's memory grant; callers account for that.)
-    pub fn append(&mut self, tuple: Tuple, io: SpillIo) {
+    pub fn append(&mut self, tuple: T, io: SpillIo) {
         self.open_page.push(tuple);
         self.tuples += 1;
         if self.open_page.len() >= self.tuples_per_page {
@@ -92,11 +95,8 @@ impl SpillFile {
 
     /// Reads the whole file back page by page, charging one I/O of `io`
     /// per page, and consumes it.
-    pub fn drain_pages(mut self, io: SpillIo) -> DrainPages {
-        self.flush(match io {
-            SpillIo::Sequential => SpillIo::Sequential,
-            SpillIo::Random => SpillIo::Random,
-        });
+    pub fn drain_pages(mut self, io: SpillIo) -> DrainPages<T> {
+        self.flush(io);
         DrainPages {
             pages: self.pages.into_iter(),
             meter: self.meter,
@@ -106,7 +106,7 @@ impl SpillFile {
 
     /// Reads one specific page (for merge-style interleaved access),
     /// charging one I/O of `io`. Panics if out of range.
-    pub fn read_page(&self, idx: usize, io: SpillIo) -> &[Tuple] {
+    pub fn read_page(&self, idx: usize, io: SpillIo) -> &[T] {
         match io {
             SpillIo::Sequential => self.meter.charge_seq_ios(1),
             SpillIo::Random => self.meter.charge_rand_ios(1),
@@ -127,14 +127,14 @@ impl SpillFile {
 
 /// Page iterator returned by [`SpillFile::drain_pages`].
 #[derive(Debug)]
-pub struct DrainPages {
-    pages: std::vec::IntoIter<Vec<Tuple>>,
+pub struct DrainPages<T = Tuple> {
+    pages: std::vec::IntoIter<Vec<T>>,
     meter: Arc<CostMeter>,
     io: SpillIo,
 }
 
-impl Iterator for DrainPages {
-    type Item = Vec<Tuple>;
+impl<T> Iterator for DrainPages<T> {
+    type Item = Vec<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let page = self.pages.next()?;
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn empty_file_drains_nothing() {
         let meter = Arc::new(CostMeter::new());
-        let f = SpillFile::new(Arc::clone(&meter), 4);
+        let f: SpillFile = SpillFile::new(Arc::clone(&meter), 4);
         assert!(f.is_empty());
         assert_eq!(f.drain_pages(SpillIo::Sequential).count(), 0);
         assert_eq!(meter.snapshot().total_ios(), 0);

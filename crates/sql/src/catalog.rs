@@ -40,10 +40,12 @@
 //! the closures, or a writer queued behind the catalog lock could
 //! stall the very transaction it is waiting on. Index probes run under
 //! the read lock, builds and maintenance under the write lock; the
-//! indexes add no lock of their own.
+//! indexes add no lock of their own. A `SELECT` holds the read lock for
+//! its whole run over rows lent from the cache, a hold bounded by its
+//! output and plan, not by a copy of its inputs.
 
 use mmdb_index::BPlusTree;
-use mmdb_obs::{Counter, Registry};
+use mmdb_obs::{Counter, Histogram, Registry};
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
@@ -117,13 +119,14 @@ const INDEX_FILL: f64 = 0.69;
 /// that would not walk it.
 pub const CANDIDATE_COST_RATIO: usize = 6;
 
-/// The `mmdb_sql_*` counters. A default set counts into the void; the
+/// The `mmdb_sql_*` metrics. A default set counts into the void; the
 /// one [`SqlMetrics::register`] returns is on an engine's exposition.
 #[derive(Debug, Default)]
-struct SqlMetrics {
+pub(crate) struct SqlMetrics {
     index_probes: Arc<Counter>,
     index_builds: Arc<Counter>,
     rows_scanned: Arc<Counter>,
+    pub(crate) select_lock_hold_us: Arc<Histogram>,
 }
 
 impl SqlMetrics {
@@ -140,6 +143,10 @@ impl SqlMetrics {
             rows_scanned: registry.counter(
                 "mmdb_sql_rows_scanned_total",
                 "Cached rows visited by table accesses that used no index",
+            ),
+            select_lock_hold_us: registry.histogram(
+                "mmdb_sql_select_lock_hold_us",
+                "Microseconds a SELECT held the catalog read lock: reach, plan, join and project",
             ),
         }
     }
@@ -241,7 +248,7 @@ pub struct Catalog {
     tables: BTreeMap<String, TableEntry>,
     next_table_id: u32,
     indexes: BTreeMap<(u32, usize), ColumnIndex>,
-    metrics: SqlMetrics,
+    pub(crate) metrics: SqlMetrics,
 }
 
 impl Catalog {
@@ -254,21 +261,20 @@ impl Catalog {
     }
 
     /// How a table is reached (§2): decided here, under the catalog read
-    /// lock, before any row is copied, for `SELECT`, `UPDATE` and
-    /// `DELETE` alike. `pred` is the conjunction of the table's own
-    /// `column op literal` conditions. If one of them is an equality on
-    /// an indexed column, that index is probed. Failing that, the range
-    /// conjuncts of each indexed column in turn are walked as one
-    /// `[lo, hi]`, and the first walk naming at most `rows / k`
-    /// candidates ([`CANDIDATE_COST_RATIO`]) is used. Either way `pred` is
-    /// evaluated on the rows the index names only; otherwise every cached
-    /// row is evaluated. `keep` sees exactly the rows `pred` accepts.
-    /// `entry` must be one of this catalog's tables.
-    pub(crate) fn reach<T>(
+    /// lock, for `SELECT`, `UPDATE` and `DELETE` alike. `pred` is the
+    /// conjunction of the table's own `column op literal` conditions. If
+    /// one of them is an equality on an indexed column, that index is
+    /// probed. Failing that, the range conjuncts of each indexed column in
+    /// turn are walked as one `[lo, hi]`, and the first walk naming at most
+    /// `rows / k` candidates ([`CANDIDATE_COST_RATIO`]) is used. Either way
+    /// `pred` is evaluated on the rows the index names only; otherwise
+    /// every cached row is evaluated. `keep` sees exactly the rows `pred`
+    /// accepts. `entry` must be one of this catalog's tables.
+    pub(crate) fn reach<'e, T>(
         &self,
-        entry: &TableEntry,
+        entry: &'e TableEntry,
         pred: &Predicate,
-        mut keep: impl FnMut(u32, &Tuple) -> T,
+        mut keep: impl FnMut(u32, &'e Tuple) -> T,
     ) -> Reached<T> {
         let mut conjuncts = Vec::new();
         indexable_conjuncts(pred, &mut conjuncts);

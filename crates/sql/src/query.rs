@@ -1,41 +1,38 @@
 //! The binder/planner bridge and plan executor.
 //!
-//! A `SELECT` runs in two phases. Under the catalog read lock,
-//! [`snapshot_tables`] binds every column the statement names against
-//! the full schemas, binds each `FROM` table's own `column op literal`
-//! conjuncts, and has `Catalog::reach` decide how the table is reached —
-//! a §2 index probe for an equality, a walk of the index's leaf chain for
-//! the `<`/`<=`/`>`/`>=` conjuncts of one column, or a filtered scan.
-//! A scan asks for the index an equality would have used, or that a
-//! selective range would: one that kept fewer than `rows / k` rows, with
-//! `k` ([`crate::catalog::CANDIDATE_COST_RATIO`]) the measured cost of
-//! fetching one row an index names against visiting one in a scan. The
-//! `SELECT` builds it once the read lock is released. Only the rows the
-//! conjuncts keep are copied, once, and of each only the columns a join
-//! edge or the projection names. With the lock released,
-//! [`run_select_on`] turns the equi-join edges into the §4 optimizer's
-//! [`QuerySpec`], planned with the survivors' exact count and the exact
-//! distinct counts of their join columns (all it reads once the
-//! predicates are spent), executes the plan with the §3 `mmdb-exec`
-//! operators, and moves each result value out of the join output.
-//! `INSERT`/`UPDATE`/`DELETE` binding helpers
-//! (row coercion, single-table predicates, `SET` expressions) also live
-//! here so [`crate::session`] stays focused on transaction mechanics.
+//! A `SELECT` runs whole under the catalog read lock, over rows lent from
+//! the catalog's cache. [`snapshot_tables`] binds every column the
+//! statement names, binds each `FROM` table's own `column op literal`
+//! conjuncts, and has `Catalog::reach` probe, walk or scan the table,
+//! keeping a reference to each row that survives; a scan may ask for an
+//! index, built once the statement has succeeded and the lock is
+//! released. [`run_select_on`] plans the equi-join edges with the §4
+//! optimizer, given the survivors' exact count and the exact distinct
+//! counts of their join columns, and runs the plan with the §3
+//! `mmdb-exec` cores over the borrowed rows: the top join's sink builds
+//! each result row from its matched pair, cloning each returned value
+//! once, and a join below it hands its pairs up concatenated. The lock is
+//! held for the whole statement, so a writer queued behind a `SELECT`
+//! waits for a time bounded by its output and plan, not by a copy of its
+//! inputs. `INSERT`/`UPDATE`/`DELETE` binding helpers (row coercion,
+//! single-table predicates, `SET` expressions) also live here so
+//! [`crate::session`] stays focused on transaction mechanics.
 
 use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr};
 use crate::catalog::{Catalog, TableEntry};
-use mmdb_exec::join::{run_join, Algo};
-use mmdb_exec::{ExecContext, JoinSpec};
+use mmdb_exec::join::{join_rows, Algo, Emit};
+use mmdb_exec::{ExecContext, JoinSpec, Rows};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef, TableStats};
-use mmdb_storage::MemRelation;
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{DataType, Schema};
 use mmdb_types::tuple::Tuple;
 use mmdb_types::value::Value;
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// Page geometry for planning and execution: rows of the volatile
 /// catalog are grouped this many to a "page" for the cost model.
@@ -67,26 +64,17 @@ impl QueryResult {
     }
 }
 
-/// One `FROM` table as a `SELECT` sees it: the rows its own conjuncts
-/// kept, cut down to the columns a join edge or the projection names.
-/// Built under the catalog read lock by [`snapshot_tables`], then
-/// planned and executed lock-free by [`run_select_on`].
-pub struct BoundTable {
+/// One `FROM` table as a `SELECT` sees it: its schema and the rows its
+/// own conjuncts kept, lent from the catalog under its read lock.
+pub struct BoundTable<'c> {
     /// Lowercased canonical name (what the planner sees).
     name: String,
-    /// The surviving rows' named columns, copied once; the join
-    /// operators take the relation itself.
-    rows: MemRelation,
+    schema: &'c Schema,
+    /// The surviving rows, in rid order.
+    rows: Vec<&'c Tuple>,
     /// The column whose index the access asked for (see
     /// `Reached::wants_index`).
     wants_index: Option<usize>,
-}
-
-impl BoundTable {
-    /// The `(table, column)` index this table's access path asked for.
-    pub(crate) fn wanted_index(&self) -> Option<(&str, usize)> {
-        self.wants_index.map(|column| (self.name.as_str(), column))
-    }
 }
 
 /// Coerces a bound value toward a column type: integers widen to
@@ -358,37 +346,62 @@ fn join_edges(stmt: &SelectStmt, tables: &[(&str, &Schema)]) -> Result<Vec<JoinE
 /// spent. Other columns are [`mmdb_planner::ColumnStats::unknown`], no
 /// min/max is kept, and a single-table `SELECT` hashes nothing.
 fn compute_stats(t: &BoundTable, ti: usize, joins: &[JoinEdge]) -> TableStats {
-    let tuples = t.rows.tuples();
     let mut stats = TableStats::uniform(
         t.name.clone(),
-        tuples.len() as u64,
+        t.rows.len() as u64,
         TUPLES_PER_PAGE as u64,
-        t.rows.schema().arity(),
+        t.schema.arity(),
     );
     for (table, c) in joins.iter().flat_map(JoinEdge::ends) {
         if let Some(col) = stats.columns.get_mut(c).filter(|_| table == ti) {
-            let distinct: HashSet<&Value> = tuples.iter().map(|row| row.get(c)).collect();
+            let distinct: HashSet<&Value> = t.rows.iter().map(|row| row.get(c)).collect();
             col.distinct = distinct.len().max(1) as u64;
         }
     }
     stats
 }
 
-/// Executes a plan over the `FROM` tables' surviving rows, each taken —
-/// not copied — by the one access that names it.
-fn execute_plan(
+/// The rows a plan node produces: a base table's survivors, still lent
+/// from the cache, or a join's pairs, concatenated and owned.
+fn rows_of<'c>(
     plan: &PhysicalPlan,
-    tables: &mut [(String, Option<MemRelation>)],
+    tables: &[BoundTable<'c>],
     ctx: &ExecContext,
-) -> Result<MemRelation> {
+) -> Result<Vec<Cow<'c, Tuple>>> {
+    if let PhysicalPlan::Access(path) = plan {
+        let rows = rows_named(tables, path.table())?;
+        return Ok(rows.iter().copied().map(Cow::Borrowed).collect());
+    }
+    let mut out = Vec::new();
+    run_plan(plan, tables, ctx, |l: &Tuple, r: &Tuple| {
+        out.push(Cow::Owned(l.concat(r)));
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// The survivors of `name`, its own conjuncts applied when it was reached.
+fn rows_named<'t, 'c>(tables: &'t [BoundTable<'c>], name: &str) -> Result<&'t [&'c Tuple]> {
+    let table = tables.iter().find(|t| t.name == name);
+    table
+        .map(|t| t.rows.as_slice())
+        .ok_or_else(|| Error::RelationNotFound(name.to_string()))
+}
+
+/// Runs a plan with the §3 cores, handing each output row to `emit` as
+/// its left and right halves; a lone table's rows have an empty right.
+fn run_plan(
+    plan: &PhysicalPlan,
+    tables: &[BoundTable<'_>],
+    ctx: &ExecContext,
+    mut emit: impl Emit,
+) -> Result<()> {
     match plan {
-        // Whatever path the optimizer priced, the table's own conjuncts
-        // were applied on the way out of the catalog.
-        PhysicalPlan::Access(path) => tables
-            .iter_mut()
-            .find(|(name, _)| name == path.table())
-            .and_then(|(_, rows)| rows.take())
-            .ok_or_else(|| Error::RelationNotFound(path.table().to_string())),
+        PhysicalPlan::Access(path) => {
+            let none = Tuple::default();
+            let rows = rows_named(tables, path.table())?;
+            rows.iter().try_for_each(|row| emit(row, &none))
+        }
         PhysicalPlan::Join {
             left,
             right,
@@ -397,48 +410,51 @@ fn execute_plan(
             method,
             ..
         } => {
-            let l = execute_plan(left, tables, ctx)?;
-            let r = execute_plan(right, tables, ctx)?;
+            let (l, r) = (rows_of(left, tables, ctx)?, rows_of(right, tables, ctx)?);
             let algo = match method {
                 JoinMethod::HybridHash => Algo::HybridHash,
                 JoinMethod::SimpleHash => Algo::SimpleHash,
                 JoinMethod::GraceHash => Algo::GraceHash,
                 JoinMethod::SortMerge => Algo::SortMerge,
             };
-            run_join(algo, &l, &r, JoinSpec::new(*left_key, *right_key), ctx)
+            let (l, r) = (
+                Rows::new(&l, TUPLES_PER_PAGE),
+                Rows::new(&r, TUPLES_PER_PAGE),
+            );
+            join_rows(algo, l, r, JoinSpec::new(*left_key, *right_key), ctx, emit)
         }
     }
 }
 
 /// Reaches the tables a `SELECT` references, resolved with `viewer`
-/// visibility: binds each table's own `column op literal` conjuncts,
-/// lets `Catalog::reach` probe, walk or scan, and copies the rows that
-/// survive. This is the only part of `SELECT` that touches the catalog;
-/// callers run it under the catalog read lock, release the lock, and
-/// hand the result to [`run_select_on`] so planning and join execution
-/// never stall writers.
-pub fn snapshot_tables(
+/// visibility, once every column it names has bound: `Catalog::reach`
+/// keeps a reference to each row its table's own conjuncts accept.
+/// Callers hold the read lock until [`run_select_on`] has run.
+pub fn snapshot_tables<'c>(
     stmt: &SelectStmt,
-    catalog: &Catalog,
+    catalog: &'c Catalog,
     viewer: Option<TxnId>,
-) -> Result<Vec<BoundTable>> {
-    let mut names: Vec<String> = Vec::with_capacity(stmt.tables.len());
+) -> Result<Vec<BoundTable<'c>>> {
+    let mut tables: Vec<BoundTable<'c>> = Vec::with_capacity(stmt.tables.len());
     let mut entries: Vec<&TableEntry> = Vec::with_capacity(stmt.tables.len());
     for name in &stmt.tables {
         let lower = name.to_ascii_lowercase();
-        if names.contains(&lower) {
+        if tables.iter().any(|t| t.name == lower) {
             return Err(Error::Planning(format!(
                 "table '{lower}' appears twice in FROM; self-joins are not supported"
             )));
         }
-        entries.push(catalog.table(name, viewer)?);
-        names.push(lower);
+        let entry = catalog.table(name, viewer)?;
+        tables.push(BoundTable {
+            name: lower,
+            schema: &entry.schema,
+            rows: Vec::new(),
+            wants_index: None,
+        });
+        entries.push(entry);
     }
-    let schemas: Vec<(&str, &Schema)> = names
-        .iter()
-        .zip(&entries)
-        .map(|(name, entry)| (name.as_str(), &entry.schema))
-        .collect();
+    let schemas: Vec<(&str, &Schema)> =
+        tables.iter().map(|t| (t.name.as_str(), t.schema)).collect();
     let mut preds: Vec<Predicate> = entries.iter().map(|_| Predicate::True).collect();
     for cond in &stmt.conditions {
         if let Condition::Compare { col, op, lit } = cond {
@@ -449,39 +465,24 @@ pub fn snapshot_tables(
             }
         }
     }
-    // The columns a table carries out of the catalog: those a join edge
-    // or the projection names. A `WHERE` column is read in place.
-    let mut named: Vec<(usize, usize)> = Vec::new();
-    named.extend(join_edges(stmt, &schemas)?.iter().flat_map(JoinEdge::ends));
-    let star = matches!(stmt.projection, Projection::Star);
+    join_edges(stmt, &schemas)?;
     if let Projection::Columns(cols) = &stmt.projection {
         for col in cols {
-            named.push(resolve(col, &schemas)?);
+            resolve(col, &schemas)?;
         }
     }
-    let mut tables = Vec::with_capacity(names.len());
-    for (ti, ((name, entry), pred)) in names.into_iter().zip(entries).zip(preds).enumerate() {
-        let needed: Vec<usize> = (0..entry.schema.arity())
-            .filter(|ci| star || named.contains(&(ti, *ci)))
-            .collect();
-        let reached = catalog.reach(entry, &pred, |_, row| row.project(&needed));
-        let schema = entry.schema.project(&needed)?;
-        tables.push(BoundTable {
-            name,
-            rows: MemRelation::from_tuples(schema, TUPLES_PER_PAGE, reached.kept)?,
-            wants_index: reached.wants_index,
-        });
+    for ((table, entry), pred) in tables.iter_mut().zip(entries).zip(preds) {
+        let reached = catalog.reach(entry, &pred, |_, row| row);
+        (table.rows, table.wants_index) = (reached.kept, reached.wants_index);
     }
     Ok(tables)
 }
 
 /// Plans and executes a bound `SELECT` over the rows [`snapshot_tables`]
-/// kept. No catalog access happens here, so no lock need be held.
-pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<QueryResult> {
-    let schemas: Vec<(&str, &Schema)> = tables
-        .iter()
-        .map(|t| (t.name.as_str(), t.rows.schema()))
-        .collect();
+/// kept, which borrow the catalog: the caller still holds its read lock.
+pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable<'_>>) -> Result<QueryResult> {
+    let schemas: Vec<(&str, &Schema)> =
+        tables.iter().map(|t| (t.name.as_str(), t.schema)).collect();
     // The `column op literal` conditions were applied when the tables
     // were reached; what is left to plan are the join edges.
     let joins = join_edges(stmt, &schemas)?;
@@ -541,35 +542,16 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
             .collect::<Result<_>>()?,
     };
 
-    // Execute the chosen physical plan with the §3 operators.
-    let mut rows_of: Vec<(String, Option<MemRelation>)> =
-        tables.into_iter().map(|t| (t.name, Some(t.rows))).collect();
+    // Execute the chosen physical plan with the §3 cores; each output
+    // row is built from its two halves, cloning only what it returns.
+    let mut rows: Vec<Vec<Value>> = Vec::new();
     let ctx = ExecContext::new(env.mem_pages, 1.2);
-    let rel = execute_plan(&planned.plan, &mut rows_of, &ctx)?;
-
-    // Each value is moved out on its last use in the projection; only a
-    // column listed twice is cloned for its earlier uses.
-    let last_use: Vec<bool> = indices
-        .iter()
-        .enumerate()
-        .map(|(k, i)| !indices.iter().skip(k + 1).any(|j| j == i))
-        .collect();
-    let rows = rel
-        .into_tuples()
-        .into_iter()
-        .map(|t| {
-            let mut values = t.into_values();
-            indices
-                .iter()
-                .zip(&last_use)
-                .map(|(&i, &last)| match values.get_mut(i) {
-                    Some(v) if last => Ok(std::mem::replace(v, Value::Null)),
-                    Some(v) => Ok(v.clone()),
-                    None => Err(Error::Internal("projection past the plan output".into())),
-                })
-                .collect()
-        })
-        .collect::<Result<_>>()?;
+    run_plan(&planned.plan, &tables, &ctx, |l: &Tuple, r: &Tuple| {
+        let value = |&i: &usize| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
+        let row: Option<Vec<Value>> = indices.iter().map(|i| value(i).cloned()).collect();
+        rows.push(row.ok_or_else(|| Error::Internal("projection past the plan output".into()))?);
+        Ok(())
+    })?;
     Ok(QueryResult {
         columns: names,
         rows,
@@ -577,15 +559,25 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
     })
 }
 
-/// Snapshot + plan + execute in one call. The session splits the two
-/// phases to scope the catalog lock; this composition serves callers
-/// (and tests) that already hold the catalog.
-pub fn run_select(
+/// Reach + plan + execute under the caller's read lock on `catalog`,
+/// recording how long it held it; also returns the `(table, column)`
+/// indexes the accesses asked for.
+pub(crate) fn run_select(
     stmt: &SelectStmt,
     catalog: &Catalog,
     viewer: Option<TxnId>,
-) -> Result<QueryResult> {
-    run_select_on(stmt, snapshot_tables(stmt, catalog, viewer)?)
+) -> Result<(QueryResult, Vec<(String, usize)>)> {
+    let since = Instant::now();
+    let run = snapshot_tables(stmt, catalog, viewer).and_then(|tables| {
+        let wanted = tables
+            .iter()
+            .filter_map(|t| Some((t.name.clone(), t.wants_index?)));
+        let wanted = wanted.collect();
+        Ok((run_select_on(stmt, tables)?, wanted))
+    });
+    let held = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
+    catalog.metrics.select_lock_hold_us.record(held);
+    run
 }
 
 #[cfg(test)]
@@ -643,7 +635,7 @@ mod tests {
 
     fn select(cat: &Catalog, sql: &str) -> QueryResult {
         match parse(sql).unwrap() {
-            Statement::Select(s) => run_select(&s, cat, None).unwrap(),
+            Statement::Select(s) => run_select(&s, cat, None).unwrap().0,
             other => panic!("not a select: {other:?}"),
         }
     }
@@ -721,22 +713,6 @@ mod tests {
         }
     }
 
-    /// The column names each bound table carries out of the catalog.
-    fn carried(cat: &Catalog, sql: &str) -> Vec<Vec<String>> {
-        let tables = snapshot_tables(&parse_select(sql), cat, None).unwrap();
-        tables
-            .iter()
-            .map(|t| {
-                t.rows
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect()
-            })
-            .collect()
-    }
-
     fn texts(rows: &[Vec<Value>], at: usize) -> Vec<String> {
         let mut v: Vec<String> = rows
             .iter()
@@ -747,11 +723,12 @@ mod tests {
     }
 
     #[test]
-    fn a_where_only_column_is_filtered_on_but_not_copied() {
+    fn a_where_only_column_is_filtered_on_but_not_returned() {
         let cat = catalog();
-        let sql = "SELECT name FROM emp WHERE dept_id = 1";
-        assert_eq!(carried(&cat, sql), vec![vec!["name"]]);
-        assert_eq!(texts(&select(&cat, sql).rows, 0), vec!["ann", "cat"]);
+        let r = select(&cat, "SELECT name FROM emp WHERE dept_id = 1");
+        assert_eq!(r.columns, vec!["name"]);
+        assert!(r.rows.iter().all(|row| row.len() == 1));
+        assert_eq!(texts(&r.rows, 0), vec!["ann", "cat"]);
     }
 
     #[test]
@@ -779,12 +756,7 @@ mod tests {
     #[test]
     fn star_over_a_join_keeps_every_column() {
         let cat = catalog();
-        let sql = "SELECT * FROM emp JOIN dept ON emp.dept_id = dept.id";
-        assert_eq!(
-            carried(&cat, sql),
-            vec![vec!["id", "name", "dept_id"], vec!["id", "title"]]
-        );
-        let r = select(&cat, sql);
+        let r = select(&cat, "SELECT * FROM emp JOIN dept ON emp.dept_id = dept.id");
         let mut columns = r.columns.clone();
         columns.sort();
         assert_eq!(
@@ -801,28 +773,25 @@ mod tests {
     }
 
     #[test]
-    fn a_join_only_column_is_carried_but_not_returned() {
+    fn a_join_only_column_is_joined_on_but_not_returned() {
         let cat = catalog();
-        let sql = "SELECT dept.title FROM emp JOIN dept ON emp.dept_id = dept.id";
-        assert_eq!(
-            carried(&cat, sql),
-            vec![vec!["dept_id"], vec!["id", "title"]]
+        let r = select(
+            &cat,
+            "SELECT dept.title FROM emp JOIN dept ON emp.dept_id = dept.id",
         );
-        let r = select(&cat, sql);
         assert_eq!(r.columns, vec!["dept.title"]);
+        assert!(r.rows.iter().all(|row| row.len() == 1));
         assert_eq!(texts(&r.rows, 0), vec!["eng", "eng", "ops"]);
     }
 
     #[test]
-    fn an_unqualified_column_resolves_before_and_after_pruning() {
+    fn unqualified_columns_resolve_across_a_join() {
         let cat = catalog();
-        let sql = "SELECT name, title FROM emp JOIN dept ON emp.dept_id = dept.id \
-                   WHERE dept_id = 1";
-        assert_eq!(
-            carried(&cat, sql),
-            vec![vec!["name", "dept_id"], vec!["id", "title"]]
+        let r = select(
+            &cat,
+            "SELECT name, title FROM emp JOIN dept ON emp.dept_id = dept.id \
+             WHERE dept_id = 1",
         );
-        let r = select(&cat, sql);
         assert_eq!(r.columns, vec!["name", "title"]);
         assert_eq!(texts(&r.rows, 0), vec!["ann", "cat"]);
         assert_eq!(texts(&r.rows, 1), vec!["eng", "eng"]);
@@ -831,10 +800,9 @@ mod tests {
     /// The statistics every column used to get: exact distinct counts
     /// and min/max over the surviving rows.
     fn all_column_stats(t: &BoundTable) -> TableStats {
-        let tuples = t.rows.tuples();
         let mut stats = compute_stats(t, usize::MAX, &[]);
         for (ci, col) in stats.columns.iter_mut().enumerate() {
-            let values: Vec<&Value> = tuples.iter().map(|row| row.get(ci)).collect();
+            let values: Vec<&Value> = t.rows.iter().map(|row| row.get(ci)).collect();
             let distinct: HashSet<&Value> = values.iter().copied().collect();
             col.distinct = distinct.len().max(1) as u64;
             col.min = values.iter().min().map(|v| (*v).clone());
@@ -930,10 +898,8 @@ mod tests {
         for (cat, sql) in cases {
             let stmt = parse_select(sql);
             let tables = snapshot_tables(&stmt, &cat, None).unwrap();
-            let schemas: Vec<(&str, &Schema)> = tables
-                .iter()
-                .map(|t| (t.name.as_str(), t.rows.schema()))
-                .collect();
+            let schemas: Vec<(&str, &Schema)> =
+                tables.iter().map(|t| (t.name.as_str(), t.schema)).collect();
             let spec = QuerySpec {
                 tables: tables
                     .iter()

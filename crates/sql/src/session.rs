@@ -394,18 +394,18 @@ impl SqlSession {
                 Ok(QueryResult::ack())
             }
             Statement::Select(sel) => {
-                // Reach the tables under the catalog read lock, then plan
-                // and execute with the lock released — a long analytic
-                // join must not stall every writer on the outermost lock.
+                // The read lock is held for the whole run, bounded by its
+                // output, not by a copy of its inputs (rows are lent). The
+                // indexes it wanted are built after, only if it succeeded.
                 let viewer = self.txn.as_ref().map(Txn::id);
-                let tables = self
+                let (result, wanted) = self
                     .db
                     .catalog
-                    .with_catalog_read(|c| query::snapshot_tables(sel, c, viewer))?;
-                for (table, column) in tables.iter().filter_map(query::BoundTable::wanted_index) {
-                    self.db.build_index(table, column)?;
+                    .with_catalog_read(|c| query::run_select(sel, c, viewer))?;
+                for (table, column) in wanted {
+                    self.db.build_index(&table, column)?;
                 }
-                Ok(query::run_select_on(sel, tables)?)
+                Ok(result)
             }
             mutation => self.run_mutation(mutation),
         }
@@ -1039,6 +1039,70 @@ mod tests {
         let r = b.execute("SELECT * FROM t").unwrap();
         assert!(r.rows.is_empty());
         db.audit().unwrap();
+        eng.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A three-table join: the lower join's pairs are owned rows that the
+    /// top join reads beside rows lent from the cache. Checked against a
+    /// nested loop over the inserted values.
+    #[test]
+    fn a_three_table_join_matches_nested_loops() {
+        let dir = temp_dir("three-way");
+        let eng = engine(&dir);
+        let db = SqlDb::open(&eng).unwrap();
+        let mut s = db.session();
+        s.execute("CREATE TABLE a (id INT, x TEXT)").unwrap();
+        s.execute("CREATE TABLE b (id INT, a_id INT, y INT)")
+            .unwrap();
+        s.execute("CREATE TABLE c (b_id INT, z INT)").unwrap();
+        let a: Vec<(i64, String)> = (0..12).map(|i| (i, format!("a{i}"))).collect();
+        let b: Vec<(i64, i64, i64)> = (0..30).map(|i| (i, (i * 7) % 15, i % 4)).collect();
+        let c: Vec<(i64, i64)> = (0..60).map(|i| ((i * 11) % 35, i % 5)).collect();
+        let values = |rows: Vec<String>| rows.join(", ");
+        s.execute(&format!(
+            "INSERT INTO a VALUES {}",
+            values(a.iter().map(|(id, x)| format!("({id}, '{x}')")).collect())
+        ))
+        .unwrap();
+        s.execute(&format!(
+            "INSERT INTO b VALUES {}",
+            values(
+                b.iter()
+                    .map(|(id, a_id, y)| format!("({id}, {a_id}, {y})"))
+                    .collect()
+            )
+        ))
+        .unwrap();
+        s.execute(&format!(
+            "INSERT INTO c VALUES {}",
+            values(c.iter().map(|(b_id, z)| format!("({b_id}, {z})")).collect())
+        ))
+        .unwrap();
+
+        let r = s
+            .execute(
+                "SELECT a.x, c.z, b.y, a.x FROM a, b, c \
+                 WHERE a.id = b.a_id AND b.id = c.b_id AND c.z > 1",
+            )
+            .unwrap();
+        assert_eq!(r.columns, vec!["a.x", "c.z", "b.y", "a.x"]);
+        let mut want = Vec::new();
+        for (a_id, x) in &a {
+            for (b_id, b_a, y) in &b {
+                for (c_b, z) in &c {
+                    if a_id == b_a && b_id == c_b && *z > 1 {
+                        let x = Value::Str(x.clone());
+                        want.push(vec![x.clone(), Value::Int(*z), Value::Int(*y), x]);
+                    }
+                }
+            }
+        }
+        let mut got = r.rows;
+        got.sort();
+        want.sort();
+        assert!(!want.is_empty());
+        assert_eq!(got, want);
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

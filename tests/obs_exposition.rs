@@ -229,11 +229,13 @@ const SERVER_FAMILIES: [(&str, &str); 15] = [
 /// The SQL layer's metric inventory: [`mmdb_sql::SqlDb::open`] — which
 /// starting a server does — registers these on the engine's registry.
 /// How a table was reached (§2): by index probe, or by visiting cached
-/// rows; and how many column indexes that has built so far.
-const SQL_FAMILIES: [(&str, &str); 3] = [
+/// rows; how many column indexes that has built so far; and how long
+/// each `SELECT` held the catalog read lock it runs under.
+const SQL_FAMILIES: [(&str, &str); 4] = [
     ("mmdb_sql_index_probes_total", "counter"),
     ("mmdb_sql_index_builds_total", "counter"),
     ("mmdb_sql_rows_scanned_total", "counter"),
+    ("mmdb_sql_select_lock_hold_us", "histogram"),
 ];
 
 /// Starting a server adds exactly the [`SERVER_FAMILIES`] and the
@@ -259,6 +261,8 @@ fn server_families_join_the_engine_exposition() {
     assert_eq!(stats.counter("mmdb_sql_rows_scanned_total"), Some(2));
     assert_eq!(stats.counter("mmdb_sql_index_probes_total"), Some(0));
     assert_eq!(stats.counter("mmdb_sql_index_builds_total"), Some(0));
+    let hold = stats.histogram("mmdb_sql_select_lock_hold_us");
+    assert_eq!(hold.map(|h| h.count), Some(1), "one sample per SELECT");
     assert_eq!(stats.counter("mmdb_server_requests_total"), Some(4));
     assert_eq!(stats.counter("mmdb_server_parse_errors_total"), Some(1));
     // With `requests_total`, system calls per request: every answer

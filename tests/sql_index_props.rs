@@ -222,6 +222,32 @@ fn a_select_that_fails_to_bind_builds_no_index() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_select_that_fails_to_plan_builds_no_index() {
+    let dir = tmp_dir("failed-plan");
+    let engine = Engine::start(options(&dir)).unwrap();
+    let db = SqlDb::open(&engine).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE TABLE emp (id INT, dept INT)").unwrap();
+    s.execute("CREATE TABLE dept (id INT, title TEXT)").unwrap();
+    s.execute("INSERT INTO emp VALUES (3, 1), (4, 1)").unwrap();
+    s.execute("INSERT INTO dept VALUES (1, 'eng')").unwrap();
+    // Every column binds, so both tables are reached and `emp.id = 3`
+    // asks for an index on `emp.id`; then no join edge connects the two
+    // tables and the plan fails. A failed statement builds nothing.
+    let sql = "SELECT * FROM emp, dept WHERE emp.id = 3";
+    let before = counts(&engine);
+    assert!(s.execute(sql).is_err(), "{sql} must not plan");
+    assert_eq!(counts(&engine)[1], before[1], "{sql} built an index");
+    // Joined, the same predicate builds the index once.
+    let joined = "SELECT dept.title FROM emp, dept WHERE emp.id = 3 AND emp.dept = dept.id";
+    assert_eq!(added_by(&engine, &mut s, joined)[1], 1);
+    db.audit().unwrap();
+    drop(s);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // Differential property test
 // ---------------------------------------------------------------------

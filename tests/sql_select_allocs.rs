@@ -1,13 +1,14 @@
-//! What a join `SELECT` allocates per row it returns, counted, not timed.
+//! What a `SELECT` allocates, counted, not timed.
 //!
 //! `analytic_join`'s shape in process: 1,000 `customers (id, region,
 //! name)` and 10,000 `orders (id, cust, amount, note)`, joined on
 //! `orders.cust = customers.id` under `orders.amount > t`, ≈ 750 rows a
-//! query, through `SqlDb` / `SqlSession`. A counting global allocator
+//! query, through `SqlDb` / `SqlSession`; and `point_read`'s shape, a
+//! keyed `SELECT bal FROM acct WHERE id = k`. A counting global allocator
 //! delegates to `System` and counts the calling thread only, so the
 //! engine's log writer threads are not counted.
 //!
-//! Measured on this shape (`alloc` and `realloc` calls per returned row,
+//! Measured on the join (`alloc` and `realloc` calls per returned row,
 //! the same in debug and release builds):
 //!
 //! - 12.48 while `compute_stats` hashed every column of both inputs, the
@@ -18,11 +19,17 @@
 //! - 6.86 with the hash table holding positions in its borrowed build
 //!   side instead of a clone of each build tuple in a `Vec` per bucket
 //!   (and `amount > t` walked in its B+-tree, which allocates per query,
-//!   not per row).
+//!   not per row);
+//! - 2.19 with the join run over rows lent from the catalog's cache and
+//!   each result row built from its matched pair: no survivor is copied
+//!   out, no output tuple is concatenated, and each returned value is
+//!   cloned once.
 //!
-//! The budget sits between the last two: cloning the build side into the
-//! hash table again (7.86), or any of the copies before it, fails this
-//! test.
+//! The join's budget sits above the last: copying the survivors out of
+//! the cache again, or concatenating each matched pair before projecting
+//! it, fails this test. A point `SELECT` made 49 allocations, parse to
+//! result, while it copied its row out of the cache and projected the
+//! schema; it makes 43 over the lent row, and its budget sits between.
 
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_sql::SqlDb;
@@ -31,7 +38,10 @@ use std::cell::Cell;
 use std::time::Duration;
 
 /// Allocations per returned row the join may make.
-const BUDGET_PER_ROW: f64 = 7.6;
+const BUDGET_PER_ROW: f64 = 3.0;
+
+/// Allocations a point `SELECT` may make, parse to result.
+const POINT_BUDGET: f64 = 46.0;
 
 struct CountingAlloc;
 
@@ -100,6 +110,18 @@ impl Lcg {
     }
 }
 
+/// A fresh engine in its own directory under `tag`.
+fn engine(tag: &str) -> (Engine, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("mmdb-sql-allocs-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = Engine::start(
+        EngineOptions::new(CommitPolicy::Group, &dir)
+            .with_flush_interval(Duration::from_micros(50)),
+    )
+    .unwrap();
+    (engine, dir)
+}
+
 #[test]
 fn a_join_allocates_within_budget_per_returned_row() {
     const CUSTOMERS: u64 = 1_000;
@@ -108,13 +130,7 @@ fn a_join_allocates_within_budget_per_returned_row() {
     const THRESHOLD: u64 = 9_250;
     const RUNS: usize = 10;
 
-    let dir = std::env::temp_dir().join(format!("mmdb-sql-allocs-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let engine = Engine::start(
-        EngineOptions::new(CommitPolicy::Group, &dir)
-            .with_flush_interval(Duration::from_micros(50)),
-    )
-    .unwrap();
+    let (engine, dir) = engine("join");
     let db = SqlDb::open(&engine).unwrap();
     let mut s = db.session();
     s.execute("CREATE TABLE orders (id INT, cust INT, amount INT, note TEXT)")
@@ -157,6 +173,50 @@ fn a_join_allocates_within_budget_per_returned_row() {
     assert!(
         per_row < BUDGET_PER_ROW,
         "{per_row:.2} allocations per returned row; the budget is {BUDGET_PER_ROW}"
+    );
+
+    drop(s);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_point_select_allocates_within_budget() {
+    const ROWS: u64 = 1_000;
+    const RUNS: u64 = 200;
+
+    let (engine, dir) = engine("point");
+    let db = SqlDb::open(&engine).unwrap();
+    let mut s = db.session();
+    s.execute("CREATE TABLE acct (id INT, bal INT, note TEXT)")
+        .unwrap();
+    let rows: Vec<String> = (0..ROWS)
+        .map(|id| format!("({id}, {}, 'note-{id}')", 100 + id))
+        .collect();
+    for chunk in rows.chunks(100) {
+        s.execute(&format!("INSERT INTO acct VALUES {}", chunk.join(", ")))
+            .unwrap();
+    }
+    // The first keyed statement builds `acct.id`'s index.
+    assert_eq!(
+        s.execute("SELECT bal FROM acct WHERE id = 0")
+            .unwrap()
+            .rows
+            .len(),
+        1
+    );
+    let statements: Vec<String> = (0..RUNS)
+        .map(|k| format!("SELECT bal FROM acct WHERE id = {}", (k * 7) % ROWS))
+        .collect();
+    let before = allocs();
+    for sql in &statements {
+        assert_eq!(s.execute(sql).unwrap().rows.len(), 1);
+    }
+    let per_statement = (allocs() - before) as f64 / RUNS as f64;
+    println!("{per_statement:.2} allocations per point SELECT");
+    assert!(
+        per_statement <= POINT_BUDGET,
+        "{per_statement:.2} allocations per point SELECT; the budget is {POINT_BUDGET}"
     );
 
     drop(s);
