@@ -3,65 +3,37 @@
 //!
 //! A three-relation chain query is planned under varying selectivities
 //! and memory grants; the harness prints the chosen join orders, methods,
-//! and estimated costs, and then executes the plans against a real
-//! database to confirm the estimates' ordering.
+//! and estimated costs, and then runs the plans with `mmdb_exec::plan` —
+//! the executor the SQL `SELECT` uses — to confirm the estimates' ordering.
 
-use mmdb::{Database, IndexKind};
-use mmdb_bench::{print_table, secs};
+use mmdb_bench::{plan_and_run, print_table, secs};
 use mmdb_planner::{JoinEdge, JoinMethod, QuerySpec, TableRef};
+use mmdb_storage::MemRelation;
 use mmdb_types::{DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
-fn build_db() -> Database {
-    let mut db = Database::new();
-    db.create_table(
-        "orders",
-        Schema::of(&[
-            ("order_id", DataType::Int),
-            ("cust_id", DataType::Int),
-            ("part_id", DataType::Int),
-        ]),
-    )
-    .unwrap();
-    db.create_table(
-        "customers",
-        Schema::of(&[("cust_id", DataType::Int), ("region", DataType::Int)]),
-    )
-    .unwrap();
-    db.create_table(
-        "parts",
-        Schema::of(&[("part_id", DataType::Int), ("color", DataType::Int)]),
-    )
-    .unwrap();
+/// `orders`, `customers` and `parts`, 40 tuples to a page.
+fn build_tables() -> [MemRelation; 3] {
     let mut rng = WorkloadRng::seeded(17);
-    for o in 0..20_000i64 {
-        db.insert(
-            "orders",
-            Tuple::new(vec![
-                Value::Int(o),
-                Value::Int(rng.int_in(0, 2_000)),
-                Value::Int(rng.int_in(0, 500)),
-            ]),
-        )
-        .unwrap();
-    }
-    for c in 0..2_000i64 {
-        db.insert(
-            "customers",
-            Tuple::new(vec![Value::Int(c), Value::Int(rng.int_in(0, 20))]),
-        )
-        .unwrap();
-    }
-    for p in 0..500i64 {
-        db.insert(
-            "parts",
-            Tuple::new(vec![Value::Int(p), Value::Int(rng.int_in(0, 10))]),
-        )
-        .unwrap();
-    }
-    db.create_index("customers", 0, IndexKind::BPlusTree)
-        .unwrap();
-    db.create_index("parts", 0, IndexKind::Hash).unwrap();
-    db
+    let mut rows = |n: i64, draws: &[(i64, i64)]| -> Vec<Tuple> {
+        (0..n)
+            .map(|id| {
+                let drawn = draws.iter().map(|&(lo, hi)| Value::Int(rng.int_in(lo, hi)));
+                Tuple::new(std::iter::once(Value::Int(id)).chain(drawn).collect())
+            })
+            .collect()
+    };
+    let orders = rows(20_000, &[(0, 2_000), (0, 500)]);
+    let customers = rows(2_000, &[(0, 20)]);
+    let parts = rows(500, &[(0, 10)]);
+    let relation = |columns: &[&str], tuples| {
+        let columns: Vec<(&str, DataType)> = columns.iter().map(|c| (*c, DataType::Int)).collect();
+        MemRelation::from_tuples(Schema::of(&columns), 40, tuples).unwrap()
+    };
+    [
+        relation(&["order_id", "cust_id", "part_id"], orders),
+        relation(&["cust_id", "region"], customers),
+        relation(&["part_id", "color"], parts),
+    ]
 }
 
 fn chain(cust_pred: Predicate, part_pred: Predicate) -> QuerySpec {
@@ -90,7 +62,12 @@ fn chain(cust_pred: Predicate, part_pred: Predicate) -> QuerySpec {
 
 fn main() {
     println!("Experiment P1 — §4 access planning");
-    let db = build_db();
+    let [orders, customers, parts] = build_tables();
+    let tables = [
+        ("orders", &orders),
+        ("customers", &customers),
+        ("parts", &parts),
+    ];
 
     let scenarios: Vec<(&str, QuerySpec)> = vec![
         ("no filters", chain(Predicate::True, Predicate::True)),
@@ -110,30 +87,19 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, spec) in &scenarios {
-        let outcome = db.query(spec).unwrap();
-        let order: Vec<&str> = outcome.plan.plan.tables();
-        let methods: Vec<&str> = outcome
-            .plan
-            .plan
-            .methods()
-            .iter()
-            .map(|m| m.name())
-            .collect();
+        let outcome = plan_and_run(spec, &tables, 12_000).unwrap();
+        let plan = &outcome.planned.plan;
+        let methods: Vec<&str> = plan.methods().iter().map(|m| m.name()).collect();
         rows.push(vec![
             label.to_string(),
-            order.join(" ⋈ "),
+            plan.tables().join(" ⋈ "),
             methods.join(", "),
-            format!("{:.0}", outcome.plan.estimated_rows),
+            format!("{:.0}", outcome.planned.estimated_rows),
             outcome.rows.tuple_count().to_string(),
-            secs(outcome.simulated_seconds),
+            secs(outcome.simulated_seconds()),
         ]);
         // §4: hash-based plans everywhere with ample memory.
-        assert!(outcome
-            .plan
-            .plan
-            .methods()
-            .iter()
-            .all(|m| *m == JoinMethod::HybridHash));
+        assert!(plan.methods().iter().all(|m| *m == JoinMethod::HybridHash));
     }
     print_table(
         "Chosen plans (|M| = 12 000 pages)",

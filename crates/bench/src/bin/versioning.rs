@@ -8,7 +8,7 @@
 //! exclusive locks writers do, and (b) the multiversion store, where
 //! readers pin a snapshot and never conflict.
 
-use mmdb::mvcc::VersionedStore;
+use mmdb_bench::mvcc::VersionedStore;
 use mmdb_bench::print_table;
 use mmdb_recovery::lock::LockManager;
 use mmdb_types::{TxnId, WorkloadRng};

@@ -5,6 +5,13 @@
 //! formats consistent: fixed-width text tables that can be diffed across
 //! runs and pasted into EXPERIMENTS.md.
 
+pub mod mvcc;
+
+use mmdb_exec::ExecContext;
+use mmdb_planner::optimizer::PlanEnv;
+use mmdb_planner::{optimize, PlannedQuery, QuerySpec, TableStats};
+use mmdb_storage::{CostSnapshot, MemRelation};
+use mmdb_types::{Error, Result, SystemParams};
 use std::fmt::Display;
 
 /// Prints a fixed-width table: header row then data rows.
@@ -64,6 +71,58 @@ pub fn figure1_ratios() -> Vec<f64> {
         r += 0.05;
     }
     v
+}
+
+/// One §4 query planned on exact statistics of memory-resident relations
+/// and run by `mmdb_exec::plan`: the plan, its rows, and what running it
+/// charged.
+#[derive(Debug)]
+pub struct PlannedRun {
+    /// What the optimizer chose.
+    pub planned: PlannedQuery,
+    /// The result relation.
+    pub rows: MemRelation,
+    /// Primitive operations charged by the run.
+    pub measured: CostSnapshot,
+}
+
+impl PlannedRun {
+    /// `measured` in simulated seconds at the Table 2 prices.
+    pub fn simulated_seconds(&self) -> f64 {
+        self.measured.seconds(&SystemParams::table2())
+    }
+}
+
+/// Plans `spec` over `tables` (named as `spec` names them) with exact
+/// statistics of every column, then runs the plan with `mem_pages` pages
+/// per operator — the grant the planner priced.
+pub fn plan_and_run(
+    spec: &QuerySpec,
+    tables: &[(&str, &MemRelation)],
+    mem_pages: usize,
+) -> Result<PlannedRun> {
+    let mut stats = Vec::with_capacity(spec.tables.len());
+    for t in &spec.tables {
+        let (_, rel) = tables
+            .iter()
+            .find(|(name, _)| *name == t.table)
+            .ok_or_else(|| Error::RelationNotFound(t.table.clone()))?;
+        let (fanout, arity) = (rel.tuples_per_page() as u64, rel.schema().arity());
+        stats.push(TableStats::exact(&*t.table, fanout, arity, rel.tuples()));
+    }
+    let env = PlanEnv {
+        mem_pages,
+        ..PlanEnv::default()
+    };
+    let planned = optimize(spec, &stats, &env)?;
+    let ctx = ExecContext::new(mem_pages, 1.2);
+    let rows = mmdb_exec::plan::run(&planned.plan, tables, &ctx)?;
+    let measured = ctx.meter.snapshot();
+    Ok(PlannedRun {
+        planned,
+        rows,
+        measured,
+    })
 }
 
 #[cfg(test)]

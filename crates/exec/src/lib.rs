@@ -8,7 +8,9 @@
 //! while charging every primitive operation — `comp`, `hash`, `move`,
 //! `swap`, `IOseq`, `IOrand` — to a shared [`mmdb_storage::CostMeter`].
 //! Converting the meter to seconds with the Table 2 prices regenerates
-//! Figure 1 from a running system rather than from formulas.
+//! Figure 1 from a running system rather than from formulas. [`plan`]
+//! runs a §4 physical plan with these operators: it is the one executor
+//! of plans, shared by the SQL `SELECT` and the experiments.
 //!
 //! Conventions, following §3.2 of the paper:
 //!
@@ -22,6 +24,7 @@ pub mod aggregate;
 pub mod context;
 pub mod join;
 pub mod partition;
+pub mod plan;
 pub mod project;
 pub mod select;
 pub mod sort;

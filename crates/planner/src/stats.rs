@@ -6,7 +6,9 @@
 //! inclusion-exclude.
 
 use mmdb_types::cast::f64_from_u64;
-use mmdb_types::{CmpOp, Predicate, Value};
+use mmdb_types::{CmpOp, Predicate, Tuple, Value};
+use std::borrow::Borrow;
+use std::collections::HashSet;
 
 /// Per-column statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +53,16 @@ pub struct TableStats {
     pub ordered_indexed_columns: Vec<usize>,
 }
 
+/// `n` as a statistic.
+fn count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+/// The distinct values of column `c` over `rows`.
+fn distinct_values<T: Borrow<Tuple>>(rows: &[T], c: usize) -> HashSet<&Value> {
+    rows.iter().map(|row| row.borrow().get(c)).collect()
+}
+
 impl TableStats {
     /// Builds stats with uniform defaults for `arity` columns.
     pub fn uniform(
@@ -68,6 +80,47 @@ impl TableStats {
             indexed_columns: Vec::new(),
             ordered_indexed_columns: Vec::new(),
         }
+    }
+
+    /// Exact statistics of memory-resident `rows`, affordable because
+    /// reading them costs no I/O: their count, and the distinct count,
+    /// min and max of every column.
+    pub fn exact<T: Borrow<Tuple>>(
+        name: impl Into<String>,
+        tuples_per_page: u64,
+        arity: usize,
+        rows: &[T],
+    ) -> Self {
+        let mut stats = TableStats::uniform(name, count(rows.len()), tuples_per_page, arity);
+        for (c, col) in stats.columns.iter_mut().enumerate() {
+            let distinct = distinct_values(rows, c);
+            *col = ColumnStats {
+                distinct: count(distinct.len().max(1)),
+                min: distinct.iter().min().map(|v| (*v).clone()),
+                max: distinct.iter().max().map(|v| (*v).clone()),
+            };
+        }
+        stats
+    }
+
+    /// The count of `rows` and the exact distinct count of each column in
+    /// `columns` — all an equi-join plan reads. Every other column is
+    /// [`ColumnStats::unknown`], and no min or max is kept, so a caller
+    /// hashes only the columns it joins on.
+    pub fn exact_distinct<T: Borrow<Tuple>>(
+        name: impl Into<String>,
+        tuples_per_page: u64,
+        arity: usize,
+        rows: &[T],
+        columns: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut stats = TableStats::uniform(name, count(rows.len()), tuples_per_page, arity);
+        for c in columns {
+            if let Some(col) = stats.columns.get_mut(c) {
+                col.distinct = count(distinct_values(rows, c).len().max(1));
+            }
+        }
+        stats
     }
 
     /// Distinct count of a column (the default when unknown).
@@ -255,6 +308,24 @@ mod tests {
     fn join_cardinality_rule() {
         let n = estimate_join_cardinality(1_000.0, 100, 5_000.0, 500);
         assert!((n - 10_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exact_stats_cover_every_column_and_distinct_stats_only_the_named() {
+        let rows: Vec<Tuple> = (0..1_000i64)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(7)]))
+            .collect();
+        let s = TableStats::exact("emp", 40, 3, &rows);
+        assert_eq!((s.tuples, s.pages), (1_000, 25));
+        assert_eq!(s.columns[0].distinct, 1_000, "ids are unique");
+        assert_eq!(s.columns[1].distinct, 10, "ten departments");
+        assert_eq!(s.columns[0].min, Some(Value::Int(0)));
+        assert_eq!(s.columns[0].max, Some(Value::Int(999)));
+        assert_eq!(s.columns[2].max, Some(Value::Int(7)));
+        let d = TableStats::exact_distinct("emp", 40, 3, &rows, [1]);
+        assert_eq!((d.tuples, d.pages), (1_000, 25));
+        assert_eq!((d.columns[1].distinct, &d.columns[1].min), (10, &None));
+        assert_eq!(d.columns[0], ColumnStats::unknown(), "not named");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The binder/planner bridge and plan executor.
+//! The binder/planner bridge.
 //!
 //! A `SELECT` runs whole under the catalog read lock, over rows lent from
 //! the catalog's cache. [`snapshot_tables`] binds every column the
@@ -8,29 +8,28 @@
 //! index, built once the statement has succeeded and the lock is
 //! released. [`run_select_on`] plans the equi-join edges with the §4
 //! optimizer, given the survivors' exact count and the exact distinct
-//! counts of their join columns, and runs the plan with the §3
-//! `mmdb-exec` cores over the borrowed rows: the top join's sink builds
-//! each result row from its matched pair, cloning each returned value
-//! once, and a join below it hands its pairs up concatenated. The lock is
-//! held for the whole statement, so a writer queued behind a `SELECT`
-//! waits for a time bounded by its output and plan, not by a copy of its
-//! inputs. `INSERT`/`UPDATE`/`DELETE` binding helpers (row coercion,
-//! single-table predicates, `SET` expressions) also live here so
-//! [`crate::session`] stays focused on transaction mechanics.
+//! counts of their join columns, and runs the plan with `mmdb_exec::plan` — the
+//! one executor of §4 plans — over the borrowed rows: the top join's sink
+//! builds each result row from its matched pair, cloning each returned
+//! value once, and a join below it hands its pairs up concatenated. The
+//! lock is held for the whole statement, so a writer queued behind a
+//! `SELECT` waits for a time bounded by its output and plan, not by a
+//! copy of its inputs. `INSERT`/`UPDATE`/`DELETE` binding helpers (row
+//! coercion, single-table predicates, `SET` expressions) also live here
+//! so [`crate::session`] stays focused on transaction mechanics.
 
 use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr};
 use crate::catalog::{Catalog, TableEntry};
-use mmdb_exec::join::{join_rows, Algo, Emit};
-use mmdb_exec::{ExecContext, JoinSpec, Rows};
+use mmdb_exec::plan::run_plan;
+use mmdb_exec::{ExecContext, Rows};
 use mmdb_planner::optimizer::PlanEnv;
-use mmdb_planner::{optimize, JoinEdge, JoinMethod, PhysicalPlan, QuerySpec, TableRef, TableStats};
+use mmdb_planner::{optimize, JoinEdge, QuerySpec, TableRef, TableStats};
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{DataType, Schema};
 use mmdb_types::tuple::Tuple;
 use mmdb_types::value::Value;
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -346,84 +345,10 @@ fn join_edges(stmt: &SelectStmt, tables: &[(&str, &Schema)]) -> Result<Vec<JoinE
 /// spent. Other columns are [`mmdb_planner::ColumnStats::unknown`], no
 /// min/max is kept, and a single-table `SELECT` hashes nothing.
 fn compute_stats(t: &BoundTable, ti: usize, joins: &[JoinEdge]) -> TableStats {
-    let mut stats = TableStats::uniform(
-        t.name.clone(),
-        t.rows.len() as u64,
-        TUPLES_PER_PAGE as u64,
-        t.schema.arity(),
-    );
-    for (table, c) in joins.iter().flat_map(JoinEdge::ends) {
-        if let Some(col) = stats.columns.get_mut(c).filter(|_| table == ti) {
-            let distinct: HashSet<&Value> = t.rows.iter().map(|row| row.get(c)).collect();
-            col.distinct = distinct.len().max(1) as u64;
-        }
-    }
-    stats
-}
-
-/// The rows a plan node produces: a base table's survivors, still lent
-/// from the cache, or a join's pairs, concatenated and owned.
-fn rows_of<'c>(
-    plan: &PhysicalPlan,
-    tables: &[BoundTable<'c>],
-    ctx: &ExecContext,
-) -> Result<Vec<Cow<'c, Tuple>>> {
-    if let PhysicalPlan::Access(path) = plan {
-        let rows = rows_named(tables, path.table())?;
-        return Ok(rows.iter().copied().map(Cow::Borrowed).collect());
-    }
-    let mut out = Vec::new();
-    run_plan(plan, tables, ctx, |l: &Tuple, r: &Tuple| {
-        out.push(Cow::Owned(l.concat(r)));
-        Ok(())
-    })?;
-    Ok(out)
-}
-
-/// The survivors of `name`, its own conjuncts applied when it was reached.
-fn rows_named<'t, 'c>(tables: &'t [BoundTable<'c>], name: &str) -> Result<&'t [&'c Tuple]> {
-    let table = tables.iter().find(|t| t.name == name);
-    table
-        .map(|t| t.rows.as_slice())
-        .ok_or_else(|| Error::RelationNotFound(name.to_string()))
-}
-
-/// Runs a plan with the §3 cores, handing each output row to `emit` as
-/// its left and right halves; a lone table's rows have an empty right.
-fn run_plan(
-    plan: &PhysicalPlan,
-    tables: &[BoundTable<'_>],
-    ctx: &ExecContext,
-    mut emit: impl Emit,
-) -> Result<()> {
-    match plan {
-        PhysicalPlan::Access(path) => {
-            let none = Tuple::default();
-            let rows = rows_named(tables, path.table())?;
-            rows.iter().try_for_each(|row| emit(row, &none))
-        }
-        PhysicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-            method,
-            ..
-        } => {
-            let (l, r) = (rows_of(left, tables, ctx)?, rows_of(right, tables, ctx)?);
-            let algo = match method {
-                JoinMethod::HybridHash => Algo::HybridHash,
-                JoinMethod::SimpleHash => Algo::SimpleHash,
-                JoinMethod::GraceHash => Algo::GraceHash,
-                JoinMethod::SortMerge => Algo::SortMerge,
-            };
-            let (l, r) = (
-                Rows::new(&l, TUPLES_PER_PAGE),
-                Rows::new(&r, TUPLES_PER_PAGE),
-            );
-            join_rows(algo, l, r, JoinSpec::new(*left_key, *right_key), ctx, emit)
-        }
-    }
+    let ends = joins.iter().flat_map(JoinEdge::ends);
+    let columns = ends.filter(|&(table, _)| table == ti).map(|(_, c)| c);
+    let (name, arity) = (t.name.clone(), t.schema.arity());
+    TableStats::exact_distinct(name, TUPLES_PER_PAGE as u64, arity, &t.rows, columns)
 }
 
 /// Reaches the tables a `SELECT` references, resolved with `viewer`
@@ -546,7 +471,11 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable<'_>>) -> Result<Q
     // row is built from its two halves, cloning only what it returns.
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let ctx = ExecContext::new(env.mem_pages, 1.2);
-    run_plan(&planned.plan, &tables, &ctx, |l: &Tuple, r: &Tuple| {
+    let survivors = |name: &str| {
+        let t = tables.iter().find(|t| t.name == name)?;
+        Some(Rows::new(t.rows.as_slice(), TUPLES_PER_PAGE))
+    };
+    run_plan(&planned.plan, &survivors, &ctx, |l: &Tuple, r: &Tuple| {
         let value = |&i: &usize| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
         let row: Option<Vec<Value>> = indices.iter().map(|i| value(i).cloned()).collect();
         rows.push(row.ok_or_else(|| Error::Internal("projection past the plan output".into()))?);
@@ -800,15 +729,8 @@ mod tests {
     /// The statistics every column used to get: exact distinct counts
     /// and min/max over the surviving rows.
     fn all_column_stats(t: &BoundTable) -> TableStats {
-        let mut stats = compute_stats(t, usize::MAX, &[]);
-        for (ci, col) in stats.columns.iter_mut().enumerate() {
-            let values: Vec<&Value> = t.rows.iter().map(|row| row.get(ci)).collect();
-            let distinct: HashSet<&Value> = values.iter().copied().collect();
-            col.distinct = distinct.len().max(1) as u64;
-            col.min = values.iter().min().map(|v| (*v).clone());
-            col.max = values.iter().max().map(|v| (*v).clone());
-        }
-        stats
+        let arity = t.schema.arity();
+        TableStats::exact(t.name.clone(), TUPLES_PER_PAGE as u64, arity, &t.rows)
     }
 
     /// `analytic_join`'s tables: 1,000 customers and 10,000 orders whose

@@ -166,7 +166,7 @@ mod tests {
         let wrong_what = finding("panic-freedom", "crates/index/src/avl.rs", "expect", "e");
         let wrong_dir = finding(
             "panic-freedom",
-            "crates/core/src/db.rs",
+            "crates/sql/src/query.rs",
             "slice-index",
             "x[i]",
         );

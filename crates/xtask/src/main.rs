@@ -2,7 +2,8 @@
 //!
 //! `cargo xtask audit` runs three static-analysis passes over the engine
 //! crates (everything except the `shim-*` stand-ins, the benchmark
-//! harness, and this tool):
+//! harness, and this tool) and over the harness's one library file that
+//! tests and examples link, `bench/src/mvcc.rs`:
 //!
 //! * **panic-freedom** — flags `unwrap`/`expect`, panicking macros, and
 //!   slice indexing in non-test library code. §5.2 of the paper assumes
@@ -13,8 +14,8 @@
 //!   checked helpers in `mmdb_types::cast`.
 //! * **hygiene** — every engine crate opens with
 //!   `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]`, and public
-//!   items in `recovery` and `core` carry doc comments with the
-//!   workspace's `§5.2`-style paper citations.
+//!   items in `recovery`, `session` and `bench/src/mvcc.rs` carry doc
+//!   comments with the workspace's `§5.2`-style paper citations.
 //! * **lock-order** — builds the static lock graph of the concurrency
 //!   crates (`session`, `recovery`, `obs`) from acquisitions made while
 //!   another guard is live, fails on cycles or edges contradicting the
@@ -56,16 +57,21 @@ use std::process::ExitCode;
 
 /// Engine crates covered by the audit and the metrics lint, as
 /// `crates/<name>` directories.
-const ENGINE_CRATES: [&str; 12] = [
-    "types", "storage", "index", "analytic", "exec", "planner", "recovery", "core", "session",
-    "obs", "sql", "server",
+const ENGINE_CRATES: [&str; 11] = [
+    "types", "storage", "index", "analytic", "exec", "planner", "recovery", "session", "obs",
+    "sql", "server",
 ];
+
+/// Library files outside the engine crates that tests and examples link:
+/// they get the panic-freedom and doc-citation passes an engine crate's
+/// files get, as `(crate, path under crates/)`.
+const LIBRARY_FILES: [(&str, &str); 1] = [("bench", "bench/src/mvcc.rs")];
 
 /// Crates whose cost-model code the lossy-cast pass applies to.
 const CAST_CRATES: [&str; 2] = ["analytic", "planner"];
 
 /// Crates whose public items must carry §-cited doc comments.
-const CITED_CRATES: [&str; 3] = ["recovery", "core", "session"];
+const CITED_CRATES: [&str; 2] = ["recovery", "session"];
 
 /// Crates the lock-order and condvar-discipline passes cover: the ones
 /// holding the engine's `Mutex`/`Condvar` machinery.
@@ -103,47 +109,50 @@ fn audit(verbose: bool) -> ExitCode {
     let lock_cfg = concurrency::engine_lock_config();
     let mut files_scanned = 0usize;
 
-    for krate in ENGINE_CRATES {
-        let src = root.join("crates").join(krate).join("src");
-        for file in rust_files(&src) {
-            let rel = file
-                .strip_prefix(&root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let Ok(text) = std::fs::read_to_string(&file) else {
-                findings.push(Finding {
-                    pass: "hygiene",
-                    path: rel,
-                    line: 1,
-                    what: "unreadable file".to_string(),
-                    snippet: String::new(),
-                });
-                continue;
-            };
-            files_scanned += 1;
-            let raw: Vec<&str> = text.lines().collect();
-            let lines = scan::clean(&text);
+    let crates = root.join("crates");
+    let engine_files = ENGINE_CRATES.into_iter().flat_map(|krate| {
+        let files = rust_files(&crates.join(krate).join("src"));
+        files.into_iter().map(move |file| (krate, file, false))
+    });
+    let library_files = LIBRARY_FILES.map(|(krate, path)| (krate, crates.join(path), true));
+    for (krate, file, library) in engine_files.chain(library_files) {
+        let rel = file
+            .strip_prefix(&root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            findings.push(Finding {
+                pass: "hygiene",
+                path: rel,
+                line: 1,
+                what: "unreadable file".to_string(),
+                snippet: String::new(),
+            });
+            continue;
+        };
+        files_scanned += 1;
+        let raw: Vec<&str> = text.lines().collect();
+        let lines = scan::clean(&text);
 
-            findings.extend(passes::panic_freedom(&rel, &lines, &raw));
-            if CAST_CRATES.contains(&krate) {
-                findings.extend(passes::lossy_cast(&rel, &lines, &raw));
-            }
-            if rel.ends_with("/lib.rs") {
-                findings.extend(passes::crate_headers(&rel, &raw));
-            }
-            if CITED_CRATES.contains(&krate) {
-                findings.extend(passes::doc_citations(&rel, &lines, &raw));
-            }
-            findings.extend(concurrency::atomic_ordering(&rel, &lines, &raw));
-            findings.extend(concurrency::seqlock(&rel, &lines, &raw));
-            if CONCURRENCY_CRATES.contains(&krate) {
-                let (lock_findings, file_edges) =
-                    concurrency::lock_order(&rel, &lines, &raw, &lock_cfg);
-                findings.extend(lock_findings);
-                edges.extend(file_edges);
-                findings.extend(concurrency::condvar_discipline(&rel, &lines, &raw));
-            }
+        findings.extend(passes::panic_freedom(&rel, &lines, &raw));
+        if CAST_CRATES.contains(&krate) {
+            findings.extend(passes::lossy_cast(&rel, &lines, &raw));
+        }
+        if rel.ends_with("/lib.rs") {
+            findings.extend(passes::crate_headers(&rel, &raw));
+        }
+        if library || CITED_CRATES.contains(&krate) {
+            findings.extend(passes::doc_citations(&rel, &lines, &raw));
+        }
+        findings.extend(concurrency::atomic_ordering(&rel, &lines, &raw));
+        findings.extend(concurrency::seqlock(&rel, &lines, &raw));
+        if CONCURRENCY_CRATES.contains(&krate) {
+            let (lock_findings, file_edges) =
+                concurrency::lock_order(&rel, &lines, &raw, &lock_cfg);
+            findings.extend(lock_findings);
+            edges.extend(file_edges);
+            findings.extend(concurrency::condvar_discipline(&rel, &lines, &raw));
         }
     }
 

@@ -126,7 +126,7 @@ pub fn crate_headers(path: &str, raw: &[&str]) -> Vec<Finding> {
     out
 }
 
-/// Hygiene, part 2 (for `recovery` and `core`): public items must carry
+/// Hygiene, part 2 (for `recovery` and `session`): public items must carry
 /// doc comments, and each module must cite its paper section using the
 /// `§5.2`-style convention established throughout the workspace.
 pub fn doc_citations(path: &str, lines: &[CleanLine], raw: &[&str]) -> Vec<Finding> {

@@ -6,62 +6,33 @@
 //! cargo run --release --example access_planning
 //! ```
 
-use mmdb::{Database, EngineConfig};
+use mmdb_bench::plan_and_run;
 use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
+use mmdb_storage::MemRelation;
 use mmdb_types::{DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
-fn build(mem_pages: usize) -> Database {
-    let mut db = Database::with_config(EngineConfig {
-        mem_pages,
-        ..EngineConfig::default()
-    });
-    db.create_table(
-        "lineitem",
-        Schema::of(&[
-            ("order_id", DataType::Int),
-            ("part_id", DataType::Int),
-            ("qty", DataType::Int),
-        ]),
-    )
-    .unwrap();
-    db.create_table(
-        "orders",
-        Schema::of(&[("order_id", DataType::Int), ("status", DataType::Int)]),
-    )
-    .unwrap();
-    db.create_table(
-        "parts",
-        Schema::of(&[("part_id", DataType::Int), ("color", DataType::Int)]),
-    )
-    .unwrap();
+/// `lineitem`, `orders` and `parts`, 40 tuples to a page.
+fn build() -> [MemRelation; 3] {
     let mut rng = WorkloadRng::seeded(5);
-    for i in 0..30_000i64 {
-        db.insert(
-            "lineitem",
-            Tuple::new(vec![
-                Value::Int(rng.int_in(0, 5_000)),
-                Value::Int(rng.int_in(0, 1_000)),
-                Value::Int(rng.int_in(1, 50)),
-            ]),
-        )
-        .unwrap();
-        let _ = i;
-    }
-    for o in 0..5_000i64 {
-        db.insert(
-            "orders",
-            Tuple::new(vec![Value::Int(o), Value::Int(rng.int_in(0, 5))]),
-        )
-        .unwrap();
-    }
-    for p in 0..1_000i64 {
-        db.insert(
-            "parts",
-            Tuple::new(vec![Value::Int(p), Value::Int(rng.int_in(0, 25))]),
-        )
-        .unwrap();
-    }
-    db
+    let mut draw = |lo, hi| Value::Int(rng.int_in(lo, hi));
+    let lineitem: Vec<Tuple> = (0..30_000)
+        .map(|_| Tuple::new(vec![draw(0, 5_000), draw(0, 1_000), draw(1, 50)]))
+        .collect();
+    let orders: Vec<Tuple> = (0..5_000i64)
+        .map(|o| Tuple::new(vec![Value::Int(o), draw(0, 5)]))
+        .collect();
+    let parts: Vec<Tuple> = (0..1_000i64)
+        .map(|p| Tuple::new(vec![Value::Int(p), draw(0, 25)]))
+        .collect();
+    let relation = |columns: &[&str], tuples| {
+        let columns: Vec<(&str, DataType)> = columns.iter().map(|c| (*c, DataType::Int)).collect();
+        MemRelation::from_tuples(Schema::of(&columns), 40, tuples).unwrap()
+    };
+    [
+        relation(&["order_id", "part_id", "qty"], lineitem),
+        relation(&["order_id", "status"], orders),
+        relation(&["part_id", "color"], parts),
+    ]
 }
 
 fn query(order_pred: Predicate, part_pred: Predicate) -> QuerySpec {
@@ -90,7 +61,12 @@ fn query(order_pred: Predicate, part_pred: Predicate) -> QuerySpec {
 
 fn main() {
     println!("§4 access planning under large memory\n");
-    let db = build(12_000);
+    let [lineitem, orders, parts] = build();
+    let tables = [
+        ("lineitem", &lineitem),
+        ("orders", &orders),
+        ("parts", &parts),
+    ];
     for (label, spec) in [
         ("no filters", query(Predicate::True, Predicate::True)),
         (
@@ -102,27 +78,25 @@ fn main() {
             query(Predicate::True, Predicate::eq(1, 7i64)),
         ),
     ] {
-        let outcome = db.query(&spec).unwrap();
+        let outcome = plan_and_run(&spec, &tables, 12_000).unwrap();
         println!("query: {label}");
-        print!("{}", outcome.plan.plan);
+        print!("{}", outcome.planned.plan);
         println!(
             "  -> {} rows, {:.4} simulated s, estimated {:.0} rows\n",
             outcome.rows.tuple_count(),
-            outcome.simulated_seconds,
-            outcome.plan.estimated_rows
+            outcome.simulated_seconds(),
+            outcome.planned.estimated_rows
         );
     }
 
     println!("same query, memory starved to 8 pages:");
-    let tight = build(8);
-    let outcome = tight
-        .query(&query(Predicate::True, Predicate::True))
-        .unwrap();
-    print!("{}", outcome.plan.plan);
+    let spec = query(Predicate::True, Predicate::True);
+    let outcome = plan_and_run(&spec, &tables, 8).unwrap();
+    print!("{}", outcome.planned.plan);
     println!(
         "  -> {} rows, {:.2} simulated s, {} spill I/Os",
         outcome.rows.tuple_count(),
-        outcome.simulated_seconds,
+        outcome.simulated_seconds(),
         outcome.measured.total_ios()
     );
     println!(

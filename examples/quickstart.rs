@@ -1,114 +1,75 @@
-//! Quickstart: create a database, load a table, index it, and query it.
+//! Quickstart: open a database, create and load tables, and query them
+//! with SQL — in process, no server.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
-use mmdb::{Database, IndexKind};
-use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
-use mmdb_types::{DataType, Predicate, Schema, Tuple, Value};
+use mmdb_session::{CommitPolicy, Engine, EngineOptions};
+use mmdb_sql::SqlDb;
 
 fn main() {
-    // 1. A database with the paper's default configuration (Table 2
-    //    operation prices, 12 000 pages of working memory).
-    let mut db = Database::new();
+    // 1. An engine logging to a scratch directory (group commit, §5.2),
+    //    and a SQL session over it.
+    let dir = std::env::temp_dir().join(format!("mmdb-quickstart-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = Engine::start(EngineOptions::new(CommitPolicy::Group, &dir)).unwrap();
+    let db = SqlDb::open(&engine).unwrap();
+    let mut sql = db.session();
 
-    // 2. Create and load two tables.
-    db.create_table(
-        "emp",
-        Schema::of(&[
-            ("id", DataType::Int),
-            ("name", DataType::Str),
-            ("salary", DataType::Float),
-            ("dept", DataType::Int),
-        ]),
-    )
-    .unwrap();
-    db.create_table(
-        "dept",
-        Schema::of(&[("id", DataType::Int), ("name", DataType::Str)]),
-    )
-    .unwrap();
-
-    for (id, name, salary, dept) in [
-        (1, "Jones", 52_000.0, 0),
-        (2, "Smith", 48_000.0, 1),
-        (3, "Johnson", 61_000.0, 0),
-        (4, "Garcia", 55_000.0, 2),
-        (5, "Jacobs", 43_000.0, 1),
-    ] {
-        db.insert(
-            "emp",
-            Tuple::new(vec![
-                Value::Int(id),
-                name.into(),
-                Value::Float(salary),
-                Value::Int(dept),
-            ]),
-        )
+    // 2. Create and load two tables; every row is durable once its
+    //    statement returns.
+    sql.execute("CREATE TABLE emp (id INT, name TEXT, salary FLOAT, dept INT)")
         .unwrap();
-    }
-    for (id, name) in [(0, "engineering"), (1, "sales"), (2, "support")] {
-        db.insert("dept", Tuple::new(vec![Value::Int(id), name.into()]))
-            .unwrap();
-    }
+    sql.execute("CREATE TABLE dept (id INT, name TEXT)")
+        .unwrap();
+    sql.execute(
+        "INSERT INTO emp VALUES (1, 'Jones', 52000.0, 0), (2, 'Smith', 48000.0, 1), \
+         (3, 'Johnson', 61000.0, 0), (4, 'Garcia', 55000.0, 2), (5, 'Jacobs', 43000.0, 1)",
+    )
+    .unwrap();
+    sql.execute("INSERT INTO dept VALUES (0, 'engineering'), (1, 'sales'), (2, 'support')")
+        .unwrap();
 
-    // 3. Index the employee names with a B+-tree (the paper's §2 verdict:
-    //    the B+-tree remains the access method of choice).
-    db.create_index("emp", 1, IndexKind::BPlusTree).unwrap();
-
-    // 4. The paper's first motivating query:
+    // 3. The paper's first motivating query:
     //    retrieve (emp.salary) where emp.name = "Jones"
-    let jones = db.lookup_eq("emp", 1, &"Jones".into()).unwrap();
-    println!("Jones earns {}", jones[0].get(2));
+    //    An equality on a column builds its §2 B+-tree; later ones probe it.
+    let jones = sql
+        .execute("SELECT salary FROM emp WHERE name = 'Jones'")
+        .unwrap();
+    println!("Jones earns {}", jones.rows[0][0]);
 
-    // 5. A predicate scan — emp.name = "J*":
-    let js = db
-        .select(
-            "emp",
-            &Predicate::StrPrefix {
-                column: 1,
-                prefix: "J".into(),
-            },
-        )
+    // 4. emp.name = "J*", as the range ["J", "K").
+    let js = sql
+        .execute("SELECT name, salary FROM emp WHERE name >= 'J' AND name < 'K'")
         .unwrap();
     println!("\nEmployees whose names begin with J:");
-    for t in js.tuples() {
-        println!("  {} ({})", t.get(1), t.get(2));
+    for row in &js.rows {
+        println!("  {} ({})", row[0], row[1]);
     }
+    assert_eq!(js.rows.len(), 3);
 
-    // 6. The same prefix query through the §4 planner: with a B+-tree on
-    //    the name column it becomes an ordered-index range scan
-    //    (["J", "J\u{10FFFF}"]) instead of a full-table filter.
-    let prefix_spec = QuerySpec::single(TableRef::filtered(
-        "emp",
-        Predicate::StrPrefix {
-            column: 1,
-            prefix: "J".into(),
-        },
-    ));
-    let prefix_outcome = db.query(&prefix_spec).unwrap();
-    println!("\nPlanned J* query:\n{}", prefix_outcome.plan.plan);
-    println!("rows: {}", prefix_outcome.rows.tuple_count());
+    // 5. A join, planned by the §4 optimizer and run with a §3 hash join.
+    let joined = sql
+        .execute("SELECT emp.name, dept.name FROM emp JOIN dept ON emp.dept = dept.id")
+        .unwrap();
+    println!("\n{}:", joined.columns.join(", "));
+    for row in &joined.rows {
+        println!("  {}, {}", row[0], row[1]);
+    }
+    assert_eq!(joined.rows.len(), 5);
 
-    // 7. A planned, cost-metered join.
-    let spec = QuerySpec {
-        tables: vec![TableRef::plain("emp"), TableRef::plain("dept")],
-        joins: vec![JoinEdge {
-            left_table: 0,
-            left_column: 3,
-            right_table: 1,
-            right_column: 0,
-        }],
-    };
-    let outcome = db.query(&spec).unwrap();
-    println!("\nPlan chosen by the §4 optimizer:\n{}", outcome.plan.plan);
-    println!("rows: {}", outcome.rows.tuple_count());
-    println!(
-        "simulated cost at 1984 prices: {:.6} s ({} comparisons, {} hashes, {} I/Os)",
-        outcome.simulated_seconds,
-        outcome.measured.comparisons,
-        outcome.measured.hashes,
-        outcome.measured.total_ios()
-    );
+    // 6. A transaction: both statements commit together, or neither does.
+    sql.execute("BEGIN").unwrap();
+    sql.execute("UPDATE emp SET salary = salary + 1000.0 WHERE dept = 1")
+        .unwrap();
+    sql.execute("DELETE FROM emp WHERE name = 'Garcia'")
+        .unwrap();
+    sql.execute("COMMIT").unwrap();
+    let left = sql.execute("SELECT name FROM emp").unwrap();
+    println!("\n{} employees after the transaction", left.rows.len());
+    assert_eq!(left.rows.len(), 4);
+
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

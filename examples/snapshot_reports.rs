@@ -7,7 +7,7 @@
 //! cargo run --example snapshot_reports
 //! ```
 
-use mmdb::mvcc::VersionedStore;
+use mmdb_bench::mvcc::VersionedStore;
 
 fn main() {
     println!("§6: versioning for memory-resident concurrency control (REED83)\n");

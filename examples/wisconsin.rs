@@ -1,99 +1,87 @@
 //! The Wisconsin benchmark (DeWitt 1983 — from the same research group as
-//! the paper) running on this engine: the classic selection, join, and
-//! aggregate queries, each reporting its simulated 1984 cost.
+//! the paper) running on this engine: the classic selections and join
+//! through SQL, and the grouped aggregate and duplicate-eliminating
+//! projection — which the SQL subset lacks — through the §3.9 operators,
+//! reporting their simulated 1984 cost.
 //!
 //! ```text
 //! cargo run --release --example wisconsin
 //! ```
 
-use mmdb::{Database, IndexKind};
-use mmdb_exec::aggregate::AggFunc;
-use mmdb_exec::workload;
-use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
-use mmdb_types::{Predicate, Value};
+use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
+use mmdb_exec::project::hybrid_hash_project;
+use mmdb_exec::{workload, ExecContext};
+use mmdb_sql::{SqlDb, SqlSession};
+use mmdb_storage::MemRelation;
+use mmdb_suite::{insert_rows, scratch_engine};
+use mmdb_types::{DataType, SystemParams};
+
+/// Creates `name` with the Wisconsin schema and loads `rel` into it.
+fn load(sql: &mut SqlSession, name: &str, rel: &MemRelation) {
+    let columns = rel.schema().columns().iter().map(|c| match c.ty {
+        DataType::Str => format!("{} TEXT", c.name),
+        _ => format!("{} INT", c.name),
+    });
+    let columns: Vec<String> = columns.collect();
+    sql.execute(&format!("CREATE TABLE {name} ({})", columns.join(", ")))
+        .unwrap();
+    insert_rows(sql, name, rel.tuples()).unwrap();
+}
 
 fn main() {
     let n = 10_000;
-    println!("Wisconsin benchmark on mmdb: two {n}-tuple relations\n");
-    let mut db = Database::new();
-    for name in ["onektup", "tenktup"] {
-        db.create_table(name, workload::wisconsin_schema()).unwrap();
-    }
-    db.insert_many(
-        "onektup",
-        workload::wisconsin(n / 10, 1).unwrap().into_tuples(),
-    )
-    .unwrap();
-    db.insert_many("tenktup", workload::wisconsin(n, 2).unwrap().into_tuples())
-        .unwrap();
-    db.create_index("tenktup", 0, IndexKind::BPlusTree).unwrap(); // unique1
-    db.create_index("tenktup", 1, IndexKind::Hash).unwrap(); // unique2
-
-    // Query 1 (1 % selection via clustered-ish index range).
-    let q1 = QuerySpec::single(TableRef::filtered(
-        "tenktup",
-        Predicate::Between {
-            column: 0,
-            lo: Value::Int(0),
-            hi: Value::Int((n as i64) / 100 - 1),
-        },
-    ));
-    let o1 = db.query(&q1).unwrap();
     println!(
-        "Q1  1% selection:        {:>6} rows  {:>10.6} sim s   plan: {}",
-        o1.rows.tuple_count(),
-        o1.simulated_seconds,
-        o1.plan.plan.to_string().lines().next().unwrap_or(""),
+        "Wisconsin benchmark on mmdb: two relations of {} and {n} tuples\n",
+        n / 10
     );
+    let (engine, dir) = scratch_engine("wisconsin");
+    let mut sql = SqlDb::open(&engine).unwrap().session();
+    let tenktup = workload::wisconsin(n, 2).unwrap();
+    let onektup = workload::wisconsin(n / 10, 1).unwrap();
+    load(&mut sql, "onektup", &onektup);
+    load(&mut sql, "tenktup", &tenktup);
 
-    // Query 3 (10 % selection, no index on `ten`).
-    let q3 = QuerySpec::single(TableRef::filtered("tenktup", Predicate::eq(3, 4i64)));
-    let o3 = db.query(&q3).unwrap();
-    println!(
-        "Q3  10% scan selection:  {:>6} rows  {:>10.6} sim s",
-        o3.rows.tuple_count(),
-        o3.simulated_seconds
-    );
-
-    // Query 9-ish (join onektup ⋈ tenktup on unique1).
-    let qj = QuerySpec {
-        tables: vec![TableRef::plain("onektup"), TableRef::plain("tenktup")],
-        joins: vec![JoinEdge {
-            left_table: 0,
-            left_column: 0,
-            right_table: 1,
-            right_column: 0,
-        }],
+    let mut run = |label: &str, query: &str, want: usize| {
+        let rows = sql.execute(query).unwrap().rows.len();
+        println!("{label:<24} {rows:>6} rows   {query}");
+        assert_eq!(rows, want, "{label}");
     };
-    let oj = db.query(&qj).unwrap();
-    println!(
-        "QJ  join on unique1:     {:>6} rows  {:>10.6} sim s   methods: {:?}",
-        oj.rows.tuple_count(),
-        oj.simulated_seconds,
-        oj.plan
-            .plan
-            .methods()
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(oj.rows.tuple_count(), n / 10, "every onektup row matches");
+    // Query 1: a 1 % selection, a range on unique1.
+    let q1 = "SELECT * FROM tenktup WHERE unique1 >= 0 AND unique1 <= 99";
+    run("Q1  1% selection:", q1, n / 100);
+    // Query 3: a 10 % selection on `ten`.
+    let q3 = "SELECT * FROM tenktup WHERE ten = 4";
+    run("Q3  10% selection:", q3, n / 10);
+    // Query 9-ish: onektup ⋈ tenktup on unique1.
+    let qj = "SELECT * FROM onektup JOIN tenktup ON onektup.unique1 = tenktup.unique1";
+    run("QJ  join on unique1:", qj, n / 10);
 
-    // Aggregate (MIN per hundred-group — 100 groups, one-pass hashing).
-    let oa = db
-        .aggregate("tenktup", 4, &[AggFunc::Count, AggFunc::Min(0)])
-        .unwrap();
-    println!("QA  min by `hundred`:    {:>6} rows", oa.tuple_count());
-    assert_eq!(oa.tuple_count(), 100);
+    // MIN per hundred-group: 100 groups fit memory, so one-pass hashing.
+    let ctx = ExecContext::new(12_000, 1.2);
+    let seconds = |ctx: &ExecContext| ctx.meter.snapshot().seconds(&SystemParams::table2());
+    let qa = hash_aggregate(&tenktup, 4, &[AggFunc::Count, AggFunc::Min(0)], &ctx).unwrap();
+    println!(
+        "QA  min by `hundred`:    {:>6} rows  {:>10.6} sim s",
+        qa.tuple_count(),
+        seconds(&ctx)
+    );
+    assert_eq!(qa.tuple_count(), 100);
 
     // DISTINCT projection onto the string4 domain.
-    let op = db.project_distinct("tenktup", &[5]).unwrap();
-    println!("QP  distinct string4:    {:>6} rows", op.tuple_count());
-    assert_eq!(op.tuple_count(), 4);
+    let ctx = ExecContext::new(12_000, 1.2);
+    let qp = hybrid_hash_project(&tenktup, &[5], &ctx).unwrap();
+    println!(
+        "QP  distinct string4:    {:>6} rows  {:>10.6} sim s",
+        qp.tuple_count(),
+        seconds(&ctx)
+    );
+    assert_eq!(qp.tuple_count(), 4);
 
     println!(
         "\nall Wisconsin query shapes — selections at controlled selectivity,\n\
          equijoins on unique keys, grouped aggregates, duplicate-eliminating\n\
-         projection — execute through the §4 planner with §3 hash operators."
+         projection — execute with the §4 planner and §3 hash operators."
     );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

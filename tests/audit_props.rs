@@ -7,7 +7,7 @@
 //! nodes below their minimums, so uniform insert/delete mixes would leave
 //! the most intricate code paths mostly cold.
 
-use mmdb::VersionedStore;
+use mmdb_bench::mvcc::VersionedStore;
 use mmdb_index::{AvlTree, BPlusTree};
 use mmdb_recovery::{CommitMode, LockManager, RecoveryManager};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};

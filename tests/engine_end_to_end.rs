@@ -1,52 +1,88 @@
-//! End-to-end engine scenarios spanning catalog, indexes, planner,
-//! executor and the cost meter.
+//! End-to-end scenarios across the layers. The model claims plan on exact
+//! statistics and run the plan with `mmdb_exec::plan` over memory-resident
+//! relations, reading the cost meter; the database claims run SQL through
+//! an in-process `SqlSession` over a live engine.
 
-use mmdb::{Database, EngineConfig, IndexKind};
-use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
+use mmdb_bench::plan_and_run;
+use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
+use mmdb_exec::project::hybrid_hash_project;
+use mmdb_exec::ExecContext;
+use mmdb_planner::optimizer::PlanEnv;
+use mmdb_planner::{optimize, AccessPath, JoinEdge, PhysicalPlan, QuerySpec, TableRef, TableStats};
+use mmdb_sql::{SqlDb, SqlSession};
+use mmdb_storage::MemRelation;
+use mmdb_suite::{insert_rows, scratch_engine};
 use mmdb_types::{CmpOp, DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
-fn load_company(db: &mut Database, employees: usize, depts: i64) {
-    db.create_table(
-        "emp",
-        Schema::of(&[
-            ("id", DataType::Int),
-            ("name", DataType::Str),
-            ("salary", DataType::Float),
-            ("dept", DataType::Int),
-        ]),
+/// `emp` and `dept`, 40 tuples to a page.
+fn company(employees: usize, depts: i64) -> (MemRelation, MemRelation) {
+    let emps = WorkloadRng::seeded(42).employees(employees, depts);
+    let dept_rows =
+        (0..depts).map(|d| Tuple::new(vec![Value::Int(d), Value::Str(format!("d{d}"))]));
+    let emp_schema = Schema::of(&[
+        ("id", DataType::Int),
+        ("name", DataType::Str),
+        ("salary", DataType::Float),
+        ("dept", DataType::Int),
+    ]);
+    let dept_schema = Schema::of(&[("id", DataType::Int), ("name", DataType::Str)]);
+    (
+        MemRelation::from_tuples(emp_schema, 40, emps).unwrap(),
+        MemRelation::from_tuples(dept_schema, 40, dept_rows.collect()).unwrap(),
     )
-    .unwrap();
-    db.create_table(
-        "dept",
-        Schema::of(&[("id", DataType::Int), ("name", DataType::Str)]),
-    )
-    .unwrap();
-    let mut rng = WorkloadRng::seeded(42);
-    db.insert_many("emp", rng.employees(employees, depts))
+}
+
+/// `emp` and `dept` created and loaded through `sql`.
+fn load_company(sql: &mut SqlSession, employees: usize, depts: i64) {
+    let (emp, dept) = company(employees, depts);
+    sql.execute("CREATE TABLE emp (id INT, name TEXT, salary FLOAT, dept INT)")
         .unwrap();
-    for d in 0..depts {
-        db.insert(
-            "dept",
-            Tuple::new(vec![Value::Int(d), Value::Str(format!("d{d}"))]),
-        )
+    sql.execute("CREATE TABLE dept (id INT, name TEXT)")
         .unwrap();
-    }
+    insert_rows(sql, "emp", emp.tuples()).unwrap();
+    insert_rows(sql, "dept", dept.tuples()).unwrap();
+}
+
+fn rows(sql: &mut SqlSession, query: &str) -> usize {
+    sql.execute(query).unwrap().rows.len()
 }
 
 #[test]
 fn full_lifecycle_load_index_query_update_delete() {
-    let mut db = Database::new();
-    load_company(&mut db, 2_000, 20);
-    db.create_index("emp", 0, IndexKind::BPlusTree).unwrap();
-    db.create_index("emp", 3, IndexKind::Hash).unwrap();
+    let (engine, dir) = scratch_engine("e2e-lifecycle");
+    let db = SqlDb::open(&engine).unwrap();
+    let mut sql = db.session();
+    load_company(&mut sql, 2_000, 20);
 
-    // Point lookup.
-    let one = db.lookup_eq("emp", 0, &Value::Int(999)).unwrap();
-    assert_eq!(one.len(), 1);
+    // Point lookup (builds the id index), then a planned join.
+    assert_eq!(rows(&mut sql, "SELECT * FROM emp WHERE id = 999"), 1);
+    let join = "SELECT emp.id, dept.name FROM emp JOIN dept ON emp.dept = dept.id";
+    assert_eq!(rows(&mut sql, join), 2_000);
 
-    // Planned join.
+    // Update a keyed column, verify through its index.
+    let moved = sql
+        .execute("UPDATE emp SET dept = 19 WHERE dept = 7")
+        .unwrap();
+    assert!(moved.affected > 0);
+    assert_eq!(rows(&mut sql, "SELECT id FROM emp WHERE dept = 7"), 0);
+
+    // Delete and re-query.
+    let removed = sql.execute("DELETE FROM emp WHERE id >= 1000").unwrap();
+    assert_eq!(removed.affected, 1_000);
+    assert_eq!(rows(&mut sql, join), 1_000);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn query_answers_are_memory_invariant() {
+    // The §3/§4 machinery must never change *answers*, only costs.
+    let (emp, dept) = company(3_000, 15);
     let spec = QuerySpec {
-        tables: vec![TableRef::plain("emp"), TableRef::plain("dept")],
+        tables: vec![
+            TableRef::filtered("emp", Predicate::cmp(2, CmpOp::Gt, 50_000.0)),
+            TableRef::plain("dept"),
+        ],
         joins: vec![JoinEdge {
             left_table: 0,
             left_column: 3,
@@ -54,73 +90,26 @@ fn full_lifecycle_load_index_query_update_delete() {
             right_column: 0,
         }],
     };
-    let joined = db.query(&spec).unwrap();
-    assert_eq!(joined.rows.tuple_count(), 2_000);
-
-    // Update through the table API, verify via index.
-    let changed = db
-        .table_mut("emp")
-        .unwrap()
-        .update_where(&Predicate::eq(3, 7i64), 3, Value::Int(19))
-        .unwrap();
-    assert!(changed > 0);
-    assert!(db.lookup_eq("emp", 3, &Value::Int(7)).unwrap().is_empty());
-
-    // Delete and re-query.
-    let removed =
-        db.table_mut("emp")
+    let tables = [("emp", &emp), ("dept", &dept)];
+    let answer = |mem_pages| {
+        let mut rows = plan_and_run(&spec, &tables, mem_pages)
             .unwrap()
-            .delete_where(&Predicate::cmp(0, CmpOp::Ge, 1_000i64));
-    assert_eq!(removed, 1_000);
-    let rejoined = db.query(&spec).unwrap();
-    assert_eq!(rejoined.rows.tuple_count(), 1_000);
-}
-
-#[test]
-fn query_answers_are_memory_invariant() {
-    // The §3/§4 machinery must never change *answers*, only costs.
-    let specs = |db: &Database| {
-        let spec = QuerySpec {
-            tables: vec![
-                TableRef::filtered("emp", Predicate::cmp(2, CmpOp::Gt, 50_000.0)),
-                TableRef::plain("dept"),
-            ],
-            joins: vec![JoinEdge {
-                left_table: 0,
-                left_column: 3,
-                right_table: 1,
-                right_column: 0,
-            }],
-        };
-        let mut rows = db.query(&spec).unwrap().rows.into_tuples();
+            .rows
+            .into_tuples();
         rows.sort();
         rows
     };
-    let mut ample = Database::new();
-    load_company(&mut ample, 3_000, 15);
-    let mut tight = Database::with_config(EngineConfig {
-        mem_pages: 6,
-        ..EngineConfig::default()
-    });
-    load_company(&mut tight, 3_000, 15);
-    assert_eq!(specs(&ample), specs(&tight));
+    let ample = answer(12_000);
+    assert!(!ample.is_empty());
+    assert_eq!(ample, answer(6));
 }
 
 #[test]
 fn aggregate_joins_and_projection_compose() {
-    let mut db = Database::new();
-    load_company(&mut db, 5_000, 25);
+    let (emp, _) = company(5_000, 25);
+    let ctx = ExecContext::new(12_000, 1.2);
     // Average salary by department (§3.9's example) ...
-    let by_dept = db
-        .aggregate(
-            "emp",
-            3,
-            &[
-                mmdb_exec::aggregate::AggFunc::Count,
-                mmdb_exec::aggregate::AggFunc::Avg(2),
-            ],
-        )
-        .unwrap();
+    let by_dept = hash_aggregate(&emp, 3, &[AggFunc::Count, AggFunc::Avg(2)], &ctx).unwrap();
     assert_eq!(by_dept.tuple_count(), 25);
     let total: i64 = by_dept
         .tuples()
@@ -129,75 +118,73 @@ fn aggregate_joins_and_projection_compose() {
         .sum();
     assert_eq!(total, 5_000);
     // ... and DISTINCT projection agrees on the group count.
-    let distinct = db.project_distinct("emp", &[3]).unwrap();
+    let distinct = hybrid_hash_project(&emp, &[3], &ctx).unwrap();
     assert_eq!(distinct.tuple_count(), 25);
 }
 
 #[test]
 fn planned_range_query_uses_the_ordered_index() {
-    use mmdb_planner::{AccessPath, PhysicalPlan};
-    let mut db = Database::new();
-    load_company(&mut db, 2_000, 10);
-    db.create_index("emp", 0, IndexKind::BPlusTree).unwrap();
-    let spec = QuerySpec::single(TableRef::filtered(
-        "emp",
-        Predicate::Between {
-            column: 0,
-            lo: Value::Int(100),
-            hi: Value::Int(199),
-        },
-    ));
-    let outcome = db.query(&spec).unwrap();
+    // Given an ordered index on `id`, the §4 planner chooses a range scan
+    // of it; the SQL layer answers the same range by walking the B+-tree
+    // it built for the column once a scan found the range selective.
+    let (emp, _) = company(2_000, 10);
+    let mut stats = TableStats::exact("emp", 40, 4, emp.tuples());
+    (stats.indexed_columns, stats.ordered_indexed_columns) = (vec![0], vec![0]);
+    let range = Predicate::Between {
+        column: 0,
+        lo: Value::Int(100),
+        hi: Value::Int(199),
+    };
+    let spec = QuerySpec::single(TableRef::filtered("emp", range));
+    let planned = optimize(&spec, &[stats], &PlanEnv::default()).unwrap();
     assert!(
         matches!(
-            outcome.plan.plan,
+            planned.plan,
             PhysicalPlan::Access(AccessPath::IndexRange { .. })
         ),
         "expected a range plan:\n{}",
-        outcome.plan.plan
+        planned.plan
     );
-    assert_eq!(outcome.rows.tuple_count(), 100);
-    // Far fewer comparisons than a 2000-tuple scan.
-    assert!(
-        outcome.measured.comparisons < 500,
-        "range scan should not touch every tuple: {:?}",
-        outcome.measured
-    );
+
+    let (engine, dir) = scratch_engine("e2e-range");
+    let db = SqlDb::open(&engine).unwrap();
+    let mut sql = db.session();
+    load_company(&mut sql, 2_000, 10);
+    let query = "SELECT * FROM emp WHERE id >= 100 AND id <= 199";
+    let scanned = || {
+        engine
+            .stats()
+            .counter("mmdb_sql_rows_scanned_total")
+            .unwrap()
+    };
+    assert_eq!(rows(&mut sql, query), 100);
+    let before = scanned();
+    assert_eq!(rows(&mut sql, query), 100);
+    assert_eq!(scanned(), before, "the second range walks the index");
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn simulated_seconds_track_memory_pressure() {
-    let run = |mem_pages: usize| {
-        let mut db = Database::with_config(EngineConfig {
-            mem_pages,
-            ..EngineConfig::default()
-        });
-        db.create_table(
-            "r",
-            Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]),
-        )
-        .unwrap();
-        db.create_table(
-            "s",
-            Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]),
-        )
-        .unwrap();
-        let mut rng = WorkloadRng::seeded(3);
-        db.insert_many("r", rng.keyed_tuples(4_000, 1_000)).unwrap();
-        db.insert_many("s", rng.keyed_tuples(4_000, 1_000)).unwrap();
-        let spec = QuerySpec {
-            tables: vec![TableRef::plain("r"), TableRef::plain("s")],
-            joins: vec![JoinEdge {
-                left_table: 0,
-                left_column: 0,
-                right_table: 1,
-                right_column: 0,
-            }],
-        };
-        db.query(&spec).unwrap().simulated_seconds
+    let mut rng = WorkloadRng::seeded(3);
+    let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+    let mut keyed = || MemRelation::from_tuples(schema.clone(), 40, rng.keyed_tuples(4_000, 1_000));
+    let (r, s) = (keyed().unwrap(), keyed().unwrap());
+    let spec = QuerySpec {
+        tables: vec![TableRef::plain("r"), TableRef::plain("s")],
+        joins: vec![JoinEdge {
+            left_table: 0,
+            left_column: 0,
+            right_table: 1,
+            right_column: 0,
+        }],
     };
-    let tight = run(10);
-    let ample = run(10_000);
+    let seconds = |mem_pages| {
+        let run = plan_and_run(&spec, &[("r", &r), ("s", &s)], mem_pages).unwrap();
+        run.simulated_seconds()
+    };
+    let (tight, ample) = (seconds(10), seconds(10_000));
     assert!(
         tight > ample * 3.0,
         "starved join should cost much more: {tight} vs {ample}"

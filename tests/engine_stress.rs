@@ -1,23 +1,28 @@
-//! Larger combined-load scenarios: the engine under sustained mixed DML +
-//! query traffic, and the transactional store under long crash/recover
-//! cycles. These are the "does it hold up" tests a downstream adopter
+//! Larger combined-load scenarios: the SQL database under sustained mixed
+//! DML + query traffic, and the transactional store under long
+//! crash/recover cycles. These are the "does it hold up" tests a downstream adopter
 //! would run first.
 
-use mmdb::{Database, IndexKind};
-use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
 use mmdb_recovery::{CommitMode, RecoveryManager};
-use mmdb_types::{CmpOp, DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
+use mmdb_sql::{SqlDb, SqlSession};
+use mmdb_suite::scratch_engine;
+use mmdb_types::WorkloadRng;
+
+fn ints(sql: &mut SqlSession, query: &str) -> Vec<i64> {
+    let rows = sql.execute(query).unwrap().rows;
+    rows.iter().map(|row| row[0].as_int().unwrap()).collect()
+}
 
 #[test]
 fn sustained_dml_with_index_maintenance() {
-    let mut db = Database::new();
-    db.create_table(
-        "t",
-        Schema::of(&[("id", DataType::Int), ("grp", DataType::Int)]),
-    )
-    .unwrap();
-    db.create_index("t", 0, IndexKind::BPlusTree).unwrap();
-    db.create_index("t", 1, IndexKind::Hash).unwrap();
+    let (engine, dir) = scratch_engine("stress-dml");
+    let db = SqlDb::open(&engine).unwrap();
+    let mut sql = db.session();
+    sql.execute("CREATE TABLE t (id INT, grp INT)").unwrap();
+    // An equality probe builds the `grp` index now, so every insert and
+    // delete below must maintain it; the `id` index is built the same way
+    // by the first probe or delete.
+    assert!(ints(&mut sql, "SELECT id FROM t WHERE grp = 0").is_empty());
     let mut rng = WorkloadRng::seeded(60);
     let mut live: std::collections::BTreeMap<i64, i64> = Default::default();
     let mut next_id = 0i64;
@@ -25,7 +30,7 @@ fn sustained_dml_with_index_maintenance() {
         match rng.index(10) {
             0..=5 => {
                 let grp = rng.int_in(0, 16);
-                db.insert("t", Tuple::new(vec![Value::Int(next_id), Value::Int(grp)]))
+                sql.execute(&format!("INSERT INTO t VALUES ({next_id}, {grp})"))
                     .unwrap();
                 live.insert(next_id, grp);
                 next_id += 1;
@@ -33,46 +38,37 @@ fn sustained_dml_with_index_maintenance() {
             6..=7 => {
                 if next_id > 0 {
                     let victim = rng.int_in(0, next_id);
-                    let removed = db
-                        .table_mut("t")
-                        .unwrap()
-                        .delete_where(&Predicate::eq(0, victim));
-                    assert_eq!(removed, usize::from(live.remove(&victim).is_some()));
+                    let removed = sql.execute(&format!("DELETE FROM t WHERE id = {victim}"));
+                    let removed = removed.unwrap().affected;
+                    assert_eq!(removed, u64::from(live.remove(&victim).is_some()));
                 }
             }
             _ => {
                 if next_id > 0 {
                     let probe = rng.int_in(0, next_id);
-                    let got = db.lookup_eq("t", 0, &Value::Int(probe)).unwrap();
-                    match live.get(&probe) {
-                        Some(grp) => {
-                            assert_eq!(got.len(), 1, "round {round}");
-                            assert_eq!(got[0].get(1), &Value::Int(*grp));
-                        }
-                        None => assert!(got.is_empty(), "round {round}"),
-                    }
+                    let got = ints(&mut sql, &format!("SELECT grp FROM t WHERE id = {probe}"));
+                    let want: Vec<i64> = live.get(&probe).copied().into_iter().collect();
+                    assert_eq!(got, want, "round {round}");
                 }
             }
         }
     }
-    // Final cross-checks: group index, range scan, and full count agree
-    // with the oracle.
-    assert_eq!(db.table("t").unwrap().len(), live.len());
+    // Final cross-checks: the id and group indexes, a range walk, and the
+    // full count agree with the oracle.
+    assert_eq!(ints(&mut sql, "SELECT id FROM t").len(), live.len());
     for grp in 0..16i64 {
-        let via_index = db.lookup_eq("t", 1, &Value::Int(grp)).unwrap().len();
+        let via_index = ints(&mut sql, &format!("SELECT id FROM t WHERE grp = {grp}"));
         let oracle = live.values().filter(|g| **g == grp).count();
-        assert_eq!(via_index, oracle, "group {grp}");
+        assert_eq!(via_index.len(), oracle, "group {grp}");
     }
-    let lo = next_id / 4;
-    let hi = next_id / 2;
-    let ranged = db
-        .range_scan("t", 0, &Value::Int(lo), &Value::Int(hi))
-        .unwrap();
-    assert_eq!(
-        ranged.len(),
-        live.range(lo..=hi).count(),
-        "range [{lo}, {hi}]"
-    );
+    let (lo, hi) = (next_id / 4, next_id / 2);
+    let query = format!("SELECT id FROM t WHERE id >= {lo} AND id <= {hi}");
+    let mut ranged = ints(&mut sql, &query);
+    ranged.sort_unstable();
+    let oracle: Vec<i64> = live.range(lo..=hi).map(|(id, _)| *id).collect();
+    assert_eq!(ranged, oracle, "range [{lo}, {hi}]");
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -108,55 +104,34 @@ fn repeated_crash_recover_cycles_accumulate_correctly() {
 
 #[test]
 fn query_results_survive_table_mutation_between_queries() {
-    let mut db = Database::new();
-    db.create_table(
-        "orders",
-        Schema::of(&[("id", DataType::Int), ("cust", DataType::Int)]),
-    )
-    .unwrap();
-    db.create_table(
-        "cust",
-        Schema::of(&[("id", DataType::Int), ("tier", DataType::Int)]),
-    )
-    .unwrap();
+    let (engine, dir) = scratch_engine("stress-join");
+    let db = SqlDb::open(&engine).unwrap();
+    let mut sql = db.session();
+    sql.execute("CREATE TABLE orders (id INT, cust INT)")
+        .unwrap();
+    sql.execute("CREATE TABLE cust (id INT, tier INT)").unwrap();
+    let custs: Vec<String> = (0..50).map(|c| format!("({c}, {})", c % 3)).collect();
+    sql.execute(&format!("INSERT INTO cust VALUES {}", custs.join(", ")))
+        .unwrap();
+    let query = "SELECT orders.id FROM orders JOIN cust ON orders.cust = cust.id \
+                 WHERE cust.tier = 1";
     let mut rng = WorkloadRng::seeded(61);
-    for c in 0..50i64 {
-        db.insert("cust", Tuple::new(vec![Value::Int(c), Value::Int(c % 3)]))
-            .unwrap();
-    }
-    let spec = QuerySpec {
-        tables: vec![
-            TableRef::plain("orders"),
-            TableRef::filtered("cust", Predicate::cmp(1, CmpOp::Eq, 1i64)),
-        ],
-        joins: vec![JoinEdge {
-            left_table: 0,
-            left_column: 1,
-            right_table: 1,
-            right_column: 0,
-        }],
-    };
-    let mut last = 0usize;
+    let mut oracle: Vec<i64> = Vec::new();
     for wave in 0..5 {
-        for i in 0..200i64 {
-            db.insert(
-                "orders",
-                Tuple::new(vec![
-                    Value::Int(wave * 200 + i),
-                    Value::Int(rng.int_in(0, 50)),
-                ]),
-            )
+        let orders: Vec<(i64, i64)> = (0..200)
+            .map(|i| (wave * 200 + i, rng.int_in(0, 50)))
+            .collect();
+        let values: Vec<String> = orders
+            .iter()
+            .map(|(id, c)| format!("({id}, {c})"))
+            .collect();
+        sql.execute(&format!("INSERT INTO orders VALUES {}", values.join(", ")))
             .unwrap();
-        }
-        let outcome = db.query(&spec).unwrap();
-        let oracle = db
-            .table("orders")
-            .unwrap()
-            .scan()
-            .filter(|t| t.get(1).as_int().unwrap() % 3 == 1)
-            .count();
-        assert_eq!(outcome.rows.tuple_count(), oracle, "wave {wave}");
-        assert!(outcome.rows.tuple_count() >= last);
-        last = outcome.rows.tuple_count();
+        oracle.extend(orders.iter().filter(|(_, c)| c % 3 == 1).map(|(id, _)| id));
+        let mut got = ints(&mut sql, query);
+        got.sort_unstable();
+        assert_eq!(got, oracle, "wave {wave}");
     }
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

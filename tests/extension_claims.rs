@@ -1,8 +1,8 @@
 //! Assertions for the extension experiments (DESIGN.md §7): each extension
 //! must actually demonstrate the paper passage it was built for.
 
-use mmdb::mvcc::VersionedStore;
 use mmdb_analytic::join::{tid, JoinAlgorithm, JoinScenario};
+use mmdb_bench::mvcc::VersionedStore;
 use mmdb_exec::join::hybrid::hybrid_hash_join_with_stats;
 use mmdb_exec::join::JoinSpec;
 use mmdb_exec::ExecContext;
@@ -82,6 +82,28 @@ fn mvcc_snapshot_isolation_under_write_storm() {
         store.end_read(r);
     }
     assert!(store.gc() > 0, "history must be collectable");
+}
+
+/// A reader is ended by its own id: ending it twice releases nothing of
+/// a second reader holding the same snapshot, whose versions GC keeps.
+#[test]
+fn ending_a_reader_twice_leaves_a_second_reader_of_its_snapshot_pinned() {
+    let mut store = VersionedStore::new();
+    let w = store.begin_write();
+    store.write(&w, 1, 10).unwrap();
+    store.commit(w).unwrap();
+    let (a, b) = (store.begin_read(), store.begin_read());
+    for value in [20, 30] {
+        let w = store.begin_write();
+        store.write(&w, 1, value).unwrap();
+        store.commit(w).unwrap();
+    }
+    store.end_read(a);
+    store.end_read(a);
+    assert_eq!(store.gc(), 0, "b still pins its snapshot");
+    assert_eq!(store.read(&b, 1), Some(10));
+    store.end_read(b);
+    assert_eq!(store.gc(), 2);
 }
 
 /// §6 buffer management: on skewed references LRU beats the random policy
