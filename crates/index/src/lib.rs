@@ -7,8 +7,6 @@
 //!   structure for memory-resident keyed relations.
 //! * [`bptree::BPlusTree`] — a page-based B+-tree with configurable fanout
 //!   and Yao-style occupancy tracking, the incumbent structure.
-//! * [`hash::HashIndex`] — a chained hash index for equality access (§3/§4
-//!   make hashing the workhorse of query processing).
 //! * [`residency::PagedResidency`] — a random-replacement residency
 //!   simulator that converts traced page visits into fault counts, so the
 //!   §2 model (`faults = C · (1 − |M|/S)`) can be checked empirically.
@@ -19,13 +17,11 @@
 
 pub mod avl;
 pub mod bptree;
-pub mod hash;
 pub mod paged_binary;
 pub mod residency;
 
 pub use avl::AvlTree;
 pub use bptree::BPlusTree;
-pub use hash::HashIndex;
 pub use paged_binary::PagedBinaryTree;
 pub use residency::PagedResidency;
 

@@ -1,6 +1,5 @@
 //! Physical plans: annotated operator trees the engine can execute.
 
-use crate::cost::PlanCost;
 use mmdb_types::Predicate;
 use std::fmt;
 
@@ -184,17 +183,6 @@ impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.render(f, 0)
     }
-}
-
-/// A plan with its estimates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnotatedPlan {
-    /// The operator tree.
-    pub plan: PhysicalPlan,
-    /// Estimated output rows.
-    pub estimated_rows: f64,
-    /// Estimated cost.
-    pub cost: PlanCost,
 }
 
 #[cfg(test)]

@@ -16,8 +16,7 @@
 //!   keeps its old value, so the §5.4 compression model
 //!   ([`LogRecord::compressed_size`]) stays measurable byte-for-byte.
 
-use bytes::{Buf, BufMut};
-use mmdb_types::{Error, Result, TxnId};
+use mmdb_types::{Reader, Result, TxnId};
 use std::sync::Arc;
 
 /// An immutable byte record: one shared allocation, so the session
@@ -148,13 +147,13 @@ impl LogRecord {
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::Begin { txn } => {
-                out.put_u8(TAG_BEGIN);
-                out.put_u64_le(txn.0);
+                out.push(TAG_BEGIN);
+                out.extend_from_slice(&txn.0.to_le_bytes());
             }
             LogRecord::Put { txn, key, new } => {
-                out.put_u8(TAG_PUT);
-                out.put_u64_le(txn.0);
-                out.put_u64_le(*key);
+                out.push(TAG_PUT);
+                out.extend_from_slice(&txn.0.to_le_bytes());
+                out.extend_from_slice(&key.to_le_bytes());
                 put_bytes(out, new);
             }
             LogRecord::Update {
@@ -164,81 +163,69 @@ impl LogRecord {
                 new,
                 padding,
             } => {
-                out.put_u8(TAG_UPDATE);
-                out.put_u64_le(txn.0);
-                out.put_u64_le(*key);
+                out.push(TAG_UPDATE);
+                out.extend_from_slice(&txn.0.to_le_bytes());
+                out.extend_from_slice(&key.to_le_bytes());
                 match old {
                     Some(v) => {
-                        out.put_u8(1);
-                        out.put_i64_le(*v);
+                        out.push(1);
+                        out.extend_from_slice(&v.to_le_bytes());
                     }
-                    None => out.put_u8(0),
+                    None => out.push(0),
                 }
-                out.put_i64_le(*new);
-                out.put_u32_le(*padding);
+                out.extend_from_slice(&new.to_le_bytes());
+                out.extend_from_slice(&padding.to_le_bytes());
             }
             LogRecord::Commit { txn } => {
-                out.put_u8(TAG_COMMIT);
-                out.put_u64_le(txn.0);
+                out.push(TAG_COMMIT);
+                out.extend_from_slice(&txn.0.to_le_bytes());
             }
             LogRecord::Abort { txn } => {
-                out.put_u8(TAG_ABORT);
-                out.put_u64_le(txn.0);
+                out.push(TAG_ABORT);
+                out.extend_from_slice(&txn.0.to_le_bytes());
             }
             LogRecord::Checkpoint { start, next_txn } => {
-                out.put_u8(TAG_CHECKPOINT);
-                out.put_u64_le(start.0);
-                out.put_u64_le(*next_txn);
+                out.push(TAG_CHECKPOINT);
+                out.extend_from_slice(&start.0.to_le_bytes());
+                out.extend_from_slice(&next_txn.to_le_bytes());
             }
         }
     }
 
-    /// Deserializes one record from the front of `buf`.
+    /// Deserializes one record from the front of `buf`, advancing `buf`
+    /// past it.
     pub fn decode(buf: &mut &[u8]) -> Result<LogRecord> {
-        if buf.remaining() < 9 {
-            return Err(Error::CorruptLog("truncated record header".into()));
-        }
-        let tag = buf.get_u8();
+        let mut r = Reader::new(buf);
+        let record = Self::read(&mut r)?;
+        *buf = r.rest();
+        Ok(record)
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<LogRecord> {
+        let tag = r.u8()?;
         if tag == TAG_CHECKPOINT {
-            if buf.remaining() < 16 {
-                return Err(Error::CorruptLog("truncated checkpoint marker".into()));
-            }
-            let start = Lsn(buf.get_u64_le());
-            let next_txn = buf.get_u64_le();
+            let start = Lsn(r.u64()?);
+            let next_txn = r.u64()?;
             return Ok(LogRecord::Checkpoint { start, next_txn });
         }
-        let txn = TxnId(buf.get_u64_le());
+        let txn = TxnId(r.u64()?);
         match tag {
             TAG_BEGIN => Ok(LogRecord::Begin { txn }),
             TAG_COMMIT => Ok(LogRecord::Commit { txn }),
             TAG_ABORT => Ok(LogRecord::Abort { txn }),
             TAG_PUT => {
-                if buf.remaining() < 8 {
-                    return Err(Error::CorruptLog("truncated put".into()));
-                }
-                let key = buf.get_u64_le();
-                let new = take_bytes(buf, "new value")?;
+                let key = r.u64()?;
+                let new = take_bytes(r, "new value")?;
                 Ok(LogRecord::Put { txn, key, new })
             }
             TAG_UPDATE => {
-                if buf.remaining() < 8 + 1 {
-                    return Err(Error::CorruptLog("truncated update".into()));
-                }
-                let key = buf.get_u64_le();
-                let has_old = buf.get_u8() == 1;
-                let old = if has_old {
-                    if buf.remaining() < 8 {
-                        return Err(Error::CorruptLog("truncated old value".into()));
-                    }
-                    Some(buf.get_i64_le())
-                } else {
-                    None
+                let key = r.u64()?;
+                let old = match r.u8()? {
+                    1 => Some(r.u64()? as i64),
+                    _ => None,
                 };
-                if buf.remaining() < 12 {
-                    return Err(Error::CorruptLog("truncated new value".into()));
-                }
-                let new = buf.get_i64_le();
-                let padding = buf.get_u32_le();
+                let new = r.u64()? as i64;
+                let padding = r.u32()?;
                 Ok(LogRecord::Update {
                     txn,
                     key,
@@ -247,7 +234,7 @@ impl LogRecord {
                     padding,
                 })
             }
-            other => Err(Error::CorruptLog(format!("unknown record tag {other}"))),
+            other => Err(r.corrupt(&format!("unknown record tag {other}"))),
         }
     }
 }
@@ -255,30 +242,19 @@ impl LogRecord {
 /// Appends a length-prefixed value. Writers bound values by
 /// [`MAX_RECORD_BYTES`], so the length always fits its `u32` field.
 fn put_bytes(out: &mut Vec<u8>, value: &[u8]) {
-    out.put_u32_le(mmdb_types::cast::u32_from_usize(value.len()));
-    out.put_slice(value);
+    out.extend_from_slice(&mmdb_types::cast::u32_from_usize(value.len()).to_le_bytes());
+    out.extend_from_slice(value);
 }
 
-/// Takes one length-prefixed value off the front of `buf`. The length
-/// field is checked against [`MAX_RECORD_BYTES`] and against what `buf`
-/// actually holds *before* anything is allocated for it.
-fn take_bytes(buf: &mut &[u8], what: &str) -> Result<Record> {
-    if buf.remaining() < 4 {
-        return Err(Error::CorruptLog(format!("truncated {what} length")));
-    }
-    let len = buf.get_u32_le() as usize;
+/// Reads one length-prefixed value. The length field is checked against
+/// [`MAX_RECORD_BYTES`] and against what the reader actually holds
+/// *before* anything is allocated for it.
+fn take_bytes(r: &mut Reader<'_>, what: &str) -> Result<Record> {
+    let len = r.u32()? as usize;
     if len > MAX_RECORD_BYTES {
-        return Err(Error::CorruptLog(format!("{what} of {len} bytes")));
+        return Err(r.corrupt(&format!("{what} of {len} bytes")));
     }
-    let (Some(value), Some(rest)) = (buf.get(..len), buf.get(len..)) else {
-        return Err(Error::CorruptLog(format!(
-            "{what} claims {len} bytes, {} remain",
-            buf.remaining()
-        )));
-    };
-    let value = Record::from(value);
-    *buf = rest;
-    Ok(value)
+    r.take(len).map(Record::from)
 }
 
 /// Builds the paper's "typical" banking transaction log: begin + one
@@ -300,6 +276,7 @@ pub fn typical_transaction(txn: TxnId, key: u64, old: i64, new: i64) -> Vec<LogR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_types::Error;
 
     #[test]
     fn typical_transaction_is_400_bytes() {
@@ -366,6 +343,79 @@ mod tests {
         assert!(view.is_empty());
     }
 
+    /// The on-disk bytes of every record kind, pinned literally: a
+    /// change to the encoder that moves any byte fails here, not in a
+    /// recovery that cannot read an older log.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let pinned: [(LogRecord, &[u8]); 7] = [
+            (
+                LogRecord::Begin { txn: TxnId(0x0102) },
+                &[1, 2, 1, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                LogRecord::Put {
+                    txn: TxnId(9),
+                    key: 0xA1B2,
+                    new: Record::from(&b"row"[..]),
+                },
+                &[
+                    6, 9, 0, 0, 0, 0, 0, 0, 0, 0xB2, 0xA1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, b'r',
+                    b'o', b'w',
+                ],
+            ),
+            (
+                LogRecord::Update {
+                    txn: TxnId(9),
+                    key: 123,
+                    old: Some(-5),
+                    new: 6,
+                    padding: 17,
+                },
+                &[
+                    2, 9, 0, 0, 0, 0, 0, 0, 0, 123, 0, 0, 0, 0, 0, 0, 0, 1, 0xFB, 0xFF, 0xFF, 0xFF,
+                    0xFF, 0xFF, 0xFF, 0xFF, 6, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0,
+                ],
+            ),
+            (
+                LogRecord::Update {
+                    txn: TxnId(9),
+                    key: 4,
+                    old: None,
+                    new: -1,
+                    padding: 0x0102_0304,
+                },
+                &[
+                    2, 9, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF,
+                    0xFF, 0xFF, 0xFF, 0xFF, 4, 3, 2, 1,
+                ],
+            ),
+            (
+                LogRecord::Commit { txn: TxnId(9) },
+                &[3, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                LogRecord::Abort { txn: TxnId(10) },
+                &[4, 10, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (
+                LogRecord::Checkpoint {
+                    start: Lsn(77),
+                    next_txn: 42,
+                },
+                &[5, 77, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0],
+            ),
+        ];
+        for (record, bytes) in &pinned {
+            let mut buf = Vec::new();
+            record.encode(&mut buf);
+            assert_eq!(buf, *bytes, "{record:?}");
+            let mut view = *bytes;
+            assert_eq!(&LogRecord::decode(&mut view).unwrap(), record);
+            assert!(view.is_empty());
+        }
+    }
+
     #[test]
     fn put_byte_size_is_its_encoded_length() {
         for len in [0usize, 8, 106] {
@@ -411,14 +461,14 @@ mod tests {
     fn put_in_the_retired_layout_fails_its_length_check() {
         for pre_image in [None, Some(&b"was"[..])] {
             let mut buf = vec![TAG_PUT];
-            buf.put_u64_le(3);
-            buf.put_u64_le(4);
+            buf.extend_from_slice(&3u64.to_le_bytes());
+            buf.extend_from_slice(&4u64.to_le_bytes());
             match pre_image {
                 Some(v) => {
-                    buf.put_u8(1);
+                    buf.push(1);
                     put_bytes(&mut buf, v);
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
             put_bytes(&mut buf, &[5u8; 40]);
             let mut view = buf.as_slice();

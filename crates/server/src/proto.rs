@@ -46,6 +46,7 @@
 use mmdb_sql::codec;
 use mmdb_sql::QueryResult;
 use mmdb_types::error::{Error, Result};
+use mmdb_types::reader::Reader;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -454,6 +455,9 @@ pub fn encode_ok_into(out: &mut Vec<u8>, result: &QueryResult) -> Result<()> {
     if result.rows.len() > u32::MAX as usize {
         return Err(Error::TupleTooLarge(result.rows.len()));
     }
+    if result.columns.is_empty() && !result.rows.is_empty() {
+        return Err(Error::Internal("result rows without columns".to_string()));
+    }
     out.extend_from_slice(&(result.rows.len() as u32).to_le_bytes());
     for row in &result.rows {
         if row.len() != result.columns.len() {
@@ -503,66 +507,62 @@ pub fn encode_retryable(msg: &str) -> Vec<u8> {
     out
 }
 
-fn take<'a>(frame: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let end = pos
-        .checked_add(n)
-        .ok_or_else(|| Error::Io("response length overflow".to_string()))?;
-    let s = frame
-        .get(*pos..end)
-        .ok_or_else(|| Error::Io("truncated response frame".to_string()))?;
-    *pos = end;
-    Ok(s)
-}
-
-/// The next `N` bytes, for the `from_le_bytes` of whichever integer.
-fn take_le<const N: usize>(frame: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    <[u8; N]>::try_from(take(frame, pos, N)?)
-        .map_err(|_| Error::Io("truncated response frame".to_string()))
-}
-
 /// Decodes a response frame. The outer `Result` is a protocol failure
 /// (malformed frame); the inner one is the server's answer — either a
 /// [`QueryResult`] or an in-band [`WireError`] carrying the server's
 /// message and its retryable-vs-fatal classification.
 pub fn decode_response(frame: &[u8]) -> Result<std::result::Result<QueryResult, WireError>> {
-    let mut pos = 0usize;
-    let status = *take(frame, &mut pos, 1)?
-        .first()
-        .ok_or_else(|| Error::Io("empty response frame".to_string()))?;
-    match status {
-        1 | 2 => {
-            let msg = frame.get(pos..).unwrap_or_default();
-            let msg = String::from_utf8_lossy(msg).into_owned();
-            Ok(Err(WireError {
-                msg,
-                retryable: status == 2,
-            }))
-        }
-        0 => {
-            let ncols = u16::from_le_bytes(take_le(frame, &mut pos)?) as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let len = u16::from_le_bytes(take_le(frame, &mut pos)?) as usize;
-                let name = take(frame, &mut pos, len)?;
-                columns.push(String::from_utf8_lossy(name).into_owned());
-            }
-            let nrows = u32::from_le_bytes(take_le(frame, &mut pos)?) as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-            for _ in 0..nrows {
-                rows.push(codec::decode_values_at(frame, &mut pos, ncols)?);
-            }
-            let affected = u64::from_le_bytes(take_le(frame, &mut pos)?);
-            if pos != frame.len() {
-                return Err(Error::Io("trailing bytes in response frame".to_string()));
-            }
-            Ok(Ok(QueryResult {
-                columns,
-                rows,
-                affected,
-            }))
-        }
-        other => Err(Error::Io(format!("unknown response status byte {other}"))),
+    let mut r = Reader::new(frame);
+    let decoded = r.u8().and_then(|status| match status {
+        1 | 2 => Ok(Err(WireError {
+            msg: String::from_utf8_lossy(r.rest()).into_owned(),
+            retryable: status == 2,
+        })),
+        0 => decode_ok(&mut r).map(Ok),
+        other => Err(r.corrupt(&format!("unknown status byte {other}"))),
+    });
+    decoded.map_err(|e| match e {
+        Error::CorruptLog(m) => Error::Io(format!("malformed response frame: {m}")),
+        other => other,
+    })
+}
+
+/// The body of an OK response. Every count is bounded by the bytes that
+/// remain before anything is sized from it: a value is at least its one
+/// tag byte, so `nrows` rows of `ncols` values need `nrows × ncols`
+/// bytes ahead of the 8-byte affected count, and a row of no columns —
+/// which would cost no bytes at all — is refused.
+fn decode_ok(r: &mut Reader<'_>) -> Result<QueryResult> {
+    let ncols = usize::from(r.u16()?);
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let len = usize::from(r.u16()?);
+        columns.push(String::from_utf8_lossy(r.take(len)?).into_owned());
     }
+    let nrows = r.u32()? as usize;
+    if nrows > 0 && ncols == 0 {
+        return Err(r.corrupt(&format!("{nrows} rows of no columns")));
+    }
+    if nrows.saturating_mul(ncols).saturating_add(8) > r.remaining() {
+        return Err(r.corrupt(&format!("{nrows} rows of {ncols} columns")));
+    }
+    let mut rows = Vec::with_capacity(nrows.min(1 << 20));
+    for _ in 0..nrows {
+        let mut row = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            row.push(codec::decode_value(r)?);
+        }
+        rows.push(row);
+    }
+    let affected = r.u64()?;
+    if !r.done() {
+        return Err(r.corrupt("trailing bytes"));
+    }
+    Ok(QueryResult {
+        columns,
+        rows,
+        affected,
+    })
 }
 
 #[cfg(test)]
@@ -763,5 +763,28 @@ mod tests {
         }
         assert!(decode_response(&[9, 0, 0]).is_err());
         assert!(decode_response(&[]).is_err());
+
+        // 15 bytes claiming u32::MAX rows of zero columns: each such row
+        // reads no bytes, so an unbounded count would push empty rows
+        // until the allocator gave out.
+        let mut bomb = vec![0, 0, 0];
+        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        bomb.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(bomb.len(), 15);
+        let refused = |frame: &[u8], why: &str| matches!(decode_response(frame), Err(Error::Io(m)) if m.contains(why));
+        assert!(refused(&bomb, "4294967295 rows of no columns"));
+        // One column, but more rows than the bytes left can carry.
+        let mut short = vec![0, 1, 0, 1, 0, b'x'];
+        short.extend_from_slice(&3u32.to_le_bytes());
+        short.push(0);
+        short.extend_from_slice(&0u64.to_le_bytes());
+        assert!(refused(&short, "3 rows of 1 columns"));
+        // The server refuses to send what the client refuses.
+        let columnless = QueryResult {
+            columns: Vec::new(),
+            rows: vec![Vec::new()],
+            affected: 0,
+        };
+        assert!(encode_ok(&columnless).is_err());
     }
 }

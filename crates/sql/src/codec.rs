@@ -29,6 +29,7 @@
 //!   2 `FLOAT` + 8 bytes (IEEE bits), 3 `TEXT` + `u32` length + bytes.
 
 use mmdb_types::error::{Error, Result};
+use mmdb_types::reader::Reader;
 use mmdb_types::schema::{Column, DataType, Schema};
 use mmdb_types::tuple::Tuple;
 use mmdb_types::value::Value;
@@ -101,83 +102,6 @@ pub fn parse_key(key: u64) -> Option<SqlKey> {
     };
     // A bit neither layout uses does not survive the round trip.
     (rebuilt.ok() == Some(key)).then_some(parsed)
-}
-
-// ---------------------------------------------------------------------
-// Byte-level reader (no slicing, so the panic-freedom audit stays clean)
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn corrupt(&self, what: &str) -> Error {
-        Error::CorruptLog(format!("{what} at byte {} of SQL blob", self.pos))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| self.corrupt("length overflow"))?;
-        let s = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.corrupt("truncated field"))?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.corrupt("truncated byte"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let s = self.take(2)?;
-        let mut b = [0u8; 2];
-        for (dst, src) in b.iter_mut().zip(s) {
-            *dst = *src;
-        }
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        for (dst, src) in b.iter_mut().zip(s) {
-            *dst = *src;
-        }
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        for (dst, src) in b.iter_mut().zip(s) {
-            *dst = *src;
-        }
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn string(&mut self, len: usize) -> Result<String> {
-        let s = self.take(len)?;
-        String::from_utf8(s.to_vec()).map_err(|_| self.corrupt("non-UTF-8 string"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -276,7 +200,8 @@ pub fn encode_value_into(out: &mut Vec<u8>, v: &Value) -> Result<()> {
     Ok(())
 }
 
-fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
+/// Reads one tagged [`Value`] — the inverse of [`encode_value_into`].
+pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
     match r.u8()? {
         0 => Ok(Value::Null),
         1 => Ok(Value::Int(r.u64()? as i64)),
@@ -313,21 +238,6 @@ pub fn decode_row(blob: &[u8], arity: usize) -> Result<Tuple> {
         return Err(r.corrupt("trailing bytes in row blob"));
     }
     Ok(Tuple::new(values))
-}
-
-/// Reads `count` tagged values starting at `*pos`, advancing `*pos`
-/// past them — the wire decoder's incremental entry point.
-pub fn decode_values_at(blob: &[u8], pos: &mut usize, count: usize) -> Result<Vec<Value>> {
-    let rest = blob
-        .get(*pos..)
-        .ok_or_else(|| Error::CorruptLog("value offset out of range".to_string()))?;
-    let mut r = Reader::new(rest);
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(decode_value(&mut r)?);
-    }
-    *pos += r.pos;
-    Ok(values)
 }
 
 #[cfg(test)]
@@ -412,18 +322,5 @@ mod tests {
         let long = "x".repeat(MAX_NAME_BYTES + 1);
         let schema = Schema::of(&[("id", DataType::Int)]);
         assert!(encode_schema(&long, &schema).is_err());
-    }
-
-    #[test]
-    fn incremental_value_decode() {
-        let mut blob = Vec::new();
-        encode_value_into(&mut blob, &Value::Int(1)).unwrap();
-        encode_value_into(&mut blob, &Value::Str("ab".to_string())).unwrap();
-        let mut pos = 0;
-        let first = decode_values_at(&blob, &mut pos, 1).unwrap();
-        assert_eq!(first, vec![Value::Int(1)]);
-        let second = decode_values_at(&blob, &mut pos, 1).unwrap();
-        assert_eq!(second, vec![Value::Str("ab".to_string())]);
-        assert_eq!(pos, blob.len());
     }
 }

@@ -14,25 +14,18 @@
 //! * [`CostMeter`] — thread-safe counters for the six primitive operations
 //!   (`comp`, `hash`, `move`, `swap`, `IOseq`, `IOrand`) convertible to
 //!   simulated seconds.
-//! * [`SlottedPage`] — a real slotted-page layout over a 4 KB buffer.
 //! * [`SimDisk`] — the page store, charging sequential or random I/O.
 //! * [`BufferPool`] — bounded page cache with Random (the §2 assumption),
 //!   LRU and Clock replacement.
-//! * [`HeapFile`] — relations as unordered collections of slotted pages.
 //! * [`MemRelation`] — a fully memory-resident relation with a paged view,
 //!   the substrate the §3 join algorithms execute against.
 
 pub mod buffer;
 pub mod disk;
-pub mod heap;
 pub mod mem;
 pub mod meter;
-pub mod page;
-pub mod tuple_codec;
 
 pub use buffer::{BufferPool, ReplacementPolicy};
 pub use disk::{IoKind, SimDisk};
-pub use heap::HeapFile;
 pub use mem::MemRelation;
 pub use meter::{CostMeter, CostSnapshot};
-pub use page::SlottedPage;

@@ -1,93 +1,12 @@
-//! Property-based testing of the storage substrate: tuple codec
-//! round-trips, slotted-page oracle equivalence, buffer-pool coherence.
+//! Property-based testing of the storage substrate: buffer-pool
+//! coherence and capacity.
 
-use mmdb_storage::{
-    tuple_codec, BufferPool, CostMeter, IoKind, ReplacementPolicy, SimDisk, SlottedPage,
-};
-use mmdb_types::{PageId, SlotId, Tuple, Value, PAGE_SIZE};
+use mmdb_storage::{BufferPool, CostMeter, IoKind, ReplacementPolicy, SimDisk};
+use mmdb_types::PageId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
-        "[a-zA-Z0-9 ]{0,40}".prop_map(Value::Str),
-        Just(Value::Null),
-    ]
-}
-
-fn tuple_strategy() -> impl Strategy<Value = Tuple> {
-    prop::collection::vec(value_strategy(), 0..8).prop_map(Tuple::new)
-}
-
 proptest! {
-    #[test]
-    fn tuple_codec_roundtrips(t in tuple_strategy()) {
-        let enc = tuple_codec::encode(&t);
-        let dec = tuple_codec::decode(&enc).unwrap();
-        prop_assert_eq!(dec, t);
-    }
-
-    #[test]
-    fn tuple_codec_rejects_any_truncation(t in tuple_strategy()) {
-        let enc = tuple_codec::encode(&t);
-        for cut in 0..enc.len() {
-            prop_assert!(tuple_codec::decode(&enc[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn slotted_page_matches_vec_oracle(
-        ops in prop::collection::vec(
-            prop_oneof![
-                prop::collection::vec(any::<u8>(), 1..300).prop_map(Ok),
-                any::<u16>().prop_map(Err),
-            ],
-            1..60,
-        )
-    ) {
-        let mut page = SlottedPage::new();
-        let mut oracle: Vec<Option<Vec<u8>>> = Vec::new();
-        for op in ops {
-            match op {
-                Ok(record) => {
-                    if page.fits(record.len()) {
-                        let slot = page.insert(&record).unwrap();
-                        prop_assert_eq!(slot.0 as usize, oracle.len());
-                        oracle.push(Some(record));
-                    }
-                }
-                Err(raw) => {
-                    let idx = if oracle.is_empty() { 0 } else { raw as usize % oracle.len() };
-                    let removed = page.delete(SlotId(idx as u16));
-                    let oracle_removed = oracle
-                        .get_mut(idx)
-                        .map(|s| s.take().is_some())
-                        .unwrap_or(false);
-                    prop_assert_eq!(removed, oracle_removed);
-                }
-            }
-        }
-        // Every live slot agrees with the oracle; dead slots read None.
-        for (i, want) in oracle.iter().enumerate() {
-            let got = page.get(SlotId(i as u16)).map(|r| r.to_vec());
-            prop_assert_eq!(&got, want);
-        }
-        // Compaction preserves the live multiset and round-trips bytes.
-        let live_before: Vec<Vec<u8>> =
-            oracle.iter().flatten().cloned().collect();
-        let mapping = page.compact();
-        prop_assert_eq!(mapping.len(), live_before.len());
-        let reloaded = SlottedPage::from_bytes(page.as_bytes()).unwrap();
-        let mut live_after: Vec<Vec<u8>> =
-            reloaded.iter().map(|(_, r)| r.to_vec()).collect();
-        let mut want = live_before;
-        live_after.sort();
-        want.sort();
-        prop_assert_eq!(live_after, want);
-    }
-
     #[test]
     fn buffer_pool_never_loses_writes(
         policy_pick in 0u8..3,
@@ -131,7 +50,3 @@ proptest! {
         }
     }
 }
-
-// The PAGE_SIZE import is used implicitly by SlottedPage invariants; keep
-// the compiler honest about it.
-const _: () = assert!(PAGE_SIZE == 4096);

@@ -1,7 +1,7 @@
 //! Engine-wide runtime invariant auditing.
 //!
-//! Every stateful engine structure — buffer pool, heap file, lock manager,
-//! MVCC store, recovery manager, index trees — exposes the same audit
+//! Every stateful engine structure — buffer pool, lock manager, MVCC
+//! store, recovery manager, index trees — exposes the same audit
 //! entry point through [`Auditable`]. An audit walks the structure's
 //! internal bookkeeping and reports the first inconsistency it finds as an
 //! [`AuditViolation`] naming the component, the invariant, and the

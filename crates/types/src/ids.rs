@@ -1,7 +1,7 @@
 //! Identifier newtypes.
 //!
-//! Using distinct newtypes for page, slot, tuple, transaction and relation
-//! identifiers prevents an entire class of "wrong id" bugs at compile time.
+//! Using distinct newtypes for page and transaction identifiers prevents
+//! an entire class of "wrong id" bugs at compile time.
 
 use std::fmt;
 
@@ -9,47 +9,13 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageId(pub u64);
 
-/// Identifies a slot within a slotted page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SlotId(pub u16);
-
-/// A tuple identifier (TID): page plus slot. The paper's §3.2 discusses
-/// manipulating TID-key pairs instead of whole tuples; this is that TID.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TupleId {
-    /// Page holding the tuple.
-    pub page: PageId,
-    /// Slot within the page.
-    pub slot: SlotId,
-}
-
-impl TupleId {
-    /// Builds a TID from raw parts.
-    pub fn new(page: u64, slot: u16) -> Self {
-        TupleId {
-            page: PageId(page),
-            slot: SlotId(slot),
-        }
-    }
-}
-
 /// Identifies a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnId(pub u64);
 
-/// Identifies a relation in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct RelationId(pub u32);
-
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "P{}", self.0)
-    }
-}
-
-impl fmt::Display for TupleId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.page, self.slot.0)
     }
 }
 
@@ -59,29 +25,13 @@ impl fmt::Display for TxnId {
     }
 }
 
-impl fmt::Display for RelationId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn tuple_id_ordering_is_page_major() {
-        let a = TupleId::new(1, 9);
-        let b = TupleId::new(2, 0);
-        assert!(a < b);
-        let c = TupleId::new(1, 10);
-        assert!(a < c);
-    }
-
-    #[test]
     fn display_forms() {
-        assert_eq!(TupleId::new(3, 4).to_string(), "(P3, 4)");
+        assert_eq!(PageId(3).to_string(), "P3");
         assert_eq!(TxnId(12).to_string(), "T12");
-        assert_eq!(RelationId(2).to_string(), "R2");
     }
 }

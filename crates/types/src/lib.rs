@@ -23,6 +23,7 @@ pub mod error;
 pub mod expr;
 pub mod ids;
 pub mod params;
+pub mod reader;
 pub mod rng;
 pub mod schema;
 pub mod tuple;
@@ -31,8 +32,9 @@ pub mod value;
 pub use audit::{AuditViolation, Auditable};
 pub use error::{Error, Result};
 pub use expr::{CmpOp, Predicate};
-pub use ids::{PageId, RelationId, SlotId, TupleId, TxnId};
+pub use ids::{PageId, TxnId};
 pub use params::{AccessGeometry, CostWeights, RelationShape, SystemParams};
+pub use reader::Reader;
 pub use rng::WorkloadRng;
 pub use schema::{Column, DataType, Schema};
 pub use tuple::Tuple;

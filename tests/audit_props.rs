@@ -11,7 +11,7 @@ use mmdb_bench::mvcc::VersionedStore;
 use mmdb_index::{AvlTree, BPlusTree};
 use mmdb_recovery::{CommitMode, LockManager, RecoveryManager};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_storage::{BufferPool, CostMeter, HeapFile, IoKind, ReplacementPolicy, SimDisk};
+use mmdb_storage::{BufferPool, CostMeter, IoKind, ReplacementPolicy, SimDisk};
 use mmdb_types::{Auditable, TxnId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -183,46 +183,6 @@ proptest! {
                 return Err(TestCaseError::fail(format!("after access {i}: {v}")));
             }
         }
-    }
-
-    #[test]
-    fn heap_file_bookkeeping_matches_pages(
-        ops in proptest::collection::vec((0u8..4, 0u16..200), 1..150),
-    ) {
-        let _serial = serial();
-        let meter = Arc::new(CostMeter::new());
-        let mut disk = SimDisk::new(meter);
-        let mut pool = BufferPool::new(16, ReplacementPolicy::Lru);
-        let mut hf = HeapFile::new();
-        let mut tids = Vec::new();
-        for (i, &(kind, key)) in ops.iter().enumerate() {
-            let tuple = mmdb_types::Tuple::new(vec![
-                mmdb_types::Value::Int(key as i64),
-                mmdb_types::Value::Str(format!("row-{key}-{}", "x".repeat(key as usize % 64))),
-            ]);
-            match kind {
-                0 | 1 => {
-                    tids.push(hf.insert(&mut disk, &mut pool, &tuple).unwrap());
-                }
-                2 => {
-                    if !tids.is_empty() {
-                        let tid = tids.swap_remove(key as usize % tids.len());
-                        hf.delete(&mut disk, &mut pool, tid).unwrap();
-                    }
-                }
-                _ => {
-                    if !tids.is_empty() {
-                        let slot = key as usize % tids.len();
-                        let tid = tids[slot];
-                        tids[slot] = hf.update(&mut disk, &mut pool, tid, &tuple).unwrap();
-                    }
-                }
-            }
-            if let Err(v) = hf.audit_with(&mut disk, &mut pool) {
-                return Err(TestCaseError::fail(format!("after op {i}: {v}")));
-            }
-        }
-        assert_eq!(hf.tuple_count(), tids.len());
     }
 
     #[test]
