@@ -6,8 +6,7 @@
 //! faults, letting the T1 experiment verify the model against the real
 //! AVL/B+-tree implementations without materialising page buffers.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mmdb_types::WorkloadRng;
 use std::collections::HashMap;
 
 /// Tracks which logical pages are resident under random replacement.
@@ -16,7 +15,7 @@ pub struct PagedResidency {
     capacity: usize,
     resident: Vec<u64>,
     pos: HashMap<u64, usize>,
-    rng: StdRng,
+    rng: WorkloadRng,
     faults: u64,
     hits: u64,
 }
@@ -29,7 +28,7 @@ impl PagedResidency {
             capacity: capacity.max(1),
             resident: Vec::with_capacity(capacity.max(1)),
             pos: HashMap::with_capacity(capacity.max(1)),
-            rng: StdRng::seed_from_u64(seed),
+            rng: WorkloadRng::seeded(seed),
             faults: 0,
             hits: 0,
         }
@@ -53,7 +52,7 @@ impl PagedResidency {
         }
         self.faults += 1;
         if self.resident.len() >= self.capacity {
-            let victim_idx = self.rng.gen_range(0..self.resident.len());
+            let victim_idx = self.rng.index(self.resident.len());
             let victim = self.resident[victim_idx];
             self.pos.remove(&victim);
             let last = self.resident.pop().expect("non-empty");
@@ -126,14 +125,14 @@ mod tests {
         // converges to 1 − |M|/S under random replacement.
         let (s, m) = (200u64, 60usize);
         let mut r = PagedResidency::new(m, 42);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = WorkloadRng::seeded(7);
         for _ in 0..5_000 {
-            r.access(rng.gen_range(0..s));
+            r.access(rng.below(s));
         }
         r.reset_counters();
         let n = 50_000;
         for _ in 0..n {
-            r.access(rng.gen_range(0..s));
+            r.access(rng.below(s));
         }
         let rate = r.faults() as f64 / n as f64;
         let model = 1.0 - m as f64 / s as f64;
@@ -163,9 +162,9 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut r = PagedResidency::new(4, seed);
-            let mut rng = StdRng::seed_from_u64(100);
+            let mut rng = WorkloadRng::seeded(100);
             for _ in 0..1000 {
-                r.access(rng.gen_range(0..20u64));
+                r.access(rng.below(20));
             }
             r.faults()
         };

@@ -221,7 +221,9 @@ impl RecoveryManager {
     }
 
     /// Runs one §5.1 "typical" banking transaction — debit `from`, credit
-    /// `to`, 400 logged bytes — and commits it. Returns the durability
+    /// `to` — and commits it. It logs two 360-byte padded updates plus
+    /// begin and commit, 760 bytes, so 5 transfers fill a 4,096-byte log
+    /// page. Returns the durability
     /// time (virtual µs); on a lock conflict the transaction is rolled
     /// back and the error surfaced.
     pub fn transfer(&mut self, from: u64, to: u64, amount: i64) -> Result<Micros> {
@@ -1011,14 +1013,14 @@ mod tests {
 
     #[test]
     fn transfer_is_typical_sized() {
-        // Two 400-byte-class updates per transfer: ~5 transfers per log
-        // page rather than 10 single-update transactions.
+        // Two padded updates plus begin and commit per transfer: 5
+        // transfers to a log page, not 10 single-update transactions.
         let mut m = RecoveryManager::new(CommitMode::GroupCommit);
         for i in 0..25 {
             m.transfer(i, i + 100, 1).unwrap();
         }
         m.flush_and_wait();
-        assert!(m.log_pages_written() >= 2);
+        assert_eq!(m.log_pages_written(), 5);
     }
 
     #[test]

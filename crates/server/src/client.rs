@@ -93,7 +93,8 @@ pub struct ClientConfig {
     pub read_deadline: Duration,
     /// Socket write timeout for requests.
     pub write_timeout: Duration,
-    /// Auto-retry attempts beyond the first try.
+    /// Auto-retry attempts beyond the first try; 0 surfaces every failure
+    /// immediately.
     pub max_retries: u32,
     /// First backoff pause; doubles each attempt.
     pub backoff_base: Duration,
@@ -101,8 +102,6 @@ pub struct ClientConfig {
     pub backoff_cap: Duration,
     /// Seed for backoff jitter, so torture runs replay exactly.
     pub retry_seed: u64,
-    /// Master switch: when false, every failure surfaces immediately.
-    pub auto_retry: bool,
     /// When set, the client registers `mmdb_client_*` counters here.
     pub registry: Option<Arc<Registry>>,
 }
@@ -117,7 +116,6 @@ impl Default for ClientConfig {
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(200),
             retry_seed: 0,
-            auto_retry: true,
             registry: None,
         }
     }
@@ -130,7 +128,6 @@ impl std::fmt::Debug for ClientConfig {
             .field("read_deadline", &self.read_deadline)
             .field("write_timeout", &self.write_timeout)
             .field("max_retries", &self.max_retries)
-            .field("auto_retry", &self.auto_retry)
             .finish_non_exhaustive()
     }
 }
@@ -252,9 +249,8 @@ impl Client {
                 }
                 Err(e) => {
                     self.track_failure(sql, &e);
-                    let may = self.config.auto_retry
-                        && attempt < self.config.max_retries
-                        && retry_is_safe(&e, sql, sent_in_txn);
+                    let may =
+                        attempt < self.config.max_retries && retry_is_safe(&e, sql, sent_in_txn);
                     if !may {
                         return Err(e);
                     }

@@ -172,7 +172,6 @@ fn chaos_client_config(seed: u64, client: u64) -> ClientConfig {
         backoff_base: Duration::from_millis(2),
         backoff_cap: Duration::from_millis(20),
         retry_seed: seed ^ client.wrapping_mul(0x0DD_BA11),
-        auto_retry: true,
         registry: None,
     }
 }

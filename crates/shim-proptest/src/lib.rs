@@ -27,7 +27,7 @@ pub use strategy::{any, Arbitrary, BoxedStrategy, Just, Strategy, Union};
 /// Collection strategies (`prop::collection::vec` call sites).
 pub mod collection {
     use crate::strategy::Strategy;
-    use crate::test_runner::TestRng;
+    use mmdb_types::WorkloadRng;
     use std::collections::BTreeSet;
     use std::ops::Range;
 
@@ -47,6 +47,14 @@ pub mod collection {
         BTreeSetStrategy { element, size }
     }
 
+    /// Uniform size in `range`; an empty range yields its start.
+    fn usize_in(rng: &mut WorkloadRng, range: Range<usize>) -> usize {
+        if range.start >= range.end {
+            return range.start;
+        }
+        range.start + rng.index(range.end - range.start)
+    }
+
     /// See [`vec`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
@@ -57,8 +65,8 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
 
-        fn sample(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let len = rng.usize_in(self.size.clone());
+        fn sample(&self, rng: &mut WorkloadRng) -> Vec<S::Value> {
+            let len = usize_in(rng, self.size.clone());
             (0..len).map(|_| self.element.sample(rng)).collect()
         }
     }
@@ -76,8 +84,8 @@ pub mod collection {
     {
         type Value = BTreeSet<S::Value>;
 
-        fn sample(&self, rng: &mut TestRng) -> BTreeSet<S::Value> {
-            let target = rng.usize_in(self.size.clone());
+        fn sample(&self, rng: &mut WorkloadRng) -> BTreeSet<S::Value> {
+            let target = usize_in(rng, self.size.clone());
             let mut out = BTreeSet::new();
             // Bounded retries: duplicates are expected for narrow element
             // domains, so allow several attempts per requested element.
@@ -97,51 +105,21 @@ pub mod prop {
     pub use crate::collection;
 }
 
-/// Test-runner plumbing: RNG, config, and the error type the `proptest!`
-/// macro's bodies return.
+/// Test-runner plumbing: every strategy draws from a
+/// [`mmdb_types::WorkloadRng`] seeded per test.
 pub mod test_runner {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::ops::Range;
+    use mmdb_types::WorkloadRng;
 
-    /// Deterministic RNG behind every strategy sample.
-    #[derive(Debug, Clone)]
-    pub struct TestRng {
-        inner: StdRng,
-    }
-
-    impl TestRng {
-        /// A stream derived from the test's fully qualified name, so each
-        /// test is deterministic and distinct.
-        pub fn for_test(name: &str) -> TestRng {
-            // FNV-1a over the test name.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            TestRng {
-                inner: StdRng::seed_from_u64(h),
-            }
+    /// A stream derived from the test's fully qualified name, so each test
+    /// is deterministic and distinct: the generator seeded with the
+    /// name's FNV-1a hash.
+    pub fn for_test(name: &str) -> WorkloadRng {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in name.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
         }
-
-        /// Uniform `u64`.
-        pub fn next_u64(&mut self) -> u64 {
-            self.inner.gen::<u64>()
-        }
-
-        /// Uniform `f64` in `[0, 1)`.
-        pub fn unit_f64(&mut self) -> f64 {
-            self.inner.gen::<f64>()
-        }
-
-        /// Uniform `usize` in `range`.
-        pub fn usize_in(&mut self, range: Range<usize>) -> usize {
-            if range.start >= range.end {
-                return range.start;
-            }
-            self.inner.gen_range(range)
-        }
+        WorkloadRng::seeded(h)
     }
 }
 
@@ -191,7 +169,6 @@ pub mod prelude {
     pub use crate::collection;
     pub use crate::prop;
     pub use crate::strategy::{any, Arbitrary, BoxedStrategy, Just, Strategy, Union};
-    pub use crate::test_runner::TestRng;
     pub use crate::{
         prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, ProptestConfig,
         TestCaseError,
@@ -224,7 +201,7 @@ macro_rules! __proptest_impl {
             let __cfg: $crate::ProptestConfig = $cfg;
             let __strats = ($($strat,)*);
             let __test_name = concat!(module_path!(), "::", stringify!($name));
-            let mut __rng = $crate::test_runner::TestRng::for_test(__test_name);
+            let mut __rng = $crate::test_runner::for_test(__test_name);
             for __case in 0..__cfg.cases {
                 let ($($arg,)*) = $crate::Strategy::sample(&__strats, &mut __rng);
                 let __outcome: ::core::result::Result<(), $crate::TestCaseError> =

@@ -1,16 +1,16 @@
 //! The [`Strategy`] trait and the combinators the workspace tests use.
 
-use crate::test_runner::TestRng;
+use mmdb_types::WorkloadRng;
 use std::marker::PhantomData;
 use std::ops::Range;
 
-/// A recipe for generating values of one type from a [`TestRng`].
+/// A recipe for generating values of one type from a [`WorkloadRng`].
 pub trait Strategy {
     /// The type of generated values.
     type Value;
 
     /// Draws one value.
-    fn sample(&self, rng: &mut TestRng) -> Self::Value;
+    fn sample(&self, rng: &mut WorkloadRng) -> Self::Value;
 
     /// Transforms generated values through `f`.
     fn prop_map<O, F>(self, f: F) -> Map<Self, F>
@@ -40,7 +40,7 @@ pub struct Just<T: Clone>(pub T);
 impl<T: Clone> Strategy for Just<T> {
     type Value = T;
 
-    fn sample(&self, _rng: &mut TestRng) -> T {
+    fn sample(&self, _rng: &mut WorkloadRng) -> T {
         self.0.clone()
     }
 }
@@ -59,7 +59,7 @@ where
 {
     type Value = O;
 
-    fn sample(&self, rng: &mut TestRng) -> O {
+    fn sample(&self, rng: &mut WorkloadRng) -> O {
         (self.f)(self.inner.sample(rng))
     }
 }
@@ -72,7 +72,7 @@ pub struct BoxedStrategy<T> {
 impl<T> Strategy for BoxedStrategy<T> {
     type Value = T;
 
-    fn sample(&self, rng: &mut TestRng) -> T {
+    fn sample(&self, rng: &mut WorkloadRng) -> T {
         self.inner.sample(rng)
     }
 }
@@ -99,8 +99,8 @@ impl<T> Union<T> {
 impl<T> Strategy for Union<T> {
     type Value = T;
 
-    fn sample(&self, rng: &mut TestRng) -> T {
-        let idx = rng.usize_in(0..self.arms.len());
+    fn sample(&self, rng: &mut WorkloadRng) -> T {
+        let idx = rng.index(self.arms.len());
         self.arms[idx].sample(rng)
     }
 }
@@ -109,13 +109,13 @@ impl<T> Strategy for Union<T> {
 /// the same name.
 pub trait Arbitrary: Sized {
     /// Draws one arbitrary value.
-    fn arbitrary(rng: &mut TestRng) -> Self;
+    fn arbitrary(rng: &mut WorkloadRng) -> Self;
 }
 
 macro_rules! impl_arbitrary_int {
     ($($t:ty),*) => {$(
         impl Arbitrary for $t {
-            fn arbitrary(rng: &mut TestRng) -> $t {
+            fn arbitrary(rng: &mut WorkloadRng) -> $t {
                 rng.next_u64() as $t
             }
         }
@@ -125,13 +125,13 @@ macro_rules! impl_arbitrary_int {
 impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Arbitrary for bool {
-    fn arbitrary(rng: &mut TestRng) -> bool {
+    fn arbitrary(rng: &mut WorkloadRng) -> bool {
         rng.next_u64() & 1 == 1
     }
 }
 
 impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
+    fn arbitrary(rng: &mut WorkloadRng) -> f64 {
         // Arbitrary bit patterns: includes infinities, NaNs, subnormals.
         // The workspace's Value type is totally ordered via total_cmp, so
         // these round-trip and compare fine.
@@ -140,7 +140,7 @@ impl Arbitrary for f64 {
 }
 
 impl<T: Arbitrary> Arbitrary for Option<T> {
-    fn arbitrary(rng: &mut TestRng) -> Option<T> {
+    fn arbitrary(rng: &mut WorkloadRng) -> Option<T> {
         if rng.next_u64() % 4 == 0 {
             None
         } else {
@@ -161,7 +161,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 impl<T: Arbitrary> Strategy for Any<T> {
     type Value = T;
 
-    fn sample(&self, rng: &mut TestRng) -> T {
+    fn sample(&self, rng: &mut WorkloadRng) -> T {
         T::arbitrary(rng)
     }
 }
@@ -171,10 +171,10 @@ macro_rules! impl_strategy_int_range {
         impl Strategy for Range<$t> {
             type Value = $t;
 
-            fn sample(&self, rng: &mut TestRng) -> $t {
+            fn sample(&self, rng: &mut WorkloadRng) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u128 as u64;
-                let off = ((rng.next_u64() as u128 * span as u128) >> 64) as u64;
+                let off = rng.below(span);
                 (self.start as i128 + off as i128) as $t
             }
         }
@@ -186,9 +186,9 @@ impl_strategy_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 impl Strategy for Range<f64> {
     type Value = f64;
 
-    fn sample(&self, rng: &mut TestRng) -> f64 {
+    fn sample(&self, rng: &mut WorkloadRng) -> f64 {
         assert!(self.start < self.end, "cannot sample empty range");
-        self.start + rng.unit_f64() * (self.end - self.start)
+        self.start + rng.unit() * (self.end - self.start)
     }
 }
 
@@ -198,7 +198,7 @@ macro_rules! impl_strategy_tuple {
             type Value = ($($name::Value,)+);
 
             #[allow(non_snake_case)]
-            fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            fn sample(&self, rng: &mut WorkloadRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
             }
@@ -221,14 +221,14 @@ impl_strategy_tuple!(A, B, C, D, E, F);
 impl Strategy for &'static str {
     type Value = String;
 
-    fn sample(&self, rng: &mut TestRng) -> String {
+    fn sample(&self, rng: &mut WorkloadRng) -> String {
         let (alphabet, lo, hi) = match parse_class_pattern(self) {
             Some(parsed) => parsed,
             None => return (*self).to_string(),
         };
-        let len = lo + rng.usize_in(0..(hi - lo + 1));
+        let len = lo + rng.index(hi - lo + 1);
         (0..len)
-            .map(|_| alphabet[rng.usize_in(0..alphabet.len())])
+            .map(|_| alphabet[rng.index(alphabet.len())])
             .collect()
     }
 }
@@ -276,11 +276,11 @@ fn parse_class_pattern(pattern: &str) -> Option<(Vec<char>, usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_runner::TestRng;
+    use crate::test_runner::for_test;
 
     #[test]
     fn ranges_sample_in_bounds() {
-        let mut rng = TestRng::for_test("ranges_sample_in_bounds");
+        let mut rng = for_test("ranges_sample_in_bounds");
         for _ in 0..10_000 {
             let v = (-20i16..20).sample(&mut rng);
             assert!((-20..20).contains(&v));
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn map_and_union_compose() {
-        let mut rng = TestRng::for_test("map_and_union_compose");
+        let mut rng = for_test("map_and_union_compose");
         let strat = Union::new(vec![
             (0u8..3).prop_map(|v| v as i32).boxed(),
             Just(-1i32).boxed(),
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn class_patterns_honour_alphabet_and_length() {
-        let mut rng = TestRng::for_test("class_patterns");
+        let mut rng = for_test("class_patterns");
         for _ in 0..500 {
             let s = "[a-cXY ]{0,5}".sample(&mut rng);
             assert!(s.chars().count() <= 5);
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn tuples_sample_elementwise() {
-        let mut rng = TestRng::for_test("tuples_sample_elementwise");
+        let mut rng = for_test("tuples_sample_elementwise");
         let (a, b, c) = (0u8..2, 5i64..6, Just("k")).sample(&mut rng);
         assert!(a < 2);
         assert_eq!(b, 5);
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn vec_and_btree_set_respect_sizes() {
-        let mut rng = TestRng::for_test("vec_and_btree_set");
+        let mut rng = for_test("vec_and_btree_set");
         for _ in 0..200 {
             let v = crate::collection::vec(any::<i32>(), 2..9).sample(&mut rng);
             assert!((2..9).contains(&v.len()));

@@ -6,9 +6,7 @@
 //! experiments the paper lists as future work.
 
 use crate::disk::{IoKind, SimDisk};
-use mmdb_types::{AuditViolation, Auditable, Error, PageId, Result, PAGE_SIZE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mmdb_types::{AuditViolation, Auditable, Error, PageId, Result, WorkloadRng, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap};
 
 /// Page replacement policy.
@@ -74,7 +72,7 @@ pub struct BufferPool {
     // Clock bookkeeping.
     ring: Vec<u64>,
     hand: usize,
-    rng: StdRng,
+    rng: WorkloadRng,
     stats: PoolStats,
 }
 
@@ -96,7 +94,7 @@ impl BufferPool {
             lru_counter: 0,
             ring: Vec::with_capacity(capacity),
             hand: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: WorkloadRng::seeded(seed),
             stats: PoolStats::default(),
         }
     }
@@ -189,7 +187,7 @@ impl BufferPool {
             ReplacementPolicy::Random { .. } => {
                 // Retry a bounded number of times to skip pinned frames.
                 for _ in 0..self.resident.len() * 4 + 16 {
-                    let idx = self.rng.gen_range(0..self.resident.len());
+                    let idx = self.rng.index(self.resident.len());
                     let id = self.resident[idx];
                     if self.frames[&id].pins == 0 {
                         return Ok(id);
@@ -583,15 +581,15 @@ mod tests {
         // probability approaches 1 − |M|/S.
         let (mut disk, ids, _) = setup(100);
         let mut pool = BufferPool::new(25, ReplacementPolicy::Random { seed: 7 });
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = WorkloadRng::seeded(99);
         // Warm up.
         for _ in 0..2_000 {
-            let id = ids[rng.gen_range(0..ids.len())];
+            let id = ids[rng.index(ids.len())];
             pool.get(&mut disk, id, IoKind::Random).unwrap();
         }
         pool.reset_stats();
         for _ in 0..20_000 {
-            let id = ids[rng.gen_range(0..ids.len())];
+            let id = ids[rng.index(ids.len())];
             pool.get(&mut disk, id, IoKind::Random).unwrap();
         }
         let rate = pool.stats().fault_rate();

@@ -1,7 +1,7 @@
 //! Workspace automation for the mmdb reproduction.
 //!
 //! `cargo xtask audit` runs three static-analysis passes over the engine
-//! crates (everything except the `shim-*` stand-ins, the benchmark
+//! crates (everything except the `shim-proptest` stand-in, the benchmark
 //! harness, and this tool) and over the harness's one library file that
 //! tests and examples link, `bench/src/mvcc.rs`:
 //!

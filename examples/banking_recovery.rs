@@ -21,7 +21,8 @@ fn run(mode: CommitMode, label: &str) {
     bank.commit(seed).unwrap();
     bank.flush_and_wait();
 
-    // 500 committed transfers (the paper's "typical" 400-byte-log txns).
+    // 500 committed transfers (§5.1's "typical" transaction, 760 logged
+    // bytes: 5 to a log page).
     for i in 0..500u64 {
         bank.transfer(i % 50, (i * 7 + 3) % 50, 10).unwrap();
     }
@@ -64,10 +65,10 @@ fn run(mode: CommitMode, label: &str) {
 fn main() {
     println!("§5 of DeWitt et al. 1984 — recovery for memory-resident databases\n");
     run(CommitMode::Synchronous, "synchronous commit (≤100 tps)");
-    run(CommitMode::GroupCommit, "group commit (≈1000 tps)");
+    run(CommitMode::GroupCommit, "group commit (≈500 tps)");
     run(
         CommitMode::PartitionedLog { devices: 4 },
-        "partitioned log, 4 devices (≈4000 tps)",
+        "partitioned log, 4 devices (≈2000 tps)",
     );
     run(
         CommitMode::StableMemory {

@@ -339,7 +339,7 @@ fn client_families_join_the_exposition_when_opted_in() {
     let engine = Engine::start(opts).unwrap();
     let handle = Server::start(&engine, ServerConfig::default()).unwrap();
     let config = ClientConfig {
-        auto_retry: false,
+        max_retries: 0,
         registry: Some(engine.registry()),
         ..ClientConfig::default()
     };

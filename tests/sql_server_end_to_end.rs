@@ -192,7 +192,7 @@ fn hung_server_trips_the_read_deadline_instead_of_blocking_forever() {
     let addr = listener.local_addr().unwrap();
     let config = ClientConfig {
         read_deadline: Duration::from_millis(300),
-        auto_retry: false,
+        max_retries: 0,
         ..ClientConfig::default()
     };
     let mut c = Client::connect_with(addr, config).unwrap();
@@ -231,7 +231,7 @@ fn refused_connection_gets_an_in_band_retryable_error_and_is_counted() {
     );
     let before = refused.get();
     let config = ClientConfig {
-        auto_retry: false,
+        max_retries: 0,
         ..ClientConfig::default()
     };
     let mut b = Client::connect_with(handle.addr(), config).unwrap();
@@ -323,7 +323,7 @@ fn overload_sheds_reads_in_band_and_queued_writes_on_deadline() {
     let addr = handle.addr();
     let blocked = std::thread::spawn(move || {
         let config = ClientConfig {
-            auto_retry: false,
+            max_retries: 0,
             ..ClientConfig::default()
         };
         let mut b = Client::connect_with(addr, config).unwrap();
@@ -337,7 +337,7 @@ fn overload_sheds_reads_in_band_and_queued_writes_on_deadline() {
     );
     let before = shed.get();
     let config = ClientConfig {
-        auto_retry: false,
+        max_retries: 0,
         ..ClientConfig::default()
     };
     // Reads shed immediately at capacity...
