@@ -10,8 +10,8 @@
 //!   page commit with a single write — `floor(4096/400) = 10` per group,
 //!   so ~1000 tps.
 //! * **Partitioned log** over `k` devices: up to `k` concurrent page
-//!   writes, so ~`k × 1000` tps, bounded by the commit-group dependency
-//!   lattice (modelled here by an efficiency factor).
+//!   writes, so `k × 1000` tps while the commit-group dependency lattice
+//!   does not stall a device (independent transactions never do).
 //! * **Stable memory**: commits are immediate; steady-state throughput is
 //!   still bounded by the drain rate to disk, but stripping old values of
 //!   committed transactions (§5.4) roughly halves the bytes drained.
@@ -51,9 +51,6 @@ pub struct ThroughputModel {
     pub txn_log_bytes: u64,
     /// Of which old-value bytes removable by §5.4 compression (180).
     pub old_value_bytes: u64,
-    /// Fraction of ideal parallel speedup retained by a partitioned log
-    /// once dependency ordering stalls are accounted for (≤ 1).
-    pub partition_efficiency: f64,
 }
 
 impl Default for ThroughputModel {
@@ -65,7 +62,6 @@ impl Default for ThroughputModel {
             // The paper: ~360 bytes of old/new values, half of which are
             // old values needed only for undo.
             old_value_bytes: 180,
-            partition_efficiency: 0.9,
         }
     }
 }
@@ -89,10 +85,7 @@ impl ThroughputModel {
                 self.page_writes_per_second() * f64_from_u64(self.group_size())
             }
             CommitPolicy::PartitionedLog { devices } => {
-                self.page_writes_per_second()
-                    * f64_from_u64(self.group_size())
-                    * f64::from(devices)
-                    * self.partition_efficiency
+                self.throughput(CommitPolicy::GroupCommit) * f64::from(devices)
             }
             CommitPolicy::StableMemory { devices } => {
                 // Drain-bound: only `txn_log_bytes - old_value_bytes` per
@@ -133,8 +126,8 @@ mod tests {
         let t1 = m.throughput(CommitPolicy::PartitionedLog { devices: 1 });
         let t4 = m.throughput(CommitPolicy::PartitionedLog { devices: 4 });
         assert!((t4 / t1 - 4.0).abs() < 1e-9);
-        // Ordering bookkeeping costs something relative to ideal.
-        assert!(t1 < m.throughput(CommitPolicy::GroupCommit));
+        // One device is plain group commit.
+        assert_eq!(t1, m.throughput(CommitPolicy::GroupCommit));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! disk scaled down) before each real write, so the run reproduces the
 //! paper's device on real threads.
 //!
-//! Each policy's measured committed tps is printed next to what
-//! [`ThroughputSim`] predicts for the same page size, page write, device
-//! count and log bytes per transaction — the bytes the run's own log
-//! holds, read back and divided by its commits, not a padded constant —
-//! with the commit groups in flight capped at the client count, since a closed loop cannot queue more commits than it has
-//! clients — and the residual between the two. §5.2's claim is the
+//! Each policy's measured committed tps is printed next to what the
+//! closed-form [`ThroughputModel`] predicts for the same page size, page
+//! write, device count and log bytes per transaction — the bytes the
+//! run's own log holds, read back and divided by its commits, not a
+//! padded constant — with the commit groups in flight capped at the
+//! client count, since a closed loop cannot queue more commits than it
+//! has clients — and the residual between the two. §5.2's claim is the
 //! ratio: group commit beats synchronous by roughly the group size.
 //!
 //! This is a model experiment. What the stack costs on a real device is
@@ -22,9 +23,9 @@
 //! Usage: `concurrent_commit [--policy sync|group|partitioned:K|all]
 //! [--clients N] [--duration-ms MS] [--page-write-us US] [--seed S]`.
 
+use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::print_table;
 use mmdb_recovery::wal::read_log_dir;
-use mmdb_recovery::{SimConfig, ThroughputSim};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::WorkloadRng;
 use std::time::{Duration, Instant};
@@ -119,25 +120,27 @@ fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
     sorted_us[idx.min(sorted_us.len() - 1)] as f64 / 1000.0
 }
 
-/// What the virtual-time simulator predicts for `policy` on the same
-/// device: committed tps over 10 000 back-to-back transactions of
-/// `log_bytes_per_txn` each.
-fn predicted_tps(policy: CommitPolicy, cfg: &Config, log_bytes_per_txn: usize) -> f64 {
-    let mut sim = match policy {
-        CommitPolicy::Synchronous => SimConfig::synchronous(),
-        CommitPolicy::Group => SimConfig::group_commit(),
-        CommitPolicy::Partitioned { devices } => SimConfig::partitioned(devices),
+/// What the closed form predicts for `policy` on the same device, with
+/// transactions of `log_bytes_per_txn` each. A closed loop has at most
+/// `clients` commits in flight: they keep `min(devices, clients)` devices
+/// busy, each grouping its share of them up to a page's worth.
+fn predicted_tps(
+    policy: CommitPolicy,
+    clients: usize,
+    page_write: Duration,
+    log_bytes_per_txn: usize,
+) -> f64 {
+    let model = ThroughputModel {
+        page_write_ms: page_write.as_secs_f64() * 1000.0,
+        txn_log_bytes: log_bytes_per_txn as u64,
+        ..ThroughputModel::default()
     };
-    sim.page_write_us = cfg.page_write.as_micros() as u64;
-    sim.txn_log_bytes = log_bytes_per_txn;
-    if sim.commit_group_txns > 1 {
-        sim.commit_group_txns = sim.page_capacity();
-    }
-    // A closed loop has at most `clients` commits in flight, spread
-    // over the devices.
-    let in_flight_per_device = (cfg.clients / sim.devices).max(1);
-    sim.commit_group_txns = sim.commit_group_txns.min(in_flight_per_device);
-    ThroughputSim::new(sim).run_grouped(10_000).tps()
+    let busy = policy.devices().min(clients);
+    let group = match policy {
+        CommitPolicy::Synchronous => 1,
+        _ => model.group_size().min((clients / busy) as u64),
+    };
+    model.page_writes_per_second() * (group * busy as u64) as f64
 }
 
 fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
@@ -250,7 +253,7 @@ fn main() {
             let measured = measure(*p, &cfg);
             (
                 *p,
-                predicted_tps(*p, &cfg, measured.log_bytes_per_txn),
+                predicted_tps(*p, cfg.clients, cfg.page_write, measured.log_bytes_per_txn),
                 measured,
             )
         })
@@ -276,7 +279,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "committed tps: ThroughputSim's prediction vs the wall clock",
+        "committed tps: closed-form prediction vs the wall clock",
         &[
             "policy",
             "model tps",
@@ -302,5 +305,18 @@ fn main() {
             group.tps / sync.tps,
             group_model / sync_model,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prediction_counts_only_devices_a_commit_can_reach() {
+        let four = CommitPolicy::Partitioned { devices: 4 };
+        let write = Duration::from_micros(2000);
+        assert_eq!(predicted_tps(four, 1, write, 125), 500.0);
+        assert_eq!(predicted_tps(four, 8, write, 125), 4000.0);
     }
 }

@@ -1,10 +1,10 @@
 //! Experiment R1 — §5.2's transaction-throughput limits, reproduced two
-//! ways: the closed-form model and a discrete-event simulation of
+//! ways: the closed-form model, and the recovery manager executing
 //! "typical" 400-byte banking transactions on 10 ms/page log devices.
 
 use mmdb_analytic::recovery::{CommitPolicy, ThroughputModel};
-use mmdb_bench::print_table;
-use mmdb_recovery::sim::{SimConfig, ThroughputSim};
+use mmdb_bench::{execute_typical, print_table};
+use mmdb_recovery::CommitMode;
 
 fn main() {
     println!("Experiment R1 — §5.2 transaction throughput");
@@ -14,71 +14,56 @@ fn main() {
     let n = 20_000;
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let push = |rows: &mut Vec<Vec<String>>,
-                name: &str,
-                paper: &str,
-                model_tps: f64,
-                sim_tps: f64,
-                pages: usize| {
+    let mut push = |name: &str, paper: &str, policy: CommitPolicy, mode: CommitMode, n: u64| {
+        let (tps, pages) =
+            execute_typical(mode, n).expect("one transaction per key never conflicts");
         rows.push(vec![
             name.to_string(),
             paper.to_string(),
-            format!("{model_tps:.0}"),
-            format!("{sim_tps:.0}"),
+            format!("{:.0}", model.throughput(policy)),
+            format!("{tps:.0}"),
             pages.to_string(),
         ]);
     };
 
-    let sync = ThroughputSim::new(SimConfig::synchronous()).run_synchronous(2_000);
     push(
-        &mut rows,
         "synchronous",
         "100",
-        model.throughput(CommitPolicy::Synchronous),
-        sync.tps(),
-        sync.pages_written,
+        CommitPolicy::Synchronous,
+        CommitMode::Synchronous,
+        2_000,
     );
-
-    let group = ThroughputSim::new(SimConfig::group_commit()).run_grouped(n);
     push(
-        &mut rows,
         "group commit",
         "1000",
-        model.throughput(CommitPolicy::GroupCommit),
-        group.tps(),
-        group.pages_written,
+        CommitPolicy::GroupCommit,
+        CommitMode::GroupCommit,
+        n,
     );
-
-    for k in [2usize, 4, 8] {
-        let part = ThroughputSim::new(SimConfig::partitioned(k)).run_grouped(n);
+    for k in [2u32, 4, 8] {
         push(
-            &mut rows,
             &format!("partitioned log ({k} devices)"),
             &format!("~{}", k * 1000),
-            model.throughput(CommitPolicy::PartitionedLog { devices: k as u32 }),
-            part.tps(),
-            part.pages_written,
+            CommitPolicy::PartitionedLog { devices: k },
+            CommitMode::PartitionedLog {
+                devices: k as usize,
+            },
+            n,
         );
     }
-
-    for k in [1usize, 2] {
-        let stable = ThroughputSim::new(SimConfig::stable(k)).run_grouped(n);
-        push(
-            &mut rows,
-            &format!(
-                "stable memory ({k} drain device{})",
-                if k == 1 { "" } else { "s" }
-            ),
-            "drain-bound",
-            model.throughput(CommitPolicy::StableMemory { devices: k as u32 }),
-            stable.tps(),
-            stable.pages_written,
-        );
-    }
+    push(
+        "stable memory (1 drain device)",
+        "drain-bound",
+        CommitPolicy::StableMemory { devices: 1 },
+        CommitMode::StableMemory {
+            capacity_bytes: 1 << 20,
+        },
+        n,
+    );
 
     print_table(
         "Committed transactions per second",
-        &["policy", "paper", "model tps", "simulated tps", "log pages"],
+        &["policy", "paper", "model tps", "executed tps", "log pages"],
         &rows,
     );
 

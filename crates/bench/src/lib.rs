@@ -10,6 +10,7 @@ pub mod mvcc;
 use mmdb_exec::ExecContext;
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, PlannedQuery, QuerySpec, TableStats};
+use mmdb_recovery::{CommitMode, RecoveryManager};
 use mmdb_storage::{CostSnapshot, MemRelation};
 use mmdb_types::{Error, Result, SystemParams};
 use std::fmt::Display;
@@ -71,6 +72,27 @@ pub fn figure1_ratios() -> Vec<f64> {
         r += 0.05;
     }
     v
+}
+
+/// §5.2 by execution: loads `n` keys in one transaction, then runs `n`
+/// typical 400-byte transactions under `mode`, one per key, so none
+/// depends on another. Returns committed transactions per virtual second
+/// and log pages written, both counted from after the load.
+pub fn execute_typical(mode: CommitMode, n: u64) -> Result<(f64, usize)> {
+    let mut db = RecoveryManager::new(mode);
+    let load = db.begin();
+    for key in 0..n {
+        db.write(&load, key, 0)?;
+    }
+    db.commit(load)?;
+    db.flush_and_wait();
+    let (start, pages) = (db.now(), db.log_pages_written());
+    for key in 0..n {
+        db.typical(key, 1)?;
+    }
+    db.flush_and_wait();
+    let tps = n as f64 * 1e6 / (db.now() - start) as f64;
+    Ok((tps, db.log_pages_written() - pages))
 }
 
 /// One §4 query planned on exact statistics of memory-resident relations

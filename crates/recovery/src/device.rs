@@ -21,56 +21,34 @@ pub struct LogPage {
     pub durable_at: Micros,
 }
 
+/// Bytes in one log page (§5.2: 4096).
+pub const PAGE_BYTES: usize = 4096;
+
+/// Virtual time one page write takes (§5.2: 10 ms, no seek).
+pub const PAGE_WRITE_US: Micros = 10_000;
+
 /// A simulated sequential log device.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LogDevice {
     pages: Vec<LogPage>,
-    busy_until: Micros,
-    write_time: Micros,
-    page_bytes: usize,
+    idle_at: Micros,
     next_seqno: u64,
 }
 
 impl LogDevice {
-    /// A device with the paper's parameters: 4096-byte pages, 10 ms per
-    /// page write.
+    /// A device with the paper's parameters: [`PAGE_BYTES`]-byte pages,
+    /// [`PAGE_WRITE_US`] per page write.
     pub fn paper() -> Self {
-        LogDevice::new(4096, 10_000)
-    }
-
-    /// A device with explicit page size (bytes) and write time (µs).
-    pub fn new(page_bytes: usize, write_time_us: Micros) -> Self {
-        LogDevice {
-            pages: Vec::new(),
-            busy_until: 0,
-            write_time: write_time_us,
-            page_bytes,
-            next_seqno: 0,
-        }
-    }
-
-    /// Page capacity in bytes.
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
-    }
-
-    /// Time one page write takes.
-    pub fn write_time(&self) -> Micros {
-        self.write_time
-    }
-
-    /// When the device next becomes idle.
-    pub fn busy_until(&self) -> Micros {
-        self.busy_until
+        LogDevice::default()
     }
 
     /// Submits a page of records at virtual time `now`; returns the time
     /// the page becomes durable. Writes queue behind the device's current
     /// work (a single arm writes one page at a time).
     pub fn write_page(&mut self, records: Vec<(Lsn, LogRecord)>, now: Micros) -> Micros {
-        let start = now.max(self.busy_until);
-        let done = start + self.write_time;
-        self.busy_until = done;
+        let start = now.max(self.idle_at);
+        let done = start + PAGE_WRITE_US;
+        self.idle_at = done;
         self.pages.push(LogPage {
             records,
             seqno: self.next_seqno,

@@ -10,8 +10,9 @@
 //!
 //! * [`log`] — log records and their byte-accounted encoding: the
 //!   session engine's variable-length `Put`, and the paper-accounted
-//!   `Update` (a "typical" transaction writes 400 bytes: 40 of
-//!   begin/commit, 360 of old/new values, per Gray's banking example).
+//!   `Update`, padded so a one-update "typical" transaction writes 400
+//!   bytes: 40 of begin/commit, 360 of old/new values, per Gray's banking
+//!   example.
 //! * [`device`] — simulated log devices: one 4096-byte page write costs
 //!   10 ms of virtual time; pages are durable once their write completes.
 //! * [`lock`] — a lock manager whose lock table carries the paper's three
@@ -20,15 +21,14 @@
 //! * [`manager`] — the recovery manager: an in-memory KV database with
 //!   write-ahead logging, four commit policies (synchronous, group
 //!   commit, partitioned log with commit-group dependency ordering,
-//!   stable memory), crash, and restart-recovery.
+//!   stable memory), crash, and restart-recovery. Its `typical`
+//!   transaction logs those 400 bytes (a `transfer` logs 760); run back
+//!   to back, they execute §5.2's 100 / ~1000 / ~k×1000 tps.
 //! * [`stable`] — battery-backed stable memory: the in-memory log tail,
 //!   §5.4 log compression (only new values of committed transactions go
 //!   to disk) and the §5.5 dirty-page table bounding recovery.
 //! * [`checkpoint`] — the §5.3 background sweeper that trickles dirty
 //!   pages to the disk snapshot without quiescing.
-//! * [`sim`] — a discrete-event throughput simulator reproducing the §5.2
-//!   numbers (100 tps synchronous, ~1000 tps with group commit, ~k× with
-//!   k log devices).
 
 /// §5 log storage backends: real files plus deterministic fault
 /// injection (torn writes, bit flips, failed syncs) for torture tests.
@@ -43,8 +43,6 @@ pub mod lock;
 pub mod log;
 /// §5.2 the recovery manager: WAL buffer, commit modes, restart.
 pub mod manager;
-/// §5.2 discrete-event throughput simulator for the commit policies.
-pub mod sim;
 /// §5.4 stable memory absorbing commits ahead of the disk log.
 pub mod stable;
 /// §5.2 wall-clock log devices: page-framed append-only files with
@@ -56,6 +54,5 @@ pub use device::LogDevice;
 pub use lock::{detect_deadlocks_in, LockManager, LockMode};
 pub use log::{LogRecord, Lsn, Record, MAX_RECORD_BYTES};
 pub use manager::{CommitMode, RecoveryManager, TxnHandle};
-pub use sim::{SimConfig, ThroughputSim};
 pub use stable::StableMemory;
 pub use wal::{LogFileReport, WalDevice};

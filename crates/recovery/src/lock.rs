@@ -428,57 +428,19 @@ impl Auditable for LockManager {
                 )?;
             }
         }
-        // Dependency-graph acyclicity via iterative three-color DFS.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Grey,
-            Black,
-        }
-        let mut color: HashMap<TxnId, Color> = HashMap::new();
-        let mut starts: Vec<TxnId> = self.txns.keys().copied().collect();
-        starts.sort();
-        for start in starts {
-            if color.get(&start).copied().unwrap_or(Color::White) != Color::White {
-                continue;
-            }
-            let mut stack: Vec<(TxnId, Vec<TxnId>, usize)> = Vec::new();
-            let children = |t: TxnId| -> Vec<TxnId> {
-                self.txns
-                    .get(&t)
-                    .map(|d| {
-                        let mut v: Vec<TxnId> = d.dependencies.iter().copied().collect();
-                        v.sort();
-                        v
-                    })
-                    .unwrap_or_default()
-            };
-            color.insert(start, Color::Grey);
-            stack.push((start, children(start), 0));
-            while let Some((node, kids, idx)) = stack.last_mut() {
-                if *idx < kids.len() {
-                    let child = kids[*idx];
-                    *idx += 1;
-                    match color.get(&child).copied().unwrap_or(Color::White) {
-                        Color::White => {
-                            color.insert(child, Color::Grey);
-                            let kids = children(child);
-                            stack.push((child, kids, 0));
-                        }
-                        Color::Grey => {
-                            return Err(AuditViolation::new(
-                                C,
-                                "dependency-acyclic",
-                                format!("dependency cycle through txns {} and {}", node.0, child.0),
-                            ));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color.insert(*node, Color::Black);
-                    stack.pop();
-                }
-            }
+        // Dependency-graph acyclicity: a dependency cycle is a deadlock
+        // cycle over (txn → dependency) edges.
+        let edges: Vec<(TxnId, TxnId)> = self
+            .txns
+            .iter()
+            .flat_map(|(txn, d)| d.dependencies.iter().map(move |dep| (*txn, *dep)))
+            .collect();
+        if let Some(victim) = detect_deadlocks_in(&edges).first() {
+            return Err(AuditViolation::new(
+                C,
+                "dependency-acyclic",
+                format!("dependency cycle through txn {}", victim.0),
+            ));
         }
         Ok(())
     }
@@ -669,6 +631,26 @@ mod tests {
         lm.precommit(TxnId(1)).unwrap();
         lm.acquire(TxnId(2), 5).unwrap(); // granted, with dependency
         assert!(lm.detect_deadlocks().is_empty());
+    }
+
+    #[test]
+    fn audit_rejects_a_dependency_cycle() {
+        let mut lm = LockManager::new();
+        lm.begin(TxnId(1));
+        lm.begin(TxnId(2));
+        lm.acquire(TxnId(1), 5).unwrap();
+        lm.precommit(TxnId(1)).unwrap();
+        lm.acquire(TxnId(2), 5).unwrap(); // 2 depends on 1
+        lm.precommit(TxnId(2)).unwrap();
+        assert!(lm.audit().is_ok());
+        // Plant the reverse edge: 1 depends on 2.
+        lm.txns
+            .get_mut(&TxnId(1))
+            .unwrap()
+            .dependencies
+            .insert(TxnId(2));
+        let err = lm.audit().unwrap_err();
+        assert_eq!(err.invariant, "dependency-acyclic", "{err:?}");
     }
 
     #[test]

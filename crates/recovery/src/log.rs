@@ -257,6 +257,11 @@ fn take_bytes(r: &mut Reader<'_>, what: &str) -> Result<Record> {
     r.take(len).map(Record::from)
 }
 
+/// Padding that makes a one-update transaction §5.1's "typical" 400
+/// bytes: begin(20) + commit(20) + header(24) + old(8) + new(8) + padding
+/// = 400.
+pub const TYPICAL_UPDATE_PADDING: u32 = 320;
+
 /// Builds the paper's "typical" banking transaction log: begin + one
 /// update padded so the whole transaction occupies exactly 400 bytes +
 /// commit.
@@ -266,9 +271,7 @@ pub fn typical_transaction(txn: TxnId, key: u64, old: i64, new: i64) -> Vec<LogR
         key,
         old: Some(old),
         new,
-        // begin(20) + commit(20) + header(24) + old(8) + new(8) + padding
-        // = 400  =>  padding = 320.
-        padding: 320,
+        padding: TYPICAL_UPDATE_PADDING,
     };
     vec![LogRecord::Begin { txn }, update, LogRecord::Commit { txn }]
 }

@@ -8,9 +8,9 @@
 //! rebuilds the image from the disk snapshot plus the durable log.
 
 use crate::checkpoint::{page_of, Snapshot};
-use crate::device::{LogDevice, Micros};
+use crate::device::{LogDevice, Micros, PAGE_BYTES};
 use crate::lock::LockManager;
-use crate::log::{LogRecord, Lsn};
+use crate::log::{LogRecord, Lsn, TYPICAL_UPDATE_PADDING};
 use crate::stable::StableMemory;
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::{HashMap, HashSet};
@@ -177,7 +177,7 @@ impl RecoveryManager {
             }
         } else {
             let size = rec.byte_size();
-            if self.buffer_bytes + size > self.devices[0].page_bytes() {
+            if self.buffer_bytes + size > PAGE_BYTES {
                 self.flush_page();
             }
             self.buffer_bytes += size;
@@ -192,7 +192,8 @@ impl RecoveryManager {
     }
 
     /// [`Self::write`] whose update record charges `padding` extra log
-    /// bytes: 320 makes a one-update transaction the §5.1 "typical" 400.
+    /// bytes: [`TYPICAL_UPDATE_PADDING`] makes a one-update transaction
+    /// the §5.1 "typical" 400.
     fn write_logging(&mut self, txn: &TxnHandle, key: u64, value: i64, padding: u32) -> Result<()> {
         if !self.locks.is_active(txn.0) {
             return Err(Error::InvalidTransaction(txn.0 .0));
@@ -230,12 +231,29 @@ impl RecoveryManager {
         let txn = self.begin();
         let result = (|| {
             let src = self.read(from).unwrap_or(0);
-            self.write_logging(&txn, from, src - amount, 320)?;
+            self.write_logging(&txn, from, src - amount, TYPICAL_UPDATE_PADDING)?;
             // Read after the debit, so a self-transfer nets to zero.
             let dst = self.read(to).unwrap_or(0);
-            self.write_logging(&txn, to, dst + amount, 320)?;
+            self.write_logging(&txn, to, dst + amount, TYPICAL_UPDATE_PADDING)?;
             self.commit(txn)
         })();
+        if result.is_err() {
+            let _ = self.abort(txn);
+        }
+        result
+    }
+
+    /// Runs one §5.1 "typical" transaction — a single padded update of
+    /// `key` — and commits it, as [`crate::log::typical_transaction`]
+    /// spells it: 400 bytes of log when `key` already holds a value, so
+    /// ten fill a 4,096-byte page. Returns the durability time (virtual
+    /// µs); on a lock conflict the transaction is rolled back and the
+    /// error surfaced.
+    pub fn typical(&mut self, key: u64, value: i64) -> Result<Micros> {
+        let txn = self.begin();
+        let result = self
+            .write_logging(&txn, key, value, TYPICAL_UPDATE_PADDING)
+            .and_then(|()| self.commit(txn));
         if result.is_err() {
             let _ = self.abort(txn);
         }
@@ -375,15 +393,14 @@ impl RecoveryManager {
     /// drained.
     fn drain_stable(&mut self) -> Option<Micros> {
         let committed: HashSet<TxnId> = self.commit_durable_at.keys().copied().collect();
-        let page_bytes = self.devices[0].page_bytes();
         let mut last_done = None;
         loop {
             let stable = self.stable.as_mut().expect("stable mode");
-            let (drained, bytes) = stable.drain_committed(page_bytes, |t| committed.contains(&t));
+            let (drained, bytes) = stable.drain_committed(PAGE_BYTES, |t| committed.contains(&t));
             if drained.is_empty() {
                 break;
             }
-            debug_assert!(bytes <= page_bytes);
+            debug_assert!(bytes <= PAGE_BYTES);
             for (_, rec) in &drained {
                 self.drained_committed.insert(rec.txn());
             }
@@ -804,7 +821,8 @@ mod tests {
         let mut txns = Vec::new();
         for i in 0..9 {
             let t = m.begin();
-            m.write_logging(&t, i, i as i64, 320).unwrap();
+            m.write_logging(&t, i, i as i64, TYPICAL_UPDATE_PADDING)
+                .unwrap();
             m.commit(t).unwrap();
             txns.push(t.0);
         }
@@ -929,7 +947,8 @@ mod tests {
         // holds 4 000, so draining must kick in, writing compressed pages.
         for i in 0..20u64 {
             let t = m.begin();
-            m.write_logging(&t, i, i as i64, 320).unwrap();
+            m.write_logging(&t, i, i as i64, TYPICAL_UPDATE_PADDING)
+                .unwrap();
             m.commit(t).unwrap();
         }
         m.flush();
@@ -1021,6 +1040,22 @@ mod tests {
         }
         m.flush_and_wait();
         assert_eq!(m.log_pages_written(), 5);
+    }
+
+    #[test]
+    fn typical_logs_the_typical_transaction() {
+        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let load = m.begin();
+        m.write(&load, 7, 100).unwrap();
+        m.commit(load).unwrap();
+        m.flush_and_wait();
+        m.typical(7, 200).unwrap();
+        let typical: usize = crate::log::typical_transaction(TxnId(2), 7, 100, 200)
+            .iter()
+            .map(LogRecord::byte_size)
+            .sum();
+        assert_eq!(m.buffer_bytes, typical);
+        assert_eq!(m.read(7), Some(200));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Wall-clock log devices (§5.2 on real hardware).
 //!
 //! The [`crate::device`] module models a log device in *virtual* time for
-//! the discrete-event simulator; this module is the same abstraction
+//! the recovery manager; this module is the same abstraction
 //! backed by a real append-only file, for the multi-threaded session
 //! layer that reproduces the §5.2 arithmetic with OS threads and a wall
 //! clock. A device writes page-framed batches of log records and calls

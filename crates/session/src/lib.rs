@@ -6,8 +6,9 @@
 //! Database Systems*, DeWitt et al., SIGMOD 1984).
 //!
 //! The workspace's [`mmdb_recovery`] crate proves the §5.2 arithmetic in
-//! *virtual* time: a discrete-event simulator shows synchronous commit
-//! stuck at ~100 tps and group commit reaching ~1000. This crate is the
+//! *virtual* time: its recovery manager, executing typical transactions,
+//! shows synchronous commit stuck at ~100 tps and group commit reaching
+//! ~1000. This crate is the
 //! same design on *real* OS threads and a wall clock:
 //!
 //! * An [`Engine`] owns the shared volatile store, the §5.2 lock manager
@@ -22,7 +23,7 @@
 //!   dependency's, and no transaction is reported durable until its
 //!   entire LSN prefix is on disk — so LSN order alone keeps a dependent
 //!   from being durable first, whichever device writes which page.
-//! * [`CommitPolicy`] mirrors the simulator's policies: synchronous
+//! * [`CommitPolicy`] mirrors the recovery manager's policies: synchronous
 //!   (one page write per commit), group commit, and a partitioned log
 //!   over `k` devices.
 //! * [`Engine::crash`] drops every volatile structure, and

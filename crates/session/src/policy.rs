@@ -2,8 +2,8 @@
 //!
 //! The §5.2 commit policies — synchronous, group commit, partitioned log
 //! — exist twice in this workspace: once in virtual time
-//! ([`mmdb_recovery::SimConfig`] drives the discrete-event simulator) and
-//! once here, on real OS threads and a wall clock. [`CommitPolicy`] names
+//! ([`mmdb_recovery::CommitMode`], run by `RecoveryManager`) and once
+//! here, on real OS threads and a wall clock. [`CommitPolicy`] names
 //! the policy; [`EngineOptions`] carries the engine's knobs.
 
 use crate::shard::MAX_SHARDS;

@@ -5,7 +5,8 @@
 use mmdb_analytic::access::random_break_even_fraction;
 use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
 use mmdb_analytic::recovery::{CommitPolicy, ThroughputModel};
-use mmdb_recovery::sim::{SimConfig, ThroughputSim};
+use mmdb_bench::execute_typical;
+use mmdb_recovery::CommitMode;
 use mmdb_types::{AccessGeometry, RelationShape, SystemParams};
 
 /// §2 / §6: "B+-trees are the preferred storage mechanism unless more
@@ -119,15 +120,12 @@ fn claim_recovery_throughput_numbers() {
     let model = ThroughputModel::default();
     assert_eq!(model.throughput(CommitPolicy::Synchronous), 100.0);
     assert_eq!(model.throughput(CommitPolicy::GroupCommit), 1000.0);
-    // And the discrete-event simulation agrees with the arithmetic.
-    let sync = ThroughputSim::new(SimConfig::synchronous())
-        .run_synchronous(1_000)
-        .tps();
-    let group = ThroughputSim::new(SimConfig::group_commit())
-        .run_grouped(10_000)
-        .tps();
-    assert!((sync - 100.0).abs() < 2.0);
-    assert!((group - 1_000.0).abs() < 25.0);
+    // And the recovery manager, executing typical transactions against
+    // 10 ms log pages in virtual time, agrees with the arithmetic.
+    let (sync, _) = execute_typical(CommitMode::Synchronous, 1_000).unwrap();
+    let (group, _) = execute_typical(CommitMode::GroupCommit, 10_000).unwrap();
+    assert!((sync - 100.0).abs() < 2.0, "sync {sync}");
+    assert!((group - 1_000.0).abs() < 25.0, "group {group}");
 }
 
 /// §5.4: "approximately half of the size of the log stores the old values
