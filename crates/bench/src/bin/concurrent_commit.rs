@@ -17,6 +17,14 @@
 //! has clients — and the residual between the two. §5.2's claim is the
 //! ratio: group commit beats synchronous by roughly the group size.
 //!
+//! At `--clients 1` the run also checks that a lone client waits for
+//! nothing but the device and the group window: a grouped policy whose
+//! mean `mmdb_session_group_wait_us` (commit queued → page cut; the exact
+//! mean, since percentiles read power-of-two bucket bounds) exceeds both
+//! the modeled page write and [`GROUP_WINDOW`] held the page for
+//! something else — the flush interval, say — and the process exits
+//! non-zero.
+//!
 //! This is a model experiment. What the stack costs on a real device is
 //! `benchmark/`'s job (SQL over TCP, real fsync, no modeled sleeps).
 //!
@@ -26,7 +34,7 @@
 use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::print_table;
 use mmdb_recovery::wal::read_log_dir;
-use mmdb_session::{CommitPolicy, Engine, EngineOptions};
+use mmdb_session::{CommitPolicy, Engine, EngineOptions, GROUP_WINDOW};
 use mmdb_types::WorkloadRng;
 use std::time::{Duration, Instant};
 
@@ -45,6 +53,9 @@ struct Measured {
     p50_ms: f64,
     p99_ms: f64,
     pages_written: usize,
+    /// Mean of the engine's own `mmdb_session_group_wait_us`: commit
+    /// queued → its page handed to a writer.
+    group_wait_mean_us: f64,
     /// Log bytes (the page accounting the daemon cuts pages by) per
     /// committed transaction, read back from the run's device files.
     log_bytes_per_txn: usize,
@@ -214,6 +225,10 @@ fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
     }
     let elapsed = started.elapsed().as_secs_f64();
     let pages_written = engine.pages_written().expect("pages written");
+    let group_wait_mean_us = engine
+        .stats()
+        .histogram("mmdb_session_group_wait_us")
+        .map_or(0.0, |h| h.mean());
     engine.shutdown().expect("shutdown");
     let log_bytes: usize = read_log_dir(&dir)
         .expect("read the run's log back")
@@ -230,6 +245,7 @@ fn measure(policy: CommitPolicy, cfg: &Config) -> Measured {
         p50_ms: percentile_ms(&latencies, 0.50),
         p99_ms: percentile_ms(&latencies, 0.99),
         pages_written,
+        group_wait_mean_us,
         log_bytes_per_txn: log_bytes / (committed as usize).max(1),
     }
 }
@@ -271,6 +287,7 @@ fn main() {
                 m.aborted.to_string(),
                 format!("{:.2}", m.p50_ms),
                 format!("{:.2}", m.p99_ms),
+                format!("{:.0}", m.group_wait_mean_us),
                 m.pages_written.to_string(),
                 m.log_bytes_per_txn.to_string(),
                 // The §5.2 group size the throughput claim rests on.
@@ -289,6 +306,7 @@ fn main() {
             "aborted",
             "p50 ms",
             "p99 ms",
+            "wait mean µs",
             "pages",
             "log B/txn",
             "txns/page",
@@ -305,6 +323,24 @@ fn main() {
             group.tps / sync.tps,
             group_model / sync_model,
         );
+    }
+
+    if cfg.clients == 1 {
+        let limit = cfg.page_write.max(GROUP_WINDOW).as_micros() as f64;
+        let held: Vec<String> = runs
+            .iter()
+            .filter(|(p, _, m)| *p != CommitPolicy::Synchronous && m.group_wait_mean_us > limit)
+            .map(|(p, _, m)| format!("{} ({:.0} µs)", policy_label(*p), m.group_wait_mean_us))
+            .collect();
+        if !held.is_empty() {
+            eprintln!(
+                "lone client: mean group wait above {limit} µs (the page write or the group \
+                 window, whichever is longer) under {}: a page somebody waits on was held for \
+                 something other than the device and the window",
+                held.join(", ")
+            );
+            std::process::exit(1);
+        }
     }
 }
 

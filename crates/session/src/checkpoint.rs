@@ -603,7 +603,8 @@ mod tests {
         let dir = o.log_dir.clone();
         let engine = Engine::start(o.clone()).unwrap();
         let s = engine.session();
-        // `flush` is the one wait the 30 s group window does not apply to.
+        // Nobody waits on these commits: only `flush` sends them before
+        // the 30 s deadline.
         for k in 1..4 {
             let t = s.begin().unwrap();
             s.write(&t, k, k as i64 * 7).unwrap();

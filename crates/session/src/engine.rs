@@ -508,9 +508,9 @@ impl Session {
     /// Blocks until the ticket's transaction is durable (its page and
     /// every earlier page on disk). The wait is announced on the queue
     /// first, so a record still queued leaves with the next group — at
-    /// once if the previous one left an [`EngineOptions::flush_interval`]
-    /// ago and a log device is free — instead of waiting out the interval
-    /// from its own arrival.
+    /// once if the previous one left a [`crate::GROUP_WINDOW`] ago and a
+    /// log device is free — instead of waiting out
+    /// [`EngineOptions::flush_interval`] from its own arrival.
     pub fn wait_durable(&self, ticket: &CommitTicket) -> Result<()> {
         // `queue` is taken and released before `durable`: the lock order.
         self.shared.raise_demand(ticket.lsn.0, false)?;

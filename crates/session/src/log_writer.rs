@@ -33,11 +33,11 @@
 //! once. A partial page leaves when somebody is blocked on one of its
 //! records — *demand*, raised by `wait_durable`, `commit_durable`, a
 //! synchronous commit and `flush` — **and the group window is open**: the
-//! previous partial page left at least `flush_interval` ago. A commit
+//! previous partial page left at least [`GROUP_WINDOW`] ago. A commit
 //! that finds the log quiet therefore pays one page write and no timer;
-//! clients in a closed loop get one group per `flush_interval`, formed
-//! *while* the previous group is written and their next statements run,
-//! instead of after a silence that follows both. The window is what keeps
+//! clients in a closed loop get one group per window (or per page write,
+//! if the device is the slower), formed *while* the previous group is
+//! written and their next statements run. The window is what keeps
 //! the commit rate steady: paced by the device alone it follows every
 //! wobble of the disk's sync time (EXPERIMENTS.md §S1, "Why a window").
 //! While every device writes, the queue keeps accumulating whatever the
@@ -67,7 +67,7 @@
 //! queued or registered.
 
 use crate::metrics::{us_since, SessionMetrics};
-use crate::policy::{CommitPolicy, EngineOptions};
+use crate::policy::{CommitPolicy, EngineOptions, GROUP_WINDOW};
 use crate::shard::{shard_of, Shard, TxnTable};
 use mmdb_obs::TraceStage;
 use mmdb_recovery::wal::WalDevice;
@@ -113,7 +113,7 @@ pub(crate) struct LogQueue {
     /// record answers it, so nothing ever resets this.
     pub demand: u64,
     /// Earliest instant the next awaited partial page may leave: one
-    /// `flush_interval` after the last partial page left. `None`: at once
+    /// [`GROUP_WINDOW`] after the last partial page left. `None`: at once
     /// (nothing cut yet, or [`Shared::raise_demand`] reopened it for a
     /// flush). Set by the writer that cuts the page.
     pub window_opens: Option<Instant>,
@@ -752,8 +752,8 @@ fn next_page(shared: &Shared) -> Option<Page> {
         let (cut, timer) = shared.cut_view(&q, now);
         if cut == Cut::All {
             // This group leaves now; the next awaited one no sooner than a
-            // flush interval from here.
-            q.window_opens = now.checked_add(shared.options.flush_interval);
+            // group window from here.
+            q.window_opens = now.checked_add(GROUP_WINDOW);
         }
         let flush_partial = q.shutdown || cut == Cut::All;
         let pages = if flush_partial || cut == Cut::FullPages {
@@ -1111,25 +1111,48 @@ mod tests {
 
     #[test]
     fn a_waiter_is_served_when_the_group_window_opens() {
-        let interval = std::time::Duration::from_millis(10);
+        let interval = Duration::from_secs(10);
         let options =
             EngineOptions::new(CommitPolicy::Group, "unused").with_flush_interval(interval);
         let shared = Shared::new(options, HashMap::new(), 1, 1);
-        let mut q = queue_of(typical(1, 1));
-        let queued_at = q.oldest_commit().unwrap();
-        let now = queued_at + interval / 10;
+        let put = |k: u64| {
+            vec![LogRecord::Put {
+                txn: TxnId(k),
+                key: k,
+                new: Record::from(vec![0u8; 8]),
+            }]
+        };
+        // An awaited commit on a quiet log leaves at once, as a group of one.
+        shared.append(TxnId(1), put(1), 0, true).unwrap();
+        let first = next_page(&shared).unwrap();
+        assert_eq!(first.commits.len(), 1);
+        // The next commit queues just after that cut. Nobody waits on it
+        // yet: only its deadline is pending.
+        let lsn = shared.append(TxnId(2), put(2), 0, false).unwrap();
+        let (queued_at, opens) = {
+            let q = shared.queue_guard().unwrap();
+            (q.oldest_commit().unwrap(), q.window_opens.unwrap())
+        };
+        assert!(opens <= queued_at + GROUP_WINDOW);
         let deadline = queued_at + interval;
-        // Nobody waits: only the deadline is pending.
-        assert_eq!(shared.cut_view(&q, now), (Cut::Hold, Some(deadline)));
-        assert_eq!(shared.cut_view(&q, deadline).0, Cut::All);
-        // Somebody waits and no group has left yet: the page leaves now.
-        q.demand = 3;
-        assert_eq!(shared.cut_view(&q, now), (Cut::All, Some(deadline)));
-        // A group left a moment ago: the page leaves when the window opens.
-        let opens = now + interval / 2;
-        q.window_opens = Some(opens);
-        assert_eq!(shared.cut_view(&q, now), (Cut::Hold, Some(opens)));
-        assert_eq!(shared.cut_view(&q, opens), (Cut::All, Some(deadline)));
+        let just_before = opens - Duration::from_micros(1);
+        {
+            let q = shared.queue_guard().unwrap();
+            assert_eq!(shared.cut_view(&q, just_before).0, Cut::Hold);
+            assert_eq!(shared.cut_view(&q, deadline).0, Cut::All);
+        }
+        // Its waiter arrives: the page leaves when the window opens, long
+        // before the deadline.
+        shared.raise_demand(lsn.0, false).unwrap();
+        {
+            let q = shared.queue_guard().unwrap();
+            assert_eq!(shared.cut_view(&q, just_before), (Cut::Hold, Some(opens)));
+            assert_eq!(shared.cut_view(&q, opens), (Cut::All, Some(deadline)));
+        }
+        // A flush does not wait it out.
+        shared.raise_demand(u64::MAX, true).unwrap();
+        let q = shared.queue_guard().unwrap();
+        assert_eq!(shared.cut_view(&q, just_before).0, Cut::All);
     }
 
     #[test]

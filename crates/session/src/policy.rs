@@ -11,6 +11,12 @@ use mmdb_recovery::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// The group window: a partial page somebody waits on leaves no sooner
+/// than this after the previous one. A constant, not the device's pace,
+/// which would make the commit rate follow every wobble of the disk's
+/// sync time (EXPERIMENTS.md §S1, "Why a window").
+pub const GROUP_WINDOW: Duration = Duration::from_micros(500);
+
 /// How a commit becomes durable (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
@@ -19,12 +25,12 @@ pub enum CommitPolicy {
     /// transaction.
     Synchronous,
     /// Commit records accumulate while the log device is busy and the
-    /// group window ([`EngineOptions::flush_interval`]) is closed: one
-    /// page write commits whatever arrived since the previous one left,
-    /// and the committer is *pre-committed* in between, holding no locks.
-    /// A page leaves when it fills, or — partial — once a committer is
-    /// blocked on it, a device is free and the window is open, so a
-    /// commit on a quiet log pays one page write and no timer.
+    /// group window ([`GROUP_WINDOW`]) is closed: one page write commits
+    /// whatever arrived since the previous one left, and the committer is
+    /// *pre-committed* in between, holding no locks. A page leaves when
+    /// it fills, or — partial — once a committer is blocked on it, a
+    /// device is free and the window is open, so a commit on a quiet log
+    /// pays one page write and no timer.
     Group,
     /// Group commit over `devices` log devices, the §5.2 recipe for
     /// pushing past one device's page rate: whichever device is free
@@ -69,17 +75,14 @@ pub struct EngineOptions {
     pub page_write_latency: Duration,
     /// Directory the log device files live in.
     pub log_dir: PathBuf,
-    /// The group window (§5.2's answer to "what if the page never
-    /// fills?"). A partial page somebody is blocked on leaves when a
-    /// device is free and the previous partial page left at least this
-    /// long ago: at once on a quiet log, once per interval in a closed
-    /// loop — the interval runs while the previous page is written, not
-    /// after it, and keeps the commit rate from following the disk's sync
-    /// time. A partial page nobody waits on (a [`crate::Session::commit`]
-    /// ticket only polled with `is_durable`) leaves once its oldest
-    /// queued *commit* record has waited this long and a device is free —
-    /// an absolute deadline that other sessions' records do not postpone.
-    /// [`crate::Engine::flush`] waits for neither.
+    /// The deadline for commits nobody waits on (§5.2's answer to "what
+    /// if the page never fills?"). A partial page nobody is blocked on (a
+    /// [`crate::Session::commit`] ticket only polled with `is_durable`)
+    /// leaves once its oldest queued *commit* record has waited this long
+    /// and a device is free — an absolute deadline that other sessions'
+    /// records do not postpone. A partial page somebody *is* blocked on
+    /// does not wait for it: it leaves as soon as a device is free and
+    /// the [`GROUP_WINDOW`] is open.
     pub flush_interval: Duration,
     /// How long a writer waits on a lock before giving up with a
     /// conflict error (deadlock victims abort much sooner).
@@ -112,8 +115,8 @@ pub struct EngineOptions {
 
 impl EngineOptions {
     /// Options for `policy` logging under `log_dir`, with the paper's
-    /// 4096-byte pages, no modeled page-write latency, a 1 ms group
-    /// window, and a 1 s lock wait.
+    /// 4096-byte pages, no modeled page-write latency, a 1 ms flush
+    /// interval, and a 1 s lock wait.
     pub fn new(policy: CommitPolicy, log_dir: impl Into<PathBuf>) -> Self {
         EngineOptions {
             policy,
@@ -167,7 +170,8 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the group window (see [`EngineOptions::flush_interval`]).
+    /// Sets the deadline for commits nobody waits on (see
+    /// [`EngineOptions::flush_interval`]).
     pub fn with_flush_interval(mut self, interval: Duration) -> Self {
         self.flush_interval = interval;
         self

@@ -8,16 +8,13 @@ use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_sql::{SqlError, SqlSession};
 use mmdb_types::Tuple;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// A group-commit engine logging under a fresh directory of the system
 /// temp dir, named for `name` and this process; the caller removes it.
-/// A short group window keeps many small autocommit statements quick.
 pub fn scratch_engine(name: &str) -> (Engine, PathBuf) {
     let dir = std::env::temp_dir().join(format!("mmdb-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let options = EngineOptions::new(CommitPolicy::Group, &dir)
-        .with_flush_interval(Duration::from_micros(50));
+    let options = EngineOptions::new(CommitPolicy::Group, &dir);
     let engine = Engine::start(options).expect("engine starts on a fresh directory");
     (engine, dir)
 }

@@ -36,11 +36,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn options(dir: &PathBuf) -> EngineOptions {
-    // A short window keeps hundreds of autocommit statements quick; a
-    // short lock wait keeps the sessions' write-write conflicts quick.
-    EngineOptions::new(CommitPolicy::Group, dir)
-        .with_flush_interval(Duration::from_micros(50))
-        .with_lock_wait_timeout(Duration::from_millis(5))
+    // A short lock wait keeps the sessions' write-write conflicts quick.
+    EngineOptions::new(CommitPolicy::Group, dir).with_lock_wait_timeout(Duration::from_millis(5))
 }
 
 /// `[probes, builds, rows scanned]` as the engine's registry reads now.
