@@ -1,49 +1,34 @@
 //! Experiment B1 (§6 future work) — buffer management strategies.
 //!
 //! §6 lists "buffer management strategies (how to efficiently manage very
-//! large buffer pools)" as future research. This ablation measures the
-//! fault rates of the three implemented replacement policies — Random
-//! (the §2 model's assumption), LRU, and Clock — on uniform and skewed
-//! page-reference workloads, at several pool sizes.
+//! large buffer pools)" as future research. This ablation replays uniform
+//! and skewed page references through `PagedResidency` and measures the
+//! fault rates of its three replacement policies — Random (the §2 model's
+//! assumption), LRU, and Clock — at several pool sizes.
 
 use mmdb_bench::{pct, print_table};
-use mmdb_storage::{BufferPool, CostMeter, IoKind, ReplacementPolicy, SimDisk};
-use mmdb_types::{PageId, WorkloadRng, PAGE_SIZE};
-use std::sync::Arc;
+use mmdb_index::{PagedResidency, ReplacementPolicy};
+use mmdb_types::WorkloadRng;
 
 const PAGES: usize = 400;
 const ACCESSES: usize = 40_000;
 
 fn run(policy: ReplacementPolicy, capacity: usize, zipf: Option<f64>) -> f64 {
-    let meter = Arc::new(CostMeter::new());
-    let mut disk = SimDisk::new(meter);
-    let ids: Vec<PageId> = (0..PAGES)
-        .map(|_| {
-            let id = disk.allocate();
-            disk.write(id, IoKind::Sequential, &vec![0u8; PAGE_SIZE])
-                .unwrap();
-            id
-        })
-        .collect();
-    let mut pool = BufferPool::new(capacity, policy);
+    let mut pool = PagedResidency::new(capacity, policy);
     let mut rng = WorkloadRng::seeded(77);
+    let mut next_page = || match zipf {
+        Some(s) => rng.zipf_index(PAGES, s) as u64,
+        None => rng.index(PAGES) as u64,
+    };
     // Warm up.
     for _ in 0..ACCESSES / 4 {
-        let p = match zipf {
-            Some(s) => rng.zipf_index(PAGES, s),
-            None => rng.index(PAGES),
-        };
-        pool.get(&mut disk, ids[p], IoKind::Random).unwrap();
+        pool.access(next_page());
     }
-    pool.reset_stats();
+    pool.reset_counters();
     for _ in 0..ACCESSES {
-        let p = match zipf {
-            Some(s) => rng.zipf_index(PAGES, s),
-            None => rng.index(PAGES),
-        };
-        pool.get(&mut disk, ids[p], IoKind::Random).unwrap();
+        pool.access(next_page());
     }
-    pool.stats().fault_rate()
+    pool.fault_rate()
 }
 
 fn main() {

@@ -11,7 +11,7 @@ use mmdb_analytic::access::{
     avl_sequential_cost, btree_sequential_cost, sequential_break_even_fraction,
 };
 use mmdb_bench::{pct, print_table};
-use mmdb_index::{AccessTrace, AvlTree, BPlusTree, PagedResidency};
+use mmdb_index::{AccessTrace, AvlTree, BPlusTree, PagedResidency, ReplacementPolicy};
 
 /// A traced scan callback: start key in, trace out.
 type Scan<'a> = Box<dyn FnMut(i64, &mut AccessTrace) + 'a>;
@@ -76,7 +76,7 @@ fn main() {
     for h in [0.25, 0.5, 0.75, 0.95, 1.0] {
         let m = ((h * avl.pages() as f64) as usize).max(1);
         let cost = |mut scan: Scan, y_used: f64| -> f64 {
-            let mut residency = PagedResidency::new(m, 5);
+            let mut residency = PagedResidency::new(m, ReplacementPolicy::Random { seed: 5 });
             let mut total_faults = 0u64;
             let mut total_comps = 0u64;
             let mut rng = WorkloadRng::seeded(11);

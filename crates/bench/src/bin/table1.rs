@@ -11,7 +11,9 @@
 
 use mmdb_analytic::access::{random_break_even_fraction, table1};
 use mmdb_bench::{pct, print_table};
-use mmdb_index::{AccessTrace, AvlTree, BPlusTree, PagedBinaryTree, PagedResidency};
+use mmdb_index::{
+    AccessTrace, AvlTree, BPlusTree, PagedBinaryTree, PagedResidency, ReplacementPolicy,
+};
 use mmdb_types::{AccessGeometry, WorkloadRng};
 
 /// A traced probe callback: key in, trace out.
@@ -33,7 +35,7 @@ fn measured_costs(
     let mut rng = WorkloadRng::seeded(99);
 
     let mut run = |total_pages: u64, mut probe: Probe| -> (f64, f64) {
-        let mut residency = PagedResidency::new(m, 7);
+        let mut residency = PagedResidency::new(m, ReplacementPolicy::Random { seed: 7 });
         // Reach the steady state the §2 model assumes: |M| of the
         // structure's pages resident. Fill the set, then churn it with
         // real probe traffic so the resident pages are probe-shaped.

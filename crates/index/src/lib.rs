@@ -7,9 +7,9 @@
 //!   structure for memory-resident keyed relations.
 //! * [`bptree::BPlusTree`] — a page-based B+-tree with configurable fanout
 //!   and Yao-style occupancy tracking, the incumbent structure.
-//! * [`residency::PagedResidency`] — a random-replacement residency
-//!   simulator that converts traced page visits into fault counts, so the
-//!   §2 model (`faults = C · (1 − |M|/S)`) can be checked empirically.
+//! * [`residency::PagedResidency`] — a residency simulator that converts
+//!   traced page visits into fault counts under Random (the §2 model's
+//!   `faults = C · (1 − |M|/S)` assumption), LRU or Clock replacement.
 //!
 //! Every structure offers *traced* operations that report the comparisons
 //! performed and the logical pages touched, feeding the paper's cost
@@ -23,7 +23,7 @@ pub mod residency;
 pub use avl::AvlTree;
 pub use bptree::BPlusTree;
 pub use paged_binary::PagedBinaryTree;
-pub use residency::PagedResidency;
+pub use residency::{PagedResidency, ReplacementPolicy};
 
 /// The record of one traced index operation: which logical pages were
 /// inspected, in order, and how many key comparisons were spent.

@@ -3,8 +3,8 @@
 //! The §3 join study works in units of *pages* (`|R|`, `|S|`) and *tuples*
 //! (`||R||`, `||S||`). [`MemRelation`] keeps tuples in memory grouped into
 //! fixed-fanout logical pages so the executable join algorithms can spill
-//! and re-read page-sized units through the simulated disk at the paper's
-//! prices.
+//! and re-read page-sized units, charging each transfer to the
+//! [`CostMeter`](crate::CostMeter) at the paper's prices.
 
 use mmdb_types::{Error, Result, Schema, Tuple};
 

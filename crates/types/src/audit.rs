@@ -1,7 +1,7 @@
 //! Engine-wide runtime invariant auditing.
 //!
-//! Every stateful engine structure — buffer pool, lock manager, MVCC
-//! store, recovery manager, index trees — exposes the same audit
+//! Every stateful engine structure — residency simulator, lock manager,
+//! MVCC store, recovery manager, index trees — exposes the same audit
 //! entry point through [`Auditable`]. An audit walks the structure's
 //! internal bookkeeping and reports the first inconsistency it finds as an
 //! [`AuditViolation`] naming the component, the invariant, and the
@@ -11,7 +11,7 @@
 //! mutation batches in property tests and (behind `cfg(debug_assertions)`)
 //! at commit points, where a violation means the engine itself — not the
 //! workload — is wrong. The checks encode the safety arguments the paper
-//! makes informally: frame accounting for the §2 buffer economics, §5.2's
+//! makes informally: resident-set accounting for the §2 fault model, §5.2's
 //! "a dependent transaction never commits before its dependencies", LSN
 //! monotonicity for §5.3 checkpointing, and version-chain timestamp order
 //! for the §6 versioning sketch.
@@ -22,7 +22,7 @@ use std::fmt;
 /// A violated internal invariant reported by an [`Auditable`] structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditViolation {
-    /// The structure that failed its audit (e.g. `"BufferPool"`).
+    /// The structure that failed its audit (e.g. `"PagedResidency"`).
     pub component: &'static str,
     /// Short name of the violated invariant (e.g. `"pin-accounting"`).
     pub invariant: &'static str,
@@ -81,10 +81,7 @@ impl From<AuditViolation> for Error {
 ///
 /// `audit` must be read-only and side-effect free: it inspects the
 /// structure's bookkeeping and either confirms every invariant or returns
-/// the first [`AuditViolation`] found. Structures whose invariants span
-/// external state (for example a heap file's tuple counts, which live on
-/// the simulated disk) audit what they can standalone here and offer an
-/// inherent `audit_with(...)` taking the extra context.
+/// the first [`AuditViolation`] found.
 pub trait Auditable {
     /// Checks every internal invariant, returning the first violation.
     fn audit(&self) -> Result<(), AuditViolation>;

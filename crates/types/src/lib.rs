@@ -32,14 +32,10 @@ pub mod value;
 pub use audit::{AuditViolation, Auditable};
 pub use error::{Error, Result};
 pub use expr::{CmpOp, Predicate};
-pub use ids::{PageId, TxnId};
+pub use ids::TxnId;
 pub use params::{AccessGeometry, CostWeights, RelationShape, SystemParams};
 pub use reader::Reader;
 pub use rng::WorkloadRng;
 pub use schema::{Column, DataType, Schema};
 pub use tuple::Tuple;
 pub use value::Value;
-
-/// Page size used throughout the workspace (bytes). Matches the paper's
-/// 4096-byte log/data pages.
-pub const PAGE_SIZE: usize = 4096;

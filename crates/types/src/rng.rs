@@ -2,8 +2,8 @@
 //!
 //! Every experiment in the workspace must be reproducible run-to-run, so all
 //! randomness flows through [`WorkloadRng`]: the workloads it generates, the
-//! random-replacement victims of §2's fault model (`PagedResidency`,
-//! `BufferPool`), the client's retry jitter and every property test's
+//! random-replacement victims of §2's fault model (`PagedResidency`), the
+//! client's retry jitter and every property test's
 //! cases. The generator is SplitMix64, exactly reproducible from its seed and
 //! statistically strong enough for workload generation; it is not
 //! cryptographically secure.

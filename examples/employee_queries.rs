@@ -6,7 +6,7 @@
 //! cargo run --release --example employee_queries
 //! ```
 
-use mmdb_index::{AccessTrace, AvlTree, BPlusTree, PagedResidency};
+use mmdb_index::{AccessTrace, AvlTree, BPlusTree, PagedResidency, ReplacementPolicy};
 use mmdb_types::WorkloadRng;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     for h in [0.5, 0.9, 1.0] {
         let m = ((h * avl.pages() as f64) as usize).max(1);
         let do_probe = |probe: &mut dyn FnMut(i64, &mut AccessTrace), total_pages: u64| {
-            let mut res = PagedResidency::new(m, 1);
+            let mut res = PagedResidency::new(m, ReplacementPolicy::Random { seed: 1 });
             res.warm_with(total_pages);
             let mut rng = WorkloadRng::seeded(7);
             for _ in 0..1_000 {
@@ -82,7 +82,7 @@ fn main() {
     for h in [0.5, 0.9, 1.0] {
         let m = ((h * avl.pages() as f64) as usize).max(1);
         let scan_cost = |scan: &mut dyn FnMut(i64, &mut AccessTrace), total: u64, yv: f64| {
-            let mut res = PagedResidency::new(m, 3);
+            let mut res = PagedResidency::new(m, ReplacementPolicy::Random { seed: 3 });
             res.warm_with(total);
             let mut rng = WorkloadRng::seeded(8);
             let mut faults = 0u64;

@@ -8,20 +8,19 @@
 //! the most intricate code paths mostly cold.
 
 use mmdb_bench::mvcc::VersionedStore;
-use mmdb_index::{AvlTree, BPlusTree};
+use mmdb_index::{AvlTree, BPlusTree, PagedResidency, ReplacementPolicy};
 use mmdb_recovery::{CommitMode, LockManager, RecoveryManager};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_storage::{BufferPool, CostMeter, IoKind, ReplacementPolicy, SimDisk};
 use mmdb_types::{Auditable, TxnId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Serializes the property tests in this binary. The sharded-engine
 /// workload runs a real-time engine whose daemon threads rely on short
 /// sleeps (flush interval, lock-wait deadlines); with the harness
-/// running tests in parallel, the pure-CPU tree/storage workloads here
+/// running tests in parallel, the pure-CPU tree/residency workloads here
 /// starve those threads on small CI runners and the engine test turns
 /// load-flaky. One test at a time costs nothing on the 1–2 cores CI
 /// gives us and removes the only source of cross-test scheduling
@@ -139,50 +138,27 @@ proptest! {
     }
 
     #[test]
-    fn buffer_pool_accounting_survives_pressure(
-        accesses in proptest::collection::vec((0usize..24, 0u8..4), 1..200),
-        capacity in 2usize..8,
+    fn residency_accounting_survives_pressure(
+        accesses in proptest::collection::vec(0u64..24, 1..200),
+        capacity in 1usize..8,
         policy_pick in 0u8..3,
+        seed in any::<u64>(),
     ) {
         let _serial = serial();
         let policy = match policy_pick {
             0 => ReplacementPolicy::Lru,
             1 => ReplacementPolicy::Clock,
-            _ => ReplacementPolicy::Random { seed: 42 },
+            _ => ReplacementPolicy::Random { seed },
         };
-        let meter = Arc::new(CostMeter::new());
-        let mut disk = SimDisk::new(meter);
-        let ids: Vec<_> = (0..24).map(|_| disk.allocate()).collect();
-        for &id in &ids {
-            disk.write(id, IoKind::Sequential, &vec![0u8; mmdb_types::PAGE_SIZE]).unwrap();
-        }
-        let mut pool = BufferPool::new(capacity, policy);
-        let mut pinned: Vec<mmdb_types::PageId> = Vec::new();
-        for (i, &(page, kind)) in accesses.iter().enumerate() {
-            let id = ids[page];
-            match kind {
-                0 => { pool.get(&mut disk, id, IoKind::Random).unwrap(); }
-                1 => { pool.get_mut(&mut disk, id, IoKind::Random).unwrap()[0] = i as u8; }
-                2 => {
-                    // Pin at most one page so the pool can always evict.
-                    if pinned.is_empty() {
-                        pool.get(&mut disk, id, IoKind::Random).unwrap();
-                        pool.pin(id).unwrap();
-                        pinned.push(id);
-                    }
-                }
-                _ => {
-                    if let Some(id) = pinned.pop() {
-                        pool.unpin(id).unwrap();
-                    } else {
-                        pool.flush_all(&mut disk).unwrap();
-                    }
-                }
-            }
+        let mut pool = PagedResidency::new(capacity, policy);
+        for (i, &page) in accesses.iter().enumerate() {
+            pool.access(page);
             if let Err(v) = pool.audit() {
-                return Err(TestCaseError::fail(format!("after access {i}: {v}")));
+                return Err(TestCaseError::fail(format!("after access {i} ({policy:?}): {v}")));
             }
+            prop_assert!(!pool.access(page), "page {} not resident right after its access", page);
         }
+        prop_assert_eq!(pool.faults() + pool.hits(), 2 * accesses.len() as u64);
     }
 
     #[test]

@@ -6,10 +6,10 @@ use mmdb_bench::mvcc::VersionedStore;
 use mmdb_exec::join::hybrid::hybrid_hash_join_with_stats;
 use mmdb_exec::join::JoinSpec;
 use mmdb_exec::ExecContext;
+use mmdb_index::{PagedResidency, ReplacementPolicy};
 use mmdb_planner::enumerate::{classical_plan_space, collapsed_plan_space};
-use mmdb_storage::{BufferPool, CostMeter, IoKind, MemRelation, ReplacementPolicy, SimDisk};
-use mmdb_types::{DataType, PageId, RelationShape, Schema, SystemParams, WorkloadRng, PAGE_SIZE};
-use std::sync::Arc;
+use mmdb_storage::MemRelation;
+use mmdb_types::{DataType, RelationShape, Schema, SystemParams, WorkloadRng};
 
 /// §3.3: recursive hybrid hash handles skewed partitions and respects the
 /// memory grant for splittable keys.
@@ -111,34 +111,20 @@ fn ending_a_reader_twice_leaves_a_second_reader_of_its_snapshot_pinned() {
 #[test]
 fn lru_beats_random_only_under_skew() {
     let run = |policy: ReplacementPolicy, zipf: Option<f64>| {
-        let meter = Arc::new(CostMeter::new());
-        let mut disk = SimDisk::new(meter);
-        let ids: Vec<PageId> = (0..200)
-            .map(|_| {
-                let id = disk.allocate();
-                disk.write(id, IoKind::Sequential, &vec![0u8; PAGE_SIZE])
-                    .unwrap();
-                id
-            })
-            .collect();
-        let mut pool = BufferPool::new(60, policy);
+        let mut pool = PagedResidency::new(60, policy);
         let mut rng = WorkloadRng::seeded(5);
+        let mut next_page = || match zipf {
+            Some(s) => rng.zipf_index(200, s) as u64,
+            None => rng.index(200) as u64,
+        };
         for _ in 0..4_000 {
-            let p = match zipf {
-                Some(s) => rng.zipf_index(200, s),
-                None => rng.index(200),
-            };
-            pool.get(&mut disk, ids[p], IoKind::Random).unwrap();
+            pool.access(next_page());
         }
-        pool.reset_stats();
+        pool.reset_counters();
         for _ in 0..12_000 {
-            let p = match zipf {
-                Some(s) => rng.zipf_index(200, s),
-                None => rng.index(200),
-            };
-            pool.get(&mut disk, ids[p], IoKind::Random).unwrap();
+            pool.access(next_page());
         }
-        pool.stats().fault_rate()
+        pool.fault_rate()
     };
     let uniform_random = run(ReplacementPolicy::Random { seed: 2 }, None);
     let uniform_lru = run(ReplacementPolicy::Lru, None);
