@@ -10,8 +10,8 @@
 //!   page commit with a single write — `floor(4096/400) = 10` per group,
 //!   so ~1000 tps.
 //! * **Partitioned log** over `k` devices: up to `k` concurrent page
-//!   writes, so `k × 1000` tps while the commit-group dependency lattice
-//!   does not stall a device (independent transactions never do).
+//!   writes, so `k × 1000` tps: the LSN orders a dependent's commit after
+//!   its dependency's, so no dependency stalls a device.
 //! * **Stable memory**: commits are immediate; steady-state throughput is
 //!   still bounded by the drain rate to disk, but stripping old values of
 //!   committed transactions (§5.4) roughly halves the bytes drained.
@@ -25,8 +25,8 @@ pub enum CommitPolicy {
     Synchronous,
     /// Group commit: one write per full commit-record page.
     GroupCommit,
-    /// Group commit over `devices` parallel log devices with topological
-    /// ordering of dependent commit groups.
+    /// Group commit over `devices` parallel log devices, durable in LSN
+    /// order.
     PartitionedLog {
         /// Number of log devices.
         devices: u32,

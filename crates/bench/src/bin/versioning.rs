@@ -43,20 +43,16 @@ fn run_locking(scan_len: u64) -> (u64, u64, u64) {
         lm.begin(writer);
         let wk = rng.int_in(0, ACCOUNTS as i64) as u64;
         let writer_ok = lm.acquire(writer, wk).is_ok();
+        lm.release(reader);
+        lm.release(writer);
         if reader_ok {
-            lm.precommit(reader).ok();
-            lm.finalize_commit(reader);
             completed += 1;
         } else {
-            lm.abort(reader);
             reader_aborts += 1;
         }
         if writer_ok {
-            lm.precommit(writer).ok();
-            lm.finalize_commit(writer);
             completed += 1;
         } else {
-            lm.abort(writer);
             writer_aborts += 1;
         }
     }

@@ -58,6 +58,11 @@ impl LogDevice {
         done
     }
 
+    /// Completion time of the device's latest page (0 before any).
+    pub fn idle_at(&self) -> Micros {
+        self.idle_at
+    }
+
     /// Pages durable at time `now` (what a crash at `now` preserves), in
     /// sequence order.
     pub fn durable_pages(&self, now: Micros) -> impl Iterator<Item = &LogPage> {

@@ -15,13 +15,13 @@
 //!   example.
 //! * [`device`] — simulated log devices: one 4096-byte page write costs
 //!   10 ms of virtual time; pages are durable once their write completes.
-//! * [`lock`] — a lock manager whose lock table carries the paper's three
-//!   sets (holders / waiters / **pre-committed**) and maintains the
-//!   transaction dependency lists group commit needs.
+//! * [`lock`] — a lock manager whose lock table carries holders and
+//!   waiters; a transaction leaves it at pre-commit, and the LSN alone
+//!   orders a dependent's commit after its dependency's.
 //! * [`manager`] — the recovery manager: an in-memory KV database with
 //!   write-ahead logging, four commit policies (synchronous, group
-//!   commit, partitioned log with commit-group dependency ordering,
-//!   stable memory), crash, and restart-recovery. Its `typical`
+//!   commit, partitioned log with pages submitted round-robin in LSN
+//!   order, stable memory), crash, and restart-recovery. Its `typical`
 //!   transaction logs those 400 bytes (a `transfer` logs 760); run back
 //!   to back, they execute §5.2's 100 / ~1000 / ~k×1000 tps.
 //! * [`stable`] — battery-backed stable memory: the in-memory log tail,
@@ -37,7 +37,7 @@ pub mod backend;
 pub mod checkpoint;
 /// §5.2 simulated log devices (one 4096-byte page per 10 ms).
 pub mod device;
-/// §5.2 lock manager with pre-commit and commit dependencies.
+/// §5.2 lock manager that releases at pre-commit.
 pub mod lock;
 /// §5.1 log records and log sequence numbers.
 pub mod log;

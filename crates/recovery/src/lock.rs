@@ -1,12 +1,11 @@
-//! The lock manager, extended for pre-committed transactions (§5.2).
+//! The lock manager of §5.2's pre-commit protocol.
 //!
-//! Each lock carries the paper's three sets: transactions **holding** the
-//! lock, transactions **waiting** for it, and **pre-committed**
-//! transactions that released it but whose commit records are not yet on
-//! disk. When a transaction is granted a lock it becomes *dependent* on
-//! the pre-committed transactions that formerly held it; the dependency
-//! list lives in the transaction's descriptor, and the log manager must
-//! not write a dependent's commit record before its dependencies'.
+//! Each lock carries two sets: transactions **holding** it and
+//! transactions **waiting** for it. [`LockManager::release`] runs at
+//! pre-commit, so others may read the committer's dirty data, and after an
+//! abort's undo; either way the transaction is forgotten. There are no
+//! pre-committed sets or dependency lists: a dependent's commit record
+//! follows its dependency's, and durability is an LSN prefix.
 
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
 use std::collections::{HashMap, HashSet};
@@ -28,18 +27,6 @@ pub enum LockMode {
 struct Lock {
     holders: HashMap<TxnId, LockMode>,
     waiters: Vec<TxnId>,
-    precommitted: HashSet<TxnId>,
-}
-
-/// Descriptor of an active transaction in the lock manager.
-#[derive(Debug, Default, Clone)]
-pub struct TxnDescriptor {
-    /// Locks currently held.
-    pub held: HashSet<LockId>,
-    /// Pre-committed transactions this one depends on (§5.2: "when a
-    /// transaction is granted a lock, it becomes dependent on the
-    /// pre-committed transactions that formerly held the lock").
-    pub dependencies: HashSet<TxnId>,
 }
 
 /// The §5.2 lock manager, with standard shared/exclusive modes. (The §5
@@ -48,7 +35,8 @@ pub struct TxnDescriptor {
 #[derive(Debug, Default)]
 pub struct LockManager {
     locks: HashMap<LockId, Lock>,
-    txns: HashMap<TxnId, TxnDescriptor>,
+    /// Registered transactions and the locks each holds.
+    txns: HashMap<TxnId, HashSet<LockId>>,
 }
 
 impl LockManager {
@@ -67,31 +55,24 @@ impl LockManager {
         self.txns.contains_key(&txn)
     }
 
-    /// The transaction's descriptor.
-    pub fn descriptor(&self, txn: TxnId) -> Option<&TxnDescriptor> {
-        self.txns.get(&txn)
-    }
-
-    /// Tries to acquire an **exclusive** lock. On success the transaction
-    /// inherits dependencies on every pre-committed former holder. On
-    /// conflict the transaction is enqueued as a waiter and
-    /// `Err(LockConflict)` is returned (the §5 single-site model has no
-    /// blocking threads — callers retry or abort).
+    /// Tries to acquire an **exclusive** lock. On conflict the transaction
+    /// is enqueued as a waiter and `Err(LockConflict)` is returned (the §5
+    /// single-site model has no blocking threads — callers retry or
+    /// abort).
     pub fn acquire(&mut self, txn: TxnId, object: LockId) -> Result<()> {
         self.acquire_mode(txn, object, LockMode::Exclusive)
     }
 
     /// Tries to acquire a **shared** lock: compatible with other shared
-    /// holders, conflicts with an exclusive holder. Reading the dirty data
-    /// of a pre-committed writer creates the §5.2 dependency.
+    /// holders, conflicts with an exclusive holder.
     pub fn acquire_shared(&mut self, txn: TxnId, object: LockId) -> Result<()> {
         self.acquire_mode(txn, object, LockMode::Shared)
     }
 
     fn acquire_mode(&mut self, txn: TxnId, object: LockId, mode: LockMode) -> Result<()> {
-        if !self.txns.contains_key(&txn) {
+        let Some(held) = self.txns.get_mut(&txn) else {
             return Err(Error::InvalidTransaction(txn.0));
-        }
+        };
         let lock = self.locks.entry(object).or_default();
         match lock.holders.get(&txn) {
             Some(LockMode::Exclusive) => return Ok(()), // re-entrant, any mode
@@ -114,85 +95,31 @@ impl LockManager {
         // Grant (possibly upgrading our own Shared to Exclusive).
         lock.holders.insert(txn, mode);
         lock.waiters.retain(|w| *w != txn);
-        // Inherit dependencies on pre-committed former holders.
-        let deps: Vec<TxnId> = lock.precommitted.iter().copied().collect();
-        let desc = self.txns.get_mut(&txn).expect("registered above");
-        desc.held.insert(object);
-        for d in deps {
-            if d != txn {
-                desc.dependencies.insert(d);
-            }
-        }
+        held.insert(object);
         Ok(())
     }
 
-    /// Moves a transaction to the pre-committed state: it leaves every
-    /// holder set for the pre-committed set of its locks, so others can
-    /// read its dirty data, and its dependency list is returned for the
-    /// log manager's commit-group ordering.
-    pub fn precommit(&mut self, txn: TxnId) -> Result<HashSet<TxnId>> {
-        let desc = self
-            .txns
-            .get(&txn)
-            .ok_or(Error::InvalidTransaction(txn.0))?
-            .clone();
-        for obj in &desc.held {
-            let lock = self.locks.get_mut(obj).expect("held lock exists");
-            lock.holders.remove(&txn);
-            lock.precommitted.insert(txn);
-        }
-        // A pre-committed transaction has finished its work and will never
-        // retry an acquire: drop any stale waiter entries it left behind
-        // (§5.2 — pre-committed transactions hold no locks and never wait).
-        for lock in self.locks.values_mut() {
-            lock.waiters.retain(|w| *w != txn);
-        }
-        let deps = desc.dependencies.clone();
-        let d = self.txns.get_mut(&txn).expect("exists");
-        d.held.clear();
-        self.gc();
-        Ok(deps)
-    }
-
-    /// Finalizes a commit: the transaction's commit record is durable, so
-    /// it leaves every pre-committed set and every dependency list
-    /// (§5.2: "the committed transactions in its dependency list are
-    /// removed").
-    pub fn finalize_commit(&mut self, txn: TxnId) {
-        for lock in self.locks.values_mut() {
-            lock.precommitted.remove(&txn);
-        }
-        for desc in self.txns.values_mut() {
-            desc.dependencies.remove(&txn);
-        }
-        self.txns.remove(&txn);
-        self.gc();
-    }
-
-    /// Releases everything on abort (a pre-committed transaction never
-    /// aborts — §5.2 — so this only sees plain active transactions).
-    pub fn abort(&mut self, txn: TxnId) {
-        if let Some(desc) = self.txns.remove(&txn) {
-            for obj in desc.held {
-                if let Some(lock) = self.locks.get_mut(&obj) {
-                    lock.holders.remove(&txn);
-                }
+    /// Releases everything `txn` holds, drops its waiter entries and
+    /// forgets it; returns whether it was registered. Runs at pre-commit
+    /// (§5.2: locks go before the commit record is durable) and after an
+    /// abort's undo.
+    pub fn release(&mut self, txn: TxnId) -> bool {
+        let Some(held) = self.txns.remove(&txn) else {
+            return false;
+        };
+        for obj in held {
+            if let Some(lock) = self.locks.get_mut(&obj) {
+                lock.holders.remove(&txn);
             }
         }
+        // A released transaction never retries an acquire: drop any stale
+        // waiter entries it left behind.
         for lock in self.locks.values_mut() {
             lock.waiters.retain(|w| *w != txn);
-            lock.precommitted.remove(&txn);
         }
-        for desc in self.txns.values_mut() {
-            desc.dependencies.remove(&txn);
-        }
-        self.gc();
-    }
-
-    fn gc(&mut self) {
-        self.locks.retain(|_, l| {
-            !(l.holders.is_empty() && l.waiters.is_empty() && l.precommitted.is_empty())
-        });
+        self.locks
+            .retain(|_, l| !(l.holders.is_empty() && l.waiters.is_empty()));
+        true
     }
 
     /// Current waiters on an object, in arrival order (test/diagnostic).
@@ -225,7 +152,7 @@ impl LockManager {
     /// Detects a deadlock in the waits-for graph (waiter → every holder of
     /// the lock it waits on). Returns one transaction per cycle found —
     /// the victim a §5-style system would abort. Pre-committed
-    /// transactions never appear: they hold no locks and never wait.
+    /// transactions never appear: [`Self::release`] forgot them.
     pub fn detect_deadlocks(&self) -> Vec<TxnId> {
         detect_deadlocks_in(&self.waits_for_edges())
     }
@@ -303,32 +230,21 @@ pub fn detect_deadlocks_in(edge_list: &[(TxnId, TxnId)]) -> Vec<TxnId> {
 }
 
 impl Auditable for LockManager {
-    /// Verifies the §5.2 lock-table invariants: every holder, waiter, and
-    /// pre-committed transaction is registered; no transaction both holds
-    /// and waits on the same lock; exclusive holders are sole holders;
-    /// descriptor `held` sets mirror the per-lock holder sets exactly;
-    /// pre-committed transactions hold nothing; and the dependency graph
-    /// over pre-committed transactions is acyclic — the property that
-    /// makes the commit-ordering lattice well-founded, so a dependent's
-    /// commit record can always be ordered after its dependencies'.
+    /// Verifies the §5.2 lock-table invariants: every holder and waiter is
+    /// registered (so a released transaction holds and waits on nothing);
+    /// no transaction both holds and waits on the same lock; exclusive
+    /// holders are sole holders; and each transaction's held set mirrors
+    /// the per-lock holder sets exactly.
     fn audit(&self) -> std::result::Result<(), AuditViolation> {
         const C: &str = "LockManager";
-        let mut precommitted_anywhere: HashSet<TxnId> = HashSet::new();
         for (obj, lock) in &self.locks {
             AuditViolation::ensure(
-                !(lock.holders.is_empty()
-                    && lock.waiters.is_empty()
-                    && lock.precommitted.is_empty()),
+                !(lock.holders.is_empty() && lock.waiters.is_empty()),
                 C,
                 "lock-gc",
-                || format!("lock {obj} survived gc with no holders, waiters or pre-commits"),
+                || format!("lock {obj} survived gc with no holders or waiters"),
             )?;
-            for txn in lock
-                .holders
-                .keys()
-                .chain(lock.waiters.iter())
-                .chain(lock.precommitted.iter())
-            {
+            for txn in lock.holders.keys().chain(lock.waiters.iter()) {
                 AuditViolation::ensure(self.txns.contains_key(txn), C, "registered", || {
                     format!("lock {obj} references unregistered txn {}", txn.0)
                 })?;
@@ -366,81 +282,22 @@ impl Auditable for LockManager {
                 },
             )?;
             for txn in lock.holders.keys() {
-                let recorded = self
-                    .txns
-                    .get(txn)
-                    .map(|d| d.held.contains(obj))
-                    .unwrap_or(false);
+                let recorded = self.txns.get(txn).is_some_and(|held| held.contains(obj));
                 AuditViolation::ensure(recorded, C, "held-bookkeeping", || {
-                    format!("txn {} holds lock {obj} but its descriptor omits it", txn.0)
+                    format!("txn {} holds lock {obj} but its held set omits it", txn.0)
                 })?;
             }
-            for txn in &lock.precommitted {
-                let empty_held = self
-                    .txns
-                    .get(txn)
-                    .map(|d| d.held.is_empty())
-                    .unwrap_or(true);
-                AuditViolation::ensure(empty_held, C, "precommit-released", || {
-                    format!("pre-committed txn {} still records held locks", txn.0)
-                })?;
-            }
-            precommitted_anywhere.extend(lock.precommitted.iter().copied());
         }
-        for (obj, lock) in &self.locks {
-            for w in &lock.waiters {
-                AuditViolation::ensure(
-                    !precommitted_anywhere.contains(w),
-                    C,
-                    "precommitted-never-waits",
-                    || format!("pre-committed txn {} still waits on lock {obj}", w.0),
-                )?;
-            }
-        }
-        for (txn, desc) in &self.txns {
-            for obj in &desc.held {
+        for (txn, held) in &self.txns {
+            for obj in held {
                 let holds = self
                     .locks
                     .get(obj)
-                    .map(|l| l.holders.contains_key(txn))
-                    .unwrap_or(false);
+                    .is_some_and(|l| l.holders.contains_key(txn));
                 AuditViolation::ensure(holds, C, "held-bookkeeping", || {
-                    format!(
-                        "txn {} descriptor claims lock {obj} it does not hold",
-                        txn.0
-                    )
+                    format!("txn {} held set claims lock {obj} it does not hold", txn.0)
                 })?;
             }
-            for dep in &desc.dependencies {
-                AuditViolation::ensure(dep != txn, C, "no-self-dependency", || {
-                    format!("txn {} depends on itself", txn.0)
-                })?;
-                AuditViolation::ensure(
-                    precommitted_anywhere.contains(dep),
-                    C,
-                    "dependency-target",
-                    || {
-                        format!(
-                            "txn {} depends on txn {}, which is not pre-committed anywhere",
-                            txn.0, dep.0
-                        )
-                    },
-                )?;
-            }
-        }
-        // Dependency-graph acyclicity: a dependency cycle is a deadlock
-        // cycle over (txn → dependency) edges.
-        let edges: Vec<(TxnId, TxnId)> = self
-            .txns
-            .iter()
-            .flat_map(|(txn, d)| d.dependencies.iter().map(move |dep| (*txn, *dep)))
-            .collect();
-        if let Some(victim) = detect_deadlocks_in(&edges).first() {
-            return Err(AuditViolation::new(
-                C,
-                "dependency-acyclic",
-                format!("dependency cycle through txn {}", victim.0),
-            ));
         }
         Ok(())
     }
@@ -464,64 +321,38 @@ mod tests {
     }
 
     #[test]
-    fn precommit_releases_and_creates_dependency() {
+    fn release_frees_the_locks_and_forgets_the_txn() {
         let mut lm = LockManager::new();
         lm.begin(TxnId(1));
         lm.begin(TxnId(2));
         lm.acquire(TxnId(1), 10).unwrap();
-        let deps1 = lm.precommit(TxnId(1)).unwrap();
-        assert!(deps1.is_empty());
-        // T2 can now take the lock — reading uncommitted data — but
-        // becomes dependent on T1.
+        assert!(lm.acquire(TxnId(2), 11).is_ok());
+        assert!(lm.acquire(TxnId(2), 10).is_err());
+        // Pre-commit: T1 leaves, so T2 takes the lock — reading T1's
+        // uncommitted data — and nothing records the dependency; T2's
+        // commit record simply follows T1's in the log.
+        assert!(lm.release(TxnId(1)));
+        assert!(!lm.is_active(TxnId(1)));
+        assert!(!lm.release(TxnId(1)), "a released txn is forgotten");
         lm.acquire(TxnId(2), 10).unwrap();
-        let deps2 = lm.precommit(TxnId(2)).unwrap();
-        assert_eq!(deps2, HashSet::from([TxnId(1)]));
+        assert!(lm.waiters(10).is_empty());
+        assert!(matches!(
+            lm.acquire(TxnId(1), 12),
+            Err(Error::InvalidTransaction(1))
+        ));
     }
 
     #[test]
-    fn finalize_clears_dependencies() {
+    fn release_drops_stale_waiter_entries() {
         let mut lm = LockManager::new();
         lm.begin(TxnId(1));
         lm.begin(TxnId(2));
         lm.acquire(TxnId(1), 5).unwrap();
-        lm.precommit(TxnId(1)).unwrap();
-        lm.acquire(TxnId(2), 5).unwrap();
-        // T1's commit record reaches disk.
-        lm.finalize_commit(TxnId(1));
-        let deps2 = lm.precommit(TxnId(2)).unwrap();
-        assert!(
-            deps2.is_empty(),
-            "committed transactions leave dependency lists"
-        );
-    }
-
-    #[test]
-    fn dependency_chain_through_several_holders() {
-        let mut lm = LockManager::new();
-        for i in 1..=3 {
-            lm.begin(TxnId(i));
-        }
-        lm.acquire(TxnId(1), 7).unwrap();
-        lm.precommit(TxnId(1)).unwrap();
-        lm.acquire(TxnId(2), 7).unwrap();
-        lm.precommit(TxnId(2)).unwrap();
-        lm.acquire(TxnId(3), 7).unwrap();
-        let deps = lm.precommit(TxnId(3)).unwrap();
-        assert_eq!(deps, HashSet::from([TxnId(1), TxnId(2)]));
-    }
-
-    #[test]
-    fn abort_releases_everything() {
-        let mut lm = LockManager::new();
-        lm.begin(TxnId(1));
-        lm.begin(TxnId(2));
-        lm.acquire(TxnId(1), 9).unwrap();
-        assert!(lm.acquire(TxnId(2), 9).is_err());
-        lm.abort(TxnId(1));
-        assert!(!lm.is_active(TxnId(1)));
-        // The lock is free now.
-        lm.acquire(TxnId(2), 9).unwrap();
-        assert_eq!(lm.descriptor(TxnId(2)).unwrap().dependencies.len(), 0);
+        assert!(lm.acquire(TxnId(2), 5).is_err());
+        assert_eq!(lm.waiters(5), vec![TxnId(2)]);
+        lm.release(TxnId(2));
+        assert!(lm.waiters(5).is_empty());
+        assert!(lm.audit().is_ok());
     }
 
     #[test]
@@ -531,7 +362,7 @@ mod tests {
             lm.acquire(TxnId(99), 1),
             Err(Error::InvalidTransaction(99))
         ));
-        assert!(lm.precommit(TxnId(99)).is_err());
+        assert!(!lm.release(TxnId(99)));
     }
 
     #[test]
@@ -570,17 +401,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_readers_of_precommitted_data_become_dependent() {
+    fn shared_readers_of_precommitted_data_are_granted() {
         // §5.2's very scenario: a reader of a pre-committed writer's dirty
-        // data must not commit before the writer does.
+        // data is granted at once; the LSN orders its commit after the
+        // writer's.
         let mut lm = LockManager::new();
         lm.begin(TxnId(1));
         lm.begin(TxnId(2));
         lm.acquire(TxnId(1), 7).unwrap();
-        lm.precommit(TxnId(1)).unwrap();
+        lm.release(TxnId(1));
         lm.acquire_shared(TxnId(2), 7).unwrap();
-        let deps = lm.precommit(TxnId(2)).unwrap();
-        assert_eq!(deps, HashSet::from([TxnId(1)]));
+        assert!(lm.detect_deadlocks().is_empty());
     }
 
     #[test]
@@ -596,7 +427,7 @@ mod tests {
         let victims = lm.detect_deadlocks();
         assert_eq!(victims, vec![TxnId(2)], "youngest participant dies");
         // Aborting the victim clears the cycle.
-        lm.abort(TxnId(2));
+        lm.release(TxnId(2));
         assert!(lm.detect_deadlocks().is_empty());
         lm.acquire(TxnId(1), 20).unwrap();
     }
@@ -623,34 +454,17 @@ mod tests {
     }
 
     #[test]
-    fn no_deadlock_with_precommitted_holders() {
+    fn audit_rejects_an_unregistered_waiter() {
         let mut lm = LockManager::new();
         lm.begin(TxnId(1));
         lm.begin(TxnId(2));
         lm.acquire(TxnId(1), 5).unwrap();
-        lm.precommit(TxnId(1)).unwrap();
-        lm.acquire(TxnId(2), 5).unwrap(); // granted, with dependency
-        assert!(lm.detect_deadlocks().is_empty());
-    }
-
-    #[test]
-    fn audit_rejects_a_dependency_cycle() {
-        let mut lm = LockManager::new();
-        lm.begin(TxnId(1));
-        lm.begin(TxnId(2));
-        lm.acquire(TxnId(1), 5).unwrap();
-        lm.precommit(TxnId(1)).unwrap();
-        lm.acquire(TxnId(2), 5).unwrap(); // 2 depends on 1
-        lm.precommit(TxnId(2)).unwrap();
+        assert!(lm.acquire(TxnId(2), 5).is_err());
         assert!(lm.audit().is_ok());
-        // Plant the reverse edge: 1 depends on 2.
-        lm.txns
-            .get_mut(&TxnId(1))
-            .unwrap()
-            .dependencies
-            .insert(TxnId(2));
+        // Forget T2 without its waiter sweep.
+        lm.txns.remove(&TxnId(2));
         let err = lm.audit().unwrap_err();
-        assert_eq!(err.invariant, "dependency-acyclic", "{err:?}");
+        assert_eq!(err.invariant, "registered", "{err:?}");
     }
 
     #[test]
@@ -660,8 +474,7 @@ mod tests {
         lm.acquire(TxnId(1), 1).unwrap();
         lm.acquire(TxnId(1), 2).unwrap();
         assert_eq!(lm.lock_count(), 2);
-        lm.precommit(TxnId(1)).unwrap();
-        lm.finalize_commit(TxnId(1));
+        lm.release(TxnId(1));
         assert_eq!(lm.lock_count(), 0);
     }
 }

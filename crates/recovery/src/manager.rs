@@ -22,9 +22,9 @@ pub enum CommitMode {
     Synchronous,
     /// Commit records share log pages; one write commits the group.
     GroupCommit,
-    /// Group commit over several log devices with commit-group dependency
-    /// ordering (a dependent group is never submitted so as to become
-    /// durable before its dependencies).
+    /// Group commit over several log devices, pages submitted round-robin
+    /// in LSN order; every write takes the same time, so pages complete in
+    /// LSN order and a dependent is never durable before its dependency.
     PartitionedLog {
         /// Number of log devices.
         devices: usize,
@@ -72,9 +72,11 @@ pub struct RecoveryManager {
     locks: LockManager,
     devices: Vec<LogDevice>,
     next_device: usize,
+    /// Completion time of the page submitted last.
+    last_page_done: Micros,
     buffer: Vec<(Lsn, LogRecord)>,
     buffer_bytes: usize,
-    buffer_commits: Vec<(TxnId, HashSet<TxnId>)>,
+    buffer_commits: Vec<TxnId>,
     stable: Option<StableMemory>,
     now: Micros,
     next_txn: u64,
@@ -99,6 +101,7 @@ impl RecoveryManager {
             locks: LockManager::new(),
             devices: (0..device_count).map(|_| LogDevice::paper()).collect(),
             next_device: 0,
+            last_page_done: 0,
             buffer: Vec::new(),
             buffer_bytes: 0,
             buffer_commits: Vec::new(),
@@ -278,7 +281,7 @@ impl RecoveryManager {
             }
         }
         self.append_record(LogRecord::Abort { txn: txn.0 });
-        self.locks.abort(txn.0);
+        self.locks.release(txn.0);
         Ok(())
     }
 
@@ -302,11 +305,10 @@ impl RecoveryManager {
     }
 
     fn commit_inner(&mut self, txn: TxnHandle) -> Result<Micros> {
-        if !self.locks.is_active(txn.0) {
+        if !self.locks.release(txn.0) {
             return Err(Error::InvalidTransaction(txn.0 .0));
         }
         self.undo.remove(&txn.0);
-        let deps = self.locks.precommit(txn.0)?;
         self.append_record(LogRecord::Commit { txn: txn.0 });
 
         if self.stable.is_some() {
@@ -314,11 +316,10 @@ impl RecoveryManager {
             // commit records into the in-memory log".
             let t = self.now;
             self.commit_durable_at.insert(txn.0, t);
-            self.locks.finalize_commit(txn.0);
             return Ok(t);
         }
 
-        self.buffer_commits.push((txn.0, deps));
+        self.buffer_commits.push(txn.0);
         match self.mode {
             CommitMode::Synchronous => {
                 let t = self.flush_page().expect("buffer holds the commit record");
@@ -363,24 +364,22 @@ impl RecoveryManager {
         let records = std::mem::take(&mut self.buffer);
         let commits = std::mem::take(&mut self.buffer_commits);
         self.buffer_bytes = 0;
-        // Commit-group dependency ordering: never become durable before a
-        // dependency does (§5.2's topological lattice).
-        let mut not_before = self.now;
-        for (_, deps) in &commits {
-            for d in deps {
-                if let Some(t) = self.commit_durable_at.get(d) {
-                    not_before = not_before.max(*t);
-                }
-            }
-        }
-        let dev = self.next_device;
-        self.next_device = (self.next_device + 1) % self.devices.len();
-        let done = self.devices[dev].write_page(records, not_before);
-        for (txn, _) in commits {
+        let done = self.submit_page(records);
+        for txn in commits {
             self.commit_durable_at.insert(txn, done);
-            self.locks.finalize_commit(txn);
         }
         Some(done)
+    }
+
+    /// Submits a page to the next device, round-robin, now. Pages go in
+    /// LSN order at non-decreasing times and each write takes the same
+    /// time, so none completes before the one submitted ahead of it.
+    fn submit_page(&mut self, records: Vec<(Lsn, LogRecord)>) -> Micros {
+        let dev = self.next_device;
+        self.next_device = (dev + 1) % self.devices.len();
+        let done = self.devices[dev].write_page(records, self.now);
+        self.last_page_done = done;
+        done
     }
 
     /// Drains committed, compressed log records from stable memory to the
@@ -404,7 +403,7 @@ impl RecoveryManager {
             for (_, rec) in &drained {
                 self.drained_committed.insert(rec.txn());
             }
-            last_done = Some(self.devices[0].write_page(drained, self.now));
+            last_done = Some(self.submit_page(drained));
         }
         if let Some(done) = last_done {
             self.now = self.now.max(done);
@@ -608,10 +607,10 @@ impl Auditable for RecoveryManager {
     /// argument: LSNs in the volatile buffer strictly ascend and stay
     /// below the allocator; the buffered byte count matches the records;
     /// every buffered commit still awaits durability and its record is in
-    /// the same buffer; every dependency of a pending commit is known
-    /// (already durable or pending alongside) so the dependent's commit
-    /// record can always be ordered after its dependencies'; and undo
-    /// lists exist exactly for live transactions.
+    /// the same buffer; no device's latest page completes after the page
+    /// submitted last, so none completes before the page submitted ahead
+    /// of it and durability is an LSN prefix; and undo lists exist
+    /// exactly for live transactions.
     fn audit(&self) -> std::result::Result<(), AuditViolation> {
         const C: &str = "RecoveryManager";
         AuditViolation::ensure(self.next_lsn >= 1, C, "lsn-allocator", || {
@@ -657,8 +656,7 @@ impl Auditable for RecoveryManager {
                 _ => None,
             })
             .collect();
-        let pending: HashSet<TxnId> = self.buffer_commits.iter().map(|(t, _)| *t).collect();
-        for (txn, deps) in &self.buffer_commits {
+        for txn in &self.buffer_commits {
             AuditViolation::ensure(txn.0 < self.next_txn, C, "txn-ids", || {
                 format!(
                     "pending commit of txn {} beyond allocator {}",
@@ -687,19 +685,20 @@ impl Auditable for RecoveryManager {
                     )
                 },
             )?;
-            for dep in deps {
-                AuditViolation::ensure(
-                    self.commit_durable_at.contains_key(dep) || pending.contains(dep),
-                    C,
-                    "dependent-commit-ordering",
-                    || {
-                        format!(
-                            "txn {} depends on txn {}, whose commit is neither durable nor pending",
-                            txn.0, dep.0
-                        )
-                    },
-                )?;
-            }
+        }
+        for (i, d) in self.devices.iter().enumerate() {
+            AuditViolation::ensure(
+                d.idle_at() <= self.last_page_done,
+                C,
+                "durable-in-lsn-order",
+                || {
+                    format!(
+                        "device {i} completes at {} µs, after the last page submitted ({} µs)",
+                        d.idle_at(),
+                        self.last_page_done
+                    )
+                },
+            )?;
         }
         for txn in self.undo.keys() {
             AuditViolation::ensure(self.locks.is_active(*txn), C, "undo-liveness", || {
@@ -862,7 +861,9 @@ mod tests {
     #[test]
     fn dependent_transaction_reads_dirty_data_and_orders_after() {
         // T1 pre-commits (group commit, record buffered); T2 reads T1's
-        // dirty write and commits. T2's durable time must be ≥ T1's.
+        // dirty write and commits. Nothing makes T2 wait: its commit record
+        // follows T1's in the log, and pages complete in LSN order, so T2
+        // is simply durable no earlier than T1.
         let mut m = RecoveryManager::new(CommitMode::PartitionedLog { devices: 2 });
         let t1 = m.begin();
         m.write(&t1, 1, 10).unwrap();
@@ -873,7 +874,7 @@ mod tests {
         assert_eq!(m.read(1), Some(10), "dirty read of pre-committed data");
         m.write(&t2, 1, 20).unwrap();
         m.commit(t2).unwrap();
-        m.flush(); // T2's group goes to device 1 (idle!), but must wait
+        m.flush(); // T2's group goes to device 1, idle, and is not held back
         let t2_durable = *m.commit_durable_at.get(&TxnId(2)).unwrap();
         assert!(
             t2_durable >= t1_durable,
@@ -977,12 +978,26 @@ mod tests {
 
     #[test]
     fn operations_on_dead_transactions_fail() {
-        let mut m = RecoveryManager::new(CommitMode::Synchronous);
-        let t = m.begin();
-        m.commit(t).unwrap();
-        assert!(m.write(&t, 1, 1).is_err());
-        assert!(m.commit(t).is_err());
-        assert!(m.abort(t).is_err());
+        // A handle is `Copy`: after `commit`, even before the commit is
+        // durable, a stale copy may not write, commit again or abort.
+        for mode in [
+            CommitMode::Synchronous,
+            CommitMode::GroupCommit,
+            CommitMode::PartitionedLog { devices: 2 },
+            CommitMode::StableMemory {
+                capacity_bytes: 1 << 20,
+            },
+        ] {
+            let mut m = RecoveryManager::new(mode);
+            let t = m.begin();
+            m.write(&t, 1, 1).unwrap();
+            m.commit(t).unwrap();
+            let dead = |r: Result<()>| matches!(r, Err(Error::InvalidTransaction(1)));
+            assert!(dead(m.write(&t, 1, 2)), "{mode:?}");
+            assert!(dead(m.commit(t).map(drop)), "{mode:?}");
+            assert!(dead(m.abort(t)), "{mode:?}");
+            assert_eq!(m.read(1), Some(1), "{mode:?}");
+        }
     }
 
     #[test]

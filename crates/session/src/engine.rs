@@ -11,8 +11,8 @@
 //!
 //! The commit path is the paper's pre-commit protocol: `commit` claims
 //! the transaction in the [`crate::shard::TxnTable`], locks every shard
-//! the transaction touched (ascending), runs `precommit` on each shard's
-//! lock manager — releasing the transaction's locks to its waiters — and
+//! the transaction touched (ascending), runs `release` on each shard's
+//! lock manager — handing the transaction's locks to its waiters — and
 //! queues the transaction's log *while still holding those shard locks*,
 //! which is what keeps commit records in precommit order in the queue: a
 //! waiter that takes a released lock gets a higher commit LSN, so it is
@@ -462,11 +462,10 @@ impl Session {
         let held_us = meta.locked_at.map(us_since);
         for (i, state) in guards.iter_mut() {
             // The mask may overestimate (a failed acquire still sets the
-            // bit); skip shards that never registered the transaction.
-            if state.locks.is_active(id) {
-                state.locks.precommit(id)?;
-                // Pre-commit is the release point (§5.2): the hold
-                // histogram measures first-acquisition → here.
+            // bit); `release` is false on shards that never registered the
+            // transaction. Pre-commit is the release point (§5.2): the hold
+            // histogram measures first-acquisition → here.
+            if state.locks.release(id) {
                 if let (Some(us), Some(h)) = (held_us, self.shared.metrics.lock_hold_us.get(*i)) {
                     h.record(us);
                 }
@@ -547,8 +546,8 @@ impl Session {
     /// order) and releases its locks. The log never hears of it. Fails
     /// with [`Error::InvalidTransaction`] if `txn` is not active — in
     /// particular, aborting a stale copy of an already-committed handle
-    /// must not reach the lock manager, where it would strip the
-    /// pre-committed transaction out of the §5.2 dependency tracking.
+    /// must not roll back the pre-committed transaction's writes, whose
+    /// undo lists survive until its commit is durable.
     pub fn abort(&self, txn: Txn) -> Result<()> {
         self.abort_by_id(txn.0)
     }

@@ -204,8 +204,8 @@ mod tests {
         s.write(&t, 1, 1).unwrap();
         let ticket = s.commit(t).unwrap();
         // `Txn` is Copy: a stale copy of the committed handle must not
-        // reach the lock manager and strip the pre-committed state the
-        // §5.2 dependency tracking relies on.
+        // roll back the pre-committed writes, whose undo lists survive
+        // until the commit is durable.
         assert!(matches!(s.abort(t), Err(Error::InvalidTransaction(_))));
         s.wait_durable(&ticket).unwrap();
         assert!(engine.is_durable(&ticket).unwrap());

@@ -521,8 +521,8 @@ impl Shared {
     /// slots, the queue, and the durable table. Shard invariants: every
     /// key lives on the shard its hash names (no key owned by two shards
     /// — ownership is a function of the hash), undo entries sit only on
-    /// the owning shard and only for transactions the shard's lock
-    /// manager still knows, each shard's [`mmdb_recovery::LockManager`]
+    /// the owning shard and only for transactions whose txn-table mask
+    /// names it, each shard's [`mmdb_recovery::LockManager`]
     /// passes its own audit, and a quiesced engine (no live
     /// transactions) holds no locks anywhere.
     pub fn audit_now(&self) -> std::result::Result<(), AuditViolation> {
@@ -552,9 +552,6 @@ impl Shared {
                 })?;
             }
             for (txn, list) in &state.undo {
-                AuditViolation::ensure(state.locks.is_active(*txn), C, "undo-active", || {
-                    format!("undo list for inactive transaction {txn:?} on shard {i}")
-                })?;
                 AuditViolation::ensure(
                     meta.get(txn).is_some_and(|m| m.mask & (1 << i) != 0),
                     C,
@@ -572,10 +569,10 @@ impl Shared {
                 }
             }
             if meta.is_empty() {
-                // Table removal happens only after lock finalization (both
-                // under this shard's lock), so an empty table means every
-                // commit/abort fully released its locks: quiesced ⇒ empty
-                // lock tables.
+                // Table removal happens only after pre-commit or abort
+                // released the transaction's locks, so an empty table means
+                // every commit/abort fully released its locks: quiesced ⇒
+                // empty lock tables.
                 AuditViolation::ensure(state.locks.lock_count() == 0, C, "quiesced-empty", || {
                     format!(
                         "no live transactions but shard {i} still holds {} locks",
@@ -912,7 +909,7 @@ fn crashed_during(shared: &Shared, backoff: Duration) -> bool {
 
 /// Marks a page written, advances the durable watermark (and with it
 /// `durable_lsn`), reports every commit the watermark now covers, and
-/// finalizes their lock state.
+/// retires them: their undo lists and txn-table entries go.
 fn complete_page(shared: &Shared, page: Page) -> bool {
     let newly = {
         let Ok(mut guard) = shared.durable.lock() else {
@@ -943,10 +940,10 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
     if newly.is_empty() {
         return true;
     }
-    // Finalize each commit's pre-committed lock state on every shard its
-    // transaction touched (ascending order via `lock_mask`), then retire
-    // its txn-table entry. `finalize_commit` is a no-op on shards the
-    // mask overestimates.
+    // Drop each commit's undo lists on every shard its transaction touched
+    // (ascending order via `lock_mask`), then retire its txn-table entry.
+    // Its locks went at pre-commit; the mask may overestimate, which costs
+    // a no-op visit.
     for c in &newly {
         shared
             .metrics
@@ -968,7 +965,6 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
             return false;
         };
         for (_, state) in guards.iter_mut() {
-            state.locks.finalize_commit(c.txn);
             // The commit record is on disk: the pre-images kept for this
             // transaction can never be needed again. Dropping them here —
             // not at pre-commit — keeps the sweeper's invariant that a
@@ -980,7 +976,6 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
             shared.poison_fail_stop("txn table");
             return false;
         }
-        shared.notify_shards(meta.mask);
     }
     true
 }

@@ -129,7 +129,7 @@ impl ShardState {
 
 /// A shard: its state under a mutex, plus the condvar lock waiters park
 /// on. Signalled whenever locks are released on this shard (precommit,
-/// abort, commit finalization).
+/// abort).
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub state: Mutex<ShardState>,
@@ -165,14 +165,14 @@ pub(crate) enum TxnPhase {
     /// An abort is rolling it back; no new work may attach to it.
     Aborting,
     /// Pre-committed (§5.2): locks released, commit record queued; the
-    /// entry survives until the commit is durable and finalized.
+    /// entry survives until the commit is durable and its undo lists go.
     Precommitted,
 }
 
 /// Per-transaction bookkeeping: which shards it touched (bit `i` set =
 /// shard `i`) and its lifecycle phase. The mask may overestimate — a
 /// failed acquire still sets the bit — which only costs a no-op visit at
-/// precommit/abort/finalize time. The two instants feed the engine's
+/// precommit, abort or durable time. The two instants feed the engine's
 /// latency histograms: `begun_at` → commit latency (begin to durable),
 /// `locked_at` → lock hold time (first acquisition to precommit).
 #[derive(Debug, Clone, Copy)]
@@ -302,7 +302,7 @@ pub(crate) fn rollback_shard(state: &mut ShardState, txn: TxnId) {
             };
         }
     }
-    state.locks.abort(txn);
+    state.locks.release(txn);
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 //! at commit points, where a violation means the engine itself — not the
 //! workload — is wrong. The checks encode the safety arguments the paper
 //! makes informally: resident-set accounting for the §2 fault model, §5.2's
-//! "a dependent transaction never commits before its dependencies", LSN
-//! monotonicity for §5.3 checkpointing, and version-chain timestamp order
-//! for the §6 versioning sketch.
+//! "a dependent transaction never commits before its dependencies" (log
+//! pages complete in LSN order), LSN monotonicity for §5.3 checkpointing,
+//! and version-chain timestamp order for the §6 versioning sketch.
 
 use crate::error::Error;
 use std::fmt;

@@ -207,37 +207,22 @@ proptest! {
 
     #[test]
     fn lock_manager_sets_stay_consistent(
-        ops in proptest::collection::vec((0u8..5, 1u64..8, 0u64..12), 1..250),
+        ops in proptest::collection::vec((0u8..4, 1u64..8, 0u64..12), 1..250),
     ) {
         let _serial = serial();
         let mut lm = LockManager::new();
-        let mut precommitted: Vec<TxnId> = Vec::new();
         for (i, &(kind, txn, object)) in ops.iter().enumerate() {
             let txn = TxnId(txn);
             match kind {
                 0 => lm.begin(txn),
                 1 => {
-                    if lm.is_active(txn) && !precommitted.contains(&txn) {
-                        let _ = lm.acquire(txn, object);
-                    }
+                    let _ = lm.acquire(txn, object);
                 }
                 2 => {
-                    if lm.is_active(txn) && !precommitted.contains(&txn) {
-                        let _ = lm.acquire_shared(txn, object);
-                    }
-                }
-                3 => {
-                    if lm.is_active(txn) && !precommitted.contains(&txn) {
-                        lm.precommit(txn).unwrap();
-                        precommitted.push(txn);
-                    } else if let Some(p) = precommitted.pop() {
-                        lm.finalize_commit(p);
-                    }
+                    let _ = lm.acquire_shared(txn, object);
                 }
                 _ => {
-                    if lm.is_active(txn) && !precommitted.contains(&txn) {
-                        lm.abort(txn);
-                    }
+                    lm.release(txn);
                 }
             }
             if let Err(v) = lm.audit() {

@@ -3,6 +3,7 @@
 //! exactly the committed prefix.
 
 use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_types::TxnId;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -60,7 +61,10 @@ proptest! {
         }
         store.commit(seed).unwrap();
         store.flush_and_wait();
-        let mut committed_txns = 1usize;
+        // Commit order: `begin` hands out ids in sequence, and each
+        // transaction here ends before the next begins.
+        let mut commit_order = vec![seed.0];
+        let mut last_id = seed.0;
 
         for op in &ops {
             match op {
@@ -69,10 +73,12 @@ proptest! {
                     store.transfer(from, to, amount).unwrap();
                     *oracle.get_mut(&from).unwrap() -= amount;
                     *oracle.get_mut(&to).unwrap() += amount;
-                    committed_txns += 1;
+                    last_id = TxnId(last_id.0 + 1);
+                    commit_order.push(last_id);
                 }
                 Op::AbortedWrite { key, value } => {
                     let t = store.begin();
+                    last_id = t.0;
                     store.write(&t, *key as u64, *value as i64).unwrap();
                     store.abort(t).unwrap();
                 }
@@ -90,9 +96,9 @@ proptest! {
 
         // Invariant 1: committed-and-durable transactions all appear; no
         // phantom commits.
-        prop_assert!(report.committed.len() <= committed_txns);
+        prop_assert!(report.committed.len() <= commit_order.len());
         if final_flush || matches!(mode, CommitMode::Synchronous | CommitMode::StableMemory { .. }) {
-            prop_assert_eq!(report.committed.len(), committed_txns);
+            prop_assert_eq!(report.committed.len(), commit_order.len());
             // Invariant 2: with everything durable, the recovered state
             // equals the committed oracle exactly.
             for a in 0..16u64 {
@@ -106,6 +112,14 @@ proptest! {
             let total: i64 = (0..16).map(|a| recovered.read(a).unwrap_or(0)).sum();
             prop_assert_eq!(total, 16_000);
         }
+
+        // Invariant 4: the recovered committed set is a prefix of commit
+        // order — durability is an LSN prefix, so no transaction survives
+        // a crash that an earlier commit did not.
+        prop_assert_eq!(
+            &report.committed[..],
+            &commit_order[..report.committed.len()]
+        );
     }
 
     #[test]
