@@ -1,32 +1,31 @@
 //! The torture runner (§5), the binary behind `cargo torture` (an alias
-//! in `.cargo/config.toml`). It runs all three seeded harnesses, each
-//! through [`mmdb_session::torture::sweep`] fifty seeds per progress
-//! line and each judged by the one recovery oracle,
-//! [`mmdb_session::torture::check_recovered`]:
+//! in `.cargo/config.toml`). It sweeps one entry point of
+//! [`mmdb_session::torture`]'s one runner, fifty seeds per
+//! [`mmdb_session::torture::sweep`] call and progress line, every seed
+//! judged by [`mmdb_session::torture::check_recovered`]. The flags pick
+//! where faults enter:
 //!
-//! * by default, crash torture ([`mmdb_session::torture::run_seed`]): a
-//!   fault schedule on the log device, a plain crash, or a fault inside
-//!   the checkpoint image a restart writes;
-//! * `--checkpoint`, the §5.3 checkpoint scenarios (crash mid-sweep,
-//!   crash before generation truncation, background sweeper under load),
-//!   checked against a full-log oracle recovery; `--sustain-secs S` first
-//!   runs one seed of S seconds of traffic whose recovery must be
-//!   bounded by the checkpoint interval;
-//! * `--server`, server chaos ([`mmdb_server::torture`]): SQL over TCP
-//!   through a fault-injecting transport, overload shedding, and a
-//!   mid-run crash→recover→reconnect.
+//! * by default, [`mmdb_session::torture::run_seed`]: the log device, a
+//!   plain crash, or the checkpoint image a restart writes;
+//! * `--checkpoint`, [`mmdb_session::torture::run_checkpoint_seed`]: the
+//!   §5.3 sweep; `--sustain-secs S` first runs one seed of S seconds of
+//!   traffic whose recovery must be bounded by the checkpoint interval;
+//! * `--server`, [`mmdb_server::torture::run_server_seed`]: the wire.
 //!
 //! A watchdog thread turns any hang into exit code 124, and a failing
-//! seed leaves its log directory under the artifact dir. A sweep also
-//! fails if a scenario whose fault must land (`fault-during-recovery`,
-//! torn-, dup- and delay-wire) ran and landed none — a green gate whose
-//! faults stopped landing proves nothing — or if a sweep of 50 seeds or
-//! more ran no seed under one of `sync`, `group` and `partitioned`.
+//! seed leaves its log directory, with its `options.txt` and
+//! `transfers.txt`, under the artifact dir. A sweep also fails if a
+//! scenario whose fault must land ran often enough
+//! ([`mmdb_session::torture::Scenario::must_fire_within`]) and landed
+//! none — a green gate whose faults stopped landing proves nothing — or
+//! if a sweep of 50 seeds or more ran no seed under one of `sync`,
+//! `group` and `partitioned`.
 //!
 //! Usage: `torture [--seeds N] [--first S] [--artifacts DIR]
 //! [--watchdog-secs T] [--checkpoint] [--sustain-secs S] [--server]`.
 
 use mmdb_session::torture;
+use mmdb_session::torture::Scenario;
 use mmdb_session::{CommitPolicy, TortureReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -53,36 +52,28 @@ fn parse_args() -> Config {
         server: false,
     };
     let mut args = std::env::args().skip(1);
-    let value = |name: &str, args: &mut dyn Iterator<Item = String>| {
-        args.next()
-            .unwrap_or_else(|| panic!("{name} needs a value"))
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seeds" => cfg.seeds = value("--seeds", &mut args).parse().expect("--seeds N"),
-            "--first" => cfg.first = value("--first", &mut args).parse().expect("--first S"),
-            "--artifacts" => cfg.artifacts = PathBuf::from(value("--artifacts", &mut args)),
-            "--watchdog-secs" => {
-                cfg.watchdog = Duration::from_secs(
-                    value("--watchdog-secs", &mut args)
-                        .parse()
-                        .expect("--watchdog-secs T"),
-                )
-            }
+            "--seeds" => cfg.seeds = value(&mut args, &arg),
+            "--first" => cfg.first = value(&mut args, &arg),
+            "--artifacts" => cfg.artifacts = value(&mut args, &arg),
+            "--watchdog-secs" => cfg.watchdog = Duration::from_secs(value(&mut args, &arg)),
             "--checkpoint" => cfg.checkpoint = true,
             "--server" => cfg.server = true,
             "--sustain-secs" => {
                 cfg.checkpoint = true;
-                cfg.sustain = Some(Duration::from_secs(
-                    value("--sustain-secs", &mut args)
-                        .parse()
-                        .expect("--sustain-secs S"),
-                ));
+                cfg.sustain = Some(Duration::from_secs(value(&mut args, &arg)));
             }
             other => panic!("unknown argument {other}"),
         }
     }
     cfg
+}
+
+/// The value after flag `name`, parsed.
+fn value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, name: &str) -> T {
+    let parsed = args.next().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| panic!("{name} needs a value"))
 }
 
 fn main() {
@@ -107,7 +98,7 @@ fn main() {
         );
         let dir = cfg.artifacts.join("sustained");
         for report in passed(torture::sweep(cfg.first, 1, &dir, |seed, dir| {
-            torture::run_sustained_checkpoint(seed, dir, sustain)
+            torture::run_checkpoint_seed(seed, dir, Some(sustain))
         })) {
             println!(
                 "torture: sustained run ok ({} committed, {} recovered)",
@@ -118,7 +109,7 @@ fn main() {
     let per_seed: fn(u64, &Path) -> mmdb_types::Result<TortureReport> = if cfg.server {
         mmdb_server::torture::run_server_seed
     } else if cfg.checkpoint {
-        torture::run_checkpoint_seed
+        |seed, dir| torture::run_checkpoint_seed(seed, dir, None)
     } else {
         torture::run_seed
     };
@@ -140,14 +131,16 @@ fn main() {
         );
     }
 
-    // Per scenario: seeds run, faults seen to land.
-    let mut by_scenario: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    // Per scenario, by name: seeds run, faults seen to land.
+    let mut by_scenario: BTreeMap<&str, (Scenario, u64, u64)> = BTreeMap::new();
     let mut by_policy: BTreeMap<&str, u64> = BTreeMap::new();
     for report in &reports {
-        let tally = by_scenario.entry(&report.scenario).or_insert((0, 0));
-        tally.0 += 1;
-        tally.1 += report.faults_fired;
-        *by_policy.entry(&report.policy).or_insert(0) += 1;
+        let tally = by_scenario
+            .entry(report.scenario.name())
+            .or_insert((report.scenario, 0, 0));
+        tally.1 += 1;
+        tally.2 += report.faults_fired;
+        *by_policy.entry(report.policy.name()).or_insert(0) += 1;
     }
     println!(
         "torture: {} seeds passed in {:.1}s ({} degraded runs, {} corrupt pages dropped)",
@@ -159,19 +152,19 @@ fn main() {
             .map(|r| r.corrupt_pages_dropped)
             .sum::<usize>()
     );
-    for (scenario, (count, faults)) in &by_scenario {
-        if *faults > 0 || MUST_FIRE.contains(scenario) {
-            println!("torture:   scenario {scenario}: {count} ({faults} faults landed)");
+    for (name, (scenario, count, faults)) in &by_scenario {
+        if *faults > 0 || scenario.must_fire_within().is_some() {
+            println!("torture:   scenario {name}: {count} ({faults} faults landed)");
         } else {
-            println!("torture:   scenario {scenario}: {count}");
+            println!("torture:   scenario {name}: {count}");
         }
     }
     for (policy, count) in &by_policy {
         println!("torture:   policy {policy}: {count}");
     }
-    for scenario in MUST_FIRE {
-        if let Some((count @ MIN_SEEDS_TO_JUDGE.., 0)) = by_scenario.get(scenario) {
-            eprintln!("torture: FAILED: {scenario} ran {count} seeds and landed no fault");
+    for (name, (scenario, count, faults)) in &by_scenario {
+        if scenario.must_fire_within().is_some_and(|n| *count >= n) && *faults == 0 {
+            eprintln!("torture: FAILED: {name} ran {count} seeds and landed no fault");
             std::process::exit(1);
         }
     }
@@ -199,21 +192,6 @@ fn passed(sweep: mmdb_types::Result<Vec<TortureReport>>) -> Vec<TortureReport> {
 
 /// Seeds per [`torture::sweep`] call, and so per progress line.
 const PROGRESS_EVERY: u64 = 50;
-
-/// Scenarios whose whole point is a fault landing where it hurts — a
-/// wire fault inside a frame, a disk fault inside a restart's image —
-/// each must land at least once across a sweep that ran it.
-const MUST_FIRE: [&str; 4] = [
-    "server-torn-wire",
-    "server-dup-wire",
-    "server-delay-wire",
-    "fault-during-recovery",
-];
-
-/// Half of a server seed's connections dial clean, so a handful of
-/// seeds can honestly fire nothing; only judge a scenario that ran this
-/// often.
-const MIN_SEEDS_TO_JUDGE: u64 = 4;
 
 /// Every commit policy a seed may draw. A sweep that skipped one would
 /// leave that policy's writers — the multi-writer path above all — out

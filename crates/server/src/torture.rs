@@ -1,23 +1,22 @@
-//! Full-stack seeded chaos torture: SQL over TCP under network faults
-//! and engine crashes, checked against the recovered image.
+//! The wire entry point of the seeded torture runner: SQL over TCP
+//! under network faults and engine crashes, checked against the
+//! recovered image.
 //!
-//! The log-layer harness (`mmdb_session::torture`) proves the engine
-//! survives device failure; this one extends the same discipline up
-//! the wire. One `u64` seed derives a [`ServerChaosScenario`], a
-//! per-connection [`NetFaultPlan`] stream, and a concurrent transfer
-//! workload driven purely through [`Client`] — parse → plan → engine →
-//! WAL and back. The run then drains, crashes the engine, recovers
-//! fault-free, and checks through a *clean* connection:
+//! The runner's skeleton, [`mmdb_session::torture::run_entry`], starts
+//! the engine, runs the clients, crashes, recovers and checks; this
+//! module supplies what differs when faults enter at the wire. One `u64`
+//! seed draws a wire [`Scenario`] ([`draw_wire`]), a per-connection
+//! [`NetFaultPlan`] stream, and a concurrent transfer workload driven
+//! purely through [`Client`] — parse → plan → engine → WAL and back. The
+//! run then drains, crashes the engine, recovers fault-free, and checks
+//! through a *clean* connection:
 //!
 //! * **The recovery oracle holds.** Each transaction inserts one unique
-//!   ledger marker, its [`Transfer`] id; the recovered markers and
-//!   account balances go through the same
-//!   [`mmdb_session::torture::check_recovered`] as the engine-level
-//!   harnesses: every acked `COMMIT` recovered, every recovered marker
-//!   acked or unknown (its `COMMIT` answer lost in flight — never
-//!   retried), and every balance exactly the sum of the recovered
-//!   transfers' deltas, summing to zero. SQL clients see no LSNs, so
-//!   the prefix rule has nothing to order here.
+//!   ledger marker, its [`Transfer`] id, and the recovered markers and
+//!   balances go through [`mmdb_session::torture::check_recovered`]. A
+//!   `COMMIT` whose answer was lost in flight is unknown and never
+//!   retried; SQL clients see no LSNs, so the prefix rule has nothing to
+//!   order here.
 //! * **No silent duplication.** A retry that re-applied committed work
 //!   would show up as a duplicate marker. This is the wire-level proof
 //!   that the client's retry taxonomy never resubmits non-idempotent
@@ -30,6 +29,8 @@
 //!   transaction open must surface as
 //!   [`ClientError::ConnectionLost`]` { in_txn: true }` — never as a
 //!   shape a naive caller would blindly retry.
+//! * **The recovered stack serves.** A fresh server on the recovered
+//!   engine takes a write and reads it back.
 //! * **Nobody hangs.** Every deadline is finite; the runner's watchdog
 //!   bounds the whole sweep.
 //!
@@ -38,9 +39,11 @@
 use crate::client::{Client, ClientConfig, ClientError, Dialer};
 use crate::server::{Server, ServerConfig};
 use crate::transport::{ChaosTransport, NetFaultPlan, Transport};
-use mmdb_session::torture::{check_recovered, draw_options, violation, Outcome, Transfer};
-use mmdb_session::{Engine, EngineOptions, TortureReport};
-use mmdb_types::{Auditable, Error, Result, WorkloadRng};
+use mmdb_session::torture::{
+    draw_options, run_entry, violation, Draw, Outcome, Scenario, Transfer,
+};
+use mmdb_session::TortureReport;
+use mmdb_types::{Auditable, Result, WorkloadRng};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -51,120 +54,45 @@ use std::time::Duration;
 /// Accounts the workload transfers between (ids `0..KEYS`).
 const KEYS: u64 = 6;
 
-/// The network/overload failure a seed injects into its run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerChaosScenario {
-    /// No faults: the baseline the chaotic seeds must not regress.
-    CleanWire,
-    /// Connections die at a random transport operation.
-    DropWire,
-    /// Writes tear mid-frame, then the connection dies.
-    TornWire,
-    /// Reads and writes stall briefly — latency, not loss.
-    StallWire,
-    /// A write is delivered twice, desynchronizing the framing.
-    DupWire,
-    /// A write is withheld until the following write.
-    DelayWire,
-    /// Tiny admission capacity: most statements shed, retries carry.
-    Overload,
-    /// The engine crashes mid-traffic, recovers, and a new server
-    /// takes over on a new port; clients re-dial through the chaos.
-    MidRunCrash,
-}
-
-impl ServerChaosScenario {
-    fn from(rng: &mut WorkloadRng) -> ServerChaosScenario {
-        match rng.below(8) {
-            0 => ServerChaosScenario::CleanWire,
-            1 => ServerChaosScenario::DropWire,
-            2 => ServerChaosScenario::TornWire,
-            3 => ServerChaosScenario::StallWire,
-            4 => ServerChaosScenario::DupWire,
-            5 => ServerChaosScenario::DelayWire,
-            6 => ServerChaosScenario::Overload,
-            _ => ServerChaosScenario::MidRunCrash,
-        }
+/// The fault plan for one freshly dialed connection of a wire scenario.
+/// Half the connections dial clean so chaotic seeds still make progress.
+fn net_plan(scenario: Scenario, rng: &mut WorkloadRng) -> NetFaultPlan {
+    if rng.below(2) == 0 {
+        return NetFaultPlan::none();
     }
-
-    /// Stable name for reports and artifact directories.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerChaosScenario::CleanWire => "clean-wire",
-            ServerChaosScenario::DropWire => "drop-wire",
-            ServerChaosScenario::TornWire => "torn-wire",
-            ServerChaosScenario::StallWire => "stall-wire",
-            ServerChaosScenario::DupWire => "dup-wire",
-            ServerChaosScenario::DelayWire => "delay-wire",
-            ServerChaosScenario::Overload => "overload",
-            ServerChaosScenario::MidRunCrash => "mid-run-crash",
+    match scenario {
+        Scenario::DropWire => NetFaultPlan::none().drop_at(4 + rng.below(60)),
+        Scenario::TornWire => {
+            NetFaultPlan::none().torn_write(1 + rng.below(16), rng.below(6) as usize)
         }
-    }
-
-    /// The fault plan for one freshly dialed connection. Half the
-    /// connections dial clean so chaotic seeds still make progress.
-    fn draw_plan(self, rng: &mut WorkloadRng) -> NetFaultPlan {
-        if rng.below(2) == 0 {
-            return NetFaultPlan::none();
-        }
-        match self {
-            ServerChaosScenario::CleanWire
-            | ServerChaosScenario::Overload
-            | ServerChaosScenario::MidRunCrash => NetFaultPlan::none(),
-            ServerChaosScenario::DropWire => NetFaultPlan::none().drop_at(4 + rng.below(60)),
-            ServerChaosScenario::TornWire => {
-                NetFaultPlan::none().torn_write(1 + rng.below(16), rng.below(6) as usize)
-            }
-            ServerChaosScenario::StallWire => NetFaultPlan::none()
-                .stall_reads(1 + rng.below(4), Duration::from_millis(1 + rng.below(6)))
-                .stall_writes(1 + rng.below(4), Duration::from_millis(1 + rng.below(6))),
-            ServerChaosScenario::DupWire => NetFaultPlan::none().dup_write(1 + rng.below(16)),
-            ServerChaosScenario::DelayWire => NetFaultPlan::none().delay_write(1 + rng.below(16)),
-        }
+        Scenario::StallWire => NetFaultPlan::none()
+            .stall_reads(1 + rng.below(4), Duration::from_millis(1 + rng.below(6)))
+            .stall_writes(1 + rng.below(4), Duration::from_millis(1 + rng.below(6))),
+        Scenario::DupWire => NetFaultPlan::none().dup_write(1 + rng.below(16)),
+        Scenario::DelayWire => NetFaultPlan::none().delay_write(1 + rng.below(16)),
+        _ => NetFaultPlan::none(),
     }
 }
 
-/// How one attempt of a transfer transaction ended.
-enum Attempt {
-    /// COMMIT answered OK.
-    Committed,
-    /// The commit's fate is unknowable from here: never retried.
-    Unknown,
-    /// Definitively rolled back: safe to retry the same marker.
-    Aborted,
-    /// The client surfaced a failure shape its contract forbids.
-    Violation(String),
-}
-
-/// The currently serving address, shared with every dialer so a
-/// mid-run crash can repoint them at the successor server.
-fn current_addr(slot: &AtomicU64) -> SocketAddr {
-    // ordering: the port is an independent word updated once per
-    // server generation; a stale read just means one more refused
-    // dial, which the dialer retry loop absorbs.
-    SocketAddr::from(([127, 0, 0, 1], slot.load(Ordering::Relaxed) as u16))
-}
-
-/// What every dialer of a run shares: where the server is now, and
-/// the run's tally of faults its chaos transports fired.
+/// What every dialer of a run shares: the port the server listens on
+/// now (a mid-run crash repoints it at the successor), and the run's
+/// tally of faults its chaos transports fired.
 #[derive(Clone)]
 struct Wire {
     port: Arc<AtomicU64>,
     faults: Arc<AtomicU64>,
 }
 
-fn make_dialer(wire: Wire, scenario: ServerChaosScenario, dial_seed: u64) -> Dialer {
-    let mut rng = WorkloadRng::seeded(dial_seed);
-    Box::new(move || {
-        let addr = current_addr(&wire.port);
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-        let chaos = ChaosTransport::new(stream, scenario.draw_plan(&mut rng));
-        Ok(Box::new(chaos.count_into(Arc::clone(&wire.faults))) as Box<dyn Transport>)
-    })
-}
-
-fn chaos_client_config(seed: u64, client: u64) -> ClientConfig {
-    ClientConfig {
+/// Builds a chaos client, retrying the eager dial while a mid-run
+/// crash swaps servers. `None` once the retry budget is exhausted.
+fn connect_chaos(
+    wire: &Wire,
+    scenario: Scenario,
+    seed: u64,
+    client: u64,
+    generation: &mut u64,
+) -> Option<Client> {
+    let config = ClientConfig {
         connect_timeout: Duration::from_secs(2),
         read_deadline: Duration::from_secs(2),
         write_timeout: Duration::from_secs(2),
@@ -173,26 +101,23 @@ fn chaos_client_config(seed: u64, client: u64) -> ClientConfig {
         backoff_cap: Duration::from_millis(20),
         retry_seed: seed ^ client.wrapping_mul(0x0DD_BA11),
         registry: None,
-    }
-}
-
-/// Builds a chaos client, retrying the eager dial while a mid-run
-/// crash swaps servers. `None` once the retry budget is exhausted.
-fn connect_chaos(
-    wire: &Wire,
-    scenario: ServerChaosScenario,
-    seed: u64,
-    client: u64,
-    generation: &mut u64,
-) -> Option<Client> {
+    };
     for _ in 0..100 {
         *generation = generation.wrapping_add(1);
-        let dialer = make_dialer(
-            wire.clone(),
-            scenario,
-            seed ^ client.wrapping_mul(0x00C0_FFEE) ^ generation.wrapping_mul(0x1_0000_0001),
-        );
-        match Client::from_dialer(dialer, chaos_client_config(seed, client)) {
+        let dial_seed =
+            seed ^ client.wrapping_mul(0x00C0_FFEE) ^ generation.wrapping_mul(0x1_0000_0001);
+        let (wire, mut rng) = (wire.clone(), WorkloadRng::seeded(dial_seed));
+        let dialer: Dialer = Box::new(move || {
+            // ordering: the port is an independent word updated once per
+            // server generation; a stale read just means one more refused
+            // dial, which the dialer retry loop absorbs.
+            let port = wire.port.load(Ordering::Relaxed) as u16;
+            let addr = SocketAddr::from(([127, 0, 0, 1], port));
+            let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
+            let chaos = ChaosTransport::new(stream, net_plan(scenario, &mut rng));
+            Ok(Box::new(chaos.count_into(Arc::clone(&wire.faults))) as Box<dyn Transport>)
+        });
+        match Client::from_dialer(dialer, config.clone()) {
             Ok(c) => return Some(c),
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
@@ -202,32 +127,34 @@ fn connect_chaos(
 
 /// Classifies a failure of a statement sent *inside* the transaction
 /// (after BEGIN succeeded, before COMMIT). In every tolerated shape
-/// the transaction is definitively rolled back: an in-band error means
-/// the server aborted it, and a torn connection kills the server
-/// session (whose drop aborts it). The forbidden shapes are the ones a
-/// naive caller would auto-retry.
-fn classify_mid_txn(e: &ClientError) -> Attempt {
+/// the transaction is definitively rolled back ([`Outcome::Failed`]):
+/// an in-band error means the server aborted it, and a torn connection
+/// kills the server session (whose drop aborts it). The forbidden
+/// shapes, the ones a naive caller would auto-retry, are `Err`.
+fn classify_mid_txn(e: &ClientError) -> std::result::Result<Outcome, String> {
     match e {
-        ClientError::Server { .. } => Attempt::Aborted,
-        ClientError::ConnectionLost { in_txn: true, .. } => Attempt::Aborted,
-        ClientError::Timeout(_) => Attempt::Aborted,
-        ClientError::Protocol(_) => Attempt::Aborted,
-        ClientError::ConnectionLost { in_txn: false, .. } => Attempt::Violation(format!(
+        ClientError::Server { .. } => Ok(Outcome::Failed),
+        ClientError::ConnectionLost { in_txn: true, .. } => Ok(Outcome::Failed),
+        ClientError::Timeout(_) => Ok(Outcome::Failed),
+        ClientError::Protocol(_) => Ok(Outcome::Failed),
+        ClientError::ConnectionLost { in_txn: false, .. } => Err(format!(
             "mid-transaction failure reported as ConnectionLost {{ in_txn: false }}: {e}"
         )),
-        ClientError::Io(_) => Attempt::Violation(format!(
+        ClientError::Io(_) => Err(format!(
             "mid-transaction failure reported as a bare dial error: {e}"
         )),
     }
 }
 
 /// Runs one transfer transaction through `client`. Any statement may
-/// fail at any moment; the returned [`Attempt`] is the fate.
-fn attempt_transfer(client: &mut Client, t: &Transfer) -> Attempt {
+/// fail at any moment; the returned [`Outcome`] is the fate (`Failed`:
+/// definitively rolled back, safe to retry the same marker), and `Err`
+/// a failure shape the client's contract forbids.
+fn attempt_transfer(client: &mut Client, t: &Transfer) -> std::result::Result<Outcome, String> {
     // BEGIN is sent outside any transaction: every failure there means
     // nothing started — plain abort, no special shapes required.
     if client.execute("BEGIN").is_err() {
-        return Attempt::Aborted;
+        return Ok(Outcome::Failed);
     }
     let body = [
         format!(
@@ -248,20 +175,20 @@ fn attempt_transfer(client: &mut Client, t: &Transfer) -> Attempt {
             // Defensive: the client believes the transaction is gone
             // even though the statement answered OK — treat as aborted
             // rather than committing a half-transfer.
-            return Attempt::Aborted;
+            return Ok(Outcome::Failed);
         }
     }
     match client.execute("COMMIT") {
-        Ok(_) => Attempt::Committed,
+        Ok(_) => Ok(Outcome::Acked),
         // An in-band COMMIT failure is ambiguous at this layer (the
         // engine may have aborted, or only the ack path failed), so
         // the harness refuses to retry: conservative Unknown.
-        Err(ClientError::Server { .. }) => Attempt::Unknown,
+        Err(ClientError::Server { .. }) => Ok(Outcome::Unknown),
         // The answer was lost with the connection: Unknown, never
         // retried — this is the oracle's bait for unsafe retry logic.
         Err(ClientError::ConnectionLost { .. })
         | Err(ClientError::Timeout(_))
-        | Err(ClientError::Protocol(_)) => Attempt::Unknown,
+        | Err(ClientError::Protocol(_)) => Ok(Outcome::Unknown),
         Err(e @ ClientError::Io(_)) => classify_mid_txn(&e),
     }
 }
@@ -269,15 +196,15 @@ fn attempt_transfer(client: &mut Client, t: &Transfer) -> Attempt {
 /// One client thread's workload: `txns` transfers, each retried at
 /// most once and only when the previous attempt definitively aborted.
 fn run_chaos_client(
-    wire: Wire,
-    scenario: ServerChaosScenario,
+    wire: &Wire,
+    scenario: Scenario,
     seed: u64,
     client_id: u64,
     txns: u64,
 ) -> std::result::Result<Vec<Transfer>, String> {
     let mut rng = WorkloadRng::seeded((seed ^ client_id.wrapping_mul(0x00C0_FFEE)) | 1);
     let mut generation = 0u64;
-    let mut client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
+    let mut client = connect_chaos(wire, scenario, seed, client_id, &mut generation);
     let mut transfers = Vec::with_capacity(txns as usize);
     for s in 0..txns {
         let from = rng.below(KEYS);
@@ -296,48 +223,22 @@ fn run_chaos_client(
             let _ = c.execute(&format!("SELECT bal FROM acct WHERE id = {from}"));
         }
         for _attempt in 0..2 {
-            let c = match client.as_mut() {
-                Some(c) => c,
-                None => {
-                    client = connect_chaos(&wire, scenario, seed, client_id, &mut generation);
-                    match client.as_mut() {
-                        Some(c) => c,
-                        None => break,
-                    }
-                }
-            };
-            match attempt_transfer(c, &t) {
-                Attempt::Violation(msg) => return Err(msg),
-                Attempt::Committed => {
-                    t.outcome = Outcome::Acked;
-                    break;
-                }
-                Attempt::Unknown => {
-                    t.outcome = Outcome::Unknown;
-                    break;
-                }
-                Attempt::Aborted => {
-                    // Definitely rolled back: loop retries the same
-                    // marker exactly once.
-                }
+            if client.is_none() {
+                client = connect_chaos(wire, scenario, seed, client_id, &mut generation);
             }
+            let Some(c) = client.as_mut() else {
+                break;
+            };
+            t.outcome = attempt_transfer(c, &t)?;
+            if t.outcome != Outcome::Failed {
+                break;
+            }
+            // Definitely rolled back: the loop retries the same marker
+            // exactly once.
         }
         transfers.push(t);
     }
     Ok(transfers)
-}
-
-fn server_config(scenario: ServerChaosScenario) -> ServerConfig {
-    let mut cfg = ServerConfig {
-        idle_timeout: Duration::from_secs(10),
-        ..ServerConfig::default()
-    };
-    if scenario == ServerChaosScenario::Overload {
-        cfg.max_inflight_statements = 1;
-        cfg.admission_queue = 1;
-        cfg.admission_deadline = Duration::from_millis(25);
-    }
-    cfg
 }
 
 /// Runs SQL on a plain (chaos-free) client, mapping failure into a
@@ -362,121 +263,19 @@ fn drain_and_audit(handle: crate::server::ServerHandle, seed: u64) -> Result<()>
         .map_err(|v| violation(seed, format!("after drain: {v}")))
 }
 
-/// Phase 1+2: serve traffic under chaos (optionally crashing the
-/// engine mid-run), then drain. Returns the engine for the final
-/// crash/recover, every client's transfer record, and how many network
-/// faults fired.
-fn run_workload(
-    seed: u64,
-    scenario: ServerChaosScenario,
-    options: &EngineOptions,
-    rng: &mut WorkloadRng,
-) -> Result<(Engine, Vec<Transfer>, u64)> {
-    let engine = Engine::start(options.clone())?;
-    let cfg = server_config(scenario);
-    let handle = Server::start(&engine, cfg.clone())?;
-    let wire = Wire {
-        port: Arc::new(AtomicU64::new(u64::from(handle.addr().port()))),
-        faults: Arc::default(),
-    };
-
-    // Schema + zeroed accounts through a plain client.
-    {
-        let mut init = Client::connect(handle.addr())
-            .map_err(|e| violation(seed, format!("init connect failed: {e}")))?;
-        must(&mut init, "CREATE TABLE acct (id INT, bal INT)", seed)?;
-        let rows: Vec<String> = (0..KEYS).map(|id| format!("({id}, 0)")).collect();
-        must(
-            &mut init,
-            &format!("INSERT INTO acct VALUES {}", rows.join(", ")),
-            seed,
-        )?;
-        must(
-            &mut init,
-            "CREATE TABLE ledger (marker INT, src INT, dst INT)",
-            seed,
-        )?;
-    }
-
-    let clients = 2 + rng.below(2);
-    let txns_per_client = 3 + rng.below(5);
-    let crash_after = Duration::from_millis(10 + rng.below(60));
-
-    let mut joins = Vec::new();
-    for client_id in 0..clients {
-        let wire_c = wire.clone();
-        let join = std::thread::Builder::new()
-            .name(format!("server-chaos-client-{client_id}"))
-            .spawn(move || run_chaos_client(wire_c, scenario, seed, client_id, txns_per_client))
-            .map_err(|e| Error::Io(format!("spawn chaos client: {e}")))?;
-        joins.push(join);
-    }
-
-    // Mid-run crash: drain the server, crash the engine, recover, and
-    // repoint the dialers at the successor. Clients ride it out via
-    // reconnects; their open transactions die honestly.
-    let (engine, handle) = if scenario == ServerChaosScenario::MidRunCrash {
-        std::thread::sleep(crash_after);
-        drain_and_audit(handle, seed)?;
-        engine.crash()?;
-        let (engine2, _info) = Engine::recover(options.clone())?;
-        let handle2 = Server::start(&engine2, cfg)?;
-        let port = u64::from(handle2.addr().port());
-        // ordering: see current_addr — dialers tolerate staleness.
-        wire.port.store(port, Ordering::Relaxed);
-        (engine2, handle2)
-    } else {
-        (engine, handle)
-    };
-
-    let mut transfers = Vec::new();
-    for join in joins {
-        let client_transfers = join
-            .join()
-            .map_err(|_| violation(seed, "chaos client thread panicked".to_string()))?
-            .map_err(|msg| violation(seed, msg))?;
-        transfers.extend(client_transfers);
-    }
-
-    drain_and_audit(handle, seed)?;
-    // ordering: every client thread was joined above, so the tally is
-    // final; the counter publishes no other data.
-    let faults_fired = wire.faults.load(Ordering::Relaxed);
-    Ok((engine, transfers, faults_fired))
-}
-
-/// Runs one full seeded server-chaos iteration in `log_dir` (created
-/// fresh; kept by the caller on `Err` as the failure artifact). See
-/// the module docs for the properties checked.
-pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
-    std::fs::remove_dir_all(log_dir).ok();
-    let mut rng = WorkloadRng::seeded(seed ^ 0x5E12_7EC4_A05C_0D1E);
-    let scenario = ServerChaosScenario::from(&mut rng);
-    let options = draw_options(&mut rng, log_dir).with_lock_wait_timeout(Duration::from_millis(30));
-
-    let (engine, transfers, faults_fired) = run_workload(seed, scenario, &options, &mut rng)?;
-
-    // Dump the workload's view of every transfer next to the log: on a
-    // failing seed the directory is kept, and the oracle's verdict is
-    // only interpretable against what each client thought happened.
-    let dump: String = transfers.iter().map(|t| format!("{t:?}\n")).collect();
-    std::fs::write(log_dir.join("transfers.txt"), dump).ok();
-
-    // Final failure + fault-free recovery.
-    engine.crash()?;
-    let (engine, _info) = Engine::recover(options.clone())?;
-
-    // Verify through a fresh server and a plain client.
-    let handle = Server::start(&engine, ServerConfig::default())?;
+/// Reads the recovered ledger markers and account balances through a
+/// fresh server and a plain client — a marker seen twice is re-applied
+/// work — then checks that the recovered stack still serves a write.
+fn read_ledger(engine: &mmdb_session::Engine, seed: u64) -> Result<(BTreeSet<u64>, Vec<i64>)> {
+    let handle = Server::start(engine, ServerConfig::default())?;
     let mut check = Client::connect(handle.addr())
         .map_err(|e| violation(seed, format!("verify connect failed: {e}")))?;
-
-    let mut recovered_markers: BTreeSet<u64> = BTreeSet::new();
+    let mut markers: BTreeSet<u64> = BTreeSet::new();
     for row in &must(&mut check, "SELECT marker FROM ledger", seed)?.rows {
         let marker = int_at(row, 0)
             .and_then(|m| u64::try_from(m).ok())
             .ok_or_else(|| violation(seed, format!("ledger row {row:?} holds no marker")))?;
-        if !recovered_markers.insert(marker) {
+        if !markers.insert(marker) {
             return Err(violation(
                 seed,
                 format!("duplicate ledger marker {marker}: non-idempotent work was re-applied"),
@@ -498,7 +297,6 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
         .into_iter()
         .collect::<Option<_>>()
         .ok_or_else(|| violation(seed, "an acct row is missing".to_string()))?;
-    let recovered = check_recovered(seed, &transfers, &recovered_markers, &balances, false)?;
 
     // Liveness probe: the recovered stack still serves writes.
     must(&mut check, "INSERT INTO ledger VALUES (-1, -1, -1)", seed)?;
@@ -510,31 +308,134 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     if probe.rows.len() != 1 {
         return Err(violation(seed, "liveness probe row missing".to_string()));
     }
-
     handle.shutdown()?;
-    engine.shutdown()?;
+    Ok((markers, balances))
+}
 
-    Ok(TortureReport {
-        faults_fired,
-        ..TortureReport::tally(
-            seed,
-            &format!("server-{}", scenario.name()),
-            options.policy.name(),
-            &transfers,
-            recovered,
-        )
-    })
+/// The wire entry point's draw.
+pub fn draw_wire(seed: u64, log_dir: &Path) -> Draw {
+    let mut rng = WorkloadRng::seeded(seed ^ 0x5E12_7EC4_A05C_0D1E);
+    let scenario = match rng.below(8) {
+        0 => Scenario::CleanWire,
+        1 => Scenario::DropWire,
+        2 => Scenario::TornWire,
+        3 => Scenario::StallWire,
+        4 => Scenario::DupWire,
+        5 => Scenario::DelayWire,
+        6 => Scenario::Overload,
+        _ => Scenario::MidRunCrash,
+    };
+    let options = draw_options(&mut rng, log_dir).with_lock_wait_timeout(Duration::from_millis(30));
+    Draw {
+        seed,
+        scenario,
+        options,
+        restart_plan: None,
+        clients: 2 + rng.below(2),
+        txns_per_client: 3 + rng.below(5),
+        rng,
+    }
+}
+
+/// The wire entry point: one seeded server-chaos run in `log_dir`. The
+/// clients talk SQL to a server on the live engine through chaos
+/// transports; under [`Scenario::MidRunCrash`] the engine is crashed
+/// and recovered mid-traffic and a successor server takes over. The
+/// server is drained and audited once every client is done, before the
+/// crash. See the module docs for the properties checked.
+pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
+    let draw = draw_wire(seed, log_dir);
+    let mut cfg = ServerConfig {
+        idle_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    };
+    if draw.scenario == Scenario::Overload {
+        cfg.max_inflight_statements = 1;
+        cfg.admission_queue = 1;
+        cfg.admission_deadline = Duration::from_millis(25);
+    }
+    run_entry(
+        draw,
+        |engine, run| {
+            let handle = Server::start(engine, cfg.clone())?;
+            let wire = Wire {
+                port: Arc::new(AtomicU64::new(u64::from(handle.addr().port()))),
+                faults: Arc::default(),
+            };
+            // Schema + zeroed accounts through a plain client.
+            let mut init = Client::connect(handle.addr())
+                .map_err(|e| violation(seed, format!("init connect failed: {e}")))?;
+            let accounts: Vec<String> = (0..KEYS).map(|id| format!("({id}, 0)")).collect();
+            must(&mut init, "CREATE TABLE acct (id INT, bal INT)", seed)?;
+            must(
+                &mut init,
+                &format!("INSERT INTO acct VALUES {}", accounts.join(", ")),
+                seed,
+            )?;
+            must(
+                &mut init,
+                "CREATE TABLE ledger (marker INT, src INT, dst INT)",
+                seed,
+            )?;
+            let (dialers, scenario) = (wire.clone(), run.draw.scenario);
+            let txns = run.draw.txns_per_client;
+            let client = move |id| {
+                run_chaos_client(&dialers, scenario, seed, id, txns)
+                    .map_err(|msg| violation(seed, msg))
+            };
+            Ok((client, (handle, wire)))
+        },
+        |run, engine, (handle, wire)| {
+            // Mid-run crash: drain the server, crash the engine, recover,
+            // and repoint the dialers at the successor. Clients ride it
+            // out via reconnects; their open transactions die honestly.
+            let (engine, handle) = if run.draw.scenario == Scenario::MidRunCrash {
+                std::thread::sleep(Duration::from_millis(10 + run.draw.rng.below(60)));
+                drain_and_audit(handle, seed)?;
+                engine.crash()?;
+                let (successor, _) = mmdb_session::Engine::recover(run.draw.clean())?;
+                let handle = Server::start(&successor, cfg.clone())?;
+                let port = u64::from(handle.addr().port());
+                // ordering: see connect_chaos — dialers tolerate staleness.
+                wire.port.store(port, Ordering::Relaxed);
+                (successor, handle)
+            } else {
+                (engine, handle)
+            };
+            run.join_clients()?;
+            drain_and_audit(handle, seed)?;
+            // ordering: every client thread was joined above, so the
+            // tally is final; the counter publishes no other data.
+            run.faults_fired += wire.faults.load(Ordering::Relaxed);
+            Ok((engine, ()))
+        },
+        |_, ()| Ok(()),
+        |_, engine, _, ()| read_ledger(engine, seed),
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use mmdb_session::torture::Entry;
+
+    #[test]
+    fn every_wire_scenario_is_drawn_at_its_entry() {
+        let seen: BTreeSet<&str> = (0..200)
+            .map(|s| draw_wire(s, Path::new("drawn")).scenario)
+            .inspect(|s| assert_eq!(s.entry(), Entry::Wire, "{s:?}"))
+            .map(Scenario::name)
+            .collect();
+        assert_eq!(seen.len(), 8, "200 seeds drew only {seen:?}");
+    }
+
     #[test]
     fn a_few_server_seeds_pass_end_to_end() {
         // The broad sweep is the server-chaos CI job; this is the fast
-        // in-crate smoke check that the driver and its oracle still run.
+        // in-crate smoke check that the entry point and its oracle still run.
         let dir =
             std::env::temp_dir().join(format!("mmdb-server-torture-unit-{}", std::process::id()));
-        let reports = mmdb_session::torture::sweep(0, 8, &dir, super::run_server_seed).unwrap();
+        let reports = mmdb_session::torture::sweep(0, 8, &dir, run_server_seed).unwrap();
         assert_eq!(reports.len(), 8);
         std::fs::remove_dir_all(&dir).ok();
     }

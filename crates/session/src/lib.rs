@@ -74,8 +74,8 @@ mod recover;
 /// §5.2 lock-table shards, the transaction table, and the lock-ordering
 /// discipline that keeps multi-shard operations cycle-free.
 mod shard;
-/// §5 seeded torture harnesses: fault-injected runs, crash, recover,
-/// and the one recovery oracle every torture driver checks.
+/// §5 the seeded torture runner: one skeleton for every entry point
+/// (where faults enter), and the one recovery oracle it checks.
 pub mod torture;
 
 pub use checkpoint::CheckpointStats;

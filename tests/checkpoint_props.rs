@@ -10,10 +10,11 @@
 //! 2. **Recovery equivalence** — recovering from the newest complete
 //!    checkpoint plus the live generation's suffix yields exactly the
 //!    image a full-log replay of the same live generation produces.
-//!    The oracle is built by copying only the live (`wal-d*.log`)
-//!    files into a fresh directory, where recovery has no checkpoint
-//!    to lean on.
+//!    The oracle is the torture runner's `FullLogOracle`: only the live
+//!    (`wal-d*.log`) files, copied into a fresh directory, where
+//!    recovery has no checkpoint to lean on.
 
+use mmdb_session::torture::FullLogOracle;
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -166,17 +167,8 @@ proptest! {
 
         // The oracle sees only the live generation: same log suffix,
         // no checkpoint images, so it must replay the whole history.
-        std::fs::create_dir_all(&oracle_dir).unwrap();
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let entry = entry.unwrap();
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if name.starts_with("wal-d") {
-                std::fs::copy(entry.path(), oracle_dir.join(&name)).unwrap();
-            }
-        }
-
-        let (oracle, oracle_info) = Engine::recover(ckpt_options(&oracle_dir, shards)).unwrap();
+        let oracle = FullLogOracle::recover(&ckpt_options(&dir, shards), &oracle_dir, KEYS).unwrap();
+        let oracle_info = &oracle.info;
         let (real, real_info) = Engine::recover(ckpt_options(&dir, shards)).unwrap();
 
         prop_assert!(oracle_info.checkpoint_start.is_none(),
@@ -212,24 +204,13 @@ proptest! {
                     sweep.log_bytes_written, oracle_info.log_bytes_replayed);
             }
         }
-        for key in 0..KEYS {
-            prop_assert_eq!(
-                real.read(key).unwrap(),
-                oracle.read(key).unwrap(),
-                "recovered images diverge at key {} (sweeps ran: {})",
-                key, last_sweep.is_some()
-            );
-        }
-        // Suffix replay can only surface transactions the full replay
-        // also saw as committed.
-        let oracle_committed: BTreeSet<_> = oracle_info.committed.iter().copied().collect();
-        for txn in &real_info.committed {
-            prop_assert!(oracle_committed.contains(txn),
-                "suffix replay surfaced {txn:?} the full replay never committed");
-        }
+        // The images agree on every key, and suffix replay can only
+        // surface transactions the full replay also saw as committed.
+        let divergence = oracle.diverges(&real, &real_info);
+        prop_assert!(divergence.is_none(), "{} (sweeps ran: {})",
+            divergence.as_deref().unwrap_or(""), last_sweep.is_some());
 
         real.shutdown().unwrap();
-        oracle.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&oracle_dir).ok();
     }
