@@ -48,7 +48,7 @@ fn main() {
     let one = hash_aggregate(&rel, 3, &[AggFunc::Count], &loose).unwrap();
     // Hash-based operators make no ordering promise (§4's very point);
     // compare as multisets.
-    let canon = |r: &mmdb_storage::MemRelation| {
+    let canon = |r: &mmdb_exec::MemRelation| {
         let mut v = r.tuples().to_vec();
         v.sort();
         v

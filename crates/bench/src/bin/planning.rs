@@ -7,8 +7,8 @@
 //! the executor the SQL `SELECT` uses — to confirm the estimates' ordering.
 
 use mmdb_bench::{plan_and_run, print_table, secs};
+use mmdb_exec::MemRelation;
 use mmdb_planner::{JoinEdge, JoinMethod, QuerySpec, TableRef};
-use mmdb_storage::MemRelation;
 use mmdb_types::{DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
 /// `orders`, `customers` and `parts`, 40 tuples to a page.

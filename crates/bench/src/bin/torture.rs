@@ -25,7 +25,7 @@
 //! [--watchdog-secs T] [--checkpoint] [--sustain-secs S] [--server]`.
 
 use mmdb_session::torture;
-use mmdb_session::torture::Scenario;
+use mmdb_session::torture::{Entry, Scenario};
 use mmdb_session::{CommitPolicy, TortureReport};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -153,7 +153,8 @@ fn main() {
             .sum::<usize>()
     );
     for (name, (scenario, count, faults)) in &by_scenario {
-        if *faults > 0 || scenario.must_fire_within().is_some() {
+        let device_fault = scenario.entry() == Entry::Device && *scenario != Scenario::CleanCrash;
+        if *faults > 0 || device_fault || scenario.must_fire_within().is_some() {
             println!("torture:   scenario {name}: {count} ({faults} faults landed)");
         } else {
             println!("torture:   scenario {name}: {count}");

@@ -7,11 +7,10 @@
 
 pub mod mvcc;
 
-use mmdb_exec::ExecContext;
+use mmdb_exec::{CostSnapshot, ExecContext, MemRelation};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, PlannedQuery, QuerySpec, TableStats};
 use mmdb_recovery::{CommitMode, RecoveryManager};
-use mmdb_storage::{CostSnapshot, MemRelation};
 use mmdb_types::{Error, Result, SystemParams};
 use std::fmt::Display;
 

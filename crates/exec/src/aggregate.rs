@@ -11,7 +11,7 @@ use crate::context::ExecContext;
 use crate::partition::{hash_key, uniform_class};
 use crate::sort::external_sort;
 use crate::spill::{SpillFile, SpillIo};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter};
 use mmdb_types::{DataType, Result, Schema, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;

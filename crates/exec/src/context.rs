@@ -1,13 +1,16 @@
-//! The execution context: memory grant, fudge factor, and the cost meter.
+//! The execution context: memory grant, fudge factor, and the meter.
 
-use mmdb_storage::CostMeter;
+use crate::meter::CostMeter;
+use mmdb_planner::optimizer::PlanEnv;
 use std::sync::Arc;
 
-/// Everything an operator needs to execute and be priced.
+/// Everything an operator needs to execute and be priced. `M` is the
+/// [`crate::Meter`] its operators charge: a shared [`CostMeter`] unless
+/// the context was made [`ExecContext::unmetered`].
 #[derive(Debug, Clone)]
-pub struct ExecContext {
-    /// Shared cost meter all operators charge into.
-    pub meter: Arc<CostMeter>,
+pub struct ExecContext<M = Arc<CostMeter>> {
+    /// The meter all operators charge into.
+    pub meter: M,
     /// `|M|` — pages of main memory granted to the operator.
     pub mem_pages: usize,
     /// `F` — the universal fudge factor: a hash/sort structure holding `X`
@@ -24,18 +27,26 @@ impl ExecContext {
             fudge,
         }
     }
+}
 
+impl ExecContext<()> {
+    /// The grant `env` priced a plan under — its `|M|` and `F` — with no
+    /// meter: how a query nobody prices runs.
+    pub fn unmetered(env: &PlanEnv) -> Self {
+        ExecContext {
+            meter: (),
+            mem_pages: env.mem_pages,
+            fudge: env.params.fudge,
+        }
+    }
+}
+
+impl<M> ExecContext<M> {
     /// How many tuples fit in this context's memory when each logical page
     /// holds `tuples_per_page` and structures carry the fudge overhead:
     /// `{M} = |M| · tpp / F`.
     pub fn mem_tuple_capacity(&self, tuples_per_page: usize) -> usize {
         ((self.mem_pages as f64 * tuples_per_page as f64 / self.fudge).floor() as usize).max(1)
-    }
-
-    /// How many pages of raw tuples this context's memory can hold as a
-    /// hash-table/sort structure: `|M| / F`.
-    pub fn mem_page_capacity(&self) -> f64 {
-        self.mem_pages as f64 / self.fudge
     }
 }
 
@@ -47,7 +58,6 @@ mod tests {
     fn capacity_arithmetic() {
         let ctx = ExecContext::new(1200, 1.2);
         assert_eq!(ctx.mem_tuple_capacity(40), 40_000);
-        assert!((ctx.mem_page_capacity() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

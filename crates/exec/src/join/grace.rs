@@ -15,10 +15,8 @@ use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::{hash_key, uniform_class};
 use crate::spill::{SpillFile, SpillIo};
-use crate::{Row, Rows};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
-use std::sync::Arc;
 
 /// Joins `r` and `s` with the two-phase GRACE algorithm.
 pub fn grace_hash_join(
@@ -31,11 +29,11 @@ pub fn grace_hash_join(
 }
 
 /// The GRACE core: each matching pair goes to `emit`.
-pub(crate) fn join_rows<T: Row>(
+pub(crate) fn join_rows<T: Row, M: Meter>(
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<()> {
     // One output-buffer page per bucket; the paper uses |M| buckets.
@@ -43,8 +41,8 @@ pub(crate) fn join_rows<T: Row>(
 
     // Phase 1: partition R, then S (steps 1 and 2).
     let partition = |input: Rows<'_, T>, key: usize| {
-        let mut parts: Vec<SpillFile<T>> = (0..buckets)
-            .map(|_| SpillFile::new(Arc::clone(&ctx.meter), input.tuples_per_page))
+        let mut parts: Vec<SpillFile<T, M>> = (0..buckets)
+            .map(|_| SpillFile::new(ctx.meter.clone(), input.tuples_per_page))
             .collect();
         for row in input.tuples {
             let h = charged_hash(&ctx.meter, row.borrow(), key);
@@ -68,7 +66,7 @@ pub(crate) fn join_rows<T: Row>(
             continue;
         }
         let r_rows: Vec<T> = r_part.drain_pages(SpillIo::Sequential).flatten().collect();
-        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, r_rows.len(), &r_rows);
+        let mut table = ProbeTable::new(ctx.meter.clone(), spec.r_key, r_rows.len(), &r_rows);
         for (pos, row) in r_rows.iter().enumerate() {
             ctx.meter.charge_hashes(1);
             let t: &Tuple = row.borrow();

@@ -11,10 +11,8 @@ use super::{charged_hash, output_relation, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::{hash_key_level, HybridSplit};
 use crate::spill::{SpillFile, SpillIo};
-use crate::{Row, Rows};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
-use std::sync::Arc;
 
 /// Execution statistics exposing the memory discipline (for tests and the
 /// skew experiments).
@@ -68,11 +66,11 @@ pub fn hybrid_hash_join_with_stats(
 }
 
 /// The hybrid-hash core: each matching pair goes to `emit`.
-pub(crate) fn join_rows<T: Row>(
+pub(crate) fn join_rows<T: Row, M: Meter>(
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<HybridStats> {
     let (r_tpp, s_tpp) = (r.tuples_per_page, s.tuples_per_page);
@@ -102,13 +100,13 @@ pub(crate) fn join_rows<T: Row>(
     // Step 1: scan R — partition 0 builds in memory, the rest spills.
     let mut stats = HybridStats::default();
     let mut table0 = ProbeTable::new(
-        Arc::clone(&ctx.meter),
+        ctx.meter.clone(),
         spec.r_key,
         r0_capacity_tuples.min(r_count),
         r.tuples,
     );
-    let mut r_parts: Vec<SpillFile<T>> = (0..b)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
+    let mut r_parts: Vec<SpillFile<T, M>> = (0..b)
+        .map(|_| SpillFile::new(ctx.meter.clone(), r_tpp))
         .collect();
     let mut r0_count = 0usize;
     for (pos, row) in r.tuples.iter().enumerate() {
@@ -127,8 +125,8 @@ pub(crate) fn join_rows<T: Row>(
     stats.max_build_tuples = r0_count;
 
     // Step 2: scan S — partition 0 probes immediately, the rest spills.
-    let mut s_parts: Vec<SpillFile<T>> = (0..b)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), s_tpp))
+    let mut s_parts: Vec<SpillFile<T, M>> = (0..b)
+        .map(|_| SpillFile::new(ctx.meter.clone(), s_tpp))
         .collect();
     for row in s.tuples {
         let t: &Tuple = row.borrow();
@@ -172,12 +170,12 @@ const MAX_RECURSION: u32 = 8;
 /// with the level-salted hash and recurse. `pages` is R's and S's tuples
 /// per page.
 #[allow(clippy::too_many_arguments)]
-fn join_pair<T: Row>(
+fn join_pair<T: Row, M: Meter>(
     r_rows: Vec<T>,
     s_rows: Vec<T>,
     level: u32,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     pages: (usize, usize),
     emit: &mut impl Emit,
     stats: &mut HybridStats,
@@ -199,7 +197,7 @@ fn join_pair<T: Row>(
         if level >= MAX_RECURSION && r_rows.len() > capacity {
             stats.depth_capped = true;
         }
-        let mut table = ProbeTable::new(Arc::clone(&ctx.meter), spec.r_key, r_rows.len(), &r_rows);
+        let mut table = ProbeTable::new(ctx.meter.clone(), spec.r_key, r_rows.len(), &r_rows);
         for (pos, row) in r_rows.iter().enumerate() {
             ctx.meter.charge_hashes(1);
             let t: &Tuple = row.borrow();
@@ -223,8 +221,8 @@ fn join_pair<T: Row>(
     } else {
         SpillIo::Random
     };
-    let mut r_parts: Vec<SpillFile<T>> = (0..b)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), r_tpp))
+    let mut r_parts: Vec<SpillFile<T, M>> = (0..b)
+        .map(|_| SpillFile::new(ctx.meter.clone(), r_tpp))
         .collect();
     for row in r_rows {
         ctx.meter.charge_hashes(1);
@@ -232,8 +230,8 @@ fn join_pair<T: Row>(
         ctx.meter.charge_moves(1);
         r_parts[crate::partition::uniform_class(h, b)].append(row, write_io);
     }
-    let mut s_parts: Vec<SpillFile<T>> = (0..b)
-        .map(|_| SpillFile::new(Arc::clone(&ctx.meter), s_tpp))
+    let mut s_parts: Vec<SpillFile<T, M>> = (0..b)
+        .map(|_| SpillFile::new(ctx.meter.clone(), s_tpp))
         .collect();
     for row in s_rows {
         ctx.meter.charge_hashes(1);

@@ -1,11 +1,12 @@
 //! The four §3 join algorithms, plus a nested-loops reference.
 //!
-//! Each algorithm has one core, generic over its [`Row`] type, that hands
-//! every matching pair to an `emit(&Tuple, &Tuple)` sink: the SQL layer
-//! runs the cores over rows lent from its cache and builds only the
-//! projected output row, while the `&MemRelation` functions — what the
-//! 1984 experiments and their `CostMeter` pins call — are wrappers whose
-//! sink pushes the concatenated pair into a result relation. All of them
+//! Each algorithm has one core, generic over its [`Row`] type and its
+//! [`Meter`], that hands every matching pair to an `emit(&Tuple, &Tuple)`
+//! sink: the SQL layer runs the cores unmetered over rows lent from its
+//! cache and builds only the projected output row, while the
+//! `&MemRelation` functions — what the 1984 experiments and their
+//! `CostMeter` pins call — are wrappers whose sink pushes the
+//! concatenated pair into a result relation. All of them
 //! take the same inputs — `R` (smaller) and `S`, a [`JoinSpec`] naming
 //! the key columns, and an [`crate::ExecContext`] — and produce the same
 //! pairs, so every algorithm is testable against every other. They differ
@@ -24,11 +25,9 @@ pub use simple_hash::simple_hash_join;
 pub use sort_merge::sort_merge_join;
 
 use crate::partition::hash_key;
-use crate::{Row, Rows};
-use mmdb_storage::{CostMeter, MemRelation};
+use crate::{ExecContext, MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Schema, Tuple};
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 /// Which columns join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,26 +72,26 @@ const NIL: u32 = u32::MAX;
 /// themselves. Each bucket is a chain head and a chain tail; each
 /// inserted position has its key's hash and the next position of its
 /// chain, so a chain keeps insertion order and a probe compares a key
-/// only where the stored hash matches. It charges the shared meter: the
+/// only where the stored hash matches. It charges its meter: the
 /// *caller* charges `hash` when it computes the key hash; the table
 /// charges `move` per insertion and `comp` per chain comparison during
 /// probes.
 #[derive(Debug)]
-pub(crate) struct ProbeTable<'a, T> {
+pub(crate) struct ProbeTable<'a, T, M> {
     tuples: &'a [T],
     heads: Vec<u32>,
     tails: Vec<u32>,
     /// By position in `tuples`; meaningful only for inserted positions.
     hashes: Vec<u64>,
     next: Vec<u32>,
-    meter: Arc<CostMeter>,
+    meter: M,
     key_col: usize,
 }
 
-impl<'a, T: Borrow<Tuple>> ProbeTable<'a, T> {
+impl<'a, T: Borrow<Tuple>, M: Meter> ProbeTable<'a, T, M> {
     /// A table over `tuples` expecting about `expected` of them to be
     /// inserted.
-    pub fn new(meter: Arc<CostMeter>, key_col: usize, expected: usize, tuples: &'a [T]) -> Self {
+    pub fn new(meter: M, key_col: usize, expected: usize, tuples: &'a [T]) -> Self {
         assert!(
             tuples.len() < NIL as usize,
             "build side too large for u32 positions"
@@ -155,7 +154,7 @@ impl<'a, T: Borrow<Tuple>> ProbeTable<'a, T> {
 }
 
 /// Hashes the join key of `tuple`, charging one `hash`.
-pub(crate) fn charged_hash(meter: &CostMeter, tuple: &Tuple, key_col: usize) -> u64 {
+pub(crate) fn charged_hash(meter: &impl Meter, tuple: &Tuple, key_col: usize) -> u64 {
     meter.charge_hashes(1);
     hash_key(tuple.get(key_col))
 }
@@ -206,12 +205,12 @@ impl Algo {
 
 /// Runs the selected algorithm's core, handing each matching pair to
 /// `emit`.
-pub fn join_rows<T: Row>(
+pub fn join_rows<T: Row, M: Meter>(
     algo: Algo,
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &crate::ExecContext,
+    ctx: &ExecContext<M>,
     emit: impl Emit,
 ) -> Result<()> {
     match algo {
@@ -230,7 +229,7 @@ pub fn run_join(
     r: &MemRelation,
     s: &MemRelation,
     spec: JoinSpec,
-    ctx: &crate::ExecContext,
+    ctx: &ExecContext,
 ) -> Result<MemRelation> {
     let mut out = output_relation(&spec, r, s);
     join_rows(
@@ -247,7 +246,6 @@ pub fn run_join(
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
-    use crate::ExecContext;
     use mmdb_types::{DataType, WorkloadRng};
 
     /// A keyed relation of `n` tuples with keys drawn from `[0, key_space)`.
@@ -284,8 +282,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::keyed;
     use super::*;
-    use crate::ExecContext;
-    use mmdb_storage::CostSnapshot;
+    use crate::CostSnapshot;
 
     /// A snapshot with no swaps, in the order the meter prints.
     fn snap(

@@ -7,8 +7,7 @@
 
 use super::{run_join, Algo, Emit, JoinSpec};
 use crate::context::ExecContext;
-use crate::{Row, Rows};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
 
 /// Joins `r` and `s` by comparing every pair of tuples.
@@ -22,11 +21,11 @@ pub fn nested_loops_join(
 }
 
 /// The nested-loops core: every pair compared, each match emitted.
-pub(crate) fn join_rows<T: Row>(
+pub(crate) fn join_rows<T: Row, M: Meter>(
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<()> {
     for rt in r.tuples {

@@ -11,11 +11,9 @@ use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::in_first_fraction;
 use crate::spill::{SpillFile, SpillIo};
-use crate::{Row, Rows};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Joins `r` and `s` by multipass simple hashing.
 pub fn simple_hash_join(
@@ -28,11 +26,11 @@ pub fn simple_hash_join(
 }
 
 /// The simple-hash core: each matching pair goes to `emit`.
-pub(crate) fn join_rows<T: Row>(
+pub(crate) fn join_rows<T: Row, M: Meter>(
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<()> {
     let (r_tpp, s_tpp) = (r.tuples_per_page, s.tuples_per_page);
@@ -62,7 +60,7 @@ pub(crate) fn join_rows<T: Row>(
         // Build phase: in-range R tuples enter the table, the rest are
         // passed over.
         let mut table = ProbeTable::new(
-            Arc::clone(&ctx.meter),
+            ctx.meter.clone(),
             spec.r_key,
             capacity.min(r_in.len()),
             r_in,
@@ -78,7 +76,7 @@ pub(crate) fn join_rows<T: Row>(
         }
 
         // Probe phase: in-range S tuples probe, the rest are passed over.
-        let mut s_spill = SpillFile::new(Arc::clone(&ctx.meter), s_tpp);
+        let mut s_spill = SpillFile::new(ctx.meter.clone(), s_tpp);
         for row in pass_input(s.tuples, s_read.take()) {
             let t: &Tuple = (*row).borrow();
             let h = charged_hash(&ctx.meter, t, spec.s_key);
@@ -95,7 +93,7 @@ pub(crate) fn join_rows<T: Row>(
         if passed.is_empty() {
             break; // passed-over S tuples (if any) cannot match anything
         }
-        let mut r_spill = SpillFile::new(Arc::clone(&ctx.meter), r_tpp);
+        let mut r_spill = SpillFile::new(ctx.meter.clone(), r_tpp);
         let mut passed = passed.into_iter().peekable();
         for (pos, row) in pass_input(r.tuples, r_read.take()).enumerate() {
             if passed.next_if_eq(&pos).is_some() {

@@ -9,8 +9,7 @@
 use super::{run_join, Algo, Emit, JoinSpec};
 use crate::context::ExecContext;
 use crate::sort::sort_rows;
-use crate::{Row, Rows};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
 use std::borrow::Borrow;
 
@@ -25,11 +24,11 @@ pub fn sort_merge_join(
 }
 
 /// The sort-merge core: each matching pair goes to `emit`.
-pub(crate) fn join_rows<T: Row>(
+pub(crate) fn join_rows<T: Row, M: Meter>(
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
-    ctx: &ExecContext,
+    ctx: &ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<()> {
     let sorted_r: Vec<T> = sort_rows(r, spec.r_key, ctx);
@@ -67,7 +66,7 @@ fn run_end<T: Borrow<Tuple>>(
     start: usize,
     key_col: usize,
     key: &mmdb_types::Value,
-    ctx: &ExecContext,
+    ctx: &ExecContext<impl Meter>,
 ) -> usize {
     let mut end = start + 1;
     while end < rows.len() {

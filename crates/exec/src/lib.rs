@@ -5,12 +5,14 @@
 //!
 //! Everything here *really executes*: the four join algorithms produce
 //! actual result tuples (verifiable against the nested-loops reference)
-//! while charging every primitive operation — `comp`, `hash`, `move`,
-//! `swap`, `IOseq`, `IOrand` — to a shared [`mmdb_storage::CostMeter`].
-//! Converting the meter to seconds with the Table 2 prices regenerates
-//! Figure 1 from a running system rather than from formulas. [`plan`]
-//! runs a §4 physical plan with these operators: it is the one executor
-//! of plans, shared by the SQL `SELECT` and the experiments.
+//! over [`MemRelation`]s while charging every primitive operation —
+//! `comp`, `hash`, `move`, `swap`, `IOseq`, `IOrand` — to a shared
+//! [`CostMeter`]. Converting the meter to seconds with the Table 2 prices
+//! regenerates Figure 1 from a running system rather than from formulas.
+//! [`plan`] runs a §4 physical plan with these operators: it is the one
+//! executor of plans, shared by the SQL `SELECT` and the experiments.
+//! The cores it reaches are generic over their [`Meter`]; the SQL
+//! `SELECT` runs them with `()`, which charges nothing.
 //!
 //! Conventions, following §3.2 of the paper:
 //!
@@ -23,6 +25,8 @@
 pub mod aggregate;
 pub mod context;
 pub mod join;
+pub mod mem;
+pub mod meter;
 pub mod partition;
 pub mod plan;
 pub mod project;
@@ -33,9 +37,10 @@ pub mod workload;
 
 pub use context::ExecContext;
 pub use join::JoinSpec;
+pub use mem::MemRelation;
+pub use meter::{CostMeter, CostSnapshot, Meter};
 pub use spill::SpillFile;
 
-use mmdb_storage::MemRelation;
 use mmdb_types::Tuple;
 use std::borrow::Borrow;
 

@@ -1,16 +1,88 @@
 //! The virtual cost clock.
 //!
-//! Every primitive operation the paper prices (Table 2) is counted here.
-//! Algorithms call `charge_*` as they execute; experiments convert the
-//! counters to simulated seconds with the parameter block of their choice.
-//! Counters are atomic so a single meter can be shared (`Arc<CostMeter>`)
-//! across operators and threads.
+//! Every primitive operation the paper prices (Table 2) is charged to a
+//! [`Meter`] as the operators execute. A [`CostMeter`] counts them, and
+//! experiments convert the counters to simulated seconds with the
+//! parameter block of their choice; its counters are atomic so one meter
+//! can be shared (`Arc<CostMeter>`) across operators and threads. `()` is
+//! the meter of a run nobody prices: its charges compile to nothing.
 
 use mmdb_types::SystemParams;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Thread-safe counters for the six primitive operations of Table 2.
+/// What an operator charges its primitive operations to. Each method
+/// defaults to doing nothing, which is all `()` does; `Arc<CostMeter>`
+/// counts every charge.
+pub trait Meter: Clone {
+    /// Charges `n` key comparisons.
+    #[inline]
+    fn charge_comparisons(&self, _n: u64) {}
+
+    /// Charges `n` key hashes.
+    #[inline]
+    fn charge_hashes(&self, _n: u64) {}
+
+    /// Charges `n` tuple moves.
+    #[inline]
+    fn charge_moves(&self, _n: u64) {}
+
+    /// Charges `n` tuple swaps.
+    #[inline]
+    fn charge_swaps(&self, _n: u64) {}
+
+    /// Charges `n` sequential I/O operations.
+    #[inline]
+    fn charge_seq_ios(&self, _n: u64) {}
+
+    /// Charges `n` random I/O operations.
+    #[inline]
+    fn charge_rand_ios(&self, _n: u64) {}
+}
+
+impl Meter for () {}
+
+impl Meter for Arc<CostMeter> {
+    #[inline]
+    fn charge_comparisons(&self, n: u64) {
+        // ordering: model-cost tallies are independent monotone counters
+        // read only by `snapshot`; no cross-counter consistency needed.
+        self.comparisons.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn charge_hashes(&self, n: u64) {
+        // ordering: independent cost tally (see `charge_comparisons`).
+        self.hashes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn charge_moves(&self, n: u64) {
+        // ordering: independent cost tally (see `charge_comparisons`).
+        self.moves.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn charge_swaps(&self, n: u64) {
+        // ordering: independent cost tally (see `charge_comparisons`).
+        self.swaps.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn charge_seq_ios(&self, n: u64) {
+        // ordering: independent cost tally (see `charge_comparisons`).
+        self.seq_ios.fetch_add(n, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn charge_rand_ios(&self, n: u64) {
+        // ordering: independent cost tally (see `charge_comparisons`).
+        self.rand_ios.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Thread-safe counters for the six primitive operations of Table 2,
+/// charged through the [`Meter`] impl of an `Arc<CostMeter>`.
 #[derive(Debug, Default)]
 pub struct CostMeter {
     comparisons: AtomicU64,
@@ -82,49 +154,6 @@ impl CostMeter {
         CostMeter::default()
     }
 
-    /// Charges `n` key comparisons.
-    #[inline]
-    pub fn charge_comparisons(&self, n: u64) {
-        // ordering: model-cost tallies are independent monotone counters
-        // read only by `snapshot`; no cross-counter consistency needed.
-        self.comparisons.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` key hashes.
-    #[inline]
-    pub fn charge_hashes(&self, n: u64) {
-        // ordering: independent cost tally (see `charge_comparisons`).
-        self.hashes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` tuple moves.
-    #[inline]
-    pub fn charge_moves(&self, n: u64) {
-        // ordering: independent cost tally (see `charge_comparisons`).
-        self.moves.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` tuple swaps.
-    #[inline]
-    pub fn charge_swaps(&self, n: u64) {
-        // ordering: independent cost tally (see `charge_comparisons`).
-        self.swaps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` sequential I/O operations.
-    #[inline]
-    pub fn charge_seq_ios(&self, n: u64) {
-        // ordering: independent cost tally (see `charge_comparisons`).
-        self.seq_ios.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Charges `n` random I/O operations.
-    #[inline]
-    pub fn charge_rand_ios(&self, n: u64) {
-        // ordering: independent cost tally (see `charge_comparisons`).
-        self.rand_ios.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Copies out the counters.
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
@@ -139,18 +168,6 @@ impl CostMeter {
         }
     }
 
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        // ordering: reset races an in-flight charge only in tests that
-        // reuse a meter; losing such a charge is acceptable there.
-        self.comparisons.store(0, Ordering::Relaxed);
-        self.hashes.store(0, Ordering::Relaxed);
-        self.moves.store(0, Ordering::Relaxed);
-        self.swaps.store(0, Ordering::Relaxed);
-        self.seq_ios.store(0, Ordering::Relaxed);
-        self.rand_ios.store(0, Ordering::Relaxed);
-    }
-
     /// Simulated elapsed seconds under `p` for the current counters.
     pub fn seconds(&self, p: &SystemParams) -> f64 {
         self.snapshot().seconds(p)
@@ -160,8 +177,8 @@ impl CostMeter {
     /// [`mmdb_obs::Registry`] as live callback metrics, so virtual-clock
     /// benches and the wall-clock session engine share one snapshot and
     /// exposition format. The registry reads the meter's atomics at
-    /// snapshot/render time — nothing is copied, and `reset` shows
-    /// through (the exposition is a window onto the meter, not a log).
+    /// snapshot/render time — nothing is copied (the exposition is a
+    /// window onto the meter, not a log).
     pub fn register_into(self: &Arc<CostMeter>, registry: &mmdb_obs::Registry) {
         type Row = (&'static str, &'static str, fn(&CostSnapshot) -> u64);
         let pairs: [Row; 6] = [
@@ -209,7 +226,7 @@ mod tests {
 
     #[test]
     fn charges_accumulate() {
-        let m = CostMeter::new();
+        let m = Arc::new(CostMeter::new());
         m.charge_comparisons(3);
         m.charge_comparisons(2);
         m.charge_seq_ios(7);
@@ -221,7 +238,7 @@ mod tests {
 
     #[test]
     fn seconds_match_table2_arithmetic() {
-        let m = CostMeter::new();
+        let m = Arc::new(CostMeter::new());
         m.charge_comparisons(1_000_000); // 3 s at 3 µs each
         m.charge_rand_ios(40); // 1 s at 25 ms each
         let p = SystemParams::table2();
@@ -231,16 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let m = CostMeter::new();
-        m.charge_moves(10);
-        m.reset();
-        assert_eq!(m.snapshot(), CostSnapshot::default());
-    }
-
-    #[test]
     fn delta_since() {
-        let m = CostMeter::new();
+        let m = Arc::new(CostMeter::new());
         m.charge_hashes(4);
         let before = m.snapshot();
         m.charge_hashes(6);
@@ -253,7 +262,6 @@ mod tests {
 
     #[test]
     fn registers_live_callbacks_into_obs() {
-        use std::sync::Arc;
         let m = Arc::new(CostMeter::new());
         let registry = mmdb_obs::Registry::new();
         m.register_into(&registry);
@@ -263,17 +271,11 @@ mod tests {
         assert_eq!(snap.counter("mmdb_cost_comparisons_total"), Some(5));
         assert_eq!(snap.counter("mmdb_cost_rand_ios_total"), Some(2));
         assert_eq!(snap.counter("mmdb_cost_swaps_total"), Some(0));
-        // Live view: later charges show in later snapshots, and reset
-        // shows through.
+        // Live view: later charges show in later snapshots.
         m.charge_comparisons(1);
         assert_eq!(
             registry.snapshot().counter("mmdb_cost_comparisons_total"),
             Some(6)
-        );
-        m.reset();
-        assert_eq!(
-            registry.snapshot().counter("mmdb_cost_comparisons_total"),
-            Some(0)
         );
         assert!(registry.hygiene_violations().is_empty());
         assert!(registry
@@ -283,7 +285,6 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        use std::sync::Arc;
         let m = Arc::new(CostMeter::new());
         let handles: Vec<_> = (0..4)
             .map(|_| {

@@ -3,8 +3,9 @@
 //! [`run_plan`] runs the [`PhysicalPlan`] the optimizer chose with the §3
 //! join cores, over base tables looked up by name as [`Rows`] of any
 //! [`Row`] type, and hands each output row to an [`Emit`] sink as its left and
-//! right halves. The SQL layer runs it over rows lent from its cache and
-//! builds only the projected result row; [`run`] is the wrapper over owned
+//! right halves. The SQL layer runs it unmetered
+//! ([`ExecContext::unmetered`]) over rows lent from its cache and builds
+//! only the projected result row; [`run`] is the wrapper over owned
 //! [`MemRelation`]s whose sink pushes each row concatenated — what the P1
 //! experiment and the model tests price. A join below the top hands its
 //! pairs up concatenated and owned.
@@ -15,19 +16,18 @@
 //! no caller declares an index to the planner, so they are refused.
 
 use crate::join::{join_rows, Algo, Emit};
-use crate::{ExecContext, JoinSpec, Row, Rows};
+use crate::{ExecContext, JoinSpec, MemRelation, Meter, Row, Rows};
 use mmdb_planner::{AccessPath, JoinMethod, PhysicalPlan};
-use mmdb_storage::MemRelation;
 use mmdb_types::{Error, Predicate, Result, Schema, Tuple};
 use std::borrow::{Borrow, Cow};
 
 /// Runs `plan` over the base tables `tables` looks up by the name their
 /// access path gives, handing each output row to `emit` as its left and
 /// right halves; a lone table's rows have an empty right.
-pub fn run_plan<'a, T: Row + 'a>(
+pub fn run_plan<'a, T: Row + 'a, M: Meter>(
     plan: &'a PhysicalPlan,
     tables: &impl Fn(&str) -> Option<Rows<'a, T>>,
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<M>,
     mut emit: impl Emit,
 ) -> Result<()> {
     match plan {
@@ -61,10 +61,10 @@ pub fn run_plan<'a, T: Row + 'a>(
 /// The rows a plan node produces and their page fanout: a base table's
 /// survivors, still lent, or a join's pairs, concatenated and owned, at
 /// the widest fanout of the tables joined.
-fn rows_of<'a, T: Row + 'a>(
+fn rows_of<'a, T: Row + 'a, M: Meter>(
     plan: &'a PhysicalPlan,
     tables: &impl Fn(&str) -> Option<Rows<'a, T>>,
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<M>,
 ) -> Result<(Vec<Cow<'a, Tuple>>, usize)> {
     if let PhysicalPlan::Access(path) = plan {
         let (rows, fanout) = access(path, tables, ctx)?;
@@ -84,10 +84,10 @@ fn rows_of<'a, T: Row + 'a>(
 
 /// The rows `path` reads and their page fanout: a `SeqScan`'s table,
 /// filtered by its predicate.
-fn access<'a, T: Row + 'a>(
+fn access<'a, T: Row + 'a, M: Meter>(
     path: &'a AccessPath,
     tables: &impl Fn(&str) -> Option<Rows<'a, T>>,
-    ctx: &'a ExecContext,
+    ctx: &'a ExecContext<M>,
 ) -> Result<(impl Iterator<Item = &'a Tuple> + 'a, usize)> {
     let AccessPath::SeqScan { table, predicate } = path else {
         let table = path.table();
@@ -145,6 +145,7 @@ mod tests {
     use super::*;
     use crate::join::testkit::keyed;
     use crate::join::{canonical, nested_loops_join};
+    use mmdb_planner::optimizer::PlanEnv;
     use mmdb_types::{CmpOp, SystemParams};
 
     fn scan(table: &str, predicate: Predicate) -> PhysicalPlan {
@@ -154,20 +155,23 @@ mod tests {
         })
     }
 
-    fn hybrid(left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
+    fn join(method: JoinMethod, left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
         PhysicalPlan::Join {
             left: Box::new(left),
             right: Box::new(right),
             left_key: 0,
             right_key: 0,
-            method: JoinMethod::HybridHash,
+            method,
             estimated_rows: 0.0,
         }
     }
 
     /// A three-table plan returns the rows nested loops finds whatever
-    /// the memory grant, and a starved grant costs far more: the answer
-    /// is memory-invariant, the simulated seconds are not.
+    /// the join method and memory grant; run unmetered under the same
+    /// grant it emits the metered run's rows in the same order, spilled
+    /// or not; and a starved grant costs a hybrid plan far more: the
+    /// answer is memory- and meter-invariant, the simulated seconds are
+    /// not.
     #[test]
     fn a_three_table_plan_answers_alike_and_costs_more_when_starved() {
         let (r, s, u) = (
@@ -178,18 +182,56 @@ mod tests {
         let reference = ExecContext::new(usize::MAX / 2, 1.2);
         let rs = nested_loops_join(&r, &s, JoinSpec::new(0, 0), &reference).unwrap();
         let want = canonical(&nested_loops_join(&rs, &u, JoinSpec::new(0, 0), &reference).unwrap());
-        let plan = hybrid(
-            hybrid(scan("r", Predicate::True), scan("s", Predicate::True)),
-            scan("u", Predicate::True),
-        );
         let tables = [("r", &r), ("s", &s), ("u", &u)];
-        let seconds = [12_000, 6].map(|mem| {
-            let ctx = ExecContext::new(mem, 1.2);
-            let out = run(&plan, &tables, &ctx).unwrap();
-            assert_eq!(canonical(&out), want, "{mem} pages");
-            ctx.meter.snapshot().seconds(&SystemParams::table2())
-        });
-        assert!(seconds[1] > 3.0 * seconds[0], "{seconds:?}");
+        for method in [
+            JoinMethod::HybridHash,
+            JoinMethod::SimpleHash,
+            JoinMethod::GraceHash,
+            JoinMethod::SortMerge,
+        ] {
+            let plan = join(
+                method,
+                join(
+                    method,
+                    scan("r", Predicate::True),
+                    scan("s", Predicate::True),
+                ),
+                scan("u", Predicate::True),
+            );
+            let seconds = [12_000, 6].map(|mem| {
+                let ctx = ExecContext::new(mem, 1.2);
+                let metered = run(&plan, &tables, &ctx).unwrap();
+                assert_eq!(canonical(&metered), want, "{method:?} at {mem} pages");
+                let snapshot = ctx.meter.snapshot();
+                assert!(
+                    mem > 6 || snapshot.total_ios() > 0,
+                    "{method:?} spills at {mem}"
+                );
+
+                let env = PlanEnv {
+                    mem_pages: mem,
+                    ..PlanEnv::default()
+                };
+                let unmetered = ExecContext::unmetered(&env);
+                let rows = |name: &str| {
+                    let found = tables.iter().find(|(n, _)| *n == name);
+                    found.map(|&(_, rel)| Rows::from(rel))
+                };
+                let mut emitted = Vec::new();
+                run_plan(&plan, &rows, &unmetered, |l: &Tuple, r: &Tuple| {
+                    emitted.push(l.concat(r));
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(emitted, metered.tuples(), "{method:?} at {mem} pages");
+                snapshot.seconds(&SystemParams::table2())
+            });
+            // GRACE partitions into |M| buckets whatever |M| is, so only
+            // the adaptive hybrid plan is priced against its grant here.
+            if method == JoinMethod::HybridHash {
+                assert!(seconds[1] > 3.0 * seconds[0], "{seconds:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::context::ExecContext;
 use crate::partition::uniform_class;
 use crate::sort::CountingHeap;
 use crate::spill::{SpillFile, SpillIo};
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter};
 use mmdb_types::{Result, Tuple};
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};

@@ -1,7 +1,7 @@
 //! Selection: filtering a memory-resident relation by a predicate.
 
 use crate::context::ExecContext;
-use mmdb_storage::MemRelation;
+use crate::{MemRelation, Meter};
 use mmdb_types::{Predicate, Result};
 
 /// Filters `rel` by `pred`, charging the actual leaf comparisons evaluated.

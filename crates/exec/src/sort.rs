@@ -7,22 +7,21 @@
 
 use crate::context::ExecContext;
 use crate::spill::{SpillFile, SpillIo};
-use crate::{Row, Rows};
-use mmdb_storage::{CostMeter, MemRelation};
+use crate::{CostMeter, MemRelation, Meter, Row, Rows};
 use mmdb_types::{Tuple, Value};
 use std::sync::Arc;
 
-/// A binary min-heap that charges the meter one `comp` and one `swap` per
+/// A binary min-heap that charges its meter one `comp` and one `swap` per
 /// level an element moves.
 #[derive(Debug)]
-pub struct CountingHeap<T: Ord> {
+pub struct CountingHeap<T: Ord, M = Arc<CostMeter>> {
     data: Vec<T>,
-    meter: Arc<CostMeter>,
+    meter: M,
 }
 
-impl<T: Ord> CountingHeap<T> {
+impl<T: Ord, M: Meter> CountingHeap<T, M> {
     /// An empty heap charging to `meter`.
-    pub fn new(meter: Arc<CostMeter>) -> Self {
+    pub fn new(meter: M) -> Self {
         CountingHeap {
             data: Vec::new(),
             meter,
@@ -113,17 +112,17 @@ struct RsEntry<T> {
 /// replacement selection, using at most the context's memory for the
 /// selection tree. Runs are written sequentially; each averages `2·{M}`
 /// tuples on random input (Knuth via §3.4).
-pub fn form_runs<T: Row>(
+pub fn form_runs<T: Row, M: Meter>(
     rows: Rows<'_, T>,
     key_col: usize,
-    ctx: &ExecContext,
-) -> Vec<SpillFile<T>> {
+    ctx: &ExecContext<M>,
+) -> Vec<SpillFile<T, M>> {
     let tpp = rows.tuples_per_page;
     let capacity = ctx.mem_tuple_capacity(tpp);
     let mut input = rows.tuples.iter();
-    let mut heap: CountingHeap<RsEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
+    let mut heap: CountingHeap<RsEntry<T>, M> = CountingHeap::new(ctx.meter.clone());
     let mut seq = 0u64;
-    let mut push = |heap: &mut CountingHeap<RsEntry<T>>, run: u32, tuple: &T| {
+    let mut push = |heap: &mut CountingHeap<RsEntry<T>, M>, run: u32, tuple: &T| {
         let key = tuple.borrow().get(key_col).clone();
         let entry = RsEntry {
             run,
@@ -139,14 +138,14 @@ pub fn form_runs<T: Row>(
         push(&mut heap, 0, t);
     }
 
-    let mut runs: Vec<SpillFile<T>> = Vec::new();
+    let mut runs: Vec<SpillFile<T, M>> = Vec::new();
     let mut current_run = 0u32;
-    let mut current = SpillFile::new(Arc::clone(&ctx.meter), tpp);
+    let mut current = SpillFile::new(ctx.meter.clone(), tpp);
     while let Some(entry) = heap.pop() {
         if entry.run != current_run {
             current.flush(SpillIo::Sequential);
             runs.push(current);
-            current = SpillFile::new(Arc::clone(&ctx.meter), tpp);
+            current = SpillFile::new(ctx.meter.clone(), tpp);
             current_run = entry.run;
         }
         if let Some(t) = input.next() {
@@ -178,15 +177,15 @@ struct MergeEntry<T> {
 
 /// Cursor over one run's pages, reading each page with one random I/O as
 /// the merge interleaves across runs.
-struct RunCursor<T> {
-    file: SpillFile<T>,
+struct RunCursor<T, M> {
+    file: SpillFile<T, M>,
     page_idx: usize,
     buffer: Vec<T>,
     pos: usize,
 }
 
-impl<T: Clone> RunCursor<T> {
-    fn new(file: SpillFile<T>) -> Self {
+impl<T: Clone, M: Meter> RunCursor<T, M> {
+    fn new(file: SpillFile<T, M>) -> Self {
         RunCursor {
             file,
             page_idx: 0,
@@ -212,9 +211,13 @@ impl<T: Clone> RunCursor<T> {
 
 /// Merges sorted runs into one fully sorted row vector, charging heap
 /// comparisons/swaps and one random I/O per run page read.
-pub fn merge_runs<T: Row>(runs: Vec<SpillFile<T>>, key_col: usize, ctx: &ExecContext) -> Vec<T> {
+pub fn merge_runs<T: Row, M: Meter>(
+    runs: Vec<SpillFile<T, M>>,
+    key_col: usize,
+    ctx: &ExecContext<M>,
+) -> Vec<T> {
     // Make sure trailing partial pages are on "disk".
-    let mut cursors: Vec<RunCursor<T>> = runs
+    let mut cursors: Vec<RunCursor<T, M>> = runs
         .into_iter()
         .map(|mut f| {
             f.flush(SpillIo::Sequential);
@@ -222,7 +225,7 @@ pub fn merge_runs<T: Row>(runs: Vec<SpillFile<T>>, key_col: usize, ctx: &ExecCon
         })
         .collect();
     let total: usize = cursors.iter().map(|c| c.file.tuple_count()).sum();
-    let mut heap: CountingHeap<MergeEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
+    let mut heap: CountingHeap<MergeEntry<T>, M> = CountingHeap::new(ctx.meter.clone());
     let mut seq = 0u64;
     for (i, c) in cursors.iter_mut().enumerate() {
         if let Some(t) = c.next() {
@@ -259,11 +262,15 @@ pub fn external_sort(rel: &MemRelation, key_col: usize, ctx: &ExecContext) -> Ve
 }
 
 /// [`external_sort`] over rows of any [`Row`] type.
-pub(crate) fn sort_rows<T: Row>(rows: Rows<'_, T>, key_col: usize, ctx: &ExecContext) -> Vec<T> {
+pub(crate) fn sort_rows<T: Row, M: Meter>(
+    rows: Rows<'_, T>,
+    key_col: usize,
+    ctx: &ExecContext<M>,
+) -> Vec<T> {
     let fits = (rows.page_count() as f64) * ctx.fudge <= ctx.mem_pages as f64;
     if fits {
         // Heap-sort in place: same comparison/swap pricing, no I/O.
-        let mut heap: CountingHeap<RsEntry<T>> = CountingHeap::new(Arc::clone(&ctx.meter));
+        let mut heap: CountingHeap<RsEntry<T>, M> = CountingHeap::new(ctx.meter.clone());
         for (seq, t) in rows.tuples.iter().enumerate() {
             heap.push(RsEntry {
                 run: 0,

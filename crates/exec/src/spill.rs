@@ -1,7 +1,7 @@
 //! Spill files: page-granular temporary tuple storage.
 //!
 //! Operators that overflow memory write tuples here in logical pages of
-//! `tuples_per_page`. Every page written and read charges the meter —
+//! `tuples_per_page`. Every page written and read charges the [`Meter`] —
 //! sequential or random per the caller's access pattern — which is the
 //! whole of the paper's I/O cost accounting (the tuples themselves stay in
 //! process memory; see DESIGN.md on the simulated-disk substitution). A
@@ -9,7 +9,7 @@
 //! 1984 experiments, references when the rows are lent (see
 //! [`crate::Row`]), so spilling a lent row moves a pointer.
 
-use mmdb_storage::CostMeter;
+use crate::meter::{CostMeter, Meter};
 use mmdb_types::Tuple;
 use std::sync::Arc;
 
@@ -22,19 +22,29 @@ pub enum SpillIo {
     Random,
 }
 
+impl SpillIo {
+    /// Charges one page transfer of this kind to `meter`.
+    fn charge(self, meter: &impl Meter) {
+        match self {
+            SpillIo::Sequential => meter.charge_seq_ios(1),
+            SpillIo::Random => meter.charge_rand_ios(1),
+        }
+    }
+}
+
 /// A temporary file of tuple pages with priced I/O.
 #[derive(Debug)]
-pub struct SpillFile<T = Tuple> {
+pub struct SpillFile<T = Tuple, M = Arc<CostMeter>> {
     pages: Vec<Vec<T>>,
     open_page: Vec<T>,
     tuples_per_page: usize,
-    meter: Arc<CostMeter>,
+    meter: M,
     tuples: usize,
 }
 
-impl<T> SpillFile<T> {
-    /// A fresh spill file.
-    pub fn new(meter: Arc<CostMeter>, tuples_per_page: usize) -> Self {
+impl<T, M: Meter> SpillFile<T, M> {
+    /// A fresh spill file charging `meter`.
+    pub fn new(meter: M, tuples_per_page: usize) -> Self {
         assert!(tuples_per_page > 0);
         SpillFile {
             pages: Vec::new(),
@@ -82,10 +92,7 @@ impl<T> SpillFile<T> {
         if self.open_page.is_empty() {
             return;
         }
-        match io {
-            SpillIo::Sequential => self.meter.charge_seq_ios(1),
-            SpillIo::Random => self.meter.charge_rand_ios(1),
-        }
+        io.charge(&self.meter);
         let page = std::mem::replace(
             &mut self.open_page,
             Vec::with_capacity(self.tuples_per_page),
@@ -95,7 +102,7 @@ impl<T> SpillFile<T> {
 
     /// Reads the whole file back page by page, charging one I/O of `io`
     /// per page, and consumes it.
-    pub fn drain_pages(mut self, io: SpillIo) -> DrainPages<T> {
+    pub fn drain_pages(mut self, io: SpillIo) -> DrainPages<T, M> {
         self.flush(io);
         DrainPages {
             pages: self.pages.into_iter(),
@@ -107,10 +114,7 @@ impl<T> SpillFile<T> {
     /// Reads one specific page (for merge-style interleaved access),
     /// charging one I/O of `io`. Panics if out of range.
     pub fn read_page(&self, idx: usize, io: SpillIo) -> &[T] {
-        match io {
-            SpillIo::Sequential => self.meter.charge_seq_ios(1),
-            SpillIo::Random => self.meter.charge_rand_ios(1),
-        }
+        io.charge(&self.meter);
         &self.pages[idx]
     }
 
@@ -118,30 +122,22 @@ impl<T> SpillFile<T> {
     pub fn closed_pages(&self) -> usize {
         self.pages.len()
     }
-
-    /// The meter this file charges.
-    pub fn meter(&self) -> &Arc<CostMeter> {
-        &self.meter
-    }
 }
 
 /// Page iterator returned by [`SpillFile::drain_pages`].
 #[derive(Debug)]
-pub struct DrainPages<T = Tuple> {
+pub struct DrainPages<T = Tuple, M = Arc<CostMeter>> {
     pages: std::vec::IntoIter<Vec<T>>,
-    meter: Arc<CostMeter>,
+    meter: M,
     io: SpillIo,
 }
 
-impl<T> Iterator for DrainPages<T> {
+impl<T, M: Meter> Iterator for DrainPages<T, M> {
     type Item = Vec<T>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let page = self.pages.next()?;
-        match self.io {
-            SpillIo::Sequential => self.meter.charge_seq_ios(1),
-            SpillIo::Random => self.meter.charge_rand_ios(1),
-        }
+        self.io.charge(&self.meter);
         Some(page)
     }
 }

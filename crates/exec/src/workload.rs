@@ -5,7 +5,7 @@
 //! configurable scale factor so the empirical Figure 1 can run at full or
 //! reduced size with identical geometry.
 
-use mmdb_storage::MemRelation;
+use crate::MemRelation;
 use mmdb_types::{DataType, RelationShape, Result, Schema, WorkloadRng};
 
 /// The schema used by the join workloads: an integer key plus a payload.

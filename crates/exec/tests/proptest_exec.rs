@@ -5,7 +5,7 @@
 use mmdb_exec::join::{run_join, Algo, JoinSpec};
 use mmdb_exec::sort::external_sort;
 use mmdb_exec::ExecContext;
-use mmdb_storage::MemRelation;
+use mmdb_exec::MemRelation;
 use mmdb_types::{DataType, Schema, Tuple, Value};
 use proptest::prelude::*;
 

@@ -83,7 +83,11 @@ pub fn enumerate_left_deep(
         .zip(stats)
         .map(|(t, st)| (f64_from_u64(st.tuples) * estimate_selectivity(&t.predicate, st)).max(1.0))
         .collect();
-    let tpp = stats.iter().map(|s| s.tuples_per_page).max().unwrap_or(40);
+    let tpp = stats
+        .iter()
+        .map(|s| s.tuples_per_page)
+        .max()
+        .unwrap_or(crate::TUPLES_PER_PAGE);
 
     let mut best: Option<Enumerated> = None;
     let mut orders_examined = 0u64;

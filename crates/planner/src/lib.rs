@@ -28,4 +28,4 @@ pub use cost::{plan_cost, PlanCost};
 pub use logical::{JoinEdge, QuerySpec, TableRef};
 pub use optimizer::{optimize, PlannedQuery};
 pub use physical::{AccessPath, JoinMethod, PhysicalPlan};
-pub use stats::{ColumnStats, Selectivity, TableStats};
+pub use stats::{ColumnStats, Selectivity, TableStats, TUPLES_PER_PAGE};

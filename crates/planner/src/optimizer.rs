@@ -234,7 +234,11 @@ pub fn optimize(spec: &QuerySpec, stats: &[TableStats], env: &PlanEnv) -> Result
     };
     state.offsets[start] = 0;
 
-    let tpp = stats.iter().map(|s| s.tuples_per_page).max().unwrap_or(40);
+    let tpp = stats
+        .iter()
+        .map(|s| s.tuples_per_page)
+        .max()
+        .unwrap_or(crate::TUPLES_PER_PAGE);
     while state.tables.len() < spec.tables.len() {
         // Candidate tables connected to the joined set.
         let mut best: Option<(usize, &crate::logical::JoinEdge, f64)> = None;

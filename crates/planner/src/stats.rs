@@ -32,6 +32,11 @@ impl ColumnStats {
     }
 }
 
+/// Table 2's page geometry, tuples to a page: what the cost models group
+/// rows by when the rows have no pages of their own (a memory-resident
+/// table's).
+pub const TUPLES_PER_PAGE: u64 = 40;
+
 /// Statistics for one stored relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
@@ -134,11 +139,6 @@ impl TableStats {
     /// Whether the column has an index.
     pub fn has_index(&self, column: usize) -> bool {
         self.indexed_columns.contains(&column)
-    }
-
-    /// Whether the column has an *ordered* index (range-scannable).
-    pub fn has_ordered_index(&self, column: usize) -> bool {
-        self.ordered_indexed_columns.contains(&column)
     }
 }
 

@@ -25,6 +25,8 @@ use mmdb_types::{Error, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The raw storage operations a wall-clock log device performs, in the
@@ -167,11 +169,15 @@ impl Fault {
 
 /// A deterministic schedule of faults for one device. Plain data: the
 /// same plan against the same op sequence reproduces the same failure,
-/// which is what makes a torture-harness seed replayable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// which is what makes a torture-harness seed replayable. The plan and
+/// its clones share one count of the faults their backends fired, as
+/// `mmdb_server::ChaosTransport::count_into` counts wire faults, so a
+/// harness can tell a fault that landed from one the run never reached.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// The scheduled faults; the first live entry matching an op wins.
     pub faults: Vec<Fault>,
+    fired: Arc<AtomicU64>,
 }
 
 impl FaultPlan {
@@ -183,6 +189,13 @@ impl FaultPlan {
     /// True when the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
+    }
+
+    /// Faults fired so far by every [`FaultyBackend`] running this plan
+    /// or a clone of it.
+    pub fn faults_fired(&self) -> u64 {
+        // ordering: a statistic; it publishes no other data.
+        self.fired.load(Ordering::Relaxed)
     }
 
     /// Adds a fault failing write ops from index `at`, `times` times.
@@ -247,13 +260,16 @@ struct ArmedFault {
 
 /// A [`LogBackend`] that executes a [`FaultPlan`] against an inner
 /// [`FileBackend`] — the injection point §5's failure semantics are
-/// tested through. Ops the plan does not name pass straight through.
+/// tested through. Ops the plan does not name pass straight through;
+/// each fault fired is counted into the plan's shared count
+/// ([`FaultPlan::faults_fired`]).
 #[derive(Debug)]
 pub struct FaultyBackend {
     inner: FileBackend,
     armed: Vec<ArmedFault>,
     writes: u64,
     syncs: u64,
+    fired: Arc<AtomicU64>,
 }
 
 impl FaultyBackend {
@@ -268,6 +284,7 @@ impl FaultyBackend {
                 .collect(),
             writes: 0,
             syncs: 0,
+            fired: plan.fired,
         }
     }
 
@@ -283,6 +300,8 @@ impl FaultyBackend {
             let live = armed.fired < armed.fault.times;
             if live && armed.fault.kind.targets_write() == write && op >= armed.fault.at {
                 armed.fired = armed.fired.saturating_add(1);
+                // ordering: a statistic; it publishes no other data.
+                self.fired.fetch_add(1, Ordering::Relaxed);
                 return Some(armed.fault.kind.clone());
             }
         }
@@ -379,12 +398,13 @@ mod tests {
     fn fail_write_is_transient_then_recovers() {
         let path = tmp("transient.log");
         let plan = FaultPlan::none().fail_write(1, 2);
-        let mut b = FaultyBackend::create(&path, plan).unwrap();
+        let mut b = FaultyBackend::create(&path, plan.clone()).unwrap();
         b.write_all(b"a").unwrap(); // write 0: clean
         assert!(b.write_all(b"b").is_err()); // write 1: fault 1/2
         assert!(b.write_all(b"b").is_err()); // write 2: fault 2/2
         b.write_all(b"b").unwrap(); // write 3: recovered
         assert_eq!(file_bytes(&path), b"ab");
+        assert_eq!(plan.faults_fired(), 2);
     }
 
     #[test]
@@ -413,9 +433,11 @@ mod tests {
     fn bit_flip_succeeds_but_corrupts() {
         let path = tmp("flip.log");
         let plan = FaultPlan::none().bit_flip(0, 2);
-        let mut b = FaultyBackend::create(&path, plan).unwrap();
+        let mut b = FaultyBackend::create(&path, plan.clone()).unwrap();
         b.write_all(&[0u8, 0, 0, 0]).unwrap();
         assert_eq!(file_bytes(&path), [0u8, 0, 1, 0], "bit 0 of byte 2 flipped");
+        b.write_all(&[0u8]).unwrap();
+        assert_eq!(plan.faults_fired(), 1, "a silent fault is counted once");
     }
 
     #[test]

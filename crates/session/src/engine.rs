@@ -593,8 +593,6 @@ impl Session {
     /// end uses this after [`Engine::recover`] to rebuild its volatile
     /// catalog from the durable image (§5.2: post-crash state is
     /// exactly the committed log replayed into memory).
-    ///
-    /// [`Engine::recover`]: crate::recover::recover
     pub fn snapshot_kv(&self) -> Result<Vec<(u64, Record)>> {
         let mut out = Vec::new();
         for shard in &self.shared.shards {

@@ -55,7 +55,7 @@ pub mod collection {
         range.start + rng.index(range.end - range.start)
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

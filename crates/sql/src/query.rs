@@ -9,7 +9,8 @@
 //! released. [`run_select_on`] plans the equi-join edges with the §4
 //! optimizer, given the survivors' exact count and the exact distinct
 //! counts of their join columns, and runs the plan with `mmdb_exec::plan` — the
-//! one executor of §4 plans — over the borrowed rows: the top join's sink
+//! one executor of §4 plans — unmetered, under the memory grant the plan
+//! was priced with, over the borrowed rows: the top join's sink
 //! builds each result row from its matched pair, cloning each returned
 //! value once, and a join below it hands its pairs up concatenated. The
 //! lock is held for the whole statement, so a writer queued behind a
@@ -23,7 +24,7 @@ use crate::catalog::{Catalog, TableEntry};
 use mmdb_exec::plan::run_plan;
 use mmdb_exec::{ExecContext, Rows};
 use mmdb_planner::optimizer::PlanEnv;
-use mmdb_planner::{optimize, JoinEdge, QuerySpec, TableRef, TableStats};
+use mmdb_planner::{optimize, JoinEdge, QuerySpec, TableRef, TableStats, TUPLES_PER_PAGE};
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
@@ -32,10 +33,6 @@ use mmdb_types::tuple::Tuple;
 use mmdb_types::value::Value;
 use std::collections::HashSet;
 use std::time::Instant;
-
-/// Page geometry for planning and execution: rows of the volatile
-/// catalog are grouped this many to a "page" for the cost model.
-const TUPLES_PER_PAGE: usize = 40;
 
 /// The result of one statement.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -348,7 +345,7 @@ fn compute_stats(t: &BoundTable, ti: usize, joins: &[JoinEdge]) -> TableStats {
     let ends = joins.iter().flat_map(JoinEdge::ends);
     let columns = ends.filter(|&(table, _)| table == ti).map(|(_, c)| c);
     let (name, arity) = (t.name.clone(), t.schema.arity());
-    TableStats::exact_distinct(name, TUPLES_PER_PAGE as u64, arity, &t.rows, columns)
+    TableStats::exact_distinct(name, TUPLES_PER_PAGE, arity, &t.rows, columns)
 }
 
 /// Reaches the tables a `SELECT` references, resolved with `viewer`
@@ -470,10 +467,10 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable<'_>>) -> Result<Q
     // Execute the chosen physical plan with the §3 cores; each output
     // row is built from its two halves, cloning only what it returns.
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    let ctx = ExecContext::new(env.mem_pages, 1.2);
+    let ctx = ExecContext::unmetered(&env);
     let survivors = |name: &str| {
         let t = tables.iter().find(|t| t.name == name)?;
-        Some(Rows::new(t.rows.as_slice(), TUPLES_PER_PAGE))
+        Some(Rows::new(t.rows.as_slice(), TUPLES_PER_PAGE as usize))
     };
     run_plan(&planned.plan, &survivors, &ctx, |l: &Tuple, r: &Tuple| {
         let value = |&i: &usize| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
@@ -730,7 +727,7 @@ mod tests {
     /// and min/max over the surviving rows.
     fn all_column_stats(t: &BoundTable) -> TableStats {
         let arity = t.schema.arity();
-        TableStats::exact(t.name.clone(), TUPLES_PER_PAGE as u64, arity, &t.rows)
+        TableStats::exact(t.name.clone(), TUPLES_PER_PAGE, arity, &t.rows)
     }
 
     /// `analytic_join`'s tables: 1,000 customers and 10,000 orders whose

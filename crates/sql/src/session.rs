@@ -1,7 +1,7 @@
 //! Statement execution against the session engine.
 //!
 //! [`SqlDb`] pairs one engine [`Session`] handle with the shared
-//! volatile [`Catalog`](crate::catalog::Catalog); [`SqlSession`] adds
+//! volatile [`Catalog`]; [`SqlSession`] adds
 //! per-connection transaction state. Durability rides the engine's
 //! ordinary write path: a schema is one byte record, a row is one byte
 //! record (see [`crate::codec`]), so `INSERT` is one engine `put` per
@@ -22,7 +22,7 @@
 //! for its key, under the catalog write lock, after the engine write or
 //! abort that changed the record has returned, and the row's entry in
 //! every index of its table moves in that same critical section**
-//! ([`SqlDb::refill`]). Nothing else writes a row into the cache — not
+//! (`SqlDb::refill`). Nothing else writes a row into the cache — not
 //! the tuple a statement just encoded, not a saved pre-image — and
 //! nothing else touches an index once it is built.
 //!
@@ -44,7 +44,7 @@
 //! An index is therefore never more than a projection of the cache: a
 //! probe reads exactly as read-uncommitted as a scan does, and
 //! `UPDATE`/`DELETE` still recheck each candidate against the engine's
-//! record under its row lock ([`lock_row`]).
+//! record under its row lock (`lock_row`).
 //!
 //! # Visibility
 //!

@@ -1,27 +1,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! The §3 relation substrate for the mmdb workspace.
-//!
-//! The paper's experiments run against 1984 disk hardware; this crate
-//! substitutes a virtual cost clock: relations live in process memory and
-//! every primitive operation, page transfers included, is charged against
-//! a [`CostMeter`] using the Table 2 operation times, so experiments
-//! measure the paper's cost model rather than the host machine's SSD.
-//!
-//! Components:
-//!
-//! * [`CostMeter`] — thread-safe counters for the six primitive operations
-//!   (`comp`, `hash`, `move`, `swap`, `IOseq`, `IOrand`) convertible to
-//!   simulated seconds.
-//! * [`MemRelation`] — a fully memory-resident relation with a paged view,
-//!   the substrate the §3 join algorithms execute against.
-//!
-//! Which pages a bounded memory holds under Random, LRU or Clock
-//! replacement is `mmdb_index::PagedResidency`'s job.
+//! What is left of the §3 relation substrate: [`MemRelation`] and the
+//! Table 2 cost meter live in `mmdb-exec`, with the operators that charge
+//! it. This crate only re-exports what the benchmark crate imports from
+//! here, so switching that import to `mmdb_exec` lets the crate go.
 
-pub mod mem;
-pub mod meter;
-
-pub use mem::MemRelation;
-pub use meter::{CostMeter, CostSnapshot};
+pub use mmdb_exec::MemRelation;

@@ -7,8 +7,8 @@
 //! ```
 
 use mmdb_bench::plan_and_run;
+use mmdb_exec::MemRelation;
 use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
-use mmdb_storage::MemRelation;
 use mmdb_types::{DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 
 /// `lineitem`, `orders` and `parts`, 40 tuples to a page.

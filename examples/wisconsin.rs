@@ -10,9 +10,8 @@
 
 use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
 use mmdb_exec::project::hybrid_hash_project;
-use mmdb_exec::{workload, ExecContext};
+use mmdb_exec::{workload, ExecContext, MemRelation};
 use mmdb_sql::{SqlDb, SqlSession};
-use mmdb_storage::MemRelation;
 use mmdb_suite::{insert_rows, scratch_engine};
 use mmdb_types::{DataType, SystemParams};
 

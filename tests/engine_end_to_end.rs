@@ -6,11 +6,10 @@
 use mmdb_bench::plan_and_run;
 use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
 use mmdb_exec::project::hybrid_hash_project;
-use mmdb_exec::ExecContext;
+use mmdb_exec::{ExecContext, MemRelation};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, AccessPath, JoinEdge, PhysicalPlan, QuerySpec, TableRef, TableStats};
 use mmdb_sql::{SqlDb, SqlSession};
-use mmdb_storage::MemRelation;
 use mmdb_suite::{insert_rows, scratch_engine};
 use mmdb_types::{CmpOp, DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
 

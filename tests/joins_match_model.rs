@@ -3,8 +3,7 @@
 
 use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
 use mmdb_exec::join::{run_join, Algo, JoinSpec};
-use mmdb_exec::{workload, ExecContext};
-use mmdb_storage::CostSnapshot;
+use mmdb_exec::{workload, CostSnapshot, ExecContext};
 use mmdb_types::{RelationShape, SystemParams};
 
 fn measured(algo: Algo, ratio: f64, scale: f64) -> (CostSnapshot, usize) {

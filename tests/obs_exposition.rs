@@ -5,8 +5,8 @@
 //! hygiene violations — a rename, a dropped metric, or a kind change
 //! fails here before any dashboard notices.
 
+use mmdb_exec::{CostMeter, Meter};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_storage::CostMeter;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
