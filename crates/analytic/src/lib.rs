@@ -28,4 +28,4 @@ pub use join::{
     figure1, grace_hash_cost, hybrid_hash_cost, min_memory_pages, simple_hash_cost,
     sort_merge_cost, Figure1Point, JoinAlgorithm, JoinScenario,
 };
-pub use recovery::{CommitPolicy, ThroughputModel};
+pub use recovery::ThroughputModel;

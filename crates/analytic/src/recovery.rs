@@ -16,29 +16,8 @@
 //!   still bounded by the drain rate to disk, but stripping old values of
 //!   committed transactions (§5.4) roughly halves the bytes drained.
 
-use mmdb_types::cast::f64_from_u64;
-
-/// A commit policy whose §5 throughput bound we model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// One synchronous log write per transaction (§5.2 opening).
-    Synchronous,
-    /// Group commit: one write per full commit-record page.
-    GroupCommit,
-    /// Group commit over `devices` parallel log devices, durable in LSN
-    /// order.
-    PartitionedLog {
-        /// Number of log devices.
-        devices: u32,
-    },
-    /// Battery-backed stable memory holding the log tail (§5.4); commits
-    /// are immediate, drain is asynchronous, and only new values of
-    /// committed transactions reach disk.
-    StableMemory {
-        /// Number of disk log devices draining the stable buffer.
-        devices: u32,
-    },
-}
+use mmdb_types::cast::{f64_from_u64, f64_from_usize};
+use mmdb_types::CommitPolicy;
 
 /// The §5 throughput model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,25 +56,29 @@ impl ThroughputModel {
         1000.0 / self.page_write_ms
     }
 
-    /// Committed transactions per second under `policy`.
+    /// Committed transactions per second under `policy`: one page write
+    /// per transaction synchronously, one per full group otherwise, on
+    /// every device at once.
     pub fn throughput(&self, policy: CommitPolicy) -> f64 {
         match policy {
             CommitPolicy::Synchronous => self.page_writes_per_second(),
-            CommitPolicy::GroupCommit => {
-                self.page_writes_per_second() * f64_from_u64(self.group_size())
-            }
-            CommitPolicy::PartitionedLog { devices } => {
-                self.throughput(CommitPolicy::GroupCommit) * f64::from(devices)
-            }
-            CommitPolicy::StableMemory { devices } => {
-                // Drain-bound: only `txn_log_bytes - old_value_bytes` per
-                // transaction reach disk, written a full page at a time
-                // across `devices` with no ordering bookkeeping (§5.4).
-                let disk_bytes = f64_from_u64(self.txn_log_bytes - self.old_value_bytes);
-                let txns_per_page = f64_from_u64(self.page_bytes) / disk_bytes;
-                self.page_writes_per_second() * txns_per_page * f64::from(devices)
+            CommitPolicy::Group | CommitPolicy::Partitioned { .. } => {
+                self.page_writes_per_second()
+                    * f64_from_u64(self.group_size())
+                    * f64_from_usize(policy.devices())
             }
         }
+    }
+
+    /// Committed transactions per second with the log tail in stable
+    /// memory (§5.4), drained to `devices` log devices: commits are
+    /// immediate, so the drain bounds the rate. Only `txn_log_bytes -
+    /// old_value_bytes` per transaction reach disk, written a full page at
+    /// a time across `devices` with no ordering bookkeeping.
+    pub fn stable_memory_throughput(&self, devices: usize) -> f64 {
+        let disk_bytes = f64_from_u64(self.txn_log_bytes - self.old_value_bytes);
+        let txns_per_page = f64_from_u64(self.page_bytes) / disk_bytes;
+        self.page_writes_per_second() * txns_per_page * f64_from_usize(devices)
     }
 
     /// §5.4 compression ratio: disk-log bytes after stripping old values of
@@ -117,24 +100,24 @@ mod tests {
         // "up to ten transactions per commit group ... 1000 transactions
         // per second"
         assert_eq!(m.group_size(), 10);
-        assert_eq!(m.throughput(CommitPolicy::GroupCommit), 1000.0);
+        assert_eq!(m.throughput(CommitPolicy::Group), 1000.0);
     }
 
     #[test]
     fn partitioned_log_scales_with_devices() {
         let m = ThroughputModel::default();
-        let t1 = m.throughput(CommitPolicy::PartitionedLog { devices: 1 });
-        let t4 = m.throughput(CommitPolicy::PartitionedLog { devices: 4 });
+        let t1 = m.throughput(CommitPolicy::Partitioned { devices: 1 });
+        let t4 = m.throughput(CommitPolicy::Partitioned { devices: 4 });
         assert!((t4 / t1 - 4.0).abs() < 1e-9);
         // One device is plain group commit.
-        assert_eq!(t1, m.throughput(CommitPolicy::GroupCommit));
+        assert_eq!(t1, m.throughput(CommitPolicy::Group));
     }
 
     #[test]
     fn stable_memory_beats_group_commit_via_compression() {
         let m = ThroughputModel::default();
-        let group = m.throughput(CommitPolicy::GroupCommit);
-        let stable = m.throughput(CommitPolicy::StableMemory { devices: 1 });
+        let group = m.throughput(CommitPolicy::Group);
+        let stable = m.stable_memory_throughput(1);
         assert!(
             stable > group * 1.5,
             "stable {stable} should beat group {group} by the compression factor"
@@ -159,7 +142,7 @@ mod tests {
             ..ThroughputModel::default()
         };
         assert_eq!(m.group_size(), 1, "oversized txns get singleton groups");
-        assert_eq!(m.throughput(CommitPolicy::GroupCommit), 100.0);
+        assert_eq!(m.throughput(CommitPolicy::Group), 100.0);
     }
 
     #[test]
@@ -167,10 +150,10 @@ mod tests {
         // sync < partitioned(1) <= group < stable(1) < stable(2)
         let m = ThroughputModel::default();
         let sync = m.throughput(CommitPolicy::Synchronous);
-        let group = m.throughput(CommitPolicy::GroupCommit);
-        let part1 = m.throughput(CommitPolicy::PartitionedLog { devices: 1 });
-        let stable1 = m.throughput(CommitPolicy::StableMemory { devices: 1 });
-        let stable2 = m.throughput(CommitPolicy::StableMemory { devices: 2 });
+        let group = m.throughput(CommitPolicy::Group);
+        let part1 = m.throughput(CommitPolicy::Partitioned { devices: 1 });
+        let stable1 = m.stable_memory_throughput(1);
+        let stable2 = m.stable_memory_throughput(2);
         assert!(sync < part1);
         assert!(part1 <= group);
         assert!(group < stable1);

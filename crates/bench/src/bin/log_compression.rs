@@ -9,10 +9,9 @@
 
 use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::{pct, print_table};
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 
-fn run_workload(mode: CommitMode, transfers: u64) -> (usize, bool) {
-    let mut store = RecoveryManager::new(mode);
+fn run_workload(mut store: RecoveryManager, transfers: u64) -> (usize, bool) {
     let seed = store.begin();
     for a in 0..100u64 {
         store.write(&seed, a, 1_000).unwrap();
@@ -34,13 +33,9 @@ fn main() {
     println!("Experiment R2 — §5.4 log compression in stable memory");
     let transfers = 2_000u64;
 
-    let (full_pages, full_ok) = run_workload(CommitMode::GroupCommit, transfers);
-    let (compressed_pages, compressed_ok) = run_workload(
-        CommitMode::StableMemory {
-            capacity_bytes: 64 * 1024,
-        },
-        transfers,
-    );
+    let (full_pages, full_ok) = run_workload(RecoveryManager::new(CommitPolicy::Group), transfers);
+    let (compressed_pages, compressed_ok) =
+        run_workload(RecoveryManager::with_stable_memory(64 * 1024), transfers);
 
     let model = ThroughputModel::default();
     let rows = vec![

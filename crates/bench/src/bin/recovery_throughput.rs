@@ -2,9 +2,9 @@
 //! ways: the closed-form model, and the recovery manager executing
 //! "typical" 400-byte banking transactions on 10 ms/page log devices.
 
-use mmdb_analytic::recovery::{CommitPolicy, ThroughputModel};
+use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::{execute_typical, print_table};
-use mmdb_recovery::CommitMode;
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 
 fn main() {
     println!("Experiment R1 — §5.2 transaction throughput");
@@ -14,52 +14,36 @@ fn main() {
     let n = 20_000;
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut push = |name: &str, paper: &str, policy: CommitPolicy, mode: CommitMode, n: u64| {
-        let (tps, pages) =
-            execute_typical(mode, n).expect("one transaction per key never conflicts");
+    // `None`: the log tail in 1 MiB of stable memory, one drain device.
+    let mut push = |name: &str, paper: &str, policy: Option<CommitPolicy>, n: u64| {
+        let (model_tps, db) = match policy {
+            Some(p) => (model.throughput(p), RecoveryManager::new(p)),
+            None => (
+                model.stable_memory_throughput(1),
+                RecoveryManager::with_stable_memory(1 << 20),
+            ),
+        };
+        let (tps, pages) = execute_typical(db, n).expect("one transaction per key never conflicts");
         rows.push(vec![
             name.to_string(),
             paper.to_string(),
-            format!("{:.0}", model.throughput(policy)),
+            format!("{model_tps:.0}"),
             format!("{tps:.0}"),
             pages.to_string(),
         ]);
     };
 
-    push(
-        "synchronous",
-        "100",
-        CommitPolicy::Synchronous,
-        CommitMode::Synchronous,
-        2_000,
-    );
-    push(
-        "group commit",
-        "1000",
-        CommitPolicy::GroupCommit,
-        CommitMode::GroupCommit,
-        n,
-    );
-    for k in [2u32, 4, 8] {
+    push("synchronous", "100", Some(CommitPolicy::Synchronous), 2_000);
+    push("group commit", "1000", Some(CommitPolicy::Group), n);
+    for k in [2, 4, 8] {
         push(
             &format!("partitioned log ({k} devices)"),
             &format!("~{}", k * 1000),
-            CommitPolicy::PartitionedLog { devices: k },
-            CommitMode::PartitionedLog {
-                devices: k as usize,
-            },
+            Some(CommitPolicy::Partitioned { devices: k }),
             n,
         );
     }
-    push(
-        "stable memory (1 drain device)",
-        "drain-bound",
-        CommitPolicy::StableMemory { devices: 1 },
-        CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        },
-        n,
-    );
+    push("stable memory (1 drain device)", "drain-bound", None, n);
 
     print_table(
         "Committed transactions per second",

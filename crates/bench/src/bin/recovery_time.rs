@@ -7,16 +7,14 @@
 //! recovery time (records × 3 µs replay + log pages × 10 ms reads).
 
 use mmdb_bench::{print_table, secs};
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::RecoveryManager;
 
 fn main() {
     println!("Experiment R3 — §5.5 recovery time vs checkpoint interval");
     let txns = 5_000u64;
     let mut rows = Vec::new();
     for checkpoint_every in [0u64, 2_000, 500, 100] {
-        let mut store = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 1 << 22,
-        });
+        let mut store = RecoveryManager::with_stable_memory(1 << 22);
         let seed = store.begin();
         for a in 0..200u64 {
             store.write(&seed, a, 1_000).unwrap();

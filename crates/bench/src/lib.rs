@@ -10,7 +10,7 @@ pub mod mvcc;
 use mmdb_exec::{CostSnapshot, ExecContext, MemRelation};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, PlannedQuery, QuerySpec, TableStats};
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::RecoveryManager;
 use mmdb_types::{Error, Result, SystemParams};
 use std::fmt::Display;
 
@@ -73,12 +73,11 @@ pub fn figure1_ratios() -> Vec<f64> {
     v
 }
 
-/// §5.2 by execution: loads `n` keys in one transaction, then runs `n`
-/// typical 400-byte transactions under `mode`, one per key, so none
-/// depends on another. Returns committed transactions per virtual second
-/// and log pages written, both counted from after the load.
-pub fn execute_typical(mode: CommitMode, n: u64) -> Result<(f64, usize)> {
-    let mut db = RecoveryManager::new(mode);
+/// §5.2 by execution: loads `n` keys into the fresh `db` in one
+/// transaction, then runs `n` typical 400-byte transactions, one per key,
+/// so none depends on another. Returns committed transactions per virtual
+/// second and log pages written, both counted from after the load.
+pub fn execute_typical(mut db: RecoveryManager, n: u64) -> Result<(f64, usize)> {
     let load = db.begin();
     for key in 0..n {
         db.write(&load, key, 0)?;

@@ -18,10 +18,14 @@
 //! * [`lock`] — a lock manager whose lock table carries holders and
 //!   waiters; a transaction leaves it at pre-commit, and the LSN alone
 //!   orders a dependent's commit after its dependency's.
+//! * [`commit`] — the §5.2 commit core, pure: the log queue, when a page
+//!   is cut, and the durable watermark, with time a parameter. The
+//!   manager below runs it in virtual time and `mmdb-session`'s log
+//!   writers on the wall clock.
 //! * [`manager`] — the recovery manager: an in-memory KV database with
-//!   write-ahead logging, four commit policies (synchronous, group
+//!   write-ahead logging under a [`CommitPolicy`] (synchronous, group
 //!   commit, partitioned log with pages submitted round-robin in LSN
-//!   order, stable memory), crash, and restart-recovery. Its `typical`
+//!   order) or stable memory, crash, and restart-recovery. Its `typical`
 //!   transaction logs those 400 bytes (a `transfer` logs 760); run back
 //!   to back, they execute §5.2's 100 / ~1000 / ~k×1000 tps.
 //! * [`stable`] — battery-backed stable memory: the in-memory log tail,
@@ -35,13 +39,15 @@
 pub mod backend;
 /// §5.3 fuzzy checkpointing against the live database.
 pub mod checkpoint;
+/// §5.2 the commit core: log queue, page cuts, durable watermark.
+pub mod commit;
 /// §5.2 simulated log devices (one 4096-byte page per 10 ms).
 pub mod device;
 /// §5.2 lock manager that releases at pre-commit.
 pub mod lock;
 /// §5.1 log records and log sequence numbers.
 pub mod log;
-/// §5.2 the recovery manager: WAL buffer, commit modes, restart.
+/// §5.2 the recovery manager: WAL, commit policies, restart.
 pub mod manager;
 /// §5.4 stable memory absorbing commits ahead of the disk log.
 pub mod stable;
@@ -53,6 +59,7 @@ pub use backend::{Fault, FaultKind, FaultPlan, FaultyBackend, FileBackend, LogBa
 pub use device::LogDevice;
 pub use lock::{detect_deadlocks_in, LockManager, LockMode};
 pub use log::{LogRecord, Lsn, Record, MAX_RECORD_BYTES};
-pub use manager::{CommitMode, RecoveryManager, TxnHandle};
+pub use manager::{RecoveryManager, TxnHandle};
+pub use mmdb_types::CommitPolicy;
 pub use stable::StableMemory;
 pub use wal::{LogFileReport, WalDevice};

@@ -2,40 +2,22 @@
 //! logging, pre-committed transactions, group commit, partitioned logs,
 //! stable memory, fuzzy checkpointing, crash, and restart recovery.
 //!
-//! This is the §5 machinery assembled: transactions update an in-memory
-//! image under exclusive locks; log records flow through the chosen
-//! [`CommitMode`]; a crash discards everything volatile and recovery
-//! rebuilds the image from the disk snapshot plus the durable log.
+//! This is the §5 machinery assembled in virtual time: transactions
+//! update an in-memory image under exclusive locks; log records flow
+//! through the §5.2 commit core ([`crate::commit`]) — the same queue,
+//! page cuts and durable watermark the wall-clock engine runs — under the
+//! chosen [`CommitPolicy`]; a crash discards everything volatile and
+//! recovery rebuilds the image from the disk snapshot plus the durable
+//! log.
 
 use crate::checkpoint::{page_of, Snapshot};
+use crate::commit::{self, CutParams, DurableTable, LogQueue};
 use crate::device::{LogDevice, Micros, PAGE_BYTES};
 use crate::lock::LockManager;
 use crate::log::{LogRecord, Lsn, TYPICAL_UPDATE_PADDING};
 use crate::stable::StableMemory;
-use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
+use mmdb_types::{AuditViolation, Auditable, CommitPolicy, Error, Result, TxnId};
 use std::collections::{HashMap, HashSet};
-
-/// How commit durability is achieved (§5.2/§5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitMode {
-    /// One synchronous log write per transaction.
-    Synchronous,
-    /// Commit records share log pages; one write commits the group.
-    GroupCommit,
-    /// Group commit over several log devices, pages submitted round-robin
-    /// in LSN order; every write takes the same time, so pages complete in
-    /// LSN order and a dependent is never durable before its dependency.
-    PartitionedLog {
-        /// Number of log devices.
-        devices: usize,
-    },
-    /// Battery-backed stable memory holds the log tail; transactions
-    /// commit on append; pages drain to disk compressed (§5.4).
-    StableMemory {
-        /// Stable region capacity in bytes.
-        capacity_bytes: usize,
-    },
-}
 
 /// Handle to an open transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +26,7 @@ pub struct TxnHandle(pub TxnId);
 /// What a crash preserves.
 #[derive(Debug)]
 pub struct CrashImage {
-    mode: CommitMode,
+    policy: CommitPolicy,
     snapshot: Snapshot,
     durable_log: Vec<(Lsn, LogRecord)>,
     stable: Option<StableMemory>,
@@ -66,7 +48,7 @@ pub struct RecoveryReport {
 /// The §5 recovery manager.
 #[derive(Debug)]
 pub struct RecoveryManager {
-    mode: CommitMode,
+    policy: CommitPolicy,
     db: HashMap<u64, i64>,
     snapshot: Snapshot,
     locks: LockManager,
@@ -74,61 +56,53 @@ pub struct RecoveryManager {
     next_device: usize,
     /// Completion time of the page submitted last.
     last_page_done: Micros,
-    buffer: Vec<(Lsn, LogRecord)>,
-    buffer_bytes: usize,
-    buffer_commits: Vec<TxnId>,
+    /// The commit core's two halves.
+    queue: LogQueue,
+    durable: DurableTable,
     stable: Option<StableMemory>,
     now: Micros,
     next_txn: u64,
-    next_lsn: u64,
     undo: HashMap<TxnId, Vec<(u64, Option<i64>)>>,
     commit_durable_at: HashMap<TxnId, Micros>,
     dirty_first_update: HashMap<u64, Lsn>,
-    drained_committed: HashSet<TxnId>,
 }
 
 impl RecoveryManager {
-    /// A fresh, empty database under the given commit mode.
-    pub fn new(mode: CommitMode) -> Self {
-        let device_count = match mode {
-            CommitMode::PartitionedLog { devices } => devices.max(1),
-            _ => 1,
-        };
+    /// A fresh, empty database under the given commit policy, one
+    /// [`LogDevice`] per device the policy names.
+    pub fn new(policy: CommitPolicy) -> Self {
         RecoveryManager {
-            mode,
+            policy,
             db: HashMap::new(),
             snapshot: Snapshot::new(),
             locks: LockManager::new(),
-            devices: (0..device_count).map(|_| LogDevice::paper()).collect(),
+            devices: (0..policy.devices()).map(|_| LogDevice::paper()).collect(),
             next_device: 0,
             last_page_done: 0,
-            buffer: Vec::new(),
-            buffer_bytes: 0,
-            buffer_commits: Vec::new(),
-            stable: match mode {
-                CommitMode::StableMemory { capacity_bytes } => {
-                    Some(StableMemory::new(capacity_bytes))
-                }
-                _ => None,
-            },
+            queue: LogQueue::starting_at(1),
+            durable: DurableTable::starting_at(1),
+            stable: None,
             now: 0,
             next_txn: 1,
-            next_lsn: 1,
             undo: HashMap::new(),
             commit_durable_at: HashMap::new(),
             dirty_first_update: HashMap::new(),
-            drained_committed: HashSet::new(),
+        }
+    }
+
+    /// A fresh database whose log tail lives in `capacity_bytes` of
+    /// battery-backed stable memory (§5.4): transactions commit on
+    /// append, and committed records drain to one log device compressed.
+    pub fn with_stable_memory(capacity_bytes: usize) -> Self {
+        RecoveryManager {
+            stable: Some(StableMemory::new(capacity_bytes)),
+            ..RecoveryManager::new(CommitPolicy::Group)
         }
     }
 
     /// Current virtual time (µs).
     pub fn now(&self) -> Micros {
         self.now
-    }
-
-    /// Advances virtual time (modelling user think time between requests).
-    pub fn advance(&mut self, us: Micros) {
-        self.now += us;
     }
 
     /// Reads a key from the in-memory image.
@@ -156,35 +130,26 @@ impl RecoveryManager {
         TxnHandle(txn)
     }
 
-    fn next_lsn(&mut self) -> Lsn {
-        let l = Lsn(self.next_lsn);
-        self.next_lsn += 1;
-        l
-    }
-
+    /// Logs `rec`: into stable memory, or through the commit core, which
+    /// cuts a page as soon as one is full.
     fn append_record(&mut self, rec: LogRecord) -> Lsn {
-        let lsn = self.next_lsn();
-        if let Some(stable) = self.stable.as_mut() {
-            if !stable.append(lsn, rec.clone()) {
-                // Region full: drain committed records to disk, then retry.
-                self.drain_stable();
-                let stable = self.stable.as_mut().expect("stable mode");
-                if !stable.append(lsn, rec.clone()) {
-                    // Still full (all records belong to in-doubt txns):
-                    // model the paper's back-pressure by forcing a page of
-                    // raw (uncompressed) tail out. Simplest sound fallback:
-                    // grow is forbidden, so panic loudly — workloads in
-                    // this repo size the region adequately.
-                    panic!("stable memory exhausted by uncommitted transactions");
-                }
+        let Some(stable) = self.stable.as_mut() else {
+            let lsn = self.queue.append(rec);
+            self.write_pages();
+            return lsn;
+        };
+        let lsn = self.queue.take_lsn();
+        if !stable.append(lsn, rec.clone()) {
+            // Region full: drain committed records to disk, then retry.
+            self.drain_stable();
+            if !self.stable.as_mut().is_some_and(|s| s.append(lsn, rec)) {
+                // Still full (all records belong to in-doubt txns):
+                // model the paper's back-pressure by forcing a page of
+                // raw (uncompressed) tail out. Simplest sound fallback:
+                // grow is forbidden, so panic loudly — workloads in
+                // this repo size the region adequately.
+                panic!("stable memory exhausted by uncommitted transactions");
             }
-        } else {
-            let size = rec.byte_size();
-            if self.buffer_bytes + size > PAGE_BYTES {
-                self.flush_page();
-            }
-            self.buffer_bytes += size;
-            self.buffer.push((lsn, rec));
         }
         lsn
     }
@@ -216,10 +181,9 @@ impl RecoveryManager {
             stable.note_page_update(page, lsn);
         }
         self.dirty_first_update.entry(page).or_insert(lsn);
-        self.undo
-            .get_mut(&txn.0)
-            .expect("active txn has an undo list")
-            .push((key, old));
+        if let Some(undo) = self.undo.get_mut(&txn.0) {
+            undo.push((key, old));
+        }
         self.db.insert(key, value);
         Ok(())
     }
@@ -285,12 +249,14 @@ impl RecoveryManager {
         Ok(())
     }
 
-    /// Pre-commits and, depending on the mode, completes the commit:
-    /// the commit record is logged, locks are released immediately
-    /// (dependents may read the dirty data), and the call returns the
-    /// virtual time at which the transaction is durably committed —
-    /// already known in every mode because device completion times are
-    /// deterministic.
+    /// Pre-commits `txn`: the commit record is logged and locks are
+    /// released immediately (dependents may read the dirty data). Returns
+    /// the virtual time at which the transaction is durably committed —
+    /// known as soon as its page is submitted, because device completion
+    /// times are deterministic — or [`Micros::MAX`] while its record still
+    /// waits in the queue for a fuller page or a flush. Under
+    /// [`CommitPolicy::Synchronous`] the committer waits for its page
+    /// write; in stable memory the commit is durable on append (§5.4).
     pub fn commit(&mut self, txn: TxnHandle) -> Result<Micros> {
         let t = self.commit_inner(txn)?;
         // Debug builds audit the lock table and log bookkeeping at every
@@ -309,43 +275,39 @@ impl RecoveryManager {
             return Err(Error::InvalidTransaction(txn.0 .0));
         }
         self.undo.remove(&txn.0);
-        self.append_record(LogRecord::Commit { txn: txn.0 });
-
         if self.stable.is_some() {
             // §5.4: "transactions commit as soon as they write their
             // commit records into the in-memory log".
-            let t = self.now;
-            self.commit_durable_at.insert(txn.0, t);
-            return Ok(t);
+            self.append_record(LogRecord::Commit { txn: txn.0 });
+            self.commit_durable_at.insert(txn.0, self.now);
+            return Ok(self.now);
         }
-
-        self.buffer_commits.push(txn.0);
-        match self.mode {
-            CommitMode::Synchronous => {
-                let t = self.flush_page().expect("buffer holds the commit record");
-                self.now = t; // the transaction waits for its log write
-                Ok(t)
-            }
-            _ => {
-                // Group commit: durable when the page fills (or is forced).
-                // If the page just filled inside append_record the commit
-                // time is already known.
-                Ok(self
-                    .commit_durable_at
-                    .get(&txn.0)
-                    .copied()
-                    .unwrap_or(Micros::MAX))
-            }
+        let lsn = self.queue.append_commit(txn.0, 0, self.now);
+        let waits = self.policy == CommitPolicy::Synchronous;
+        if waits {
+            self.queue.raise_demand(lsn.0, false);
         }
+        self.write_pages();
+        let t = self
+            .commit_durable_at
+            .get(&txn.0)
+            .copied()
+            .unwrap_or(Micros::MAX);
+        if waits {
+            self.now = self.now.max(t);
+        }
+        Ok(t)
     }
 
-    /// Forces the buffered log page out (group-commit timeout). Returns
-    /// the durability time, or `None` if nothing was buffered.
+    /// Forces the queued log out — the partial page included — or, in
+    /// stable memory, drains the committed tail. Returns the durability
+    /// time of the last page submitted, or `None` if nothing was queued.
     pub fn flush(&mut self) -> Option<Micros> {
         if self.stable.is_some() {
             return self.drain_stable();
         }
-        self.flush_page()
+        self.queue.raise_demand(u64::MAX, true);
+        self.write_pages()
     }
 
     /// [`Self::flush`], then waits — advances virtual time — until the
@@ -357,18 +319,26 @@ impl RecoveryManager {
         }
     }
 
-    fn flush_page(&mut self) -> Option<Micros> {
-        if self.buffer.is_empty() {
-            return None;
+    /// Submits every page the commit core releases now — under the
+    /// policy's cut with the paper's page, no group window and no
+    /// deadline — each to the next device, and reports its commits
+    /// durable at its completion time.
+    /// Reporting at submit is exact: pages go in LSN order at
+    /// non-decreasing times and every write takes the same time, so pages
+    /// complete in the order they were submitted. Returns the last page's
+    /// completion time, if any page left.
+    fn write_pages(&mut self) -> Option<Micros> {
+        let cut = CutParams::new(self.policy, PAGE_BYTES);
+        let mut last = None;
+        while let (Some(page), _) = self.queue.next_page(self.now, &cut) {
+            self.durable.register(&page);
+            let done = self.submit_page(page.records);
+            for c in self.durable.complete(page.seqno) {
+                self.commit_durable_at.insert(c.txn, done);
+            }
+            last = Some(done);
         }
-        let records = std::mem::take(&mut self.buffer);
-        let commits = std::mem::take(&mut self.buffer_commits);
-        self.buffer_bytes = 0;
-        let done = self.submit_page(records);
-        for txn in commits {
-            self.commit_durable_at.insert(txn, done);
-        }
-        Some(done)
+        last
     }
 
     /// Submits a page to the next device, round-robin, now. Pages go in
@@ -386,52 +356,25 @@ impl RecoveryManager {
     /// log device. The drain only runs when forced (region full, or an
     /// explicit flush), at which point the caller genuinely has to wait
     /// for space — so the virtual clock advances to the final write's
-    /// completion (back-pressure, §5.4: "the number of transactions
-    /// processed per second is still limited by how fast we can empty
-    /// buffer pages"). Returns the last completion time, if anything
-    /// drained.
+    /// completion (back-pressure, §5.4: the transaction rate is still
+    /// limited by how fast the drain empties the region's pages). Returns
+    /// the last completion time, if anything drained.
     fn drain_stable(&mut self) -> Option<Micros> {
         let committed: HashSet<TxnId> = self.commit_durable_at.keys().copied().collect();
         let mut last_done = None;
         loop {
-            let stable = self.stable.as_mut().expect("stable mode");
+            let stable = self.stable.as_mut()?;
             let (drained, bytes) = stable.drain_committed(PAGE_BYTES, |t| committed.contains(&t));
             if drained.is_empty() {
                 break;
             }
             debug_assert!(bytes <= PAGE_BYTES);
-            for (_, rec) in &drained {
-                self.drained_committed.insert(rec.txn());
-            }
             last_done = Some(self.submit_page(drained));
         }
         if let Some(done) = last_done {
             self.now = self.now.max(done);
         }
         last_done
-    }
-
-    /// Whether `txn` is durably committed at the current virtual time.
-    pub fn is_durably_committed(&self, txn: TxnId) -> bool {
-        self.commit_durable_at
-            .get(&txn)
-            .map(|t| *t <= self.now)
-            .unwrap_or(false)
-    }
-
-    /// Waits (advances the clock) until `txn`'s commit record is on disk.
-    pub fn wait_for(&mut self, txn: TxnId) -> Result<Micros> {
-        let t = *self
-            .commit_durable_at
-            .get(&txn)
-            .ok_or(Error::InvalidTransaction(txn.0))?;
-        if t == Micros::MAX {
-            return Err(Error::Internal(
-                "commit record still buffered; call flush() first".into(),
-            ));
-        }
-        self.now = self.now.max(t);
-        Ok(t)
     }
 
     /// §5.3: sweeps up to `max_pages` dirty data pages to the disk
@@ -444,14 +387,12 @@ impl RecoveryManager {
     /// undo it. The sweep therefore forces the log first and waits for it.
     pub fn checkpoint_sweep(&mut self, max_pages: usize) -> usize {
         if self.stable.is_none() {
-            if let Some(done) = self.flush_page() {
-                self.now = self.now.max(done);
-            }
+            self.flush_and_wait();
         }
         let mut pages: Vec<u64> = self.dirty_first_update.keys().copied().collect();
         pages.sort_unstable();
         pages.truncate(max_pages);
-        let as_of = Lsn(self.next_lsn - 1);
+        let as_of = Lsn(self.queue.next_lsn() - 1);
         for page in &pages {
             let contents: HashMap<u64, i64> = self
                 .db
@@ -474,7 +415,7 @@ impl RecoveryManager {
     }
 
     /// Crashes at the current virtual time: volatile state (the in-memory
-    /// image, the unflushed log buffer, the lock table) is lost; the disk
+    /// image, the log queue, the lock table) is lost; the disk
     /// snapshot, durable log pages, and stable memory survive.
     pub fn crash(self) -> CrashImage {
         let mut durable: Vec<(Lsn, LogRecord)> = self
@@ -484,7 +425,7 @@ impl RecoveryManager {
             .collect();
         durable.sort_by_key(|(lsn, _)| *lsn);
         CrashImage {
-            mode: self.mode,
+            policy: self.policy,
             snapshot: self.snapshot,
             durable_log: durable,
             stable: self.stable,
@@ -591,10 +532,14 @@ impl RecoveryManager {
             records_skipped_by_dirty_table: skipped,
         };
 
-        let mut mgr = RecoveryManager::new(image.mode);
+        let mut mgr = match &image.stable {
+            Some(stable) => RecoveryManager::with_stable_memory(stable.capacity_bytes()),
+            None => RecoveryManager::new(image.policy),
+        };
         mgr.db = db;
         mgr.snapshot = image.snapshot;
-        mgr.next_lsn = max_lsn + 1;
+        mgr.queue = LogQueue::starting_at(max_lsn + 1);
+        mgr.durable = DurableTable::starting_at(max_lsn + 1);
         mgr.next_txn = max_txn + 1;
         // Recovered stable memory is drained of history; the dirty-page
         // table restarts empty (everything just got reconciled).
@@ -604,87 +549,19 @@ impl RecoveryManager {
 
 impl Auditable for RecoveryManager {
     /// Verifies the log-manager bookkeeping behind the §5.2 safety
-    /// argument: LSNs in the volatile buffer strictly ascend and stay
-    /// below the allocator; the buffered byte count matches the records;
-    /// every buffered commit still awaits durability and its record is in
-    /// the same buffer; no device's latest page completes after the page
-    /// submitted last, so none completes before the page submitted ahead
-    /// of it and durability is an LSN prefix; and undo lists exist
-    /// exactly for live transactions.
+    /// argument: the commit core's queue/durable accounting
+    /// ([`commit::audit`]); stable memory never queues volatilely; no
+    /// device's latest page completes after the page submitted last, so
+    /// none completes before the page submitted ahead of it and
+    /// durability is an LSN prefix; and undo lists exist exactly for live
+    /// transactions.
     fn audit(&self) -> std::result::Result<(), AuditViolation> {
         const C: &str = "RecoveryManager";
-        AuditViolation::ensure(self.next_lsn >= 1, C, "lsn-allocator", || {
-            format!("next LSN is {}", self.next_lsn)
-        })?;
-        let mut bytes = 0usize;
-        for pair in self.buffer.windows(2) {
-            AuditViolation::ensure(pair[0].0 < pair[1].0, C, "lsn-monotonic", || {
-                format!(
-                    "buffered log out of order: LSN {} then {}",
-                    pair[0].0 .0, pair[1].0 .0
-                )
-            })?;
-        }
-        for (lsn, rec) in &self.buffer {
-            bytes += rec.byte_size();
-            AuditViolation::ensure(lsn.0 < self.next_lsn, C, "lsn-monotonic", || {
-                format!(
-                    "buffered LSN {} not below allocator {}",
-                    lsn.0, self.next_lsn
-                )
-            })?;
-        }
-        AuditViolation::ensure(bytes == self.buffer_bytes, C, "buffer-bytes", || {
-            format!(
-                "buffer holds {bytes} bytes of records, bookkeeping says {}",
-                self.buffer_bytes
-            )
-        })?;
+        commit::audit(C, &self.queue, &self.durable)?;
         if self.stable.is_some() {
-            AuditViolation::ensure(
-                self.buffer.is_empty() && self.buffer_commits.is_empty(),
-                C,
-                "stable-mode-buffer",
-                || "stable-memory mode must not buffer log pages volatilely".into(),
-            )?;
-        }
-        let buffered_commits: HashSet<TxnId> = self
-            .buffer
-            .iter()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for txn in &self.buffer_commits {
-            AuditViolation::ensure(txn.0 < self.next_txn, C, "txn-ids", || {
-                format!(
-                    "pending commit of txn {} beyond allocator {}",
-                    txn.0, self.next_txn
-                )
+            AuditViolation::ensure(self.queue.is_empty(), C, "stable-mode-queue", || {
+                "stable-memory mode must not queue log pages volatilely".into()
             })?;
-            AuditViolation::ensure(
-                buffered_commits.contains(txn),
-                C,
-                "commit-record-buffered",
-                || {
-                    format!(
-                        "txn {} awaits durability but its commit record left the buffer",
-                        txn.0
-                    )
-                },
-            )?;
-            AuditViolation::ensure(
-                !self.commit_durable_at.contains_key(txn),
-                C,
-                "commit-once",
-                || {
-                    format!(
-                        "txn {} is both pending and already durably scheduled",
-                        txn.0
-                    )
-                },
-            )?;
         }
         for (i, d) in self.devices.iter().enumerate() {
             AuditViolation::ensure(
@@ -711,11 +588,12 @@ impl Auditable for RecoveryManager {
                 || format!("committed txn {} still has an undo list", txn.0),
             )?;
         }
+        let next_lsn = self.queue.next_lsn();
         for (page, lsn) in &self.dirty_first_update {
-            AuditViolation::ensure(lsn.0 < self.next_lsn, C, "dirty-page-table", || {
+            AuditViolation::ensure(lsn.0 < next_lsn, C, "dirty-page-table", || {
                 format!(
-                    "dirty page {page} first-update LSN {} not below allocator {}",
-                    lsn.0, self.next_lsn
+                    "dirty page {page} first-update LSN {} not below allocator {next_lsn}",
+                    lsn.0
                 )
             })?;
         }
@@ -727,8 +605,7 @@ impl Auditable for RecoveryManager {
 mod tests {
     use super::*;
 
-    fn committed_then_crashed(mode: CommitMode) -> (RecoveryManager, RecoveryReport) {
-        let mut m = RecoveryManager::new(mode);
+    fn committed_then_crashed(mut m: RecoveryManager) -> (RecoveryManager, RecoveryReport) {
         let t1 = m.begin();
         m.write(&t1, 1, 100).unwrap();
         m.write(&t1, 2, 200).unwrap();
@@ -744,7 +621,7 @@ mod tests {
 
     #[test]
     fn committed_survive_uncommitted_roll_back_sync() {
-        let (m, report) = committed_then_crashed(CommitMode::Synchronous);
+        let (m, report) = committed_then_crashed(RecoveryManager::new(CommitPolicy::Synchronous));
         assert_eq!(m.read(1), Some(100));
         assert_eq!(m.read(2), Some(200));
         assert_eq!(m.read(3), None, "uncommitted write must vanish");
@@ -754,7 +631,7 @@ mod tests {
 
     #[test]
     fn committed_survive_group_commit() {
-        let (m, report) = committed_then_crashed(CommitMode::GroupCommit);
+        let (m, report) = committed_then_crashed(RecoveryManager::new(CommitPolicy::Group));
         assert_eq!(m.read(1), Some(100));
         assert_eq!(m.read(3), None);
         assert_eq!(report.committed, vec![TxnId(1)]);
@@ -762,16 +639,16 @@ mod tests {
 
     #[test]
     fn committed_survive_partitioned() {
-        let (m, _) = committed_then_crashed(CommitMode::PartitionedLog { devices: 4 });
+        let (m, _) = committed_then_crashed(RecoveryManager::new(CommitPolicy::Partitioned {
+            devices: 4,
+        }));
         assert_eq!(m.read(1), Some(100));
         assert_eq!(m.read(3), None);
     }
 
     #[test]
     fn committed_survive_stable_memory() {
-        let (m, _) = committed_then_crashed(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        });
+        let (m, _) = committed_then_crashed(RecoveryManager::with_stable_memory(1 << 20));
         assert_eq!(m.read(1), Some(100));
         assert_eq!(m.read(2), Some(200));
         assert_eq!(m.read(3), None);
@@ -779,11 +656,11 @@ mod tests {
 
     #[test]
     fn unflushed_group_commit_is_lost() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         let t1 = m.begin();
         m.write(&t1, 1, 100).unwrap();
         m.commit(t1).unwrap();
-        // No flush: the commit record sits in the volatile buffer.
+        // No flush: the commit record sits in the volatile queue.
         let (m2, report) = RecoveryManager::recover(m.crash());
         assert_eq!(m2.read(1), None, "un-flushed commit must not survive");
         assert!(report.committed.is_empty());
@@ -791,9 +668,7 @@ mod tests {
 
     #[test]
     fn stable_memory_commit_survives_without_any_disk_write() {
-        let mut m = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        });
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
         let t1 = m.begin();
         m.write(&t1, 7, 70).unwrap();
         let t = m.commit(t1).unwrap();
@@ -806,42 +681,41 @@ mod tests {
 
     #[test]
     fn sync_commit_takes_a_page_write() {
-        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        let mut m = RecoveryManager::new(CommitPolicy::Synchronous);
         let t1 = m.begin();
         m.write(&t1, 1, 1).unwrap();
         let done = m.commit(t1).unwrap();
         assert_eq!(done, 10_000, "one 10 ms page write");
-        assert!(m.is_durably_committed(TxnId(1)));
+        assert_eq!(m.now(), done, "the committer waited for its write");
+        assert_eq!(m.log_pages_written(), 1);
     }
 
     #[test]
     fn group_commit_amortizes_the_write() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         let mut txns = Vec::new();
         for i in 0..9 {
             let t = m.begin();
             m.write_logging(&t, i, i as i64, TYPICAL_UPDATE_PADDING)
                 .unwrap();
-            m.commit(t).unwrap();
+            // ~9 typical transactions (400 B each ≈ 3600 B) share one
+            // page: each commit waits in the queue for a fuller one.
+            assert_eq!(m.commit(t).unwrap(), Micros::MAX);
             txns.push(t.0);
         }
-        m.flush();
+        assert_eq!(m.now(), 0, "a group committer does not wait");
+        let done = m.flush().unwrap();
+        assert_eq!(done, 10_000, "one page write commits the group");
         for t in &txns {
-            m.wait_for(*t).unwrap();
+            assert_eq!(m.commit_durable_at.get(t), Some(&done));
         }
-        // ~9 typical transactions (400 B each ≈ 3600 B) of log: with a
-        // little page-boundary slop this is one or two page writes, not
-        // nine.
-        assert!(
-            m.log_pages_written() <= 2,
-            "pages written: {}",
-            m.log_pages_written()
-        );
+        assert_eq!(m.log_pages_written(), 1, "one page write, not nine");
+        assert_eq!(m.flush(), None, "nothing left to write");
     }
 
     #[test]
     fn abort_undoes_in_memory_state() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         let t0 = m.begin();
         m.write(&t0, 5, 50).unwrap();
         m.commit(t0).unwrap();
@@ -860,11 +734,11 @@ mod tests {
 
     #[test]
     fn dependent_transaction_reads_dirty_data_and_orders_after() {
-        // T1 pre-commits (group commit, record buffered); T2 reads T1's
+        // T1 pre-commits (group commit, record queued); T2 reads T1's
         // dirty write and commits. Nothing makes T2 wait: its commit record
         // follows T1's in the log, and pages complete in LSN order, so T2
         // is simply durable no earlier than T1.
-        let mut m = RecoveryManager::new(CommitMode::PartitionedLog { devices: 2 });
+        let mut m = RecoveryManager::new(CommitPolicy::Partitioned { devices: 2 });
         let t1 = m.begin();
         m.write(&t1, 1, 10).unwrap();
         m.commit(t1).unwrap();
@@ -884,9 +758,7 @@ mod tests {
 
     #[test]
     fn checkpoint_bounds_recovery_and_fuzzy_pages_are_undone() {
-        let mut m = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        });
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
         // Committed base state.
         let t1 = m.begin();
         for k in 0..10 {
@@ -916,9 +788,7 @@ mod tests {
 
     #[test]
     fn dirty_page_table_skips_old_log_during_redo() {
-        let mut m = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        });
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
         // Phase 1: lots of committed history, then checkpoint everything.
         for round in 0..20 {
             let t = m.begin();
@@ -941,9 +811,7 @@ mod tests {
 
     #[test]
     fn stable_drain_writes_compressed_pages() {
-        let mut m = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 4_000,
-        });
+        let mut m = RecoveryManager::with_stable_memory(4_000);
         // ~20 typical transactions = 8 000 bytes of raw log; the region
         // holds 4 000, so draining must kick in, writing compressed pages.
         for i in 0..20u64 {
@@ -965,7 +833,7 @@ mod tests {
 
     #[test]
     fn write_conflicts_surface_as_lock_errors() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         let t1 = m.begin();
         let t2 = m.begin();
         m.write(&t1, 9, 1).unwrap();
@@ -980,29 +848,29 @@ mod tests {
     fn operations_on_dead_transactions_fail() {
         // A handle is `Copy`: after `commit`, even before the commit is
         // durable, a stale copy may not write, commit again or abort.
-        for mode in [
-            CommitMode::Synchronous,
-            CommitMode::GroupCommit,
-            CommitMode::PartitionedLog { devices: 2 },
-            CommitMode::StableMemory {
-                capacity_bytes: 1 << 20,
-            },
-        ] {
-            let mut m = RecoveryManager::new(mode);
+        for (i, mut m) in [
+            RecoveryManager::new(CommitPolicy::Synchronous),
+            RecoveryManager::new(CommitPolicy::Group),
+            RecoveryManager::new(CommitPolicy::Partitioned { devices: 2 }),
+            RecoveryManager::with_stable_memory(1 << 20),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             let t = m.begin();
             m.write(&t, 1, 1).unwrap();
             m.commit(t).unwrap();
             let dead = |r: Result<()>| matches!(r, Err(Error::InvalidTransaction(1)));
-            assert!(dead(m.write(&t, 1, 2)), "{mode:?}");
-            assert!(dead(m.commit(t).map(drop)), "{mode:?}");
-            assert!(dead(m.abort(t)), "{mode:?}");
-            assert_eq!(m.read(1), Some(1), "{mode:?}");
+            assert!(dead(m.write(&t, 1, 2)), "manager {i}");
+            assert!(dead(m.commit(t).map(drop)), "manager {i}");
+            assert!(dead(m.abort(t)), "manager {i}");
+            assert_eq!(m.read(1), Some(1), "manager {i}");
         }
     }
 
     #[test]
     fn recovery_of_empty_database() {
-        let m = RecoveryManager::new(CommitMode::Synchronous);
+        let m = RecoveryManager::new(CommitPolicy::Synchronous);
         let (m2, report) = RecoveryManager::recover(m.crash());
         assert!(m2.is_empty());
         assert!(report.committed.is_empty());
@@ -1011,7 +879,7 @@ mod tests {
 
     #[test]
     fn new_manager_continues_transaction_ids() {
-        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        let mut m = RecoveryManager::new(CommitPolicy::Synchronous);
         let t1 = m.begin();
         m.write(&t1, 1, 1).unwrap();
         m.commit(t1).unwrap();
@@ -1022,7 +890,7 @@ mod tests {
 
     #[test]
     fn transfers_preserve_total_balance_across_crash() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         // Seed accounts.
         let seed = m.begin();
         for acct in 0..10u64 {
@@ -1049,7 +917,7 @@ mod tests {
     fn transfer_is_typical_sized() {
         // Two padded updates plus begin and commit per transfer: 5
         // transfers to a log page, not 10 single-update transactions.
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         for i in 0..25 {
             m.transfer(i, i + 100, 1).unwrap();
         }
@@ -1059,23 +927,29 @@ mod tests {
 
     #[test]
     fn typical_logs_the_typical_transaction() {
-        let mut m = RecoveryManager::new(CommitMode::GroupCommit);
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
         let load = m.begin();
         m.write(&load, 7, 100).unwrap();
         m.commit(load).unwrap();
         m.flush_and_wait();
         m.typical(7, 200).unwrap();
-        let typical: usize = crate::log::typical_transaction(TxnId(2), 7, 100, 200)
-            .iter()
-            .map(LogRecord::byte_size)
-            .sum();
-        assert_eq!(m.buffer_bytes, typical);
         assert_eq!(m.read(7), Some(200));
+        m.flush_and_wait();
+        let logged: Vec<LogRecord> = m
+            .crash()
+            .durable_log
+            .into_iter()
+            .filter_map(|(_, r)| (r.txn() == TxnId(2)).then_some(r))
+            .collect();
+        assert_eq!(
+            logged,
+            crate::log::typical_transaction(TxnId(2), 7, 100, 200)
+        );
     }
 
     #[test]
     fn self_transfer_is_a_logged_no_op() {
-        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        let mut m = RecoveryManager::new(CommitPolicy::Synchronous);
         m.transfer(1, 2, 70).unwrap();
         let pages = m.log_pages_written();
         m.transfer(2, 2, 30).unwrap();
@@ -1085,7 +959,7 @@ mod tests {
 
     #[test]
     fn abort_rolls_back() {
-        let mut m = RecoveryManager::new(CommitMode::Synchronous);
+        let mut m = RecoveryManager::new(CommitPolicy::Synchronous);
         let t0 = m.begin();
         m.write(&t0, 1, 500).unwrap();
         m.commit(t0).unwrap();
@@ -1098,9 +972,7 @@ mod tests {
 
     #[test]
     fn checkpoint_then_recover() {
-        let mut m = RecoveryManager::new(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20,
-        });
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
         for i in 0..20u64 {
             m.transfer(i, i + 1, 5).unwrap();
         }

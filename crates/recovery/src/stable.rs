@@ -36,6 +36,11 @@ impl StableMemory {
         }
     }
 
+    /// The region's capacity in bytes.
+    pub fn capacity_bytes(&self) -> usize {
+        self.capacity_bytes
+    }
+
     /// Bytes of log currently buffered.
     pub fn bytes_used(&self) -> usize {
         self.bytes_used

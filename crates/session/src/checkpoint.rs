@@ -148,7 +148,7 @@ pub(crate) fn sweep(
         if q.shutdown || q.crashed {
             return Err(Error::Shutdown);
         }
-        q.next_lsn
+        q.next_lsn()
     };
     // ordering: Relaxed suffices — releasing the queue mutex above
     // synchronizes with every transaction that appended before the
@@ -159,7 +159,7 @@ pub(crate) fn sweep(
     // whether or not the writer has dropped its undo lists yet.
     let durable_lsn = {
         let d = shared.durable_guard()?;
-        d.durable_lsn
+        d.table.durable_lsn()
     };
 
     let shard_count = shared.shards.len();

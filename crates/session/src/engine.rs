@@ -192,32 +192,16 @@ impl Engine {
     /// True once the ticket's commit record — and every log record
     /// before it — is on disk.
     pub fn is_durable(&self, ticket: &CommitTicket) -> Result<bool> {
-        Ok(self.shared.durable_guard()?.durable_lsn >= ticket.lsn.0)
+        Ok(self.shared.durable_guard()?.table.durable_lsn() >= ticket.lsn.0)
     }
 
     /// Flushes everything appended so far — the partial page included,
     /// as soon as a log device is free, whatever the group window says —
     /// and blocks until every commit issued so far is durable.
     pub fn flush(&self) -> Result<()> {
-        // A failed or crashed engine is reported by the wait below.
-        self.shared.raise_demand(u64::MAX, true)?;
-        let mut d = self.shared.durable_guard()?;
-        loop {
-            if let Some(e) = &d.failure {
-                return Err(e.clone());
-            }
-            if d.crashed {
-                return Err(Error::Shutdown);
-            }
-            if d.outstanding == 0 {
-                return Ok(());
-            }
-            d = self
-                .shared
-                .durable_cv
-                .wait(d)
-                .map_err(|_| Error::Poisoned("durable table".into()))?;
-        }
+        // A failed or crashed engine is reported by the wait.
+        let appended = self.shared.raise_demand(u64::MAX, true)?;
+        self.shared.await_durable(appended)
     }
 
     /// Log pages durably written so far, across all devices.
@@ -323,8 +307,8 @@ impl Auditable for Engine {
     /// txn-table entries that touched that shard), each shard's lock
     /// manager passes its own audit, a quiesced engine holds no locks,
     /// queued LSNs are dense, queue byte accounting matches, written
-    /// pages sit at or above the watermark, and outstanding-commit
-    /// accounting balances.
+    /// pages sit at or above the watermark, and every commit is queued,
+    /// in flight or durable (the commit core's accounting).
     fn audit(&self) -> std::result::Result<(), AuditViolation> {
         self.shared.audit_now()
     }
@@ -499,7 +483,7 @@ impl Session {
         self.shared.notify_shards(mask);
         let ticket = CommitTicket { txn: id, lsn };
         if wait {
-            self.await_durable(&ticket)?;
+            self.shared.await_durable(ticket.lsn.0)?;
         }
         Ok(ticket)
     }
@@ -513,33 +497,12 @@ impl Session {
     pub fn wait_durable(&self, ticket: &CommitTicket) -> Result<()> {
         // `queue` is taken and released before `durable`: the lock order.
         self.shared.raise_demand(ticket.lsn.0, false)?;
-        self.await_durable(ticket)
-    }
-
-    /// The wait itself, for a ticket whose demand is already raised.
-    fn await_durable(&self, ticket: &CommitTicket) -> Result<()> {
-        let mut d = self.shared.durable_guard()?;
-        loop {
-            if d.durable_lsn >= ticket.lsn.0 {
-                return Ok(());
-            }
-            if let Some(e) = &d.failure {
-                return Err(e.clone());
-            }
-            if d.crashed {
-                return Err(Error::Shutdown);
-            }
-            d = self
-                .shared
-                .durable_cv
-                .wait(d)
-                .map_err(|_| Error::Poisoned("durable table".into()))?;
-        }
+        self.shared.await_durable(ticket.lsn.0)
     }
 
     /// True once the ticket's transaction is durable.
     pub fn is_durable(&self, ticket: &CommitTicket) -> Result<bool> {
-        Ok(self.shared.durable_guard()?.durable_lsn >= ticket.lsn.0)
+        Ok(self.shared.durable_guard()?.table.durable_lsn() >= ticket.lsn.0)
     }
 
     /// Aborts `txn`: undoes its writes from the undo list (reverse

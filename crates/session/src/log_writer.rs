@@ -1,13 +1,16 @@
 //! The log queue and its writers (§5.2 on OS threads).
 //!
 //! Sessions append to one shared log queue; one *writer* thread per log
-//! device drains it. A writer with nothing to write takes the oldest page
-//! already cut, or cuts every page [`cut_decision`] releases and takes the
-//! first of them ([`next_page`]). It then sleeps the device's modeled
-//! page-write latency and appends-and-syncs its page through
-//! [`WalDevice`]. Which device holds a page means nothing after a crash:
-//! recovery merges a generation's device files by LSN. The §5.2
-//! invariants live here:
+//! device drains it. The rules — the queue, when a page is cut, the
+//! durable watermark — are the pure §5.2 commit core,
+//! [`mmdb_recovery::commit`], which the virtual-time `RecoveryManager`
+//! runs too; this module is the threads around it. A free writer asks the
+//! core for its next page ([`LogQueue::next_page`]) on the engine's clock
+//! (µs since its epoch), sleeps the device's modeled page-write latency,
+//! appends-and-syncs the page through [`WalDevice`] and completes it in
+//! the durable half, which reports the commits now durable. Which device
+//! holds a page means nothing after a crash: recovery merges a
+//! generation's device files by LSN. What the engine adds to the core:
 //!
 //! * **Pre-commit** — committers release locks at precommit (in
 //!   [`crate::engine`]) and only *wait* here, so a log page in flight
@@ -21,36 +24,21 @@
 //!   committer appends while still holding every shard lock its
 //!   transaction touched, and dependencies only arise through shared keys
 //!   — shared shards — so a dependency's commit LSN is below its
-//!   dependent's. Durability is an LSN prefix (next point), so pages may
-//!   reach their devices in any order.
-//! * **Durable watermark** — a transaction is *reported* durable only
-//!   once every page up to and including its own is on disk, matching
-//!   restart recovery's contiguous-LSN-prefix rule: nothing is promised
-//!   that a crash could take back.
-//!
-//! **Who releases a partial page** (the one decision is
-//! [`cut_decision`], asked only by a free writer): a full page leaves at
-//! once. A partial page leaves when somebody is blocked on one of its
-//! records — *demand*, raised by `wait_durable`, `commit_durable`, a
-//! synchronous commit and `flush` — **and the group window is open**: the
-//! previous partial page left at least [`GROUP_WINDOW`] ago. A commit
-//! that finds the log quiet therefore pays one page write and no timer;
-//! clients in a closed loop get one group per window (or per page write,
-//! if the device is the slower), formed *while* the previous group is
-//! written and their next statements run. The window is what keeps
-//! the commit rate steady: paced by the device alone it follows every
-//! wobble of the disk's sync time (EXPERIMENTS.md §S1, "Why a window").
-//! While every device writes, the queue keeps accumulating whatever the
-//! window says. Commits nobody waits on leave with the next group, or
-//! once the oldest of them has been queued for `flush_interval` (an
-//! absolute deadline; other sessions' records do not postpone it).
-//! `flush` reopens the window: an explicit flush waits for a device and
-//! nothing else.
+//!   dependent's. Durability is an LSN prefix, so pages may reach their
+//!   devices in any order.
+//! * **The core's parameters** — *demand* is raised by `wait_durable`,
+//!   `commit_durable`, a synchronous commit and `flush`; an awaited
+//!   partial page leaves once a writer is free and [`GROUP_WINDOW`] has
+//!   passed since the previous one — the window keeps the commit rate
+//!   steady, where the device's pace alone would follow every wobble of
+//!   the disk's sync time (EXPERIMENTS.md §S1, "Why a window"); `flush`
+//!   reopens the window; a commit nobody waits on leaves with the next
+//!   group or once it has been queued `flush_interval`.
 //!
 //! **Who wakes whom.** A writer with nothing to write sleeps on
-//! `queue_cv` — until the window opens or the deadline passes, when one
-//! of them is pending — and is notified only by a change that can alter
-//! its decision or its timer: an append into an empty queue (arming the
+//! `queue_cv` — until the core's timer, when one is pending — and is
+//! notified only by a change that can alter the core's answer or its
+//! timer ([`LogQueue::view`]): an append into an empty queue (arming the
 //! deadline), or one that fills a page or carries demand; a waiter
 //! raising demand; another writer leaving cut pages for it; and the stop
 //! flags. Waiters sleep on `durable_cv`, notified by the writers. Every
@@ -62,138 +50,41 @@
 //! take `durable` and the shard locks one group at a time, never nested
 //! across groups, and come back to `queue` only after all of those are
 //! dropped. A waiter raises demand under `queue` and releases it before
-//! taking `durable`. A writer registers a cut page's commits in `durable`
+//! taking `durable`. A writer registers the page it takes in `durable`
 //! before it releases `queue`, so a commit is at every instant either
 //! queued or registered.
 
 use crate::metrics::{us_since, SessionMetrics};
-use crate::policy::{CommitPolicy, EngineOptions, GROUP_WINDOW};
+use crate::policy::{EngineOptions, GROUP_WINDOW};
 use crate::shard::{shard_of, Shard, TxnTable};
 use mmdb_obs::TraceStage;
+use mmdb_recovery::commit::{self, CutParams, DurableTable, LogQueue, Page};
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{LogRecord, Lsn, Record};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// A commit record waiting to become durable: the transaction and the
-/// identity its trace events carry (commit LSN + shard mask).
-#[derive(Debug, Clone)]
-pub(crate) struct PendingCommit {
-    /// The committing transaction.
-    pub txn: TxnId,
-    /// LSN of the commit record itself.
-    pub lsn: Lsn,
-    /// Lock-table shards the transaction touched.
-    pub mask: u64,
-    /// When the record entered the queue: the start of the group wait and
-    /// of the `flush_interval` deadline.
-    pub queued_at: Instant,
-}
-
-/// One record in the shared log queue.
+/// Durability as writers and waiting committers share it: the commit
+/// core's durable half, plus how the engine stopped.
 #[derive(Debug)]
-pub(crate) struct QueuedRecord {
-    pub lsn: Lsn,
-    pub record: LogRecord,
-    pub commit: Option<PendingCommit>,
-}
-
-/// The shared log queue sessions append to and the writers drain.
-#[derive(Debug, Default)]
-pub(crate) struct LogQueue {
-    pub records: VecDeque<QueuedRecord>,
-    /// Paper-accounted bytes queued (decides when a page is full).
-    pub bytes: usize,
-    pub next_lsn: u64,
-    /// Highest LSN somebody is blocked on. It is *demand* only while that
-    /// record is still queued ([`LogQueue::has_demand`]); dispatching the
-    /// record answers it, so nothing ever resets this.
-    pub demand: u64,
-    /// Earliest instant the next awaited partial page may leave: one
-    /// [`GROUP_WINDOW`] after the last partial page left. `None`: at once
-    /// (nothing cut yet, or [`Shared::raise_demand`] reopened it for a
-    /// flush). Set by the writer that cuts the page.
-    pub window_opens: Option<Instant>,
-    /// Sequence number of the next page cut, dense across all devices:
-    /// the durable watermark counts pages by it.
-    pub next_seqno: u64,
-    /// Pages cut but not yet taken by a writer, oldest first.
-    pub ready: VecDeque<Page>,
-    /// Graceful shutdown: drain everything, then stop.
-    pub shutdown: bool,
-    /// Simulated crash, or fail-stop after a log device exhausted its
-    /// retries: drop everything volatile on the floor.
-    pub crashed: bool,
-}
-
-impl LogQueue {
-    /// True while a record somebody is blocked on is still queued.
-    pub fn has_demand(&self) -> bool {
-        self.records.front().is_some_and(|r| r.lsn.0 <= self.demand)
-    }
-
-    /// When the oldest queued commit record was appended — what arms the
-    /// `flush_interval` deadline. Looks no further than the first
-    /// transaction's run.
-    pub fn oldest_commit(&self) -> Option<Instant> {
-        self.records
-            .iter()
-            .find_map(|r| r.commit.as_ref().map(|c| c.queued_at))
-    }
-
-    /// Queues one record under the next LSN.
-    fn push(&mut self, record: LogRecord, commit: Option<PendingCommit>) {
-        self.bytes += record.byte_size();
-        self.records.push_back(QueuedRecord {
-            lsn: Lsn(self.next_lsn),
-            record,
-            commit,
-        });
-        self.next_lsn += 1;
-    }
-}
-
-/// A cut page: with a writer, or waiting in [`LogQueue::ready`] for one.
-#[derive(Debug)]
-pub(crate) struct Page {
-    /// Dense page sequence number (0, 1, 2, …) across all devices.
-    pub seqno: u64,
-    pub records: Vec<(Lsn, LogRecord)>,
-    pub commits: Vec<PendingCommit>,
-}
-
-/// Durability bookkeeping shared by writers and waiting committers.
-///
-/// Every field here is bounded by the number of *in-flight* pages and
-/// commits, not by engine lifetime: durability itself is one LSN
-/// (`durable_lsn`), and the per-page entries are drained the moment the
-/// watermark passes them.
-#[derive(Debug, Default)]
-pub(crate) struct DurableTable {
-    /// Every record with LSN ≤ `durable_lsn` is on disk, and recovery's
-    /// contiguous-prefix rule keeps it. A commit is durable exactly when
-    /// its ticket's LSN is at or below this — O(1) state instead of a
-    /// forever-growing set of transaction ids.
-    pub durable_lsn: u64,
-    /// Pages written out of order, ahead of the watermark: seqno → last
-    /// LSN on the page. Drained as the watermark advances.
-    pub written: BTreeMap<u64, u64>,
-    /// Every page with seqno < watermark is on disk.
-    pub watermark: u64,
-    /// Dispatched commits per page, waiting for the watermark.
-    pub waiting: BTreeMap<u64, Vec<PendingCommit>>,
-    /// Commits appended but not yet durable (`flush` waits for zero).
-    pub outstanding: usize,
+pub(crate) struct Durability {
+    pub table: DurableTable,
     pub crashed: bool,
     /// A log device failed; the engine is dead.
     pub failure: Option<Error>,
 }
 
-/// Everything the engine, its sessions and the writers share. Lock order: shards (ascending index) → one txn-table slot →
-/// `queue` → `durable`.
+/// `d` in whole µs, rounded up, so a timer never fires before its instant
+/// and a writer it wakes never finds it still pending.
+fn micros_ceil(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos().div_ceil(1_000)).unwrap_or(u64::MAX)
+}
+
+/// Everything the engine, its sessions and the writers share. Lock order:
+/// shards (ascending index) → one txn-table slot → `queue` → `durable`.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub options: EngineOptions,
@@ -212,7 +103,9 @@ pub(crate) struct Shared {
     /// Signalled when a writer's decision may have changed (see the
     /// module docs) or a stop flag was set.
     pub queue_cv: Condvar,
-    pub durable: Mutex<DurableTable>,
+    /// The commit core's parameters under [`Shared::options`].
+    cut: CutParams,
+    pub durable: Mutex<Durability>,
     /// Signalled on every durability transition (page written, crash).
     pub durable_cv: Condvar,
     /// Metric handles and the commit-pipeline trace ring. Recording is
@@ -244,18 +137,25 @@ impl Shared {
         let shards: Vec<Shard> = images.into_iter().map(Shard::with_db).collect();
         let metrics = SessionMetrics::new(n);
         metrics.note_appended_lsn(next_lsn.max(1).saturating_sub(1));
+        let cut = CutParams {
+            window: micros_ceil(GROUP_WINDOW),
+            deadline: Some(micros_ceil(options.flush_interval)),
+            ..CutParams::new(options.policy, options.page_bytes)
+        };
         Shared {
             options,
             shards,
             txns: TxnTable::new(),
             next_txn: AtomicU64::new(next_txn.max(1)),
             stopped: AtomicBool::new(false),
-            queue: Mutex::new(LogQueue {
-                next_lsn: next_lsn.max(1),
-                ..LogQueue::default()
-            }),
+            queue: Mutex::new(LogQueue::starting_at(next_lsn)),
             queue_cv: Condvar::new(),
-            durable: Mutex::new(DurableTable::default()),
+            cut,
+            durable: Mutex::new(Durability {
+                table: DurableTable::starting_at(next_lsn),
+                crashed: false,
+                failure: None,
+            }),
             durable_cv: Condvar::new(),
             metrics,
         }
@@ -339,45 +239,22 @@ impl Shared {
     }
 
     /// Locks the durability table (bottom of the lock order).
-    pub fn durable_guard(&self) -> Result<MutexGuard<'_, DurableTable>> {
+    pub fn durable_guard(&self) -> Result<MutexGuard<'_, Durability>> {
         self.durable
             .lock()
             .map_err(|_| Error::Poisoned("durable table".into()))
     }
 
-    /// What a free writer would do with the queue as it stands at `now`,
-    /// and the instant time alone would change that (the window opening
-    /// under a waiter, or the deadline) — the state a mutation of the
-    /// queue must change to be worth a wake-up.
-    fn cut_view(&self, q: &LogQueue, now: Instant) -> (Cut, Option<Instant>) {
-        let sync = matches!(self.options.policy, CommitPolicy::Synchronous);
-        let window = q.has_demand().then(|| q.window_opens.unwrap_or(now));
-        let oldest = q.oldest_commit();
-        let deadline = oldest.and_then(|t| t.checked_add(self.options.flush_interval));
-        let cut = cut_decision(
-            window.is_some_and(|t| t <= now),
-            deadline.is_some_and(|t| t <= now),
-            // Under the synchronous policy a commit record ends its page,
-            // so a queued commit is a full page.
-            q.bytes >= self.options.page_bytes || (sync && oldest.is_some()),
-        );
-        let timer = [window, deadline]
-            .into_iter()
-            .flatten()
-            .filter(|t| *t > now)
-            .min();
-        (cut, timer)
-    }
-
     /// Releases the queue after a mutation and wakes the writers only if
-    /// the mutation changed their view (taken at `now`) since `before`.
+    /// the mutation changed what a free writer would do, or its timer
+    /// ([`LogQueue::view`] at `now`), since `before`.
     fn release_queue(
         &self,
         q: MutexGuard<'_, LogQueue>,
-        before: (Cut, Option<Instant>),
-        now: Instant,
+        before: (commit::Cut, Option<u64>),
+        now: u64,
     ) {
-        let wake = self.cut_view(&q, now) != before;
+        let wake = q.view(now, &self.cut) != before;
         drop(q);
         if wake {
             self.queue_cv.notify_all();
@@ -399,50 +276,57 @@ impl Shared {
         if q.shutdown || q.crashed {
             return Err(self.stop_reason());
         }
-        let now = Instant::now();
-        let before = self.cut_view(&q, now);
+        let now = self.metrics.now_us();
+        let before = q.view(now, &self.cut);
         for record in redo {
-            q.push(record, None);
+            q.append(record);
         }
-        let lsn = Lsn(q.next_lsn);
+        let lsn = q.append_commit(txn, mask, now);
         self.metrics.trace(TraceStage::Queued, txn, lsn.0, mask);
-        q.push(
-            LogRecord::Commit { txn },
-            Some(PendingCommit {
-                txn,
-                lsn,
-                mask,
-                queued_at: now,
-            }),
-        );
         self.metrics.note_appended_lsn(lsn.0);
         if demand {
-            q.demand = q.demand.max(lsn.0);
+            q.raise_demand(lsn.0, false);
         }
-        // Nested queue → durable follows the lock order.
-        self.durable_guard()?.outstanding += 1;
         self.release_queue(q, before, now);
         Ok(lsn)
     }
 
     /// Announces that somebody is about to block until every record up to
     /// `lsn` is durable, so the writers stop holding those still queued
-    /// for a fuller page. Takes `queue` and releases it: call it *before*
-    /// taking `durable`. A record already cut needs no announcing — its
-    /// page is on its way — and wakes nobody. `lsn` is
-    /// clamped to what has been appended, so `u64::MAX` means "everything
-    /// so far". `flush` says the caller is [`crate::Engine::flush`], which
+    /// for a fuller page, and returns `lsn` clamped to what has been
+    /// appended — `u64::MAX` means "everything so far". Takes `queue` and
+    /// releases it: call it *before* taking `durable`. A record already
+    /// cut needs no announcing — its page is on its way — and wakes
+    /// nobody. `flush` says the caller is [`crate::Engine::flush`], which
     /// also reopens the group window.
-    pub fn raise_demand(&self, lsn: u64, flush: bool) -> Result<()> {
+    pub fn raise_demand(&self, lsn: u64, flush: bool) -> Result<u64> {
         let mut q = self.queue_guard()?;
-        let now = Instant::now();
-        let before = self.cut_view(&q, now);
-        q.demand = q.demand.max(lsn.min(q.next_lsn.saturating_sub(1)));
-        if flush {
-            q.window_opens = None;
-        }
+        let now = self.metrics.now_us();
+        let before = q.view(now, &self.cut);
+        let upto = q.raise_demand(lsn, flush);
         self.release_queue(q, before, now);
-        Ok(())
+        Ok(upto)
+    }
+
+    /// Blocks until every record up to `lsn` is durable (its page and
+    /// every earlier page on disk), or the engine stops.
+    pub fn await_durable(&self, lsn: u64) -> Result<()> {
+        let mut d = self.durable_guard()?;
+        loop {
+            if d.table.durable_lsn() >= lsn {
+                return Ok(());
+            }
+            if let Some(e) = &d.failure {
+                return Err(e.clone());
+            }
+            if d.crashed {
+                return Err(Error::Shutdown);
+            }
+            d = self
+                .durable_cv
+                .wait(d)
+                .map_err(|_| Error::Poisoned("durable table".into()))?;
+        }
     }
 
     /// True once a crash (simulated or device failure) was declared.
@@ -587,45 +471,14 @@ impl Shared {
             .queue
             .lock()
             .map_err(|_| AuditViolation::new(C, "poison", "queue mutex poisoned".to_string()))?;
-        let mut expect = q.next_lsn;
-        for r in q.records.iter().rev() {
-            expect = expect.saturating_sub(1);
-            AuditViolation::ensure(r.lsn.0 == expect, C, "lsn-dense", || {
-                format!("queued LSN {} where {expect} expected", r.lsn.0)
-            })?;
-        }
-        let bytes: usize = q.records.iter().map(|r| r.record.byte_size()).sum();
-        AuditViolation::ensure(bytes == q.bytes, C, "byte-accounting", || {
-            format!("queue says {} bytes, records sum to {bytes}", q.bytes)
-        })?;
-        let queued_commits = q.records.iter().filter(|r| r.commit.is_some()).count();
         // The queue stays locked while the durable table is read (queue →
-        // durable, the lock order): a writer moves a commit from one to
-        // the other under both, so the accounting below sees each once.
+        // durable, the lock order): a writer moves a page from one to the
+        // other under both, so the accounting sees each commit once.
         let d = self
             .durable
             .lock()
             .map_err(|_| AuditViolation::new(C, "poison", "durable mutex poisoned".to_string()))?;
-        for seqno in d.written.keys() {
-            AuditViolation::ensure(*seqno >= d.watermark, C, "watermark", || {
-                format!(
-                    "page {seqno} marked written below watermark {}",
-                    d.watermark
-                )
-            })?;
-        }
-        let dispatched: usize = d.waiting.values().map(Vec::len).sum();
-        AuditViolation::ensure(
-            d.outstanding == queued_commits + dispatched,
-            C,
-            "outstanding-accounting",
-            || {
-                format!(
-                    "outstanding {} != queued {queued_commits} + dispatched {dispatched}",
-                    d.outstanding
-                )
-            },
-        )?;
+        commit::audit(C, &q, &d.table)?;
         drop(d);
         drop(q);
         // Every deadlock-victim abort rode the ordinary abort path, and
@@ -639,98 +492,14 @@ impl Shared {
     }
 }
 
-/// What a free writer does with the queue now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cut {
-    /// Keep accumulating.
-    Hold,
-    /// Cut the full pages; the partial tail keeps accumulating.
-    FullPages,
-    /// Cut everything queued, the partial tail included.
-    All,
-}
-
-/// The one place that decides when a page is cut. A partial page leaves
-/// when it is wanted — somebody is blocked on one of its records and the
-/// group window is open (`demand`), or its oldest commit record has waited
-/// `flush_interval` (`deadline_passed`). Only a writer with nothing to
-/// write asks, so the device that will write the page is free: while
-/// every device is busy the group keeps growing. A full page leaves
-/// regardless.
-pub(crate) fn cut_decision(demand: bool, deadline_passed: bool, page_full: bool) -> Cut {
-    if demand || deadline_passed {
-        Cut::All
-    } else if page_full {
-        Cut::FullPages
-    } else {
-        Cut::Hold
-    }
-}
-
-/// Cuts as many pages as the queue currently justifies. Full pages are
-/// always cut — a page is full once it holds `page_bytes`, which a single
-/// record larger than a page does on its own — and a trailing partial
-/// page is cut only when `flush_partial` ([`Cut::All`], or shutdown).
-/// Under the synchronous policy every commit record ends its page, making
-/// each commit pay its own page write — the paper's 100 tps baseline.
-pub(crate) fn cut_pages(
-    q: &mut LogQueue,
-    page_bytes: usize,
-    sync_cut: bool,
-    flush_partial: bool,
-) -> Vec<Page> {
-    let mut pages = Vec::new();
-    loop {
-        let mut taken = 0usize;
-        let mut bytes = 0usize;
-        let mut cut = false;
-        for rec in q.records.iter() {
-            let size = rec.record.byte_size();
-            if taken > 0 && bytes + size > page_bytes {
-                cut = true;
-                break;
-            }
-            taken += 1;
-            bytes += size;
-            if bytes >= page_bytes || (sync_cut && rec.commit.is_some()) {
-                cut = true;
-                break;
-            }
-        }
-        if taken == 0 || (!cut && !flush_partial) {
-            break;
-        }
-        let mut records = Vec::with_capacity(taken);
-        let mut commits = Vec::new();
-        for _ in 0..taken {
-            let Some(mut r) = q.records.pop_front() else {
-                break;
-            };
-            q.bytes = q.bytes.saturating_sub(r.record.byte_size());
-            if let Some(c) = r.commit.take() {
-                commits.push(c);
-            }
-            records.push((r.lsn, r.record));
-        }
-        pages.push(Page {
-            seqno: q.next_seqno,
-            records,
-            commits,
-        });
-        q.next_seqno += 1;
-    }
-    pages
-}
-
-/// Blocks until the calling writer, which is free, has a page to write:
-/// the oldest page already cut, else the first of every page
-/// [`cut_decision`] releases, cut here as one group — the rest wait in
-/// [`LogQueue::ready`] for whichever writer is free next. `None` means
-/// stand down: shutdown with the queue drained, crash, or a poisoned lock
-/// (a thread panicked holding a table — the engine fails before the
-/// writer leaves, or waiters would hang on a live condvar).
+/// Blocks until the calling writer, which is free, has a page to write —
+/// the commit core's [`LogQueue::next_page`], asked again whenever the
+/// queue changes or the core's timer passes — and registers it in the
+/// durable half before the queue is released. `None` means stand down:
+/// shutdown with the queue drained, crash, or a poisoned lock (a thread
+/// panicked holding a table — the engine fails before the writer leaves,
+/// or waiters would hang on a live condvar).
 fn next_page(shared: &Shared) -> Option<Page> {
-    let sync_cut = matches!(shared.options.policy, CommitPolicy::Synchronous);
     let Ok(mut q) = shared.queue.lock() else {
         shared.poison_fail_stop("log queue");
         return None;
@@ -739,30 +508,15 @@ fn next_page(shared: &Shared) -> Option<Page> {
         if q.crashed {
             return None;
         }
-        if let Some(page) = q.ready.pop_front() {
-            return Some(page);
-        }
-        let now = Instant::now();
-        // Only `timer` can change the decision without another thread
+        let now = shared.metrics.now_us();
+        // Only `timer` can change the answer without another thread
         // changing the queue (and notifying); with none pending, the wait
         // is for an append or a waiter, and whoever brings it wakes us.
-        let (cut, timer) = shared.cut_view(&q, now);
-        if cut == Cut::All {
-            // This group leaves now; the next awaited one no sooner than a
-            // group window from here.
-            q.window_opens = now.checked_add(GROUP_WINDOW);
-        }
-        let flush_partial = q.shutdown || cut == Cut::All;
-        let pages = if flush_partial || cut == Cut::FullPages {
-            cut_pages(&mut q, shared.options.page_bytes, sync_cut, flush_partial)
-        } else {
-            Vec::new()
-        };
-        if !pages.is_empty() {
-            // Register each page's commits before the queue is released
-            // (queue → durable, the lock order): waiters are found here,
-            // and a commit is at every instant either queued or registered
-            // — the audit's accounting.
+        let (page, timer) = q.next_page(now, &shared.cut);
+        if let Some(page) = page {
+            // Registered before the queue is released (queue → durable,
+            // the lock order): a commit is at every instant either queued
+            // or registered — the audit's accounting.
             let Ok(mut d) = shared.durable.lock() else {
                 drop(q); // `fail_stop` takes the queue itself
                 shared.poison_fail_stop("durable table");
@@ -771,28 +525,27 @@ fn next_page(shared: &Shared) -> Option<Page> {
             if d.crashed {
                 return None;
             }
-            for page in pages.iter().filter(|p| !p.commits.is_empty()) {
+            if !page.commits.is_empty() {
                 shared.metrics.batch_txns.record(page.commits.len() as u64);
                 for c in &page.commits {
-                    shared.metrics.group_wait_us.record(us_since(c.queued_at));
+                    let waited = now.saturating_sub(c.queued_at);
+                    shared.metrics.group_wait_us.record(waited);
                 }
-                d.waiting.insert(page.seqno, page.commits.clone());
             }
+            d.table.register(&page);
             drop(d);
-            let spare = pages.len() > 1;
-            q.ready.extend(pages);
-            if spare {
+            if q.pages_waiting() > 0 {
                 shared.queue_cv.notify_all(); // pages left for other writers
             }
-            continue;
+            return Some(page);
         }
-        if q.shutdown && q.records.is_empty() {
+        if q.shutdown && q.is_empty() {
             return None;
         }
         let woken = match timer {
             Some(t) => shared
                 .queue_cv
-                .wait_timeout(q, t.saturating_duration_since(now))
+                .wait_timeout(q, Duration::from_micros(t.saturating_sub(now)))
                 .map(|(guard, _)| guard)
                 .ok(),
             None => shared.queue_cv.wait(q).ok(),
@@ -907,33 +660,20 @@ fn crashed_during(shared: &Shared, backoff: Duration) -> bool {
     }
 }
 
-/// Marks a page written, advances the durable watermark (and with it
-/// `durable_lsn`), reports every commit the watermark now covers, and
-/// retires them: their undo lists and txn-table entries go.
+/// Marks a page written in the durable half, which advances the
+/// watermark and reports every commit it now covers, and retires them:
+/// their undo lists and txn-table entries go.
 fn complete_page(shared: &Shared, page: Page) -> bool {
     let newly = {
-        let Ok(mut guard) = shared.durable.lock() else {
+        let Ok(mut d) = shared.durable.lock() else {
             shared.poison_fail_stop("durable table");
             return false;
         };
-        let d = &mut *guard;
-        let last_lsn = page.records.last().map(|(l, _)| l.0).unwrap_or(0);
-        d.written.insert(page.seqno, last_lsn);
         // Counted under this lock, so a waiter the watermark releases
         // below also sees its page counted.
         shared.metrics.pages_written.inc();
-        let mut newly: Vec<PendingCommit> = Vec::new();
-        while let Some(lsn) = d.written.remove(&d.watermark) {
-            // Pages are cut in LSN order, so retiring the next seqno
-            // extends the durable LSN prefix to that page's last record.
-            d.durable_lsn = d.durable_lsn.max(lsn);
-            if let Some(cs) = d.waiting.remove(&d.watermark) {
-                newly.extend(cs);
-            }
-            d.watermark += 1;
-        }
-        d.outstanding = d.outstanding.saturating_sub(newly.len());
-        shared.metrics.update_durable_lag(d.durable_lsn);
+        let newly = d.table.complete(page.seqno);
+        shared.metrics.update_durable_lag(d.table.durable_lsn());
         shared.durable_cv.notify_all();
         newly
     };
@@ -978,220 +718,4 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
         }
     }
     true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(lsn: u64, record: LogRecord) -> QueuedRecord {
-        let commit = match &record {
-            LogRecord::Commit { txn } => Some(PendingCommit {
-                txn: *txn,
-                lsn: Lsn(lsn),
-                mask: 0,
-                queued_at: Instant::now(),
-            }),
-            _ => None,
-        };
-        QueuedRecord {
-            lsn: Lsn(lsn),
-            record,
-            commit,
-        }
-    }
-
-    fn queue_of(records: Vec<QueuedRecord>) -> LogQueue {
-        let bytes = records.iter().map(|r| r.record.byte_size()).sum();
-        let next_lsn = records.last().map(|r| r.lsn.0 + 1).unwrap_or(1);
-        LogQueue {
-            records: records.into(),
-            bytes,
-            next_lsn,
-            ..LogQueue::default()
-        }
-    }
-
-    fn typical(txn: u64, first_lsn: u64) -> Vec<QueuedRecord> {
-        mmdb_recovery::log::typical_transaction(TxnId(txn), txn, 0, 1)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| rec(first_lsn + i as u64, r))
-            .collect()
-    }
-
-    #[test]
-    fn full_pages_cut_partial_held_back() {
-        // 11 typical transactions = 4400 bytes: one full 4096-byte page
-        // (10 txns) cut, the 11th held until a flush is forced.
-        let mut q = queue_of((0..11).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let pages = cut_pages(&mut q, 4096, false, false);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(pages[0].commits.len(), 10, "ten commits share the page");
-        // The 11th transaction's 20-byte begin record still fits in the
-        // page (4020 ≤ 4096); its update and commit stay queued.
-        assert_eq!(q.records.len(), 2);
-        let more = cut_pages(&mut q, 4096, false, true);
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].seqno, 1);
-        assert!(q.records.is_empty());
-        assert_eq!(q.bytes, 0);
-    }
-
-    #[test]
-    fn a_record_larger_than_a_page_is_a_full_page_on_its_own() {
-        // A writer is woken whenever `bytes >= page_bytes`; if the cut did
-        // not agree that such a page is full it would find nothing to
-        // take until the transaction's next record arrived.
-        let big = LogRecord::Put {
-            txn: TxnId(1),
-            key: 1,
-            new: Record::from(vec![0u8; 3 * 4096]),
-        };
-        let mut q = queue_of(vec![
-            rec(1, LogRecord::Begin { txn: TxnId(1) }),
-            rec(2, big),
-            rec(3, LogRecord::Commit { txn: TxnId(1) }),
-        ]);
-        let pages = cut_pages(&mut q, 4096, false, false);
-        assert_eq!(pages.len(), 2, "begin alone, then the big record alone");
-        assert_eq!(pages[1].records.len(), 1);
-        assert_eq!(q.records.len(), 1, "the commit waits for its group");
-        assert!(q.bytes < 4096);
-    }
-
-    #[test]
-    fn sync_cut_ends_every_page_at_a_commit() {
-        let mut q = queue_of((0..3).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let pages = cut_pages(&mut q, 4096, true, true);
-        assert_eq!(pages.len(), 3, "one page per commit under sync policy");
-        for p in &pages {
-            assert_eq!(p.commits.len(), 1);
-            assert!(matches!(
-                p.records.last(),
-                Some((_, LogRecord::Commit { .. }))
-            ));
-        }
-    }
-
-    #[test]
-    fn cut_decision_over_every_input() {
-        use Cut::{All, FullPages, Hold};
-        const T: bool = true;
-        const F: bool = false;
-        // (demand, deadline passed, page full) → decision.
-        let table = [
-            // Nobody waits, no deadline: only a full page leaves.
-            ((F, F, F), Hold),
-            ((F, F, T), FullPages),
-            // Wanted: everything leaves, the partial tail included.
-            ((T, F, F), All),
-            ((F, T, F), All),
-            ((T, T, F), All),
-            ((T, F, T), All),
-            ((F, T, T), All),
-            ((T, T, T), All),
-        ];
-        let mut seen = std::collections::BTreeSet::new();
-        for ((demand, deadline_passed, page_full), want) in table {
-            assert!(seen.insert((demand, deadline_passed, page_full)));
-            assert_eq!(
-                cut_decision(demand, deadline_passed, page_full),
-                want,
-                "demand {demand}, deadline {deadline_passed}, full {page_full}"
-            );
-        }
-        assert_eq!(seen.len(), 8, "every combination is listed once");
-    }
-
-    #[test]
-    fn a_waiter_is_served_when_the_group_window_opens() {
-        let interval = Duration::from_secs(10);
-        let options =
-            EngineOptions::new(CommitPolicy::Group, "unused").with_flush_interval(interval);
-        let shared = Shared::new(options, HashMap::new(), 1, 1);
-        let put = |k: u64| {
-            vec![LogRecord::Put {
-                txn: TxnId(k),
-                key: k,
-                new: Record::from(vec![0u8; 8]),
-            }]
-        };
-        // An awaited commit on a quiet log leaves at once, as a group of one.
-        shared.append(TxnId(1), put(1), 0, true).unwrap();
-        let first = next_page(&shared).unwrap();
-        assert_eq!(first.commits.len(), 1);
-        // The next commit queues just after that cut. Nobody waits on it
-        // yet: only its deadline is pending.
-        let lsn = shared.append(TxnId(2), put(2), 0, false).unwrap();
-        let (queued_at, opens) = {
-            let q = shared.queue_guard().unwrap();
-            (q.oldest_commit().unwrap(), q.window_opens.unwrap())
-        };
-        assert!(opens <= queued_at + GROUP_WINDOW);
-        let deadline = queued_at + interval;
-        let just_before = opens - Duration::from_micros(1);
-        {
-            let q = shared.queue_guard().unwrap();
-            assert_eq!(shared.cut_view(&q, just_before).0, Cut::Hold);
-            assert_eq!(shared.cut_view(&q, deadline).0, Cut::All);
-        }
-        // Its waiter arrives: the page leaves when the window opens, long
-        // before the deadline.
-        shared.raise_demand(lsn.0, false).unwrap();
-        {
-            let q = shared.queue_guard().unwrap();
-            assert_eq!(shared.cut_view(&q, just_before), (Cut::Hold, Some(opens)));
-            assert_eq!(shared.cut_view(&q, opens), (Cut::All, Some(deadline)));
-        }
-        // A flush does not wait it out.
-        shared.raise_demand(u64::MAX, true).unwrap();
-        let q = shared.queue_guard().unwrap();
-        assert_eq!(shared.cut_view(&q, just_before).0, Cut::All);
-    }
-
-    #[test]
-    fn demand_lasts_while_its_record_is_queued() {
-        let mut q = queue_of(typical(1, 1));
-        assert!(!q.has_demand(), "nobody waits yet");
-        q.demand = 3;
-        assert!(q.has_demand());
-        cut_pages(&mut q, 4096, false, true);
-        assert!(!q.has_demand(), "dispatching the record answers it");
-        q.records.extend(typical(2, 4));
-        assert!(!q.has_demand(), "a later transaction inherits nothing");
-    }
-
-    #[test]
-    fn the_deadline_follows_the_oldest_queued_commit() {
-        let mut q = queue_of((0..2).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let second = q.records[5].commit.as_ref().unwrap().queued_at;
-        assert!(q.oldest_commit().is_some_and(|t| t <= second));
-        // A 500-byte page takes the first 400-byte transaction (and the
-        // second's begin record); the second commit stays queued.
-        let pages = cut_pages(&mut q, 500, false, false);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(pages[0].commits.len(), 1);
-        assert_eq!(
-            q.oldest_commit(),
-            Some(second),
-            "moved to the second commit"
-        );
-        cut_pages(&mut q, 500, false, true);
-        assert_eq!(q.oldest_commit(), None, "nothing queued, nothing armed");
-    }
-
-    #[test]
-    fn lsn_order_is_preserved_across_pages() {
-        let mut q = queue_of((0..25).flat_map(|t| typical(t + 1, 1 + t * 3)).collect());
-        let pages = cut_pages(&mut q, 4096, false, true);
-        let flat: Vec<u64> = pages
-            .iter()
-            .flat_map(|p| p.records.iter().map(|(l, _)| l.0))
-            .collect();
-        let mut sorted = flat.clone();
-        sorted.sort_unstable();
-        assert_eq!(flat, sorted);
-        assert_eq!(flat.len(), 75);
-    }
 }

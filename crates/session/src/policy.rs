@@ -1,12 +1,15 @@
-//! Commit policies and engine options (§5.2 of the paper).
+//! Engine options (§5.2 of the paper).
 //!
 //! The §5.2 commit policies — synchronous, group commit, partitioned log
-//! — exist twice in this workspace: once in virtual time
-//! ([`mmdb_recovery::CommitMode`], run by `RecoveryManager`) and once
-//! here, on real OS threads and a wall clock. [`CommitPolicy`] names
-//! the policy; [`EngineOptions`] carries the engine's knobs.
+//! — are one [`CommitPolicy`] (defined in `mmdb-types`, re-exported here)
+//! and one commit core, `mmdb_recovery::commit`, which the virtual-time
+//! `RecoveryManager` and this engine's wall-clock log writers both run.
+//! [`EngineOptions`] carries the engine's knobs, and with them the
+//! core's wall-clock parameters: the page size, [`GROUP_WINDOW`] and
+//! [`EngineOptions::flush_interval`].
 
 use crate::shard::MAX_SHARDS;
+pub use mmdb_recovery::CommitPolicy;
 use mmdb_recovery::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -16,50 +19,6 @@ use std::time::Duration;
 /// which would make the commit rate follow every wobble of the disk's
 /// sync time (EXPERIMENTS.md §S1, "Why a window").
 pub const GROUP_WINDOW: Duration = Duration::from_micros(500);
-
-/// How a commit becomes durable (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitPolicy {
-    /// Every commit forces its own log page and the committer waits for
-    /// the write — the paper's 100 tps baseline, one page write per
-    /// transaction.
-    Synchronous,
-    /// Commit records accumulate while the log device is busy and the
-    /// group window ([`GROUP_WINDOW`]) is closed: one page write commits
-    /// whatever arrived since the previous one left, and the committer is
-    /// *pre-committed* in between, holding no locks. A page leaves when
-    /// it fills, or — partial — once a committer is blocked on it, a
-    /// device is free and the window is open, so a commit on a quiet log
-    /// pays one page write and no timer.
-    Group,
-    /// Group commit over `devices` log devices, the §5.2 recipe for
-    /// pushing past one device's page rate: whichever device is free
-    /// writes the next page, so up to `devices` pages are in flight at
-    /// once. Durability stays one LSN prefix across all of them.
-    Partitioned {
-        /// Number of log devices, one writer each.
-        devices: usize,
-    },
-}
-
-impl CommitPolicy {
-    /// Number of log devices this policy writes.
-    pub fn devices(&self) -> usize {
-        match self {
-            CommitPolicy::Synchronous | CommitPolicy::Group => 1,
-            CommitPolicy::Partitioned { devices } => (*devices).max(1),
-        }
-    }
-
-    /// Short lowercase name, for reports and file names.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CommitPolicy::Synchronous => "sync",
-            CommitPolicy::Group => "group",
-            CommitPolicy::Partitioned { .. } => "partitioned",
-        }
-    }
-}
 
 /// Configuration for a wall-clock [`crate::Engine`].
 #[derive(Debug, Clone)]
@@ -218,13 +177,5 @@ mod tests {
         assert_eq!(opts.shard_count(), MAX_SHARDS);
         let opts = EngineOptions::new(CommitPolicy::Group, "/tmp/x").with_shards(8);
         assert_eq!(opts.shard_count(), 8);
-    }
-
-    #[test]
-    fn policy_device_counts() {
-        assert_eq!(CommitPolicy::Synchronous.devices(), 1);
-        assert_eq!(CommitPolicy::Group.devices(), 1);
-        assert_eq!(CommitPolicy::Partitioned { devices: 4 }.devices(), 4);
-        assert_eq!(CommitPolicy::Partitioned { devices: 0 }.devices(), 1);
     }
 }

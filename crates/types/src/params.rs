@@ -6,6 +6,9 @@
 //! * [`AccessGeometry`] — the §2 relation characteristics
 //!   (`||R||, K, T, Pg, P`).
 //! * [`CostWeights`] — the §4 Selinger-style objective `W·CPU + IO`.
+//! * [`CommitPolicy`] — how a §5.2 commit becomes durable, one type for
+//!   the closed-form model, the virtual-time recovery manager and the
+//!   wall-clock engine.
 
 /// Per-operation costs, Table 2 of the paper. CPU times are in
 /// **microseconds**, I/O times in **milliseconds**; accessors convert to
@@ -238,9 +241,59 @@ impl Default for CostWeights {
     }
 }
 
+/// How a commit becomes durable (§5.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommitPolicy {
+    /// Every commit forces its own log page and the committer waits for
+    /// the write — the paper's 100 tps baseline, one page write per
+    /// transaction.
+    Synchronous,
+    /// Commit records share log pages: one page write commits whatever
+    /// arrived since the previous one left, and the committer is
+    /// *pre-committed* in between, holding no locks. A page leaves when
+    /// it fills, or — partial — once somebody is blocked on it and a
+    /// device is free (on the wall clock, also once the group window is
+    /// open).
+    Group,
+    /// Group commit over `devices` log devices, the §5.2 recipe for
+    /// pushing past one device's page rate: up to `devices` pages are in
+    /// flight at once. Durability stays one LSN prefix across all of them.
+    Partitioned {
+        /// Number of log devices.
+        devices: usize,
+    },
+}
+
+impl CommitPolicy {
+    /// Number of log devices this policy writes.
+    pub fn devices(&self) -> usize {
+        match self {
+            CommitPolicy::Synchronous | CommitPolicy::Group => 1,
+            CommitPolicy::Partitioned { devices } => (*devices).max(1),
+        }
+    }
+
+    /// Short lowercase name, for reports and file names.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CommitPolicy::Synchronous => "sync",
+            CommitPolicy::Group => "group",
+            CommitPolicy::Partitioned { .. } => "partitioned",
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_device_counts() {
+        assert_eq!(CommitPolicy::Synchronous.devices(), 1);
+        assert_eq!(CommitPolicy::Group.devices(), 1);
+        assert_eq!(CommitPolicy::Partitioned { devices: 4 }.devices(), 4);
+        assert_eq!(CommitPolicy::Partitioned { devices: 0 }.devices(), 1);
+    }
 
     #[test]
     fn table2_matches_paper() {

@@ -7,11 +7,10 @@
 //! cargo run --example banking_recovery
 //! ```
 
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 
-fn run(mode: CommitMode, label: &str) {
+fn run(mut bank: RecoveryManager, label: &str) {
     println!("-- {label} --");
-    let mut bank = RecoveryManager::new(mode);
 
     // Open 50 accounts with $1 000 each.
     let seed = bank.begin();
@@ -64,16 +63,20 @@ fn run(mode: CommitMode, label: &str) {
 
 fn main() {
     println!("§5 of DeWitt et al. 1984 — recovery for memory-resident databases\n");
-    run(CommitMode::Synchronous, "synchronous commit (≤100 tps)");
-    run(CommitMode::GroupCommit, "group commit (≈500 tps)");
     run(
-        CommitMode::PartitionedLog { devices: 4 },
+        RecoveryManager::new(CommitPolicy::Synchronous),
+        "synchronous commit (≤100 tps)",
+    );
+    run(
+        RecoveryManager::new(CommitPolicy::Group),
+        "group commit (≈500 tps)",
+    );
+    run(
+        RecoveryManager::new(CommitPolicy::Partitioned { devices: 4 }),
         "partitioned log, 4 devices (≈2000 tps)",
     );
     run(
-        CommitMode::StableMemory {
-            capacity_bytes: 256 * 1024,
-        },
+        RecoveryManager::with_stable_memory(256 * 1024),
         "stable memory + §5.4 log compression",
     );
     println!("all four §5 commit policies recover correctly.");

@@ -9,7 +9,7 @@
 
 use mmdb_bench::mvcc::VersionedStore;
 use mmdb_index::{AvlTree, BPlusTree, PagedResidency, ReplacementPolicy};
-use mmdb_recovery::{CommitMode, LockManager, RecoveryManager};
+use mmdb_recovery::{LockManager, RecoveryManager};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{Auditable, TxnId};
 use proptest::prelude::*;
@@ -238,13 +238,12 @@ proptest! {
         mode_pick in 0u8..4,
     ) {
         let _serial = serial();
-        let mode = match mode_pick {
-            0 => CommitMode::Synchronous,
-            1 => CommitMode::GroupCommit,
-            2 => CommitMode::PartitionedLog { devices: 3 },
-            _ => CommitMode::StableMemory { capacity_bytes: 1 << 20 },
+        let mut m = match mode_pick {
+            0 => RecoveryManager::new(CommitPolicy::Synchronous),
+            1 => RecoveryManager::new(CommitPolicy::Group),
+            2 => RecoveryManager::new(CommitPolicy::Partitioned { devices: 3 }),
+            _ => RecoveryManager::with_stable_memory(1 << 20),
         };
-        let mut m = RecoveryManager::new(mode);
         let mut open = Vec::new();
         for (i, &(kind, key, value)) in ops.iter().enumerate() {
             match kind {

@@ -3,7 +3,7 @@
 //! crash/recover cycles. These are the "does it hold up" tests a downstream adopter
 //! would run first.
 
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 use mmdb_sql::{SqlDb, SqlSession};
 use mmdb_suite::scratch_engine;
 use mmdb_types::WorkloadRng;
@@ -73,7 +73,7 @@ fn sustained_dml_with_index_maintenance() {
 
 #[test]
 fn repeated_crash_recover_cycles_accumulate_correctly() {
-    let mut store = RecoveryManager::new(CommitMode::GroupCommit);
+    let mut store = RecoveryManager::new(CommitPolicy::Group);
     let seed = store.begin();
     for a in 0..20u64 {
         store.write(&seed, a, 0).unwrap();

@@ -4,9 +4,9 @@
 
 use mmdb_analytic::access::random_break_even_fraction;
 use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
-use mmdb_analytic::recovery::{CommitPolicy, ThroughputModel};
+use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::execute_typical;
-use mmdb_recovery::CommitMode;
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 use mmdb_types::{AccessGeometry, RelationShape, SystemParams};
 
 /// §2 / §6: "B+-trees are the preferred storage mechanism unless more
@@ -119,11 +119,12 @@ fn claim_simple_hash_wrinkle_is_small_and_localized() {
 fn claim_recovery_throughput_numbers() {
     let model = ThroughputModel::default();
     assert_eq!(model.throughput(CommitPolicy::Synchronous), 100.0);
-    assert_eq!(model.throughput(CommitPolicy::GroupCommit), 1000.0);
+    assert_eq!(model.throughput(CommitPolicy::Group), 1000.0);
     // And the recovery manager, executing typical transactions against
     // 10 ms log pages in virtual time, agrees with the arithmetic.
-    let (sync, _) = execute_typical(CommitMode::Synchronous, 1_000).unwrap();
-    let (group, _) = execute_typical(CommitMode::GroupCommit, 10_000).unwrap();
+    let sync_db = RecoveryManager::new(CommitPolicy::Synchronous);
+    let (sync, _) = execute_typical(sync_db, 1_000).unwrap();
+    let (group, _) = execute_typical(RecoveryManager::new(CommitPolicy::Group), 10_000).unwrap();
     assert!((sync - 100.0).abs() < 2.0, "sync {sync}");
     assert!((group - 1_000.0).abs() < 25.0, "group {group}");
 }

@@ -1,8 +1,8 @@
 //! Property-based crash testing of the §5 recovery machinery: whatever
-//! the workload, the commit mode, and the crash point, recovery restores
+//! the workload, the commit policy, and the crash point, recovery restores
 //! exactly the committed prefix.
 
-use mmdb_recovery::{CommitMode, RecoveryManager};
+use mmdb_recovery::{CommitPolicy, RecoveryManager};
 use mmdb_types::TxnId;
 use proptest::prelude::*;
 
@@ -31,15 +31,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn mode_strategy() -> impl Strategy<Value = CommitMode> {
-    prop_oneof![
-        Just(CommitMode::Synchronous),
-        Just(CommitMode::GroupCommit),
-        Just(CommitMode::PartitionedLog { devices: 3 }),
-        Just(CommitMode::StableMemory {
-            capacity_bytes: 1 << 20
-        }),
-    ]
+/// The manager `pick` names: synchronous, group, partitioned over three
+/// devices, or stable memory — the last of which commit durably on return.
+fn manager(pick: u8) -> RecoveryManager {
+    match pick {
+        0 => RecoveryManager::new(CommitPolicy::Synchronous),
+        1 => RecoveryManager::new(CommitPolicy::Group),
+        2 => RecoveryManager::new(CommitPolicy::Partitioned { devices: 3 }),
+        _ => RecoveryManager::with_stable_memory(1 << 20),
+    }
 }
 
 proptest! {
@@ -47,11 +47,11 @@ proptest! {
 
     #[test]
     fn recovery_restores_exactly_the_committed_state(
-        mode in mode_strategy(),
+        pick in 0u8..4,
         ops in prop::collection::vec(op_strategy(), 1..60),
         final_flush in any::<bool>(),
     ) {
-        let mut store = RecoveryManager::new(mode);
+        let mut store = manager(pick);
         // Oracle of committed state only.
         let mut oracle: std::collections::HashMap<u64, i64> =
             (0..16).map(|a| (a, 1_000)).collect();
@@ -97,7 +97,7 @@ proptest! {
         // Invariant 1: committed-and-durable transactions all appear; no
         // phantom commits.
         prop_assert!(report.committed.len() <= commit_order.len());
-        if final_flush || matches!(mode, CommitMode::Synchronous | CommitMode::StableMemory { .. }) {
+        if final_flush || pick == 0 || pick == 3 {
             prop_assert_eq!(report.committed.len(), commit_order.len());
             // Invariant 2: with everything durable, the recovered state
             // equals the committed oracle exactly.
@@ -124,10 +124,10 @@ proptest! {
 
     #[test]
     fn crash_mid_stream_never_resurrects_uncommitted_data(
-        mode in mode_strategy(),
+        pick in 0u8..4,
         committed in 1u64..30,
     ) {
-        let mut store = RecoveryManager::new(mode);
+        let mut store = manager(pick);
         let seed = store.begin();
         store.write(&seed, 0, 0).unwrap();
         store.commit(seed).unwrap();
