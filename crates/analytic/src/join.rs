@@ -9,40 +9,7 @@
 //! regenerates all four curves over that axis.
 
 use mmdb_types::cast::{f64_from_u64, u64_from_f64};
-use mmdb_types::{RelationShape, SystemParams};
-
-/// Which join algorithm a cost or result refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinAlgorithm {
-    /// §3.4 standard sort-merge.
-    SortMerge,
-    /// §3.5 multipass simple hash.
-    SimpleHash,
-    /// §3.6 GRACE hash (hashing used in phase 2, per the paper).
-    GraceHash,
-    /// §3.7 the paper's new hybrid hash.
-    HybridHash,
-}
-
-impl JoinAlgorithm {
-    /// All four, in the paper's presentation order.
-    pub const ALL: [JoinAlgorithm; 4] = [
-        JoinAlgorithm::SortMerge,
-        JoinAlgorithm::SimpleHash,
-        JoinAlgorithm::GraceHash,
-        JoinAlgorithm::HybridHash,
-    ];
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JoinAlgorithm::SortMerge => "sort-merge",
-            JoinAlgorithm::SimpleHash => "simple-hash",
-            JoinAlgorithm::GraceHash => "grace-hash",
-            JoinAlgorithm::HybridHash => "hybrid-hash",
-        }
-    }
-}
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
 /// A fully specified join scenario: machine parameters, relation shapes,
 /// and the memory grant.
@@ -196,12 +163,13 @@ pub fn grace_hash_cost(sc: &JoinScenario) -> f64 {
     partition + write + read_back + build_probe
 }
 
-/// Number of disk partitions `B` the hybrid-hash join needs (§3.7): zero
-/// when R's hash table fits entirely in memory, otherwise enough that each
-/// of the `B` partitions fits, given that `B` output-buffer pages are
-/// reserved.
-pub fn hybrid_partitions(shape: &RelationShape, fudge: f64, mem_pages: f64) -> f64 {
-    let r_f = f64_from_u64(shape.r_pages) * fudge;
+/// Number of disk partitions `B` the hybrid-hash join needs for an `R` of
+/// `r_pages` (§3.7): zero when R's hash table fits entirely in memory,
+/// otherwise enough that each of the `B` partitions fits, given that `B`
+/// output-buffer pages are reserved. The model and the executor both
+/// size their partitioning with it.
+pub fn hybrid_partitions(r_pages: f64, fudge: f64, mem_pages: f64) -> f64 {
+    let r_f = r_pages * fudge;
     if mem_pages >= r_f {
         0.0
     } else {
@@ -214,7 +182,7 @@ pub fn hybrid_partitions(shape: &RelationShape, fudge: f64, mem_pages: f64) -> f
 /// Fraction `q = |R0|/|R|` of R whose hash table stays in memory during
 /// the hybrid-hash partitioning phase.
 pub fn hybrid_in_memory_fraction(shape: &RelationShape, fudge: f64, mem_pages: f64) -> f64 {
-    let b = hybrid_partitions(shape, fudge, mem_pages);
+    let b = hybrid_partitions(f64_from_u64(shape.r_pages), fudge, mem_pages);
     if b == 0.0 {
         return 1.0;
     }
@@ -243,7 +211,7 @@ pub fn hybrid_hash_cost(sc: &JoinScenario) -> f64 {
     let (r_pages, s_pages) = (f64_from_u64(sh.r_pages), f64_from_u64(sh.s_pages));
     let (r_t, s_t) = (f64_from_u64(sh.r_tuples()), f64_from_u64(sh.s_tuples()));
 
-    let b = hybrid_partitions(sh, p.fudge, sc.mem_pages);
+    let b = hybrid_partitions(r_pages, p.fudge, sc.mem_pages);
     let q = hybrid_in_memory_fraction(sh, p.fudge, sc.mem_pages);
     let io_write = if b <= 1.0 { p.io_seq() } else { p.io_rand() };
 
@@ -517,10 +485,14 @@ mod tests {
     fn hybrid_partition_arithmetic() {
         let shape = RelationShape::table2();
         // Fits fully: no partitions, q = 1.
-        assert_eq!(hybrid_partitions(&shape, 1.2, 12_000.0), 0.0);
+        assert_eq!(hybrid_partitions(10_000.0, 1.2, 12_000.0), 0.0);
         assert_eq!(hybrid_in_memory_fraction(&shape, 1.2, 12_000.0), 1.0);
         // Exactly half: one partition.
-        assert_eq!(hybrid_partitions(&shape, 1.2, 6_001.0), 1.0);
+        assert_eq!(hybrid_partitions(10_000.0, 1.2, 6_001.0), 1.0);
+        // A small R: one buffer page past half of |R|·F, several below.
+        assert_eq!(hybrid_partitions(100.0, 1.2, 120.0), 0.0);
+        assert_eq!(hybrid_partitions(100.0, 1.2, 70.0), 1.0);
+        assert!(hybrid_partitions(100.0, 1.2, 20.0) > 1.0);
         // q decreases with memory.
         let q_big = hybrid_in_memory_fraction(&shape, 1.2, 6_000.0);
         let q_small = hybrid_in_memory_fraction(&shape, 1.2, 1_200.0);

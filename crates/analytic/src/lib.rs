@@ -26,6 +26,6 @@ pub use access::{
 };
 pub use join::{
     figure1, grace_hash_cost, hybrid_hash_cost, min_memory_pages, simple_hash_cost,
-    sort_merge_cost, Figure1Point, JoinAlgorithm, JoinScenario,
+    sort_merge_cost, Figure1Point, JoinScenario,
 };
 pub use recovery::ThroughputModel;

@@ -6,8 +6,7 @@
 //! All operators execute for real; the meter converts to Table 2 seconds.
 
 use mmdb_bench::{print_table, secs};
-use mmdb_exec::aggregate::{hash_aggregate, hybrid_hash_aggregate, sort_aggregate, AggFunc};
-use mmdb_exec::project::{hash_project, hybrid_hash_project, sort_project};
+use mmdb_exec::aggregate::{group, hash_aggregate, AggFunc, Strategy};
 use mmdb_exec::{workload, ExecContext};
 use mmdb_types::SystemParams;
 
@@ -22,7 +21,14 @@ fn main() {
         let hctx = ExecContext::new(10_000, 1.2);
         let h = hash_aggregate(&rel, 3, &[AggFunc::Count, AggFunc::Avg(2)], &hctx).unwrap();
         let sctx = ExecContext::new(10_000, 1.2);
-        let s = sort_aggregate(&rel, 3, &[AggFunc::Count, AggFunc::Avg(2)], &sctx).unwrap();
+        let s = group(
+            &rel,
+            &[3],
+            &[AggFunc::Count, AggFunc::Avg(2)],
+            Strategy::Sort,
+            &sctx,
+        )
+        .unwrap();
         assert_eq!(h.tuples(), s.tuples(), "operators agree");
         let hs = hctx.meter.seconds(&params);
         let ss = sctx.meter.seconds(&params);
@@ -42,7 +48,7 @@ fn main() {
     // --- Aggregation under memory pressure -----------------------------
     let rel = workload::employees(100_000, 1_000, 8).expect("workload generation");
     let tight = ExecContext::new(20, 1.2);
-    let hh = hybrid_hash_aggregate(&rel, 3, &[AggFunc::Count], &tight).unwrap();
+    let hh = group(&rel, &[3], &[AggFunc::Count], Strategy::HybridHash, &tight).unwrap();
     let tight_secs = tight.meter.seconds(&params);
     let loose = ExecContext::new(10_000, 1.2);
     let one = hash_aggregate(&rel, 3, &[AggFunc::Count], &loose).unwrap();
@@ -66,12 +72,12 @@ fn main() {
     for n in [10_000usize, 50_000, 200_000] {
         let rel = workload::employees(n, 50, 9).expect("workload generation");
         let hctx = ExecContext::new(10_000, 1.2);
-        let h = hash_project(&rel, &[3], &hctx).unwrap();
+        let h = group(&rel, &[3], &[], Strategy::Hash, &hctx).unwrap();
         let sctx = ExecContext::new(10_000, 1.2);
-        let s = sort_project(&rel, &[3], &sctx).unwrap();
+        let s = group(&rel, &[3], &[], Strategy::Sort, &sctx).unwrap();
         assert_eq!(h.tuple_count(), s.tuple_count());
         let hctx2 = ExecContext::new(8, 1.2);
-        let hy = hybrid_hash_project(&rel, &[3], &hctx2).unwrap();
+        let hy = group(&rel, &[3], &[], Strategy::HybridHash, &hctx2).unwrap();
         assert_eq!(hy.tuple_count(), h.tuple_count());
         prows.push(vec![
             n.to_string(),

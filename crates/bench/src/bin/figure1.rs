@@ -10,11 +10,11 @@
 //!    with the factor; the *shape* — who wins where, the 0.5
 //!    discontinuity, simple hash's blow-up — must match the paper.
 
-use mmdb_analytic::join::{figure1, JoinAlgorithm};
+use mmdb_analytic::join::figure1;
 use mmdb_bench::{figure1_ratios, print_table, secs};
-use mmdb_exec::join::{run_join, Algo, JoinSpec};
+use mmdb_exec::join::{run_join, JoinSpec};
 use mmdb_exec::{workload, ExecContext};
-use mmdb_types::{RelationShape, SystemParams};
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -60,12 +60,6 @@ fn main() {
     );
     let (r, s) = workload::table2_relations(shape, scale, 42).expect("workload generation");
     let spec = JoinSpec::new(0, 0);
-    let algos = [
-        Algo::SortMerge,
-        Algo::SimpleHash,
-        Algo::GraceHash,
-        Algo::HybridHash,
-    ];
     let mut emp_rows: Vec<Vec<String>> = Vec::new();
     let mut winners_match = 0usize;
     let mut total_points = 0usize;
@@ -73,7 +67,7 @@ fn main() {
         let mem_pages = ((ratio * r.page_count() as f64 * params.fudge).round() as usize).max(2);
         let mut row = vec![format!("{ratio:.3}")];
         let mut emp_secs = Vec::new();
-        for algo in algos {
+        for algo in JoinAlgorithm::ALL {
             let ctx = ExecContext::new(mem_pages, params.fudge);
             let out = run_join(algo, &r, &s, spec, &ctx).expect("join runs");
             assert!(out.tuple_count() > 0, "workload must produce matches");
@@ -93,7 +87,7 @@ fn main() {
         if emp_winner == ana_winner {
             winners_match += 1;
         }
-        row.push(algos[emp_winner].name().to_string());
+        row.push(JoinAlgorithm::ALL[emp_winner].name().to_string());
         emp_rows.push(row);
     }
     print_table(

@@ -8,8 +8,8 @@
 
 use mmdb_bench::{plan_and_run, print_table, secs};
 use mmdb_exec::MemRelation;
-use mmdb_planner::{JoinEdge, JoinMethod, QuerySpec, TableRef};
-use mmdb_types::{DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
+use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
+use mmdb_types::{DataType, JoinAlgorithm, Predicate, Schema, Tuple, Value, WorkloadRng};
 
 /// `orders`, `customers` and `parts`, 40 tuples to a page.
 fn build_tables() -> [MemRelation; 3] {
@@ -99,7 +99,10 @@ fn main() {
             secs(outcome.simulated_seconds()),
         ]);
         // §4: hash-based plans everywhere with ample memory.
-        assert!(plan.methods().iter().all(|m| *m == JoinMethod::HybridHash));
+        assert!(plan
+            .methods()
+            .iter()
+            .all(|m| *m == JoinAlgorithm::HybridHash));
     }
     print_table(
         "Chosen plans (|M| = 12 000 pages)",

@@ -9,9 +9,9 @@
 //! * every hash algorithm beats sort-merge once `|M| ≥ sqrt(|S|·F)`,
 //! * GRACE is flat in memory; simple hash degrades as memory shrinks.
 
-use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
+use mmdb_analytic::join::JoinScenario;
 use mmdb_bench::print_table;
-use mmdb_types::{RelationShape, SystemParams};
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
 struct SweepPoint {
     params: SystemParams,

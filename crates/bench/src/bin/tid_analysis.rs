@@ -6,9 +6,9 @@
 //! tuples can exceed the savings of using TIDs if the join produces a
 //! large number of tuples." This harness maps out the crossover.
 
-use mmdb_analytic::join::{tid, JoinAlgorithm, JoinScenario};
+use mmdb_analytic::join::{tid, JoinScenario};
 use mmdb_bench::{print_table, secs};
-use mmdb_types::{RelationShape, SystemParams};
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
 fn main() {
     println!("Experiment D1 — §3.2 TID-key pairs vs whole tuples");

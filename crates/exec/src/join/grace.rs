@@ -11,12 +11,12 @@
 //! its Figure 1 curve is flat — it never exploits memory beyond the
 //! `sqrt(|S|·F)` minimum.
 
-use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
+use super::{charged_hash, run_join, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::{hash_key, uniform_class};
 use crate::spill::{SpillFile, SpillIo};
 use crate::{MemRelation, Meter, Row, Rows};
-use mmdb_types::{Result, Tuple};
+use mmdb_types::{JoinAlgorithm, Result, Tuple};
 
 /// Joins `r` and `s` with the two-phase GRACE algorithm.
 pub fn grace_hash_join(
@@ -25,7 +25,7 @@ pub fn grace_hash_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    run_join(Algo::GraceHash, r, s, spec, ctx)
+    run_join(JoinAlgorithm::GraceHash, r, s, spec, ctx)
 }
 
 /// The GRACE core: each matching pair goes to `emit`.

@@ -12,6 +12,8 @@ use crate::context::ExecContext;
 use crate::partition::{hash_key_level, HybridSplit};
 use crate::spill::{SpillFile, SpillIo};
 use crate::{MemRelation, Meter, Row, Rows};
+use mmdb_analytic::join::hybrid_partitions;
+use mmdb_types::cast::{f64_from_usize, usize_from_f64};
 use mmdb_types::{Result, Tuple};
 
 /// Execution statistics exposing the memory discipline (for tests and the
@@ -29,16 +31,15 @@ pub struct HybridStats {
     pub depth_capped: bool,
 }
 
-/// Number of on-disk partitions `B` for a memory grant (0 when R's hash
-/// table fits entirely in memory).
-pub fn disk_partitions(r_pages: usize, fudge: f64, mem_pages: usize) -> usize {
-    let r_f = r_pages as f64 * fudge;
-    let m = mem_pages as f64;
-    if m >= r_f {
-        0
-    } else {
-        (((r_f - m) / (m - 1.0).max(1.0)).ceil() as usize).max(1)
-    }
+/// §3.7's `B` for an `R` of `r_pages` under the context's memory grant:
+/// the model's [`hybrid_partitions`], so the executor and the cost model
+/// partition alike.
+fn partitions<M>(r_pages: usize, ctx: &ExecContext<M>) -> usize {
+    usize_from_f64(hybrid_partitions(
+        f64_from_usize(r_pages),
+        ctx.fudge,
+        f64_from_usize(ctx.mem_pages),
+    ))
 }
 
 /// Joins `r` and `s` with the hybrid-hash algorithm.
@@ -76,7 +77,7 @@ pub(crate) fn join_rows<T: Row, M: Meter>(
     let (r_tpp, s_tpp) = (r.tuples_per_page, s.tuples_per_page);
     let r_count = r.tuples.len();
 
-    let b = disk_partitions(r.page_count(), ctx.fudge, ctx.mem_pages);
+    let b = partitions(r.page_count(), ctx);
     // Memory left for R0's hash table after reserving B buffer pages.
     let r0_capacity_tuples = if b == 0 {
         r_count.max(1)
@@ -215,7 +216,7 @@ fn join_pair<T: Row, M: Meter>(
     // Overflow: re-partition with an independent (level-salted) hash.
     stats.recursive_partitionings += 1;
     let r_pages = r_rows.len().div_ceil(r_tpp);
-    let b = disk_partitions(r_pages, ctx.fudge, ctx.mem_pages).max(2);
+    let b = partitions(r_pages, ctx).max(2);
     let write_io = if b <= 1 {
         SpillIo::Sequential
     } else {
@@ -317,15 +318,6 @@ mod tests {
             prev = io;
         }
         assert_eq!(prev, 0, "fully in memory at the top of the sweep");
-    }
-
-    #[test]
-    fn disk_partition_count_formula() {
-        assert_eq!(disk_partitions(100, 1.2, 120), 0);
-        assert_eq!(disk_partitions(100, 1.2, 70), 1);
-        assert!(disk_partitions(100, 1.2, 20) > 1);
-        // Matches the analytic crate's arithmetic at Table 2 scale.
-        assert_eq!(disk_partitions(10_000, 1.2, 6_001), 1);
     }
 
     #[test]

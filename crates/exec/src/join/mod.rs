@@ -26,7 +26,7 @@ pub use sort_merge::sort_merge_join;
 
 use crate::partition::hash_key;
 use crate::{ExecContext, MemRelation, Meter, Row, Rows};
-use mmdb_types::{Result, Schema, Tuple};
+use mmdb_types::{JoinAlgorithm, Result, Schema, Tuple};
 use std::borrow::Borrow;
 
 /// Which columns join.
@@ -167,46 +167,10 @@ pub fn canonical(rel: &MemRelation) -> Vec<Tuple> {
     v
 }
 
-/// Executable join algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    /// O(n·m) reference.
-    NestedLoops,
-    /// §3.4.
-    SortMerge,
-    /// §3.5.
-    SimpleHash,
-    /// §3.6.
-    GraceHash,
-    /// §3.7.
-    HybridHash,
-}
-
-impl Algo {
-    /// The four paper algorithms (excluding the reference).
-    pub const PAPER: [Algo; 4] = [
-        Algo::SortMerge,
-        Algo::SimpleHash,
-        Algo::GraceHash,
-        Algo::HybridHash,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::NestedLoops => "nested-loops",
-            Algo::SortMerge => "sort-merge",
-            Algo::SimpleHash => "simple-hash",
-            Algo::GraceHash => "grace-hash",
-            Algo::HybridHash => "hybrid-hash",
-        }
-    }
-}
-
 /// Runs the selected algorithm's core, handing each matching pair to
 /// `emit`.
 pub fn join_rows<T: Row, M: Meter>(
-    algo: Algo,
+    algo: JoinAlgorithm,
     r: Rows<'_, T>,
     s: Rows<'_, T>,
     spec: JoinSpec,
@@ -214,18 +178,17 @@ pub fn join_rows<T: Row, M: Meter>(
     emit: impl Emit,
 ) -> Result<()> {
     match algo {
-        Algo::NestedLoops => nested_loops::join_rows(r, s, spec, ctx, emit),
-        Algo::SortMerge => sort_merge::join_rows(r, s, spec, ctx, emit),
-        Algo::SimpleHash => simple_hash::join_rows(r, s, spec, ctx, emit),
-        Algo::GraceHash => grace::join_rows(r, s, spec, ctx, emit),
-        Algo::HybridHash => hybrid::join_rows(r, s, spec, ctx, emit).map(drop),
+        JoinAlgorithm::SortMerge => sort_merge::join_rows(r, s, spec, ctx, emit),
+        JoinAlgorithm::SimpleHash => simple_hash::join_rows(r, s, spec, ctx, emit),
+        JoinAlgorithm::GraceHash => grace::join_rows(r, s, spec, ctx, emit),
+        JoinAlgorithm::HybridHash => hybrid::join_rows(r, s, spec, ctx, emit).map(drop),
     }
 }
 
 /// Runs the selected join algorithm over two relations, collecting each
 /// matching pair concatenated into the result relation.
 pub fn run_join(
-    algo: Algo,
+    algo: JoinAlgorithm,
     r: &MemRelation,
     s: &MemRelation,
     spec: JoinSpec,
@@ -313,37 +276,37 @@ mod tests {
         let cases = [
             (
                 &in_memory,
-                Algo::HybridHash,
+                JoinAlgorithm::HybridHash,
                 5_058,
                 snap(5_058, 2_500, 1_000, 0, 0),
             ),
             (
                 &in_memory,
-                Algo::SimpleHash,
+                JoinAlgorithm::SimpleHash,
                 5_058,
                 snap(5_058, 2_500, 1_000, 0, 0),
             ),
             (
                 &in_memory,
-                Algo::GraceHash,
+                JoinAlgorithm::GraceHash,
                 5_058,
                 snap(5_058, 4_980, 3_500, 488, 493),
             ),
             (
                 &partitioned,
-                Algo::HybridHash,
+                JoinAlgorithm::HybridHash,
                 47_900,
                 snap(47_900, 17_957, 11_957, 203, 203),
             ),
             (
                 &partitioned,
-                Algo::SimpleHash,
+                JoinAlgorithm::SimpleHash,
                 47_900,
                 snap(47_900, 24_422, 18_422, 726, 0),
             ),
             (
                 &partitioned,
-                Algo::GraceHash,
+                JoinAlgorithm::GraceHash,
                 47_900,
                 snap(47_900, 20_000, 14_000, 280, 280),
             ),
@@ -389,7 +352,7 @@ mod tests {
         let want = canonical(&nested_loops_join(&r, &s, spec, &reference).unwrap());
         let r_lent: Vec<&Tuple> = r.tuples().iter().collect();
         let s_lent: Vec<&Tuple> = s.tuples().iter().collect();
-        for algo in Algo::PAPER {
+        for algo in JoinAlgorithm::ALL {
             for mem in [1_000, 20] {
                 let ctx = ExecContext::new(mem, 1.2);
                 let mut got = Vec::new();

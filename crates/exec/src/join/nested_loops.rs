@@ -1,11 +1,13 @@
 //! Nested-loops reference join.
 //!
-//! Not one of the paper's four contenders — it exists as the correctness
-//! oracle every other algorithm is verified against, and as the planner's
-//! fallback for non-equijoin predicates. Charges one comparison per tuple
-//! pair, no I/O (both relations are memory-resident by assumption).
+//! Not one of the paper's four contenders, so not a
+//! [`mmdb_types::JoinAlgorithm`]: it is the correctness oracle every
+//! other algorithm is verified against, reached by calling
+//! [`nested_loops_join`] (or, inside this crate, its core) directly.
+//! Charges one comparison per tuple pair, no I/O (both relations are
+//! memory-resident by assumption).
 
-use super::{run_join, Algo, Emit, JoinSpec};
+use super::{output_relation, Emit, JoinSpec};
 use crate::context::ExecContext;
 use crate::{MemRelation, Meter, Row, Rows};
 use mmdb_types::{Result, Tuple};
@@ -17,7 +19,11 @@ pub fn nested_loops_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    run_join(Algo::NestedLoops, r, s, spec, ctx)
+    let mut out = output_relation(&spec, r, s);
+    join_rows(r.into(), s.into(), spec, ctx, |rt: &Tuple, st: &Tuple| {
+        out.push(rt.concat(st))
+    })?;
+    Ok(out)
 }
 
 /// The nested-loops core: every pair compared, each match emitted.

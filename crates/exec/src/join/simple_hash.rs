@@ -7,12 +7,12 @@
 //! `A = ceil(|R|·F/|M|)` passes the passed-over work is what makes the
 //! algorithm blow up at low memory (the steep left edge of Figure 1).
 
-use super::{charged_hash, run_join, Algo, Emit, JoinSpec, ProbeTable};
+use super::{charged_hash, run_join, Emit, JoinSpec, ProbeTable};
 use crate::context::ExecContext;
 use crate::partition::in_first_fraction;
 use crate::spill::{SpillFile, SpillIo};
 use crate::{MemRelation, Meter, Row, Rows};
-use mmdb_types::{Result, Tuple};
+use mmdb_types::{JoinAlgorithm, Result, Tuple};
 use std::borrow::Cow;
 
 /// Joins `r` and `s` by multipass simple hashing.
@@ -22,7 +22,7 @@ pub fn simple_hash_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    run_join(Algo::SimpleHash, r, s, spec, ctx)
+    run_join(JoinAlgorithm::SimpleHash, r, s, spec, ctx)
 }
 
 /// The simple-hash core: each matching pair goes to `emit`.

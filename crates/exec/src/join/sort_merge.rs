@@ -6,11 +6,11 @@
 //! no R tuple joins more than a page of S tuples — the implementation
 //! handles arbitrarily large equal-key groups correctly.
 
-use super::{run_join, Algo, Emit, JoinSpec};
+use super::{run_join, Emit, JoinSpec};
 use crate::context::ExecContext;
 use crate::sort::sort_rows;
 use crate::{MemRelation, Meter, Row, Rows};
-use mmdb_types::{Result, Tuple};
+use mmdb_types::{JoinAlgorithm, Result, Tuple};
 use std::borrow::Borrow;
 
 /// Joins `r` and `s` by sorting both on their key columns and merging.
@@ -20,7 +20,7 @@ pub fn sort_merge_join(
     spec: JoinSpec,
     ctx: &ExecContext,
 ) -> Result<MemRelation> {
-    run_join(Algo::SortMerge, r, s, spec, ctx)
+    run_join(JoinAlgorithm::SortMerge, r, s, spec, ctx)
 }
 
 /// The sort-merge core: each matching pair goes to `emit`.

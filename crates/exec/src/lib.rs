@@ -29,7 +29,6 @@ pub mod mem;
 pub mod meter;
 pub mod partition;
 pub mod plan;
-pub mod project;
 pub mod select;
 pub mod sort;
 pub mod spill;

@@ -15,9 +15,9 @@
 //! `Predicate::True` costs nothing. Index access paths have no executor:
 //! no caller declares an index to the planner, so they are refused.
 
-use crate::join::{join_rows, Algo, Emit};
+use crate::join::{join_rows, Emit};
 use crate::{ExecContext, JoinSpec, MemRelation, Meter, Row, Rows};
-use mmdb_planner::{AccessPath, JoinMethod, PhysicalPlan};
+use mmdb_planner::{AccessPath, PhysicalPlan};
 use mmdb_types::{Error, Predicate, Result, Schema, Tuple};
 use std::borrow::{Borrow, Cow};
 
@@ -46,14 +46,9 @@ pub fn run_plan<'a, T: Row + 'a, M: Meter>(
         } => {
             let (l, l_fanout) = rows_of(left, tables, ctx)?;
             let (r, r_fanout) = rows_of(right, tables, ctx)?;
-            let algo = match method {
-                JoinMethod::HybridHash => Algo::HybridHash,
-                JoinMethod::SimpleHash => Algo::SimpleHash,
-                JoinMethod::GraceHash => Algo::GraceHash,
-                JoinMethod::SortMerge => Algo::SortMerge,
-            };
             let (l, r) = (Rows::new(&l, l_fanout), Rows::new(&r, r_fanout));
-            join_rows(algo, l, r, JoinSpec::new(*left_key, *right_key), ctx, emit)
+            let spec = JoinSpec::new(*left_key, *right_key);
+            join_rows(*method, l, r, spec, ctx, emit)
         }
     }
 }
@@ -146,7 +141,7 @@ mod tests {
     use crate::join::testkit::keyed;
     use crate::join::{canonical, nested_loops_join};
     use mmdb_planner::optimizer::PlanEnv;
-    use mmdb_types::{CmpOp, SystemParams};
+    use mmdb_types::{CmpOp, JoinAlgorithm, SystemParams};
 
     fn scan(table: &str, predicate: Predicate) -> PhysicalPlan {
         PhysicalPlan::Access(AccessPath::SeqScan {
@@ -155,7 +150,7 @@ mod tests {
         })
     }
 
-    fn join(method: JoinMethod, left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
+    fn join(method: JoinAlgorithm, left: PhysicalPlan, right: PhysicalPlan) -> PhysicalPlan {
         PhysicalPlan::Join {
             left: Box::new(left),
             right: Box::new(right),
@@ -183,12 +178,7 @@ mod tests {
         let rs = nested_loops_join(&r, &s, JoinSpec::new(0, 0), &reference).unwrap();
         let want = canonical(&nested_loops_join(&rs, &u, JoinSpec::new(0, 0), &reference).unwrap());
         let tables = [("r", &r), ("s", &s), ("u", &u)];
-        for method in [
-            JoinMethod::HybridHash,
-            JoinMethod::SimpleHash,
-            JoinMethod::GraceHash,
-            JoinMethod::SortMerge,
-        ] {
+        for method in JoinAlgorithm::ALL {
             let plan = join(
                 method,
                 join(
@@ -228,7 +218,7 @@ mod tests {
             });
             // GRACE partitions into |M| buckets whatever |M| is, so only
             // the adaptive hybrid plan is priced against its grant here.
-            if method == JoinMethod::HybridHash {
+            if method == JoinAlgorithm::HybridHash {
                 assert!(seconds[1] > 3.0 * seconds[0], "{seconds:?}");
             }
         }

@@ -5,10 +5,9 @@
 //! zeroed, once with the CPU prices zeroed — so the weighting `W` can be
 //! applied to the CPU share alone, exactly as Selinger's objective asks.
 
-use crate::physical::JoinMethod;
-use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
+use mmdb_analytic::join::JoinScenario;
 use mmdb_types::cast::{f64_from_u64, f64_from_usize, u64_from_f64};
-use mmdb_types::{CostWeights, RelationShape, SystemParams};
+use mmdb_types::{CostWeights, JoinAlgorithm, RelationShape, SystemParams};
 
 /// Separated CPU/I/O cost of a (sub)plan, both in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -52,19 +51,10 @@ fn io_only(p: &SystemParams) -> SystemParams {
     }
 }
 
-fn algo_of(method: JoinMethod) -> JoinAlgorithm {
-    match method {
-        JoinMethod::HybridHash => JoinAlgorithm::HybridHash,
-        JoinMethod::SimpleHash => JoinAlgorithm::SimpleHash,
-        JoinMethod::GraceHash => JoinAlgorithm::GraceHash,
-        JoinMethod::SortMerge => JoinAlgorithm::SortMerge,
-    }
-}
-
 /// Costs one join of `left_tuples` (build, the smaller input) against
 /// `right_tuples` under a memory grant, using the §3 analytic models.
 pub fn join_cost(
-    method: JoinMethod,
+    algo: JoinAlgorithm,
     left_tuples: f64,
     right_tuples: f64,
     tuples_per_page: u64,
@@ -85,7 +75,6 @@ pub fn join_cost(
         r_tuples_per_page: tpp,
         s_tuples_per_page: tpp,
     };
-    let algo = algo_of(method);
     let make = |p: SystemParams| JoinScenario {
         params: p,
         shape,
@@ -243,7 +232,7 @@ mod tests {
         // §4: with large memory there is "only one algorithm to choose
         // from" for the join — the hybrid hash.
         let p = SystemParams::table2();
-        let costs: Vec<(JoinMethod, f64)> = JoinMethod::ALL
+        let costs: Vec<(JoinAlgorithm, f64)> = crate::optimizer::TIE_BREAK_ORDER
             .iter()
             .map(|m| {
                 let c = join_cost(*m, 400_000.0, 400_000.0, 40, &p, 12_000);
@@ -251,15 +240,15 @@ mod tests {
             })
             .collect();
         let best = costs.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
-        assert_eq!(best, JoinMethod::HybridHash, "costs: {costs:?}");
+        assert_eq!(best, JoinAlgorithm::HybridHash, "costs: {costs:?}");
     }
 
     #[test]
     fn hash_beats_sort_merge_above_sqrt_memory() {
         let p = SystemParams::table2();
         // |S| = 10 000 pages: sqrt(|S|·F) ≈ 110 pages.
-        let hybrid = join_cost(JoinMethod::HybridHash, 400_000.0, 400_000.0, 40, &p, 150);
-        let sm = join_cost(JoinMethod::SortMerge, 400_000.0, 400_000.0, 40, &p, 150);
+        let hybrid = join_cost(JoinAlgorithm::HybridHash, 400_000.0, 400_000.0, 40, &p, 150);
+        let sm = join_cost(JoinAlgorithm::SortMerge, 400_000.0, 400_000.0, 40, &p, 150);
         let w = CostWeights::default();
         assert!(hybrid.weighted(&w) < sm.weighted(&w));
     }
@@ -267,7 +256,7 @@ mod tests {
     #[test]
     fn cpu_io_split_sums_to_total() {
         let p = SystemParams::table2();
-        let c = join_cost(JoinMethod::GraceHash, 100_000.0, 200_000.0, 40, &p, 500);
+        let c = join_cost(JoinAlgorithm::GraceHash, 100_000.0, 200_000.0, 40, &p, 500);
         let shape = RelationShape {
             r_pages: 2_500,
             s_pages: 5_000,
@@ -341,8 +330,8 @@ mod tests {
     #[test]
     fn swapped_inputs_cost_the_same() {
         let p = SystemParams::table2();
-        let a = join_cost(JoinMethod::HybridHash, 1_000.0, 9_000.0, 40, &p, 100);
-        let b = join_cost(JoinMethod::HybridHash, 9_000.0, 1_000.0, 40, &p, 100);
+        let a = join_cost(JoinAlgorithm::HybridHash, 1_000.0, 9_000.0, 40, &p, 100);
+        let b = join_cost(JoinAlgorithm::HybridHash, 9_000.0, 1_000.0, 40, &p, 100);
         assert_eq!(a, b, "the guard must normalize |R| ≤ |S|");
     }
 }

@@ -11,11 +11,10 @@
 
 use crate::cost::{join_cost, PlanCost};
 use crate::logical::QuerySpec;
-use crate::optimizer::PlanEnv;
-use crate::physical::JoinMethod;
+use crate::optimizer::{PlanEnv, TIE_BREAK_ORDER};
 use crate::stats::{estimate_join_cardinality, estimate_selectivity, TableStats};
 use mmdb_types::cast::{f64_from_u64, u32_from_u64, u32_from_usize, u64_from_f64};
-use mmdb_types::{Error, Result};
+use mmdb_types::{Error, JoinAlgorithm, Result};
 
 /// Result of exhaustive enumeration.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +22,7 @@ pub struct Enumerated {
     /// Best join order, as indices into `spec.tables`.
     pub best_order: Vec<usize>,
     /// Per-join methods for the best order.
-    pub best_methods: Vec<JoinMethod>,
+    pub best_methods: Vec<JoinAlgorithm>,
     /// Cost of the best plan (joins only; access costs are
     /// order-invariant).
     pub best_cost: PlanCost,
@@ -147,7 +146,7 @@ pub fn enumerate_left_deep(
                     }
                     None => (10, 10),
                 };
-                let (method, jc) = JoinMethod::ALL
+                let (method, jc) = TIE_BREAK_ORDER
                     .iter()
                     .map(|m| {
                         (
@@ -298,7 +297,10 @@ mod tests {
         let (spec, stats) = chain(3, &[10_000, 10_000, 10_000]);
         let result = enumerate_left_deep(&spec, &stats, &PlanEnv::default()).unwrap();
         for m in result.best_methods {
-            assert!(matches!(m, JoinMethod::HybridHash | JoinMethod::SimpleHash));
+            assert!(matches!(
+                m,
+                JoinAlgorithm::HybridHash | JoinAlgorithm::SimpleHash
+            ));
         }
     }
 

@@ -27,5 +27,5 @@ pub mod stats;
 pub use cost::{plan_cost, PlanCost};
 pub use logical::{JoinEdge, QuerySpec, TableRef};
 pub use optimizer::{optimize, PlannedQuery};
-pub use physical::{AccessPath, JoinMethod, PhysicalPlan};
+pub use physical::{AccessPath, PhysicalPlan};
 pub use stats::{ColumnStats, Selectivity, TableStats, TUPLES_PER_PAGE};

@@ -10,10 +10,21 @@
 
 use crate::cost::{access_cost, join_cost, PlanCost};
 use crate::logical::QuerySpec;
-use crate::physical::{AccessPath, JoinMethod, PhysicalPlan};
+use crate::physical::{AccessPath, PhysicalPlan};
 use crate::stats::{estimate_join_cardinality, estimate_selectivity, TableStats};
 use mmdb_types::cast::{f64_from_u64, u64_from_f64};
-use mmdb_types::{CostWeights, Error, Predicate, Result, SystemParams};
+use mmdb_types::{CostWeights, Error, JoinAlgorithm, Predicate, Result, SystemParams};
+
+/// The order the optimizer prices the four algorithms in, which is the
+/// order equal costs resolve in — e.g. simple vs hybrid hash when R fits
+/// entirely in memory, whose formulas agree to rounding. Hybrid hash
+/// comes first: §4's one algorithm for large memories.
+pub const TIE_BREAK_ORDER: [JoinAlgorithm; 4] = [
+    JoinAlgorithm::HybridHash,
+    JoinAlgorithm::SimpleHash,
+    JoinAlgorithm::GraceHash,
+    JoinAlgorithm::SortMerge,
+];
 
 /// Planning environment: machine prices, objective weights, memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -282,11 +293,9 @@ pub fn optimize(spec: &QuerySpec, stats: &[TableStats], env: &PlanEnv) -> Result
         let left_key = state.offsets[inside_tbl] + in_col;
 
         // Price all four methods, keep the cheapest (§4: with hashing
-        // insensitive to order this is a per-join local decision). Ties —
-        // e.g. simple vs hybrid hash when R fits entirely in memory, whose
-        // formulas agree to rounding — resolve in `JoinMethod::ALL` order,
-        // which puts hybrid hash first.
-        let priced: Vec<(JoinMethod, f64)> = JoinMethod::ALL
+        // insensitive to order this is a per-join local decision); ties
+        // resolve in `TIE_BREAK_ORDER`.
+        let priced: Vec<(JoinAlgorithm, f64)> = TIE_BREAK_ORDER
             .iter()
             .map(|m| {
                 let c = join_cost(
@@ -417,7 +426,7 @@ mod tests {
         let (spec, stats) = chain_query([Predicate::True, Predicate::True, Predicate::True]);
         let planned = optimize(&spec, &stats, &PlanEnv::default()).unwrap();
         for m in planned.plan.methods() {
-            assert_eq!(m, JoinMethod::HybridHash, "§4: hashing wins");
+            assert_eq!(m, JoinAlgorithm::HybridHash, "§4: hashing wins");
         }
     }
 

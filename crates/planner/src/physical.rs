@@ -1,6 +1,6 @@
 //! Physical plans: annotated operator trees the engine can execute.
 
-use mmdb_types::Predicate;
+use mmdb_types::{JoinAlgorithm, Predicate};
 use std::fmt;
 
 /// How a base table is accessed.
@@ -51,39 +51,6 @@ impl AccessPath {
     }
 }
 
-/// Join algorithm chosen by the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinMethod {
-    /// §3.7 hybrid hash — the §4 default for large memories.
-    HybridHash,
-    /// §3.5 simple hash.
-    SimpleHash,
-    /// §3.6 GRACE hash.
-    GraceHash,
-    /// §3.4 sort-merge.
-    SortMerge,
-}
-
-impl JoinMethod {
-    /// All candidates the optimizer prices.
-    pub const ALL: [JoinMethod; 4] = [
-        JoinMethod::HybridHash,
-        JoinMethod::SimpleHash,
-        JoinMethod::GraceHash,
-        JoinMethod::SortMerge,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JoinMethod::HybridHash => "hybrid-hash",
-            JoinMethod::SimpleHash => "simple-hash",
-            JoinMethod::GraceHash => "grace-hash",
-            JoinMethod::SortMerge => "sort-merge",
-        }
-    }
-}
-
 /// A physical operator tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
@@ -100,7 +67,7 @@ pub enum PhysicalPlan {
         /// Join column in the right subplan's output.
         right_key: usize,
         /// Chosen algorithm.
-        method: JoinMethod,
+        method: JoinAlgorithm,
         /// Estimated output cardinality.
         estimated_rows: f64,
     },
@@ -127,8 +94,8 @@ impl PhysicalPlan {
         }
     }
 
-    /// Join methods used, in tree order.
-    pub fn methods(&self) -> Vec<JoinMethod> {
+    /// Join algorithms used, in tree order.
+    pub fn methods(&self) -> Vec<JoinAlgorithm> {
         match self {
             PhysicalPlan::Access(_) => vec![],
             PhysicalPlan::Join {
@@ -206,19 +173,19 @@ mod tests {
                 right: Box::new(scan("c")),
                 left_key: 0,
                 right_key: 0,
-                method: JoinMethod::SortMerge,
+                method: JoinAlgorithm::SortMerge,
                 estimated_rows: 10.0,
             }),
             left_key: 0,
             right_key: 0,
-            method: JoinMethod::HybridHash,
+            method: JoinAlgorithm::HybridHash,
             estimated_rows: 100.0,
         };
         assert_eq!(plan.join_count(), 2);
         assert_eq!(plan.tables(), vec!["a", "b", "c"]);
         assert_eq!(
             plan.methods(),
-            vec![JoinMethod::SortMerge, JoinMethod::HybridHash]
+            vec![JoinAlgorithm::SortMerge, JoinAlgorithm::HybridHash]
         );
         let rendered = plan.to_string();
         assert!(rendered.contains("hybrid-hash"));

@@ -135,11 +135,6 @@ impl TableStats {
             .map(|c| c.distinct.max(1))
             .unwrap_or(10)
     }
-
-    /// Whether the column has an index.
-    pub fn has_index(&self, column: usize) -> bool {
-        self.indexed_columns.contains(&column)
-    }
 }
 
 /// A selectivity in `[0, 1]`.
@@ -333,6 +328,6 @@ mod tests {
         let s = TableStats::uniform("t", 1_000, 40, 3);
         assert_eq!(s.pages, 25);
         assert_eq!(s.columns.len(), 3);
-        assert!(!s.has_index(0));
+        assert!(s.indexed_columns.is_empty());
     }
 }

@@ -30,6 +30,8 @@ pub struct CrashImage {
     snapshot: Snapshot,
     durable_log: Vec<(Lsn, LogRecord)>,
     stable: Option<StableMemory>,
+    /// The §5.5 dirty-page table, which survives only in stable memory.
+    dirty_pages: Option<HashMap<u64, Lsn>>,
 }
 
 /// What recovery observed.
@@ -64,6 +66,9 @@ pub struct RecoveryManager {
     next_txn: u64,
     undo: HashMap<TxnId, Vec<(u64, Option<i64>)>>,
     commit_durable_at: HashMap<TxnId, Micros>,
+    /// §5.5: each dirty page's first-update LSN since its last
+    /// checkpoint. It lives in stable memory when there is some, so only
+    /// then does a crash keep it.
     dirty_first_update: HashMap<u64, Lsn>,
 }
 
@@ -176,11 +181,7 @@ impl RecoveryManager {
             padding,
         });
         // §5.5 dirty-page bookkeeping: first update since last checkpoint.
-        let page = page_of(key);
-        if let Some(stable) = self.stable.as_mut() {
-            stable.note_page_update(page, lsn);
-        }
-        self.dirty_first_update.entry(page).or_insert(lsn);
+        self.dirty_first_update.entry(page_of(key)).or_insert(lsn);
         if let Some(undo) = self.undo.get_mut(&txn.0) {
             undo.push((key, old));
         }
@@ -360,7 +361,7 @@ impl RecoveryManager {
     /// limited by how fast the drain empties the region's pages). Returns
     /// the last completion time, if anything drained.
     fn drain_stable(&mut self) -> Option<Micros> {
-        let committed: HashSet<TxnId> = self.commit_durable_at.keys().copied().collect();
+        let committed = self.tail_committed();
         let mut last_done = None;
         loop {
             let stable = self.stable.as_mut()?;
@@ -375,6 +376,17 @@ impl RecoveryManager {
             self.now = self.now.max(done);
         }
         last_done
+    }
+
+    /// The committed transactions with records still in the stable tail:
+    /// what a drain may write out. It is bounded by the tail, not by the
+    /// history of commits.
+    fn tail_committed(&self) -> HashSet<TxnId> {
+        let tail = self.stable.as_ref().map_or(&[][..], StableMemory::buffered);
+        tail.iter()
+            .map(|(_, r)| r.txn())
+            .filter(|t| self.commit_durable_at.contains_key(t))
+            .collect()
     }
 
     /// §5.3: sweeps up to `max_pages` dirty data pages to the disk
@@ -402,9 +414,6 @@ impl RecoveryManager {
                 .collect();
             self.snapshot.write_page(*page, contents, as_of);
             self.dirty_first_update.remove(page);
-            if let Some(stable) = self.stable.as_mut() {
-                stable.page_checkpointed(*page);
-            }
         }
         pages.len()
     }
@@ -428,6 +437,7 @@ impl RecoveryManager {
             policy: self.policy,
             snapshot: self.snapshot,
             durable_log: durable,
+            dirty_pages: self.stable.is_some().then_some(self.dirty_first_update),
             stable: self.stable,
         }
     }
@@ -461,8 +471,8 @@ impl RecoveryManager {
         // update is already reflected in the snapshot — no redo at all;
         // without stable memory the table did not survive, so redo scans
         // from the beginning.
-        let redo_start = match &image.stable {
-            Some(s) => s.recovery_start().unwrap_or(Lsn(u64::MAX)),
+        let redo_start = match &image.dirty_pages {
+            Some(table) => table.values().min().copied().unwrap_or(Lsn(u64::MAX)),
             None => Lsn(0),
         };
         let mut skipped = 0usize;
@@ -807,6 +817,56 @@ mod tests {
             report.records_skipped_by_dirty_table > 0,
             "§5.5 optimization should skip pre-checkpoint records: {report:?}"
         );
+    }
+
+    #[test]
+    fn dirty_page_table_keeps_first_updates_and_survives_only_in_stable_memory() {
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
+        let t = m.begin();
+        m.write(&t, 700, 1).unwrap(); // page 10
+        let first = m.dirty_first_update[&10];
+        m.write(&t, 701, 1).unwrap(); // page 10 again: not its first update
+        m.write(&t, 3, 1).unwrap(); // page 0
+        m.commit(t).unwrap();
+        assert_eq!(m.dirty_first_update[&10], first);
+        assert!(m.dirty_first_update[&0] > first);
+        // Checkpointing page 0 (the lowest) leaves page 10's entry alone.
+        m.checkpoint_sweep(1);
+        assert_eq!(m.dirty_first_update.keys().collect::<Vec<_>>(), [&10]);
+        // After its checkpoint, a page's next update re-enters the table.
+        let t = m.begin();
+        m.write(&t, 4, 2).unwrap();
+        m.commit(t).unwrap();
+        let table = m.dirty_first_update.clone();
+        assert_eq!(table.len(), 2);
+        assert_eq!(m.crash().dirty_pages, Some(table));
+        // Without stable memory the table is volatile.
+        let mut m = RecoveryManager::new(CommitPolicy::Group);
+        let t = m.begin();
+        m.write(&t, 1, 1).unwrap();
+        m.commit(t).unwrap();
+        assert_eq!(m.crash().dirty_pages, None);
+    }
+
+    #[test]
+    fn drain_consults_only_the_committed_tail() {
+        let mut m = RecoveryManager::with_stable_memory(1 << 20);
+        for k in 0..5 {
+            let t = m.begin();
+            m.write(&t, k, 1).unwrap();
+            m.commit(t).unwrap();
+        }
+        let open = m.begin();
+        m.write(&open, 9, 1).unwrap();
+        assert_eq!(m.tail_committed().len(), 5);
+        m.flush();
+        // Drained transactions leave the set; the open one never joins it.
+        assert!(m.tail_committed().is_empty());
+        assert!(m.log_pages_written() >= 1);
+        m.commit(open).unwrap();
+        assert_eq!(m.tail_committed(), HashSet::from([TxnId(6)]));
+        m.flush();
+        assert!(m.tail_committed().is_empty());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   strips old values of committed transactions before they reach disk;
 //! * the **dirty-page table** of §5.5 — for each updated page, the log
 //!   record id of the first update since its last checkpoint, whose
-//!   minimum tells recovery where to start reading the log.
+//!   minimum tells recovery where to start reading the log. The recovery
+//!   manager keeps the one table; its crash image keeps it only when the
+//!   manager has a stable region.
 
 use crate::log::{LogRecord, Lsn};
-use std::collections::HashMap;
 
 /// The stable region.
 #[derive(Debug, Default)]
@@ -20,7 +21,6 @@ pub struct StableMemory {
     log_tail: Vec<(Lsn, LogRecord)>,
     bytes_used: usize,
     capacity_bytes: usize,
-    dirty_pages: HashMap<u64, Lsn>,
 }
 
 impl StableMemory {
@@ -32,7 +32,6 @@ impl StableMemory {
             log_tail: Vec::new(),
             bytes_used: 0,
             capacity_bytes,
-            dirty_pages: HashMap::new(),
         }
     }
 
@@ -94,30 +93,6 @@ impl StableMemory {
         }
         self.log_tail = keep;
         (drained, bytes)
-    }
-
-    /// §5.5: notes that `page` was updated by the log record `lsn` if it
-    /// has no recorded first-update yet.
-    pub fn note_page_update(&mut self, page: u64, lsn: Lsn) {
-        self.dirty_pages.entry(page).or_insert(lsn);
-    }
-
-    /// §5.5: the page was checkpointed — its update status resets; the
-    /// next update will re-enter the table.
-    pub fn page_checkpointed(&mut self, page: u64) {
-        self.dirty_pages.remove(&page);
-    }
-
-    /// The oldest first-update LSN across dirty pages: where recovery must
-    /// start reading the log. `None` means no page is dirty — recovery
-    /// needs no redo at all.
-    pub fn recovery_start(&self) -> Option<Lsn> {
-        self.dirty_pages.values().min().copied()
-    }
-
-    /// Number of pages currently marked dirty.
-    pub fn dirty_page_count(&self) -> usize {
-        self.dirty_pages.len()
     }
 }
 
@@ -183,25 +158,5 @@ mod tests {
         s.drain_committed(usize::MAX, |_| true);
         assert!(s.fits(140));
         assert!(s.append(Lsn(3), upd(2, 3)));
-    }
-
-    #[test]
-    fn dirty_page_table_tracks_first_update() {
-        let mut s = StableMemory::new(100);
-        s.note_page_update(7, Lsn(30));
-        s.note_page_update(7, Lsn(40)); // not the first — ignored
-        s.note_page_update(3, Lsn(25));
-        assert_eq!(s.recovery_start(), Some(Lsn(25)));
-        assert_eq!(s.dirty_page_count(), 2);
-        // Checkpointing page 3 moves the recovery start forward.
-        s.page_checkpointed(3);
-        assert_eq!(s.recovery_start(), Some(Lsn(30)));
-        // After its checkpoint, a page's next update re-enters the table.
-        s.note_page_update(3, Lsn(90));
-        assert_eq!(s.recovery_start(), Some(Lsn(30)));
-        s.page_checkpointed(7);
-        assert_eq!(s.recovery_start(), Some(Lsn(90)));
-        s.page_checkpointed(3);
-        assert_eq!(s.recovery_start(), None);
     }
 }

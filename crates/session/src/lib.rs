@@ -81,7 +81,7 @@ pub mod torture;
 pub use checkpoint::CheckpointStats;
 pub use engine::{CommitTicket, Engine, Session, Txn};
 pub use mmdb_recovery::{Record, MAX_RECORD_BYTES};
-pub use policy::{CommitPolicy, EngineOptions, GROUP_WINDOW};
+pub use policy::{CommitPolicy, EngineOptions, GROUP_WINDOW, IO_RETRIES};
 pub use recover::RecoveryInfo;
 pub use torture::TortureReport;
 

@@ -55,7 +55,7 @@
 //! queued or registered.
 
 use crate::metrics::{us_since, SessionMetrics};
-use crate::policy::{EngineOptions, GROUP_WINDOW};
+use crate::policy::{EngineOptions, GROUP_WINDOW, IO_RETRIES};
 use crate::shard::{shard_of, Shard, TxnTable};
 use mmdb_obs::TraceStage;
 use mmdb_recovery::commit::{self, CutParams, DurableTable, LogQueue, Page};
@@ -603,8 +603,8 @@ pub(crate) fn run_writer(shared: Arc<Shared>, mut device: WalDevice, index: usiz
     }
 }
 
-/// Appends one page, retrying transient failures within the configured
-/// budget with doubling backoff. Every failed attempt bumps the I/O
+/// Appends one page, retrying transient failures up to [`IO_RETRIES`]
+/// times with doubling backoff. Every failed attempt bumps the I/O
 /// error counter; every retry bumps the retry counter. The device
 /// rewound itself to the last good frame on each failure, so a retry
 /// rewrites the full page at a clean boundary. Returns the last error
@@ -619,7 +619,7 @@ fn append_with_retry(shared: &Shared, device: &mut WalDevice, page: &Page) -> Re
             Ok(()) => return Ok(()),
             Err(e) => {
                 shared.metrics.io_errors.inc();
-                if attempts >= shared.options.io_retries {
+                if attempts >= IO_RETRIES {
                     return Err(e);
                 }
                 attempts += 1;

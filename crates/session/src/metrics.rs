@@ -64,7 +64,7 @@ pub(crate) struct SessionMetrics {
     /// (each failed attempt counts, whether or not a retry saved it).
     pub io_errors: Arc<Counter>,
     /// Retries the writer threads issued after transient I/O errors
-    /// (bounded by `EngineOptions::io_retries` per page).
+    /// (bounded by [`crate::IO_RETRIES`] per page).
     pub io_retries: Arc<Counter>,
     /// Log devices that exhausted their retries and forced the engine
     /// into its fail-stop degraded state (0 on a healthy engine).

@@ -20,6 +20,10 @@ use std::time::Duration;
 /// sync time (EXPERIMENTS.md §S1, "Why a window").
 pub const GROUP_WINDOW: Duration = Duration::from_micros(500);
 
+/// How many times a writer thread retries a failed page append before
+/// declaring the device dead and degrading the engine (§5.2 fail-stop).
+pub const IO_RETRIES: u32 = 3;
+
 /// Configuration for a wall-clock [`crate::Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
@@ -55,10 +59,6 @@ pub struct EngineOptions {
     /// entry `i`; missing or empty entries mean the real, un-faulted
     /// backend). Empty by default — production engines never inject.
     pub fault_plans: Vec<FaultPlan>,
-    /// How many times a writer thread retries a failed page append
-    /// before declaring the device dead and degrading the engine
-    /// (§5.2 fail-stop). Defaults to 3.
-    pub io_retries: u32,
     /// Backoff before the first retry; doubles per attempt, and a crash
     /// cuts it short. Defaults to 1 ms — long enough to ride out a
     /// transient EIO, short enough that tests and the torture harness
@@ -86,7 +86,6 @@ impl EngineOptions {
             lock_wait_timeout: Duration::from_secs(1),
             shards: default_shards(),
             fault_plans: Vec::new(),
-            io_retries: 3,
             io_retry_backoff: Duration::from_millis(1),
             checkpoint_interval: None,
         }
@@ -103,12 +102,6 @@ impl EngineOptions {
     /// torture harness only; see [`EngineOptions::fault_plans`]).
     pub fn with_fault_plans(mut self, plans: Vec<FaultPlan>) -> Self {
         self.fault_plans = plans;
-        self
-    }
-
-    /// Sets the bounded per-page retry budget for writer threads.
-    pub fn with_io_retries(mut self, retries: u32) -> Self {
-        self.io_retries = retries;
         self
     }
 

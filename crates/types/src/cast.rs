@@ -52,6 +52,12 @@ pub fn u64_from_f64(x: f64) -> u64 {
     }
 }
 
+/// [`u64_from_f64`] for an in-memory count: a saturating floor.
+#[must_use]
+pub fn usize_from_f64(x: f64) -> usize {
+    usize::try_from(u64_from_f64(x)).unwrap_or(usize::MAX)
+}
+
 /// Converts a join count to the `u32` exponent form `saturating_pow`
 /// wants, saturating instead of truncating.
 #[must_use]

@@ -33,7 +33,9 @@ pub use audit::{AuditViolation, Auditable};
 pub use error::{Error, Result};
 pub use expr::{CmpOp, Predicate};
 pub use ids::TxnId;
-pub use params::{AccessGeometry, CommitPolicy, CostWeights, RelationShape, SystemParams};
+pub use params::{
+    AccessGeometry, CommitPolicy, CostWeights, JoinAlgorithm, RelationShape, SystemParams,
+};
 pub use reader::Reader;
 pub use rng::WorkloadRng;
 pub use schema::{Column, DataType, Schema};

@@ -6,6 +6,8 @@
 //! * [`AccessGeometry`] — the §2 relation characteristics
 //!   (`||R||, K, T, Pg, P`).
 //! * [`CostWeights`] — the §4 Selinger-style objective `W·CPU + IO`.
+//! * [`JoinAlgorithm`] — the four §3 join algorithms, one type for the
+//!   closed-form model, the optimizer's plans and the executor.
 //! * [`CommitPolicy`] — how a §5.2 commit becomes durable, one type for
 //!   the closed-form model, the virtual-time recovery manager and the
 //!   wall-clock engine.
@@ -238,6 +240,40 @@ impl Default for CostWeights {
         // One I/O ≈ 10 ms; weighting CPU seconds at 100 makes 10 ms of CPU
         // equal one sequential I/O, a balanced 1984-era default.
         CostWeights { cpu_weight: 100.0 }
+    }
+}
+
+/// One of the four §3 join algorithms: what the model prices, the
+/// optimizer chooses and the executor runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JoinAlgorithm {
+    /// §3.4 standard sort-merge.
+    SortMerge,
+    /// §3.5 multipass simple hash.
+    SimpleHash,
+    /// §3.6 GRACE hash (hashing used in phase 2, per the paper).
+    GraceHash,
+    /// §3.7 the paper's new hybrid hash.
+    HybridHash,
+}
+
+impl JoinAlgorithm {
+    /// All four, in the paper's presentation order.
+    pub const ALL: [JoinAlgorithm; 4] = [
+        JoinAlgorithm::SortMerge,
+        JoinAlgorithm::SimpleHash,
+        JoinAlgorithm::GraceHash,
+        JoinAlgorithm::HybridHash,
+    ];
+
+    /// Short lowercase name, for reports and plans.
+    pub fn name(&self) -> &'static str {
+        match self {
+            JoinAlgorithm::SortMerge => "sort-merge",
+            JoinAlgorithm::SimpleHash => "simple-hash",
+            JoinAlgorithm::GraceHash => "grace-hash",
+            JoinAlgorithm::HybridHash => "hybrid-hash",
+        }
     }
 }
 

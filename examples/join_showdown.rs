@@ -6,9 +6,9 @@
 //! cargo run --release --example join_showdown
 //! ```
 
-use mmdb_exec::join::{run_join, Algo, JoinSpec};
+use mmdb_exec::join::{run_join, JoinSpec};
 use mmdb_exec::{workload, ExecContext};
-use mmdb_types::{RelationShape, SystemParams};
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
 fn main() {
     let params = SystemParams::table2();
@@ -32,7 +32,7 @@ fn main() {
     ] {
         println!("memory: {label} = {mem} pages");
         let mut reference: Option<usize> = None;
-        for algo in Algo::PAPER {
+        for algo in JoinAlgorithm::ALL {
             let ctx = ExecContext::new(mem.max(2), params.fudge);
             let out = run_join(algo, &r, &s, spec, &ctx).unwrap();
             let snap = ctx.meter.snapshot();

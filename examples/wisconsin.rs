@@ -8,8 +8,7 @@
 //! cargo run --release --example wisconsin
 //! ```
 
-use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
-use mmdb_exec::project::hybrid_hash_project;
+use mmdb_exec::aggregate::{group, hash_aggregate, AggFunc, Strategy};
 use mmdb_exec::{workload, ExecContext, MemRelation};
 use mmdb_sql::{SqlDb, SqlSession};
 use mmdb_suite::{insert_rows, scratch_engine};
@@ -68,7 +67,7 @@ fn main() {
 
     // DISTINCT projection onto the string4 domain.
     let ctx = ExecContext::new(12_000, 1.2);
-    let qp = hybrid_hash_project(&tenktup, &[5], &ctx).unwrap();
+    let qp = group(&tenktup, &[5], &[], Strategy::HybridHash, &ctx).unwrap();
     println!(
         "QP  distinct string4:    {:>6} rows  {:>10.6} sim s",
         qp.tuple_count(),

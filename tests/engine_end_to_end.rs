@@ -4,8 +4,7 @@
 //! an in-process `SqlSession` over a live engine.
 
 use mmdb_bench::plan_and_run;
-use mmdb_exec::aggregate::{hash_aggregate, AggFunc};
-use mmdb_exec::project::hybrid_hash_project;
+use mmdb_exec::aggregate::{group, hash_aggregate, AggFunc, Strategy};
 use mmdb_exec::{ExecContext, MemRelation};
 use mmdb_planner::optimizer::PlanEnv;
 use mmdb_planner::{optimize, AccessPath, JoinEdge, PhysicalPlan, QuerySpec, TableRef, TableStats};
@@ -117,7 +116,7 @@ fn aggregate_joins_and_projection_compose() {
         .sum();
     assert_eq!(total, 5_000);
     // ... and DISTINCT projection agrees on the group count.
-    let distinct = hybrid_hash_project(&emp, &[3], &ctx).unwrap();
+    let distinct = group(&emp, &[3], &[], Strategy::HybridHash, &ctx).unwrap();
     assert_eq!(distinct.tuple_count(), 25);
 }
 

@@ -1,14 +1,14 @@
 //! Assertions for the extension experiments (DESIGN.md §7): each extension
 //! must actually demonstrate the paper passage it was built for.
 
-use mmdb_analytic::join::{tid, JoinAlgorithm, JoinScenario};
+use mmdb_analytic::join::{tid, JoinScenario};
 use mmdb_bench::mvcc::VersionedStore;
 use mmdb_exec::join::hybrid::hybrid_hash_join_with_stats;
 use mmdb_exec::join::JoinSpec;
 use mmdb_exec::{ExecContext, MemRelation};
 use mmdb_index::{PagedResidency, ReplacementPolicy};
 use mmdb_planner::enumerate::{classical_plan_space, collapsed_plan_space};
-use mmdb_types::{DataType, RelationShape, Schema, SystemParams, WorkloadRng};
+use mmdb_types::{DataType, JoinAlgorithm, RelationShape, Schema, SystemParams, WorkloadRng};
 
 /// §3.3: recursive hybrid hash handles skewed partitions and respects the
 /// memory grant for splittable keys.

@@ -1,12 +1,12 @@
 //! The empirical §3 joins must reproduce the analytic model's *shape*:
 //! same winners, same crossovers, same degenerate behaviours.
 
-use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
-use mmdb_exec::join::{run_join, Algo, JoinSpec};
+use mmdb_analytic::join::JoinScenario;
+use mmdb_exec::join::{nested_loops_join, run_join, JoinSpec};
 use mmdb_exec::{workload, CostSnapshot, ExecContext};
-use mmdb_types::{RelationShape, SystemParams};
+use mmdb_types::{JoinAlgorithm, RelationShape, SystemParams};
 
-fn measured(algo: Algo, ratio: f64, scale: f64) -> (CostSnapshot, usize) {
+fn measured(algo: JoinAlgorithm, ratio: f64, scale: f64) -> (CostSnapshot, usize) {
     let params = SystemParams::table2();
     let shape = RelationShape::table2();
     let (r, s) = workload::table2_relations(shape, scale, 7).unwrap();
@@ -16,7 +16,7 @@ fn measured(algo: Algo, ratio: f64, scale: f64) -> (CostSnapshot, usize) {
     (ctx.meter.snapshot(), out.tuple_count())
 }
 
-fn seconds(algo: Algo, ratio: f64) -> f64 {
+fn seconds(algo: JoinAlgorithm, ratio: f64) -> f64 {
     measured(algo, ratio, 0.01)
         .0
         .seconds(&SystemParams::table2())
@@ -24,14 +24,13 @@ fn seconds(algo: Algo, ratio: f64) -> f64 {
 
 #[test]
 fn all_algorithms_agree_on_the_answer() {
-    let mut counts = Vec::new();
-    for algo in [
-        Algo::NestedLoops,
-        Algo::SortMerge,
-        Algo::SimpleHash,
-        Algo::GraceHash,
-        Algo::HybridHash,
-    ] {
+    // Nested loops, the reference, at the same scale and seed.
+    let (r, s) = workload::table2_relations(RelationShape::table2(), 0.005, 7).unwrap();
+    let reference = ExecContext::new(usize::MAX / 2, 1.2);
+    let mut counts = vec![nested_loops_join(&r, &s, JoinSpec::new(0, 0), &reference)
+        .unwrap()
+        .tuple_count()];
+    for algo in JoinAlgorithm::ALL {
         counts.push(measured(algo, 0.3, 0.005).1);
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
@@ -40,7 +39,7 @@ fn all_algorithms_agree_on_the_answer() {
 
 #[test]
 fn hash_joins_do_no_io_at_ratio_one() {
-    for algo in [Algo::SimpleHash, Algo::HybridHash] {
+    for algo in [JoinAlgorithm::SimpleHash, JoinAlgorithm::HybridHash] {
         let (snap, _) = measured(algo, 1.0, 0.01);
         assert_eq!(snap.total_ios(), 0, "{algo:?}");
     }
@@ -48,8 +47,8 @@ fn hash_joins_do_no_io_at_ratio_one() {
 
 #[test]
 fn simple_hash_blows_up_when_starved_like_the_model() {
-    let starved = seconds(Algo::SimpleHash, 0.05);
-    let ample = seconds(Algo::SimpleHash, 0.9);
+    let starved = seconds(JoinAlgorithm::SimpleHash, 0.05);
+    let ample = seconds(JoinAlgorithm::SimpleHash, 0.9);
     assert!(starved > 8.0 * ample, "measured {starved} vs {ample}");
     // The model predicts the same blow-up factor ballpark.
     let sc = |ratio| {
@@ -67,9 +66,9 @@ fn hybrid_beats_grace_and_sort_merge_across_the_range() {
     // extra passes. The 1.15 slack covers partial-page flush overhead at
     // the reduced scale (negligible at the paper's 10 000-page scale).
     for ratio in [0.1, 0.2, 0.5, 0.8, 1.0] {
-        let hybrid = seconds(Algo::HybridHash, ratio);
-        let grace = seconds(Algo::GraceHash, ratio);
-        let sm = seconds(Algo::SortMerge, ratio);
+        let hybrid = seconds(JoinAlgorithm::HybridHash, ratio);
+        let grace = seconds(JoinAlgorithm::GraceHash, ratio);
+        let sm = seconds(JoinAlgorithm::SortMerge, ratio);
         assert!(
             hybrid <= grace * 1.15,
             "ratio {ratio}: hybrid {hybrid} vs grace {grace}"
@@ -95,9 +94,9 @@ fn hashing_beats_sort_merge_above_the_sqrt_floor() {
         run_join(algo, &r, &s, JoinSpec::new(0, 0), &ctx).unwrap();
         ctx.meter.seconds(&params)
     };
-    let hybrid = run(Algo::HybridHash);
-    let grace = run(Algo::GraceHash);
-    let sm = run(Algo::SortMerge);
+    let hybrid = run(JoinAlgorithm::HybridHash);
+    let grace = run(JoinAlgorithm::GraceHash);
+    let sm = run(JoinAlgorithm::SortMerge);
     assert!(
         hybrid < sm && grace < sm,
         "hybrid {hybrid}, grace {grace}, sm {sm}"
@@ -106,12 +105,12 @@ fn hashing_beats_sort_merge_above_the_sqrt_floor() {
 
 #[test]
 fn grace_io_is_memory_invariant_but_hybrid_io_shrinks() {
-    let grace_lo = measured(Algo::GraceHash, 0.1, 0.01).0.total_ios();
-    let grace_hi = measured(Algo::GraceHash, 0.9, 0.01).0.total_ios();
+    let grace_lo = measured(JoinAlgorithm::GraceHash, 0.1, 0.01).0.total_ios();
+    let grace_hi = measured(JoinAlgorithm::GraceHash, 0.9, 0.01).0.total_ios();
     let diff = grace_lo.abs_diff(grace_hi) as f64;
     assert!(diff < grace_lo as f64 * 0.4, "{grace_lo} vs {grace_hi}");
-    let hybrid_lo = measured(Algo::HybridHash, 0.1, 0.01).0.total_ios();
-    let hybrid_hi = measured(Algo::HybridHash, 0.9, 0.01).0.total_ios();
+    let hybrid_lo = measured(JoinAlgorithm::HybridHash, 0.1, 0.01).0.total_ios();
+    let hybrid_hi = measured(JoinAlgorithm::HybridHash, 0.9, 0.01).0.total_ios();
     assert!(hybrid_hi < hybrid_lo / 4, "{hybrid_lo} vs {hybrid_hi}");
 }
 
@@ -119,18 +118,13 @@ fn grace_io_is_memory_invariant_but_hybrid_io_shrinks() {
 fn empirical_winner_matches_analytic_winner_at_most_ratios() {
     let params = SystemParams::table2();
     let shape = RelationShape::table2();
-    let algos = [
-        (Algo::SortMerge, JoinAlgorithm::SortMerge),
-        (Algo::SimpleHash, JoinAlgorithm::SimpleHash),
-        (Algo::GraceHash, JoinAlgorithm::GraceHash),
-        (Algo::HybridHash, JoinAlgorithm::HybridHash),
-    ];
+    let algos = JoinAlgorithm::ALL;
     let mut agree = 0;
     let ratios = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0];
     for &ratio in &ratios {
         let sc = JoinScenario::at_ratio(params, shape, ratio);
-        let analytic_order: Vec<f64> = algos.iter().map(|(_, a)| sc.cost(*a)).collect();
-        let measured_order: Vec<f64> = algos.iter().map(|(e, _)| seconds(*e, ratio)).collect();
+        let analytic_order: Vec<f64> = algos.iter().map(|a| sc.cost(*a)).collect();
+        let measured_order: Vec<f64> = algos.iter().map(|a| seconds(*a, ratio)).collect();
         let amin = (0..4)
             .min_by(|&a, &b| analytic_order[a].total_cmp(&analytic_order[b]))
             .unwrap();

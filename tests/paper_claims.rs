@@ -3,11 +3,11 @@
 //! from the paper.
 
 use mmdb_analytic::access::random_break_even_fraction;
-use mmdb_analytic::join::{JoinAlgorithm, JoinScenario};
+use mmdb_analytic::join::JoinScenario;
 use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::execute_typical;
 use mmdb_recovery::{CommitPolicy, RecoveryManager};
-use mmdb_types::{AccessGeometry, RelationShape, SystemParams};
+use mmdb_types::{AccessGeometry, JoinAlgorithm, RelationShape, SystemParams};
 
 /// §2 / §6: "B+-trees are the preferred storage mechanism unless more
 /// than 80-90% of the database fits in main memory."
@@ -147,9 +147,7 @@ fn claim_log_compression_halves_volume() {
 /// memory is large, regardless of input sizes.
 #[test]
 fn claim_planner_always_picks_hashing_with_large_memory() {
-    use mmdb_planner::{
-        optimize, optimizer::PlanEnv, JoinEdge, JoinMethod, QuerySpec, TableRef, TableStats,
-    };
+    use mmdb_planner::{optimize, optimizer::PlanEnv, JoinEdge, QuerySpec, TableRef, TableStats};
     for (l, r) in [(1_000u64, 1_000u64), (10_000, 400_000), (400_000, 400_000)] {
         let spec = QuerySpec {
             tables: vec![TableRef::plain("a"), TableRef::plain("b")],
@@ -167,7 +165,7 @@ fn claim_planner_always_picks_hashing_with_large_memory() {
         let planned = optimize(&spec, &stats, &PlanEnv::default()).unwrap();
         for m in planned.plan.methods() {
             assert!(
-                matches!(m, JoinMethod::HybridHash | JoinMethod::SimpleHash),
+                matches!(m, JoinAlgorithm::HybridHash | JoinAlgorithm::SimpleHash),
                 "non-hash method {m:?} for sizes ({l}, {r})"
             );
         }

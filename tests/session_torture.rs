@@ -22,13 +22,12 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 /// Options with a log device that fails permanently from the first
-/// write, and a fast retry budget so degradation is quick.
+/// write, and a short retry backoff so degradation is quick.
 fn dead_device_options(name: &str, policy: CommitPolicy) -> EngineOptions {
     EngineOptions::new(policy, tmp_dir(name))
         .with_page_write_latency(Duration::ZERO)
         .with_flush_interval(Duration::from_micros(200))
         .with_fault_plans(vec![FaultPlan::none().fail_write(0, Fault::PERMANENT)])
-        .with_io_retries(2)
         .with_io_retry_backoff(Duration::from_micros(100))
 }
 
