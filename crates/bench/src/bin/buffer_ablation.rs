@@ -8,16 +8,16 @@
 
 use mmdb_bench::{pct, print_table};
 use mmdb_index::{PagedResidency, ReplacementPolicy};
-use mmdb_types::WorkloadRng;
+use mmdb_types::{WorkloadRng, Zipf};
 
 const PAGES: usize = 400;
 const ACCESSES: usize = 40_000;
 
-fn run(policy: ReplacementPolicy, capacity: usize, zipf: Option<f64>) -> f64 {
+fn run(policy: ReplacementPolicy, capacity: usize, zipf: Option<&Zipf>) -> f64 {
     let mut pool = PagedResidency::new(capacity, policy);
     let mut rng = WorkloadRng::seeded(77);
     let mut next_page = || match zipf {
-        Some(s) => rng.zipf_index(PAGES, s) as u64,
+        Some(z) => rng.zipf_index(z) as u64,
         None => rng.index(PAGES) as u64,
     };
     // Warm up.
@@ -35,7 +35,8 @@ fn main() {
     println!("Experiment B1 — §6: buffer replacement policy ablation");
     println!("{PAGES}-page database, {ACCESSES} references per measurement\n");
 
-    for (wl, zipf) in [("uniform", None), ("Zipf(0.9) skewed", Some(0.9))] {
+    let skewed = Zipf::new(PAGES, 0.9);
+    for (wl, zipf) in [("uniform", None), ("Zipf(0.9) skewed", Some(&skewed))] {
         let mut rows = Vec::new();
         for frac in [0.125, 0.25, 0.5, 0.75] {
             let capacity = ((PAGES as f64 * frac) as usize).max(1);

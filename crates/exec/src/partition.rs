@@ -6,29 +6,32 @@
 //! `S_i` pairwise (Babb's and Goodman's observation, cited in §3.3).
 
 use mmdb_types::Value;
-use std::hash::{Hash, Hasher};
 
 /// A deterministic 64-bit hash of a join key. All §3 algorithms share it so
 /// R and S are always partitioned compatibly.
 pub fn hash_key(v: &Value) -> u64 {
-    // FNV-1a over the value's canonical encoding; deterministic across
-    // runs and platforms (std's SipHash is randomly keyed per process).
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    v.hash(&mut h);
-    // One xorshift round to spread FNV's weak low bits.
-    let mut x = h.finish();
+    // FNV-1a over an explicit little-endian encoding of the value, so the
+    // hash is the same on every run, host and toolchain (std's SipHash is
+    // randomly keyed per process, and `Hash` writes native-endian bytes).
+    // Ints hash as the float they compare equal to.
+    let fnv = |h: u64, bytes: &[u8]| {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    };
+    let h = 0xcbf2_9ce4_8422_2325;
+    let h = match v {
+        Value::Null => fnv(h, &[0]),
+        Value::Int(i) => fnv(fnv(h, &[1]), &(*i as f64).to_bits().to_le_bytes()),
+        Value::Float(x) => fnv(fnv(h, &[1]), &x.to_bits().to_le_bytes()),
+        Value::Str(s) => fnv(fnv(fnv(h, &[2]), s.as_bytes()), &[0xff]),
+    };
+    mix(h)
+}
+
+/// One xorshift-multiply round, spreading FNV's weak low bits; also what
+/// finishes a whole tuple's hash.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;
@@ -93,6 +96,26 @@ pub fn in_first_fraction(hash: u64, fraction: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hashes_are_pinned() {
+        // What `Value`'s `Hash` fed FNV on a little-endian host, so no
+        // partition, spill file or golden moved when the encoding was
+        // made explicit.
+        let pins = [
+            (Value::Null, 0x9091_d607_2657_4ae6),
+            (Value::Int(0), 0xb873_c1e5_05bf_b4a8),
+            (Value::Int(-7), 0x72f2_052d_537c_ed70),
+            (Value::Int(1 << 40), 0x45f6_cc41_dbbe_cf9c),
+            (Value::Float(2.5), 0xeb72_93d6_b41b_ff85),
+            (Value::Float(-0.0), 0x26f5_366c_091c_f3ec),
+            (Value::Str(String::new()), 0x42c4_47b6_7dc5_b232),
+            (Value::Str("customers".into()), 0xf46b_3ba4_443a_551b),
+        ];
+        for (v, pin) in pins {
+            assert_eq!(hash_key(&v), pin, "{v:?}");
+        }
+    }
 
     #[test]
     fn hash_is_deterministic_and_spread() {

@@ -44,9 +44,11 @@
 //! costs the receiver 16 MiB of memory.
 
 use mmdb_sql::codec;
+use mmdb_sql::query::RowSink;
 use mmdb_sql::QueryResult;
 use mmdb_types::error::{Error, Result};
 use mmdb_types::reader::Reader;
+use mmdb_types::value::Value;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
@@ -437,44 +439,96 @@ pub fn write_frame_stalled(
     one.send(budget)
 }
 
-/// Appends a successful result to `out`. On `Err`, `out` holds a
-/// partial encoding the caller must truncate away.
-pub fn encode_ok_into(out: &mut Vec<u8>, result: &QueryResult) -> Result<()> {
-    out.push(0);
-    if result.columns.len() > u16::MAX as usize {
-        return Err(Error::TupleTooLarge(result.columns.len()));
-    }
-    out.extend_from_slice(&(result.columns.len() as u16).to_le_bytes());
-    for name in &result.columns {
-        if name.len() > u16::MAX as usize {
-            return Err(Error::TupleTooLarge(name.len()));
-        }
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-    }
-    if result.rows.len() > u32::MAX as usize {
-        return Err(Error::TupleTooLarge(result.rows.len()));
-    }
-    if result.columns.is_empty() && !result.rows.is_empty() {
-        return Err(Error::Internal("result rows without columns".to_string()));
-    }
-    out.extend_from_slice(&(result.rows.len() as u32).to_le_bytes());
-    for row in &result.rows {
-        if row.len() != result.columns.len() {
-            return Err(Error::Internal("result row arity mismatch".to_string()));
-        }
-        for v in row {
-            codec::encode_value_into(out, v)?;
-        }
-    }
-    out.extend_from_slice(&result.affected.to_le_bytes());
-    Ok(())
+/// The one encoder of an OK response, a [`RowSink`]: it writes the OK
+/// layout into a reply buffer as the answer arrives, back-patching the
+/// row count, and refuses the row that takes the payload past
+/// [`MAX_FRAME_BYTES`], which stops the plan. On `Err` the buffer holds
+/// a partial encoding the caller must truncate away.
+pub struct OkEncoder<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the payload starts in `out`, and where its row count goes.
+    mark: usize,
+    count_at: usize,
+    ncols: usize,
+    nrows: u32,
+    /// The in-band error to answer with, once the frame cap cut the answer.
+    pub(crate) refused: Option<String>,
 }
 
-/// Encodes a successful result.
+impl<'a> OkEncoder<'a> {
+    /// An encoder appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> OkEncoder<'a> {
+        let mark = out.len();
+        OkEncoder {
+            out,
+            mark,
+            count_at: mark,
+            ncols: 0,
+            nrows: 0,
+            refused: None,
+        }
+    }
+
+    fn fits(&mut self) -> Result<()> {
+        let len = self.out.len() - self.mark + 8;
+        if len <= MAX_FRAME_BYTES {
+            return Ok(());
+        }
+        let msg = format!(
+            "result too large: {len} bytes exceeds the {MAX_FRAME_BYTES} byte frame cap; narrow the query"
+        );
+        self.refused = Some(msg.clone());
+        Err(Error::Planning(msg))
+    }
+}
+
+impl RowSink for OkEncoder<'_> {
+    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+        let len16 = |n: usize| u16::try_from(n).map_err(|_| Error::TupleTooLarge(n));
+        let out = &mut *self.out;
+        out.push(0);
+        out.extend_from_slice(&len16(names.len())?.to_le_bytes());
+        for name in &names {
+            out.extend_from_slice(&len16(name.len())?.to_le_bytes());
+            out.extend_from_slice(name.as_bytes());
+        }
+        (self.ncols, self.count_at) = (names.len(), out.len());
+        out.extend_from_slice(&[0; 4]);
+        self.fits()
+    }
+
+    fn row<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> Result<()> {
+        let mut arity = 0;
+        for v in values {
+            codec::encode_value_into(self.out, v)?;
+            arity += 1;
+        }
+        if arity != self.ncols || arity == 0 {
+            return Err(Error::Internal("result row arity mismatch".to_string()));
+        }
+        let nrows = self.nrows.checked_add(1);
+        self.nrows = nrows.ok_or_else(|| Error::Internal("rows past u32::MAX".to_string()))?;
+        self.fits()
+    }
+
+    fn affected(&mut self, n: u64) -> Result<()> {
+        let count = self.out.get_mut(self.count_at..self.count_at + 4);
+        let count = count.ok_or_else(|| Error::Internal("affected before columns".to_string()))?;
+        count.copy_from_slice(&self.nrows.to_le_bytes());
+        self.out.extend_from_slice(&n.to_le_bytes());
+        Ok(())
+    }
+}
+
+/// Encodes a collected result, replayed through [`OkEncoder`].
 pub fn encode_ok(result: &QueryResult) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    encode_ok_into(&mut out, result).map(|()| out)
+    let mut enc = OkEncoder::new(&mut out);
+    enc.columns(result.columns.clone())?;
+    for row in &result.rows {
+        enc.row(row.iter())?;
+    }
+    enc.affected(result.affected).map(|()| out)
 }
 
 /// Appends a fatal error response carrying `msg` (status byte `0x01`):
@@ -484,13 +538,6 @@ pub fn encode_err_into(out: &mut Vec<u8>, msg: &str) {
     out.extend_from_slice(msg.as_bytes());
 }
 
-/// Encodes a fatal error response (see [`encode_err_into`]).
-pub fn encode_err(msg: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_err_into(&mut out, msg);
-    out
-}
-
 /// Appends a retryable error response carrying `msg` (status byte
 /// `0x02`): the failure is transient — shed by admission control, a
 /// deadlock victim, a shutdown race — and the same statement may
@@ -498,13 +545,6 @@ pub fn encode_err(msg: &str) -> Vec<u8> {
 pub fn encode_retryable_into(out: &mut Vec<u8>, msg: &str) {
     out.push(2);
     out.extend_from_slice(msg.as_bytes());
-}
-
-/// Encodes a retryable error response (see [`encode_retryable_into`]).
-pub fn encode_retryable(msg: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_retryable_into(&mut out, msg);
-    out
 }
 
 /// Decodes a response frame. The outer `Result` is a protocol failure
@@ -685,12 +725,14 @@ mod tests {
         let frame = encode_ok(&result).unwrap();
         assert_eq!(decode_response(&frame).unwrap().unwrap(), result);
 
-        let frame = encode_err("no such table");
+        let mut frame = Vec::new();
+        encode_err_into(&mut frame, "no such table");
         let err = decode_response(&frame).unwrap().unwrap_err();
         assert_eq!(err.msg, "no such table");
         assert!(!err.retryable);
 
-        let frame = encode_retryable("overloaded");
+        let mut frame = Vec::new();
+        encode_retryable_into(&mut frame, "overloaded");
         let err = decode_response(&frame).unwrap().unwrap_err();
         assert_eq!(err.msg, "overloaded");
         assert!(err.retryable);

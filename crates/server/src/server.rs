@@ -19,7 +19,7 @@ use mmdb_obs::{Counter, Gauge, Histogram, Registry};
 use mmdb_session::Engine;
 use mmdb_sql::ast::STATEMENT_KINDS;
 use mmdb_sql::parser::parse;
-use mmdb_sql::{ErrorClass, SqlDb, SqlError, StatementKind};
+use mmdb_sql::{ErrorClass, SqlDb, StatementKind};
 use mmdb_types::error::{Error, Result};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -329,10 +329,12 @@ fn accept_loop(
 fn refuse(mut stream: TcpStream, metrics: &Metrics) {
     metrics.refused.inc();
     metrics.retryable_errors.inc();
+    let mut refusal = Vec::new();
+    proto::encode_retryable_into(&mut refusal, "server at capacity");
     if stream
         .set_write_timeout(Some(Duration::from_secs(1)))
         .is_err()
-        || proto::write_frame(&mut stream, &proto::encode_retryable("server at capacity")).is_err()
+        || proto::write_frame(&mut stream, &refusal).is_err()
     {
         metrics.protocol_errors.inc();
     }
@@ -482,75 +484,96 @@ fn handle_request(
     };
     metrics.inflight.add(1);
     let started = Instant::now();
-    let outcome = session.run(&stmt);
+    // The answer is encoded as the plan emits it; a failure anywhere,
+    // the frame cap's included, answers with the error alone.
+    let mark = reply.len();
+    let mut answer = proto::OkEncoder::new(reply);
+    let outcome = session.run_into(&stmt, &mut answer);
+    let refused = answer.refused;
     if let Some(hist) = metrics.latency_for(kind) {
         hist.record(started.elapsed().as_micros() as u64);
     }
     metrics.inflight.add(-1);
-    match outcome {
-        Ok(result) => {
-            let mark = reply.len();
-            match proto::encode_ok_into(reply, &result) {
-                Ok(()) => cap_frame(reply, mark),
-                Err(e) => {
-                    reply.truncate(mark);
-                    proto::encode_err_into(reply, &e.to_string());
-                }
-            }
+    let Err(e) = outcome else { return };
+    reply.truncate(mark);
+    // Only execution fails here: parse errors were answered above.
+    match (e.class(), refused) {
+        (_, Some(msg)) => proto::encode_err_into(reply, &msg),
+        (ErrorClass::Retryable, None) => {
+            metrics.retryable_errors.inc();
+            proto::encode_retryable_into(reply, &e.to_string());
         }
-        Err(SqlError::Parse(e)) => {
-            metrics.parse_errors.inc();
-            proto::encode_err_into(reply, &e.to_string());
-        }
-        Err(e) => match e.class() {
-            ErrorClass::Retryable => {
-                metrics.retryable_errors.inc();
-                proto::encode_retryable_into(reply, &e.to_string());
-            }
-            ErrorClass::Fatal => proto::encode_err_into(reply, &e.to_string()),
-        },
-    }
-}
-
-/// Substitutes an in-band error for a response payload (`reply[mark..]`)
-/// too large to frame, so an oversized `SELECT` gets an error answer
-/// instead of a write-side failure that drops the connection (and with
-/// it the client's open transaction). Only genuine socket errors should
-/// break the serve loop.
-fn cap_frame(reply: &mut Vec<u8>, mark: usize) {
-    let len = reply.len().saturating_sub(mark);
-    if len > proto::MAX_FRAME_BYTES {
-        reply.truncate(mark);
-        proto::encode_err_into(
-            reply,
-            &format!(
-                "result too large: {len} bytes exceeds the {} byte frame cap; narrow the query",
-                proto::MAX_FRAME_BYTES
-            ),
-        );
+        (ErrorClass::Fatal, None) => proto::encode_err_into(reply, &e.to_string()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_session::{CommitPolicy, EngineOptions};
 
     #[test]
-    fn oversized_frames_become_error_responses() {
-        // The payload starts behind whatever the buffer already holds
-        // (the reserved frame prefix on a live connection).
-        let mut small = vec![7u8; 4 + 16];
-        cap_frame(&mut small, 4);
-        assert_eq!(small, vec![7u8; 4 + 16]);
-        let mut capped = vec![0u8; 4 + proto::MAX_FRAME_BYTES + 1];
-        cap_frame(&mut capped, 4);
-        assert!(capped.len() - 4 <= proto::MAX_FRAME_BYTES);
-        match proto::decode_response(&capped[4..]).unwrap() {
+    fn an_oversized_answer_stops_at_the_frame_cap_and_keeps_the_transaction() {
+        let dir = std::env::temp_dir().join(format!("mmdb-server-cap-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = Engine::start(EngineOptions::new(CommitPolicy::Group, &dir)).unwrap();
+        let db = SqlDb::open(&engine).unwrap();
+        let mut session = db.session();
+        // 100 × 100 rows on one key: a join of 10,000 rows of two
+        // 1,000-character texts, ≈ 20 MB encoded.
+        let pad = "x".repeat(1_000);
+        let values = vec![format!("(0, '{pad}')"); 100].join(", ");
+        for t in ["a", "b"] {
+            session
+                .execute(&format!("CREATE TABLE {t} (k INT, pad TEXT)"))
+                .unwrap();
+            session
+                .execute(&format!("INSERT INTO {t} VALUES {values}"))
+                .unwrap();
+        }
+        let join = "SELECT a.pad, b.pad FROM a, b WHERE a.k = b.k";
+        let row = 2 * (1 + 4 + pad.len());
+
+        // The encoder refuses the row that crosses the cap, so the reply
+        // never holds more than the cap plus that row.
+        let mut reply = vec![0; proto::PREFIX_BYTES];
+        let stmt = parse(join).unwrap();
+        let mut answer = proto::OkEncoder::new(&mut reply);
+        assert!(session.run_into(&stmt, &mut answer).is_err());
+        assert!(answer.refused.is_some());
+        assert!(reply.len() <= proto::PREFIX_BYTES + proto::MAX_FRAME_BYTES + row);
+        assert!(reply.len() > proto::MAX_FRAME_BYTES);
+
+        // Over the request path the answer is the in-band error alone,
+        // and an open transaction survives it.
+        let metrics = Metrics::register(&engine.registry());
+        let admission = Admission::new(4, 4, Duration::from_secs(1));
+        let request = |sql: &str, session: &mut mmdb_sql::SqlSession| {
+            let mut reply = vec![0; proto::PREFIX_BYTES];
+            handle_request(sql.as_bytes(), &mut reply, session, &metrics, &admission);
+            proto::decode_response(&reply[proto::PREFIX_BYTES..]).unwrap()
+        };
+        request("BEGIN", &mut session).unwrap();
+        request("INSERT INTO a VALUES (1, 'kept')", &mut session).unwrap();
+        match request(join, &mut session) {
             Err(we) => {
-                assert!(we.msg.contains("result too large"), "{}", we.msg);
+                assert!(we.msg.starts_with("result too large: "), "{}", we.msg);
+                assert!(
+                    we.msg.ends_with(" byte frame cap; narrow the query"),
+                    "{}",
+                    we.msg
+                );
                 assert!(!we.retryable, "an oversized result is not transient");
             }
-            Ok(r) => panic!("expected an error response, got {r:?}"),
+            Ok(r) => panic!("expected an error response, got {} rows", r.rows.len()),
         }
+        assert!(session.in_transaction());
+        request("COMMIT", &mut session).unwrap();
+        let kept = request("SELECT pad FROM a WHERE k = 1", &mut db.session()).unwrap();
+        assert_eq!(kept.rows, vec![vec![mmdb_types::Value::from("kept")]]);
+
+        drop(session);
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

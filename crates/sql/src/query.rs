@@ -8,16 +8,16 @@
 //! index, built once the statement has succeeded and the lock is
 //! released. [`run_select_on`] plans the equi-join edges with the §4
 //! optimizer, given the survivors' exact count and the exact distinct
-//! counts of their join columns, and runs the plan with `mmdb_exec::plan` — the
-//! one executor of §4 plans — unmetered, under the memory grant the plan
-//! was priced with, over the borrowed rows: the top join's sink
-//! builds each result row from its matched pair, cloning each returned
-//! value once, and a join below it hands its pairs up concatenated. The
-//! lock is held for the whole statement, so a writer queued behind a
-//! `SELECT` waits for a time bounded by its output and plan, not by a
-//! copy of its inputs. `INSERT`/`UPDATE`/`DELETE` binding helpers (row
-//! coercion, single-table predicates, `SET` expressions) also live here
-//! so [`crate::session`] stays focused on transaction mechanics.
+//! counts of their join columns, and runs the plan with `mmdb_exec::plan`
+//! — the one executor of §4 plans — unmetered, under the memory grant the
+//! plan was priced with, over the borrowed rows. The top join hands each
+//! result row, as values lent by its matched pair, to a [`RowSink`],
+//! which [`QueryResult`] collects and the wire server encodes straight
+//! into its reply; a join below hands its pairs up concatenated. The
+//! lock covers the whole statement, encoding included, bounded by its
+//! output and plan, not by a copy of its inputs. `INSERT`/`UPDATE`/
+//! `DELETE` binding helpers (row coercion, single-table predicates, `SET`
+//! expressions) also live here, away from transaction mechanics.
 
 use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr};
 use crate::catalog::{Catalog, TableEntry};
@@ -50,13 +50,35 @@ impl QueryResult {
     pub fn ack() -> Self {
         QueryResult::default()
     }
+}
 
-    /// A mutation result.
-    pub fn affected(n: u64) -> Self {
-        QueryResult {
-            affected: n,
-            ..QueryResult::default()
-        }
+/// Where a statement's answer goes: its column names once, then each
+/// result row as values borrowed from wherever the plan holds them, then
+/// the affected count, which ends the answer. [`QueryResult`] collects
+/// it; the wire server encodes it straight into a connection's reply.
+pub trait RowSink {
+    /// The output column names (none for a statement without rows).
+    fn columns(&mut self, names: Vec<String>) -> Result<()>;
+    /// One result row, a value per column.
+    fn row<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> Result<()>;
+    /// Rows inserted/updated/deleted (0 for `SELECT` and controls).
+    fn affected(&mut self, n: u64) -> Result<()>;
+}
+
+impl RowSink for QueryResult {
+    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+        self.columns = names;
+        Ok(())
+    }
+
+    fn row<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> Result<()> {
+        self.rows.push(values.cloned().collect());
+        Ok(())
+    }
+
+    fn affected(&mut self, n: u64) -> Result<()> {
+        self.affected = n;
+        Ok(())
     }
 }
 
@@ -403,6 +425,16 @@ pub fn snapshot_tables<'c>(
 /// Plans and executes a bound `SELECT` over the rows [`snapshot_tables`]
 /// kept, which borrow the catalog: the caller still holds its read lock.
 pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable<'_>>) -> Result<QueryResult> {
+    let mut result = QueryResult::default();
+    run_select_into(stmt, tables, &mut result).map(|()| result)
+}
+
+/// [`run_select_on`], handing the answer to `sink` row by row.
+fn run_select_into(
+    stmt: &SelectStmt,
+    tables: Vec<BoundTable<'_>>,
+    sink: &mut impl RowSink,
+) -> Result<()> {
     let schemas: Vec<(&str, &Schema)> =
         tables.iter().map(|t| (t.name.as_str(), t.schema)).collect();
     // The `column op literal` conditions were applied when the tables
@@ -464,42 +496,37 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable<'_>>) -> Result<Q
             .collect::<Result<_>>()?,
     };
 
-    // Execute the chosen physical plan with the §3 cores; each output
-    // row is built from its two halves, cloning only what it returns.
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    // Execute the chosen physical plan with the §3 cores; the sink gets
+    // each output row as the values it returns, lent by the two halves.
     let ctx = ExecContext::unmetered(&env);
     let survivors = |name: &str| {
         let t = tables.iter().find(|t| t.name == name)?;
         Some(Rows::new(t.rows.as_slice(), TUPLES_PER_PAGE as usize))
     };
+    sink.columns(names)?;
     run_plan(&planned.plan, &survivors, &ctx, |l: &Tuple, r: &Tuple| {
         let value = |&i: &usize| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
-        let row: Option<Vec<Value>> = indices.iter().map(|i| value(i).cloned()).collect();
-        rows.push(row.ok_or_else(|| Error::Internal("projection past the plan output".into()))?);
-        Ok(())
+        sink.row(indices.iter().filter_map(value))
     })?;
-    Ok(QueryResult {
-        columns: names,
-        rows,
-        affected: 0,
-    })
+    sink.affected(0)
 }
 
-/// Reach + plan + execute under the caller's read lock on `catalog`,
-/// recording how long it held it; also returns the `(table, column)`
-/// indexes the accesses asked for.
+/// Reach + plan + execute into `sink` under the caller's read lock on
+/// `catalog`, recording how long it held it; returns the `(table,
+/// column)` indexes the accesses asked for.
 pub(crate) fn run_select(
     stmt: &SelectStmt,
     catalog: &Catalog,
     viewer: Option<TxnId>,
-) -> Result<(QueryResult, Vec<(String, usize)>)> {
+    sink: &mut impl RowSink,
+) -> Result<Vec<(String, usize)>> {
     let since = Instant::now();
     let run = snapshot_tables(stmt, catalog, viewer).and_then(|tables| {
         let wanted = tables
             .iter()
             .filter_map(|t| Some((t.name.clone(), t.wants_index?)));
         let wanted = wanted.collect();
-        Ok((run_select_on(stmt, tables)?, wanted))
+        run_select_into(stmt, tables, sink).map(|()| wanted)
     });
     let held = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
     catalog.metrics.select_lock_hold_us.record(held);
@@ -561,7 +588,11 @@ mod tests {
 
     fn select(cat: &Catalog, sql: &str) -> QueryResult {
         match parse(sql).unwrap() {
-            Statement::Select(s) => run_select(&s, cat, None).unwrap().0,
+            Statement::Select(s) => {
+                let mut result = QueryResult::default();
+                run_select(&s, cat, None, &mut result).unwrap();
+                result
+            }
             other => panic!("not a select: {other:?}"),
         }
     }
@@ -613,7 +644,7 @@ mod tests {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(run_select(&s, &cat, None).is_err());
+        assert!(run_select(&s, &cat, None, &mut QueryResult::default()).is_err());
     }
 
     #[test]
@@ -623,13 +654,13 @@ mod tests {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        let e = run_select(&s, &cat, None).unwrap_err();
+        let e = run_select(&s, &cat, None, &mut QueryResult::default()).unwrap_err();
         assert!(e.to_string().contains("ambiguous"), "{e}");
         let s = match parse("SELECT nope FROM emp").unwrap() {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(run_select(&s, &cat, None).is_err());
+        assert!(run_select(&s, &cat, None, &mut QueryResult::default()).is_err());
     }
 
     fn parse_select(sql: &str) -> SelectStmt {

@@ -69,7 +69,7 @@ use crate::ast::{Condition, Literal, SetExpr, Statement};
 use crate::catalog::{Catalog, SharedCatalog, TableEntry};
 use crate::codec::{self, SqlKey};
 use crate::parser::{parse, ParseError};
-use crate::query::{self, QueryResult};
+use crate::query::{self, QueryResult, RowSink};
 use mmdb_session::{Engine, Session, Txn};
 use mmdb_types::error::{Error, Result};
 use mmdb_types::expr::Predicate;
@@ -367,15 +367,27 @@ impl SqlSession {
         self.txn.is_some()
     }
 
-    /// Runs one parsed statement.
+    /// Runs one parsed statement, collecting its answer.
     pub fn run(&mut self, stmt: &Statement) -> std::result::Result<QueryResult, SqlError> {
-        match stmt {
+        let mut result = QueryResult::default();
+        self.run_into(stmt, &mut result).map(|()| result)
+    }
+
+    /// Runs one parsed statement, handing its answer to `sink`: a
+    /// `SELECT`'s rows as the plan produces them, under the catalog read
+    /// lock. On `Err` the sink may hold part of an answer to discard.
+    pub fn run_into(
+        &mut self,
+        stmt: &Statement,
+        sink: &mut impl RowSink,
+    ) -> std::result::Result<(), SqlError> {
+        let affected = match stmt {
             Statement::Begin => {
                 if self.txn.is_some() {
                     return Err(SqlError::Sql("a transaction is already open".to_string()));
                 }
                 self.txn = Some(self.db.session.begin()?);
-                Ok(QueryResult::ack())
+                0
             }
             Statement::Commit => {
                 let txn = self
@@ -383,7 +395,7 @@ impl SqlSession {
                     .take()
                     .ok_or_else(|| SqlError::Sql("COMMIT outside a transaction".to_string()))?;
                 self.commit(txn)?;
-                Ok(QueryResult::ack())
+                0
             }
             Statement::Abort => {
                 let txn = self
@@ -391,30 +403,32 @@ impl SqlSession {
                     .take()
                     .ok_or_else(|| SqlError::Sql("ABORT outside a transaction".to_string()))?;
                 self.rollback(txn);
-                Ok(QueryResult::ack())
+                0
             }
             Statement::Select(sel) => {
                 // The read lock is held for the whole run, bounded by its
                 // output, not by a copy of its inputs (rows are lent). The
                 // indexes it wanted are built after, only if it succeeded.
                 let viewer = self.txn.as_ref().map(Txn::id);
-                let (result, wanted) = self
+                let wanted = self
                     .db
                     .catalog
-                    .with_catalog_read(|c| query::run_select(sel, c, viewer))?;
+                    .with_catalog_read(|c| query::run_select(sel, c, viewer, sink))?;
                 for (table, column) in wanted {
                     self.db.build_index(&table, column)?;
                 }
-                Ok(result)
+                return Ok(());
             }
-            mutation => self.run_mutation(mutation),
-        }
+            mutation => self.run_mutation(mutation)?,
+        };
+        sink.columns(Vec::new())?;
+        Ok(sink.affected(affected)?)
     }
 
     /// Runs a DDL/DML statement, autocommitting when no transaction is
     /// open. Any failure aborts the whole transaction — the error
     /// message tells the client so.
-    fn run_mutation(&mut self, stmt: &Statement) -> std::result::Result<QueryResult, SqlError> {
+    fn run_mutation(&mut self, stmt: &Statement) -> std::result::Result<u64, SqlError> {
         // An autocommit transaction lives only in this call: `self.txn`
         // stays `None`, so every exit below either commits it or rolls
         // it back.
@@ -540,7 +554,7 @@ fn create_table(
     created: &mut Vec<String>,
     name: &str,
     columns: &[(String, DataType)],
-) -> Result<QueryResult> {
+) -> Result<u64> {
     if columns.is_empty() {
         // Also what keeps "the empty record" free to mean "deleted".
         return Err(Error::Planning(format!(
@@ -580,7 +594,7 @@ fn create_table(
     created.push(name.to_string());
     db.session
         .put(txn, codec::catalog_key(table_id)?, blob.into())?;
-    Ok(QueryResult::ack())
+    Ok(0)
 }
 
 fn insert(
@@ -590,7 +604,7 @@ fn insert(
     table: &str,
     columns: &Option<Vec<String>>,
     rows: &[Vec<Literal>],
-) -> Result<QueryResult> {
+) -> Result<u64> {
     // Bind and encode every row and reserve rids under one catalog lock.
     let (table_id, bound) = db.catalog.with_catalog_write(|cat| {
         let entry = cat.table_mut(table, Some(txn.id()))?;
@@ -615,7 +629,7 @@ fn insert(
         db.session
             .put(txn, codec::row_key(table_id, rid)?, blob.into())?;
     }
-    Ok(QueryResult::affected(count))
+    Ok(count)
 }
 
 /// The rows an `UPDATE`/`DELETE` may touch — candidates from an unlocked
@@ -681,7 +695,7 @@ fn update(
     table: &str,
     sets: &[(String, SetExpr)],
     conditions: &[Condition],
-) -> Result<QueryResult> {
+) -> Result<u64> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     let bound_sets = query::bind_sets(&scan.schema, sets)?;
     for rid in scan.candidates {
@@ -696,7 +710,7 @@ fn update(
         rids.push(rid);
         db.session.put(txn, key, codec::encode_row(&new)?.into())?;
     }
-    Ok(QueryResult::affected(rids.len() as u64))
+    Ok(rids.len() as u64)
 }
 
 fn delete(
@@ -705,7 +719,7 @@ fn delete(
     rids: &mut Vec<u32>,
     table: &str,
     conditions: &[Condition],
-) -> Result<QueryResult> {
+) -> Result<u64> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     for rid in scan.candidates {
         let key = codec::row_key(scan.table_id, rid)?;
@@ -718,7 +732,7 @@ fn delete(
         rids.push(rid);
         db.session.put(txn, key, Vec::new().into())?;
     }
-    Ok(QueryResult::affected(rids.len() as u64))
+    Ok(rids.len() as u64)
 }
 
 #[cfg(test)]

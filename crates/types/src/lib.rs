@@ -37,7 +37,7 @@ pub use params::{
     AccessGeometry, CommitPolicy, CostWeights, JoinAlgorithm, RelationShape, SystemParams,
 };
 pub use reader::Reader;
-pub use rng::WorkloadRng;
+pub use rng::{WorkloadRng, Zipf};
 pub use schema::{Column, DataType, Schema};
 pub use tuple::Tuple;
 pub use value::Value;

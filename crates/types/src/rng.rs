@@ -121,46 +121,52 @@ impl WorkloadRng {
             .collect()
     }
 
-    /// A Zipf(s) sampler over `[0, key_space)`: key `k` has probability
-    /// proportional to `1/(k+1)^s`. Skewed key workloads stress the §3.3
-    /// partition-overflow handling (the paper's recursive hybrid hash).
-    pub fn zipf_index(&mut self, key_space: usize, s: f64) -> usize {
-        assert!(key_space > 0);
-        // Inverse-CDF sampling on the fly: cheap for the small key spaces
-        // skew experiments use; callers needing bulk draws use
-        // `zipf_tuples`, which precomputes the CDF.
-        let mut total = 0.0;
-        for k in 0..key_space {
-            total += 1.0 / ((k + 1) as f64).powf(s);
-        }
-        let target = self.unit() * total;
-        let mut acc = 0.0;
-        for k in 0..key_space {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            if acc >= target {
-                return k;
-            }
-        }
-        key_space - 1
+    /// One draw from `zipf`: inverse-CDF sampling over its table.
+    pub fn zipf_index(&mut self, zipf: &Zipf) -> usize {
+        let target = self.unit() * zipf.total();
+        let last = zipf.cdf.len() - 1;
+        zipf.cdf.partition_point(|&c| c < target).min(last)
     }
 
     /// `n` tuples with Zipf(s)-distributed keys over `[0, key_space)`.
     pub fn zipf_tuples(&mut self, n: usize, key_space: usize, s: f64) -> Vec<Tuple> {
-        assert!(key_space > 0);
-        let mut cdf = Vec::with_capacity(key_space);
-        let mut acc = 0.0;
-        for k in 0..key_space {
-            acc += 1.0 / ((k + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = *cdf.last().expect("non-empty");
+        let zipf = Zipf::new(key_space, s);
         (0..n)
             .map(|i| {
-                let target = self.unit() * total;
-                let k = cdf.partition_point(|&c| c < target).min(key_space - 1);
+                let k = self.zipf_index(&zipf);
                 Tuple::new(vec![Value::Int(k as i64), Value::Int(i as i64)])
             })
             .collect()
+    }
+}
+
+/// The Zipf(s) distribution over `[0, key_space)` — key `k` has
+/// probability proportional to `1/(k+1)^s` — as its cumulative table,
+/// built once and drawn from with [`WorkloadRng::zipf_index`]. Skewed
+/// key workloads stress the §3.3 partition-overflow handling (the
+/// paper's recursive hybrid hash).
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    /// `cdf[k]` is the sum of the first `k + 1` terms, in key order.
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    /// The table of Zipf(`s`) over `[0, key_space)`.
+    pub fn new(key_space: usize, s: f64) -> Zipf {
+        assert!(key_space > 0);
+        let mut acc = 0.0;
+        let cdf = (0..key_space)
+            .map(|k| {
+                acc += 1.0 / ((k + 1) as f64).powf(s);
+                acc
+            })
+            .collect();
+        Zipf { cdf }
+    }
+
+    fn total(&self) -> f64 {
+        self.cdf.last().copied().unwrap_or(0.0)
     }
 }
 
@@ -284,8 +290,9 @@ mod tests {
             assert!((0..100).contains(&k));
         }
         // The single-draw sampler agrees with the bulk sampler in range.
+        let zipf = Zipf::new(100, 1.2);
         for _ in 0..50 {
-            assert!(r.zipf_index(100, 1.2) < 100);
+            assert!(r.zipf_index(&zipf) < 100);
         }
     }
 

@@ -8,7 +8,7 @@ use mmdb_exec::join::JoinSpec;
 use mmdb_exec::{ExecContext, MemRelation};
 use mmdb_index::{PagedResidency, ReplacementPolicy};
 use mmdb_planner::enumerate::{classical_plan_space, collapsed_plan_space};
-use mmdb_types::{DataType, JoinAlgorithm, RelationShape, Schema, SystemParams, WorkloadRng};
+use mmdb_types::{DataType, JoinAlgorithm, RelationShape, Schema, SystemParams, WorkloadRng, Zipf};
 
 /// §3.3: recursive hybrid hash handles skewed partitions and respects the
 /// memory grant for splittable keys.
@@ -109,11 +109,12 @@ fn ending_a_reader_twice_leaves_a_second_reader_of_its_snapshot_pinned() {
 /// the §2 model assumes; on uniform references they tie.
 #[test]
 fn lru_beats_random_only_under_skew() {
-    let run = |policy: ReplacementPolicy, zipf: Option<f64>| {
+    let skewed = Zipf::new(200, 1.0);
+    let run = |policy: ReplacementPolicy, zipf: Option<&Zipf>| {
         let mut pool = PagedResidency::new(60, policy);
         let mut rng = WorkloadRng::seeded(5);
         let mut next_page = || match zipf {
-            Some(s) => rng.zipf_index(200, s) as u64,
+            Some(z) => rng.zipf_index(z) as u64,
             None => rng.index(200) as u64,
         };
         for _ in 0..4_000 {
@@ -131,8 +132,8 @@ fn lru_beats_random_only_under_skew() {
         (uniform_random - uniform_lru).abs() < 0.04,
         "uniform: {uniform_random} vs {uniform_lru}"
     );
-    let skew_random = run(ReplacementPolicy::Random { seed: 2 }, Some(1.0));
-    let skew_lru = run(ReplacementPolicy::Lru, Some(1.0));
+    let skew_random = run(ReplacementPolicy::Random { seed: 2 }, Some(&skewed));
+    let skew_lru = run(ReplacementPolicy::Lru, Some(&skewed));
     assert!(
         skew_lru < skew_random - 0.02,
         "skewed: LRU {skew_lru} should beat random {skew_random}"

@@ -4,7 +4,8 @@
 //! name)` and 10,000 `orders (id, cust, amount, note)`, joined on
 //! `orders.cust = customers.id` under `orders.amount > t`, ≈ 750 rows a
 //! query, through `SqlDb` / `SqlSession`; and `point_read`'s shape, a
-//! keyed `SELECT bal FROM acct WHERE id = k`. A counting global allocator
+//! keyed `SELECT bal FROM acct WHERE id = k`; each collected, and each
+//! encoded for the wire as the server does. A counting global allocator
 //! delegates to `System` and counts the calling thread only, so the
 //! engine's log writer threads are not counted.
 //!
@@ -35,9 +36,18 @@
 //! schema; 43 over the lent row; and makes 42 since its plan runs
 //! unmetered, with no `Arc<CostMeter>` of its own. Its budget sits
 //! between the first and the last.
+//!
+//! The server does not collect an answer: the plan's sink encodes each
+//! row into the connection's reply buffer (`SqlSession::run_into` with
+//! `proto::OkEncoder`), so parse to encoded reply the join makes 0.19
+//! allocations per returned row (≈ 143 a query, whatever it returns)
+//! and a point `SELECT` 40, where collecting then encoding made 2.21
+//! and 42. Their budgets sit just above: a result row built on the wire
+//! path again fails them.
 
+use mmdb_server::proto::{self, OkEncoder};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
-use mmdb_sql::SqlDb;
+use mmdb_sql::{parse, SqlDb, SqlSession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -47,6 +57,15 @@ const BUDGET_PER_ROW: f64 = 3.0;
 
 /// Allocations a point `SELECT` may make, parse to result.
 const POINT_BUDGET: f64 = 46.0;
+
+/// Allocations per returned row the join may make, parse to encoded reply.
+const WIRE_BUDGET_PER_ROW: f64 = 0.25;
+
+/// Allocations a point `SELECT` may make, parse to encoded reply.
+const WIRE_POINT_BUDGET: f64 = 41.0;
+
+/// Joins timed per measurement.
+const RUNS: usize = 10;
 
 struct CountingAlloc;
 
@@ -127,17 +146,16 @@ fn engine(tag: &str) -> (Engine, std::path::PathBuf) {
     (engine, dir)
 }
 
-#[test]
-fn a_join_allocates_within_budget_per_returned_row() {
+/// `analytic_join`'s tables in a fresh engine: a session, the join's SQL
+/// and how many rows it returns.
+fn join_fixture(tag: &str) -> (Engine, std::path::PathBuf, SqlSession, String, usize) {
     const CUSTOMERS: u64 = 1_000;
     const ORDERS: u64 = 10_000;
     const AMOUNTS: u64 = 10_000;
     const THRESHOLD: u64 = 9_250;
-    const RUNS: usize = 10;
 
-    let (engine, dir) = engine("join");
-    let db = SqlDb::open(&engine).unwrap();
-    let mut s = db.session();
+    let (engine, dir) = engine(tag);
+    let mut s = SqlDb::open(&engine).unwrap().session();
     s.execute("CREATE TABLE orders (id INT, cust INT, amount INT, note TEXT)")
         .unwrap();
     s.execute("CREATE TABLE customers (id INT, region INT, name TEXT)")
@@ -167,32 +185,17 @@ fn a_join_allocates_within_budget_per_returned_row() {
          WHERE orders.cust = customers.id AND orders.amount > {THRESHOLD}"
     );
     assert_eq!(s.execute(&sql).unwrap().rows.len(), expected, "warm-up");
-    let before = allocs();
-    let mut rows = 0;
-    for _ in 0..RUNS {
-        rows += s.execute(&sql).unwrap().rows.len();
-    }
-    let per_row = (allocs() - before) as f64 / rows as f64;
-    assert_eq!(rows, RUNS * expected);
-    println!("{expected} rows per join, {per_row:.2} allocations per returned row");
-    assert!(
-        per_row < BUDGET_PER_ROW,
-        "{per_row:.2} allocations per returned row; the budget is {BUDGET_PER_ROW}"
-    );
-
-    drop(s);
-    engine.shutdown().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    (engine, dir, s, sql, expected)
 }
 
-#[test]
-fn a_point_select_allocates_within_budget() {
+/// `point_read`'s table in a fresh engine, its index built, and the
+/// point `SELECT`s to run.
+fn point_fixture(tag: &str) -> (Engine, std::path::PathBuf, SqlSession, Vec<String>) {
     const ROWS: u64 = 1_000;
     const RUNS: u64 = 200;
 
-    let (engine, dir) = engine("point");
-    let db = SqlDb::open(&engine).unwrap();
-    let mut s = db.session();
+    let (engine, dir) = engine(tag);
+    let mut s = SqlDb::open(&engine).unwrap().session();
     s.execute("CREATE TABLE acct (id INT, bal INT, note TEXT)")
         .unwrap();
     let rows: Vec<String> = (0..ROWS)
@@ -210,21 +213,100 @@ fn a_point_select_allocates_within_budget() {
             .len(),
         1
     );
-    let statements: Vec<String> = (0..RUNS)
+    let statements = (0..RUNS)
         .map(|k| format!("SELECT bal FROM acct WHERE id = {}", (k * 7) % ROWS))
         .collect();
+    (engine, dir, s, statements)
+}
+
+/// Parses and runs `sql` as the server does: its answer encoded into
+/// the reused `reply`.
+fn serve(s: &mut SqlSession, sql: &str, reply: &mut Vec<u8>) {
+    reply.clear();
+    let stmt = parse(sql).unwrap();
+    s.run_into(&stmt, &mut OkEncoder::new(reply)).unwrap();
+}
+
+/// The rows of the answer `reply` holds.
+fn rows_in(reply: &[u8]) -> usize {
+    proto::decode_response(reply).unwrap().unwrap().rows.len()
+}
+
+fn finish(engine: Engine, dir: std::path::PathBuf, s: SqlSession) {
+    drop(s);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_join_allocates_within_budget_per_returned_row() {
+    let (engine, dir, mut s, sql, expected) = join_fixture("join");
+    let before = allocs();
+    let mut rows = 0;
+    for _ in 0..RUNS {
+        rows += s.execute(&sql).unwrap().rows.len();
+    }
+    let per_row = (allocs() - before) as f64 / rows as f64;
+    assert_eq!(rows, RUNS * expected);
+    println!("{expected} rows per join, {per_row:.2} allocations per returned row");
+    assert!(
+        per_row < BUDGET_PER_ROW,
+        "{per_row:.2} allocations per returned row; the budget is {BUDGET_PER_ROW}"
+    );
+    finish(engine, dir, s);
+}
+
+#[test]
+fn a_join_encoded_for_the_wire_allocates_within_budget_per_returned_row() {
+    let (engine, dir, mut s, sql, expected) = join_fixture("wire-join");
+    let mut reply = Vec::new();
+    serve(&mut s, &sql, &mut reply);
+    let before = allocs();
+    for _ in 0..RUNS {
+        serve(&mut s, &sql, &mut reply);
+    }
+    let per_row = (allocs() - before) as f64 / (RUNS * expected) as f64;
+    assert_eq!(rows_in(&reply), expected);
+    println!(
+        "{expected} rows per join, {per_row:.2} allocations per returned row on the wire path"
+    );
+    assert!(
+        per_row < WIRE_BUDGET_PER_ROW,
+        "{per_row:.2} allocations per returned row; the budget is {WIRE_BUDGET_PER_ROW}"
+    );
+    finish(engine, dir, s);
+}
+
+#[test]
+fn a_point_select_allocates_within_budget() {
+    let (engine, dir, mut s, statements) = point_fixture("point");
     let before = allocs();
     for sql in &statements {
         assert_eq!(s.execute(sql).unwrap().rows.len(), 1);
     }
-    let per_statement = (allocs() - before) as f64 / RUNS as f64;
+    let per_statement = (allocs() - before) as f64 / statements.len() as f64;
     println!("{per_statement:.2} allocations per point SELECT");
     assert!(
         per_statement <= POINT_BUDGET,
         "{per_statement:.2} allocations per point SELECT; the budget is {POINT_BUDGET}"
     );
+    finish(engine, dir, s);
+}
 
-    drop(s);
-    engine.shutdown().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn a_point_select_encoded_for_the_wire_allocates_within_budget() {
+    let (engine, dir, mut s, statements) = point_fixture("wire-point");
+    let mut reply = Vec::new();
+    let before = allocs();
+    for sql in &statements {
+        serve(&mut s, sql, &mut reply);
+    }
+    let per_statement = (allocs() - before) as f64 / statements.len() as f64;
+    assert_eq!(rows_in(&reply), 1);
+    println!("{per_statement:.2} allocations per point SELECT on the wire path");
+    assert!(
+        per_statement <= WIRE_POINT_BUDGET,
+        "{per_statement:.2} allocations per point SELECT; the budget is {WIRE_POINT_BUDGET}"
+    );
+    finish(engine, dir, s);
 }

@@ -4,11 +4,13 @@
 //! frames, idles and errors the never-reads-ahead free `read_frame`
 //! yields on the same stream under any segmentation; and a client with
 //! one request in flight treats bytes it did not ask for as a lost
-//! connection, not as its next answer.
+//! connection, not as its next answer. An answer encoded as the plan
+//! produces it is byte for byte the collected answer encoded.
 
-use mmdb_server::proto::{self, FrameRead, Framed, Recv, MAX_FRAME_BYTES};
+use mmdb_server::proto::{self, FrameRead, Framed, OkEncoder, Recv, MAX_FRAME_BYTES};
 use mmdb_server::{Client, ClientConfig, ClientError, Transport};
-use mmdb_sql::QueryResult;
+use mmdb_session::{CommitPolicy, Engine, EngineOptions};
+use mmdb_sql::{parse, QueryResult, SqlDb};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -374,4 +376,65 @@ fn after_a_stray_frame_a_write_is_not_retried_and_a_read_starts_clean() {
     // its answer is the new connection's, not the stray frame.
     assert_eq!(client.execute("SELECT a FROM t").unwrap().affected, 42);
     assert_eq!(dials.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn an_answer_encoded_as_it_is_produced_is_the_collected_answer_encoded() {
+    let dir = std::env::temp_dir().join(format!("mmdb-wire-sink-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = Engine::start(EngineOptions::new(CommitPolicy::Group, &dir)).unwrap();
+    let db = SqlDb::open(&engine).unwrap();
+    let mut s = db.session();
+    for sql in [
+        "CREATE TABLE customers (id INT, region INT, name TEXT)",
+        "CREATE TABLE orders (id INT, cust INT, amount FLOAT, note TEXT)",
+        "INSERT INTO customers VALUES (1, 3, 'ann'), (2, 4, 'bob'), (3, 3, NULL)",
+        "INSERT INTO orders VALUES (10, 1, 2.5, 'x'), (11, 3, -0.5, NULL), \
+         (12, 1, 7, ''), (13, 9, 1.25, 'no customer')",
+    ] {
+        s.execute(sql).unwrap();
+    }
+    // (statement, rows, affected) of each answer.
+    let cases = [
+        (
+            "SELECT orders.id, customers.name FROM orders, customers \
+             WHERE orders.cust = customers.id AND orders.amount > 1",
+            2,
+            0,
+        ),
+        ("SELECT name FROM customers WHERE id = 2", 1, 0),
+        (
+            "SELECT * FROM orders, customers WHERE orders.cust = customers.id",
+            3,
+            0,
+        ),
+        ("SELECT note FROM orders WHERE id = 99", 0, 0),
+        ("SELECT amount, note, id FROM orders", 4, 0),
+        ("SELECT name FROM customers WHERE region = 3", 2, 0),
+        ("UPDATE orders SET note = 'y' WHERE cust = 1", 0, 2),
+    ];
+    for (sql, rows, affected) in cases {
+        let stmt = parse(sql).unwrap();
+        let collected = s.run(&stmt).unwrap();
+        assert_eq!((collected.rows.len(), collected.affected), (rows, affected));
+        let mut streamed = vec![7u8; 3];
+        s.run_into(&stmt, &mut OkEncoder::new(&mut streamed))
+            .unwrap();
+        assert_eq!(streamed[..3], [7u8; 3], "{sql}: bytes ahead of the answer");
+        assert_eq!(
+            streamed[3..],
+            proto::encode_ok(&collected).unwrap(),
+            "{sql}"
+        );
+    }
+    // A control statement's ack, streamed, then collected.
+    let mut streamed = Vec::new();
+    s.run_into(&parse("BEGIN").unwrap(), &mut OkEncoder::new(&mut streamed))
+        .unwrap();
+    let collected = s.execute("COMMIT").unwrap();
+    assert_eq!(streamed, proto::encode_ok(&collected).unwrap());
+
+    drop(s);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
