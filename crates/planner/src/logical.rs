@@ -75,6 +75,15 @@ impl QuerySpec {
         }
     }
 
+    /// Whether [`optimize`](crate::optimize) reads the join columns'
+    /// distinct counts to choose its plan: only with two or more edges to
+    /// compare. One edge starts from the table with fewer estimated rows
+    /// and prices method and sides from the two cardinalities, so those
+    /// counts set only its `estimated_rows`.
+    pub fn orders_joins(&self) -> bool {
+        self.joins.len() >= 2
+    }
+
     /// Whether the join graph connects every table.
     pub fn is_connected(&self) -> bool {
         if self.tables.len() <= 1 {

@@ -251,7 +251,9 @@ pub fn optimize(spec: &QuerySpec, stats: &[TableStats], env: &PlanEnv) -> Result
         .max()
         .unwrap_or(crate::TUPLES_PER_PAGE);
     while state.tables.len() < spec.tables.len() {
-        // Candidate tables connected to the joined set.
+        // Candidate tables connected to the joined set: the one choice
+        // distinct counts decide, so a lone edge (`!spec.orders_joins()`)
+        // carries them into nothing but `estimated_rows`.
         let mut best: Option<(usize, &crate::logical::JoinEdge, f64)> = None;
         for e in &spec.joins {
             let (inside, outside) = if state.tables.contains(&e.left_table)
@@ -591,6 +593,121 @@ mod tests {
             }
         }
         check(&planned.plan, 2);
+    }
+
+    /// `plan` with every join's `estimated_rows` zeroed.
+    fn without_estimates(plan: &PhysicalPlan) -> PhysicalPlan {
+        match plan {
+            PhysicalPlan::Access(_) => plan.clone(),
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                method,
+                ..
+            } => PhysicalPlan::Join {
+                left: Box::new(without_estimates(left)),
+                right: Box::new(without_estimates(right)),
+                left_key: *left_key,
+                right_key: *right_key,
+                method: *method,
+                estimated_rows: 0.0,
+            },
+        }
+    }
+
+    /// A random local predicate over `column`: nothing, an equality, an
+    /// inequality, a half-open range the column's min/max can close, a
+    /// prefix, or a closed range.
+    fn draw_predicate(rng: &mut mmdb_types::WorkloadRng, column: usize) -> Predicate {
+        use mmdb_types::CmpOp;
+        let (v, width) = (rng.int_in(0, 1_000), 1 + rng.index(3));
+        match rng.below(6) {
+            0 => Predicate::True,
+            1 => Predicate::eq(column, v),
+            2 => Predicate::cmp(column, CmpOp::Ne, v),
+            3 => Predicate::cmp(column, [CmpOp::Lt, CmpOp::Ge][rng.index(2)], v),
+            4 => Predicate::StrPrefix {
+                column,
+                prefix: rng.name(width),
+            },
+            _ => Predicate::Between {
+                column,
+                lo: Value::Int(v),
+                hi: Value::Int(v + rng.int_in(0, 500)),
+            },
+        }
+    }
+
+    /// Over generated one-edge queries — random cardinalities, arities,
+    /// local predicates, indexes, memory grants and residency — the join
+    /// columns' distinct counts set nothing but `estimated_rows`: 1, the
+    /// drawn "exact" count and a huge one give the same plan at the same
+    /// cost. (A predicate's own column is priced from its count as any
+    /// selectivity is, so predicates here name other columns.)
+    #[test]
+    fn one_edge_plans_ignore_the_join_columns_distinct_counts() {
+        let mut rng = mmdb_types::WorkloadRng::seeded(53);
+        let mut estimates_moved = 0;
+        for case in 0..500 {
+            let mut stats = Vec::new();
+            let mut tables = Vec::new();
+            let mut keys = Vec::new();
+            for name in ["r", "s"] {
+                let arity = 1 + rng.index(5);
+                let tuples = rng.below(200_001);
+                let mut st = TableStats::uniform(name, tuples, 1 + rng.below(80), arity);
+                for col in &mut st.columns {
+                    col.distinct = 1 + rng.below(tuples.max(1));
+                    col.min = Some(Value::Int(0));
+                    col.max = Some(Value::Int(1_000));
+                }
+                st.indexed_columns = (0..arity).filter(|_| rng.chance(0.3)).collect();
+                st.ordered_indexed_columns = st.indexed_columns.clone();
+                let key = rng.index(arity);
+                let mut predicate = Predicate::True;
+                for c in (0..arity).filter(|&c| c != key) {
+                    predicate = predicate.and(draw_predicate(&mut rng, c));
+                }
+                stats.push(st);
+                tables.push(TableRef::filtered(name, predicate));
+                keys.push(key);
+            }
+            let flip = rng.chance(0.5);
+            let (l, r) = if flip { (1, 0) } else { (0, 1) };
+            let spec = QuerySpec {
+                tables,
+                joins: vec![JoinEdge {
+                    left_table: l,
+                    left_column: keys[l],
+                    right_table: r,
+                    right_column: keys[r],
+                }],
+            };
+            assert!(!spec.orders_joins());
+            let env = PlanEnv {
+                mem_pages: 1 + rng.index(20_000),
+                resident: rng.chance(0.5),
+                ..PlanEnv::default()
+            };
+            let exact = optimize(&spec, &stats, &env).unwrap();
+            for distinct in [1, 1 << 40] {
+                let mut varied = stats.clone();
+                for (st, &key) in varied.iter_mut().zip(&keys) {
+                    st.columns[key].distinct = distinct;
+                }
+                let planned = optimize(&spec, &varied, &env).unwrap();
+                assert_eq!(
+                    without_estimates(&planned.plan),
+                    without_estimates(&exact.plan),
+                    "case {case}, distinct {distinct}"
+                );
+                assert_eq!(planned.cost, exact.cost, "case {case}");
+                estimates_moved += usize::from(planned.estimated_rows != exact.estimated_rows);
+            }
+        }
+        assert!(estimates_moved > 500, "the counts do set the estimate");
     }
 
     #[test]

@@ -65,6 +65,10 @@ pub struct RecoveryManager {
     now: Micros,
     next_txn: u64,
     undo: HashMap<TxnId, Vec<(u64, Option<i64>)>>,
+    /// When commits became durable, kept only as long as something reads
+    /// it: in stable memory, while the transaction has records in the
+    /// tail (what a drain may write out); otherwise, from the page write
+    /// that completes a commit until the next commit has read its own.
     commit_durable_at: HashMap<TxnId, Micros>,
     /// §5.5: each dirty page's first-update LSN since its last
     /// checkpoint. It lives in stable memory when there is some, so only
@@ -289,11 +293,11 @@ impl RecoveryManager {
             self.queue.raise_demand(lsn.0, false);
         }
         self.write_pages();
-        let t = self
-            .commit_durable_at
-            .get(&txn.0)
-            .copied()
-            .unwrap_or(Micros::MAX);
+        // The other commits those pages made durable returned
+        // `Micros::MAX` when they were made; nothing asks for them again.
+        let t = self.commit_durable_at.get(&txn.0).copied();
+        self.commit_durable_at.clear();
+        let t = t.unwrap_or(Micros::MAX);
         if waits {
             self.now = self.now.max(t);
         }
@@ -375,6 +379,9 @@ impl RecoveryManager {
         if let Some(done) = last_done {
             self.now = self.now.max(done);
         }
+        let tail = self.stable.as_ref().map_or(&[][..], StableMemory::buffered);
+        let in_tail: HashSet<TxnId> = tail.iter().map(|(_, r)| r.txn()).collect();
+        self.commit_durable_at.retain(|t, _| in_tail.contains(t));
         last_done
     }
 
@@ -721,6 +728,31 @@ mod tests {
         }
         assert_eq!(m.log_pages_written(), 1, "one page write, not nine");
         assert_eq!(m.flush(), None, "nothing left to write");
+    }
+
+    /// The durable times are kept while something reads them, not for
+    /// the history of commits: over 2,000 commits, with a flush now and
+    /// then, the map never holds more than a page batch's commits, nor in
+    /// stable memory more than the tail's.
+    #[test]
+    fn durable_times_are_forgotten_once_read() {
+        let managers = [
+            RecoveryManager::new(CommitPolicy::Synchronous),
+            RecoveryManager::new(CommitPolicy::Group),
+            RecoveryManager::new(CommitPolicy::Partitioned { devices: 4 }),
+            RecoveryManager::with_stable_memory(16 * 1024),
+        ];
+        for mut m in managers {
+            let mut most = 0;
+            for i in 0..2_000u64 {
+                m.typical(i % 100, i as i64).unwrap();
+                if i % 97 == 0 {
+                    m.flush();
+                }
+                most = most.max(m.commit_durable_at.len());
+            }
+            assert!(most <= 41, "{:?}: {most} durable times kept", m.policy);
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! costs the receiver 16 MiB of memory.
 
 use mmdb_sql::codec;
-use mmdb_sql::query::RowSink;
+use mmdb_sql::query::{ColumnName, RowSink};
 use mmdb_sql::QueryResult;
 use mmdb_types::error::{Error, Result};
 use mmdb_types::reader::Reader;
@@ -483,16 +483,22 @@ impl<'a> OkEncoder<'a> {
 }
 
 impl RowSink for OkEncoder<'_> {
-    fn columns(&mut self, names: Vec<String>) -> Result<()> {
+    fn columns<'n>(&mut self, names: impl ExactSizeIterator<Item = ColumnName<'n>>) -> Result<()> {
         let len16 = |n: usize| u16::try_from(n).map_err(|_| Error::TupleTooLarge(n));
         let out = &mut *self.out;
         out.push(0);
-        out.extend_from_slice(&len16(names.len())?.to_le_bytes());
-        for name in &names {
-            out.extend_from_slice(&len16(name.len())?.to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
+        let ncols = names.len();
+        out.extend_from_slice(&len16(ncols)?.to_le_bytes());
+        for ColumnName { table, column } in names {
+            let len = table.map_or(0, |t| t.len() + 1) + column.len();
+            out.extend_from_slice(&len16(len)?.to_le_bytes());
+            if let Some(t) = table {
+                out.extend_from_slice(t.as_bytes());
+                out.push(b'.');
+            }
+            out.extend_from_slice(column.as_bytes());
         }
-        (self.ncols, self.count_at) = (names.len(), out.len());
+        (self.ncols, self.count_at) = (ncols, out.len());
         out.extend_from_slice(&[0; 4]);
         self.fits()
     }
@@ -524,7 +530,11 @@ impl RowSink for OkEncoder<'_> {
 pub fn encode_ok(result: &QueryResult) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     let mut enc = OkEncoder::new(&mut out);
-    enc.columns(result.columns.clone())?;
+    let names = result.columns.iter().map(|c| ColumnName {
+        table: None,
+        column: c,
+    });
+    enc.columns(names)?;
     for row in &result.rows {
         enc.row(row.iter())?;
     }

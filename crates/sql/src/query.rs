@@ -7,8 +7,8 @@
 //! keeping a reference to each row that survives; a scan may ask for an
 //! index, built once the statement has succeeded and the lock is
 //! released. [`run_select_on`] plans the equi-join edges with the §4
-//! optimizer, given the survivors' exact count and the exact distinct
-//! counts of their join columns, and runs the plan with `mmdb_exec::plan`
+//! optimizer, given the survivors' exact count and, if it orders joins,
+//! their join columns' distinct counts, and runs the plan with `mmdb_exec::plan`
 //! — the one executor of §4 plans — unmetered, under the memory grant the
 //! plan was priced with, over the borrowed rows. The top join hands each
 //! result row, as values lent by its matched pair, to a [`RowSink`],
@@ -52,13 +52,23 @@ impl QueryResult {
     }
 }
 
+/// An output column's name as the statement or a bound schema lends it:
+/// `table.column` when qualified, else the bare column.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnName<'n> {
+    /// The qualifier, if the name carries one.
+    pub table: Option<&'n str>,
+    /// The column.
+    pub column: &'n str,
+}
+
 /// Where a statement's answer goes: its column names once, then each
 /// result row as values borrowed from wherever the plan holds them, then
 /// the affected count, which ends the answer. [`QueryResult`] collects
 /// it; the wire server encodes it straight into a connection's reply.
 pub trait RowSink {
-    /// The output column names (none for a statement without rows).
-    fn columns(&mut self, names: Vec<String>) -> Result<()>;
+    /// The output column names, lent (none for a statement without rows).
+    fn columns<'n>(&mut self, names: impl ExactSizeIterator<Item = ColumnName<'n>>) -> Result<()>;
     /// One result row, a value per column.
     fn row<'v>(&mut self, values: impl Iterator<Item = &'v Value>) -> Result<()>;
     /// Rows inserted/updated/deleted (0 for `SELECT` and controls).
@@ -66,8 +76,9 @@ pub trait RowSink {
 }
 
 impl RowSink for QueryResult {
-    fn columns(&mut self, names: Vec<String>) -> Result<()> {
-        self.columns = names;
+    fn columns<'n>(&mut self, names: impl ExactSizeIterator<Item = ColumnName<'n>>) -> Result<()> {
+        let qualifier = |t: Option<&str>| t.map_or_else(String::new, |t| format!("{t}."));
+        self.columns = names.map(|n| qualifier(n.table) + n.column).collect();
         Ok(())
     }
 
@@ -359,12 +370,15 @@ fn join_edges(stmt: &SelectStmt, tables: &[(&str, &Schema)]) -> Result<Vec<JoinE
 }
 
 /// [`TableStats`] of the rows a table's own conjuncts kept: their exact
-/// count, and the exact distinct count of each column a join edge of
-/// table `ti` names — all the §4 optimizer reads once the predicates are
-/// spent. Other columns are [`mmdb_planner::ColumnStats::unknown`], no
-/// min/max is kept, and a single-table `SELECT` hashes nothing.
-fn compute_stats(t: &BoundTable, ti: usize, joins: &[JoinEdge]) -> TableStats {
-    let ends = joins.iter().flat_map(JoinEdge::ends);
+/// count and, if the plan orders joins ([`QuerySpec::orders_joins`]), the
+/// exact distinct count of each column a join edge of table `ti` names —
+/// all the §4 optimizer reads once the predicates are spent. Other columns
+/// are [`mmdb_planner::ColumnStats::unknown`], no min/max is kept, and a
+/// one-table or one-join `SELECT` hashes nothing: a one-join plan's
+/// `estimated_rows` (read by nothing) assumes System R's 10 values a column.
+fn compute_stats(t: &BoundTable, ti: usize, spec: &QuerySpec) -> TableStats {
+    let ends = spec.joins.iter().flat_map(JoinEdge::ends);
+    let ends = ends.filter(|_| spec.orders_joins());
     let columns = ends.filter(|&(table, _)| table == ti).map(|(_, c)| c);
     let (name, arity) = (t.name.clone(), t.schema.arity());
     TableStats::exact_distinct(name, TUPLES_PER_PAGE, arity, &t.rows, columns)
@@ -453,7 +467,7 @@ fn run_select_into(
     let stats: Vec<TableStats> = tables
         .iter()
         .enumerate()
-        .map(|(ti, t)| compute_stats(t, ti, &spec.joins))
+        .map(|(ti, t)| compute_stats(t, ti, &spec))
         .collect();
     let env = PlanEnv::default();
     let planned = optimize(&spec, &stats, &env)?;
@@ -469,20 +483,17 @@ fn run_select_into(
             .ok_or_else(|| Error::RelationNotFound(name.to_string()))?;
         layout.extend((0..schema.arity()).map(|ci| (ti, ci)));
     }
+    // Each output column's name, lent by a schema or the statement, at its layout position.
     let qualify = schemas.len() > 1;
-    let (names, indices): (Vec<String>, Vec<usize>) = match &stmt.projection {
+    let output: Vec<(ColumnName, usize)> = match &stmt.projection {
         Projection::Star => layout
             .iter()
             .enumerate()
             .filter_map(|(i, &(ti, ci))| {
-                let (table, schema) = schemas.get(ti)?;
-                let c = &schema.column(ci)?.name;
-                let name = if qualify {
-                    format!("{table}.{c}")
-                } else {
-                    c.clone()
-                };
-                Some((name, i))
+                let &(table, schema) = schemas.get(ti)?;
+                let column = schema.column(ci)?.name.as_str();
+                let table = qualify.then_some(table);
+                Some((ColumnName { table, column }, i))
             })
             .collect(),
         Projection::Columns(cols) => cols
@@ -491,7 +502,8 @@ fn run_select_into(
                 let at = resolve(col, &schemas)?;
                 let i = layout.iter().position(|x| *x == at);
                 let i = i.ok_or_else(|| Error::Internal("table missing from plan".to_string()))?;
-                Ok((col.to_string(), i))
+                let (table, column) = (col.table.as_deref(), col.column.as_str());
+                Ok((ColumnName { table, column }, i))
             })
             .collect::<Result<_>>()?,
     };
@@ -503,10 +515,11 @@ fn run_select_into(
         let t = tables.iter().find(|t| t.name == name)?;
         Some(Rows::new(t.rows.as_slice(), TUPLES_PER_PAGE as usize))
     };
-    sink.columns(names)?;
+    sink.columns(output.iter().map(|&(name, _)| name))?;
     run_plan(&planned.plan, &survivors, &ctx, |l: &Tuple, r: &Tuple| {
-        let value = |&i: &usize| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
-        sink.row(indices.iter().filter_map(value))
+        let value =
+            |&(_, i): &(_, usize)| l.values().get(i).or_else(|| r.values().get(i - l.arity()));
+        sink.row(output.iter().filter_map(value))
     })?;
     sink.affected(0)
 }
@@ -539,6 +552,7 @@ mod tests {
     use crate::catalog::TableEntry;
     use crate::parser::parse;
     use crate::Statement;
+    use mmdb_planner::PhysicalPlan;
     use std::collections::BTreeMap;
 
     fn catalog() -> Catalog {
@@ -828,6 +842,69 @@ mod tests {
         c
     }
 
+    /// A hub of 10 rows joined to two 100-row tables: on `x`, which holds
+    /// 2 values on both sides, and on `y`, which holds 10 in the hub and
+    /// 100 in `q`. Exact counts attach `q` first (≈ 10 rows against
+    /// ≈ 500); without them the two edges tie and `p`, named first, goes
+    /// first — the join order depends on the counts.
+    fn star_catalog() -> Catalog {
+        let mut c = Catalog::default();
+        let int = |v: usize| Value::Int(v as i64);
+        let tables = [
+            ("hub", &["id", "x", "y"][..], 10, 2),
+            ("p", &["id", "x"][..], 100, 2),
+            ("q", &["id", "y"][..], 100, 100),
+        ];
+        for (id, (name, columns, n, spread)) in tables.into_iter().enumerate() {
+            let typed: Vec<(&str, DataType)> =
+                columns.iter().map(|&c| (c, DataType::Int)).collect();
+            let rows = (0..n).map(|i| {
+                let row = match columns.len() {
+                    3 => vec![int(i), int(i % spread), int(i)],
+                    _ => vec![int(i), int(i % spread)],
+                };
+                (i as u32, Tuple::new(row))
+            });
+            let entry = TableEntry {
+                id: id as u32,
+                schema: Schema::of(&typed),
+                rows: rows.collect(),
+                next_rid: n as u32,
+                pending_owner: None,
+            };
+            c.install(name, entry);
+        }
+        c
+    }
+
+    /// `plan` with its top join's `estimated_rows` zeroed.
+    fn without_estimate(plan: PhysicalPlan) -> PhysicalPlan {
+        match plan {
+            PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                method,
+                ..
+            } => PhysicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                method,
+                estimated_rows: 0.0,
+            },
+            access => access,
+        }
+    }
+
+    /// The statistics a `SELECT` plans from pick the plan statistics of
+    /// every column would. With two or more edges they are the exact
+    /// distinct counts of the join columns, and the estimate is the same
+    /// too. A one-edge plan is given no counts (its order is no choice),
+    /// so its `estimated_rows` is System R's default guess instead: `|L|
+    /// · |R| / max(d_L, d_R)` with `d = min(10, rows)` on each side.
     #[test]
     fn join_column_statistics_pick_the_same_plan_as_all_column_statistics() {
         let cases = [
@@ -843,6 +920,10 @@ mod tests {
                 analytic_catalog(),
                 "SELECT orders.id, customers.name FROM orders, customers \
                  WHERE orders.cust = customers.id AND orders.amount > 930000",
+            ),
+            (
+                star_catalog(),
+                "SELECT * FROM hub, p, q WHERE hub.x = p.x AND hub.y = q.y",
             ),
         ];
         for (cat, sql) in cases {
@@ -860,16 +941,43 @@ mod tests {
             let new: Vec<TableStats> = tables
                 .iter()
                 .enumerate()
-                .map(|(ti, t)| compute_stats(t, ti, &spec.joins))
+                .map(|(ti, t)| compute_stats(t, ti, &spec))
                 .collect();
             let old: Vec<TableStats> = tables.iter().map(all_column_stats).collect();
             assert_ne!(new, old, "{sql}: the statistics differ");
             let env = PlanEnv::default();
             let new = optimize(&spec, &new, &env).unwrap();
             let old = optimize(&spec, &old, &env).unwrap();
-            assert_eq!(new.plan, old.plan, "{sql}");
-            assert_eq!(new.estimated_rows, old.estimated_rows, "{sql}");
-            assert_eq!(new.plan.join_count(), 1, "{sql}");
+            if spec.orders_joins() {
+                assert_eq!(new.plan, old.plan, "{sql}");
+                assert_eq!(new.estimated_rows, old.estimated_rows, "{sql}");
+                let uncounted: Vec<TableStats> = tables
+                    .iter()
+                    .map(|t| {
+                        TableStats::uniform(&t.name, t.rows.len() as u64, 40, t.schema.arity())
+                    })
+                    .collect();
+                let uncounted = optimize(&spec, &uncounted, &env).unwrap();
+                assert_ne!(
+                    uncounted.plan.tables(),
+                    new.plan.tables(),
+                    "{sql}: the order is a choice"
+                );
+                assert_eq!(new.plan.tables(), ["hub", "q", "p"], "{sql}");
+                continue;
+            }
+            let (l, r) = (tables[0].rows.len() as f64, tables[1].rows.len() as f64);
+            let d = |rows: f64| rows.min(10.0);
+            assert_eq!(
+                new.estimated_rows,
+                (l * r / d(l).max(d(r))).max(1.0),
+                "{sql}"
+            );
+            assert_eq!(
+                without_estimate(new.plan),
+                without_estimate(old.plan),
+                "{sql}"
+            );
         }
     }
 

@@ -421,7 +421,7 @@ impl SqlSession {
             }
             mutation => self.run_mutation(mutation)?,
         };
-        sink.columns(Vec::new())?;
+        sink.columns(std::iter::empty())?;
         Ok(sink.affected(affected)?)
     }
 

@@ -42,8 +42,14 @@
 //! `proto::OkEncoder`), so parse to encoded reply the join makes 0.19
 //! allocations per returned row (≈ 143 a query, whatever it returns)
 //! and a point `SELECT` 40, where collecting then encoding made 2.21
-//! and 42. Their budgets sit just above: a result row built on the wire
-//! path again fails them.
+//! and 42. Since the encoder writes each column name from the bytes the
+//! statement and the bound schemas lend (`query::ColumnName`), with no
+//! `String` formatted per name nor a `Vec` of them, a point `SELECT`
+//! makes 38 on the wire path; and since a one-join plan is given no
+//! distinct counts (it has no join order to choose), the join hashes
+//! none of its keys and makes 0.18 a returned row there. Their budgets
+//! sit just above: a result row or a column name built on the wire path
+//! again fails them.
 
 use mmdb_server::proto::{self, OkEncoder};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
@@ -62,7 +68,7 @@ const POINT_BUDGET: f64 = 46.0;
 const WIRE_BUDGET_PER_ROW: f64 = 0.25;
 
 /// Allocations a point `SELECT` may make, parse to encoded reply.
-const WIRE_POINT_BUDGET: f64 = 41.0;
+const WIRE_POINT_BUDGET: f64 = 39.0;
 
 /// Joins timed per measurement.
 const RUNS: usize = 10;
